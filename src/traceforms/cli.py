@@ -39,7 +39,6 @@ from .galois import (
     MonicPoly,
     algebra_disc,
     classify_2group_trace_form,
-    is_totally_real,
     trace_form,
 )
 from .groups import GroupError, group_from_spec, regular_rep_in_alternating, sylow2
@@ -263,7 +262,7 @@ def _cmd_trace(args) -> int:
     out = _form_report(q)
     out["degree"] = A.degree
     out["disc"] = algebra_disc(A)
-    out["totally_real"] = is_totally_real(A)
+    out["totally_real"] = signature(q) == (A.degree, 0)
     _emit(out, args.pretty)
     return EXIT_PASS
 

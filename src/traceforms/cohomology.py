@@ -8,6 +8,22 @@ A normalized 2-cocycle c on G satisfies c(e,.) = c(.,e) = 0 and
 
 Cocycles are stored as one bit row per group element; the linear algebra
 runs on flat vectors indexed by pairs of non-identity elements.
+
+The cocycle space is solved from the identity at g in a generating set S
+of G only: |S|·(n-1)² equations in place of (n-1)³.  This loses nothing.
+For any normalized 2-cochain c, give G×F2 the product
+(g,a)(h,b) = (gh, a+b+c(g,h)).  Then
+
+    ((g,a)(h,b))(k,d) and (g,a)((h,b)(k,d))
+
+differ exactly by δc(g,h,k) in the second coordinate, so (g,a) lies in
+the left nucleus {x : (xy)z = x(yz) for all y, z} iff δc(g,·,·) = 0;
+membership does not depend on a.  The left nucleus of any magma is closed
+under products: for x, x' in it, ((xx')y)z = (x(x'y))z = x((x'y)z)
+= x(x'(yz)) = (xx')(yz).  It holds (e,0) and (e,1), because c is
+normalized.  So once it holds the lifts (s,0) of S it holds a lift of
+every product of elements of S, which is every g in G since G is finite,
+and δc vanishes on all triples.
 """
 from __future__ import annotations
 
@@ -15,7 +31,13 @@ import functools
 from dataclasses import dataclass
 
 from . import gf2
-from .groups import Group, GroupError, SubgroupHandle, quotient_with_map
+from .groups import (
+    Group,
+    GroupError,
+    SubgroupHandle,
+    generated_subgroup,
+    quotient_with_map,
+)
 
 H2_CAP = 64
 
@@ -104,14 +126,31 @@ def delta1(G: Group, b_bits: int) -> Cocycle2:
     return Cocycle2(G, tuple(rows))
 
 
-def _check_cap(G: Group, cap: int) -> None:
-    if G.order > cap:
-        raise CohomologyError(f"cohomology solver capped at order {cap}, got {G.order}")
+def _check_cap(G: Group) -> None:
+    if G.order > H2_CAP:
+        raise CohomologyError(
+            f"cohomology solver capped at order {H2_CAP}, got {G.order}")
 
 
-def cocycle_space(G: Group, cap: int = H2_CAP) -> list[Cocycle2]:
-    """Basis of the space of normalized 2-cocycles."""
-    _check_cap(G, cap)
+def _generating_set(G: Group) -> list[int]:
+    """A small generating set: elements of highest order first, each one
+    taken while the subgroup generated so far is proper."""
+    S: list[int] = []
+    span = {0}
+    for g in sorted(range(1, G.order), key=lambda g: (-G.element_order(g), g)):
+        if len(span) == G.order:
+            break
+        if g not in span:
+            S.append(g)
+            span = set(generated_subgroup(G, S).members)
+    return S
+
+
+def cocycle_space(G: Group) -> list[Cocycle2]:
+    """Basis of the space of normalized 2-cocycles, in the order
+    gf2.nullspace gives (it depends only on the space).  The identity is
+    imposed at g in a generating set only; see the module docstring."""
+    _check_cap(G)
     n = G.order
     if n == 1:
         return []
@@ -122,7 +161,7 @@ def cocycle_space(G: Group, cap: int = H2_CAP) -> list[Cocycle2]:
         return 1 << ((g - 1) * w + (h - 1))
 
     rows = set()
-    for g in range(1, n):
+    for g in _generating_set(G):
         for h in range(1, n):
             gh = t[g][h]
             base = bit(g, h)
@@ -144,9 +183,9 @@ def coboundary_generators(G: Group) -> list[Cocycle2]:
     return [delta1(G, 1 << g) for g in range(1, G.order)]
 
 
-def coboundary_space(G: Group, cap: int = H2_CAP) -> list[Cocycle2]:
+def coboundary_space(G: Group) -> list[Cocycle2]:
     """An independent basis of the coboundary space."""
-    _check_cap(G, cap)
+    _check_cap(G)
     pivots: dict[int, int] = {}
     out = []
     for c in coboundary_generators(G):
@@ -162,8 +201,8 @@ class H2Basis:
     """Echelonized model of H^2(G, F2): coboundary pivots plus one reduced
     representative vector per basis class."""
 
-    def __init__(self, G: Group, cap: int = H2_CAP):
-        _check_cap(G, cap)
+    def __init__(self, G: Group):
+        _check_cap(G)
         self.group = G
         self._b2: dict[int, int] = {}
         for c in coboundary_generators(G):
@@ -171,7 +210,7 @@ class H2Basis:
         self._reps: list[int] = []
         self._rep_pivot: dict[int, int] = {}
         self._z_dim = 0
-        for z in cocycle_space(G, cap):
+        for z in cocycle_space(G):
             self._z_dim += 1
             resid, _ = self._reduce(_vec_of(z))
             if resid:
@@ -245,8 +284,8 @@ class CohClass:
 
 
 @functools.lru_cache(maxsize=None)
-def h2(G: Group, cap: int = H2_CAP) -> H2Basis:
-    return H2Basis(G, cap)
+def h2(G: Group) -> H2Basis:
+    return H2Basis(G)
 
 
 def s_map(x) -> tuple[int, ...]:
@@ -257,9 +296,9 @@ def s_map(x) -> tuple[int, ...]:
     return c.diagonal()
 
 
-def ker_s(G: Group, cap: int = H2_CAP) -> list[CohClass]:
+def ker_s(G: Group) -> list[CohClass]:
     """Basis of the kernel of the involution-diagonal map on H^2."""
-    basis = h2(G, cap)
+    basis = h2(G)
     if basis.dim == 0:
         return []
     diags = [s_map(cl) for cl in basis.classes()]
@@ -273,9 +312,9 @@ def ker_s(G: Group, cap: int = H2_CAP) -> list[CohClass]:
     return [basis.class_from_coords(m) for m in gf2.nullspace(rows, basis.dim)]
 
 
-def is_2_reduced(G: Group, cap: int = H2_CAP) -> bool:
+def is_2_reduced(G: Group) -> bool:
     """True when the only class vanishing at every involution is zero."""
-    return len(ker_s(G, cap)) == 0
+    return len(ker_s(G)) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ whose highest set bit is that column.
 """
 from __future__ import annotations
 
+import bisect
+
 
 def echelon_insert(pivots: dict[int, int], v: int) -> int | None:
     """Reduce v against pivots and insert the remainder if nonzero.
@@ -50,21 +52,23 @@ def rank(rows) -> int:
 
 
 def nullspace(rows, ncols: int) -> list[int]:
-    """Basis of {x : parity(r & x) == 0 for every row r}."""
+    """Basis of {x : parity(r & x) == 0 for every row r}.
+
+    Basis vector j, for each free (non-pivot) column j in increasing
+    order, is the unique solution with x_j = 1 and every other free entry
+    0, so the basis depends only on the solution space.  It is
+    back-solved from the forward echelon form: the row with pivot c
+    fixes x_c from the entries below c, and every pivot entry below j is
+    0, so only pivots above j are visited, in increasing order."""
     pivots = row_space_pivots(rows)
-    # back-substitute to reduced echelon form
-    for c in sorted(pivots):
-        row = pivots[c]
-        for c2 in pivots:
-            if c2 != c and (pivots[c2] >> c) & 1:
-                pivots[c2] ^= row
+    order = sorted(pivots)
     basis = []
     for j in range(ncols):
         if j in pivots:
             continue
-        v = 1 << j
-        for c, row in pivots.items():
-            if (row >> j) & 1:
-                v |= 1 << c
-        basis.append(v)
+        x = 1 << j
+        for c in order[bisect.bisect_right(order, j):]:
+            if (pivots[c] & x).bit_count() & 1:
+                x |= 1 << c
+        basis.append(x)
     return basis

@@ -134,7 +134,7 @@ def run_prop_lift2() -> VerificationReport:
     """Sign of the square of the lift of a fixed-point-free involution:
     +1 exactly when the degree is 0 or 2 mod 8.  The Clifford and
     closed-form routes are compared internally at every even n <= 24."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     plus = {2, 8, 10, 16, 24}
     minus = {4, 6, 12, 14, 20}
     computed = {}
@@ -149,7 +149,7 @@ def run_prop_lift2() -> VerificationReport:
     expected = {**{n: 1 for n in sorted(plus)}, **{n: -1 for n in sorted(minus)}}
     return VerificationReport(
         "prop-lift2", {"degrees": list(range(2, 25, 2))}, computed, expected,
-        _verdict(ok), time.time() - t0,
+        _verdict(ok), time.perf_counter() - t0,
         notes="both computation routes agreed at every even degree <= 24",
     )
 
@@ -173,7 +173,7 @@ def _catalog_by_key(key: str) -> Group:
 
 
 def run_2reduced_table() -> VerificationReport:
-    t0 = time.time()
+    t0 = time.perf_counter()
     computed = {}
     ok = True
     for key, want in _TWO_REDUCED_EXPECTED:
@@ -182,24 +182,24 @@ def run_2reduced_table() -> VerificationReport:
         ok = ok and got == want
     return VerificationReport(
         "2reduced-table", {"groups": [k for k, _ in _TWO_REDUCED_EXPECTED]},
-        computed, dict(_TWO_REDUCED_EXPECTED), _verdict(ok), time.time() - t0,
+        computed, dict(_TWO_REDUCED_EXPECTED), _verdict(ok), time.perf_counter() - t0,
     )
 
 
 def run_h2_s4() -> VerificationReport:
-    t0 = time.time()
+    t0 = time.perf_counter()
     b = h2(catalog("sym", 4))
     computed = {"dim": b.dim, "cocycle_dim": b.z2_dim, "coboundary_dim": b.b2_dim}
     return VerificationReport(
         "h2-s4", {"group": "sym:4"}, computed, {"dim": 2},
-        _verdict(b.dim == 2), time.time() - t0,
+        _verdict(b.dim == 2), time.perf_counter() - t0,
     )
 
 
 def run_quat_counterexample() -> VerificationReport:
     """The order-16 cover of the quaternion group: the extension has the
     involution-lifting property but its class is not a coboundary."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     T = catalog("quat_cover")
     t = T.labels.index("(2,2)")
     E = central_extension_from_quotient(T, t)
@@ -219,7 +219,7 @@ def run_quat_counterexample() -> VerificationReport:
           and computed["class_is_coboundary"] is False)
     return VerificationReport(
         "quat-counterexample", {"total": "quat_cover", "kernel": "(2,2)"},
-        computed, expected, _verdict(ok), time.time() - t0,
+        computed, expected, _verdict(ok), time.perf_counter() - t0,
         notes="base group fingerprint: order 8, one involution, nonabelian",
     )
 
@@ -228,7 +228,7 @@ def run_pin_splitness() -> VerificationReport:
     """Pin-lift sign cocycles of translation actions: split at order 8
     for the dihedral, cyclic and elementary abelian groups; nonzero
     diagonal for the cyclic group of order 4."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     computed = {}
     ok = True
     for key in ("dihedral:8", "cyclic:8", "elem_abelian_2:3"):
@@ -258,7 +258,7 @@ def run_pin_splitness() -> VerificationReport:
     }
     return VerificationReport(
         "pin-splitness", {"groups": list(computed)}, computed, expected,
-        _verdict(ok), time.time() - t0,
+        _verdict(ok), time.perf_counter() - t0,
         notes="quaternion8 value is reported without an asserted expectation",
     )
 
@@ -270,7 +270,7 @@ _MAIN_FIXTURES = ("multiquadratic_real", "multiquadratic_imaginary",
 def run_thm_main() -> VerificationReport:
     """w2 of the trace form equals cup(2, disc) on the octic fields, and
     triviality of the disc class matches the structural predicate."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     computed = {}
     ok = True
     for name in _MAIN_FIXTURES:
@@ -289,7 +289,7 @@ def run_thm_main() -> VerificationReport:
         "thm-main", {"fixtures": list(_MAIN_FIXTURES)}, computed,
         {name: {"status": "pass", "disc_predicate_agrees": True}
          for name in _MAIN_FIXTURES},
-        _verdict(ok), time.time() - t0,
+        _verdict(ok), time.perf_counter() - t0,
     )
 
 
@@ -302,7 +302,7 @@ _NUMB2_FIXTURES = (
 
 
 def run_cor_numb2() -> VerificationReport:
-    t0 = time.time()
+    t0 = time.perf_counter()
     computed = {}
     ok = True
     for name, want_case in _NUMB2_FIXTURES:
@@ -322,7 +322,7 @@ def run_cor_numb2() -> VerificationReport:
                 for name, c in _NUMB2_FIXTURES}
     return VerificationReport(
         "cor-numb2", {"fixtures": [n for n, _ in _NUMB2_FIXTURES]},
-        computed, expected, _verdict(ok), time.time() - t0,
+        computed, expected, _verdict(ok), time.perf_counter() - t0,
         notes="the imaginary cyclic octic was validated as cyclic degree 8"
               " (fixed field of an index-8 subgroup of the conductor-32"
               " cyclotomic field)",
@@ -330,7 +330,7 @@ def run_cor_numb2() -> VerificationReport:
 
 
 def run_two_cyclic_sylow() -> VerificationReport:
-    t0 = time.time()
+    t0 = time.perf_counter()
     fx = fixtures.COMPOSITUM_C2XC4
     rep = verify_two_cyclic_sylow(
         fx.algebra, fixtures.COMPOSITUM_D1, fixtures.COMPOSITUM_D2,
@@ -357,7 +357,7 @@ def run_two_cyclic_sylow() -> VerificationReport:
         {"fixture": fx.name, "d1": fixtures.COMPOSITUM_D1,
          "d2": fixtures.COMPOSITUM_D2,
          "first_factor_order_2": fixtures.COMPOSITUM_FIRST_FACTOR_ORDER_2},
-        computed, expected, _verdict(ok), time.time() - t0,
+        computed, expected, _verdict(ok), time.perf_counter() - t0,
     )
 
 
@@ -368,7 +368,7 @@ def run_rel_identities() -> VerificationReport:
     """Invariants of the algebra of m copies of a field, from the
     invariants of one copy: disc multiplies m times; the place set picks
     up binom(m,2) copies of cup(d, d)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     computed = {}
     ok = True
     for name in _REL_POLYS:
@@ -389,7 +389,7 @@ def run_rel_identities() -> VerificationReport:
                 for name in _REL_POLYS}
     return VerificationReport(
         "rel-identities", {"fields": list(_REL_POLYS), "copies": [1, 2, 3, 4]},
-        computed, expected, _verdict(ok), time.time() - t0,
+        computed, expected, _verdict(ok), time.perf_counter() - t0,
     )
 
 
@@ -546,7 +546,7 @@ _BATTERIES = (
 
 
 def run_property_suites(seed: int = DEFAULT_SEED) -> VerificationReport:
-    t0 = time.time()
+    t0 = time.perf_counter()
     computed = {}
     ok = True
     for name, fn in _BATTERIES:
@@ -557,7 +557,7 @@ def run_property_suites(seed: int = DEFAULT_SEED) -> VerificationReport:
     expected = {name: {"failures": 0} for name, _ in _BATTERIES}
     return VerificationReport(
         "property-suites", {"seed": seed}, computed, expected,
-        _verdict(ok), time.time() - t0,
+        _verdict(ok), time.perf_counter() - t0,
     )
 
 
@@ -575,20 +575,19 @@ def run_statement(statement: str, seed: int = DEFAULT_SEED) -> VerificationRepor
         "thm-main": run_thm_main,
         "cor-numb2": run_cor_numb2,
         "two-cyclic-sylow": run_two_cyclic_sylow,
+        "property-suites": lambda: run_property_suites(seed),
         "rel-identities": run_rel_identities,
     }
-    if statement == "property-suites":
-        return run_property_suites(seed)
     if statement not in runners:
         raise ValueError(f"unknown statement {statement!r}; "
                          f"choose from {', '.join(STATEMENTS)}")
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         return runners[statement]()
     except Exception as exc:  # surface honest failures, never hide them
         return VerificationReport(
             statement, {}, {"error": f"{type(exc).__name__}: {exc}"}, {},
-            "fail", time.time() - t0,
+            "fail", time.perf_counter() - t0,
         )
 
 

@@ -7,6 +7,8 @@ import time
 
 import pytest
 
+from traceforms.cohomology import H2Basis
+from traceforms.groups import catalog
 from traceforms.verify import DEFAULT_SEED, run_statement
 
 _RUNTIME_BOUNDS = {  # seconds, where the contract pins one
@@ -115,3 +117,15 @@ def test_criterion_10_repeat_identities():
     for name, rows in rep.computed.items():
         for m, row in rows.items():
             assert row["equal"], (name, m)
+
+
+def test_criterion_11_h2_of_alt5_within_bound():
+    # a fresh solve: h2() would answer from its cache after any earlier test
+    t0 = time.perf_counter()
+    b = H2Basis(catalog("alt", 5))
+    elapsed = time.perf_counter() - t0
+    ok = b.dim == 1 and b.z2_dim == 60
+    print(f"ACCEPTANCE 11 [h2-alt5]: {'PASS' if ok else 'FAIL'} "
+          f"({elapsed:.2f}s) - dim H2 = 1, dim Z2 = 60", flush=True)
+    assert ok, (b.dim, b.z2_dim)
+    assert elapsed < 5.0, f"h2 of alt:5 took {elapsed:.2f}s >= 5.0s"

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from traceforms import galois
 from traceforms.cli import main
+from traceforms.cohomology import h2
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +103,28 @@ def test_trace_verb(capsys):
         '[{"poly": [1, 0, -3], "multiplicity": 2}]')
     data = json.loads(out)
     assert code == 0 and data["degree"] == 4 and data["disc"] == 1
+
+
+def test_kers_solves_h2_once(capsys):
+    # a perms: spec builds a new group, so h2's cache cannot answer
+    before = h2.cache_info().misses
+    code, _, _ = run_cli(capsys, "kers", "--group", "perms:(0 1 2 3),(0 1)")
+    assert code == 0
+    assert h2.cache_info().misses == before + 1
+
+
+def test_trace_verb_diagonalizes_once(capsys, monkeypatch):
+    calls = []
+    real = galois.trace_form
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(galois, "trace_form", counting)
+    monkeypatch.setattr("traceforms.cli.trace_form", counting)
+    code, _, _ = run_cli(capsys, "trace", "--poly", "1,0,-4,0,2")
+    assert code == 0 and len(calls) == 1
 
 
 def test_classify_verb(capsys):

@@ -133,3 +133,44 @@ def test_nullspace_orthogonality_and_dimension():
             for r in rows:
                 assert bin(r & x).count("1") % 2 == 0
         assert gf2.rank(basis) == len(basis)
+
+
+def _nullspace_rref(rows, ncols):
+    """Reference: reduce the echelon form fully, then read each basis
+    vector off a free column."""
+    pivots = gf2.row_space_pivots(rows)
+    for c in sorted(pivots):
+        for c2 in pivots:
+            if c2 != c and (pivots[c2] >> c) & 1:
+                pivots[c2] ^= pivots[c]
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        v = 1 << j
+        for c, row in pivots.items():
+            if (row >> j) & 1:
+                v |= 1 << c
+        basis.append(v)
+    return basis
+
+
+def test_nullspace_matches_rref_reference():
+    rng = random.Random(47)
+    cases = [([], 5), ([0, 0], 3), ([0b1], 1), ([0b111, 0b111, 0b111], 3)]
+    for _ in range(300):
+        ncols = rng.randint(1, 40)
+        width = rng.randint(0, ncols)  # ncols may exceed every row's width
+        rows = [rng.getrandbits(width) for _ in range(rng.randint(0, 2 * ncols))]
+        rows += [0] * rng.randint(0, 2)
+        if rows:
+            rows += rng.choices(rows, k=rng.randint(0, 3))
+        rng.shuffle(rows)
+        cases.append((rows, ncols))
+    for ncols in (1, 8, 33):  # full rank: the nullspace is empty
+        rows = [(1 << i) | rng.getrandbits(i) for i in range(ncols)]
+        rng.shuffle(rows)
+        cases.append((rows, ncols))
+    for rows, ncols in cases:
+        assert gf2.nullspace(rows, ncols) == _nullspace_rref(rows, ncols), (rows, ncols)
+    assert gf2.nullspace(cases[-1][0], cases[-1][1]) == []

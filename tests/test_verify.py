@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from traceforms import verify
 from traceforms.verify import (
     DEFAULT_SEED,
     STATEMENTS,
@@ -58,6 +59,16 @@ def test_property_suites_trial_counts():
     assert c["smap_coboundary"]["trials"] == 800
     assert c["regular_parity"]["trials"] >= 10
     assert all(v["failures"] == 0 for v in c.values())
+
+
+def test_property_suites_error_becomes_fail(monkeypatch):
+    def broken(rng):
+        raise ZeroDivisionError("battery blew up")
+
+    monkeypatch.setattr(verify, "_BATTERIES", (("broken", broken),))
+    r = run_statement("property-suites", DEFAULT_SEED)
+    assert r.verdict == "fail"
+    assert r.computed == {"error": "ZeroDivisionError: battery blew up"}
 
 
 def test_unknown_statement_raises():
