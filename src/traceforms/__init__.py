@@ -10,8 +10,9 @@ The layers, bottom to top:
 - ``cohomology``: normalized 2-cocycles with F2 coefficients, H²,
   the involution-diagonal map and its kernel, central extensions and
   the involution-lifting property.
-- ``clifford``: exact Clifford arithmetic over Q(√2), pin lifts of
-  permutations, sign cocycles of translation actions.
+- ``clifford``: pin lifts of permutations as integer folds, sign
+  cocycles of translation actions read off the folds; exact Clifford
+  arithmetic over Q(√2) to verify the lifts.
 - ``quadratic``: square classes, Hilbert symbols, ramification sets of
   cup products, diagonalization, Hasse-Witt style invariants, rational
   isometry via the local-global classification.

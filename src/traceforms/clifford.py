@@ -1,17 +1,27 @@
-"""Exact Clifford algebra over Q(sqrt 2) for the positive-definite form,
-pin-group lifts of permutations, and the sign cocycle they induce.
+"""Pin-group lifts of permutations and the sign cocycle they induce.
 
-Basis elements are indexed by bitmasks: bit k set means the generator
-e_k appears (generators ascend left to right, e_k^2 = +1).  A
-permutation p acts on R^n by permuting coordinates; its pin lift is the
-ordered product of factors (e_i - e_j)/sqrt(2), one per transposition in
-a cycle decomposition.  Twisted conjugation by the lift recovers p, and
-lift(g) lift(h) = (+-1) lift(gh) defines a 2-cocycle on any group of
-permutations coming from a group's translation action.
+Basis elements of the Clifford algebra of the positive-definite form are
+indexed by bitmasks: bit k set means the generator e_k appears
+(generators ascend left to right, e_k^2 = +1).  A permutation p acts on
+R^n by permuting coordinates; its pin lift is the ordered product of
+factors (e_i - e_j)/sqrt(2), one per transposition in a cycle
+decomposition.  A lift with k factors is (1/sqrt 2)^k z, where z, its
+fold, is an integer combination of basis masks.
+
+Every sign is read off folds.  The factor count k(g) = n - #cycles(g) is
+the distance from g to the identity in transpositions, so it is
+subadditive, and it is even exactly when g is.  Hence the gap
+k(g) + k(h) - k(gh) is even and >= 0, and lift(g) lift(h) =
+(-1)^b lift(gh) holds exactly when the fold of the product equals
+(-1)^b 2^(gap/2) times the fold of lift(gh), as integer dicts.  For
+the translation action of a group this gives a 2-cocycle, and for an
+involution g the sign of lift(g)^2.
+
+Exact arithmetic over Q(sqrt 2) (QSqrt2, CliffordElt) only verifies
+lifts: twisted conjugation by pin_lift(p) must recover p.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,15 +66,6 @@ class QSqrt2:
         o = self._coerce(other)
         return QSqrt2(self.u + o.u, self.v + o.v)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return QSqrt2(self.u - o.u, self.v - o.v)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __neg__(self):
         return QSqrt2(-self.u, -self.v)
 
@@ -72,11 +73,6 @@ class QSqrt2:
         o = self._coerce(other)
         return QSqrt2(self.u * o.u + 2 * self.v * o.v,
                       self.u * o.v + self.v * o.u)
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "QSqrt2":
-        return QSqrt2(self.u, -self.v)
 
     def norm(self) -> Fraction:
         return self.u * self.u - 2 * self.v * self.v
@@ -86,9 +82,6 @@ class QSqrt2:
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt 2)")
         return QSqrt2(self.u / n, -self.v / n)
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -103,9 +96,6 @@ class QSqrt2:
     def __bool__(self):
         return bool(self.u) or bool(self.v)
 
-    def is_rational(self) -> bool:
-        return self.v == 0
-
     def __repr__(self):
         if self.v == 0:
             return f"{self.u}"
@@ -114,20 +104,15 @@ class QSqrt2:
         return f"({self.u} + {self.v}*r2)"
 
 
-@functools.lru_cache(maxsize=None)
-def _wmask(S: int) -> int:
-    """Bit t is the parity of the number of generators in S above t."""
-    w = 0
-    par = 0
-    for t in range(S.bit_length() - 2, -1, -1):
-        par ^= (S >> (t + 1)) & 1
-        w |= par << t
-    return w
-
-
 def _sign_parity(S: int, T: int) -> int:
-    """Parity of the reordering sign in e_S * e_T = (+-) e_{S xor T}."""
-    return bin(_wmask(S) & T).count("1") & 1
+    """Parity of the reordering sign in e_S * e_T = (+-) e_{S xor T}: each
+    generator e_t of T passes the generators of S above t.  Bit t of w is
+    the parity of those (a suffix XOR by doubling shifts, which reaches
+    32 bits, beyond the rank cap)."""
+    w = S >> 1
+    for k in (1, 2, 4, 8, 16):
+        w ^= w >> k
+    return (w & T).bit_count() & 1
 
 
 class CliffordElt:
@@ -173,9 +158,6 @@ class CliffordElt:
             t[m] = t.get(m, QSqrt2()) + c
         return CliffordElt(self.n, t)
 
-    def __sub__(self, other: "CliffordElt") -> "CliffordElt":
-        return self + (-other)
-
     def __neg__(self) -> "CliffordElt":
         return CliffordElt(self.n, {m: -c for m, c in self.terms.items()})
 
@@ -197,11 +179,6 @@ class CliffordElt:
                 acc = out.get(m)
                 out[m] = c if acc is None else acc + c
         return CliffordElt(self.n, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, QSqrt2)):
-            return self.scale(other)
-        return NotImplemented
 
     def __eq__(self, other):
         if not isinstance(other, CliffordElt):
@@ -286,20 +263,20 @@ def transposition_factors(p: perms.Perm) -> list[tuple[int, int]]:
 
 # -- integer fold kernel ----------------------------------------------------
 # A product of k epsilon factors is (1/sqrt 2)^k times an integer
-# combination of basis masks; folding keeps that shape, so products of
-# lifts run on plain ints and convert to CliffordElt at the end.
+# combination of basis masks (its fold); every sign is read off folds.
 
 
 def _fold_factors(state: dict[int, int], factors) -> dict[int, int]:
     """Multiply state (integer mask combination) on the right by each
     (e_i - e_j) in turn, ignoring the 1/sqrt(2) scale."""
     for i, j in factors:
-        bi, bj = 1 << i, 1 << j
         new: dict[int, int] = {}
+        # e_S e_t = (-1)^(#S above t) e_{S xor t}; e_j carries a sign -1
+        steps = ((i + 1, 1 << i, 0), (j + 1, 1 << j, 1))
         for mask, c in state.items():
-            for vec, s0 in ((bi, c), (bj, -c)):
-                s = -s0 if _sign_parity(mask, vec) else s0
-                m = mask ^ vec
+            for above, bit, neg in steps:
+                s = -c if ((mask >> above).bit_count() ^ neg) & 1 else c
+                m = mask ^ bit
                 acc = new.get(m, 0) + s
                 if acc:
                     new[m] = acc
@@ -309,16 +286,25 @@ def _fold_factors(state: dict[int, int], factors) -> dict[int, int]:
     return state
 
 
-def _scale_for(k: int) -> QSqrt2:
-    """(1/sqrt 2)^k as an element of Q(sqrt 2)."""
-    if k % 2 == 0:
-        return QSqrt2(Fraction(1, 2 ** (k // 2)))
-    return QSqrt2(0, Fraction(1, 2 ** ((k + 1) // 2)))
+def _sign_bit(z: dict[int, int], w: dict[int, int], gap: int) -> int:
+    """The bit b with z = (-1)^b 2^(gap/2) w.  For z the fold of
+    lift(g) lift(h) (k1 + k2 factors), w the fold of lift(gh) (k3
+    factors) and gap = k1 + k2 - k3, that is lift(g) lift(h) =
+    (-1)^b lift(gh); k = n - #cycles makes the gap even and >= 0."""
+    if gap >= 0 and gap % 2 == 0:
+        j = gap // 2
+        if z == {m: c << j for m, c in w.items()}:
+            return 0
+        if z == {m: -c << j for m, c in w.items()}:
+            return 1
+    raise SignMismatchError("product of lifts is not +-(lift of product)")
 
 
-def _elt_from_fold(n: int, state: dict[int, int], k: int) -> CliffordElt:
-    s = _scale_for(k)
-    return CliffordElt(n, {m: s * c for m, c in state.items()})
+def _square_sign(factors: list[tuple[int, int]]) -> int:
+    """+-1 with x^2 = +-1, x the lift with these factors (an involution's);
+    the empty fold {0: 1} is the lift of the identity."""
+    state = _fold_factors(_fold_factors({0: 1}, factors), factors)
+    return -1 if _sign_bit(state, {0: 1}, 2 * len(factors)) else 1
 
 
 def twisted_action(x: CliffordElt) -> perms.Perm:
@@ -363,7 +349,10 @@ def pin_lift(p: perms.Perm, n: int | None = None) -> CliffordElt:
         raise CliffordError(f"rank {n} exceeds cap {CLIFFORD_RANK_CAP}")
     q = tuple(p) + tuple(range(len(p), n))
     factors = transposition_factors(q)
-    x = _elt_from_fold(n, _fold_factors({0: 1}, factors), len(factors))
+    k = len(factors)  # scale (1/sqrt 2)^k
+    scale = QSqrt2(0, Fraction(1, 2 ** ((k + 1) // 2))) if k % 2 else \
+        QSqrt2(Fraction(1, 2 ** (k // 2)))
+    x = CliffordElt(n, _fold_factors({0: 1}, factors)).scale(scale)
     if n <= ACTION_CHECK_CAP:
         if check_pin(x) != q:
             raise CliffordError("lift does not act as the permutation")
@@ -372,25 +361,13 @@ def pin_lift(p: perms.Perm, n: int | None = None) -> CliffordElt:
 
 def involution_square_sign(n: int) -> int:
     """Square of the pin lift of (0 1)(2 3)...(n-2 n-1) on n coordinates,
-    computed inside the algebra and cross-checked against the closed
-    form +1 iff n = 0, 2 mod 8."""
+    computed from its fold and cross-checked against the closed form
+    +1 iff n = 0, 2 mod 8."""
     if n < 2 or n % 2:
         raise CliffordError("need an even number of coordinates, at least 2")
     if n > CLIFFORD_RANK_CAP:
         raise CliffordError(f"rank {n} exceeds cap {CLIFFORD_RANK_CAP}")
-    factors = [(2 * i, 2 * i + 1) for i in range(n // 2)]
-    state = _fold_factors({0: 1}, factors)
-    state = _fold_factors(state, factors)
-    sq = _elt_from_fold(n, state, 2 * len(factors))
-    if not sq.is_scalar():
-        raise CliffordError("square of the lift is not scalar")
-    s = sq.scalar_part()
-    if s == QSqrt2(1):
-        alg = 1
-    elif s == QSqrt2(-1):
-        alg = -1
-    else:
-        raise CliffordError(f"square of the lift is {s!r}, not +-1")
+    alg = _square_sign([(2 * i, 2 * i + 1) for i in range(n // 2)])
     m = n // 2
     closed = 1 if (m * (m - 1) // 2) % 2 == 0 else -1
     if alg != closed:
@@ -413,32 +390,23 @@ class PinCocycleResult:
                      for g in sorted(self.square_signs))
 
 
-def _compare_up_to_sign(z: CliffordElt, w: CliffordElt) -> int:
-    if z == w:
-        return 0
-    if z == -w:
-        return 1
-    raise SignMismatchError("product of lifts is not +-(lift of product)")
-
-
 def pin_product_sign(p: perms.Perm, q: perms.Perm, n: int | None = None) -> int:
     """The sign bit with lift(p) lift(q) = (-1)^bit lift(p after q),
     computed by folding q's factors onto lift(p).  Raises
     SignMismatchError if the product fails to be proportional."""
     if n is None:
         n = max(len(p), len(q))
+    if max(len(p), len(q)) > n:
+        raise CliffordError("permutation degree exceeds rank")
     if n > CLIFFORD_RANK_CAP:
         raise CliffordError(f"rank {n} exceeds cap {CLIFFORD_RANK_CAP}")
     pp = tuple(p) + tuple(range(len(p), n))
     qq = tuple(q) + tuple(range(len(q), n))
     fp = transposition_factors(pp)
     fq = transposition_factors(qq)
-    z = _elt_from_fold(n, _fold_factors(_fold_factors({0: 1}, fp), fq),
-                       len(fp) + len(fq))
-    comp = perms.compose(pp, qq)
-    fc = transposition_factors(comp)
-    w = _elt_from_fold(n, _fold_factors({0: 1}, fc), len(fc))
-    return _compare_up_to_sign(z, w)
+    z = _fold_factors(_fold_factors({0: 1}, fp), fq)
+    fc = transposition_factors(perms.compose(pp, qq))
+    return _sign_bit(z, _fold_factors({0: 1}, fc), len(fp) + len(fq) - len(fc))
 
 
 def pin_cocycle(G: Group, involutions_only: bool = False) -> PinCocycleResult:
@@ -453,30 +421,20 @@ def pin_cocycle(G: Group, involutions_only: bool = False) -> PinCocycleResult:
     rows_of = left_regular(G)
 
     if involutions_only:
-        signs: dict[int, int] = {}
-        for g in G.involutions():
-            factors = transposition_factors(rows_of[g])
-            state = _fold_factors({0: 1}, factors)
-            state = _fold_factors(state, factors)
-            sq = _elt_from_fold(n, state, 2 * len(factors))
-            s = sq.scalar_part()
-            if not sq.is_scalar() or (s != QSqrt2(1) and s != QSqrt2(-1)):
-                raise CliffordError("square of an involution lift is not +-1")
-            signs[g] = 1 if s == QSqrt2(1) else -1
+        signs = {g: _square_sign(transposition_factors(rows_of[g]))
+                 for g in G.involutions()}
         return PinCocycleResult(G, None, signs, True)
 
     factor_lists = [transposition_factors(rows_of[g]) for g in range(n)]
+    k = [len(fl) for fl in factor_lists]
     folds = [_fold_factors({0: 1}, fl) for fl in factor_lists]
-    lifts = [_elt_from_fold(n, st, len(fl))
-             for st, fl in zip(folds, factor_lists)]
     rows = []
     for g in range(n):
         row = 0
         for h in range(1, n):
-            st = _fold_factors(folds[g], factor_lists[h])
-            z = _elt_from_fold(n, st, len(factor_lists[g]) + len(factor_lists[h]))
-            bit = _compare_up_to_sign(z, lifts[G.table[g][h]])
-            row |= bit << h
+            gh = G.table[g][h]
+            z = _fold_factors(folds[g], factor_lists[h])
+            row |= _sign_bit(z, folds[gh], k[g] + k[h] - k[gh]) << h
         rows.append(row)
     c = Cocycle2(G, tuple(rows))
     c.validate()

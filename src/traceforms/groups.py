@@ -331,8 +331,6 @@ def _elem_abelian_2(k: int) -> Group:
 
 
 def _dihedral(order: int) -> Group:
-    if order % 2 or order < 2:
-        raise GroupError("dihedral order must be even and >= 2")
     k = order // 2
 
     def idx(eps, i):
@@ -373,8 +371,6 @@ def _quaternion8() -> Group:
 
 
 def _sym(n: int) -> Group:
-    if n > 5:
-        raise GroupError("symmetric groups only up to degree 5")
     els = [p for p in itertools.permutations(range(n))]
     idx = {p: i for i, p in enumerate(els)}
     table = [[idx[perms.compose(a, b)] for b in els] for a in els]
@@ -382,8 +378,6 @@ def _sym(n: int) -> Group:
 
 
 def _alt(n: int) -> Group:
-    if n > 5:
-        raise GroupError("alternating groups only up to degree 5")
     els = [p for p in itertools.permutations(range(n)) if perms.signature(p) == 1]
     idx = {p: i for i, p in enumerate(els)}
     table = [[idx[perms.compose(a, b)] for b in els] for a in els]
@@ -425,6 +419,16 @@ def _catalog_cached(name: str, param: int | None) -> Group:
             raise GroupError(f"catalog group {name!r} needs a parameter")
     elif param is not None:
         raise GroupError(f"catalog group {name!r} takes no parameter")
+    # bound each table before building it
+    cap = f"CLOSURE_CAP = {CLOSURE_CAP}"
+    if name == "cyclic" and not 1 <= param <= CLOSURE_CAP:
+        raise GroupError(f"cyclic order must be between 1 and {cap}")
+    if name == "elem_abelian_2" and not 0 <= param < CLOSURE_CAP.bit_length():
+        raise GroupError(f"elem_abelian_2 rank k needs k >= 0 and 2^k <= {cap}")
+    if name == "dihedral" and (param % 2 or not 2 <= param <= CLOSURE_CAP):
+        raise GroupError(f"dihedral order must be even, >= 2 and <= {cap}")
+    if name in ("sym", "alt") and not 0 <= param <= 5:
+        raise GroupError(f"{name} degree must be between 0 and 5")
     if name == "cyclic":
         return _cyclic(param)
     if name == "elem_abelian_2":

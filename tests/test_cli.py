@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
+import traceforms
 from traceforms import galois
 from traceforms.cli import main
 from traceforms.cohomology import h2
@@ -160,3 +165,25 @@ def test_usage_errors(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["nonsense-verb"])
+
+
+@pytest.mark.parametrize("spec", ["cyclic:1000000000", "elem_abelian_2:64",
+                                  "dihedral:1000000000000",
+                                  "elem_abelian_2:-1", "sym:-1"])
+def test_oversized_catalog_parameters_exit_2(spec):
+    # The child runs under a 1 GiB address-space limit, so a missing bound
+    # fails with MemoryError instead of building the table.
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+    src = os.path.dirname(os.path.dirname(traceforms.__file__))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "traceforms", "group", "--group", f"catalog:{spec}"],
+        capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert elapsed < 2, elapsed
+    bound = "between 0 and 5" if spec.startswith("sym") else "CLOSURE_CAP = 10000"
+    assert bound in proc.stderr

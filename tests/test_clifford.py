@@ -7,6 +7,9 @@ from traceforms.clifford import (
     CliffordElt,
     CliffordError,
     QSqrt2,
+    SignMismatchError,
+    _sign_bit,
+    _square_sign,
     epsilon,
     involution_square_sign,
     pin_cocycle,
@@ -153,3 +156,97 @@ def test_pin_cocycle_caps():
     # involutions-only mode admits order 24
     res = pin_cocycle(catalog("sym", 4), involutions_only=True)
     assert set(res.square_signs.values()) == {1}
+
+
+# -- the Q(sqrt 2) route as an oracle for the integer sign rule --------------
+# Lifts are multiplied out factor by factor in CliffordElt, without the
+# integer fold kernel, and a product is matched against +-(lift of product).
+
+CATALOG_UP_TO_8 = ([("cyclic", k) for k in range(1, 9)]
+                   + [("dihedral", k) for k in (2, 4, 6, 8)]
+                   + [("elem_abelian_2", k) for k in range(4)]
+                   + [("sym", k) for k in range(4)]
+                   + [("alt", k) for k in range(4)]
+                   + [("quaternion8", None), ("Z4xZ2", None)])
+
+
+def _times_lift(x, p):
+    """x * lift(p), multiplying by p's epsilon factors in the algebra."""
+    for i, j in transposition_factors(p):
+        x = x * epsilon(i, j, x.n)
+    return x
+
+
+def _algebra_sign(z, w):
+    if z == w:
+        return 0
+    if z == -w:
+        return 1
+    raise AssertionError("product of lifts is not +-(lift of product)")
+
+
+def test_algebra_lift_is_pin_lift():
+    rng = random.Random(7)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        p = list(range(n))
+        rng.shuffle(p)
+        p = tuple(p)
+        assert _times_lift(CliffordElt.scalar(n, 1), p) == pin_lift(p)
+
+
+def test_pin_cocycle_matches_algebra_oracle():
+    for key, param in CATALOG_UP_TO_8:
+        G = catalog(key, param)
+        assert G.order <= 8
+        n = G.order
+        rows_of = left_regular(G)
+        lifts = [_times_lift(CliffordElt.scalar(n, 1), r) for r in rows_of]
+        rows = tuple(
+            sum(_algebra_sign(_times_lift(lifts[g], rows_of[h]),
+                              lifts[G.table[g][h]]) << h for h in range(n))
+            for g in range(n))
+        assert pin_cocycle(G).cocycle.rows == rows, (key, param)
+
+
+def test_pin_product_sign_matches_algebra_oracle():
+    rng = random.Random(808)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        p, q = list(range(n)), list(range(n))
+        rng.shuffle(p)
+        rng.shuffle(q)
+        p, q = tuple(p), tuple(q)
+        one = CliffordElt.scalar(n, 1)
+        z = _times_lift(_times_lift(one, p), q)
+        w = _times_lift(one, perms.compose(p, q))
+        assert pin_product_sign(p, q) == _algebra_sign(z, w), (p, q)
+
+
+W = {0b011: 1, 0b110: -3}
+
+
+def test_sign_rule_accepts_signed_powers_of_two():
+    assert _sign_bit({0b011: 1, 0b110: -3}, W, 0) == 0
+    assert _sign_bit({0b011: -4, 0b110: 12}, W, 4) == 1
+    assert _square_sign([(0, 1)]) == 1
+    assert _square_sign([(0, 1), (2, 3)]) == -1
+
+
+@pytest.mark.parametrize("z, w, gap", [
+    ({0b011: 2, 0b110: -6}, W, 3),  # odd gap (z = 2 w)
+    (W, {0b011: 2, 0b110: -6}, -2),  # negative gap (w = 2 z)
+    ({0b011: 2, 0b101: -6}, W, 2),  # different supports
+    ({0b011: 2, 0b110: 6}, W, 2),  # mixed signs
+    ({0b011: 3, 0b110: -9}, W, 2),  # ratio 3
+    ({0b011: 4, 0b110: -12}, W, 2),  # ratio 4, not 2^(gap/2)
+])
+def test_sign_rule_rejects_non_proportional_folds(z, w, gap):
+    with pytest.raises(SignMismatchError):
+        _sign_bit(z, w, gap)
+
+
+def test_square_of_non_involution_lift_is_rejected():
+    # the lift of a 3-cycle does not square to +-1
+    with pytest.raises(CliffordError):
+        _square_sign([(0, 2), (0, 1)])
