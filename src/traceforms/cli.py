@@ -37,7 +37,6 @@ from .galois import (
     GaloisDescriptor,
     GaloisError,
     MonicPoly,
-    algebra_disc,
     classify_2group_trace_form,
     trace_form,
 )
@@ -261,7 +260,6 @@ def _cmd_trace(args) -> int:
     q = trace_form(A)
     out = _form_report(q)
     out["degree"] = A.degree
-    out["disc"] = algebra_disc(A)
     out["totally_real"] = signature(q) == (A.degree, 0)
     _emit(out, args.pretty)
     return EXIT_PASS

@@ -40,6 +40,9 @@ from .groups import (
 )
 
 H2_CAP = 64
+# Bound on h2's cache.  Every `perms:` spec builds a new Group, so an
+# unbounded cache would keep each such group and its basis alive.
+H2_CACHE_SIZE = 64
 
 
 class CohomologyError(ValueError):
@@ -283,7 +286,7 @@ class CohClass:
         return self.coords == 0
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=H2_CACHE_SIZE)
 def h2(G: Group) -> H2Basis:
     return H2Basis(G)
 

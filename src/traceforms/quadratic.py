@@ -5,6 +5,13 @@ places where the relevant symbol is -1).
 
 Rank, signature, discriminant and that place set classify forms over Q
 up to isometry, which is how `is_isometric_q` decides equivalence.
+
+Each value is factored once, by `_square_class`, the only caller of
+`factorint`: a fraction's coprime numerator and denominator separately,
+by trial division by the twelve Miller-Rabin bases (no sieve), then
+Miller-Rabin and Pollard rho.  Everything after that works on squarefree
+integers with known primes; `w2` evaluates each pair of entries only at
+INF, 2 and the primes of those two entries.
 """
 from __future__ import annotations
 
@@ -16,28 +23,14 @@ from fractions import Fraction
 
 INF = "inf"  # the archimedean place, alongside prime numbers
 
-Place = "int | str"
-
 
 class QuadraticError(ValueError):
     pass
 
 
 # ---------------------------------------------------------------------------
-# integer factorization (trial division, then Miller-Rabin + Pollard rho)
-
-_TRIAL_LIMIT = 10 ** 6
-
-
-@functools.lru_cache(maxsize=1)
-def _small_primes() -> tuple[int, ...]:
-    sieve = bytearray([1]) * (_TRIAL_LIMIT + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(_TRIAL_LIMIT) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return tuple(i for i in range(2, _TRIAL_LIMIT + 1) if sieve[i])
-
+# integer factorization (trial division by the Miller-Rabin bases, then
+# Miller-Rabin + Pollard rho)
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -50,7 +43,7 @@ def is_probable_prime(n: int) -> bool:
     """Miller-Rabin with fixed bases; deterministic for n < 3.3e24."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -73,8 +66,6 @@ def is_probable_prime(n: int) -> bool:
 
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of odd composite n (Brent's cycle variant)."""
-    if n % 2 == 0:
-        return 2
     rng = random.Random(0xC0FFEE ^ n)
     while True:
         y, c, m = rng.randrange(1, n), rng.randrange(1, n), 128
@@ -107,13 +98,11 @@ def factorint(n: int) -> dict[int, int]:
     if n < 1:
         raise QuadraticError("factorint needs a positive integer")
     out: dict[int, int] = {}
-    for p in _small_primes():
-        if p * p > n:
-            break
+    for p in _MR_BASES:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    stack = [n] if n > 1 else []
+    stack = [n]
     while stack:
         m = stack.pop()
         if m == 1:
@@ -134,22 +123,26 @@ def factorint(n: int) -> dict[int, int]:
     return out
 
 
-def squarefree_part(x) -> int:
-    """The squarefree integer representing the square class of x."""
+def _square_class(x) -> tuple[int, frozenset]:
+    """The squarefree integer representing the square class of x, and the
+    set of its primes.  The numerator and denominator of a Fraction are
+    coprime, so each is factored on its own."""
     if isinstance(x, Fraction):
-        n = x.numerator * x.denominator
+        parts = (abs(x.numerator), x.denominator)
     elif isinstance(x, int):
-        n = x
+        parts = (abs(x),)
     else:
         raise QuadraticError(f"cannot reduce {type(x).__name__} to a square class")
-    if n == 0:
+    if x == 0:
         raise QuadraticError("zero has no square class")
-    sign = -1 if n < 0 else 1
-    out = 1
-    for p, e in factorint(abs(n)).items():
-        if e % 2:
-            out *= p
-    return sign * out
+    primes = frozenset(p for n in parts if n > 1
+                       for p, e in factorint(n).items() if e % 2)
+    return (-1 if x < 0 else 1) * math.prod(primes), primes
+
+
+def squarefree_part(x) -> int:
+    """The squarefree integer representing the square class of x."""
+    return _square_class(x)[0]
 
 
 def sqclass_mul(a: int, b: int) -> int:
@@ -162,17 +155,26 @@ def sqclass_mul(a: int, b: int) -> int:
 # Hilbert symbols and two-variable cup sets
 
 
-def _odd_part(n: int, p: int) -> tuple[int, int]:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v, n
+def _nonresidue(u: int, p: int) -> bool:
+    return pow(u, (p - 1) // 2, p) == p - 1
 
 
-def _legendre(u: int, p: int) -> int:
-    t = pow(u % p, (p - 1) // 2, p)
-    return -1 if t == p - 1 else t
+def _hilbert(a: int, b: int, v) -> int:
+    """(a, b)_v for squarefree a, b at INF or a prime v, by the closed
+    formulas: a squarefree argument has valuation 0 or 1 at v, and its
+    unit part is itself or its quotient by v."""
+    if v == INF:
+        return -1 if (a < 0 and b < 0) else 1
+    alpha, beta = a % v == 0, b % v == 0
+    u = a // v if alpha else a
+    w = b // v if beta else b
+    if v == 2:
+        e = ((u % 4 == 3 and w % 4 == 3) ^ (alpha and w % 8 in (3, 5))
+             ^ (beta and u % 8 in (3, 5)))
+    else:
+        e = ((alpha and beta and v % 4 == 3)
+             ^ (beta and _nonresidue(u, v)) ^ (alpha and _nonresidue(w, v)))
+    return -1 if e else 1
 
 
 def hilbert_symbol(a, b, v) -> int:
@@ -181,47 +183,32 @@ def hilbert_symbol(a, b, v) -> int:
     at odd p and at 2 it is read off valuations and residues."""
     a = squarefree_part(a)
     b = squarefree_part(b)
-    if v == INF:
-        return -1 if (a < 0 and b < 0) else 1
-    if not isinstance(v, int) or v < 2:
-        raise QuadraticError(f"not a place: {v!r}")
-    if v == 2:
-        alpha, u = _odd_part(abs(a), 2)
-        beta, w = _odd_part(abs(b), 2)
-        u *= -1 if a < 0 else 1
-        w *= -1 if b < 0 else 1
-        eps_u = (u % 4) == 3
-        eps_w = (w % 4) == 3
-        om_u = (u % 8) in (3, 5)
-        om_w = (w % 8) in (3, 5)
-        e = (eps_u and eps_w) ^ (alpha and om_w) ^ (beta and om_u)
-        return -1 if e else 1
-    if not is_probable_prime(v):
-        raise QuadraticError(f"place {v} is not prime")
-    alpha, u = _odd_part(abs(a), v)
-    beta, w = _odd_part(abs(b), v)
-    u *= -1 if a < 0 else 1
-    w *= -1 if b < 0 else 1
-    e = 0
-    if alpha and beta and ((v - 1) // 2) % 2:
-        e ^= 1
-    if beta and _legendre(u, v) == -1:
-        e ^= 1
-    if alpha and _legendre(w, v) == -1:
-        e ^= 1
-    return -1 if e else 1
+    if v != INF:
+        if not isinstance(v, int) or v < 2:
+            raise QuadraticError(f"not a place: {v!r}")
+        if v != 2 and not is_probable_prime(v):
+            raise QuadraticError(f"place {v} is not prime")
+    return _hilbert(a, b, v)
 
 
-@functools.lru_cache(maxsize=None)
-def _cup_cached(a: int, b: int) -> frozenset:
-    places = {INF, 2}
-    for x in (a, b):
-        places.update(factorint(abs(x)))
-    out = frozenset(v for v in places if hilbert_symbol(a, b, v) == -1)
+# Bound on the cup cache; its keys are pairs of squarefree integers.
+CUP_CACHE_SIZE = 1024
+
+
+def _cup_at(a: int, b: int, places) -> frozenset:
+    """Places where (a, b) is -1, for squarefree a, b and a place set
+    holding INF, 2 and every prime of a and b (elsewhere the symbol is 1).
+    Always of even size by the product formula, which is asserted."""
+    out = frozenset(v for v in places if _hilbert(a, b, v) == -1)
     if len(out) % 2:
         raise QuadraticError(f"odd number of places in cup({a}, {b}); "
                              "this breaks product-formula reciprocity")
     return out
+
+
+@functools.lru_cache(maxsize=CUP_CACHE_SIZE)
+def _cup_cached(a: int, b: int) -> frozenset:
+    return _cup_at(a, b, {INF, 2} | _square_class(a)[1] | _square_class(b)[1])
 
 
 def cup(a, b) -> frozenset:
@@ -296,12 +283,14 @@ def w1(q: QForm) -> int:
 
 
 def w2(q: QForm) -> frozenset:
-    """Symmetric difference of cup(a_i, a_j) over pairs i < j."""
-    ents = [squarefree_part(a) for a in q.entries]
+    """Symmetric difference of cup(a_i, a_j) over pairs i < j.  Each entry
+    is factored once; a pair is evaluated at INF, 2 and its two entries'
+    primes, the only places where its symbol can be -1."""
+    classes = [_square_class(a) for a in q.entries]
     out: frozenset = frozenset()
-    for i in range(len(ents)):
-        for j in range(i + 1, len(ents)):
-            out ^= cup(ents[i], ents[j])
+    for i, (a, pa) in enumerate(classes):
+        for b, pb in classes[i + 1:]:
+            out ^= _cup_at(a, b, {INF, 2} | pa | pb)
     return out
 
 

@@ -3,13 +3,21 @@ criterion, each printing a single PASS/FAIL line.  Runtime bounds are
 asserted where the contract states them; all equalities are exact
 (integer/rational arithmetic throughout - there are no float
 tolerances anywhere in the package)."""
+import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
+import sympy
 
+import traceforms
 from traceforms.cohomology import H2Basis
+from traceforms.galois import EtaleAlg, MonicPoly, trace_form
 from traceforms.groups import catalog
-from traceforms.verify import DEFAULT_SEED, run_statement
+from traceforms.quadratic import INF, hilbert_symbol
+from traceforms.verify import DEFAULT_SEED, jsonable, run_statement
 
 _RUNTIME_BOUNDS = {  # seconds, where the contract pins one
     "prop-lift2": 10.0,
@@ -129,3 +137,53 @@ def test_criterion_11_h2_of_alt5_within_bound():
           f"({elapsed:.2f}s) - dim H2 = 1, dim Z2 = 60", flush=True)
     assert ok, (b.dim, b.z2_dim)
     assert elapsed < 5.0, f"h2 of alt:5 took {elapsed:.2f}s >= 5.0s"
+
+
+_DEGREE16 = "1,-2,0,0,1,0,2,0,-1,1,-2,0,-1,-1,0,-2,-1"
+_DEGREE20 = "1,-2,1,0,0,1,2,2,1,-1,0,1,1,2,-1,1,-2,-2,-1,2,-1"
+
+
+def _trace_child(poly: str):
+    src = os.path.dirname(os.path.dirname(traceforms.__file__))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "traceforms", "trace", "--poly", poly],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    return proc, time.perf_counter() - t0
+
+
+def test_criterion_12_degree16_trace_form_within_bound():
+    # once stuck factoring products of numerators and denominators
+    proc, elapsed = _trace_child(_DEGREE16)
+    ok = proc.returncode == 0
+    print(f"ACCEPTANCE 12 [trace-degree16]: {'PASS' if ok else 'FAIL'} "
+          f"({elapsed:.2f}s) - w2 against pairwise Hilbert symbols", flush=True)
+    assert ok, proc.stderr
+    assert elapsed < 10.0, f"degree-16 trace took {elapsed:.2f}s >= 10.0s"
+    coeffs = tuple(int(c) for c in _DEGREE16.split(","))
+    q = trace_form(EtaleAlg(((MonicPoly(coeffs), 1),)))
+
+    def primes(x):  # of the square class, from sympy's factorizations
+        return {p for n in (abs(x.numerator), x.denominator)
+                for p, e in sympy.factorint(n).items() if e % 2}
+
+    ps = [primes(a) for a in q.entries]
+    expected: set = set()
+    for i, a in enumerate(q.entries):
+        for j in range(i + 1, q.rank):
+            for v in {INF, 2} | ps[i] | ps[j]:
+                if hilbert_symbol(a, q.entries[j], v) == -1:
+                    expected ^= {v}
+    assert json.loads(proc.stdout)["w2_places"] == jsonable(frozenset(expected))
+
+
+def test_criterion_13_uncertified_prime_exits_2():
+    # a 27-digit cofactor above the proven Miller-Rabin bound: no answer
+    proc, elapsed = _trace_child(_DEGREE20)
+    ok = proc.returncode == 2 and "Miller-Rabin bound" in proc.stderr
+    print(f"ACCEPTANCE 13 [trace-degree20]: {'PASS' if ok else 'FAIL'} "
+          f"({elapsed:.2f}s) - refuses an uncertified prime", flush=True)
+    assert ok, (proc.returncode, proc.stderr)
+    assert proc.stdout == ""
+    assert elapsed < 10.0, f"degree-20 trace took {elapsed:.2f}s >= 10.0s"

@@ -10,6 +10,9 @@ import traceforms
 from traceforms import galois
 from traceforms.cli import main
 from traceforms.cohomology import h2
+from traceforms.fixtures import ALL_FIXTURES
+from traceforms.quadratic import signature, w2
+from traceforms.verify import jsonable
 
 
 def run_cli(capsys, *argv):
@@ -130,6 +133,38 @@ def test_trace_verb_diagonalizes_once(capsys, monkeypatch):
     monkeypatch.setattr("traceforms.cli.trace_form", counting)
     code, _, _ = run_cli(capsys, "trace", "--poly", "1,0,-4,0,2")
     assert code == 0 and len(calls) == 1
+
+
+def test_trace_verb_takes_disc_from_the_form(capsys, monkeypatch):
+    # disc is w1 of the form trace already diagonalized; a second
+    # discriminant (and its factoring) would only repeat it
+    real = galois.algebra_disc
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "traceforms":
+            for attr, val in list(vars(mod).items()):
+                if val is real:
+                    monkeypatch.setattr(mod, attr, counting)
+    runs = [(["--poly", ",".join(map(str, f.poly.coeffs))], f.algebra)
+            for f in ALL_FIXTURES]
+    runs += [(["--algebra", json.dumps([{"poly": p, "multiplicity": m}])],
+              galois.EtaleAlg(((galois.MonicPoly(tuple(p)), m),)))
+             for p in ([1, 0, -3], [1, 0, 0, -2], [1, 0, -4, 0, 2])
+             for m in (2, 3, 4)]
+    for argv, A in runs:
+        code, out, _ = run_cli(capsys, "trace", *argv)
+        assert code == 0
+        q = galois.trace_form(A)
+        assert json.loads(out) == {
+            "rank": q.rank, "signature": list(signature(q)),
+            "disc": real(A), "w2_places": jsonable(w2(q)),
+            "degree": A.degree, "totally_real": signature(q) == (A.degree, 0)}
+    assert calls == []
 
 
 def test_classify_verb(capsys):

@@ -1,8 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
+from traceforms import quadratic
 from traceforms.oracles import hilbert_symbol_oracle
 from traceforms.quadratic import (
     INF,
@@ -47,6 +50,31 @@ def test_factorint_rho_semiprime_and_certification_guard():
     assert factorint(a * b) == {a: 1, b: 1}
     with pytest.raises(QuadraticError):
         factorint(2**89 - 1)  # prime above the proven Miller-Rabin bound
+
+
+_BASE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def test_factorint_matches_sympy_beyond_the_base_primes():
+    # trial division stops at 37; every larger prime comes from
+    # Miller-Rabin and Pollard rho
+    rng = random.Random(71)
+
+    def prime():  # a prime in (37, 10**6]
+        return sympy.prevprime(rng.randint(42, 10**6 + 1))
+
+    cases = [561, 1105, 41041, 825265]  # Carmichael numbers
+    cases += [prime() ** rng.randint(1, 5) for _ in range(40)]
+    cases += [prime() * prime() for _ in range(40)]
+    cases += [prime() * prime() * prime() for _ in range(40)]
+    cases += [math.prod(rng.choice(_BASE_PRIMES) ** rng.randint(1, 6)
+                        for _ in range(rng.randint(1, 5))) for _ in range(40)]
+    cases += [prime() ** 2 * rng.choice(_BASE_PRIMES) * prime()
+              for _ in range(20)]
+    for n in cases:
+        assert factorint(n) == sympy.factorint(n), n
+    with pytest.raises(QuadraticError):
+        factorint(2**89 - 1)
 
 
 def test_is_probable_prime_small_table():
@@ -243,3 +271,40 @@ def test_isometry_is_scaling_invariant_on_squares():
         c = rng.choice([x for x in pool if x > 0])
         scaled = QForm(tuple(e * c * c for e in q.entries))
         assert is_isometric_q(q, scaled)
+
+
+def _random_form(rng):
+    return QForm(tuple(
+        Fraction(rng.choice((1, -1)) * rng.randint(1, 10**9), rng.randint(1, 10**6))
+        for _ in range(rng.randint(1, 8))))
+
+
+def test_w2_matches_pairwise_cup_oracle():
+    # the pairwise route through the public cup, which w2 no longer takes
+    rng = random.Random(83)
+    for _ in range(60):
+        q = _random_form(rng)
+        expected: frozenset = frozenset()
+        for i, a in enumerate(q.entries):
+            for b in q.entries[i + 1:]:
+                expected ^= cup(a, b)
+        assert w2(q) == expected, q
+
+
+def test_w2_factors_each_entry_once(monkeypatch):
+    calls = []
+    real = quadratic.factorint
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(quadratic, "factorint", counting)
+    quadratic._cup_cached.cache_clear()
+    rng = random.Random(89)
+    for _ in range(10):
+        q = _random_form(rng)
+        calls.clear()
+        w2(q)
+        assert len(calls) <= 2 * q.rank, (q, len(calls))
+

@@ -35,3 +35,12 @@ def test_traced_caches_keep_cache_info():
     quadratic = importlib.import_module("traceforms.quadratic")
     assert callable(cohomology.h2.cache_info)
     assert callable(quadratic._cup_cached.cache_info)
+
+
+def test_program_caches_are_bounded():
+    # an unbounded cache keeps every perms: group (and its H2 basis) alive
+    cohomology = importlib.import_module("traceforms.cohomology")
+    quadratic = importlib.import_module("traceforms.quadratic")
+    for lru in (cohomology.h2, quadratic._cup_cached):
+        maxsize = lru.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0, lru
