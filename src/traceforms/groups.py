@@ -16,7 +16,7 @@ from . import perms
 from .perms import Perm
 
 ASSOC_CHECK_MAX = 256
-CLOSURE_CAP = 10_000
+CLOSURE_CAP = 2048
 METACYCLIC_CAP = 128
 
 
@@ -27,7 +27,7 @@ class GroupError(ValueError):
 class Group:
     __slots__ = ("order", "table", "labels", "name", "_inv", "_orders")
 
-    def __init__(self, table, labels=None, name: str = "", check_assoc: bool | None = None):
+    def __init__(self, table, labels=None, name: str = ""):
         table = tuple(tuple(row) for row in table)
         n = len(table)
         if n == 0:
@@ -43,9 +43,7 @@ class Group:
                 raise GroupError("table column is not a permutation of element indices")
         if any(table[0][j] != j for j in range(n)) or any(table[i][0] != i for i in range(n)):
             raise GroupError("element 0 is not a two-sided identity")
-        if check_assoc is None:
-            check_assoc = n <= ASSOC_CHECK_MAX
-        if check_assoc:
+        if n <= ASSOC_CHECK_MAX:
             for a in range(n):
                 ta = table[a]
                 for b in range(n):
@@ -150,9 +148,6 @@ class SubgroupHandle:
     def is_cyclic(self) -> bool:
         return any(self.parent.element_order(g) == self.order for g in self.members)
 
-    def is_elementary_abelian_2(self) -> bool:
-        return all(self.parent.element_order(g) <= 2 for g in self.members)
-
     def is_normal(self) -> bool:
         par = self.parent
         return all(
@@ -176,7 +171,7 @@ class SubgroupHandle:
         return False
 
 
-def closure(generators, cap: int = CLOSURE_CAP) -> Group:
+def closure(generators) -> Group:
     """Group generated by permutations (as image tuples), as a table.
     Element 0 is the identity; the rest are sorted by image tuple."""
     gens = [tuple(g) for g in generators]
@@ -191,20 +186,30 @@ def closure(generators, cap: int = CLOSURE_CAP) -> Group:
     ident = perms.identity(deg)
     seen = {ident}
     frontier = [ident]
+    steps = []  # q = p * gens[k] for each new q: a spanning tree
     while frontier:
         nxt = []
         for p in frontier:
-            for g in gens:
+            for k, g in enumerate(gens):
                 q = perms.compose(p, g)
                 if q not in seen:
-                    if len(seen) >= cap:
-                        raise GroupError(f"closure exceeded cap of {cap} elements")
+                    if len(seen) >= CLOSURE_CAP:
+                        raise GroupError(f"closure exceeds CLOSURE_CAP = "
+                                         f"{CLOSURE_CAP} elements")
                     seen.add(q)
                     nxt.append(q)
+                    steps.append((q, p, k))
         frontier = nxt
     els = [ident] + sorted(seen - {ident})
     idx = {p: i for i, p in enumerate(els)}
-    table = [[idx[perms.compose(a, b)] for b in els] for a in els]
+    # (p * g) * b = p * (g * b): each row is an earlier row permuted, so
+    # only products with a generator compose permutations
+    left = [[idx[perms.compose(g, b)] for b in els] for g in gens]
+    rows = {ident: list(range(len(els)))}
+    for q, p, k in steps:
+        row = rows[p]
+        rows[q] = [row[x] for x in left[k]]
+    table = [rows[p] for p in els]
     return Group(table, labels=[perms.to_cycle_string(p) for p in els], name="closure")
 
 
@@ -260,6 +265,8 @@ def sylow2(G: Group) -> SubgroupHandle:
     while n % 2 == 0:
         target *= 2
         n //= 2
+    if target == G.order:  # a 2-group is its own Sylow 2-subgroup
+        return G.full_handle()
     P = SubgroupHandle(G, [0])
     while P.order < target:
         ext = None

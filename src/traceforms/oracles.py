@@ -33,11 +33,6 @@ def _odd_squares_mod(m: int) -> frozenset:
     return frozenset((w * w) % m for w in range(1, m, 2))
 
 
-def _certified_square_odd_p(t: int, p3: int) -> bool:
-    t %= p3
-    return t != 0 and t in _squares_mod(p3)
-
-
 def _solvable_odd_p(a: int, b: int, p: int) -> bool:
     p3 = p * p * p
     sq = _squares_mod(p3)

@@ -64,14 +64,26 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
+# Steps y -> y^2 + c allowed in one Pollard rho call: enough for the cycle
+# length 2^21 that two 12-digit primes can need, about 4 s at 31 digits
+# on a 2-core Xeon.
+RHO_BUDGET = 1 << 23
+
+
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of odd composite n (Brent's cycle variant)."""
+    """A nontrivial factor of odd composite n (Brent's cycle variant),
+    within RHO_BUDGET steps."""
     rng = random.Random(0xC0FFEE ^ n)
+    steps = 0
     while True:
         y, c, m = rng.randrange(1, n), rng.randrange(1, n), 128
         g = r = q = 1
         x = ys = y
         while g == 1:
+            steps += 2 * r  # r steps to move x, at most r more to find g
+            if steps > RHO_BUDGET:
+                raise QuadraticError(f"cannot factor {n} within "
+                                     f"RHO_BUDGET = {RHO_BUDGET} rho steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -373,40 +385,42 @@ def validate_gram(gram) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def diagonalize(gram, rng=None) -> QForm:
-    """Diagonal form congruent to the symmetric matrix (simultaneous
-    symmetric row/column operations).  With rng, pivots are chosen at
-    random among the usable ones; the isometry class never depends on
-    the choice.  Raises on degenerate input."""
-    m = [list(r) for r in validate_gram(gram)]
-    n = len(m)
+    """Diagonal form congruent to the symmetric matrix, by fraction-free
+    (Bareiss) symmetric elimination of den * gram, den the lcm of its
+    denominators.  The trailing block is held as D_k times the Schur
+    complement (D_k the k-th pivot, D_0 = 1) and the k-th entry is
+    D_k / (D_(k-1) * den).  With rng, pivots are chosen at random among
+    the usable ones; the isometry class never depends on the choice.
+    Raises on degenerate input."""
+    rows = validate_gram(gram)
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    a = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    prev = 1
     diag = []
-    for k in range(n):
-        cands = [i for i in range(k, n) if m[i][i] != 0]
+    while a:
+        r = len(a)
+        cands = [i for i in range(r) if a[i][i]]
         if not cands:
             # all remaining diagonal entries vanish: mix in an off-diagonal
-            pairs = [(i, j) for i in range(k, n) for j in range(k, n)
-                     if i != j and m[i][j] != 0]
+            pairs = [(i, j) for i in range(r) for j in range(r)
+                     if i != j and a[i][j]]
             if not pairs:
                 raise QuadraticError("Gram matrix is degenerate")
             i, j = rng.choice(pairs) if rng is not None else pairs[0]
-            # u_i <- u_i + u_j makes the (i,i) entry 2*m[i][j] != 0
-            for t in range(n):
-                m[i][t] += m[j][t]
-            for t in range(n):
-                m[t][i] += m[t][j]
+            # u_i <- u_i + u_j makes the (i,i) entry 2*a[i][j] != 0
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[i] += row[j]
             cands = [i]
         piv = rng.choice(cands) if rng is not None else cands[0]
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            for t in range(n):
-                m[t][k], m[t][piv] = m[t][piv], m[t][k]
-        d = m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] / d
-            if f:
-                for t in range(n):
-                    m[i][t] -= f * m[k][t]
-                for t in range(n):
-                    m[t][i] -= f * m[t][k]
-        diag.append(d)
+        if piv:
+            a[0], a[piv] = a[piv], a[0]
+            for row in a:
+                row[0], row[piv] = row[piv], row[0]
+        head = a[0]
+        d = head[0]
+        diag.append(Fraction(d, prev * den))
+        a = [[(x * d - row[0] * y) // prev for x, y in zip(row[1:], head[1:])]
+             for row in a[1:]]
+        prev = d
     return QForm(tuple(diag))

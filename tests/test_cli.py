@@ -202,7 +202,8 @@ def test_usage_errors(capsys):
         main(["nonsense-verb"])
 
 
-@pytest.mark.parametrize("spec", ["cyclic:1000000000", "elem_abelian_2:64",
+@pytest.mark.parametrize("spec", ["cyclic:1000000000", "cyclic:4096",
+                                  "elem_abelian_2:64",
                                   "dihedral:1000000000000",
                                   "elem_abelian_2:-1", "sym:-1"])
 def test_oversized_catalog_parameters_exit_2(spec):
@@ -220,5 +221,21 @@ def test_oversized_catalog_parameters_exit_2(spec):
     elapsed = time.perf_counter() - t0
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
     assert elapsed < 2, elapsed
-    bound = "between 0 and 5" if spec.startswith("sym") else "CLOSURE_CAP = 10000"
+    bound = "between 0 and 5" if spec.startswith("sym") else "CLOSURE_CAP = 2048"
     assert bound in proc.stderr
+
+
+def test_unsplittable_entry_exits_2_within_rho_budget():
+    # a product of two 16-digit primes is out of reach of Pollard rho
+    # within RHO_BUDGET; without the budget this ran until killed
+    src = os.path.dirname(os.path.dirname(traceforms.__file__))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "traceforms", "form",
+         "--entries", "3000000000000148000000000001369"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert elapsed < 10, elapsed
+    assert "RHO_BUDGET = 8388608" in proc.stderr

@@ -22,9 +22,11 @@ from traceforms.galois import (
     verify_two_cyclic_sylow,
     verify_w1,
 )
+from traceforms import galois
 from traceforms.groups import catalog
 from traceforms.quadratic import (
     QForm,
+    cup,
     is_isometric_q,
     signature,
     squarefree_part,
@@ -95,6 +97,21 @@ def test_trace_gram_disc_class_matches_sympy_discriminant():
         assert ours == squarefree_part(int(disc)), coeffs
         assert ours == w1(trace_form(A))
         done += 1
+
+
+def test_det_fraction_free_matches_sympy():
+    rng = random.Random(4243)
+    mats = [trace_gram(MonicPoly((1, 0, -40, 0, 352, 0, -960, 0, 576)))]
+    while len(mats) < 60:
+        n = rng.randint(1, 6)
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = rng.randint(-7, 7) * (i != j or rng.random() < 0.7)
+        if sympy.Matrix(m).det() != 0:
+            mats.append(m)
+    for m in mats:
+        assert galois._det_fraction_free(m) == sympy.Matrix(m).det(), m
 
 
 def test_split_algebra_has_unit_trace_form():
@@ -204,6 +221,23 @@ def test_verify_main_gates_and_degree_2():
     for d in (2, 3, -1, -5, 7):
         A2 = EtaleAlg.field(MonicPoly((1, 0, -d)))
         assert verify_main(A2, D2)["status"] == "pass", d
+
+
+def test_verify_main_takes_disc_from_the_form(monkeypatch):
+    # disc is w1 of the form verify_main already diagonalized
+    from traceforms import fixtures
+    from traceforms.verify import _MAIN_FIXTURES
+    real = galois.algebra_disc
+    calls = []
+    monkeypatch.setattr(galois, "algebra_disc",
+                        lambda A: calls.append(A) or real(A))
+    for name in _MAIN_FIXTURES:
+        A, D = fixtures.BY_NAME[name].algebra, fixtures.BY_NAME[name].descriptor
+        lhs, rhs = w2(trace_form(A)), cup(2, real(A))
+        assert verify_main(A, D) == {
+            "status": "pass" if lhs == rhs else "fail",
+            "w2_places": lhs, "cup_2_disc": rhs}, name
+    assert calls == []
 
 
 def test_verify_main_on_all_octic_fixtures():

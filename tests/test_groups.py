@@ -128,6 +128,29 @@ def test_closure_cap_and_bad_specs():
         group_from_spec("wat:123")
     with pytest.raises(GroupError):
         catalog("sym", 6)  # beyond the desk-scale catalog
+    with pytest.raises(GroupError, match="CLOSURE_CAP = 2048"):
+        group_from_spec("perms:(0 1 2 3 4 5 6),(0 1)")  # S7, 5040 elements
+
+
+def test_closure_table_matches_composition():
+    # closure fills rows along a spanning tree of the Cayley graph; every
+    # product must be the composition of the two permutations
+    for spec, deg in (("perms:(0 1 2 3),(0 2)", 4), ("perms:(0 1 2 3 4),(0 1)", 5),
+                      ("perms:(0 1 2)(3 4),(1 2 3 4 5)", 6),
+                      ("perms:(0 1)(2 3),(4 5)", 6)):
+        G = group_from_spec(spec)
+        els = [perms.parse_cycle_string(lab, deg) for lab in G.labels]
+        idx = {p: i for i, p in enumerate(els)}
+        assert len(idx) == G.order
+        for a in range(G.order):
+            for b in range(G.order):
+                assert G.table[a][b] == idx[perms.compose(els[a], els[b])]
+
+
+def test_sylow2_of_a_2group_is_the_whole_group():
+    for G in (catalog("dihedral", 8), catalog("elem_abelian_2", 3),
+              catalog("quat_cover"), group_from_spec("perms:(0 1),(2 3)")):
+        assert sylow2(G).members == tuple(range(G.order))
 
 
 def test_subgroup_closure_inside_parent():

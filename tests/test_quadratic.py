@@ -6,6 +6,7 @@ import pytest
 import sympy
 
 from traceforms import quadratic
+from traceforms.galois import MonicPoly, trace_gram
 from traceforms.oracles import hilbert_symbol_oracle
 from traceforms.quadratic import (
     INF,
@@ -71,10 +72,18 @@ def test_factorint_matches_sympy_beyond_the_base_primes():
                         for _ in range(rng.randint(1, 5))) for _ in range(40)]
     cases += [prime() ** 2 * rng.choice(_BASE_PRIMES) * prime()
               for _ in range(20)]
+    # two 12-digit primes: rho runs to Brent cycle length 2^20
+    cases.append(722_771_259_823 * 689_060_197_487)
     for n in cases:
         assert factorint(n) == sympy.factorint(n), n
     with pytest.raises(QuadraticError):
         factorint(2**89 - 1)
+
+
+def test_rho_budget_names_the_limit(monkeypatch):
+    monkeypatch.setattr(quadratic, "RHO_BUDGET", 64)
+    with pytest.raises(QuadraticError, match="RHO_BUDGET = 64"):
+        factorint(1_000_003 * 999_983)
 
 
 def test_is_probable_prime_small_table():
@@ -241,6 +250,89 @@ def test_diagonalize_invariance_under_pivot_choice():
         assert signature(q1) == signature(q2)
         assert w1(q1) == w1(q2)
         assert w2(q1) == w2(q2)
+
+
+def _fraction_diagonalize(gram, rng=None) -> QForm:
+    """The retired Fraction elimination, kept as an oracle: simultaneous
+    symmetric row/column operations on the whole matrix."""
+    m = [list(r) for r in validate_gram(gram)]
+    n = len(m)
+    diag = []
+    for k in range(n):
+        cands = [i for i in range(k, n) if m[i][i] != 0]
+        if not cands:
+            pairs = [(i, j) for i in range(k, n) for j in range(k, n)
+                     if i != j and m[i][j] != 0]
+            if not pairs:
+                raise QuadraticError("Gram matrix is degenerate")
+            i, j = rng.choice(pairs) if rng is not None else pairs[0]
+            for t in range(n):
+                m[i][t] += m[j][t]
+            for t in range(n):
+                m[t][i] += m[t][j]
+            cands = [i]
+        piv = rng.choice(cands) if rng is not None else cands[0]
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            for t in range(n):
+                m[t][k], m[t][piv] = m[t][piv], m[t][k]
+        d = m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / d
+            if f:
+                for t in range(n):
+                    m[i][t] -= f * m[k][t]
+                for t in range(n):
+                    m[t][i] -= f * m[t][k]
+        diag.append(d)
+    return QForm(tuple(diag))
+
+
+def _random_gram(rng, kind):
+    n = rng.randint(1, 7)
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if kind == "integer":
+                x = Fraction(rng.randint(-6, 6))
+            elif kind == "rational":
+                x = Fraction(rng.randint(-40, 40), rng.randint(1, 15))
+            elif i == j or rng.random() < 0.5:  # sparse, zero diagonal
+                x = Fraction(0)
+            else:
+                x = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            m[i][j] = m[j][i] = x
+    return m
+
+
+def _outcome(fn, m, rng):
+    try:
+        return fn(m, rng=rng).entries
+    except QuadraticError as e:
+        return str(e)
+
+
+def test_diagonalize_matches_fraction_oracle():
+    # For a fixed pivot sequence the diagonal is unique, so the
+    # fraction-free elimination must give the same entries, and raise
+    # the same error on the same degenerate inputs.
+    rng = random.Random(97)
+    grams = [_random_gram(rng, kind) for _ in range(700)
+             for kind in ("integer", "rational", "sparse")]
+    grams += [[[Fraction(0)] * 3] * 3, [[Fraction(1, 2)] * 2] * 2]
+    grams += [trace_gram(MonicPoly(cs)) for cs in (
+        (1, 0, -40, 0, 352, 0, -960, 0, 576),
+        (1, -2, 0, 0, 1, 0, 2, 0, -1, 1, -2, 0, -1, -1, 0, -2, -1))]
+    seen = {"ok": 0, "degenerate": 0}
+    for m in grams:
+        seed = rng.getrandbits(32)
+        for pick in (None, seed):
+            rngs = [None if pick is None else random.Random(pick)
+                    for _ in range(2)]
+            got = _outcome(diagonalize, m, rngs[0])
+            assert got == _outcome(_fraction_diagonalize, m, rngs[1]), (m, pick)
+            seen["degenerate" if isinstance(got, str) else "ok"] += 1
+    assert len(grams) >= 2000 and min(seen.values()) > 100, seen
 
 
 def test_validate_gram_rejects_nonsymmetric():
