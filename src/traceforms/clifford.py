@@ -15,10 +15,12 @@ k(g) + k(h) - k(gh) is even and >= 0, and lift(g) lift(h) =
 (-1)^b lift(gh) holds exactly when the fold of the product equals
 (-1)^b 2^(gap/2) times the fold of lift(gh), as integer dicts.  For
 the translation action of a group this gives a 2-cocycle, and for an
-involution g the sign of lift(g)^2.
+involution g the sign of lift(g)^2.  The full cocycle folds only the
+products with a generating set and fills in the rest by associativity
+(see pin_cocycle).
 
-Exact arithmetic over Q(sqrt 2) (QSqrt2, CliffordElt) only verifies
-lifts: twisted conjugation by pin_lift(p) must recover p.
+pin_lift returns the lift over Q(sqrt 2) (QSqrt2, CliffordElt), and
+checks on its integer fold that twisted conjugation by it gives back p.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from fractions import Fraction
 
 from . import perms
 from .cohomology import Cocycle2
-from .groups import Group, left_regular
+from .groups import Group, generating_set, left_regular
 
 CLIFFORD_RANK_CAP = 24   # largest number of generators accepted
 FULL_PIN_CAP = 12        # largest group order for the full sign table
@@ -204,33 +206,6 @@ class CliffordElt:
             out[m] = -c if bin(m).count("1") & 1 else c
         return CliffordElt(self.n, out)
 
-    def parity(self) -> int | None:
-        """0 or 1 if all terms have that grade parity, else None."""
-        if not self.terms:
-            return 0
-        ps = {bin(m).count("1") & 1 for m in self.terms}
-        return ps.pop() if len(ps) == 1 else None
-
-    def is_scalar(self) -> bool:
-        return all(m == 0 for m in self.terms)
-
-    def scalar_part(self) -> QSqrt2:
-        return self.terms.get(0, QSqrt2())
-
-    def spinor_norm(self) -> QSqrt2:
-        """reversal(x) * x, which must be a scalar."""
-        p = self.reversal() * self
-        if not p.is_scalar():
-            raise CliffordError("spinor norm is not scalar")
-        return p.scalar_part()
-
-    def inverse(self) -> "CliffordElt":
-        r = self.reversal()
-        p = self * r
-        if not p.is_scalar() or not p:
-            raise CliffordError("element is not invertible this way")
-        return r.scale(p.scalar_part().inverse())
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -307,36 +282,42 @@ def _square_sign(factors: list[tuple[int, int]]) -> int:
     return -1 if _sign_bit(state, {0: 1}, 2 * len(factors)) else 1
 
 
-def twisted_action(x: CliffordElt) -> perms.Perm:
-    """The permutation k -> j with I(x) e_k x^(-1) = e_j (grade involution
-    I); raises if any conjugate is not exactly a basis vector."""
-    gi = x.grade_involution()
-    xi = x.inverse()
-    image = []
-    for k in range(x.n):
-        y = gi * CliffordElt.basis_vector(x.n, k) * xi
-        if len(y.terms) != 1:
-            raise CliffordError("conjugation does not preserve the frame")
-        (m, c), = y.terms.items()
-        if bin(m).count("1") != 1 or c != QSqrt2(1):
-            raise CliffordError("conjugate of a generator is not a generator")
-        image.append(m.bit_length() - 1)
-    p = tuple(image)
-    if not perms.is_perm(p):
-        raise CliffordError("twisted action is not a permutation")
-    return p
+def _fold_mul(x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
+    """Product of two integer mask combinations."""
+    out: dict[int, int] = {}
+    for S, a in x.items():
+        for T, b in y.items():
+            m = S ^ T
+            acc = out.get(m, 0) + (-a * b if _sign_parity(S, T) else a * b)
+            if acc:
+                out[m] = acc
+            else:
+                out.pop(m, None)
+    return out
 
 
-def check_pin(x: CliffordElt) -> perms.Perm:
-    """Verify x is a pin element lifting a coordinate permutation: parity
-    homogeneous, spinor norm +-1, frame-preserving.  Returns the
-    permutation."""
-    if x.parity() is None:
+def _check_fold(z: dict[int, int], k: int, p: perms.Perm) -> None:
+    """Verify that x = (1/sqrt 2)^k z is a pin element whose twisted
+    conjugation x' e_a x^(-1) (x' the grade involution) is e_p(a) for
+    every a.  Checked on z: it is parity homogeneous, so z' = +-z;
+    reversal(z) z = 2^k, so z is invertible and x has spinor norm 1;
+    and then x' e_a x^(-1) = e_p(a) is equivalent to z' e_a = e_p(a) z,
+    one linear pass over z for each a."""
+    parities = {m.bit_count() & 1 for m in z}
+    if len(parities) != 1:
         raise CliffordError("element is not parity homogeneous")
-    sn = x.spinor_norm()
-    if sn != QSqrt2(1) and sn != QSqrt2(-1):
-        raise CliffordError(f"spinor norm {sn!r} is not +-1")
-    return twisted_action(x)
+    odd = parities.pop()
+    rev = {m: -c if (m.bit_count() >> 1) & 1 else c for m, c in z.items()}
+    if _fold_mul(rev, z) != {0: 1 << k}:
+        raise CliffordError("spinor norm is not 1")
+    for a, b in enumerate(p):
+        # e_m e_a passes the bits of m above a; e_b e_m those below b
+        left = {m ^ (1 << a): -c if ((m >> (a + 1)).bit_count() ^ odd) & 1
+                else c for m, c in z.items()}
+        right = {m ^ (1 << b): -c if (m & ((1 << b) - 1)).bit_count() & 1
+                 else c for m, c in z.items()}
+        if left != right:
+            raise CliffordError("lift does not act as the permutation")
 
 
 def pin_lift(p: perms.Perm, n: int | None = None) -> CliffordElt:
@@ -352,11 +333,10 @@ def pin_lift(p: perms.Perm, n: int | None = None) -> CliffordElt:
     k = len(factors)  # scale (1/sqrt 2)^k
     scale = QSqrt2(0, Fraction(1, 2 ** ((k + 1) // 2))) if k % 2 else \
         QSqrt2(Fraction(1, 2 ** (k // 2)))
-    x = CliffordElt(n, _fold_factors({0: 1}, factors)).scale(scale)
+    z = _fold_factors({0: 1}, factors)
     if n <= ACTION_CHECK_CAP:
-        if check_pin(x) != q:
-            raise CliffordError("lift does not act as the permutation")
-    return x
+        _check_fold(z, k, q)
+    return CliffordElt(n, z).scale(scale)
 
 
 def involution_square_sign(n: int) -> int:
@@ -412,7 +392,21 @@ def pin_product_sign(p: perms.Perm, q: perms.Perm, n: int | None = None) -> int:
 def pin_cocycle(G: Group, involutions_only: bool = False) -> PinCocycleResult:
     """Sign cocycle c with lift(g) lift(h) = (-1)^c(g,h) lift(gh), where
     lift is the pin lift of left translation by g.  With involutions_only
-    just the diagonal values at involutions (the squares) are computed."""
+    just the diagonal values at involutions (the squares) are computed.
+
+    The full table folds only the columns of a generating set S: c(x, s)
+    for x != e and s in S, each read off a fold by _sign_bit.  Every other
+    column follows from a column h already known, along a breadth-first
+    walk from e by right multiplication by S:
+
+        c(g, hs) = c(g, h) + c(gh, s) + c(h, s).
+
+    Proof: with lift(h) lift(s) = e3 lift(hs), lift(g) lift(h) =
+    e1 lift(gh) and lift(gh) lift(s) = e2 lift(ghs), all signs +-1,
+    associativity gives lift(g) lift(hs) = e3 lift(g) lift(h) lift(s) =
+    e1 e3 lift(gh) lift(s) = e1 e2 e3 lift(ghs).  So each entry is proven
+    from folds that _sign_bit verified, and validate() then checks the
+    cocycle identity on every triple independently."""
     n = G.order
     cap = CLIFFORD_RANK_CAP if involutions_only else FULL_PIN_CAP
     if n > cap:
@@ -425,18 +419,28 @@ def pin_cocycle(G: Group, involutions_only: bool = False) -> PinCocycleResult:
                  for g in G.involutions()}
         return PinCocycleResult(G, None, signs, True)
 
+    t = G.table
     factor_lists = [transposition_factors(rows_of[g]) for g in range(n)]
     k = [len(fl) for fl in factor_lists]
     folds = [_fold_factors({0: 1}, fl) for fl in factor_lists]
-    rows = []
-    for g in range(n):
-        row = 0
-        for h in range(1, n):
-            gh = G.table[g][h]
-            z = _fold_factors(folds[g], factor_lists[h])
-            row |= _sign_bit(z, folds[gh], k[g] + k[h] - k[gh]) << h
-        rows.append(row)
-    c = Cocycle2(G, tuple(rows))
+    S = generating_set(G)
+    col: list[list[int] | None] = [None] * n  # col[h][g] = c(g, h)
+    col[0] = [0] * n
+    for s in S:
+        col[s] = [0] + [
+            _sign_bit(_fold_factors(folds[x], factor_lists[s]),
+                      folds[t[x][s]], k[x] + k[s] - k[t[x][s]])
+            for x in range(1, n)]
+    walk = [0]
+    for h in walk:
+        for s in S:
+            hs = t[h][s]
+            if hs not in walk:
+                walk.append(hs)
+                cs = col[s]
+                col[hs] = [col[h][g] ^ cs[t[g][h]] ^ cs[h] for g in range(n)]
+    rows = tuple(sum(col[h][g] << h for h in range(n)) for g in range(n))
+    c = Cocycle2(G, rows)
     c.validate()
     signs = {g: -1 if c.value(g, g) else 1 for g in G.involutions()}
     return PinCocycleResult(G, c, signs, False)

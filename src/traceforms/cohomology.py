@@ -35,7 +35,7 @@ from .groups import (
     Group,
     GroupError,
     SubgroupHandle,
-    generated_subgroup,
+    generating_set,
     quotient_with_map,
 )
 
@@ -135,20 +135,6 @@ def _check_cap(G: Group) -> None:
             f"cohomology solver capped at order {H2_CAP}, got {G.order}")
 
 
-def _generating_set(G: Group) -> list[int]:
-    """A small generating set: elements of highest order first, each one
-    taken while the subgroup generated so far is proper."""
-    S: list[int] = []
-    span = {0}
-    for g in sorted(range(1, G.order), key=lambda g: (-G.element_order(g), g)):
-        if len(span) == G.order:
-            break
-        if g not in span:
-            S.append(g)
-            span = set(generated_subgroup(G, S).members)
-    return S
-
-
 def cocycle_space(G: Group) -> list[Cocycle2]:
     """Basis of the space of normalized 2-cocycles, in the order
     gf2.nullspace gives (it depends only on the space).  The identity is
@@ -164,7 +150,7 @@ def cocycle_space(G: Group) -> list[Cocycle2]:
         return 1 << ((g - 1) * w + (h - 1))
 
     rows = set()
-    for g in _generating_set(G):
+    for g in generating_set(G):
         for h in range(1, n):
             gh = t[g][h]
             base = bit(g, h)

@@ -25,7 +25,7 @@ class GroupError(ValueError):
 
 
 class Group:
-    __slots__ = ("order", "table", "labels", "name", "_inv", "_orders")
+    __slots__ = ("order", "table", "labels", "name", "_inv", "_orders", "_sylow2")
 
     def __init__(self, table, labels=None, name: str = ""):
         table = tuple(tuple(row) for row in table)
@@ -57,6 +57,7 @@ class Group:
         self.name = name
         self._inv = None
         self._orders = None
+        self._sylow2 = None
 
     def __repr__(self):
         tag = self.name or "group"
@@ -249,6 +250,20 @@ def generated_subgroup(G: Group, seeds) -> SubgroupHandle:
     return SubgroupHandle(G, members)
 
 
+def generating_set(G: Group) -> list[int]:
+    """A small generating set: elements of highest order first, each one
+    taken while the subgroup generated so far is proper."""
+    S: list[int] = []
+    span = {0}
+    for g in sorted(range(1, G.order), key=lambda g: (-G.element_order(g), g)):
+        if len(span) == G.order:
+            break
+        if g not in span:
+            S.append(g)
+            span = set(generated_subgroup(G, S).members)
+    return S
+
+
 def normalizer(G: Group, members) -> list[int]:
     mset = frozenset(members)
     out = []
@@ -259,7 +274,14 @@ def normalizer(G: Group, members) -> list[int]:
 
 
 def sylow2(G: Group) -> SubgroupHandle:
-    """A Sylow 2-subgroup, grown inside successive normalizers."""
+    """A Sylow 2-subgroup, grown inside successive normalizers once per
+    group and kept on it."""
+    if G._sylow2 is None:
+        G._sylow2 = _grow_sylow2(G)
+    return G._sylow2
+
+
+def _grow_sylow2(G: Group) -> SubgroupHandle:
     target = 1
     n = G.order
     while n % 2 == 0:

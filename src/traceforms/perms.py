@@ -11,6 +11,16 @@ from __future__ import annotations
 
 Perm = tuple[int, ...]
 
+# Largest degree accepted, checked before the image list is allocated (a
+# parsed permutation is sized by its largest point).  A transitive group
+# has order at least its degree, so this equals groups.CLOSURE_CAP.
+DEGREE_CAP = 2048
+
+
+def _check_degree(n: int) -> None:
+    if not 0 <= n <= DEGREE_CAP:
+        raise ValueError(f"degree {n} is outside 0..DEGREE_CAP = {DEGREE_CAP}")
+
 
 def identity(n: int) -> Perm:
     return tuple(range(n))
@@ -55,6 +65,7 @@ def cycles(p: Perm) -> list[tuple[int, ...]]:
 
 
 def from_cycles(n: int, cycs) -> Perm:
+    _check_degree(n)
     images = list(range(n))
     for cyc in cycs:
         if len(set(cyc)) != len(cyc):
@@ -91,6 +102,7 @@ def parse_cycle_string(text: str, n: int | None = None) -> Perm:
     if text in ("", "()"):
         if n is None:
             raise ValueError("empty permutation needs an explicit degree")
+        _check_degree(n)
         return identity(n)
     if not (text.startswith("(") and text.endswith(")")):
         raise ValueError(f"malformed cycle string: {text!r}")

@@ -7,7 +7,7 @@ import time
 import pytest
 
 import traceforms
-from traceforms import galois
+from traceforms import galois, groups
 from traceforms.cli import main
 from traceforms.cohomology import h2
 from traceforms.fixtures import ALL_FIXTURES
@@ -223,6 +223,39 @@ def test_oversized_catalog_parameters_exit_2(spec):
     assert elapsed < 2, elapsed
     bound = "between 0 and 5" if spec.startswith("sym") else "CLOSURE_CAP = 2048"
     assert bound in proc.stderr
+
+
+def test_oversized_permutation_degree_exits_2():
+    # a permutation is sized by its largest point: without the bound this
+    # child allocates 10^8 images and dies with MemoryError (exit 1)
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+    src = os.path.dirname(os.path.dirname(traceforms.__file__))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "traceforms", "group", "--group", "perms:(0 100000000)"],
+        capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert elapsed < 10, elapsed
+    assert "DEGREE_CAP = 2048" in proc.stderr
+
+
+def test_group_verb_grows_sylow2_once(capsys, monkeypatch):
+    calls = []
+    real = groups._grow_sylow2
+
+    def counting(G):
+        calls.append(G)
+        return real(G)
+
+    monkeypatch.setattr(groups, "_grow_sylow2", counting)
+    code, out, _ = run_cli(capsys, "group", "--group", "perms:(0 1 2 3 4 5),(1 5)(2 4)")
+    data = json.loads(out)
+    assert code == 0 and data["order"] == 12 and data["sylow2_order"] == 4
+    assert len(calls) == 1
 
 
 def test_unsplittable_entry_exits_2_within_rho_budget():

@@ -1,13 +1,18 @@
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from traceforms import clifford
 from traceforms.clifford import (
     CliffordElt,
     CliffordError,
     QSqrt2,
     SignMismatchError,
+    _check_fold,
+    _fold_factors,
     _sign_bit,
     _square_sign,
     epsilon,
@@ -16,11 +21,53 @@ from traceforms.clifford import (
     pin_lift,
     pin_product_sign,
     transposition_factors,
-    twisted_action,
 )
-from traceforms.cohomology import h2, s_map
-from traceforms.groups import catalog, left_regular
+from traceforms.cohomology import CohomologyError, h2, s_map
+from traceforms.groups import catalog, generating_set, group_from_spec, left_regular
 from traceforms import perms
+
+
+# -- the Q(sqrt 2) lift check, kept as an oracle for the integer one ---------
+
+def _scalar(x):
+    """The scalar of x, which must have no other terms."""
+    if any(m for m in x.terms):
+        raise CliffordError("element is not a scalar")
+    return x.terms.get(0, QSqrt2())
+
+
+def twisted_action(x):
+    """The permutation k -> j with I(x) e_k x^(-1) = e_j (grade involution
+    I); raises if any conjugate is not exactly a basis vector."""
+    r = x.reversal()
+    norm = _scalar(x * r)
+    if not norm:
+        raise CliffordError("element is not invertible")
+    xi = r.scale(norm.inverse())
+    gi = x.grade_involution()
+    image = []
+    for k in range(x.n):
+        y = gi * CliffordElt.basis_vector(x.n, k) * xi
+        if len(y.terms) != 1:
+            raise CliffordError("conjugation does not preserve the frame")
+        (m, c), = y.terms.items()
+        if bin(m).count("1") != 1 or c != QSqrt2(1):
+            raise CliffordError("conjugate of a generator is not a generator")
+        image.append(m.bit_length() - 1)
+    p = tuple(image)
+    if not perms.is_perm(p):
+        raise CliffordError("twisted action is not a permutation")
+    return p
+
+
+def check_pin(x):
+    """x is parity homogeneous with spinor norm +-1 and acts on the frame;
+    returns the permutation."""
+    if len({bin(m).count("1") & 1 for m in x.terms}) > 1:
+        raise CliffordError("element is not parity homogeneous")
+    if _scalar(x.reversal() * x) not in (QSqrt2(1), QSqrt2(-1)):
+        raise CliffordError("spinor norm is not +-1")
+    return twisted_action(x)
 
 
 def test_qsqrt2_field_arithmetic():
@@ -250,3 +297,178 @@ def test_square_of_non_involution_lift_is_rejected():
     # the lift of a 3-cycle does not square to +-1
     with pytest.raises(CliffordError):
         _square_sign([(0, 2), (0, 1)])
+
+
+# -- the integer lift check against the Q(sqrt 2) oracle ---------------------
+
+def _lift_cases():
+    """Every permutation of degree <= 5, and seeded ones of degree 6 to 8."""
+    for d in range(6):
+        yield from itertools.permutations(range(d))
+    rng = random.Random(66)
+    for d, count in ((6, 24), (7, 6), (8, 3)):
+        for _ in range(count):
+            p = list(range(d))
+            rng.shuffle(p)
+            yield tuple(p)
+
+
+def test_integer_lift_check_matches_algebra_oracle():
+    cases = 0
+    for p in _lift_cases():
+        cases += 1
+        factors = transposition_factors(p)
+        k = len(factors)
+        z = _fold_factors({0: 1}, factors)
+        x = pin_lift(p)  # runs the integer check on z
+        assert check_pin(x) == p
+        # a wrong permutation: p followed by a transposition
+        for a, b in itertools.combinations(range(len(p)), 2):
+            q = perms.compose(perms.transposition(len(p), a, b), p)
+            with pytest.raises(CliffordError):
+                _check_fold(z, k, q)
+        # a corrupted fold: one coefficient negated, or scaled by 3
+        if len(z) > 1:
+            m = min(z)
+            for bad in ({**z, m: -z[m]}, {**z, m: 3 * z[m]}):
+                with pytest.raises(CliffordError):
+                    _check_fold(bad, k, p)
+                scale = x.terms[m] * QSqrt2(Fraction(1, z[m]))  # (1/r2)^k
+                x_bad = CliffordElt(len(p), bad).scale(scale)
+                try:
+                    oracle = check_pin(x_bad)
+                except CliffordError:
+                    oracle = None
+                assert oracle != p
+    assert cases == 1 + 1 + 2 + 6 + 24 + 120 + 33
+
+
+def test_integer_lift_check_rejects_what_the_oracle_rejects():
+    # In rank 3 the pseudoscalar w = e0 e1 e2 is central, odd, and
+    # reversal(1 + w)(1 + w) = 2: so 1 + w has norm 2^1 and conjugates
+    # every e_a to itself; it is no lift because it mixes parities.
+    # 2z and 3z conjugate like z but have the wrong norm.
+    r2 = QSqrt2(0, 1)
+    cases = [({0b000: 1, 0b111: 1}, 1, (0, 1, 2))]
+    for p in ((1, 2, 0), (1, 0, 3, 2), (0, 2, 1)):
+        factors = transposition_factors(p)
+        z = _fold_factors({0: 1}, factors)
+        cases += [({m: f * c for m, c in z.items()}, len(factors), p)
+                  for f in (2, 3)]
+    for z, k, p in cases:
+        with pytest.raises(CliffordError):
+            _check_fold(z, k, p)
+        x = CliffordElt(len(p), z)
+        for _ in range(k):  # x = (1/sqrt 2)^k z
+            x = x.scale(r2.inverse())
+        with pytest.raises(CliffordError):
+            check_pin(x)
+
+
+def test_pin_lift_checks_rank_10_quickly():
+    p = tuple(range(1, 10)) + (0,)
+    t0 = time.perf_counter()
+    x = pin_lift(p)
+    assert time.perf_counter() - t0 < 5
+    assert len(x.terms) == 2 ** 9  # nine factors, no cancellation
+
+
+def test_pin_lift_check_runs_up_to_rank_10(monkeypatch):
+    # factors of another permutation: the check must notice up to rank 10
+    monkeypatch.setattr(clifford, "transposition_factors",
+                        lambda p: transposition_factors(p)[1:])
+    for n in (2, 7, clifford.ACTION_CHECK_CAP):
+        with pytest.raises(CliffordError):
+            pin_lift(tuple(range(1, n)) + (0,))
+    pin_lift(tuple(range(1, 11)) + (0,))  # rank 11: not checked
+
+
+# -- the full sign table against the retired all-pairs loop ------------------
+
+# every catalog group of order <= 12, and the benchmark's permutation
+# classes of that size, as `perms:` specs
+SPECS_UP_TO_12 = (
+    [f"catalog:cyclic:{k}" for k in range(1, 13)]
+    + [f"catalog:dihedral:{k}" for k in range(2, 13, 2)]
+    + [f"catalog:elem_abelian_2:{k}" for k in range(4)]
+    + [f"catalog:sym:{k}" for k in range(4)]
+    + [f"catalog:alt:{k}" for k in range(5)]
+    + ["catalog:quaternion8", "catalog:z4xz2"]
+    + ["perms:(0 1 2 3),(0 2)",  # D8
+       "perms:(0 1 2 3)(4 5 6 7),(0 4 2 6)(1 7 3 5)",  # Q8
+       "perms:(0 1 2 3 4 5 6 7)",  # C8
+       "perms:(0 1),(2 3),(4 5)",  # C2^3
+       "perms:(0 1 2 3),(4 5)",  # C4xC2
+       "perms:(0 1 2 3 4),(1 4)(2 3)",  # D10
+       "perms:(0 1 2 3 4 5),(1 5)(2 4)",  # D12
+       "perms:(0 1 2),(0 1)(2 3)",  # A4
+       "perms:(0 1 2 3)(4 5 6)",  # C12
+       "perms:(0 1 2 3)",  # C4
+       "perms:(0 1),(2 3)",  # C2^2
+       "perms:(0 1 2 3 4 5)",  # C6
+       "perms:(0 1 2),(0 1)",  # S3
+       "perms:(0 1 2 3 4 5 6 7 8 9)"])  # C10
+
+
+def _all_pairs_rows(G):
+    """The retired loop: one fold per pair (g, h)."""
+    n = G.order
+    rows_of = left_regular(G)
+    factor_lists = [transposition_factors(rows_of[g]) for g in range(n)]
+    k = [len(fl) for fl in factor_lists]
+    folds = [_fold_factors({0: 1}, fl) for fl in factor_lists]
+    rows = []
+    for g in range(n):
+        row = 0
+        for h in range(1, n):
+            gh = G.table[g][h]
+            z = _fold_factors(folds[g], factor_lists[h])
+            row |= _sign_bit(z, folds[gh], k[g] + k[h] - k[gh]) << h
+        rows.append(row)
+    return tuple(rows)
+
+
+def test_pin_cocycle_matches_all_pairs_oracle():
+    for spec in SPECS_UP_TO_12:
+        G = group_from_spec(spec)
+        assert G.order <= 12
+        rows = _all_pairs_rows(G)
+        res = pin_cocycle(G)
+        assert res.cocycle.rows == rows, spec
+        squares = {g: -1 if (rows[g] >> g) & 1 else 1 for g in G.involutions()}
+        assert res.square_signs == squares, spec
+
+
+def test_pin_cocycle_folds_only_generator_columns(monkeypatch):
+    calls = [0]
+
+    def counted(state, factors):
+        calls[0] += 1
+        return _fold_factors(state, factors)
+    monkeypatch.setattr(clifford, "_fold_factors", counted)
+    for spec in ("catalog:dihedral:10", "catalog:alt:4", "catalog:cyclic:12",
+                 "catalog:elem_abelian_2:3", "catalog:cyclic:1"):
+        G = group_from_spec(spec)
+        n, d = G.order, len(generating_set(G))
+        calls[0] = 0
+        pin_cocycle(G)
+        assert calls[0] == n + (n - 1) * d, spec
+
+
+@pytest.mark.parametrize("spec", ["catalog:dihedral:10", "catalog:alt:4"])
+def test_flipped_generator_column_sign_is_caught(monkeypatch, spec):
+    # With two or more generators the columns over-determine the table, so
+    # one wrong sign makes it fail the cocycle identity.  (For a cyclic
+    # group every column is consistent: there only the fold check guards.)
+    G = group_from_spec(spec)
+    n, d = G.order, len(generating_set(G))
+    assert d == 2
+    for target in range((n - 1) * d):
+        calls = [0]
+
+        def flipped(z, w, gap):
+            calls[0] += 1
+            return _sign_bit(z, w, gap) ^ (calls[0] == target + 1)
+        monkeypatch.setattr(clifford, "_sign_bit", flipped)
+        with pytest.raises(CohomologyError):
+            pin_cocycle(G)

@@ -78,6 +78,15 @@ def test_cycle_validation():
         parse_cycle_string("()")
 
 
+def test_degree_is_bounded_before_allocating():
+    for bad in (lambda: parse_cycle_string("(0 2048)"),
+                lambda: parse_cycle_string("()", 2049),
+                lambda: from_cycles(10 ** 9, [(0, 1)])):
+        with pytest.raises(ValueError, match="DEGREE_CAP = 2048"):
+            bad()
+    assert len(parse_cycle_string("(0 2047)")) == 2048
+
+
 def test_signature_multiplicative():
     rng = random.Random(11)
     assert signature(transposition(5, 1, 3)) == -1
