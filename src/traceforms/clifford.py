@@ -124,7 +124,7 @@ class CliffordElt:
 
     def __init__(self, n: int, terms: dict[int, QSqrt2]):
         if not 0 <= n <= CLIFFORD_RANK_CAP:
-            raise CliffordError(f"rank must be between 0 and {CLIFFORD_RANK_CAP}")
+            raise CliffordError(f"rank must be between 0 and CLIFFORD_RANK_CAP = {CLIFFORD_RANK_CAP}")
         clean: dict[int, QSqrt2] = {}
         top = 1 << n
         for mask, c in terms.items():
@@ -327,7 +327,7 @@ def pin_lift(p: perms.Perm, n: int | None = None) -> CliffordElt:
     if len(p) > n:
         raise CliffordError("permutation degree exceeds rank")
     if n > CLIFFORD_RANK_CAP:
-        raise CliffordError(f"rank {n} exceeds cap {CLIFFORD_RANK_CAP}")
+        raise CliffordError(f"rank {n} exceeds CLIFFORD_RANK_CAP = {CLIFFORD_RANK_CAP}")
     q = tuple(p) + tuple(range(len(p), n))
     factors = transposition_factors(q)
     k = len(factors)  # scale (1/sqrt 2)^k
@@ -346,7 +346,7 @@ def involution_square_sign(n: int) -> int:
     if n < 2 or n % 2:
         raise CliffordError("need an even number of coordinates, at least 2")
     if n > CLIFFORD_RANK_CAP:
-        raise CliffordError(f"rank {n} exceeds cap {CLIFFORD_RANK_CAP}")
+        raise CliffordError(f"rank {n} exceeds CLIFFORD_RANK_CAP = {CLIFFORD_RANK_CAP}")
     alg = _square_sign([(2 * i, 2 * i + 1) for i in range(n // 2)])
     m = n // 2
     closed = 1 if (m * (m - 1) // 2) % 2 == 0 else -1
@@ -379,7 +379,7 @@ def pin_product_sign(p: perms.Perm, q: perms.Perm, n: int | None = None) -> int:
     if max(len(p), len(q)) > n:
         raise CliffordError("permutation degree exceeds rank")
     if n > CLIFFORD_RANK_CAP:
-        raise CliffordError(f"rank {n} exceeds cap {CLIFFORD_RANK_CAP}")
+        raise CliffordError(f"rank {n} exceeds CLIFFORD_RANK_CAP = {CLIFFORD_RANK_CAP}")
     pp = tuple(p) + tuple(range(len(p), n))
     qq = tuple(q) + tuple(range(len(q), n))
     fp = transposition_factors(pp)
@@ -406,12 +406,12 @@ def pin_cocycle(G: Group, involutions_only: bool = False) -> PinCocycleResult:
     associativity gives lift(g) lift(hs) = e3 lift(g) lift(h) lift(s) =
     e1 e3 lift(gh) lift(s) = e1 e2 e3 lift(ghs).  So each entry is proven
     from folds that _sign_bit verified, and validate() then checks the
-    cocycle identity on every triple independently."""
+    cocycle identity independently."""
     n = G.order
-    cap = CLIFFORD_RANK_CAP if involutions_only else FULL_PIN_CAP
+    name, cap = (("CLIFFORD_RANK_CAP", CLIFFORD_RANK_CAP) if involutions_only
+                 else ("FULL_PIN_CAP", FULL_PIN_CAP))
     if n > cap:
-        raise CliffordError(
-            f"group order {n} exceeds cap {cap} for this computation")
+        raise CliffordError(f"group order {n} exceeds {name} = {cap}")
     rows_of = left_regular(G)
 
     if involutions_only:

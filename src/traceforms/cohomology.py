@@ -9,21 +9,18 @@ A normalized 2-cocycle c on G satisfies c(e,.) = c(.,e) = 0 and
 Cocycles are stored as one bit row per group element; the linear algebra
 runs on flat vectors indexed by pairs of non-identity elements.
 
-The cocycle space is solved from the identity at g in a generating set S
-of G only: |S|·(n-1)² equations in place of (n-1)³.  This loses nothing.
-For any normalized 2-cochain c, give G×F2 the product
-(g,a)(h,b) = (gh, a+b+c(g,h)).  Then
+The identity only has to hold at g in a generating set S of G, so the
+cocycle space is solved from |S|·(n-1)² equations in place of (n-1)³,
+and validate checks as many.  For a normalized 2-cochain c, give G×F2
+the product (g,a)(h,b) = (gh, a+b+c(g,h)).  Then
 
     ((g,a)(h,b))(k,d) and (g,a)((h,b)(k,d))
 
 differ exactly by δc(g,h,k) in the second coordinate, so (g,a) lies in
-the left nucleus {x : (xy)z = x(yz) for all y, z} iff δc(g,·,·) = 0;
-membership does not depend on a.  The left nucleus of any magma is closed
-under products: for x, x' in it, ((xx')y)z = (x(x'y))z = x((x'y)z)
-= x(x'(yz)) = (xx')(yz).  It holds (e,0) and (e,1), because c is
-normalized.  So once it holds the lifts (s,0) of S it holds a lift of
-every product of elements of S, which is every g in G since G is finite,
-and δc vanishes on all triples.
+the left nucleus iff δc(g,·,·) = 0.  The nucleus holds (e,1), because c
+is normalized, and right multiplication by (e,1) and the (s,0) reaches
+every element from (e,0).  So by the left-nucleus lemma (groups module
+docstring) δc vanishes on all triples once it vanishes at S.
 """
 from __future__ import annotations
 
@@ -33,7 +30,6 @@ from dataclasses import dataclass
 from . import gf2
 from .groups import (
     Group,
-    GroupError,
     SubgroupHandle,
     generating_set,
     quotient_with_map,
@@ -68,10 +64,11 @@ class Cocycle2:
         return (self.rows[g] >> h) & 1
 
     def validate(self) -> None:
-        """Check the cocycle identity on all triples."""
+        """Check the cocycle identity at g in the generating set; for a
+        normalized cochain that is every triple (module docstring)."""
         n = self.group.order
         t = self.group.table
-        for g in range(1, n):
+        for g in generating_set(self.group):
             for h in range(1, n):
                 gh = t[g][h]
                 v_gh = self.value(g, h)
@@ -132,7 +129,7 @@ def delta1(G: Group, b_bits: int) -> Cocycle2:
 def _check_cap(G: Group) -> None:
     if G.order > H2_CAP:
         raise CohomologyError(
-            f"cohomology solver capped at order {H2_CAP}, got {G.order}")
+            f"group order {G.order} exceeds H2_CAP = {H2_CAP} for the cohomology solver")
 
 
 def cocycle_space(G: Group) -> list[Cocycle2]:
@@ -332,11 +329,12 @@ class CentralExt:
             raise CohomologyError("projection length mismatch")
         if proj[0] != 0:
             raise CohomologyError("projection must send identity to identity")
+        # the y with proj(xy) = proj(x)proj(y) for all x are closed under
+        # products and hold 0, so a generating set of the total suffices
         bt = self.base.table
-        for x in range(self.total.order):
-            for y in range(self.total.order):
-                if proj[tt[x][y]] != bt[proj[x]][proj[y]]:
-                    raise CohomologyError("projection is not a homomorphism")
+        for y in generating_set(self.total):
+            if any(proj[tt[x][y]] != bt[proj[x]][proj[y]] for x in range(self.total.order)):
+                raise CohomologyError("projection is not a homomorphism")
         kernel = sorted(x for x in range(self.total.order) if proj[x] == 0)
         if kernel != sorted({0, self.t}):
             raise CohomologyError("projection kernel is not {e, t}")

@@ -1,10 +1,27 @@
 """Finite groups as explicit multiplication tables.
 
 Elements are indices 0..order-1 with 0 the identity.  table[g][h] is the
-product g*h.  Group objects are immutable once built; identity checks on
-construction are exhaustive, and associativity is checked exhaustively
-for orders up to ASSOC_CHECK_MAX (construction paths guarantee it above
-that).
+product g*h.  Group objects are immutable once built.  Every table is
+checked on construction: its rows and columns are permutations, 0 is a
+two-sided identity, and the product is associative.
+
+Associativity, subgroup closure and the cocycle identity (in cohomology)
+are checked at a generating set only, by one argument.
+
+Left-nucleus lemma.  In a finite magma M with identity e, the left
+nucleus N = {a : (ab)c = a(bc) for all b, c} is closed under products:
+for a, a' in N, ((aa')b)c = (a(a'b))c = a((a'b)c) = a(a'(bc)) = (aa')(bc).
+It holds e.  So once N holds a set S from which right multiplication
+reaches every element of M (each one is (..((e s1) s2)..) sk with the
+si in S), N is all of M.
+
+generating_set returns such an S for any table with identity: it takes
+elements until the span, the elements reached from 0 by right
+multiplication by S, is everything.  Group then checks (sb)c = s(bc)
+for s in S only.  In a finite group the span of S is the subgroup S
+generates (s^-1 is a power of s), so SubgroupHandle checks a set by
+growing the span of its members one generator at a time, and rejects it
+once a span leaves it.
 """
 from __future__ import annotations
 
@@ -15,7 +32,6 @@ from math import lcm
 from . import perms
 from .perms import Perm
 
-ASSOC_CHECK_MAX = 256
 CLOSURE_CAP = 2048
 METACYCLIC_CAP = 128
 
@@ -25,7 +41,8 @@ class GroupError(ValueError):
 
 
 class Group:
-    __slots__ = ("order", "table", "labels", "name", "_inv", "_orders", "_sylow2")
+    __slots__ = ("order", "table", "labels", "name", "_inv", "_orders", "_sylow2",
+                 "_gens")
 
     def __init__(self, table, labels=None, name: str = ""):
         table = tuple(tuple(row) for row in table)
@@ -37,20 +54,11 @@ class Group:
                 raise GroupError("table is not square")
             if sorted(row) != list(range(n)):
                 raise GroupError("table row is not a permutation of element indices")
-        for j in range(n):
-            col = sorted(table[i][j] for i in range(n))
-            if col != list(range(n)):
+        for col in zip(*table):
+            if sorted(col) != list(range(n)):
                 raise GroupError("table column is not a permutation of element indices")
         if any(table[0][j] != j for j in range(n)) or any(table[i][0] != i for i in range(n)):
             raise GroupError("element 0 is not a two-sided identity")
-        if n <= ASSOC_CHECK_MAX:
-            for a in range(n):
-                ta = table[a]
-                for b in range(n):
-                    ab = ta[b]
-                    tb = table[b]
-                    if list(table[ab]) != [ta[tb[c]] for c in range(n)]:
-                        raise GroupError(f"associativity fails at a={a}, b={b}")
         self.order = n
         self.table = table
         self.labels = tuple(labels) if labels is not None else None
@@ -58,6 +66,13 @@ class Group:
         self._inv = None
         self._orders = None
         self._sylow2 = None
+        self._gens = None
+        # associativity at a generating set suffices: see the module docstring
+        for a in generating_set(self):
+            ta = table[a]
+            for b, tb in enumerate(table):
+                if table[ta[b]] != tuple(map(ta.__getitem__, tb)):
+                    raise GroupError(f"associativity fails at a={a}, b={b}")
 
     def __repr__(self):
         tag = self.name or "group"
@@ -91,8 +106,8 @@ class Group:
         return [g for g in range(1, self.order) if self.table[g][g] == 0]
 
     def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a))
+        t, S = self.table, generating_set(self)
+        return all(t[a][b] == t[b][a] for a in S for b in S)
 
     def exponent(self) -> int:
         return lcm(1, *(self.element_order(g) for g in range(self.order)))
@@ -109,24 +124,26 @@ class Group:
 
 class SubgroupHandle:
     """A subgroup of a parent Group, stored as a sorted tuple of parent
-    element indices.  Closure, identity and inverses are validated."""
+    element indices.  The set is checked to be a subgroup by growing the
+    span of its members (see the module docstring)."""
 
-    __slots__ = ("parent", "members", "_member_set")
+    __slots__ = ("parent", "members", "_member_set", "_gens")
 
     def __init__(self, parent: Group, members):
         members = tuple(sorted(set(members)))
         if not members or members[0] != 0:
             raise GroupError("subgroup must contain the identity")
         mset = frozenset(members)
-        for a in members:
-            if parent.inv(a) not in mset:
-                raise GroupError(f"subgroup not closed under inverse at {a}")
-            for b in members:
-                if parent.table[a][b] not in mset:
-                    raise GroupError(f"subgroup not closed under product at ({a}, {b})")
+        gens: list[int] = []
+        span = {0}
+        for m in members:
+            if m not in span:
+                gens.append(m)
+                span = set(_span(parent.table, gens, mset))
         self.parent = parent
         self.members = members
         self._member_set = mset
+        self._gens = tuple(gens)
 
     @property
     def order(self) -> int:
@@ -150,17 +167,17 @@ class SubgroupHandle:
         return any(self.parent.element_order(g) == self.order for g in self.members)
 
     def is_normal(self) -> bool:
+        """The g with gHg^-1 in H form a subgroup, and gHg^-1 is generated
+        by the conjugates of H's generators, so generators suffice."""
         par = self.parent
-        return all(
-            par.conj(g, m) in self._member_set
-            for g in range(par.order)
-            for m in self.members
-        )
+        return all(par.conj(g, m) in self._member_set
+                   for g in generating_set(par) for m in self._gens)
 
     def is_metacyclic(self) -> bool:
         """True when some cyclic normal subgroup has cyclic quotient."""
         if self.order > METACYCLIC_CAP:
-            raise GroupError(f"metacyclic test capped at order {METACYCLIC_CAP}")
+            raise GroupError(f"subgroup order {self.order} exceeds METACYCLIC_CAP = "
+                             f"{METACYCLIC_CAP} for the metacyclic test")
         H = self.as_group()
         for h in range(H.order):
             N = generated_subgroup(H, [h])
@@ -220,10 +237,11 @@ def left_regular(G: Group) -> list[Perm]:
 
 
 def regular_rep_in_alternating(G: Group) -> bool:
-    """True when every left translation is an even permutation.  For odd
+    """True when every left translation is an even permutation; the sign
+    of a translation is a homomorphism, so the generators decide.  For odd
     order groups this is vacuously true.  For even order it must agree
     with 'the Sylow 2-subgroup is non-cyclic', asserted as a cross-check."""
-    result = all(perms.signature(p) == 1 for p in left_regular(G))
+    result = all(perms.signature(G.table[s]) == 1 for s in generating_set(G))
     if G.order % 2 == 0:
         noncyclic = not sylow2(G).is_cyclic()
         if result != noncyclic:
@@ -234,43 +252,49 @@ def regular_rep_in_alternating(G: Group) -> bool:
     return result
 
 
+def _span(table, gens, within=None) -> list[int]:
+    """Elements reached from 0 by right multiplication by gens, breadth
+    first; in a group, the subgroup gens generate.  With `within` given,
+    raise as soon as one falls outside it."""
+    span, seen = [0], {0}
+    for x in span:
+        row = table[x]
+        for s in gens:
+            y = row[s]
+            if y not in seen:
+                if within is not None and y not in within:
+                    raise GroupError(f"subgroup not closed under product at ({x}, {s})")
+                seen.add(y)
+                span.append(y)
+    return span
+
+
 def generated_subgroup(G: Group, seeds) -> SubgroupHandle:
-    members = {0}
-    frontier = list(set(seeds) | {0})
-    members.update(frontier)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(members):
-                for c in (G.table[a][b], G.table[b][a]):
-                    if c not in members:
-                        members.add(c)
-                        nxt.append(c)
-        frontier = nxt
-    return SubgroupHandle(G, members)
+    return SubgroupHandle(G, _span(G.table, sorted(set(seeds))))
 
 
 def generating_set(G: Group) -> list[int]:
-    """A small generating set: elements of highest order first, each one
-    taken while the subgroup generated so far is proper."""
-    S: list[int] = []
-    span = {0}
-    for g in sorted(range(1, G.order), key=lambda g: (-G.element_order(g), g)):
-        if len(span) == G.order:
-            break
-        if g not in span:
-            S.append(g)
-            span = set(generated_subgroup(G, S).members)
-    return S
+    """A small generating set, found once per group and kept on it:
+    elements of highest order first, each one taken while the span of
+    those before it is proper."""
+    if G._gens is None:
+        S: list[int] = []
+        span = {0}
+        for g in sorted(range(1, G.order), key=lambda g: (-G.element_order(g), g)):
+            if len(span) == G.order:
+                break
+            if g not in span:
+                S.append(g)
+                span = set(_span(G.table, S))
+        G._gens = tuple(S)
+    return list(G._gens)
 
 
-def normalizer(G: Group, members) -> list[int]:
-    mset = frozenset(members)
-    out = []
-    for g in range(G.order):
-        if all(G.conj(g, m) in mset for m in mset):
-            out.append(g)
-    return out
+def normalizer(H: SubgroupHandle) -> list[int]:
+    """The g in H's parent with gHg^-1 = H; conjugating H's generators
+    suffices."""
+    G = H.parent
+    return [g for g in range(G.order) if all(G.conj(g, m) in H for m in H._gens)]
 
 
 def sylow2(G: Group) -> SubgroupHandle:
@@ -290,9 +314,10 @@ def _grow_sylow2(G: Group) -> SubgroupHandle:
     if target == G.order:  # a 2-group is its own Sylow 2-subgroup
         return G.full_handle()
     P = SubgroupHandle(G, [0])
+    gens: list[int] = []
     while P.order < target:
         ext = None
-        for g in normalizer(G, P.members):
+        for g in normalizer(P):
             if g in P:
                 continue
             o = G.element_order(g)
@@ -301,7 +326,8 @@ def _grow_sylow2(G: Group) -> SubgroupHandle:
                 break
         if ext is None:
             raise GroupError("failed to extend 2-subgroup (table is not a group?)")
-        P = generated_subgroup(G, list(P.members) + [ext])
+        gens.append(ext)
+        P = generated_subgroup(G, gens)
         if P.order & (P.order - 1) != 0:
             raise GroupError("extension left the class of 2-groups")
     return P

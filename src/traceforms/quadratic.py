@@ -66,7 +66,8 @@ def is_probable_prime(n: int) -> bool:
 
 # Steps y -> y^2 + c allowed in one Pollard rho call: enough for the cycle
 # length 2^21 that two 12-digit primes can need, about 4 s at 31 digits
-# on a 2-core Xeon.
+# on a 2-core Xeon.  A step on an n of b bits counts ceil(b/128) times,
+# since its cost grows with b: a 99-digit n stops within the same time.
 RHO_BUDGET = 1 << 23
 
 
@@ -75,12 +76,13 @@ def _pollard_rho(n: int) -> int:
     within RHO_BUDGET steps."""
     rng = random.Random(0xC0FFEE ^ n)
     steps = 0
+    width = -(-n.bit_length() // 128)
     while True:
         y, c, m = rng.randrange(1, n), rng.randrange(1, n), 128
         g = r = q = 1
         x = ys = y
         while g == 1:
-            steps += 2 * r  # r steps to move x, at most r more to find g
+            steps += 2 * r * width  # r steps to move x, at most r more to find g
             if steps > RHO_BUDGET:
                 raise QuadraticError(f"cannot factor {n} within "
                                      f"RHO_BUDGET = {RHO_BUDGET} rho steps")

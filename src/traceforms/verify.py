@@ -31,16 +31,13 @@ from .cohomology import (
 )
 from .galois import (
     EtaleAlg,
-    GaloisDescriptor,
-    MonicPoly,
-    algebra_disc,
     classify_2group_trace_form,
     trace_form,
     verify_main,
     verify_two_cyclic_sylow,
     verify_w1,
 )
-from .groups import Group, catalog, regular_rep_in_alternating, sylow2
+from .groups import Group, catalog, group_from_spec, regular_rep_in_alternating, sylow2
 from .oracles import hilbert_symbol_oracle
 from .quadratic import (
     INF,
@@ -51,7 +48,6 @@ from .quadratic import (
     direct_sum,
     hilbert_symbol,
     place_sort_key,
-    repeat,
     scale,
     signature,
     sw_direct_sum,
@@ -63,19 +59,6 @@ from .quadratic import (
 )
 
 DEFAULT_SEED = 20260816
-
-STATEMENTS = (
-    "prop-lift2",
-    "2reduced-table",
-    "h2-s4",
-    "quat-counterexample",
-    "pin-splitness",
-    "thm-main",
-    "cor-numb2",
-    "two-cyclic-sylow",
-    "property-suites",
-    "rel-identities",
-)
 
 
 def jsonable(x):
@@ -104,8 +87,8 @@ class VerificationReport:
     computed: dict
     expected: dict
     verdict: str  # "pass" | "fail" | "skipped"
-    runtime: float
     notes: str = ""
+    runtime: float = 0.0  # set by run_statement
 
     def as_dict(self, include_runtime: bool = False) -> dict:
         d = {
@@ -134,7 +117,6 @@ def run_prop_lift2() -> VerificationReport:
     """Sign of the square of the lift of a fixed-point-free involution:
     +1 exactly when the degree is 0 or 2 mod 8.  The Clifford and
     closed-form routes are compared internally at every even n <= 24."""
-    t0 = time.perf_counter()
     plus = {2, 8, 10, 16, 24}
     minus = {4, 6, 12, 14, 20}
     computed = {}
@@ -149,7 +131,7 @@ def run_prop_lift2() -> VerificationReport:
     expected = {**{n: 1 for n in sorted(plus)}, **{n: -1 for n in sorted(minus)}}
     return VerificationReport(
         "prop-lift2", {"degrees": list(range(2, 25, 2))}, computed, expected,
-        _verdict(ok), time.perf_counter() - t0,
+        _verdict(ok),
         notes="both computation routes agreed at every even degree <= 24",
     )
 
@@ -165,41 +147,31 @@ _TWO_REDUCED_EXPECTED = (
 )
 
 
-def _catalog_by_key(key: str) -> Group:
-    if ":" in key:
-        name, param = key.split(":")
-        return catalog(name, int(param))
-    return catalog(key)
-
-
 def run_2reduced_table() -> VerificationReport:
-    t0 = time.perf_counter()
     computed = {}
     ok = True
     for key, want in _TWO_REDUCED_EXPECTED:
-        got = is_2_reduced(_catalog_by_key(key))
+        got = is_2_reduced(group_from_spec("catalog:" + key))
         computed[key] = got
         ok = ok and got == want
     return VerificationReport(
         "2reduced-table", {"groups": [k for k, _ in _TWO_REDUCED_EXPECTED]},
-        computed, dict(_TWO_REDUCED_EXPECTED), _verdict(ok), time.perf_counter() - t0,
+        computed, dict(_TWO_REDUCED_EXPECTED), _verdict(ok),
     )
 
 
 def run_h2_s4() -> VerificationReport:
-    t0 = time.perf_counter()
     b = h2(catalog("sym", 4))
     computed = {"dim": b.dim, "cocycle_dim": b.z2_dim, "coboundary_dim": b.b2_dim}
     return VerificationReport(
         "h2-s4", {"group": "sym:4"}, computed, {"dim": 2},
-        _verdict(b.dim == 2), time.perf_counter() - t0,
+        _verdict(b.dim == 2),
     )
 
 
 def run_quat_counterexample() -> VerificationReport:
     """The order-16 cover of the quaternion group: the extension has the
     involution-lifting property but its class is not a coboundary."""
-    t0 = time.perf_counter()
     T = catalog("quat_cover")
     t = T.labels.index("(2,2)")
     E = central_extension_from_quotient(T, t)
@@ -219,7 +191,7 @@ def run_quat_counterexample() -> VerificationReport:
           and computed["class_is_coboundary"] is False)
     return VerificationReport(
         "quat-counterexample", {"total": "quat_cover", "kernel": "(2,2)"},
-        computed, expected, _verdict(ok), time.perf_counter() - t0,
+        computed, expected, _verdict(ok),
         notes="base group fingerprint: order 8, one involution, nonabelian",
     )
 
@@ -228,11 +200,10 @@ def run_pin_splitness() -> VerificationReport:
     """Pin-lift sign cocycles of translation actions: split at order 8
     for the dihedral, cyclic and elementary abelian groups; nonzero
     diagonal for the cyclic group of order 4."""
-    t0 = time.perf_counter()
     computed = {}
     ok = True
     for key in ("dihedral:8", "cyclic:8", "elem_abelian_2:3"):
-        G = _catalog_by_key(key)
+        G = group_from_spec("catalog:" + key)
         res = pin_cocycle(G)
         split = h2(G).is_coboundary(res.cocycle)
         computed[key] = {"coboundary": split, "diagonal": list(res.s_vector)}
@@ -258,7 +229,7 @@ def run_pin_splitness() -> VerificationReport:
     }
     return VerificationReport(
         "pin-splitness", {"groups": list(computed)}, computed, expected,
-        _verdict(ok), time.perf_counter() - t0,
+        _verdict(ok),
         notes="quaternion8 value is reported without an asserted expectation",
     )
 
@@ -270,7 +241,6 @@ _MAIN_FIXTURES = ("multiquadratic_real", "multiquadratic_imaginary",
 def run_thm_main() -> VerificationReport:
     """w2 of the trace form equals cup(2, disc) on the octic fields, and
     triviality of the disc class matches the structural predicate."""
-    t0 = time.perf_counter()
     computed = {}
     ok = True
     for name in _MAIN_FIXTURES:
@@ -289,7 +259,7 @@ def run_thm_main() -> VerificationReport:
         "thm-main", {"fixtures": list(_MAIN_FIXTURES)}, computed,
         {name: {"status": "pass", "disc_predicate_agrees": True}
          for name in _MAIN_FIXTURES},
-        _verdict(ok), time.perf_counter() - t0,
+        _verdict(ok),
     )
 
 
@@ -302,7 +272,6 @@ _NUMB2_FIXTURES = (
 
 
 def run_cor_numb2() -> VerificationReport:
-    t0 = time.perf_counter()
     computed = {}
     ok = True
     for name, want_case in _NUMB2_FIXTURES:
@@ -322,7 +291,7 @@ def run_cor_numb2() -> VerificationReport:
                 for name, c in _NUMB2_FIXTURES}
     return VerificationReport(
         "cor-numb2", {"fixtures": [n for n, _ in _NUMB2_FIXTURES]},
-        computed, expected, _verdict(ok), time.perf_counter() - t0,
+        computed, expected, _verdict(ok),
         notes="the imaginary cyclic octic was validated as cyclic degree 8"
               " (fixed field of an index-8 subgroup of the conductor-32"
               " cyclotomic field)",
@@ -330,7 +299,6 @@ def run_cor_numb2() -> VerificationReport:
 
 
 def run_two_cyclic_sylow() -> VerificationReport:
-    t0 = time.perf_counter()
     fx = fixtures.COMPOSITUM_C2XC4
     rep = verify_two_cyclic_sylow(
         fx.algebra, fixtures.COMPOSITUM_D1, fixtures.COMPOSITUM_D2,
@@ -357,7 +325,7 @@ def run_two_cyclic_sylow() -> VerificationReport:
         {"fixture": fx.name, "d1": fixtures.COMPOSITUM_D1,
          "d2": fixtures.COMPOSITUM_D2,
          "first_factor_order_2": fixtures.COMPOSITUM_FIRST_FACTOR_ORDER_2},
-        computed, expected, _verdict(ok), time.perf_counter() - t0,
+        computed, expected, _verdict(ok),
     )
 
 
@@ -368,7 +336,6 @@ def run_rel_identities() -> VerificationReport:
     """Invariants of the algebra of m copies of a field, from the
     invariants of one copy: disc multiplies m times; the place set picks
     up binom(m,2) copies of cup(d, d)."""
-    t0 = time.perf_counter()
     computed = {}
     ok = True
     for name in _REL_POLYS:
@@ -389,7 +356,7 @@ def run_rel_identities() -> VerificationReport:
                 for name in _REL_POLYS}
     return VerificationReport(
         "rel-identities", {"fields": list(_REL_POLYS), "copies": [1, 2, 3, 4]},
-        computed, expected, _verdict(ok), time.perf_counter() - t0,
+        computed, expected, _verdict(ok),
     )
 
 
@@ -505,7 +472,7 @@ def _battery_regular_parity(rng) -> tuple[int, int]:
     del rng
     trials = failures = 0
     for key in _EVEN_ORDER_CATALOG:
-        G = _catalog_by_key(key)
+        G = group_from_spec("catalog:" + key)
         trials += 1
         even = regular_rep_in_alternating(G)
         if even != (not sylow2(G).is_cyclic()):
@@ -521,7 +488,7 @@ _SMAP_GROUPS = ("cyclic:4", "cyclic:8", "elem_abelian_2:2",
 def _battery_smap_coboundary(rng: random.Random) -> tuple[int, int]:
     trials = failures = 0
     for key in _SMAP_GROUPS:
-        G = _catalog_by_key(key)
+        G = group_from_spec("catalog:" + key)
         basis = h2(G)
         for _ in range(100):
             cl = basis.class_from_coords(rng.getrandbits(basis.dim))
@@ -546,7 +513,6 @@ _BATTERIES = (
 
 
 def run_property_suites(seed: int = DEFAULT_SEED) -> VerificationReport:
-    t0 = time.perf_counter()
     computed = {}
     ok = True
     for name, fn in _BATTERIES:
@@ -557,38 +523,41 @@ def run_property_suites(seed: int = DEFAULT_SEED) -> VerificationReport:
     expected = {name: {"failures": 0} for name, _ in _BATTERIES}
     return VerificationReport(
         "property-suites", {"seed": seed}, computed, expected,
-        _verdict(ok), time.perf_counter() - t0,
+        _verdict(ok),
     )
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
+_RUNNERS = {  # in statement order
+    "prop-lift2": run_prop_lift2,
+    "2reduced-table": run_2reduced_table,
+    "h2-s4": run_h2_s4,
+    "quat-counterexample": run_quat_counterexample,
+    "pin-splitness": run_pin_splitness,
+    "thm-main": run_thm_main,
+    "cor-numb2": run_cor_numb2,
+    "two-cyclic-sylow": run_two_cyclic_sylow,
+    "property-suites": run_property_suites,
+    "rel-identities": run_rel_identities,
+}
+STATEMENTS = tuple(_RUNNERS)
+
 
 def run_statement(statement: str, seed: int = DEFAULT_SEED) -> VerificationReport:
-    runners = {
-        "prop-lift2": run_prop_lift2,
-        "2reduced-table": run_2reduced_table,
-        "h2-s4": run_h2_s4,
-        "quat-counterexample": run_quat_counterexample,
-        "pin-splitness": run_pin_splitness,
-        "thm-main": run_thm_main,
-        "cor-numb2": run_cor_numb2,
-        "two-cyclic-sylow": run_two_cyclic_sylow,
-        "property-suites": lambda: run_property_suites(seed),
-        "rel-identities": run_rel_identities,
-    }
-    if statement not in runners:
+    runner = _RUNNERS.get(statement)
+    if runner is None:
         raise ValueError(f"unknown statement {statement!r}; "
                          f"choose from {', '.join(STATEMENTS)}")
     t0 = time.perf_counter()
     try:
-        return runners[statement]()
+        report = runner(seed) if runner is run_property_suites else runner()
     except Exception as exc:  # surface honest failures, never hide them
-        return VerificationReport(
-            statement, {}, {"error": f"{type(exc).__name__}: {exc}"}, {},
-            "fail", time.perf_counter() - t0,
-        )
+        report = VerificationReport(
+            statement, {}, {"error": f"{type(exc).__name__}: {exc}"}, {}, "fail")
+    report.runtime = time.perf_counter() - t0
+    return report
 
 
 def run_suite(seed: int = DEFAULT_SEED) -> list[VerificationReport]:

@@ -66,7 +66,9 @@ def test_pin_sign_verb(capsys):
     code, out, _ = run_cli(capsys, "pin-sign", "--n", "16")
     assert code == 0 and out.strip() == "1"
     code, _, err = run_cli(capsys, "pin-sign", "--n", "7")
-    assert code == 2
+    assert code == 2 and "even number of coordinates" in err
+    code, _, err = run_cli(capsys, "pin-sign", "--n", "26")
+    assert code == 2 and "CLIFFORD_RANK_CAP = 24" in err
 
 
 def test_pin_cocycle_verb(capsys):
@@ -269,6 +271,42 @@ def test_unsplittable_entry_exits_2_within_rho_budget():
         capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=src))
     elapsed = time.perf_counter() - t0
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert elapsed < 10, elapsed
+    assert "RHO_BUDGET = 8388608" in proc.stderr
+
+
+def _run_limited(argv, timeout=60):
+    """A `python -m traceforms` child under a 1 GiB address-space limit;
+    returns the process and its wall time."""
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+    src = os.path.dirname(os.path.dirname(traceforms.__file__))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "traceforms", *argv],
+        capture_output=True, text=True, timeout=timeout,
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    return proc, time.perf_counter() - t0
+
+
+def test_extension_trips_h2_cap_before_other_work():
+    # the order-1024 extension group used to be built (37 s) before the cap
+    proc, elapsed = _run_limited(
+        ["extension", "--group", "catalog:dihedral:512", "--cocycle", "zero"])
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert elapsed < 2, elapsed
+    assert proc.stderr == ("error: group order 512 exceeds H2_CAP = 64 "
+                           "for the cohomology solver\n")
+
+
+def test_wide_unsplittable_entry_exits_2_within_rho_budget():
+    # two 50-digit primes: each rho step on 328 bits counts 3 times, so the
+    # budget runs out in about the time it takes below 2^128
+    n = ("300000000000000000000000000000000000000000000380300000"
+         "000000000000000000000000000000000000011416587")
+    proc, elapsed = _run_limited(["form", "--entries", n])
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
     assert elapsed < 10, elapsed
     assert "RHO_BUDGET = 8388608" in proc.stderr

@@ -173,7 +173,7 @@ def test_involution_square_sign_table():
         assert (s == 1) == (n in plus or n % 8 in (0, 2))
     with pytest.raises(CliffordError):
         involution_square_sign(3)
-    with pytest.raises(CliffordError):
+    with pytest.raises(CliffordError, match="CLIFFORD_RANK_CAP = 24"):
         involution_square_sign(26)
 
 
@@ -198,8 +198,10 @@ def test_pin_cocycle_involutions_only_agrees_with_full():
 
 
 def test_pin_cocycle_caps():
-    with pytest.raises(CliffordError):
+    with pytest.raises(CliffordError, match="FULL_PIN_CAP = 12"):
         pin_cocycle(catalog("sym", 4))  # order 24 > full cap
+    with pytest.raises(CliffordError, match="CLIFFORD_RANK_CAP = 24"):
+        pin_cocycle(catalog("cyclic", 25), involutions_only=True)
     # involutions-only mode admits order 24
     res = pin_cocycle(catalog("sym", 4), involutions_only=True)
     assert set(res.square_signs.values()) == {1}

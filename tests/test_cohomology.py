@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from traceforms import gf2
 from traceforms.cohomology import (
+    CentralExt,
     Cocycle2,
     CohomologyError,
     central_extension_from_quotient,
@@ -17,9 +19,10 @@ from traceforms.cohomology import (
     ker_s,
     s_map,
     two_lift_property,
+    _cocycle_from_vec,
     _vec_of,
 )
-from traceforms.groups import catalog, group_from_spec
+from traceforms.groups import catalog, generating_set, group_from_spec
 
 
 H2_DIMS = {
@@ -238,3 +241,107 @@ def test_nontrivial_class_gives_nonsplit_group():
     assert max(E1.total.element_order(g) for g in range(8)) == 8
     E0 = extension_from_cocycle(G, basis.class_from_coords(0).representative)
     assert max(E0.total.element_order(g) for g in range(8)) == 4
+
+
+def _all_triples_identity_holds(c):
+    """Oracle: the cocycle identity on every triple."""
+    n, t = c.group.order, c.group.table
+    v = c.value
+    return all(v(g, h) ^ v(t[g][h], k) ^ v(h, k) ^ v(g, t[h][k]) == 0
+               for g in range(n) for h in range(n) for k in range(n))
+
+
+def _validate_agrees(c):
+    try:
+        c.validate()
+        got = True
+    except CohomologyError:
+        got = False
+    want = _all_triples_identity_holds(c)
+    assert got == want, (c.group.name or c.group.order, c.rows)
+    return want
+
+
+def _identity_rows_at(G, gs):
+    """The equations δc(g, h, k) = 0 for g in gs only, as in cocycle_space."""
+    n, t, w = G.order, G.table, G.order - 1
+
+    def bit(g, h):
+        return 1 << ((g - 1) * w + (h - 1)) if g and h else 0
+
+    return {bit(g, h) ^ bit(t[g][h], k) ^ bit(h, k) ^ bit(g, t[h][k])
+            for g in gs for h in range(1, n) for k in range(1, n)} - {0}
+
+
+def test_validate_matches_all_triples_oracle():
+    """validate raises exactly when the all-triples check fails, on
+    seeded cochains: sums of basis cocycles, the same with bits flipped,
+    random ones, and solutions of the identity at all generators but
+    one (these pass at most of S and are the hard case)."""
+    rng = random.Random(480)
+    groups = [_cat(name, param) for name, param in _ORACLE_CATALOG
+              if name != "elem_abelian_2" or param <= 4]
+    groups += [group_from_spec(spec) for spec in _ORACLE_PERMS[:1] + _ORACLE_PERMS[2:]]
+    outcomes = set()
+    for G in groups:
+        w = G.order - 1
+        basis = [_vec_of(z) for z in cocycle_space(G)]
+        S = generating_set(G)
+        partial = [gf2.nullspace(_identity_rows_at(G, S[:i] + S[i + 1:]), w * w)
+                   for i in range(len(S))] if len(S) > 1 else []
+        for trial in range(16):
+            v = 0
+            for z in basis:
+                if rng.getrandbits(1):
+                    v ^= z
+            if trial % 4 == 1:
+                v ^= 1 << rng.randrange(w * w)
+            elif trial % 4 == 2:
+                v ^= (1 << rng.randrange(w * w)) ^ (1 << rng.randrange(w * w))
+            elif trial % 4 == 3:
+                v = rng.getrandbits(w * w)
+            outcomes.add(_validate_agrees(_cocycle_from_vec(G, v)))
+        for space in partial:
+            for _ in range(4):
+                v = 0
+                for z in space:
+                    if rng.getrandbits(1):
+                        v ^= z
+                outcomes.add(_validate_agrees(_cocycle_from_vec(G, v)))
+    assert outcomes == {True, False}
+
+
+def test_validate_matches_all_triples_oracle_exhaustively_at_order_4():
+    for G in (catalog("cyclic", 4), catalog("elem_abelian_2", 2)):
+        valid = sum(_validate_agrees(_cocycle_from_vec(G, v)) for v in range(1 << 9))
+        assert valid == 1 << len(cocycle_space(G))
+
+
+def test_central_ext_homomorphism_check_matches_all_pairs_oracle():
+    """The projection is checked at a generating set of the total group;
+    relabel the base to get maps that are and are not homomorphisms."""
+    # in C2^3 the first generator's image spans a subgroup of index 4, so
+    # some relabelings respect it and are still not homomorphisms
+    for G in (catalog("dihedral", 8), catalog("quaternion8"), catalog("sym", 3),
+              catalog("elem_abelian_2", 3)):
+        E = extension_from_cocycle(G, h2(G).class_from_coords(1).representative)
+        tt, bt, n = E.total.table, G.table, G.order
+        outcomes = set()
+        for rest in itertools.permutations(range(1, n)):  # every relabeling
+            sigma = (0,) + rest
+            proj = tuple(sigma[p] for p in E.projection)
+            want = all(proj[tt[x][y]] == bt[proj[x]][proj[y]]
+                       for x in range(2 * n) for y in range(2 * n))
+            try:
+                CentralExt(G, E.total, E.t, proj)
+                got = True
+            except CohomologyError:
+                got = False
+            assert got == want, (G.name, sigma)
+            outcomes.add(want)
+        assert outcomes == {True, False}
+
+
+def test_h2_cap_names_the_limit():
+    with pytest.raises(CohomologyError, match="H2_CAP = 64"):
+        h2(catalog("cyclic", 65))

@@ -1,13 +1,19 @@
+import random
+
 import pytest
 
 from traceforms.groups import (
     Group,
     GroupError,
+    SubgroupHandle,
     catalog,
     closure,
     direct_product,
+    generated_subgroup,
+    generating_set,
     group_from_spec,
     left_regular,
+    normalizer,
     quotient_with_map,
     regular_rep_in_alternating,
     sylow2,
@@ -161,3 +167,144 @@ def test_subgroup_closure_inside_parent():
     # a 2-Sylow of S4 is dihedral of order 8: 5 involutions
     assert len(H.involutions()) == 5
     assert not S.is_cyclic()
+
+
+def _intercalate_swapped_cyclic(n):
+    """The table of Z/n with the 2x2 subsquare on rows and columns 1 and
+    1 + n/2 swapped: still a Latin square with identity 0."""
+    h = n // 2
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    for i in (1, 1 + h):
+        for j in (1, 1 + h):
+            table[i][j] = (table[i][j] + h) % n
+    return table
+
+
+@pytest.mark.parametrize("n", [6, 256, 258, 1024])
+def test_nonassociative_latin_square_is_rejected(n):
+    t = _intercalate_swapped_cyclic(n)
+    for row in t:
+        assert sorted(row) == list(range(n))
+    assert t[t[1][1]][2] != t[1][t[1][2]]  # (1*1)*2 != 1*(1*2)
+    with pytest.raises(GroupError, match="associativity fails"):
+        Group(t)
+
+
+def test_nonassociative_table_is_caught_past_the_first_generator():
+    # Z/60 x (swapped Z/6): the first generator taken is (1, e), of the
+    # highest order 60 and in the left nucleus, so only a later one fails
+    z60 = [[(i + j) % 60 for j in range(60)] for i in range(60)]
+    loop = _intercalate_swapped_cyclic(6)
+    table = [[z60[a][c] * 6 + loop[b][d] for c in range(60) for d in range(6)]
+             for a in range(60) for b in range(6)]
+    with pytest.raises(GroupError, match="associativity fails"):
+        Group(table)
+
+
+def _retired_generating_set(G):
+    """Oracle: the former routine, whose span was the closure under
+    products on both sides, swept over all pairs."""
+    def span(seeds):
+        members = {0} | set(seeds)
+        frontier = list(members)
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for b in list(members):
+                    for c in (G.table[a][b], G.table[b][a]):
+                        if c not in members:
+                            members.add(c)
+                            nxt.append(c)
+            frontier = nxt
+        return members
+
+    S, sp = [], {0}
+    for g in sorted(range(1, G.order), key=lambda g: (-G.element_order(g), g)):
+        if len(sp) == G.order:
+            break
+        if g not in sp:
+            S.append(g)
+            sp = span(S)
+    return S
+
+
+def test_generating_set_matches_retired_routine():
+    specs = ([f"catalog:cyclic:{k}" for k in (1, 2, 7, 12, 64)]
+             + [f"catalog:dihedral:{k}" for k in (2, 8, 24, 64)]
+             + [f"catalog:elem_abelian_2:{k}" for k in range(0, 7)]
+             + ["catalog:quaternion8", "catalog:z4xz2", "catalog:quat_cover",
+                "catalog:sym:4", "catalog:sym:5", "catalog:alt:4", "catalog:alt:5",
+                "perms:(0 1 2 3),(0 4)(1 5)(2 6)(3 7)",
+                "perms:(0 1 2),(0 1),(3 4 5),(3 4)",
+                "perms:(0 1 2 3 4),(1 2 4 3)",
+                "perms:(0 1 2),(0 1)(2 3),(4 5)"])
+    for spec in specs:
+        G = group_from_spec(spec)
+        assert generating_set(G) == _retired_generating_set(G), spec
+        assert generated_subgroup(G, generating_set(G)).order == G.order
+
+
+def _is_subgroup_oracle(G, members):
+    """All pairs: a finite set with e that is closed under products."""
+    mset = set(members)
+    return 0 in mset and all(G.table[a][b] in mset for a in mset for b in mset)
+
+
+def _accepted(G, members):
+    try:
+        SubgroupHandle(G, members)
+    except GroupError:
+        return False
+    return True
+
+
+def test_subgroup_handle_matches_all_pairs_oracle_on_order_8():
+    # every subset containing e; the counts are the numbers of subgroups
+    subgroups = {"cyclic:8": 4, "elem_abelian_2:3": 16, "dihedral:8": 10,
+                 "quaternion8": 6, "z4xz2": 8}
+    for key, count in subgroups.items():
+        G = group_from_spec("catalog:" + key)
+        accepted = 0
+        for mask in range(1 << 7):
+            members = [0] + [g for g in range(1, 8) if mask >> (g - 1) & 1]
+            got = _accepted(G, members)
+            assert got == _is_subgroup_oracle(G, members), (key, members)
+            accepted += got
+        assert accepted == count, key
+
+
+def test_subgroup_handle_matches_all_pairs_oracle_on_s4():
+    G = catalog("sym", 4)
+    rng = random.Random(24)
+    outcomes = set()
+    for _ in range(300):
+        members = set(generated_subgroup(G, rng.sample(range(24), rng.randint(0, 2))).members)
+        for _ in range(rng.randint(0, 2)):  # perturb: add or drop an element
+            g = rng.randrange(1, 24)
+            members ^= {g}
+        members.add(0)
+        want = _is_subgroup_oracle(G, members)
+        assert _accepted(G, members) == want, sorted(members)
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_metacyclic_cap_names_the_limit():
+    with pytest.raises(GroupError, match="METACYCLIC_CAP = 128"):
+        catalog("cyclic", 256).full_handle().is_metacyclic()
+
+
+def test_is_normal_and_normalizer_match_all_pairs_oracle():
+    for G in (catalog("sym", 4), catalog("dihedral", 16), catalog("quat_cover")):
+        n = G.order
+        seen = set()
+        for a in range(n):
+            for b in range(a, n):
+                H = generated_subgroup(G, [a, b])
+                if H.members in seen:
+                    continue
+                seen.add(H.members)
+                norm = [g for g in range(n) if all(G.conj(g, m) in H for m in H.members)]
+                assert normalizer(H) == norm, H.members
+                assert H.is_normal() == (len(norm) == n), H.members
+        assert len(seen) > 5
