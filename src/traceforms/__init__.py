@@ -10,9 +10,9 @@ The layers, bottom to top:
 - ``cohomology``: normalized 2-cocycles with F2 coefficients, H²,
   the involution-diagonal map and its kernel, central extensions and
   the involution-lifting property.
-- ``clifford``: pin lifts of permutations as integer folds, sign
-  cocycles of translation actions read off the folds; exact Clifford
-  arithmetic over Q(√2) to verify the lifts.
+- ``clifford``: pin lifts of permutations as integer folds, each
+  checked by its norm and its action, and sign cocycles of translation
+  actions read off the folds; one Clifford product, on integers.
 - ``quadratic``: square classes, Hilbert symbols, ramification sets of
   cup products, diagonalization, Hasse-Witt style invariants, rational
   isometry via the local-global classification.

@@ -85,18 +85,31 @@ def _load_algebra(args) -> EtaleAlg:
         with open(raw[1:], encoding="ascii") as fh:
             raw = fh.read()
     data = json.loads(raw)
+    shape = "algebra JSON must be a list of {poly, multiplicity}"
     if not isinstance(data, list):
-        raise ValueError("algebra JSON must be a list of {poly, multiplicity}")
+        raise ValueError(shape)
     factors = []
     for item in data:
-        coeffs = tuple(int(c) for c in item["poly"])
-        factors.append((MonicPoly(coeffs), int(item.get("multiplicity", 1))))
+        if not isinstance(item, dict) or not isinstance(item.get("poly"), list):
+            raise ValueError(shape)
+        coeffs = tuple(_json_int(c, "poly coefficient") for c in item["poly"])
+        mult = _json_int(item.get("multiplicity", 1), "multiplicity")
+        factors.append((MonicPoly(coeffs), mult))
     return EtaleAlg(tuple(factors))
+
+
+def _json_int(x, what: str) -> int:
+    """x as an integer: a JSON integer or decimal string, nothing else."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise ValueError(f"{what} must be an integer, got {json.dumps(x)}")
+    return int(x)
 
 
 def _load_gram(path: str) -> list[list[Fraction]]:
     with open(path, encoding="ascii") as fh:
         data = json.load(fh)
+    if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
+        raise ValueError("Gram JSON must be a list of rows")
     m = [[Fraction(str(x)) for x in row] for row in data]
     validate_gram(m)
     return m

@@ -19,13 +19,14 @@ involution g the sign of lift(g)^2.  The full cocycle folds only the
 products with a generating set and fills in the rest by associativity
 (see pin_cocycle).
 
-pin_lift returns the lift over Q(sqrt 2) (QSqrt2, CliffordElt), and
-checks on its integer fold that twisted conjugation by it gives back p.
+pin_lift returns a lift as (k, z) and checks, at every rank, that z is
+a pin element whose twisted conjugation gives back p (_check_fold).
+_fold_factors is the only Clifford product here; an independent algebra
+over Q(sqrt 2) is kept as a test oracle (tests/clifford_oracle.py).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import perms
 from .cohomology import Cocycle2
@@ -33,7 +34,6 @@ from .groups import Group, generating_set, left_regular
 
 CLIFFORD_RANK_CAP = 24   # largest number of generators accepted
 FULL_PIN_CAP = 12        # largest group order for the full sign table
-ACTION_CHECK_CAP = 10    # verify lifts by twisted conjugation up to here
 
 
 class CliffordError(ValueError):
@@ -42,187 +42,6 @@ class CliffordError(ValueError):
 
 class SignMismatchError(CliffordError):
     """A product of lifts failed to be +-(the lift of the product)."""
-
-
-class QSqrt2:
-    """Element u + v*sqrt(2) of Q(sqrt 2), with exact Fraction parts."""
-
-    __slots__ = ("u", "v")
-
-    def __init__(self, u=0, v=0):
-        object.__setattr__(self, "u", Fraction(u))
-        object.__setattr__(self, "v", Fraction(v))
-
-    def __setattr__(self, *a):
-        raise AttributeError("QSqrt2 is immutable")
-
-    @staticmethod
-    def _coerce(x) -> "QSqrt2":
-        if isinstance(x, QSqrt2):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return QSqrt2(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} to QSqrt2")
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return QSqrt2(self.u + o.u, self.v + o.v)
-
-    def __neg__(self):
-        return QSqrt2(-self.u, -self.v)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return QSqrt2(self.u * o.u + 2 * self.v * o.v,
-                      self.u * o.v + self.v * o.u)
-
-    def norm(self) -> Fraction:
-        return self.u * self.u - 2 * self.v * self.v
-
-    def inverse(self) -> "QSqrt2":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt 2)")
-        return QSqrt2(self.u / n, -self.v / n)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QSqrt2(other)
-        if not isinstance(other, QSqrt2):
-            return NotImplemented
-        return self.u == other.u and self.v == other.v
-
-    def __hash__(self):
-        return hash((self.u, self.v))
-
-    def __bool__(self):
-        return bool(self.u) or bool(self.v)
-
-    def __repr__(self):
-        if self.v == 0:
-            return f"{self.u}"
-        if self.u == 0:
-            return f"{self.v}*r2"
-        return f"({self.u} + {self.v}*r2)"
-
-
-def _sign_parity(S: int, T: int) -> int:
-    """Parity of the reordering sign in e_S * e_T = (+-) e_{S xor T}: each
-    generator e_t of T passes the generators of S above t.  Bit t of w is
-    the parity of those (a suffix XOR by doubling shifts, which reaches
-    32 bits, beyond the rank cap)."""
-    w = S >> 1
-    for k in (1, 2, 4, 8, 16):
-        w ^= w >> k
-    return (w & T).bit_count() & 1
-
-
-class CliffordElt:
-    """Sparse element of the rank-n Clifford algebra over Q(sqrt 2)."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: dict[int, QSqrt2]):
-        if not 0 <= n <= CLIFFORD_RANK_CAP:
-            raise CliffordError(f"rank must be between 0 and CLIFFORD_RANK_CAP = {CLIFFORD_RANK_CAP}")
-        clean: dict[int, QSqrt2] = {}
-        top = 1 << n
-        for mask, c in terms.items():
-            if mask < 0 or mask >= top:
-                raise CliffordError(f"basis mask {mask:#x} out of rank-{n} range")
-            c = QSqrt2._coerce(c)
-            if c:
-                clean[mask] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("CliffordElt is immutable")
-
-    @staticmethod
-    def scalar(n: int, value) -> "CliffordElt":
-        return CliffordElt(n, {0: QSqrt2._coerce(value)})
-
-    @staticmethod
-    def basis_vector(n: int, k: int) -> "CliffordElt":
-        if not 0 <= k < n:
-            raise CliffordError(f"generator index {k} out of range")
-        return CliffordElt(n, {1 << k: QSqrt2(1)})
-
-    def _check_same(self, other: "CliffordElt") -> None:
-        if self.n != other.n:
-            raise CliffordError("rank mismatch")
-
-    def __add__(self, other: "CliffordElt") -> "CliffordElt":
-        self._check_same(other)
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            t[m] = t.get(m, QSqrt2()) + c
-        return CliffordElt(self.n, t)
-
-    def __neg__(self) -> "CliffordElt":
-        return CliffordElt(self.n, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, a) -> "CliffordElt":
-        a = QSqrt2._coerce(a)
-        return CliffordElt(self.n, {m: c * a for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QSqrt2)):
-            return self.scale(other)
-        self._check_same(other)
-        out: dict[int, QSqrt2] = {}
-        for S, a in self.terms.items():
-            for T, b in other.terms.items():
-                m = S ^ T
-                c = a * b
-                if _sign_parity(S, T):
-                    c = -c
-                acc = out.get(m)
-                out[m] = c if acc is None else acc + c
-        return CliffordElt(self.n, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, CliffordElt):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def reversal(self) -> "CliffordElt":
-        out = {}
-        for m, c in self.terms.items():
-            k = bin(m).count("1")
-            out[m] = -c if (k * (k - 1) // 2) & 1 else c
-        return CliffordElt(self.n, out)
-
-    def grade_involution(self) -> "CliffordElt":
-        out = {}
-        for m, c in self.terms.items():
-            out[m] = -c if bin(m).count("1") & 1 else c
-        return CliffordElt(self.n, out)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for m in sorted(self.terms):
-            name = "".join(f"e{k}" for k in range(self.n) if (m >> k) & 1) or "1"
-            bits.append(f"{self.terms[m]!r}*{name}")
-        return " + ".join(bits)
-
-
-def epsilon(i: int, j: int, n: int) -> CliffordElt:
-    """The unit vector (e_i - e_j)/sqrt(2), whose twisted conjugation
-    swaps coordinates i and j."""
-    if i == j:
-        raise CliffordError("epsilon needs two distinct indices")
-    half = Fraction(1, 2)
-    return CliffordElt(n, {1 << i: QSqrt2(0, half), 1 << j: QSqrt2(0, -half)})
 
 
 def transposition_factors(p: perms.Perm) -> list[tuple[int, int]]:
@@ -237,8 +56,9 @@ def transposition_factors(p: perms.Perm) -> list[tuple[int, int]]:
 
 
 # -- integer fold kernel ----------------------------------------------------
-# A product of k epsilon factors is (1/sqrt 2)^k times an integer
-# combination of basis masks (its fold); every sign is read off folds.
+# A product of k factors (e_i - e_j)/sqrt(2) is (1/sqrt 2)^k times an
+# integer combination of basis masks (its fold); every sign is read off
+# folds.
 
 
 def _fold_factors(state: dict[int, int], factors) -> dict[int, int]:
@@ -282,33 +102,22 @@ def _square_sign(factors: list[tuple[int, int]]) -> int:
     return -1 if _sign_bit(state, {0: 1}, 2 * len(factors)) else 1
 
 
-def _fold_mul(x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
-    """Product of two integer mask combinations."""
-    out: dict[int, int] = {}
-    for S, a in x.items():
-        for T, b in y.items():
-            m = S ^ T
-            acc = out.get(m, 0) + (-a * b if _sign_parity(S, T) else a * b)
-            if acc:
-                out[m] = acc
-            else:
-                out.pop(m, None)
-    return out
-
-
-def _check_fold(z: dict[int, int], k: int, p: perms.Perm) -> None:
-    """Verify that x = (1/sqrt 2)^k z is a pin element whose twisted
-    conjugation x' e_a x^(-1) (x' the grade involution) is e_p(a) for
-    every a.  Checked on z: it is parity homogeneous, so z' = +-z;
-    reversal(z) z = 2^k, so z is invertible and x has spinor norm 1;
-    and then x' e_a x^(-1) = e_p(a) is equivalent to z' e_a = e_p(a) z,
-    one linear pass over z for each a."""
+def _check_fold(z: dict[int, int], factors, p: perms.Perm) -> None:
+    """Verify that x = (1/sqrt 2)^k z, k = len(factors), is a pin element
+    whose twisted conjugation x' e_a x^(-1) (x' the grade involution) is
+    e_p(a) for every a.  Checked on z: it is parity homogeneous, so
+    z' = +-z; reversal(z) folded on the right by the factors (e_i - e_j)
+    is 2^k, so reversal(z) = 2^k V^(-1) = reversal(V) for V their product
+    (each factor squares to 2): z = V, and x, a product of k unit
+    vectors, has spinor norm 1.  Then x' e_a x^(-1) = e_p(a) is
+    equivalent to z' e_a = e_p(a) z, one linear pass over z for each a
+    with sign rules of its own, not those of _fold_factors."""
     parities = {m.bit_count() & 1 for m in z}
     if len(parities) != 1:
         raise CliffordError("element is not parity homogeneous")
     odd = parities.pop()
     rev = {m: -c if (m.bit_count() >> 1) & 1 else c for m, c in z.items()}
-    if _fold_mul(rev, z) != {0: 1 << k}:
+    if _fold_factors(rev, factors) != {0: 1 << len(factors)}:
         raise CliffordError("spinor norm is not 1")
     for a, b in enumerate(p):
         # e_m e_a passes the bits of m above a; e_b e_m those below b
@@ -320,23 +129,28 @@ def _check_fold(z: dict[int, int], k: int, p: perms.Perm) -> None:
             raise CliffordError("lift does not act as the permutation")
 
 
-def pin_lift(p: perms.Perm, n: int | None = None) -> CliffordElt:
-    """Pin lift of the permutation p acting on n coordinates."""
+def _padded(ps, n: int | None) -> list[perms.Perm]:
+    """The permutations ps on n coordinates (by default their largest
+    degree), each padded with fixed points, once n is within the cap."""
+    degree = max(len(p) for p in ps)
     if n is None:
-        n = len(p)
-    if len(p) > n:
+        n = degree
+    if degree > n:
         raise CliffordError("permutation degree exceeds rank")
     if n > CLIFFORD_RANK_CAP:
         raise CliffordError(f"rank {n} exceeds CLIFFORD_RANK_CAP = {CLIFFORD_RANK_CAP}")
-    q = tuple(p) + tuple(range(len(p), n))
+    return [tuple(p) + tuple(range(len(p), n)) for p in ps]
+
+
+def pin_lift(p: perms.Perm, n: int | None = None) -> tuple[int, dict[int, int]]:
+    """Pin lift of the permutation p acting on n coordinates, as (k, z):
+    the lift is (1/sqrt 2)^k z, with z the integer fold of its k factors.
+    Raises CliffordError unless _check_fold proves it."""
+    q, = _padded([p], n)
     factors = transposition_factors(q)
-    k = len(factors)  # scale (1/sqrt 2)^k
-    scale = QSqrt2(0, Fraction(1, 2 ** ((k + 1) // 2))) if k % 2 else \
-        QSqrt2(Fraction(1, 2 ** (k // 2)))
     z = _fold_factors({0: 1}, factors)
-    if n <= ACTION_CHECK_CAP:
-        _check_fold(z, k, q)
-    return CliffordElt(n, z).scale(scale)
+    _check_fold(z, factors, q)
+    return len(factors), z
 
 
 def involution_square_sign(n: int) -> int:
@@ -374,14 +188,7 @@ def pin_product_sign(p: perms.Perm, q: perms.Perm, n: int | None = None) -> int:
     """The sign bit with lift(p) lift(q) = (-1)^bit lift(p after q),
     computed by folding q's factors onto lift(p).  Raises
     SignMismatchError if the product fails to be proportional."""
-    if n is None:
-        n = max(len(p), len(q))
-    if max(len(p), len(q)) > n:
-        raise CliffordError("permutation degree exceeds rank")
-    if n > CLIFFORD_RANK_CAP:
-        raise CliffordError(f"rank {n} exceeds CLIFFORD_RANK_CAP = {CLIFFORD_RANK_CAP}")
-    pp = tuple(p) + tuple(range(len(p), n))
-    qq = tuple(q) + tuple(range(len(q), n))
+    pp, qq = _padded([p, q], n)
     fp = transposition_factors(pp)
     fq = transposition_factors(qq)
     z = _fold_factors(_fold_factors({0: 1}, fp), fq)

@@ -169,20 +169,6 @@ def coboundary_generators(G: Group) -> list[Cocycle2]:
     return [delta1(G, 1 << g) for g in range(1, G.order)]
 
 
-def coboundary_space(G: Group) -> list[Cocycle2]:
-    """An independent basis of the coboundary space."""
-    _check_cap(G)
-    pivots: dict[int, int] = {}
-    out = []
-    for c in coboundary_generators(G):
-        v = _vec_of(c)
-        before = len(pivots)
-        gf2.echelon_insert(pivots, v)
-        if len(pivots) > before:
-            out.append(c)
-    return out
-
-
 class H2Basis:
     """Echelonized model of H^2(G, F2): coboundary pivots plus one reduced
     representative vector per basis class."""

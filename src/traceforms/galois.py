@@ -88,12 +88,6 @@ class MonicPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, x):
-        v = 0
-        for c in self.coeffs:
-            v = v * x + c
-        return v
-
     def __str__(self):
         bits = []
         d = self.degree
@@ -205,11 +199,6 @@ class GaloisDescriptor:
 
     group: Group
     field: bool = True
-
-    @property
-    def surjective(self) -> bool:
-        """A Galois algebra is a field exactly when the action map is onto."""
-        return self.field
 
     def two_reduced(self) -> bool:
         return is_2_reduced(self.group)

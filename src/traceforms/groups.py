@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from math import lcm
 
 from . import perms
 from .perms import Perm
@@ -109,17 +108,11 @@ class Group:
         t, S = self.table, generating_set(self)
         return all(t[a][b] == t[b][a] for a in S for b in S)
 
-    def exponent(self) -> int:
-        return lcm(1, *(self.element_order(g) for g in range(self.order)))
-
     def subgroup(self, members) -> "SubgroupHandle":
         return SubgroupHandle(self, members)
 
     def full_handle(self) -> "SubgroupHandle":
         return SubgroupHandle(self, range(self.order))
-
-    def label(self, g: int) -> str:
-        return self.labels[g] if self.labels else str(g)
 
 
 class SubgroupHandle:

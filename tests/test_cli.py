@@ -204,6 +204,32 @@ def test_usage_errors(capsys):
         main(["nonsense-verb"])
 
 
+@pytest.mark.parametrize("verb, payload, match", [
+    ("trace", "[[1,0,-3]]", "list of {poly, multiplicity}"),
+    ("trace", "[5]", "list of {poly, multiplicity}"),
+    ("trace", '[{"poly": 5}]', "list of {poly, multiplicity}"),
+    ("trace", '[{"multiplicity": 2}]', "list of {poly, multiplicity}"),
+    ("trace", '[{"poly": [1,0,-3], "multiplicity": null}]',
+     "multiplicity must be an integer, got null"),
+    ("trace", '[{"poly": [1,0,-3], "multiplicity": 1.5}]',
+     "multiplicity must be an integer, got 1.5"),
+    ("trace", '[{"poly": [1,0,[3]]}]', "coefficient must be an integer"),
+    ("form", "5", "Gram JSON must be a list of rows"),
+    ("form", "[1,2]", "Gram JSON must be a list of rows"),
+    ("form", '{"a": [1]}', "Gram JSON must be a list of rows"),
+])
+def test_malformed_json_payload_exits_2(capsys, tmp_path, verb, payload, match):
+    if verb == "trace":
+        argv = ["trace", "--algebra", payload]
+    else:
+        g = tmp_path / "gram.json"
+        g.write_text(payload)
+        argv = ["form", "--gram", str(g)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and match in err
+
+
 @pytest.mark.parametrize("spec", ["cyclic:1000000000", "cyclic:4096",
                                   "elem_abelian_2:64",
                                   "dihedral:1000000000000",

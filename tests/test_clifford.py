@@ -5,17 +5,23 @@ from fractions import Fraction
 
 import pytest
 
+from clifford_oracle import (
+    CliffordElt,
+    QSqrt2,
+    as_element,
+    check_pin,
+    epsilon,
+    times_lift,
+    twisted_action,
+)
 from traceforms import clifford
 from traceforms.clifford import (
-    CliffordElt,
     CliffordError,
-    QSqrt2,
     SignMismatchError,
     _check_fold,
     _fold_factors,
     _sign_bit,
     _square_sign,
-    epsilon,
     involution_square_sign,
     pin_cocycle,
     pin_lift,
@@ -27,48 +33,7 @@ from traceforms.groups import catalog, generating_set, group_from_spec, left_reg
 from traceforms import perms
 
 
-# -- the Q(sqrt 2) lift check, kept as an oracle for the integer one ---------
-
-def _scalar(x):
-    """The scalar of x, which must have no other terms."""
-    if any(m for m in x.terms):
-        raise CliffordError("element is not a scalar")
-    return x.terms.get(0, QSqrt2())
-
-
-def twisted_action(x):
-    """The permutation k -> j with I(x) e_k x^(-1) = e_j (grade involution
-    I); raises if any conjugate is not exactly a basis vector."""
-    r = x.reversal()
-    norm = _scalar(x * r)
-    if not norm:
-        raise CliffordError("element is not invertible")
-    xi = r.scale(norm.inverse())
-    gi = x.grade_involution()
-    image = []
-    for k in range(x.n):
-        y = gi * CliffordElt.basis_vector(x.n, k) * xi
-        if len(y.terms) != 1:
-            raise CliffordError("conjugation does not preserve the frame")
-        (m, c), = y.terms.items()
-        if bin(m).count("1") != 1 or c != QSqrt2(1):
-            raise CliffordError("conjugate of a generator is not a generator")
-        image.append(m.bit_length() - 1)
-    p = tuple(image)
-    if not perms.is_perm(p):
-        raise CliffordError("twisted action is not a permutation")
-    return p
-
-
-def check_pin(x):
-    """x is parity homogeneous with spinor norm +-1 and acts on the frame;
-    returns the permutation."""
-    if len({bin(m).count("1") & 1 for m in x.terms}) > 1:
-        raise CliffordError("element is not parity homogeneous")
-    if _scalar(x.reversal() * x) not in (QSqrt2(1), QSqrt2(-1)):
-        raise CliffordError("spinor norm is not +-1")
-    return twisted_action(x)
-
+# -- the Q(sqrt 2) oracle itself (tests/clifford_oracle.py) ------------------
 
 def test_qsqrt2_field_arithmetic():
     a = QSqrt2(Fraction(1, 2), Fraction(-3))
@@ -144,15 +109,32 @@ def test_pin_lift_implements_permutation_action():
         p = list(range(n))
         rng.shuffle(p)
         p = tuple(p)
-        assert twisted_action(pin_lift(p)) == p
+        assert twisted_action(as_element(pin_lift(p), n)) == p
 
 
 def test_pin_lift_identity_and_transposition():
-    assert pin_lift(tuple(range(4))) == CliffordElt.scalar(4, 1)
+    assert pin_lift(tuple(range(4))) == (0, {0: 1})
+    assert pin_lift(()) == (0, {0: 1})
     t = perms.from_cycles(2, [(0, 1)])
-    x = pin_lift(t)
+    assert pin_lift(t) == (1, {0b01: 1, 0b10: -1})
+    x = as_element(pin_lift(t), 2)
     assert x in (epsilon(0, 1, 2), -epsilon(0, 1, 2))
     assert twisted_action(x) == t
+    # on more coordinates than the degree of p: padded with fixed points
+    assert pin_lift(t, 4) == pin_lift(t)
+    assert twisted_action(as_element(pin_lift(t, 4), 4)) == (1, 0, 2, 3)
+
+
+@pytest.mark.parametrize("p, n, match", [
+    ((1, 0, 2), 2, "permutation degree exceeds rank"),
+    (tuple(range(25)), None, "rank 25 exceeds CLIFFORD_RANK_CAP = 24"),
+    ((1, 0), 25, "rank 25 exceeds CLIFFORD_RANK_CAP = 24"),
+])
+def test_lift_entry_checks(p, n, match):
+    with pytest.raises(CliffordError, match=match):
+        pin_lift(p, n)
+    with pytest.raises(CliffordError, match=match):
+        pin_product_sign(p, p, n)
 
 
 def test_pin_product_sign_matches_cocycle_rows():
@@ -208,8 +190,9 @@ def test_pin_cocycle_caps():
 
 
 # -- the Q(sqrt 2) route as an oracle for the integer sign rule --------------
-# Lifts are multiplied out factor by factor in CliffordElt, without the
-# integer fold kernel, and a product is matched against +-(lift of product).
+# Lifts are multiplied out factor by factor in CliffordElt (times_lift),
+# without the integer fold kernel, and a product is matched against
+# +-(lift of product).
 
 CATALOG_UP_TO_8 = ([("cyclic", k) for k in range(1, 9)]
                    + [("dihedral", k) for k in (2, 4, 6, 8)]
@@ -217,13 +200,6 @@ CATALOG_UP_TO_8 = ([("cyclic", k) for k in range(1, 9)]
                    + [("sym", k) for k in range(4)]
                    + [("alt", k) for k in range(4)]
                    + [("quaternion8", None), ("Z4xZ2", None)])
-
-
-def _times_lift(x, p):
-    """x * lift(p), multiplying by p's epsilon factors in the algebra."""
-    for i, j in transposition_factors(p):
-        x = x * epsilon(i, j, x.n)
-    return x
 
 
 def _algebra_sign(z, w):
@@ -241,7 +217,8 @@ def test_algebra_lift_is_pin_lift():
         p = list(range(n))
         rng.shuffle(p)
         p = tuple(p)
-        assert _times_lift(CliffordElt.scalar(n, 1), p) == pin_lift(p)
+        assert times_lift(CliffordElt.scalar(n, 1), p) == \
+            as_element(pin_lift(p), n)
 
 
 def test_pin_cocycle_matches_algebra_oracle():
@@ -250,9 +227,9 @@ def test_pin_cocycle_matches_algebra_oracle():
         assert G.order <= 8
         n = G.order
         rows_of = left_regular(G)
-        lifts = [_times_lift(CliffordElt.scalar(n, 1), r) for r in rows_of]
+        lifts = [times_lift(CliffordElt.scalar(n, 1), r) for r in rows_of]
         rows = tuple(
-            sum(_algebra_sign(_times_lift(lifts[g], rows_of[h]),
+            sum(_algebra_sign(times_lift(lifts[g], rows_of[h]),
                               lifts[G.table[g][h]]) << h for h in range(n))
             for g in range(n))
         assert pin_cocycle(G).cocycle.rows == rows, (key, param)
@@ -267,8 +244,8 @@ def test_pin_product_sign_matches_algebra_oracle():
         rng.shuffle(q)
         p, q = tuple(p), tuple(q)
         one = CliffordElt.scalar(n, 1)
-        z = _times_lift(_times_lift(one, p), q)
-        w = _times_lift(one, perms.compose(p, q))
+        z = times_lift(times_lift(one, p), q)
+        w = times_lift(one, perms.compose(p, q))
         assert pin_product_sign(p, q) == _algebra_sign(z, w), (p, q)
 
 
@@ -322,23 +299,24 @@ def test_integer_lift_check_matches_algebra_oracle():
         factors = transposition_factors(p)
         k = len(factors)
         z = _fold_factors({0: 1}, factors)
-        x = pin_lift(p)  # runs the integer check on z
+        assert pin_lift(p) == (k, z)  # pin_lift runs the integer check on z
+        x = as_element((k, z), len(p))
+        one = CliffordElt.scalar(len(p), 1)
+        assert x == times_lift(one, p)  # the product of the epsilon factors
         assert check_pin(x) == p
         # a wrong permutation: p followed by a transposition
         for a, b in itertools.combinations(range(len(p)), 2):
             q = perms.compose(perms.transposition(len(p), a, b), p)
             with pytest.raises(CliffordError):
-                _check_fold(z, k, q)
+                _check_fold(z, factors, q)
         # a corrupted fold: one coefficient negated, or scaled by 3
         if len(z) > 1:
             m = min(z)
             for bad in ({**z, m: -z[m]}, {**z, m: 3 * z[m]}):
                 with pytest.raises(CliffordError):
-                    _check_fold(bad, k, p)
-                scale = x.terms[m] * QSqrt2(Fraction(1, z[m]))  # (1/r2)^k
-                x_bad = CliffordElt(len(p), bad).scale(scale)
+                    _check_fold(bad, factors, p)
                 try:
-                    oracle = check_pin(x_bad)
+                    oracle = check_pin(as_element((k, bad), len(p)))
                 except CliffordError:
                     oracle = None
                 assert oracle != p
@@ -348,41 +326,88 @@ def test_integer_lift_check_matches_algebra_oracle():
 def test_integer_lift_check_rejects_what_the_oracle_rejects():
     # In rank 3 the pseudoscalar w = e0 e1 e2 is central, odd, and
     # reversal(1 + w)(1 + w) = 2: so 1 + w has norm 2^1 and conjugates
-    # every e_a to itself; it is no lift because it mixes parities.
-    # 2z and 3z conjugate like z but have the wrong norm.
-    r2 = QSqrt2(0, 1)
-    cases = [({0b000: 1, 0b111: 1}, 1, (0, 1, 2))]
+    # every e_a to itself; it is no lift because it mixes parities (and
+    # no product of vectors is a multiple of it, so the norm test, which
+    # folds reversal(z) by the factors, would reject it too).  2z and 3z
+    # conjugate like z but have the wrong norm.
+    cases = [({0b000: 1, 0b111: 1}, [(0, 1)], (0, 1, 2))]
     for p in ((1, 2, 0), (1, 0, 3, 2), (0, 2, 1)):
         factors = transposition_factors(p)
         z = _fold_factors({0: 1}, factors)
-        cases += [({m: f * c for m, c in z.items()}, len(factors), p)
+        cases += [({m: f * c for m, c in z.items()}, factors, p)
                   for f in (2, 3)]
-    for z, k, p in cases:
+    for z, factors, p in cases:
         with pytest.raises(CliffordError):
-            _check_fold(z, k, p)
-        x = CliffordElt(len(p), z)
-        for _ in range(k):  # x = (1/sqrt 2)^k z
-            x = x.scale(r2.inverse())
+            _check_fold(z, factors, p)
         with pytest.raises(CliffordError):
-            check_pin(x)
+            check_pin(as_element((len(factors), z), len(p)))
 
 
 def test_pin_lift_checks_rank_10_quickly():
     p = tuple(range(1, 10)) + (0,)
     t0 = time.perf_counter()
-    x = pin_lift(p)
+    k, z = pin_lift(p)
     assert time.perf_counter() - t0 < 5
-    assert len(x.terms) == 2 ** 9  # nine factors, no cancellation
+    assert k == 9 and len(z) == 2 ** 9  # nine factors, no cancellation
 
 
-def test_pin_lift_check_runs_up_to_rank_10(monkeypatch):
-    # factors of another permutation: the check must notice up to rank 10
+def test_pin_lift_checks_rank_16_and_24():
+    t0 = time.perf_counter()
+    k, z = pin_lift(tuple(range(1, 16)) + (0,))  # a 16-cycle
+    assert k == 15 and len(z) == 2 ** 15
+    # twelve disjoint transpositions: z = (e0 - e1)(e2 - e3)...(e22 - e23)
+    k, z = pin_lift(perms.from_cycles(24, [(2 * i, 2 * i + 1)
+                                           for i in range(12)]))
+    assert k == 12 and len(z) == 2 ** 12
+    assert set(z.values()) == {1, -1}
+    assert time.perf_counter() - t0 < 10
+
+
+def test_pin_lift_check_runs_at_every_rank(monkeypatch):
+    # factors of another permutation: the check must notice at any rank
     monkeypatch.setattr(clifford, "transposition_factors",
                         lambda p: transposition_factors(p)[1:])
-    for n in (2, 7, clifford.ACTION_CHECK_CAP):
-        with pytest.raises(CliffordError):
+    for n in (2, 7, 10, 11, 16):
+        with pytest.raises(CliffordError, match="does not act"):
             pin_lift(tuple(range(1, n)) + (0,))
-    pin_lift(tuple(range(1, 11)) + (0,))  # rank 11: not checked
+
+
+def _mutated_fold(mutation):
+    """_fold_factors with a wrong sign rule: the count of generators
+    above e_t starts one too low, or e_j loses its sign -1."""
+    def fold(state, factors):
+        for i, j in factors:
+            new: dict[int, int] = {}
+            if mutation == "above":
+                steps = ((i, 1 << i, 0), (j, 1 << j, 1))
+            else:
+                steps = ((i + 1, 1 << i, 0), (j + 1, 1 << j, 0))
+            for mask, c in state.items():
+                for above, bit, neg in steps:
+                    s = -c if ((mask >> above).bit_count() ^ neg) & 1 else c
+                    new[mask ^ bit] = new.get(mask ^ bit, 0) + s
+            state = {m: c for m, c in new.items() if c}
+        return state
+    return fold
+
+
+@pytest.mark.parametrize("mutation", ["above", "e_j sign"])
+def test_mutated_fold_kernel_is_caught(monkeypatch, mutation):
+    # The norm test folds with the same kernel as the lift, so a wrong
+    # kernel can pass it (with "e_j sign" every lift does); the action
+    # test, with sign rules of its own, must then reject the lift.  What
+    # pin_lift still returns must be a true lift, by the oracle.
+    monkeypatch.setattr(clifford, "_fold_factors", _mutated_fold(mutation))
+    for p in ((1, 2, 0), (1, 2, 3, 0), (2, 0, 1, 4, 3)):
+        with pytest.raises(CliffordError):
+            pin_lift(p)
+    for d in range(6):
+        for p in itertools.permutations(range(d)):
+            try:
+                lift = pin_lift(p)
+            except CliffordError:
+                continue
+            assert check_pin(as_element(lift, d)) == p
 
 
 # -- the full sign table against the retired all-pairs loop ------------------
