@@ -11,6 +11,7 @@ verdict is "fail", 2 for usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -314,7 +315,11 @@ def _cmd_suite(args) -> int:
 # parser assembly
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first `main` call.
+    parse_args keeps no state between calls, and the handlers look up
+    library functions at call time, so rebinding those takes effect."""
     top = argparse.ArgumentParser(
         prog="traceforms",
         description="Exact computation of mod-2 group-cohomology "

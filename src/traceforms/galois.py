@@ -35,30 +35,47 @@ class GaloisError(ValueError):
     pass
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    """Division with remainder for coefficient lists (leading first)."""
-    a = a[:]
-    q = []
-    while len(a) >= len(b) and any(a):
-        if a[0] == 0:
-            a.pop(0)
-            continue
-        f = a[0] / b[0]
-        q.append(f)
-        for i in range(len(b)):
-            a[i] -= f * b[i]
-        assert a[0] == 0
-        a.pop(0)
-    while a and a[0] == 0:
-        a.pop(0)
-    return q, a
+# Largest degree of a polynomial, and of an algebra (sum of deg * m),
+# admitted before any coefficient list, Gram matrix or form is built.
+ALGEBRA_DEGREE_CAP = 128
 
 
-def _poly_gcd_degree(a: list[Fraction], b: list[Fraction]) -> int:
-    """Degree of gcd(a, b) (0 when coprime)."""
+def _check_degree(what: str, n: int) -> None:
+    if n > ALGEBRA_DEGREE_CAP:
+        raise GaloisError(
+            f"{what} degree {n} exceeds ALGEBRA_DEGREE_CAP = {ALGEBRA_DEGREE_CAP}")
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """a divided by its content."""
+    c = math.gcd(*a)
+    return [x // c for x in a] if c > 1 else a
+
+
+def _poly_gcd_degree(a: list[int], b: list[int]) -> int:
+    """Degree over Q of gcd(a, b) (0 when coprime), for integer
+    coefficient lists, leading first, with nonzero leading coefficients.
+
+    A primitive pseudo-remainder sequence: while deg a >= deg b, a
+    becomes u*a - v*x^k*b, with u, v the leading coefficients of b and
+    a over their gcd, so the leading term cancels.  Over Q that changes
+    a only by a unit and a multiple of b, so gcd(a, b) is kept.  The
+    remainder is divided by its content, which keeps its integers
+    small, and (a, b) becomes (b, remainder)."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
     while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
+        if len(b) == 1:
+            return 0
+        r, lb, n = a, b[0], len(b)
+        while len(r) >= n:
+            g = math.gcd(lb, r[0])
+            u, v = lb // g, r[0] // g
+            r = [u * x - v * y for x, y in zip(r, b)][1:] + [u * x for x in r[n:]]
+            while r and r[0] == 0:
+                r.pop(0)
+        a, b = b, _primitive(r)
     return len(a) - 1
 
 
@@ -78,10 +95,9 @@ class MonicPoly:
         if any(not isinstance(c, int) for c in self.coeffs):
             raise GaloisError("coefficients must be integers")
         object.__setattr__(self, "coeffs", cs)
-        a = [Fraction(c) for c in cs]
         d = self.degree
-        b = [Fraction((d - i) * cs[i]) for i in range(d)]
-        if _poly_gcd_degree(a, b) != 0:
+        _check_degree("polynomial", d)
+        if _poly_gcd_degree(list(cs), [(d - i) * cs[i] for i in range(d)]) != 0:
             raise GaloisError("polynomial has repeated roots")
 
     @property
@@ -148,6 +164,7 @@ class EtaleAlg:
                 raise GaloisError("factors must be monic polynomials")
             if m < 1:
                 raise GaloisError("multiplicities must be positive")
+        _check_degree("algebra", sum(f.degree * m for f, m in fs))
         object.__setattr__(self, "factors", fs)
 
     @staticmethod

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -7,12 +9,12 @@ import time
 import pytest
 
 import traceforms
-from traceforms import galois, groups
+from traceforms import cli, galois, groups
 from traceforms.cli import main
 from traceforms.cohomology import h2
 from traceforms.fixtures import ALL_FIXTURES
 from traceforms.quadratic import signature, w2
-from traceforms.verify import jsonable
+from traceforms.verify import DEFAULT_SEED, jsonable
 
 
 def run_cli(capsys, *argv):
@@ -230,6 +232,21 @@ def test_malformed_json_payload_exits_2(capsys, tmp_path, verb, payload, match):
     assert err.startswith("error: ") and match in err
 
 
+def _run_limited(argv, timeout=60):
+    """A `python -m traceforms` child under a 1 GiB address-space limit;
+    returns the process and its wall time."""
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+    src = os.path.dirname(os.path.dirname(traceforms.__file__))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "traceforms", *argv],
+        capture_output=True, text=True, timeout=timeout,
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    return proc, time.perf_counter() - t0
+
+
 @pytest.mark.parametrize("spec", ["cyclic:1000000000", "cyclic:4096",
                                   "elem_abelian_2:64",
                                   "dihedral:1000000000000",
@@ -237,16 +254,8 @@ def test_malformed_json_payload_exits_2(capsys, tmp_path, verb, payload, match):
 def test_oversized_catalog_parameters_exit_2(spec):
     # The child runs under a 1 GiB address-space limit, so a missing bound
     # fails with MemoryError instead of building the table.
-    resource = pytest.importorskip("resource")
-    limit = 1 << 30
-    src = os.path.dirname(os.path.dirname(traceforms.__file__))
-    t0 = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "traceforms", "group", "--group", f"catalog:{spec}"],
-        capture_output=True, text=True, timeout=30,
-        env=dict(os.environ, PYTHONPATH=src),
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
-    elapsed = time.perf_counter() - t0
+    proc, elapsed = _run_limited(["group", "--group", f"catalog:{spec}"],
+                                 timeout=30)
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
     assert elapsed < 2, elapsed
     bound = "between 0 and 5" if spec.startswith("sym") else "CLOSURE_CAP = 2048"
@@ -256,16 +265,8 @@ def test_oversized_catalog_parameters_exit_2(spec):
 def test_oversized_permutation_degree_exits_2():
     # a permutation is sized by its largest point: without the bound this
     # child allocates 10^8 images and dies with MemoryError (exit 1)
-    resource = pytest.importorskip("resource")
-    limit = 1 << 30
-    src = os.path.dirname(os.path.dirname(traceforms.__file__))
-    t0 = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "traceforms", "group", "--group", "perms:(0 100000000)"],
-        capture_output=True, text=True, timeout=30,
-        env=dict(os.environ, PYTHONPATH=src),
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
-    elapsed = time.perf_counter() - t0
+    proc, elapsed = _run_limited(["group", "--group", "perms:(0 100000000)"],
+                                 timeout=30)
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
     assert elapsed < 10, elapsed
     assert "DEGREE_CAP = 2048" in proc.stderr
@@ -289,32 +290,11 @@ def test_group_verb_grows_sylow2_once(capsys, monkeypatch):
 def test_unsplittable_entry_exits_2_within_rho_budget():
     # a product of two 16-digit primes is out of reach of Pollard rho
     # within RHO_BUDGET; without the budget this ran until killed
-    src = os.path.dirname(os.path.dirname(traceforms.__file__))
-    t0 = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "traceforms", "form",
-         "--entries", "3000000000000148000000000001369"],
-        capture_output=True, text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=src))
-    elapsed = time.perf_counter() - t0
+    proc, elapsed = _run_limited(
+        ["form", "--entries", "3000000000000148000000000001369"])
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
     assert elapsed < 10, elapsed
     assert "RHO_BUDGET = 8388608" in proc.stderr
-
-
-def _run_limited(argv, timeout=60):
-    """A `python -m traceforms` child under a 1 GiB address-space limit;
-    returns the process and its wall time."""
-    resource = pytest.importorskip("resource")
-    limit = 1 << 30
-    src = os.path.dirname(os.path.dirname(traceforms.__file__))
-    t0 = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "traceforms", *argv],
-        capture_output=True, text=True, timeout=timeout,
-        env=dict(os.environ, PYTHONPATH=src),
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
-    return proc, time.perf_counter() - t0
 
 
 def test_extension_trips_h2_cap_before_other_work():
@@ -336,3 +316,93 @@ def test_wide_unsplittable_entry_exits_2_within_rho_budget():
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
     assert elapsed < 10, elapsed
     assert "RHO_BUDGET = 8388608" in proc.stderr
+
+
+def test_algebra_degree_cap_exits_2():
+    # without the cap, repeat() allocated 10^13 entries: MemoryError, exit 1
+    proc, elapsed = _run_limited(
+        ["trace", "--algebra", '[{"poly":[1,0,-3],"multiplicity":10000000000000}]'])
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert elapsed < 10, elapsed
+    assert proc.stderr == ("error: algebra degree 20000000000000 exceeds "
+                           "ALGEBRA_DEGREE_CAP = 128\n")
+    proc, elapsed = _run_limited(["trace", "--poly", ",".join(["1"] + ["0"] * 128 + ["-2"])])
+    assert proc.returncode == 2 and elapsed < 10, proc.stderr
+    assert "polynomial degree 129 exceeds ALGEBRA_DEGREE_CAP = 128" in proc.stderr
+
+
+def test_largest_admitted_algebra_finishes():
+    proc, elapsed = _run_limited(
+        ["trace", "--algebra", '[{"poly":[1,0,-3],"multiplicity":64}]'])
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 10, elapsed
+    assert json.loads(proc.stdout)["degree"] == galois.ALGEBRA_DEGREE_CAP
+
+
+def test_seeded_degree_128_trace_exits_2_within_10s():
+    # the Fraction-based separability check alone took 65 s here; the
+    # integer one leaves the time to the factoring, which cannot certify
+    # one of the square classes and exits 2
+    rng = random.Random(128)
+    cs = [1] + [rng.randint(-9, 9) for _ in range(128)]
+    proc, elapsed = _run_limited(["trace", "--poly", ",".join(map(str, cs))])
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert elapsed < 10, elapsed
+    assert proc.stderr.startswith("error: ")
+
+
+def test_import_builds_no_parser():
+    src = os.path.dirname(os.path.dirname(traceforms.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import traceforms.cli as c; "
+         "print(c._build_parser.cache_info().currsize)"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0 and proc.stdout == "0\n", proc.stderr
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    builds = []
+    real = argparse.ArgumentParser.add_subparsers
+
+    def counting(self, *args, **kwargs):
+        builds.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+    cli._build_parser.cache_clear()
+    for argv in (["trace", "--poly", "1,0,-3"], ["pin-sign", "--n", "4"],
+                 ["form", "--entries", "1,2"], ["trace", "--poly", "1,0,-3"]):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+    assert builds == ["traceforms"]
+
+
+def test_reused_parser_keeps_no_state(capsys, monkeypatch):
+    _, compact, _ = run_cli(capsys, "trace", "--poly", "1,0,-3")
+    _, pretty, _ = run_cli(capsys, "trace", "--poly", "1,0,-3", "--pretty")
+    _, again, _ = run_cli(capsys, "trace", "--poly", "1,0,-3")
+    assert pretty != compact and again == compact and compact.count("\n") == 1
+    seeds = []
+    real = cli.run_statement
+
+    def recording(statement, seed):
+        seeds.append(seed)
+        return real(statement, seed)
+
+    monkeypatch.setattr(cli, "run_statement", recording)
+    run_cli(capsys, "verify", "--statement", "h2-s4", "--seed", "99")
+    run_cli(capsys, "verify", "--statement", "h2-s4")
+    assert seeds == [99, DEFAULT_SEED]
+
+
+@pytest.mark.parametrize("argv", [["form"], ["nonsense-verb"]])
+def test_usage_errors_repeat_on_a_reused_parser(capsys, argv):
+    cli._build_parser.cache_clear()
+    errs = []
+    for _ in range(3):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0].startswith("usage: traceforms") and len(set(errs)) == 1

@@ -75,6 +75,78 @@ def test_monic_poly_validation():
     MonicPoly((1, 0, -2)).__str__()
 
 
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _separability_cases(rng, count):
+    """Seeded monic integer polynomials of degree 1-40: plain ones, ones
+    with a planted square factor g·h², and ones whose derivative has
+    content d (every middle coefficient a multiple of d, or (x + c)^d)."""
+    def rand_monic(d):
+        return [1] + [rng.randint(-9, 9) for _ in range(d)]
+    cases = []
+    while len(cases) < count:
+        d = rng.randint(1, 40)
+        kind = len(cases) % 3
+        if kind == 1 and d >= 2:
+            e = rng.randint(1, min(3, d // 2))
+            h = rand_monic(e)
+            cs = _poly_mul(rand_monic(d - 2 * e), _poly_mul(h, h))
+        elif kind == 2 and d >= 2 and rng.random() < 0.2:
+            cs = [1]
+            for _ in range(d):
+                cs = _poly_mul(cs, [1, rng.randint(-3, 3)])
+        elif kind == 2 and d >= 2:
+            cs = [1] + [d * rng.randint(-3, 3) for _ in range(d - 1)]
+            cs.append(rng.randint(-9, 9))
+        else:
+            cs = rand_monic(d)
+        cases.append(cs)
+    return cases
+
+
+def test_separability_matches_sympy_discriminant():
+    rng = random.Random(2024)
+    inseparable = 0
+    for cs in _separability_cases(rng, 600):
+        if sympy.discriminant(sympy.Poly(cs, _x)) == 0:
+            inseparable += 1
+            with pytest.raises(GaloisError,
+                               match="^polynomial has repeated roots$"):
+                MonicPoly(tuple(cs))
+        else:
+            assert MonicPoly(tuple(cs)).coeffs == tuple(cs)
+    assert 200 <= inseparable <= 400, inseparable
+
+
+def test_poly_gcd_degree_matches_sympy_gcd():
+    # the check's own contract: degree of gcd over Q, not only "is it 0"
+    rng = random.Random(2025)
+    for _ in range(150):
+        g = [rng.randint(-5, 5) or 1 for _ in range(rng.randint(1, 6))]
+        a = _poly_mul(g, [rng.randint(-5, 5) or 1 for _ in range(rng.randint(1, 8))])
+        b = _poly_mul(g, [rng.randint(-5, 5) or 1 for _ in range(rng.randint(1, 8))])
+        expected = sympy.gcd(sympy.Poly(a, _x), sympy.Poly(b, _x)).degree()
+        assert galois._poly_gcd_degree(a, b) == expected, (a, b)
+
+
+def test_algebra_degree_cap():
+    cap = galois.ALGEBRA_DEGREE_CAP
+    top = MonicPoly((1,) + (0,) * (cap - 1) + (-2,))  # x^cap - 2
+    EtaleAlg(((top, 1),))
+    EtaleAlg(((MonicPoly((1, 0, -3)), cap // 2),))
+    msg = f"ALGEBRA_DEGREE_CAP = {cap}"
+    with pytest.raises(GaloisError, match=f"polynomial degree {cap + 1} exceeds {msg}"):
+        MonicPoly((1,) + (0,) * cap + (-2,))
+    with pytest.raises(GaloisError, match=f"algebra degree {cap + 2} exceeds {msg}"):
+        EtaleAlg(((MonicPoly((1, 0, -3)), cap // 2 + 1),))
+
+
 def test_trace_gram_examples():
     assert trace_gram(MonicPoly((1, -1))) == ((1,),)
     g = trace_gram(MonicPoly((1, 0, -5)))
