@@ -20,7 +20,8 @@ The layers, bottom to top:
   closed-form Hilbert symbol.
 - ``galois``: trace forms of étale algebras from Newton power sums,
   discriminants, the 2-group classification of trace forms, and
-  report-producing verification operations.
+  report-producing theorem checks that take a Galois algebra and its
+  group and derive their premises from the pair.
 - ``fixtures``: number-field catalog (octic and quartic fixtures with
   their Galois groups).
 - ``verify``: statement-by-statement verification reports and the
@@ -40,13 +41,14 @@ from .cohomology import (
 from .clifford import involution_square_sign, pin_cocycle, pin_lift
 from .galois import (
     EtaleAlg,
-    GaloisDescriptor,
+    GaloisError,
     MonicPoly,
     algebra_disc,
     classify_2group_trace_form,
     is_totally_real,
     trace_form,
     trace_gram,
+    two_cyclic_sylow_orders,
     verify_main,
     verify_two_cyclic_sylow,
     verify_w1,
@@ -71,9 +73,10 @@ __version__ = "1.0.0"
 __all__ = [
     "Cocycle2", "CohClass", "h2", "is_2_reduced", "ker_s", "s_map",
     "two_lift_property", "involution_square_sign", "pin_cocycle", "pin_lift",
-    "EtaleAlg", "GaloisDescriptor", "MonicPoly", "algebra_disc",
+    "EtaleAlg", "GaloisError", "MonicPoly", "algebra_disc",
     "classify_2group_trace_form", "is_totally_real", "trace_form",
-    "trace_gram", "verify_main", "verify_two_cyclic_sylow", "verify_w1",
+    "trace_gram", "two_cyclic_sylow_orders", "verify_main",
+    "verify_two_cyclic_sylow", "verify_w1",
     "Group", "catalog", "group_from_spec", "sylow2",
     "QForm", "TruncatedSW", "cup", "diagonalize", "hilbert_symbol",
     "is_isometric_q", "signature", "sw_total", "w1", "w2",

@@ -16,7 +16,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .clifford import involution_square_sign, pin_cocycle
+from .clifford import involution_square_sign, pin_cap, pin_cocycle
 from .cohomology import (
     H2_CAP,
     Cocycle2,
@@ -29,7 +29,6 @@ from .cohomology import (
 )
 from .galois import (
     EtaleAlg,
-    GaloisDescriptor,
     MonicPoly,
     classify_2group_trace_form,
     trace_form,
@@ -56,6 +55,9 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+# the order cap of the cohomology solver, checked before a table is built
+_H2 = ("H2_CAP", H2_CAP)
+
 
 def _emit(obj, pretty: bool) -> None:
     if pretty:
@@ -79,7 +81,7 @@ def _parse_poly(text: str) -> MonicPoly:
 def _load_algebra(args) -> EtaleAlg:
     """Algebra from --poly (single field factor) or --algebra (JSON list
     of {poly, multiplicity}, inline or @file)."""
-    if getattr(args, "poly", None):
+    if args.poly is not None:
         return EtaleAlg(((_parse_poly(args.poly), 1),))
     raw = args.algebra
     if raw.startswith("@"):
@@ -164,7 +166,7 @@ def _cmd_group(args) -> int:
 
 
 def _cmd_h2(args) -> int:
-    G = group_from_spec(args.group)
+    G = group_from_spec(args.group, _H2)
     b = h2(G)
     _emit({"h2_dim": b.dim, "cocycle_dim": b.z2_dim,
            "coboundary_dim": b.b2_dim}, args.pretty)
@@ -172,7 +174,7 @@ def _cmd_h2(args) -> int:
 
 
 def _cmd_kers(args) -> int:
-    G = group_from_spec(args.group)
+    G = group_from_spec(args.group, _H2)
     kernel = ker_s(G)
     b = h2(G)
     _emit({
@@ -185,14 +187,14 @@ def _cmd_kers(args) -> int:
 
 
 def _cmd_2reduced(args) -> int:
-    G = group_from_spec(args.group)
+    G = group_from_spec(args.group, _H2)
     _emit({"verdict": is_2_reduced(G)}, args.pretty)
     return EXIT_PASS
 
 
 def _cmd_extension(args) -> int:
-    G = group_from_spec(args.group)
-    basis = h2(G)  # trips H2_CAP before any other work
+    G = group_from_spec(args.group, _H2)
+    basis = h2(G)
     c = _load_cocycle(G, args.cocycle)
     E = extension_from_cocycle(G, c)
     _emit({
@@ -212,7 +214,7 @@ def _cmd_pin_sign(args) -> int:
 
 
 def _cmd_pin_cocycle(args) -> int:
-    G = group_from_spec(args.group)
+    G = group_from_spec(args.group, pin_cap(args.involutions_only))
     res = pin_cocycle(G, involutions_only=args.involutions_only)
     out = {
         "order": G.order,
@@ -240,7 +242,7 @@ def _form_report(q: QForm) -> dict:
 
 
 def _cmd_form(args) -> int:
-    if args.gram:
+    if args.gram is not None:
         q = diagonalize(_load_gram(args.gram))
     else:
         q = _parse_entries(args.entries)
@@ -266,9 +268,8 @@ def _cmd_trace(args) -> int:
 
 def _cmd_classify(args) -> int:
     A = _load_algebra(args)
-    G = group_from_spec(args.group)
-    D = GaloisDescriptor(G, field=not args.product)
-    r = classify_2group_trace_form(A, D)
+    G = group_from_spec(args.group, _H2)
+    r = classify_2group_trace_form(A, G)
     q = r["computed"]
     _emit({
         "w1": w1(q),
@@ -365,28 +366,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("form", parents=[common],
                        help="invariants of a diagonal form or a Gram matrix")
-    p.add_argument("--entries", help="comma-separated nonzero rationals")
-    p.add_argument("--gram", help="path to a JSON matrix of rational strings")
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--entries", help="comma-separated nonzero rationals")
+    src.add_argument("--gram", help="path to a JSON matrix of rational strings")
     p.add_argument("--isometric-to",
                    help="second diagonal form; adds an isometry verdict")
     p.set_defaults(func=_cmd_form)
 
-    p = sub.add_parser("trace", parents=[common],
+    algebra = argparse.ArgumentParser(add_help=False)
+    src = algebra.add_mutually_exclusive_group(required=True)
+    src.add_argument("--poly", help="monic integer coefficients, leading first")
+    src.add_argument("--algebra",
+                     help="JSON list of {poly, multiplicity} (or @file)")
+
+    p = sub.add_parser("trace", parents=[common, algebra],
                        help="trace-form invariants of an étale algebra")
-    p.add_argument("--poly", help="monic integer coefficients, leading first")
-    p.add_argument("--algebra",
-                   help="JSON list of {poly, multiplicity} (or @file)")
     p.set_defaults(func=_cmd_trace)
 
-    p = sub.add_parser("classify", parents=[common],
+    p = sub.add_parser("classify", parents=[common, algebra],
                        help="match a 2-group trace form against the four "
                             "model shapes")
-    p.add_argument("--poly", help="monic integer coefficients, leading first")
-    p.add_argument("--algebra",
-                   help="JSON list of {poly, multiplicity} (or @file)")
     p.add_argument("--group", required=True, help="acting group spec")
-    p.add_argument("--product", action="store_true",
-                   help="algebra is a proper product (not a field)")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("verify", parents=[common],
@@ -410,11 +410,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "form" and not (args.entries or args.gram):
-        parser.error("form needs --entries or --gram")
-    if args.command in ("trace", "classify") and not (
-            getattr(args, "poly", None) or getattr(args, "algebra", None)):
-        parser.error(f"{args.command} needs --poly or --algebra")
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:  # package errors are ValueErrors

@@ -196,6 +196,12 @@ def pin_product_sign(p: perms.Perm, q: perms.Perm, n: int | None = None) -> int:
     return _sign_bit(z, _fold_factors({0: 1}, fc), len(fp) + len(fq) - len(fc))
 
 
+def pin_cap(involutions_only: bool) -> tuple[str, int]:
+    """(name, value) of the largest group order pin_cocycle accepts."""
+    return (("CLIFFORD_RANK_CAP", CLIFFORD_RANK_CAP) if involutions_only
+            else ("FULL_PIN_CAP", FULL_PIN_CAP))
+
+
 def pin_cocycle(G: Group, involutions_only: bool = False) -> PinCocycleResult:
     """Sign cocycle c with lift(g) lift(h) = (-1)^c(g,h) lift(gh), where
     lift is the pin lift of left translation by g.  With involutions_only
@@ -215,8 +221,7 @@ def pin_cocycle(G: Group, involutions_only: bool = False) -> PinCocycleResult:
     from folds that _sign_bit verified, and validate() then checks the
     cocycle identity independently."""
     n = G.order
-    name, cap = (("CLIFFORD_RANK_CAP", CLIFFORD_RANK_CAP) if involutions_only
-                 else ("FULL_PIN_CAP", FULL_PIN_CAP))
+    name, cap = pin_cap(involutions_only)
     if n > cap:
         raise CliffordError(f"group order {n} exceeds {name} = {cap}")
     rows_of = left_regular(G)

@@ -128,8 +128,7 @@ def delta1(G: Group, b_bits: int) -> Cocycle2:
 
 def _check_cap(G: Group) -> None:
     if G.order > H2_CAP:
-        raise CohomologyError(
-            f"group order {G.order} exceeds H2_CAP = {H2_CAP} for the cohomology solver")
+        raise CohomologyError(f"group order {G.order} exceeds H2_CAP = {H2_CAP}")
 
 
 def cocycle_space(G: Group) -> list[Cocycle2]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .galois import EtaleAlg, GaloisDescriptor, MonicPoly
+from .galois import EtaleAlg, MonicPoly
 from .groups import Group, catalog
 
 
@@ -34,10 +34,6 @@ class FieldFixture:
     @property
     def algebra(self) -> EtaleAlg:
         return EtaleAlg.field(self.poly)
-
-    @property
-    def descriptor(self) -> GaloisDescriptor:
-        return GaloisDescriptor(self.group, field=True)
 
 
 MULTIQUADRATIC_REAL = FieldFixture(
@@ -117,8 +113,6 @@ CYCLOTOMIC8 = FieldFixture(
 # field of the order-4 factor is Q(sqrt 3) (disc class 3)
 COMPOSITUM_D1 = 3
 COMPOSITUM_D2 = 2
-COMPOSITUM_FIRST_FACTOR_ORDER_2 = True
-COMPOSITUM_SYLOW_ORDERS = (2, 4)
 COMPOSITUM_EXPECTED_W2 = frozenset({2, 3})
 
 OCTIC_FIXTURES = (

@@ -3,10 +3,10 @@
 An algebra is a product of fields Q[x]/(f) with multiplicities; its
 trace form x -> Tr(x^2) has Gram matrix (in the power basis of each
 factor) given by power sums of the roots, computed exactly from the
-coefficients by Newton's identities.  A separate descriptor carries the
-group-theoretic data of a Galois algebra (the group, and whether the
-algebra is a field), from which the structural predicates about the
-discriminant and the degree-2 invariant are evaluated.
+coefficients by Newton's identities.  The theorem checks take a Galois
+algebra A with its group G and derive their premises from the pair: A
+is a power F^m of one field with deg A = |G|, it is a field when m = 1,
+and the shape of the Sylow 2-subgroup is read off G.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cohomology import is_2_reduced
-from .groups import Group, regular_rep_in_alternating
+from .groups import Group, regular_rep_in_alternating, sylow2
 from .quadratic import (
     QForm,
     cup,
@@ -207,36 +207,22 @@ def is_totally_real(A: EtaleAlg) -> bool:
     return signature(q) == (A.degree, 0)
 
 
-@dataclass(frozen=True)
-class GaloisDescriptor:
-    """Group-theoretic data attached to a Galois algebra: the acting
-    group, and whether the algebra is a field (the action is transitive
-    on a single factor).  The caller asserts the group identification;
-    everything downstream of it is computed."""
-
-    group: Group
-    field: bool = True
-
-    def two_reduced(self) -> bool:
-        return is_2_reduced(self.group)
-
-    def check_degree(self, A: EtaleAlg) -> None:
-        if A.degree != self.group.order:
-            raise GaloisError(
-                f"algebra degree {A.degree} != group order {self.group.order}")
-        if self.field and (len(A.factors) != 1 or A.factors[0][1] != 1):
-            raise GaloisError("descriptor says field, algebra is a product")
+def _check_galois(A: EtaleAlg, G: Group) -> bool:
+    """Check that A can be a G-Galois algebra, a power F^m of one field
+    with deg A = |G|, and return whether it is a field (m = 1)."""
+    if A.degree != G.order:
+        raise GaloisError(f"algebra degree {A.degree} != group order {G.order}")
+    if len(A.factors) != 1:
+        raise GaloisError("a Galois algebra is a power of a single field")
+    return A.factors[0][1] == 1
 
 
-def disc_square_prediction(D: GaloisDescriptor, A: EtaleAlg) -> bool:
+def disc_square_prediction(A: EtaleAlg, G: Group) -> bool:
     """Structural prediction of 'the discriminant is a square': true when
     the regular action of the group is by even permutations, or when the
-    algebra is a product with every multiplicity even."""
-    if regular_rep_in_alternating(D.group):
-        return True
-    if not D.field and all(m % 2 == 0 for _, m in A.factors):
-        return True
-    return False
+    algebra is a power F^m with m even."""
+    _check_galois(A, G)
+    return regular_rep_in_alternating(G) or A.factors[0][1] % 2 == 0
 
 
 def predicted_2group_form(n: int, real: bool, cyclic: bool, d: int) -> tuple[str, QForm]:
@@ -260,28 +246,27 @@ def predicted_2group_form(n: int, real: bool, cyclic: bool, d: int) -> tuple[str
     return "iv", QForm((one, -one) * m + (lead, Fraction(2 * d)))
 
 
-def classify_2group_trace_form(A: EtaleAlg, D: GaloisDescriptor) -> dict:
+def classify_2group_trace_form(A: EtaleAlg, G: Group) -> dict:
     """Compare the computed trace form of a Galois field with 2-power
     group against the predicted model form.  Preconditions: the algebra
     is a field of degree 0 or 2 mod 8, the group is a 2-group whose
     second cohomology has trivial involution-diagonal kernel, and the
     signature is definite or balanced (anything else is a bad input)."""
-    D.check_degree(A)
-    n = D.group.order
+    field = _check_galois(A, G)
+    n = G.order
     if n & (n - 1):
         raise GaloisError("group order must be a power of two")
-    if not D.field:
+    if not field:
         raise GaloisError("classification needs a field, not a product")
     if n % 8 not in (0, 2) and n != 1:
         raise GaloisError(f"degree {n} is not 0 or 2 mod 8")
-    if not D.two_reduced():
+    if not is_2_reduced(G):
         raise GaloisError("group fails the trivial-kernel condition")
     q = trace_form(A)
     sig = signature(q)
     if sig not in ((n, 0), (n // 2, n - n // 2)):
         raise GaloisError(f"signature {sig} is neither definite nor balanced")
     real = sig == (n, 0)
-    G = D.group
     cyclic = any(G.element_order(g) == n for g in range(n))
     d = w1(q)
     case, model = predicted_2group_form(n, real, cyclic, d)
@@ -296,14 +281,11 @@ def classify_2group_trace_form(A: EtaleAlg, D: GaloisDescriptor) -> dict:
     }
 
 
-def verify_w1(A: EtaleAlg, D: GaloisDescriptor) -> dict:
+def verify_w1(A: EtaleAlg, G: Group) -> dict:
     """Check that triviality of the discriminant class matches the
-    structural predicate (even regular action, or even multiplicities)."""
-    D.check_degree(A)
-    if not D.field and len(A.factors) != 1:
-        raise GaloisError("a Galois algebra is a power of a single field")
+    structural predicate (even regular action, or even multiplicity)."""
+    predicted = disc_square_prediction(A, G)
     d = algebra_disc(A)
-    predicted = disc_square_prediction(D, A)
     return {
         "status": "pass" if (d == 1) == predicted else "fail",
         "disc_class": d,
@@ -312,15 +294,15 @@ def verify_w1(A: EtaleAlg, D: GaloisDescriptor) -> dict:
     }
 
 
-def verify_main(A: EtaleAlg, D: GaloisDescriptor) -> dict:
+def verify_main(A: EtaleAlg, G: Group) -> dict:
     """Check w2(trace form) == cup(2, disc).  Applies when the group has
     trivial involution-diagonal kernel and the degree is 0 or 2 mod 8;
     otherwise the check is skipped."""
-    D.check_degree(A)
+    _check_galois(A, G)
     n = A.degree
     if n % 8 not in (0, 2):
         return {"status": "skipped", "reason": f"degree {n} is not 0 or 2 mod 8"}
-    if not D.two_reduced():
+    if not is_2_reduced(G):
         return {"status": "skipped",
                 "reason": "group fails the trivial-kernel condition"}
     q = trace_form(A)
@@ -333,21 +315,30 @@ def verify_main(A: EtaleAlg, D: GaloisDescriptor) -> dict:
     }
 
 
-def verify_two_cyclic_sylow(A: EtaleAlg, d1: int, d2: int,
-                            first_factor_order_2: bool,
-                            sylow_orders: tuple[int, int] | None = None) -> dict:
+def two_cyclic_sylow_orders(G: Group) -> tuple[int, int] | None:
+    """(2^r1, 2^r2) with r1 <= r2 when a Sylow 2-subgroup of G is
+    Z/2^r1 x Z/2^r2 with r1 >= 1, else None.  An abelian 2-group is a
+    product of cyclic groups, and its elements of order at most 2 form
+    (Z/2)^rank: exactly three involutions means rank 2, and the exponent
+    is then the larger factor."""
+    P = sylow2(G)
+    t = G.table
+    if not P.is_abelian() or sum(t[x][x] == 0 for x in P.members) != 4:
+        return None
+    o2 = max(G.element_order(x) for x in P.members)
+    return P.order // o2, o2
+
+
+def verify_two_cyclic_sylow(A: EtaleAlg, G: Group, d1: int, d2: int) -> dict:
     """Check w2(trace form) against the two-cyclic-factor prediction.
-    When sylow_orders = (2^r1, 2^r2) is supplied, the premise r2 >= 2 is
-    enforced and its failure yields a skipped status."""
-    if sylow_orders is not None:
-        o1, o2 = sorted(sylow_orders)
-        if o1 < 2 or o2 < 4 or (o1 & (o1 - 1)) or (o2 & (o2 - 1)):
-            return {"status": "skipped",
-                    "reason": f"Sylow factor orders {sylow_orders} miss the"
-                              " premise (need cyclic 2^r1 x 2^r2, r2 >= 2)"}
-        if first_factor_order_2 != (o1 == 2):
-            raise GaloisError("first_factor_order_2 contradicts sylow_orders")
-    predicted = two_cyclic_sylow_w2_prediction(d1, d2, first_factor_order_2)
+    The premise, a Sylow 2-subgroup Z/2^r1 x Z/2^r2 with r2 >= 2, is read
+    off G; when it fails the check is skipped."""
+    _check_galois(A, G)
+    orders = two_cyclic_sylow_orders(G)
+    if orders is None or orders[1] < 4:
+        return {"status": "skipped",
+                "reason": "Sylow 2-subgroup is not Z/2^r1 x Z/2^r2 with r2 >= 2"}
+    predicted = two_cyclic_sylow_w2_prediction(d1, d2, orders[0] == 2)
     actual = w2(trace_form(A))
     return {
         "status": "pass" if actual == predicted else "fail",
@@ -356,15 +347,13 @@ def verify_two_cyclic_sylow(A: EtaleAlg, d1: int, d2: int,
     }
 
 
-def two_cyclic_sylow_w2_prediction(d1: int, d2: int,
-                                   first_factor_order_2: bool) -> frozenset:
+def two_cyclic_sylow_w2_prediction(d1: int, d2: int, r1_is_1: bool) -> frozenset:
     """Predicted place set of the trace form when the group's Sylow
-    2-subgroup is a product of two cyclic groups: the fixed fields of
-    the two factors have discriminant classes d1 (first factor side)
-    and d2 (second), and the shape depends on whether the first cyclic
-    factor has order exactly 2."""
+    2-subgroup is Z/2^r1 x Z/2^r2: the fixed fields of the two factors
+    have discriminant classes d1 (first factor side) and d2 (second),
+    and the shape depends on whether the first factor has order 2."""
     d1 = squarefree_part(d1)
     d2 = squarefree_part(d2)
-    if first_factor_order_2:
+    if r1_is_1:
         return cup(sqclass_mul(d1, d2), d2)
     return cup(d1, d2)

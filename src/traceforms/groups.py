@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 from . import perms
 from .perms import Perm
 
 CLOSURE_CAP = 2048
-METACYCLIC_CAP = 128
 
 
 class GroupError(ValueError):
@@ -166,25 +166,16 @@ class SubgroupHandle:
         return all(par.conj(g, m) in self._member_set
                    for g in generating_set(par) for m in self._gens)
 
-    def is_metacyclic(self) -> bool:
-        """True when some cyclic normal subgroup has cyclic quotient."""
-        if self.order > METACYCLIC_CAP:
-            raise GroupError(f"subgroup order {self.order} exceeds METACYCLIC_CAP = "
-                             f"{METACYCLIC_CAP} for the metacyclic test")
-        H = self.as_group()
-        for h in range(H.order):
-            N = generated_subgroup(H, [h])
-            if not N.is_normal():
-                continue
-            Q = quotient(H, N)
-            if any(Q.element_order(q) == Q.order for q in range(Q.order)):
-                return True
-        return False
+    def is_abelian(self) -> bool:
+        """Generators that commute pairwise suffice."""
+        t = self.parent.table
+        return all(t[a][b] == t[b][a] for a in self._gens for b in self._gens)
 
 
-def closure(generators) -> Group:
+def closure(generators, cap: tuple[str, int] = ("CLOSURE_CAP", CLOSURE_CAP)) -> Group:
     """Group generated by permutations (as image tuples), as a table.
-    Element 0 is the identity; the rest are sorted by image tuple."""
+    Element 0 is the identity; the rest are sorted by image tuple.  The
+    search stops once it finds more than cap = (name, value) elements."""
     gens = [tuple(g) for g in generators]
     if not gens:
         raise GroupError("need at least one generator")
@@ -194,6 +185,7 @@ def closure(generators) -> Group:
             raise GroupError("generator degree mismatch")
         if not perms.is_perm(g):
             raise GroupError(f"not a permutation: {g}")
+    cap_name, cap_value = cap
     ident = perms.identity(deg)
     seen = {ident}
     frontier = [ident]
@@ -204,9 +196,9 @@ def closure(generators) -> Group:
             for k, g in enumerate(gens):
                 q = perms.compose(p, g)
                 if q not in seen:
-                    if len(seen) >= CLOSURE_CAP:
-                        raise GroupError(f"closure exceeds CLOSURE_CAP = "
-                                         f"{CLOSURE_CAP} elements")
+                    if len(seen) >= cap_value:
+                        raise GroupError(f"closure exceeds {cap_name} = "
+                                         f"{cap_value} elements")
                     seen.add(q)
                     nxt.append(q)
                     steps.append((q, p, k))
@@ -350,10 +342,6 @@ def quotient_with_map(G: Group, N: SubgroupHandle) -> tuple[Group, tuple[int, ..
     return Q, tuple(coset_of)
 
 
-def quotient(G: Group, N: SubgroupHandle) -> Group:
-    return quotient_with_map(G, N)[0]
-
-
 def direct_product(G: Group, H: Group) -> Group:
     n, m = G.order, H.order
     table = [
@@ -450,6 +438,17 @@ def _quat_cover() -> Group:
     return Group(table, labels=labels, name="quat_cover")
 
 
+def _z4xz2() -> Group:
+    g = direct_product(_cyclic(4), _cyclic(2))
+    g.name = "Z4xZ2"
+    return g
+
+
+_CONSTRUCTORS = {"cyclic": _cyclic, "elem_abelian_2": _elem_abelian_2,
+             "dihedral": _dihedral, "quaternion8": _quaternion8, "sym": _sym,
+             "alt": _alt, "z4xz2": _z4xz2, "quat_cover": _quat_cover}
+
+
 def catalog(name: str, param: int | None = None) -> Group:
     """Named groups.  Those with a size take it as `param`; `dihedral`
     takes the group order (so dihedral 8 has 5 involutions).  Lookups are
@@ -457,10 +456,12 @@ def catalog(name: str, param: int | None = None) -> Group:
     return _catalog_cached(name.strip().lower(), param)
 
 
-@functools.lru_cache(maxsize=None)
-def _catalog_cached(name: str, param: int | None) -> Group:
-    if name == "z4xz2":
-        name = "Z4xZ2"
+def catalog_order(name: str, param: int | None = None) -> int:
+    """Order of the catalog group `catalog(name, param)` names, found
+    without building it; raises GroupError as `catalog` does."""
+    name = name.strip().lower()
+    if name not in _CONSTRUCTORS:
+        raise GroupError(f"unknown catalog group {name!r}")
     need_param = {"cyclic", "elem_abelian_2", "dihedral", "sym", "alt"}
     if name in need_param:
         if param is None:
@@ -477,38 +478,40 @@ def _catalog_cached(name: str, param: int | None) -> Group:
         raise GroupError(f"dihedral order must be even, >= 2 and <= {cap}")
     if name in ("sym", "alt") and not 0 <= param <= 5:
         raise GroupError(f"{name} degree must be between 0 and 5")
-    if name == "cyclic":
-        return _cyclic(param)
+    if name in ("cyclic", "dihedral"):
+        return param
     if name == "elem_abelian_2":
-        return _elem_abelian_2(param)
-    if name == "dihedral":
-        return _dihedral(param)
-    if name == "quaternion8":
-        return _quaternion8()
-    if name == "sym":
-        return _sym(param)
-    if name == "alt":
-        return _alt(param)
-    if name == "Z4xZ2":
-        g = direct_product(_cyclic(4), _cyclic(2))
-        g.name = "Z4xZ2"
-        return g
-    if name == "quat_cover":
-        return _quat_cover()
-    raise GroupError(f"unknown catalog group {name!r}")
+        return 1 << param
+    if name in ("sym", "alt"):
+        n = math.factorial(param)
+        return n // 2 if name == "alt" and n > 1 else n
+    return {"quaternion8": 8, "z4xz2": 8, "quat_cover": 16}[name]
 
 
-def group_from_spec(text: str) -> Group:
+@functools.lru_cache(maxsize=None)
+def _catalog_cached(name: str, param: int | None) -> Group:
+    catalog_order(name, param)
+    build = _CONSTRUCTORS[name]
+    return build() if param is None else build(param)
+
+
+def group_from_spec(text: str, cap: tuple[str, int] = ("CLOSURE_CAP", CLOSURE_CAP)) -> Group:
     """Parse a group spec: 'catalog:<name>[:<param>]' or
-    'perms:<cycleperm>,<cycleperm>,...' (e.g. 'perms:(0 1 2 3),(0 2)')."""
+    'perms:<cycleperm>,<cycleperm>,...' (e.g. 'perms:(0 1 2 3),(0 2)').
+    cap = (name, value) bounds the order before any table is built: a
+    catalog spec is sized from its name, and a perms: closure stops once
+    it holds more than value elements."""
     text = text.strip()
+    cap_name, cap_value = cap
     if text.startswith("catalog:"):
         parts = text.split(":")
-        if len(parts) == 2:
-            return catalog(parts[1])
-        if len(parts) == 3:
-            return catalog(parts[1], int(parts[2]))
-        raise GroupError(f"malformed catalog spec {text!r}")
+        if len(parts) not in (2, 3):
+            raise GroupError(f"malformed catalog spec {text!r}")
+        param = int(parts[2]) if len(parts) == 3 else None
+        n = catalog_order(parts[1], param)
+        if n > cap_value:
+            raise GroupError(f"group order {n} exceeds {cap_name} = {cap_value}")
+        return catalog(parts[1], param)
     if text.startswith("perms:"):
         body = text[len("perms:"):]
         chunks = [c for c in body.split(",") if c.strip()]
@@ -517,5 +520,5 @@ def group_from_spec(text: str) -> Group:
         raw = [perms.parse_cycle_string(c) for c in chunks]
         deg = max(len(p) for p in raw)
         gens = [p + tuple(range(len(p), deg)) for p in raw]
-        return closure(gens)
+        return closure(gens, cap)
     raise GroupError(f"unknown group spec {text!r} (want 'catalog:...' or 'perms:...')")

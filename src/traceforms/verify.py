@@ -33,6 +33,7 @@ from .galois import (
     EtaleAlg,
     classify_2group_trace_form,
     trace_form,
+    two_cyclic_sylow_orders,
     verify_main,
     verify_two_cyclic_sylow,
     verify_w1,
@@ -245,8 +246,8 @@ def run_thm_main() -> VerificationReport:
     ok = True
     for name in _MAIN_FIXTURES:
         fx = fixtures.BY_NAME[name]
-        rep = verify_main(fx.algebra, fx.descriptor)
-        repw = verify_w1(fx.algebra, fx.descriptor)
+        rep = verify_main(fx.algebra, fx.group)
+        repw = verify_w1(fx.algebra, fx.group)
         computed[name] = {
             "status": rep["status"],
             "w2_places": rep.get("w2_places"),
@@ -276,7 +277,7 @@ def run_cor_numb2() -> VerificationReport:
     ok = True
     for name, want_case in _NUMB2_FIXTURES:
         fx = fixtures.BY_NAME[name]
-        r = classify_2group_trace_form(fx.algebra, fx.descriptor)
+        r = classify_2group_trace_form(fx.algebra, fx.group)
         computed[name] = {
             "case": r["case"],
             "real": r["real"],
@@ -300,13 +301,10 @@ def run_cor_numb2() -> VerificationReport:
 
 def run_two_cyclic_sylow() -> VerificationReport:
     fx = fixtures.COMPOSITUM_C2XC4
-    rep = verify_two_cyclic_sylow(
-        fx.algebra, fixtures.COMPOSITUM_D1, fixtures.COMPOSITUM_D2,
-        fixtures.COMPOSITUM_FIRST_FACTOR_ORDER_2,
-        sylow_orders=fixtures.COMPOSITUM_SYLOW_ORDERS,
-    )
+    rep = verify_two_cyclic_sylow(fx.algebra, fx.group, fixtures.COMPOSITUM_D1,
+                                  fixtures.COMPOSITUM_D2)
     bq = fixtures.BIQUADRATIC_REAL
-    gate = verify_two_cyclic_sylow(bq.algebra, 2, 3, True, sylow_orders=(2, 2))
+    gate = verify_two_cyclic_sylow(bq.algebra, bq.group, 2, 3)
     computed = {
         "compositum": rep,
         "compositum_expected_places": fixtures.COMPOSITUM_EXPECTED_W2,
@@ -324,7 +322,7 @@ def run_two_cyclic_sylow() -> VerificationReport:
         "two-cyclic-sylow",
         {"fixture": fx.name, "d1": fixtures.COMPOSITUM_D1,
          "d2": fixtures.COMPOSITUM_D2,
-         "first_factor_order_2": fixtures.COMPOSITUM_FIRST_FACTOR_ORDER_2},
+         "first_factor_order_2": two_cyclic_sylow_orders(fx.group)[0] == 2},
         computed, expected, _verdict(ok),
     )
 

@@ -206,6 +206,24 @@ def test_usage_errors(capsys):
         main(["nonsense-verb"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["trace", "--poly", "1,0,-2", "--algebra", '[{"poly": [1,0,-3]}]'],
+    ["classify", "--poly", "1,0,-2", "--algebra", '[{"poly": [1,0,-3]}]',
+     "--group", "catalog:cyclic:2"],
+    ["form", "--entries", "1,2", "--gram", "gram.json"],
+    ["trace"],
+    ["classify", "--group", "catalog:cyclic:2"],
+    ["form"],
+    ["classify", "--poly", "1,0,-3", "--group", "catalog:cyclic:2", "--product"],
+])
+def test_conflicting_or_missing_inputs_exit_2(capsys, argv):
+    # both sources given (one used to be ignored silently), or neither
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("verb, payload, match", [
     ("trace", "[[1,0,-3]]", "list of {poly, multiplicity}"),
     ("trace", "[5]", "list of {poly, multiplicity}"),
@@ -303,8 +321,43 @@ def test_extension_trips_h2_cap_before_other_work():
         ["extension", "--group", "catalog:dihedral:512", "--cocycle", "zero"])
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
     assert elapsed < 2, elapsed
-    assert proc.stderr == ("error: group order 512 exceeds H2_CAP = 64 "
-                           "for the cohomology solver\n")
+    assert proc.stderr == "error: group order 512 exceeds H2_CAP = 64\n"
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (["h2", "--group", "catalog:cyclic:2048"], "H2_CAP = 64"),
+    (["kers", "--group", "catalog:elem_abelian_2:11"], "H2_CAP = 64"),
+    (["2reduced", "--group", "catalog:sym:5"], "H2_CAP = 64"),
+    (["extension", "--group", "catalog:cyclic:2048", "--cocycle", "zero"],
+     "H2_CAP = 64"),
+    (["classify", "--poly", "1,0,-3", "--group", "catalog:dihedral:128"],
+     "H2_CAP = 64"),
+    (["pin-cocycle", "--group", "catalog:cyclic:2048"], "FULL_PIN_CAP = 12"),
+    (["pin-cocycle", "--involutions-only", "--group", "catalog:dihedral:2048"],
+     "CLIFFORD_RANK_CAP = 24"),
+    (["h2", "--group", "perms:" + ",".join(f"({2 * i} {2 * i + 1})"
+                                           for i in range(11))],
+     "H2_CAP = 64"),
+    (["pin-cocycle", "--group", "perms:(0 1 2 3 4 5 6 7 8 9 10 11 12)"],
+     "FULL_PIN_CAP = 12"),
+])
+def test_verb_caps_are_checked_before_a_table_is_built(capsys, monkeypatch,
+                                                       argv, cap):
+    # a catalog spec is sized from its name and a perms: closure stops at
+    # the verb's cap, so no table above the cap is ever built
+    built = []
+    real_init = groups.Group.__init__
+
+    def recording(self, table, *args, **kwargs):
+        built.append(len(table))
+        real_init(self, table, *args, **kwargs)
+
+    monkeypatch.setattr(groups.Group, "__init__", recording)
+    groups._catalog_cached.cache_clear()
+    code, out, err = run_cli(capsys, *argv)
+    limit = int(cap.rsplit(" ", 1)[1])
+    assert code == 2 and out == "" and cap in err, err
+    assert all(n <= limit for n in built), built
 
 
 def test_wide_unsplittable_entry_exits_2_within_rho_budget():

@@ -197,6 +197,6 @@ def test_fixture_case_labels_agree_with_classifier():
     for fx in fixtures.ALL_FIXTURES:
         if fx.case is None:
             continue
-        r = classify_2group_trace_form(fx.algebra, fx.descriptor)
+        r = classify_2group_trace_form(fx.algebra, fx.group)
         assert r["case"] == fx.case, fx.name
         assert r["isometric"], fx.name

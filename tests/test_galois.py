@@ -7,7 +7,6 @@ from sympy.abc import x as _x
 
 from traceforms.galois import (
     EtaleAlg,
-    GaloisDescriptor,
     GaloisError,
     MonicPoly,
     algebra_disc,
@@ -18,12 +17,13 @@ from traceforms.galois import (
     predicted_2group_form,
     trace_form,
     trace_gram,
+    two_cyclic_sylow_orders,
     verify_main,
     verify_two_cyclic_sylow,
     verify_w1,
 )
 from traceforms import galois
-from traceforms.groups import catalog
+from traceforms.groups import catalog, generated_subgroup, group_from_spec, sylow2
 from traceforms.quadratic import (
     QForm,
     cup,
@@ -242,56 +242,56 @@ def test_unit_form_for_multiquadratic_octic():
 
 def test_disc_square_prediction_branches():
     # regular rep of (Z/2)^2 is even: square disc predicted and observed
-    D = GaloisDescriptor(catalog("elem_abelian_2", 2))
+    G = catalog("elem_abelian_2", 2)
     A = EtaleAlg.field(MonicPoly((1, 0, -10, 0, 1)))
-    assert disc_square_prediction(D, A)
+    assert disc_square_prediction(A, G)
     assert algebra_disc(A) == 1
     # cyclic C2: odd regular rep, nonsquare disc
-    D2 = GaloisDescriptor(catalog("cyclic", 2))
+    G2 = catalog("cyclic", 2)
     A2 = EtaleAlg.field(MonicPoly((1, 0, -3)))
-    assert not disc_square_prediction(D2, A2)
+    assert not disc_square_prediction(A2, G2)
     assert algebra_disc(A2) != 1
-    # product with even multiplicities: square disc though sylow is cyclic
-    D3 = GaloisDescriptor(catalog("cyclic", 2), field=False)
+    # even power of a field: square disc though sylow is cyclic
+    G3 = catalog("cyclic", 4)
     A3 = EtaleAlg(((MonicPoly((1, 0, -3)), 2),))
-    assert disc_square_prediction(D3, A3)
+    assert disc_square_prediction(A3, G3)
     assert algebra_disc(A3) == 1
 
 
 def test_verify_w1_examples():
     from traceforms import fixtures
     fx = fixtures.MULTIQUADRATIC_REAL
-    rep = verify_w1(fx.algebra, fx.descriptor)
+    rep = verify_w1(fx.algebra, fx.group)
     assert rep["status"] == "pass" and rep["disc_class"] == 1
     # real C4 quartic: nontrivial disc, cyclic sylow, predicate false
-    D = GaloisDescriptor(catalog("cyclic", 4))
+    G = catalog("cyclic", 4)
     A = EtaleAlg.field(MonicPoly((1, 0, -4, 0, 2)))
-    rep = verify_w1(A, D)
+    rep = verify_w1(A, G)
     assert rep["status"] == "pass"
     assert rep["disc_class"] == 2 and not rep["predicted_square"]
     # quadratic field: w1 = d
-    D2 = GaloisDescriptor(catalog("cyclic", 2))
+    G2 = catalog("cyclic", 2)
     for d in (3, -1, 6):
         A2 = EtaleAlg.field(MonicPoly((1, 0, -d)))
-        assert verify_w1(A2, D2)["disc_class"] == d
+        assert verify_w1(A2, G2)["disc_class"] == d
 
 
 def test_verify_main_gates_and_degree_2():
     # degree 4 is neither 0 nor 2 mod 8: skipped
-    D = GaloisDescriptor(catalog("cyclic", 4))
+    G = catalog("cyclic", 4)
     A = EtaleAlg.field(MonicPoly((1, 0, -4, 0, 2)))
-    assert verify_main(A, D)["status"] == "skipped"
+    assert verify_main(A, G)["status"] == "skipped"
     # quaternion group is not 2-reduced: skipped
-    DQ = GaloisDescriptor(catalog("quaternion8"))
+    GQ = catalog("quaternion8")
     # (degree-8 stand-in algebra: the real multiquadratic octic)
     from traceforms import fixtures
     A8 = fixtures.MULTIQUADRATIC_REAL.algebra
-    assert verify_main(A8, DQ)["status"] == "skipped"
+    assert verify_main(A8, GQ)["status"] == "skipped"
     # degree 2 is admitted and the identity holds for quadratic fields
-    D2 = GaloisDescriptor(catalog("cyclic", 2))
+    G2 = catalog("cyclic", 2)
     for d in (2, 3, -1, -5, 7):
         A2 = EtaleAlg.field(MonicPoly((1, 0, -d)))
-        assert verify_main(A2, D2)["status"] == "pass", d
+        assert verify_main(A2, G2)["status"] == "pass", d
 
 
 def test_verify_main_takes_disc_from_the_form(monkeypatch):
@@ -303,9 +303,9 @@ def test_verify_main_takes_disc_from_the_form(monkeypatch):
     monkeypatch.setattr(galois, "algebra_disc",
                         lambda A: calls.append(A) or real(A))
     for name in _MAIN_FIXTURES:
-        A, D = fixtures.BY_NAME[name].algebra, fixtures.BY_NAME[name].descriptor
+        A, G = fixtures.BY_NAME[name].algebra, fixtures.BY_NAME[name].group
         lhs, rhs = w2(trace_form(A)), cup(2, real(A))
-        assert verify_main(A, D) == {
+        assert verify_main(A, G) == {
             "status": "pass" if lhs == rhs else "fail",
             "w2_places": lhs, "cup_2_disc": rhs}, name
     assert calls == []
@@ -314,7 +314,7 @@ def test_verify_main_takes_disc_from_the_form(monkeypatch):
 def test_verify_main_on_all_octic_fixtures():
     from traceforms import fixtures
     for fx in fixtures.OCTIC_FIXTURES:
-        rep = verify_main(fx.algebra, fx.descriptor)
+        rep = verify_main(fx.algebra, fx.group)
         assert rep["status"] == "pass", fx.name
 
 
@@ -335,54 +335,126 @@ def test_classification_cases_and_models():
 
 
 def test_classify_rejects_wrong_degree_and_groups():
-    D = GaloisDescriptor(catalog("cyclic", 4))
+    G = catalog("cyclic", 4)
     A = EtaleAlg.field(MonicPoly((1, 0, -4, 0, 2)))
     with pytest.raises(GaloisError):
-        classify_2group_trace_form(A, D)  # degree 4 not 0/2 mod 8
+        classify_2group_trace_form(A, G)  # degree 4 not 0/2 mod 8
     from traceforms import fixtures
-    DQ = GaloisDescriptor(catalog("quaternion8"))
+    GQ = catalog("quaternion8")
     with pytest.raises(GaloisError):
-        classify_2group_trace_form(fixtures.MULTIQUADRATIC_REAL.algebra, DQ)
+        classify_2group_trace_form(fixtures.MULTIQUADRATIC_REAL.algebra, GQ)
 
 
 def test_classify_degree_one_and_two():
     # trivial group: unit form, case i
-    D1 = GaloisDescriptor(catalog("cyclic", 1))
+    G1 = catalog("cyclic", 1)
     A1 = EtaleAlg.field(MonicPoly((1, -1)))
-    r = classify_2group_trace_form(A1, D1)
+    r = classify_2group_trace_form(A1, G1)
     assert r["case"] == "i" and r["isometric"]
     # quadratic real: case iii shape <2, 2d>
-    D2 = GaloisDescriptor(catalog("cyclic", 2))
+    G2 = catalog("cyclic", 2)
     r = classify_2group_trace_form(
-        EtaleAlg.field(MonicPoly((1, 0, -3))), D2)
+        EtaleAlg.field(MonicPoly((1, 0, -3))), G2)
     assert r["case"] == "iii" and r["isometric"]
     # quadratic imaginary: case iv
     r = classify_2group_trace_form(
-        EtaleAlg.field(MonicPoly((1, 0, 1))), D2)
+        EtaleAlg.field(MonicPoly((1, 0, 1))), G2)
     assert r["case"] == "iv" and r["isometric"]
 
 
 def test_two_cyclic_sylow_reports():
     from traceforms import fixtures
     fx = fixtures.COMPOSITUM_C2XC4
-    rep = verify_two_cyclic_sylow(fx.algebra, 3, 2, True,
-                                  sylow_orders=(2, 4))
+    rep = verify_two_cyclic_sylow(fx.algebra, fx.group, 3, 2)
     assert rep["status"] == "pass"
     assert rep["w2_places"] == frozenset({2, 3})
     # d2 = 1 degenerate: both formulas give the empty set
     A = EtaleAlg(((MonicPoly((1, -1)), 8),))
-    rep = verify_two_cyclic_sylow(A, 1, 1, True, sylow_orders=(2, 4))
+    rep = verify_two_cyclic_sylow(A, catalog("z4xz2"), 1, 1)
     assert rep["status"] == "pass" and rep["w2_places"] == frozenset()
     # premise gate: biquadratic sylow (2,2) is outside r2 >= 2
-    rep = verify_two_cyclic_sylow(A, 1, 1, True, sylow_orders=(2, 2))
+    bq = fixtures.BIQUADRATIC_REAL
+    rep = verify_two_cyclic_sylow(bq.algebra, bq.group, 1, 1)
     assert rep["status"] == "skipped"
 
 
-def test_descriptor_degree_check():
-    D = GaloisDescriptor(catalog("cyclic", 4))
-    with pytest.raises(GaloisError):
-        D.check_degree(EtaleAlg.field(MonicPoly((1, 0, -3))))
-    with pytest.raises(GaloisError):
-        # field flag contradicts a product algebra
-        GaloisDescriptor(catalog("cyclic", 4), field=True).check_degree(
-            EtaleAlg(((MonicPoly((1, 0, -3)), 2),)))
+def test_check_galois_rejects_degree_mismatch_and_products():
+    G = catalog("cyclic", 4)
+    with pytest.raises(GaloisError, match="algebra degree 2 != group order 4"):
+        galois._check_galois(EtaleAlg.field(MonicPoly((1, 0, -3))), G)
+    with pytest.raises(GaloisError, match="power of a single field"):
+        galois._check_galois(EtaleAlg(((MonicPoly((1, 0, -3)), 1),
+                                       (MonicPoly((1, 0, -5)), 1))), G)
+    # a power F^m of one field passes, and is a field only when m = 1
+    assert galois._check_galois(EtaleAlg.field(MonicPoly((1, 0, -4, 0, 2))), G)
+    assert not galois._check_galois(EtaleAlg(((MonicPoly((1, 0, -3)), 2),)), G)
+
+
+def _quartic_product():
+    return EtaleAlg(tuple((MonicPoly((1, 0, -d)), 1) for d in (2, 3, 5, 7)))
+
+
+def test_product_of_several_fields_is_not_galois():
+    # Q(sqrt2) x Q(sqrt3) x Q(sqrt5) x Q(sqrt7) has degree 8 = |C2^3| but
+    # is not a power of one field: no theorem check applies to it
+    A, G = _quartic_product(), catalog("elem_abelian_2", 3)
+    for check in (verify_main, verify_w1, classify_2group_trace_form):
+        with pytest.raises(GaloisError, match="power of a single field"):
+            check(A, G)
+    with pytest.raises(GaloisError, match="power of a single field"):
+        verify_two_cyclic_sylow(A, catalog("z4xz2"), 3, 2)
+
+
+def test_two_cyclic_sylow_skips_groups_outside_the_premise():
+    # the multiquadratic octic's group C2^3 is not a product of two cyclic
+    # groups, so the formula has no premise there
+    from traceforms import fixtures
+    fx = fixtures.MULTIQUADRATIC_REAL
+    rep = verify_two_cyclic_sylow(fx.algebra, fx.group, 3, 2)
+    assert rep["status"] == "skipped"
+
+
+def _two_cyclic_orders_oracle(G):
+    """(2^r1, 2^r2) by brute force: a Sylow 2-subgroup P of order 2^k is
+    Z/a x Z/b (2 <= a <= b) exactly when P is abelian and some x of
+    order b and y of order a have <x> and <y> meeting in e and
+    generating P."""
+    P = sylow2(G).as_group()
+    n, t = P.order, P.table
+    if any(t[a][b] != t[b][a] for a in range(n) for b in range(n)):
+        return None
+    powers = {}
+    for x in range(n):
+        acc, seen = 0, [0]
+        while True:
+            acc = t[acc][x]
+            if acc == 0:
+                break
+            seen.append(acc)
+        powers[x] = frozenset(seen)
+    best = None
+    for x in range(n):
+        for y in range(n):
+            a, b = len(powers[y]), len(powers[x])
+            if not 2 <= a <= b or a * b != n or powers[x] & powers[y] != {0}:
+                continue
+            if generated_subgroup(P, [x, y]).order == n:
+                best = (a, b)
+    return best
+
+
+def test_two_cyclic_sylow_orders_match_brute_force():
+    two_groups = [catalog(name, param) for name, param in (
+        ("cyclic", 1), ("cyclic", 2), ("cyclic", 4), ("cyclic", 8),
+        ("cyclic", 16), ("elem_abelian_2", 1), ("elem_abelian_2", 2),
+        ("elem_abelian_2", 3), ("elem_abelian_2", 4), ("dihedral", 2),
+        ("dihedral", 4), ("dihedral", 8), ("dihedral", 16),
+        ("quaternion8", None), ("z4xz2", None), ("quat_cover", None))]
+    for G in two_groups:
+        assert two_cyclic_sylow_orders(G) == _two_cyclic_orders_oracle(G), G
+    for spec, want in (("perms:(0 1 2 3),(4 5 6 7)", (4, 4)),       # C4 x C4
+                       ("perms:(0 1),(2 3 4 5 6 7 8 9)", (2, 8)),   # C2 x C8
+                       ("perms:(0 1 2 3 4 5),(6 7)", (2, 2))):      # C6 x C2
+        G = group_from_spec(spec)
+        assert two_cyclic_sylow_orders(G) == _two_cyclic_orders_oracle(G) == want
+    assert two_cyclic_sylow_orders(catalog("z4xz2")) == (2, 4)

@@ -7,6 +7,7 @@ from traceforms.groups import (
     GroupError,
     SubgroupHandle,
     catalog,
+    catalog_order,
     closure,
     direct_product,
     generated_subgroup,
@@ -90,11 +91,28 @@ def test_sylow2_orders():
     assert sylow2(catalog("cyclic", 12)).order == 4
 
 
-def test_metacyclic_catalog_facts():
-    assert sylow2(catalog("cyclic", 8)).is_metacyclic()
-    assert sylow2(catalog("quaternion8")).is_metacyclic()
-    assert not sylow2(catalog("elem_abelian_2", 3)).is_metacyclic()
-    assert sylow2(catalog("dihedral", 8)).is_metacyclic()
+def test_catalog_order_matches_built_groups():
+    for name, params in (("cyclic", (1, 2, 7, 16)), ("elem_abelian_2", (0, 1, 4)),
+                         ("dihedral", (2, 4, 10)), ("sym", range(6)),
+                         ("alt", range(6)), ("quaternion8", (None,)),
+                         ("Z4xZ2", (None,)), ("quat_cover", (None,))):
+        for param in params:
+            assert catalog_order(name, param) == catalog(name, param).order, (name, param)
+    for name, param in (("nosuch", None), ("cyclic", None), ("quaternion8", 8),
+                        ("cyclic", 4096), ("sym", 6)):
+        with pytest.raises(GroupError):
+            catalog_order(name, param)
+
+
+def test_subgroup_is_abelian_matches_all_pairs():
+    for G in (catalog("sym", 4), catalog("alt", 4), catalog("dihedral", 16),
+              catalog("quat_cover")):
+        for a in range(G.order):
+            H = generated_subgroup(G, [a, G.order - 1 - a])
+            want = all(G.mul(x, y) == G.mul(y, x) for x in H.members for y in H.members)
+            assert H.is_abelian() == want, (G, H.members)
+    assert not sylow2(catalog("sym", 4)).is_abelian()
+    assert sylow2(catalog("alt", 4)).is_abelian()
 
 
 def test_quotient_with_map():
@@ -287,11 +305,6 @@ def test_subgroup_handle_matches_all_pairs_oracle_on_s4():
         assert _accepted(G, members) == want, sorted(members)
         outcomes.add(want)
     assert outcomes == {True, False}
-
-
-def test_metacyclic_cap_names_the_limit():
-    with pytest.raises(GroupError, match="METACYCLIC_CAP = 128"):
-        catalog("cyclic", 256).full_handle().is_metacyclic()
 
 
 def test_is_normal_and_normalizer_match_all_pairs_oracle():

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from traceforms import verify
+from traceforms.cli import main
 from traceforms.verify import (
     DEFAULT_SEED,
     STATEMENTS,
@@ -89,3 +91,16 @@ def test_jsonable_canonical_forms():
     assert jsonable(frozenset({INF, 3, 2})) == [2, 3, INF]
     assert jsonable(QForm((Fraction(1), Fraction(-2, 3)))) == ["1", "-2/3"]
     assert jsonable({"a": (1, 2)}) == {"a": [1, 2]}
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["suite"],
+     "26f45f990a4b93686d460e49479e13fde4b8962b7b90d22165c258ab592c8f54"),
+    (["suite", "--seed", "99"],
+     "23c00a85ec1e9047fcda8626e71ec6410c93bdc3188d896c5a88ef3ee1c3c2f7"),
+])
+def test_suite_stdout_is_pinned(capsys, argv, digest):
+    # "same behaviour" for a refactor: the suite's bytes do not move
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
