@@ -45,7 +45,6 @@ from .galois import (
     MonicPoly,
     algebra_disc,
     classify_2group_trace_form,
-    is_totally_real,
     trace_form,
     trace_gram,
     two_cyclic_sylow_orders,
@@ -74,7 +73,7 @@ __all__ = [
     "Cocycle2", "CohClass", "h2", "is_2_reduced", "ker_s", "s_map",
     "two_lift_property", "involution_square_sign", "pin_cocycle", "pin_lift",
     "EtaleAlg", "GaloisError", "MonicPoly", "algebra_disc",
-    "classify_2group_trace_form", "is_totally_real", "trace_form",
+    "classify_2group_trace_form", "trace_form",
     "trace_gram", "two_cyclic_sylow_orders", "verify_main",
     "verify_two_cyclic_sylow", "verify_w1",
     "Group", "catalog", "group_from_spec", "sylow2",

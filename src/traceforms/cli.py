@@ -66,11 +66,18 @@ def _emit(obj, pretty: bool) -> None:
         print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _parse_entries(text: str) -> QForm:
     toks = [t.strip() for t in text.split(",") if t.strip()]
     if not toks:
         raise ValueError("empty form entry list")
-    return QForm(tuple(Fraction(t) for t in toks))
+    return QForm(tuple(_fraction(t) for t in toks))
 
 
 def _parse_poly(text: str) -> MonicPoly:
@@ -113,7 +120,7 @@ def _load_gram(path: str) -> list[list[Fraction]]:
         data = json.load(fh)
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise ValueError("Gram JSON must be a list of rows")
-    m = [[Fraction(str(x)) for x in row] for row in data]
+    m = [[_fraction(str(x)) for x in row] for row in data]
     validate_gram(m)
     return m
 
@@ -289,26 +296,17 @@ def _report_table(reports) -> str:
     return "\n".join(lines)
 
 
-def _cmd_verify(args) -> int:
-    r = run_statement(args.statement, args.seed)
-    if args.pretty:
-        print(_report_table([r]))
-        print(json.dumps(r.as_dict(include_runtime=args.timings),
-                         sort_keys=True, indent=2))
+def _cmd_reports(args) -> int:
+    """`verify` prints one report, `suite` the list of all of them."""
+    if args.command == "suite":
+        reports = run_suite(args.seed)
+        payload = [r.as_dict(include_runtime=args.timings) for r in reports]
     else:
-        _emit(r.as_dict(include_runtime=args.timings), False)
-    return EXIT_FAIL if r.verdict == "fail" else EXIT_PASS
-
-
-def _cmd_suite(args) -> int:
-    reports = run_suite(args.seed)
+        reports = [run_statement(args.statement, args.seed)]
+        payload = reports[0].as_dict(include_runtime=args.timings)
     if args.pretty:
         print(_report_table(reports))
-        print(json.dumps([r.as_dict(include_runtime=args.timings)
-                          for r in reports], sort_keys=True, indent=2))
-    else:
-        _emit([r.as_dict(include_runtime=args.timings) for r in reports],
-              False)
+    _emit(payload, args.pretty)
     return EXIT_FAIL if any(r.verdict == "fail" for r in reports) else EXIT_PASS
 
 
@@ -389,20 +387,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True, help="acting group spec")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run one verification statement")
-    p.add_argument("--statement", required=True, choices=STATEMENTS)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--timings", action="store_true",
-                   help="include runtimes (output no longer byte-stable)")
-    p.set_defaults(func=_cmd_verify)
+    # --statement comes first so that `verify --help` lists it before --seed
+    statement = argparse.ArgumentParser(add_help=False)
+    statement.add_argument("--statement", required=True, choices=STATEMENTS)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    seeded.add_argument("--timings", action="store_true",
+                        help="include runtimes (output no longer byte-stable)")
 
-    p = sub.add_parser("suite", parents=[common],
+    p = sub.add_parser("verify", parents=[common, statement, seeded],
+                       help="run one verification statement")
+    p.set_defaults(func=_cmd_reports)
+
+    p = sub.add_parser("suite", parents=[common, seeded],
                        help="run the full verification battery")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--timings", action="store_true",
-                   help="include runtimes (output no longer byte-stable)")
-    p.set_defaults(func=_cmd_suite)
+    p.set_defaults(func=_cmd_reports)
 
     return top
 

@@ -202,11 +202,6 @@ def _det_fraction_free(m) -> int:
     return math.prod(diagonalize(m).entries).numerator
 
 
-def is_totally_real(A: EtaleAlg) -> bool:
-    q = trace_form(A)
-    return signature(q) == (A.degree, 0)
-
-
 def _check_galois(A: EtaleAlg, G: Group) -> bool:
     """Check that A can be a G-Galois algebra, a power F^m of one field
     with deg A = |G|, and return whether it is a field (m = 1)."""

@@ -22,33 +22,11 @@ def echelon_insert(pivots: dict[int, int], v: int) -> int | None:
     return None
 
 
-def reduce_vector(pivots: dict[int, int], v: int) -> int:
-    """Residue of v modulo the row space.  Bits of the residue sit in
-    columns that have no pivot.  Zero residue means v is in the span."""
-    residue = 0
-    while v:
-        c = v.bit_length() - 1
-        if c in pivots:
-            v ^= pivots[c]
-        else:
-            residue |= 1 << c
-            v ^= 1 << c
-    return residue
-
-
-def in_span(pivots: dict[int, int], v: int) -> bool:
-    return reduce_vector(pivots, v) == 0
-
-
 def row_space_pivots(rows) -> dict[int, int]:
     pivots: dict[int, int] = {}
     for r in rows:
         echelon_insert(pivots, r)
     return pivots
-
-
-def rank(rows) -> int:
-    return len(row_space_pivots(rows))
 
 
 def nullspace(rows, ncols: int) -> list[int]:

@@ -108,9 +108,6 @@ class Group:
         t, S = self.table, generating_set(self)
         return all(t[a][b] == t[b][a] for a in S for b in S)
 
-    def subgroup(self, members) -> "SubgroupHandle":
-        return SubgroupHandle(self, members)
-
     def full_handle(self) -> "SubgroupHandle":
         return SubgroupHandle(self, range(self.order))
 
@@ -147,14 +144,6 @@ class SubgroupHandle:
 
     def __repr__(self):
         return f"<Subgroup of order {self.order} in {self.parent!r}>"
-
-    def as_group(self) -> Group:
-        idx = {m: i for i, m in enumerate(self.members)}
-        table = [[idx[self.parent.table[a][b]] for b in self.members] for a in self.members]
-        labels = None
-        if self.parent.labels:
-            labels = [self.parent.labels[m] for m in self.members]
-        return Group(table, labels=labels, name=f"subgroup#{self.order}")
 
     def is_cyclic(self) -> bool:
         return any(self.parent.element_order(g) == self.order for g in self.members)

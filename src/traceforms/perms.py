@@ -37,13 +37,6 @@ def compose(p: Perm, q: Perm) -> Perm:
     return tuple(p[x] for x in q)
 
 
-def inverse(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return tuple(inv)
-
-
 def cycles(p: Perm) -> list[tuple[int, ...]]:
     """Nontrivial cycles, each starting at its minimum moved point,
     sorted by that minimum."""
@@ -80,19 +73,9 @@ def from_cycles(n: int, cycs) -> Perm:
     return p
 
 
-def transposition(n: int, a: int, b: int) -> Perm:
-    return from_cycles(n, [(a, b)])
-
-
 def signature(p: Perm) -> int:
     """+1 for even permutations, -1 for odd."""
     return -1 if sum(len(c) - 1 for c in cycles(p)) % 2 else 1
-
-
-def order(p: Perm) -> int:
-    from math import lcm
-
-    return lcm(1, *(len(c) for c in cycles(p)))
 
 
 def parse_cycle_string(text: str, n: int | None = None) -> Perm:

@@ -266,10 +266,6 @@ def direct_sum(*forms: QForm) -> QForm:
     return QForm(ent)
 
 
-def tensor(q1: QForm, q2: QForm) -> QForm:
-    return QForm(tuple(a * b for a in q1.entries for b in q2.entries))
-
-
 def scale(a, q: QForm) -> QForm:
     a = Fraction(a)
     if a == 0:

@@ -237,6 +237,7 @@ def test_conflicting_or_missing_inputs_exit_2(capsys, argv):
     ("form", "5", "Gram JSON must be a list of rows"),
     ("form", "[1,2]", "Gram JSON must be a list of rows"),
     ("form", '{"a": [1]}', "Gram JSON must be a list of rows"),
+    ("form", '[["1/0"]]', "zero denominator in '1/0'"),
 ])
 def test_malformed_json_payload_exits_2(capsys, tmp_path, verb, payload, match):
     if verb == "trace":
@@ -248,6 +249,17 @@ def test_malformed_json_payload_exits_2(capsys, tmp_path, verb, payload, match):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and match in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["form", "--entries", "1/0"],
+    ["form", "--entries", "2,-3/0"],
+    ["form", "--entries", "1", "--isometric-to", "1/0"],
+])
+def test_zero_denominator_entry_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "zero denominator" in err
 
 
 def _run_limited(argv, timeout=60):

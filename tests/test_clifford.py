@@ -306,7 +306,7 @@ def test_integer_lift_check_matches_algebra_oracle():
         assert check_pin(x) == p
         # a wrong permutation: p followed by a transposition
         for a, b in itertools.combinations(range(len(p)), 2):
-            q = perms.compose(perms.transposition(len(p), a, b), p)
+            q = perms.compose(perms.from_cycles(len(p), [(a, b)]), p)
             with pytest.raises(CliffordError):
                 _check_fold(z, factors, q)
         # a corrupted fold: one coefficient negated, or scaled by 3

@@ -7,7 +7,7 @@ import sympy
 from sympy.abc import x, y
 
 from traceforms import fixtures
-from traceforms.galois import algebra_disc, is_totally_real, trace_form
+from traceforms.galois import algebra_disc, trace_form
 from traceforms.quadratic import signature, squarefree_part
 
 
@@ -92,7 +92,8 @@ def test_fixture_real_root_counts_match_flags():
             assert nreal == f.degree(), fx.name
         else:
             assert nreal == 0, fx.name
-        assert is_totally_real(fx.algebra) == fx.real, fx.name
+        totally_real = signature(trace_form(fx.algebra)) == (fx.algebra.degree, 0)
+        assert totally_real == fx.real, fx.name
 
 
 def test_fixture_degrees_match_group_orders():

@@ -12,7 +12,6 @@ from traceforms.galois import (
     algebra_disc,
     classify_2group_trace_form,
     disc_square_prediction,
-    is_totally_real,
     power_sums,
     predicted_2group_form,
     trace_form,
@@ -23,14 +22,13 @@ from traceforms.galois import (
     verify_w1,
 )
 from traceforms import galois
-from traceforms.groups import catalog, generated_subgroup, group_from_spec, sylow2
+from traceforms.groups import Group, catalog, generated_subgroup, group_from_spec, sylow2
 from traceforms.quadratic import (
     QForm,
     cup,
     is_isometric_q,
     signature,
     squarefree_part,
-    tensor,
     w1,
     w2,
 )
@@ -191,7 +189,7 @@ def test_split_algebra_has_unit_trace_form():
     q = trace_form(A)
     assert q.rank == 5
     assert all(e == Fraction(1) for e in q.entries)
-    assert algebra_disc(A) == 1 and is_totally_real(A)
+    assert algebra_disc(A) == 1 and signature(q) == (A.degree, 0)
 
 
 def test_complex_pair_analog():
@@ -204,7 +202,7 @@ def test_quadratic_field_disc_classes():
     for d in (2, 3, 5, -1, -2, -3, 6, 10):
         A = EtaleAlg.field(MonicPoly((1, 0, -d)))
         assert algebra_disc(A) == squarefree_part(d)
-        assert is_totally_real(A) == (d > 0)
+        assert (signature(trace_form(A)) == (A.degree, 0)) == (d > 0)
 
 
 def test_signature_dichotomy_on_catalog_algebras():
@@ -214,6 +212,10 @@ def test_signature_dichotomy_on_catalog_algebras():
         pos, neg = signature(q)
         n = q.rank
         assert (pos, neg) in ((n, 0), (n // 2, n // 2)), fx.name
+
+
+def _tensor(q1, q2):
+    return QForm(tuple(a * b for a in q1.entries for b in q2.entries))
 
 
 def test_tensor_identity_on_biquadratic_composita():
@@ -226,11 +228,11 @@ def test_tensor_identity_on_biquadratic_composita():
         q = trace_form(EtaleAlg.field(MonicPoly(poly)))
         qa = trace_form(EtaleAlg.field(MonicPoly((1, 0, -a))))
         qb = trace_form(EtaleAlg.field(MonicPoly((1, 0, -b))))
-        assert is_isometric_q(q, tensor(qa, qb)), (a, b)
+        assert is_isometric_q(q, _tensor(qa, qb)), (a, b)
     # degenerate case: Q(sqrt2) x Q(sqrt2) realizes Q(sqrt2) tensor itself
     q2 = trace_form(EtaleAlg.field(MonicPoly((1, 0, -2))))
     qq = trace_form(EtaleAlg(((MonicPoly((1, 0, -2)), 2),)))
-    assert is_isometric_q(qq, tensor(q2, q2))
+    assert is_isometric_q(qq, _tensor(q2, q2))
 
 
 def test_unit_form_for_multiquadratic_octic():
@@ -419,7 +421,9 @@ def _two_cyclic_orders_oracle(G):
     Z/a x Z/b (2 <= a <= b) exactly when P is abelian and some x of
     order b and y of order a have <x> and <y> meeting in e and
     generating P."""
-    P = sylow2(G).as_group()
+    S = sylow2(G)
+    idx = {m: i for i, m in enumerate(S.members)}
+    P = Group([[idx[G.table[a][b]] for b in S.members] for a in S.members])
     n, t = P.order, P.table
     if any(t[a][b] != t[b][a] for a in range(n) for b in range(n)):
         return None

@@ -118,7 +118,7 @@ def test_subgroup_is_abelian_matches_all_pairs():
 def test_quotient_with_map():
     G = catalog("quat_cover")
     t = G.labels.index("(2,2)")
-    H = G.subgroup([0, t])
+    H = SubgroupHandle(G, [0, t])
     Q, pi = quotient_with_map(G, H)
     assert Q.order == 8
     # projection is a homomorphism
@@ -181,7 +181,8 @@ def test_subgroup_closure_inside_parent():
     G = catalog("sym", 4)
     S = sylow2(G)
     assert S.order == 8
-    H = S.as_group()
+    idx = {m: i for i, m in enumerate(S.members)}
+    H = Group([[idx[G.table[a][b]] for b in S.members] for a in S.members])
     # a 2-Sylow of S4 is dihedral of order 8: 5 involutions
     assert len(H.involutions()) == 5
     assert not S.is_cyclic()

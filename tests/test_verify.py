@@ -10,7 +10,6 @@ from traceforms.verify import (
     STATEMENTS,
     VerificationReport,
     jsonable,
-    run_property_suites,
     run_statement,
     run_suite,
 )
@@ -42,16 +41,16 @@ def test_reports_serialize_to_json():
 
 
 def test_property_suites_deterministic_across_calls():
-    r1 = run_property_suites(DEFAULT_SEED)
-    r2 = run_property_suites(DEFAULT_SEED)
+    r1 = run_statement("property-suites", DEFAULT_SEED)
+    r2 = run_statement("property-suites", DEFAULT_SEED)
     assert r1.computed == r2.computed
     # a different seed still passes but may differ in draws
-    r3 = run_property_suites(12345)
+    r3 = run_statement("property-suites", 12345)
     assert r3.verdict == "pass"
 
 
 def test_property_suites_trial_counts():
-    r = run_property_suites(DEFAULT_SEED)
+    r = run_statement("property-suites", DEFAULT_SEED)
     c = r.computed
     assert c["diag_invariance"]["trials"] == 100
     assert c["hilbert_oracle"]["trials"] == 1830 * 16
@@ -71,6 +70,104 @@ def test_property_suites_error_becomes_fail(monkeypatch):
     r = run_statement("property-suites", DEFAULT_SEED)
     assert r.verdict == "fail"
     assert r.computed == {"error": "ZeroDivisionError: battery blew up"}
+
+
+def _leaf_paths(expected, path=()):
+    if not isinstance(expected, dict):
+        yield path
+        return
+    for k, v in expected.items():
+        yield from _leaf_paths(v, path + (k,))
+
+
+def _flipped(expected, path):
+    if not path:
+        return not expected if isinstance(expected, bool) else ("not", expected)
+    return {**expected, path[0]: _flipped(expected[path[0]], path[1:])}
+
+
+@pytest.mark.parametrize("statement", STATEMENTS)
+def test_one_flipped_expected_leaf_fails(monkeypatch, statement):
+    # the verdict is decided by the rule alone: flip any one expected value
+    # of a real runner output and the statement fails
+    claim = verify._RUNNERS[statement](DEFAULT_SEED)
+    paths = list(_leaf_paths(claim.expected))
+    assert paths
+    for path in paths:
+        bad = claim._replace(expected=_flipped(claim.expected, path))
+        monkeypatch.setitem(verify._RUNNERS, statement, lambda seed, c=bad: c)
+        assert run_statement(statement, DEFAULT_SEED).verdict == "fail", path
+    monkeypatch.setitem(verify._RUNNERS, statement, lambda seed: claim)
+    assert run_statement(statement, DEFAULT_SEED).verdict == "pass"
+
+
+def test_holds_is_recursive_and_exact():
+    assert verify._holds({"a": {"b": 1, "c": 2}, "d": 3}, {"a": {"b": 1}})
+    assert not verify._holds({"a": {"b": 1}}, {"a": {"b": 1, "c": 2}})
+    assert not verify._holds({"a": 1}, {"a": {"b": 1}})
+    assert not verify._holds({"a": True}, {"a": False})
+    assert verify._holds({}, {})
+
+
+def _only_battery(monkeypatch, name):
+    monkeypatch.setattr(verify, "_BATTERIES",
+                        tuple(b for b in verify._BATTERIES if b[0] == name))
+
+
+@pytest.mark.parametrize("k", [1, 7])
+def test_failing_check_reports_its_first_case(monkeypatch, k):
+    _only_battery(monkeypatch, "reciprocity")
+    real_cup, calls = verify.cup, []
+
+    def cup(a, b):  # reciprocity counts QuadraticError as a failure
+        calls.append((a, b))
+        if len(calls) in (k, k + 2):
+            raise verify.QuadraticError("planted")
+        return real_cup(a, b)
+
+    monkeypatch.setattr(verify, "cup", cup)
+    r1 = run_statement("property-suites", DEFAULT_SEED)
+    c = r1.computed["reciprocity"]
+    assert r1.verdict == "fail"
+    assert c["trials"] == 300 and c["failures"] == 2
+    assert c["first_failure"] == {"trial": k, "case": dict(zip("ab", calls[k - 1]))}
+    calls.clear()
+    r2 = run_statement("property-suites", DEFAULT_SEED)
+    assert json.dumps(r1.as_dict()) == json.dumps(r2.as_dict())
+
+
+def test_failing_case_is_plain_json(monkeypatch):
+    _only_battery(monkeypatch, "diag_invariance")
+    monkeypatch.setattr(verify, "is_isometric_q", lambda q1, q2: False)
+    r = run_statement("property-suites", DEFAULT_SEED)
+    c = r.computed["diag_invariance"]
+    assert r.verdict == "fail" and c["failures"] == 100
+    gram = r.as_dict()["computed"]["diag_invariance"]["first_failure"]["case"]["gram"]
+    assert len(gram) == 6 and all(isinstance(x, str) for row in gram for x in row)
+    assert all(int(x) in range(-5, 6) for row in gram for x in row)
+
+
+@pytest.mark.parametrize("battery, target", [
+    ("reciprocity", "cup"), ("pin_proportionality", "pin_product_sign")])
+def test_battery_counts_only_its_own_error(monkeypatch, battery, target):
+    # any other exception is an error of the statement, not a counted failure
+    _only_battery(monkeypatch, battery)
+
+    def boom(*args, **kwargs):
+        raise ZeroDivisionError("not a counted failure")
+
+    monkeypatch.setattr(verify, target, boom)
+    r = run_statement("property-suites", DEFAULT_SEED)
+    assert r.verdict == "fail"
+    assert r.computed == {"error": "ZeroDivisionError: not a counted failure"}
+
+
+def test_battery_without_cases_fails(monkeypatch):
+    monkeypatch.setattr(verify, "_BATTERIES", (
+        ("empty", lambda rng: verify._tally(iter(()), lambda: True)),))
+    r = run_statement("property-suites", DEFAULT_SEED)
+    assert r.computed == {"empty": {"trials": 0, "failures": 0}}
+    assert r.verdict == "fail"
 
 
 def test_unknown_statement_raises():
