@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -67,6 +68,14 @@ def _emit(obj, pretty: bool) -> None:
 
 
 def _fraction(text: str) -> Fraction:
+    """text as a Fraction.  Its decimal exponent is held to the digit
+    limit that int() applies to --poly coefficients and JSON integers:
+    1e100000 would be a 100,001-digit entry for factorint."""
+    limit = sys.int_info.default_max_str_digits
+    exp = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", text)
+    if exp and abs(int(exp[1])) > limit:
+        raise ValueError(f"decimal exponent in {text!r} exceeds "
+                         f"sys.int_info.default_max_str_digits = {limit}")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -141,14 +150,7 @@ def _load_cocycle(G, spec: str) -> Cocycle2:
     if len(bits) != n * n or set(bits) - {"0", "1"}:
         raise ValueError(
             f"cocycle file must hold exactly {n}x{n} ASCII bits")
-    rows = []
-    for g in range(n):
-        row = 0
-        for h in range(n):
-            if bits[g * n + h] == "1":
-                row |= 1 << h
-        rows.append(row)
-    return Cocycle2(G, tuple(rows))
+    return Cocycle2(G, int(bits[::-1], 2))
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +233,8 @@ def _cmd_pin_cocycle(args) -> int:
     }
     if res.cocycle is not None:
         n = G.order
-        out["cocycle_bits"] = [
-            format(res.cocycle.rows[g], f"0{n}b")[::-1] for g in range(n)]
+        flat = format(res.cocycle.bits, f"0{n * n}b")[::-1]
+        out["cocycle_bits"] = [flat[g * n:(g + 1) * n] for g in range(n)]
         if n <= H2_CAP:
             out["coboundary"] = h2(G).is_coboundary(res.cocycle)
     _emit(out, args.pretty)

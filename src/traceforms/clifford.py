@@ -251,8 +251,7 @@ def pin_cocycle(G: Group, involutions_only: bool = False) -> PinCocycleResult:
                 walk.append(hs)
                 cs = col[s]
                 col[hs] = [col[h][g] ^ cs[t[g][h]] ^ cs[h] for g in range(n)]
-    rows = tuple(sum(col[h][g] << h for h in range(n)) for g in range(n))
-    c = Cocycle2(G, rows)
+    c = Cocycle2(G, sum(col[h][g] << (g * n + h) for g in range(n) for h in range(n)))
     c.validate()
     signs = {g: -1 if c.value(g, g) else 1 for g in G.involutions()}
     return PinCocycleResult(G, c, signs, False)

@@ -6,13 +6,15 @@ A normalized 2-cocycle c on G satisfies c(e,.) = c(.,e) = 0 and
 
     c(g,h) + c(gh,k) + c(h,k) + c(g,hk) = 0     (over F2).
 
-Cocycles are stored as one bit row per group element; the linear algebra
-runs on flat vectors indexed by pairs of non-identity elements.
+A 2-cochain is one integer whose bit g·n + h is c(g, h), the row-major
+order of a `--cocycle` file; the GF(2) solver and H2Basis work on that
+same integer.
 
 The identity only has to hold at g in a generating set S of G, so the
-cocycle space is solved from |S|·(n-1)² equations in place of (n-1)³,
-and validate checks as many.  For a normalized 2-cochain c, give G×F2
-the product (g,a)(h,b) = (gh, a+b+c(g,h)).  Then
+cocycle space is solved from |S|·(n-1)² equations (and 2n-1 one-bit
+ones for row e and column e) in place of (n-1)³, and validate checks as
+many.  For a normalized 2-cochain c, give G×F2 the product
+(g,a)(h,b) = (gh, a+b+c(g,h)).  Then
 
     ((g,a)(h,b))(k,d) and (g,a)((h,b)(k,d))
 
@@ -48,20 +50,18 @@ class CohomologyError(ValueError):
 @dataclass(frozen=True)
 class Cocycle2:
     group: Group
-    rows: tuple[int, ...]  # bit h of rows[g] is c(g, h)
+    bits: int  # bit g·n + h is c(g, h)
 
     def __post_init__(self):
         n = self.group.order
-        if len(self.rows) != n:
-            raise CohomologyError("row count does not match group order")
-        mask = (1 << n) - 1
-        if any(r & ~mask for r in self.rows):
+        if self.bits >> (n * n):  # negative bits shift to -1
             raise CohomologyError("cocycle bits out of range")
-        if self.rows[0] != 0 or any(r & 1 for r in self.rows):
+        column_e = ((1 << n * n) - 1) // ((1 << n) - 1)  # bit g·n for each g
+        if self.bits & (column_e | ((1 << n) - 1)):
             raise CohomologyError("cocycle is not normalized")
 
     def value(self, g: int, h: int) -> int:
-        return (self.rows[g] >> h) & 1
+        return (self.bits >> (g * self.group.order + h)) & 1
 
     def validate(self) -> None:
         """Check the cocycle identity at g in the generating set; for a
@@ -79,51 +79,29 @@ class Cocycle2:
     def add(self, other: "Cocycle2") -> "Cocycle2":
         if other.group is not self.group:
             raise CohomologyError("cocycles live on different groups")
-        return Cocycle2(self.group, tuple(a ^ b for a, b in zip(self.rows, other.rows)))
+        return Cocycle2(self.group, self.bits ^ other.bits)
 
     def diagonal(self) -> tuple[int, ...]:
         """Values c(g, g) at the involutions of G, in increasing index order."""
         return tuple(self.value(g, g) for g in self.group.involutions())
 
-    def is_zero(self) -> bool:
-        return all(r == 0 for r in self.rows)
-
     @staticmethod
     def zero(G: Group) -> "Cocycle2":
-        return Cocycle2(G, (0,) * G.order)
-
-
-def _vec_of(c: Cocycle2) -> int:
-    n = c.group.order
-    v = 0
-    for g in range(1, n):
-        block = c.rows[g] >> 1  # drop the h = 0 column
-        v |= block << ((g - 1) * (n - 1))
-    return v
-
-
-def _cocycle_from_vec(G: Group, v: int) -> Cocycle2:
-    n = G.order
-    mask = (1 << (n - 1)) - 1
-    rows = [0]
-    for g in range(1, n):
-        block = (v >> ((g - 1) * (n - 1))) & mask
-        rows.append(block << 1)
-    return Cocycle2(G, tuple(rows))
+        return Cocycle2(G, 0)
 
 
 def delta1(G: Group, b_bits: int) -> Cocycle2:
     """Coboundary of the 1-cochain b with b(e) = 0; bit g of b_bits is b(g)."""
     n = G.order
-    rows = [0]
+    bits = 0
     for g in range(1, n):
         bg = (b_bits >> g) & 1
         row = 0
         for h in range(1, n):
             bit = bg ^ ((b_bits >> h) & 1) ^ ((b_bits >> G.table[g][h]) & 1)
             row |= bit << h
-        rows.append(row)
-    return Cocycle2(G, tuple(rows))
+        bits |= row << (g * n)
+    return Cocycle2(G, bits)
 
 
 def _check_cap(G: Group) -> None:
@@ -134,33 +112,23 @@ def _check_cap(G: Group) -> None:
 def cocycle_space(G: Group) -> list[Cocycle2]:
     """Basis of the space of normalized 2-cocycles, in the order
     gf2.nullspace gives (it depends only on the space).  The identity is
-    imposed at g in a generating set only; see the module docstring."""
+    imposed at g in a generating set only; see the module docstring.
+    Row e and column e are pivots of their one-bit equations, and
+    (g, h) -> g·n + h keeps the order of the other cells, so the free
+    columns and the basis are those of an index over g, h != e alone."""
     _check_cap(G)
     n = G.order
-    if n == 1:
-        return []
     t = G.table
-    w = n - 1
-
-    def bit(g, h):  # unknown index for g, h >= 1
-        return 1 << ((g - 1) * w + (h - 1))
-
-    rows = set()
+    # c(e, .) = c(., e) = 0, one cell each
+    rows = {1 << h for h in range(n)} | {1 << (g * n) for g in range(n)}
     for g in generating_set(G):
         for h in range(1, n):
             gh = t[g][h]
-            base = bit(g, h)
+            base = 1 << (g * n + h)
             for k in range(1, n):
-                row = base
-                if gh != 0:
-                    row ^= bit(gh, k)
-                row ^= bit(h, k)
-                hk = t[h][k]
-                if hk != 0:
-                    row ^= bit(g, hk)
-                if row:
-                    rows.add(row)
-    return [_cocycle_from_vec(G, v) for v in gf2.nullspace(rows, w * w)]
+                rows.add(base ^ (1 << (gh * n + k)) ^ (1 << (h * n + k))
+                         ^ (1 << (g * n + t[h][k])))
+    return [Cocycle2(G, v) for v in gf2.nullspace(rows, n * n)]
 
 
 def coboundary_generators(G: Group) -> list[Cocycle2]:
@@ -177,13 +145,13 @@ class H2Basis:
         self.group = G
         self._b2: dict[int, int] = {}
         for c in coboundary_generators(G):
-            gf2.echelon_insert(self._b2, _vec_of(c))
+            gf2.echelon_insert(self._b2, c.bits)
         self._reps: list[int] = []
         self._rep_pivot: dict[int, int] = {}
         self._z_dim = 0
         for z in cocycle_space(G):
             self._z_dim += 1
-            resid, _ = self._reduce(_vec_of(z))
+            resid, _ = self._reduce(z.bits)
             if resid:
                 idx = len(self._reps)
                 self._reps.append(resid)
@@ -220,7 +188,7 @@ class H2Basis:
         """Coordinate bitmask of the class of c in the chosen basis."""
         if c.group is not self.group:
             raise CohomologyError("cocycle lives on a different group")
-        residue, mask = self._reduce(_vec_of(c))
+        residue, mask = self._reduce(c.bits)
         if residue:
             raise CohomologyError("vector is not in the cocycle space")
         return mask
@@ -235,7 +203,7 @@ class H2Basis:
         for i in range(self.dim):
             if (mask >> i) & 1:
                 v ^= self._reps[i]
-        return CohClass(self, mask, _cocycle_from_vec(self.group, v))
+        return CohClass(self, mask, Cocycle2(self.group, v))
 
     def class_of(self, c: Cocycle2) -> "CohClass":
         return self.class_from_coords(self.coords(c))
@@ -373,7 +341,7 @@ def class_of_extension(E: CentralExt, rng=None) -> CohClass:
         fib = E.fiber(g)
         sec[g] = rng.choice(fib) if rng is not None else min(fib)
     tt = E.total.table
-    rows = [0]
+    bits = 0
     for g in range(1, n):
         row = 0
         for h in range(1, n):
@@ -386,8 +354,8 @@ def class_of_extension(E: CentralExt, rng=None) -> CohClass:
             else:
                 raise CohomologyError("section product escaped the fiber")
             row |= bit << h
-        rows.append(row)
-    c = Cocycle2(G, tuple(rows))
+        bits |= row << (g * n)
+    c = Cocycle2(G, bits)
     c.validate()
     return h2(G).class_of(c)
 

@@ -104,25 +104,6 @@ class MonicPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __str__(self):
-        bits = []
-        d = self.degree
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            e = d - i
-            xs = "" if e == 0 else ("x" if e == 1 else f"x^{e}")
-            if not xs:
-                bits.append(f"{c:+d}")
-            elif c == 1:
-                bits.append(f"+{xs}")
-            elif c == -1:
-                bits.append(f"-{xs}")
-            else:
-                bits.append(f"{c:+d}{xs}")
-        s = "".join(bits)
-        return s[1:] if s.startswith("+") else s
-
 
 def power_sums(f: MonicPoly, count: int) -> tuple[int, ...]:
     """p_0, ..., p_(count-1), where p_k is the sum of k-th powers of the

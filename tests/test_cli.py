@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import random
@@ -471,3 +472,119 @@ def test_usage_errors_repeat_on_a_reused_parser(capsys, argv):
         assert exc.value.code == 2
         errs.append(capsys.readouterr().err)
     assert errs[0].startswith("usage: traceforms") and len(set(errs)) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["form", "--entries", "1e100000"],
+    ["form", "--entries", "2", "--isometric-to", "1E-4301"],
+    ["form", "--gram", "GRAM"],
+])
+def test_decimal_exponent_beyond_int_digit_limit_exits_2(tmp_path, argv):
+    # 1e100000 used to reach factorint as a 100,001-digit integer (> 30 s)
+    g = tmp_path / "gram.json"
+    g.write_text('[["1e1_0000", "0"], ["0", "1"]]')
+    argv = [str(g) if a == "GRAM" else a for a in argv]
+    proc, elapsed = _run_limited(argv, timeout=30)
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert elapsed < 2, elapsed
+    limit = sys.int_info.default_max_str_digits
+    assert f"sys.int_info.default_max_str_digits = {limit}" in proc.stderr
+
+
+def test_decimal_exponent_at_int_digit_limit_finishes():
+    limit = sys.int_info.default_max_str_digits
+    proc, elapsed = _run_limited(["form", "--entries", f"1e{limit},1e-{limit}"])
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 10, elapsed
+    assert json.loads(proc.stdout)["disc"] == 1
+
+
+_SMALL_GROUPS = (
+    [f"catalog:cyclic:{k}" for k in range(1, 13)]
+    + [f"catalog:dihedral:{k}" for k in range(2, 13, 2)]
+    + [f"catalog:elem_abelian_2:{k}" for k in range(4)]
+    + [f"catalog:sym:{k}" for k in range(4)]
+    + [f"catalog:alt:{k}" for k in range(5)]
+    + ["catalog:quaternion8", "catalog:Z4xZ2"]
+    + ["perms:(0 1 2 3),(0 2)",  # D8
+       "perms:(0 1 2 3)(4 5 6 7),(0 4 2 6)(1 7 3 5)",  # Q8
+       "perms:(0 1),(2 3),(4 5)",  # C2^3
+       "perms:(0 1 2 3 4),(1 4)(2 3)",  # D10
+       "perms:(0 1 2 3 4 5),(1 5)(2 4)",  # D12
+       "perms:(0 1 2),(0 1)(2 3)",  # A4
+       "perms:(0 1 2 3)(4 5 6)",  # C12
+       "perms:(0 1 2),(0 1)"])  # S3
+
+
+def _breaks_identity(G, rows):
+    """Whether the table c(g, h) = rows[g][h] fails the cocycle identity
+    on some triple."""
+    n, t = G.order, G.table
+    c = [[int(b) for b in r] for r in rows]
+    return any(c[g][h] ^ c[t[g][h]][k] ^ c[h][k] ^ c[g][t[h][k]]
+               for g in range(n) for h in range(n) for k in range(n))
+
+
+@pytest.mark.parametrize("spec", _SMALL_GROUPS)
+def test_pin_cocycle_bits_round_trip_through_a_cocycle_file(capsys, tmp_path, spec):
+    # the README says the cocycle_bits rows concatenate into a --cocycle file
+    code, out, err = run_cli(capsys, "pin-cocycle", "--group", spec)
+    assert code == 0, err
+    pin = json.loads(out)
+    rows = pin["cocycle_bits"]
+    n = len(rows)
+
+    def extension(table):
+        f = tmp_path / "c.txt"
+        f.write_text("\n".join(table) + "\n")
+        return run_cli(capsys, "extension", "--group", spec, "--cocycle", str(f))
+
+    def flipped(g, h):
+        return [r[:h] + "10"[int(r[h])] + r[h + 1:] if i == g else r
+                for i, r in enumerate(rows)]
+
+    code, out, err = extension(rows)
+    assert code == 0, err
+    ext = json.loads(out)
+    assert ext["class_is_coboundary"] == pin["coboundary"]
+    assert ext["s_diagonal"] == pin["s_vector"]
+    code, out, err = extension(flipped(0, n - 1))
+    assert code == 2 and out == "" and "not normalized" in err
+    # in C1 and C2 every inner flip is still a cocycle
+    G = groups.group_from_spec(spec)
+    broken = next((f for f in (flipped(g, h) for g in range(1, n) for h in range(1, n))
+                   if _breaks_identity(G, f)), None)
+    assert (broken is None) == (n <= 2), spec
+    if broken is not None:
+        code, out, err = extension(broken)
+        assert code == 2 and out == "" and "cocycle identity fails" in err
+
+
+# (spec, pin-cocycle options): the full sign table up to order 12, the
+# involution diagonal up to 24, neither above
+_GOLDEN_GROUPS = [
+    ("catalog:cyclic:2", []), ("catalog:cyclic:4", []),
+    ("catalog:elem_abelian_2:2", []), ("catalog:quaternion8", []),
+    ("catalog:Z4xZ2", []), ("catalog:elem_abelian_2:3", []),
+    ("catalog:dihedral:12", []), ("catalog:alt:4", []),
+    ("perms:(0 1 2 3 4 5),(1 5)(2 4)", []), ("perms:(0 1 2 3),(0 2)", []),
+    ("catalog:quat_cover", ["--involutions-only"]),
+    ("catalog:sym:4", ["--involutions-only"]),
+    ("perms:(0 1 2 3),(0 1),(4 5)", None),
+]
+# sha256 of the outputs below as the row-tuple encoding of 2-cochains
+# printed them; it pins every basis, coordinate and sign table
+_GOLDEN_DIGEST = "14866bfc340f4188feca10e87c31ce67e4c3ef81041892f3748e47cfb84315ff"
+
+
+def test_cohomology_outputs_match_golden_digest(capsys):
+    digest = hashlib.sha256()
+    for spec, pin in _GOLDEN_GROUPS:
+        runs = [["h2"], ["kers"], ["extension", "--cocycle", "basis:0"]]
+        if pin is not None:
+            runs.append(["pin-cocycle", *pin])
+        for verb, *rest in runs:
+            code, out, err = run_cli(capsys, verb, "--group", spec, *rest)
+            assert code == 0, (verb, spec, err)
+            digest.update(out.encode())
+    assert digest.hexdigest() == _GOLDEN_DIGEST

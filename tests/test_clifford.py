@@ -228,11 +228,10 @@ def test_pin_cocycle_matches_algebra_oracle():
         n = G.order
         rows_of = left_regular(G)
         lifts = [times_lift(CliffordElt.scalar(n, 1), r) for r in rows_of]
-        rows = tuple(
-            sum(_algebra_sign(times_lift(lifts[g], rows_of[h]),
-                              lifts[G.table[g][h]]) << h for h in range(n))
-            for g in range(n))
-        assert pin_cocycle(G).cocycle.rows == rows, (key, param)
+        bits = sum(_algebra_sign(times_lift(lifts[g], rows_of[h]),
+                                 lifts[G.table[g][h]]) << (g * n + h)
+                   for g in range(n) for h in range(n))
+        assert pin_cocycle(G).cocycle.bits == bits, (key, param)
 
 
 def test_pin_product_sign_matches_algebra_oracle():
@@ -437,32 +436,31 @@ SPECS_UP_TO_12 = (
        "perms:(0 1 2 3 4 5 6 7 8 9)"])  # C10
 
 
-def _all_pairs_rows(G):
-    """The retired loop: one fold per pair (g, h)."""
+def _all_pairs_bits(G):
+    """The retired loop: one fold per pair (g, h); bit g·n + h is c(g, h)."""
     n = G.order
     rows_of = left_regular(G)
     factor_lists = [transposition_factors(rows_of[g]) for g in range(n)]
     k = [len(fl) for fl in factor_lists]
     folds = [_fold_factors({0: 1}, fl) for fl in factor_lists]
-    rows = []
+    bits = 0
     for g in range(n):
-        row = 0
         for h in range(1, n):
             gh = G.table[g][h]
             z = _fold_factors(folds[g], factor_lists[h])
-            row |= _sign_bit(z, folds[gh], k[g] + k[h] - k[gh]) << h
-        rows.append(row)
-    return tuple(rows)
+            bits |= _sign_bit(z, folds[gh], k[g] + k[h] - k[gh]) << (g * n + h)
+    return bits
 
 
 def test_pin_cocycle_matches_all_pairs_oracle():
     for spec in SPECS_UP_TO_12:
         G = group_from_spec(spec)
         assert G.order <= 12
-        rows = _all_pairs_rows(G)
+        n = G.order
+        bits = _all_pairs_bits(G)
         res = pin_cocycle(G)
-        assert res.cocycle.rows == rows, spec
-        squares = {g: -1 if (rows[g] >> g) & 1 else 1 for g in G.involutions()}
+        assert res.cocycle.bits == bits, spec
+        squares = {g: -1 if (bits >> (g * n + g)) & 1 else 1 for g in G.involutions()}
         assert res.square_signs == squares, spec
 
 

@@ -18,8 +18,6 @@ from traceforms.cohomology import (
     ker_s,
     s_map,
     two_lift_property,
-    _cocycle_from_vec,
-    _vec_of,
 )
 from traceforms.groups import catalog, generating_set, group_from_spec
 
@@ -77,6 +75,14 @@ def _all_triples_cocycle_vectors(G):
     return gf2.nullspace(rows, w * w)
 
 
+def _from_oracle_index(n, v):
+    """A vector in the oracle's index (g-1)(n-1) + (h-1), g, h >= 1, as
+    Cocycle2 bits (bit g·n + h)."""
+    w = n - 1
+    return sum(((v >> ((g - 1) * w + (h - 1))) & 1) << (g * n + h)
+               for g in range(1, n) for h in range(1, n))
+
+
 _ORACLE_CATALOG = (
     [("cyclic", k) for k in (2, 3, 4, 6, 8, 12, 16, 32)]
     + [("dihedral", k) for k in (4, 6, 8, 10, 12, 16, 24, 32)]
@@ -99,8 +105,9 @@ def test_generator_system_matches_all_triples_oracle():
     groups = [_cat(name, param) for name, param in _ORACLE_CATALOG]
     groups += [group_from_spec(spec) for spec in _ORACLE_PERMS]
     for G in groups:
-        got = [_vec_of(c) for c in cocycle_space(G)]
-        assert got == _all_triples_cocycle_vectors(G), G.name or G.order
+        got = [c.bits for c in cocycle_space(G)]
+        want = [_from_oracle_index(G.order, v) for v in _all_triples_cocycle_vectors(G)]
+        assert got == want, G.name or G.order
 
 
 def test_coboundary_dim_is_order_minus_rank_of_delta():
@@ -223,12 +230,12 @@ def test_central_extension_validation_errors():
 
 def test_cocycle_validation_rejects_garbage():
     G = catalog("cyclic", 4)
-    bad = Cocycle2(G, (0, 2, 0, 0))  # c(1,1)=1 alone is not a cocycle
+    bad = Cocycle2(G, 1 << (1 * 4 + 1))  # c(1,1)=1 alone is not a cocycle
     with pytest.raises(CohomologyError):
         bad.validate()
     zero = Cocycle2.zero(G)
     zero.validate()
-    assert zero.is_zero()
+    assert zero.bits == 0
 
 
 def test_nontrivial_class_gives_nonsplit_group():
@@ -257,7 +264,7 @@ def _validate_agrees(c):
     except CohomologyError:
         got = False
     want = _all_triples_identity_holds(c)
-    assert got == want, (c.group.name or c.group.order, c.rows)
+    assert got == want, (c.group.name or c.group.order, c.bits)
     return want
 
 
@@ -283,10 +290,11 @@ def test_validate_matches_all_triples_oracle():
     groups += [group_from_spec(spec) for spec in _ORACLE_PERMS[:1] + _ORACLE_PERMS[2:]]
     outcomes = set()
     for G in groups:
-        w = G.order - 1
-        basis = [_vec_of(z) for z in cocycle_space(G)]
+        n, w = G.order, G.order - 1
+        basis = [z.bits for z in cocycle_space(G)]
         S = generating_set(G)
-        partial = [gf2.nullspace(_identity_rows_at(G, S[:i] + S[i + 1:]), w * w)
+        partial = [[_from_oracle_index(n, v) for v in
+                    gf2.nullspace(_identity_rows_at(G, S[:i] + S[i + 1:]), w * w)]
                    for i in range(len(S))] if len(S) > 1 else []
         for trial in range(16):
             v = 0
@@ -294,25 +302,27 @@ def test_validate_matches_all_triples_oracle():
                 if rng.getrandbits(1):
                     v ^= z
             if trial % 4 == 1:
-                v ^= 1 << rng.randrange(w * w)
+                v ^= _from_oracle_index(n, 1 << rng.randrange(w * w))
             elif trial % 4 == 2:
-                v ^= (1 << rng.randrange(w * w)) ^ (1 << rng.randrange(w * w))
+                v ^= _from_oracle_index(n, (1 << rng.randrange(w * w))
+                                        ^ (1 << rng.randrange(w * w)))
             elif trial % 4 == 3:
-                v = rng.getrandbits(w * w)
-            outcomes.add(_validate_agrees(_cocycle_from_vec(G, v)))
+                v = _from_oracle_index(n, rng.getrandbits(w * w))
+            outcomes.add(_validate_agrees(Cocycle2(G, v)))
         for space in partial:
             for _ in range(4):
                 v = 0
                 for z in space:
                     if rng.getrandbits(1):
                         v ^= z
-                outcomes.add(_validate_agrees(_cocycle_from_vec(G, v)))
+                outcomes.add(_validate_agrees(Cocycle2(G, v)))
     assert outcomes == {True, False}
 
 
 def test_validate_matches_all_triples_oracle_exhaustively_at_order_4():
     for G in (catalog("cyclic", 4), catalog("elem_abelian_2", 2)):
-        valid = sum(_validate_agrees(_cocycle_from_vec(G, v)) for v in range(1 << 9))
+        valid = sum(_validate_agrees(Cocycle2(G, _from_oracle_index(4, v)))
+                    for v in range(1 << 9))
         assert valid == 1 << len(cocycle_space(G))
 
 

@@ -70,7 +70,6 @@ def test_monic_poly_validation():
         MonicPoly((1, 0, -2, 0, 1))    # (x²-1)² is inseparable
     with pytest.raises(GaloisError):
         MonicPoly((1,))                # degree 0
-    MonicPoly((1, 0, -2)).__str__()
 
 
 def _poly_mul(a, b):
