@@ -125,8 +125,10 @@ def _json_int(x, what: str) -> int:
 
 
 def _load_gram(path: str) -> list[list[Fraction]]:
+    # a JSON number with a fraction or exponent stays text, so _fraction
+    # reads it exactly, with its exponent bound, and never as a float
     with open(path, encoding="ascii") as fh:
-        data = json.load(fh)
+        data = json.load(fh, parse_float=str)
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise ValueError("Gram JSON must be a list of rows")
     m = [[_fraction(str(x)) for x in row] for row in data]

@@ -29,11 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import perms
-from .cohomology import Cocycle2
+from .cohomology import Cocycle2, cochains_from_columns
 from .groups import Group, generating_set, left_regular
 
 CLIFFORD_RANK_CAP = 24   # largest number of generators accepted
 FULL_PIN_CAP = 12        # largest group order for the full sign table
+# largest 2^min(k, n) that pin_lift and pin_product_sign fold: a fold of
+# k factors on rank n has at most that many terms.  A 17-cycle's lift
+# (2^16 terms) takes about 0.8 s; a 20-cycle's took 7 s and 200 MB.
+FOLD_TERMS_CAP = 1 << 16
 
 
 class CliffordError(ValueError):
@@ -142,12 +146,20 @@ def _padded(ps, n: int | None) -> list[perms.Perm]:
     return [tuple(p) + tuple(range(len(p), n)) for p in ps]
 
 
+def _check_fold_size(k: int, n: int) -> None:
+    """Refuse a fold of k factors on rank n above FOLD_TERMS_CAP terms."""
+    if 1 << min(k, n) > FOLD_TERMS_CAP:
+        raise CliffordError(f"a fold of {k} factors on rank {n} may reach "
+                            f"2^{min(k, n)} terms, above FOLD_TERMS_CAP = {FOLD_TERMS_CAP}")
+
+
 def pin_lift(p: perms.Perm, n: int | None = None) -> tuple[int, dict[int, int]]:
     """Pin lift of the permutation p acting on n coordinates, as (k, z):
     the lift is (1/sqrt 2)^k z, with z the integer fold of its k factors.
     Raises CliffordError unless _check_fold proves it."""
     q, = _padded([p], n)
     factors = transposition_factors(q)
+    _check_fold_size(len(factors), len(q))
     z = _fold_factors({0: 1}, factors)
     _check_fold(z, factors, q)
     return len(factors), z
@@ -191,6 +203,7 @@ def pin_product_sign(p: perms.Perm, q: perms.Perm, n: int | None = None) -> int:
     pp, qq = _padded([p, q], n)
     fp = transposition_factors(pp)
     fq = transposition_factors(qq)
+    _check_fold_size(len(fp) + len(fq), len(pp))
     z = _fold_factors(_fold_factors({0: 1}, fp), fq)
     fc = transposition_factors(perms.compose(pp, qq))
     return _sign_bit(z, _fold_factors({0: 1}, fc), len(fp) + len(fq) - len(fc))
@@ -209,8 +222,8 @@ def pin_cocycle(G: Group, involutions_only: bool = False) -> PinCocycleResult:
 
     The full table folds only the columns of a generating set S: c(x, s)
     for x != e and s in S, each read off a fold by _sign_bit.  Every other
-    column follows from a column h already known, along a breadth-first
-    walk from e by right multiplication by S:
+    column follows from a column h already known, along the breadth-first
+    walk from e by right multiplication by S (cochains_from_columns):
 
         c(g, hs) = c(g, h) + c(gh, s) + c(h, s).
 
@@ -235,23 +248,11 @@ def pin_cocycle(G: Group, involutions_only: bool = False) -> PinCocycleResult:
     factor_lists = [transposition_factors(rows_of[g]) for g in range(n)]
     k = [len(fl) for fl in factor_lists]
     folds = [_fold_factors({0: 1}, fl) for fl in factor_lists]
-    S = generating_set(G)
-    col: list[list[int] | None] = [None] * n  # col[h][g] = c(g, h)
-    col[0] = [0] * n
-    for s in S:
-        col[s] = [0] + [
-            _sign_bit(_fold_factors(folds[x], factor_lists[s]),
-                      folds[t[x][s]], k[x] + k[s] - k[t[x][s]])
-            for x in range(1, n)]
-    walk = [0]
-    for h in walk:
-        for s in S:
-            hs = t[h][s]
-            if hs not in walk:
-                walk.append(hs)
-                cs = col[s]
-                col[hs] = [col[h][g] ^ cs[t[g][h]] ^ cs[h] for g in range(n)]
-    c = Cocycle2(G, sum(col[h][g] << (g * n + h) for g in range(n) for h in range(n)))
+    columns = {s: [0] + [
+        _sign_bit(_fold_factors(folds[x], factor_lists[s]),
+                  folds[t[x][s]], k[x] + k[s] - k[t[x][s]])
+        for x in range(1, n)] for s in generating_set(G)}
+    c = Cocycle2(G, cochains_from_columns(G, columns, 1)[0])
     c.validate()
     signs = {g: -1 if c.value(g, g) else 1 for g in G.involutions()}
     return PinCocycleResult(G, c, signs, False)

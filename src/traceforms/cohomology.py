@@ -7,13 +7,11 @@ A normalized 2-cocycle c on G satisfies c(e,.) = c(.,e) = 0 and
     c(g,h) + c(gh,k) + c(h,k) + c(g,hk) = 0     (over F2).
 
 A 2-cochain is one integer whose bit g·n + h is c(g, h), the row-major
-order of a `--cocycle` file; the GF(2) solver and H2Basis work on that
-same integer.
+order of a `--cocycle` file; cocycle_space returns, and H2Basis
+reduces, that same integer.
 
-The identity only has to hold at g in a generating set S of G, so the
-cocycle space is solved from |S|·(n-1)² equations (and 2n-1 one-bit
-ones for row e and column e) in place of (n-1)³, and validate checks as
-many.  For a normalized 2-cochain c, give G×F2 the product
+validate checks the identity only at g in a generating set S of G.
+For a normalized 2-cochain c, give G×F2 the product
 (g,a)(h,b) = (gh, a+b+c(g,h)).  Then
 
     ((g,a)(h,b))(k,d) and (g,a)((h,b)(k,d))
@@ -23,6 +21,38 @@ the left nucleus iff δc(g,·,·) = 0.  The nucleus holds (e,1), because c
 is normalized, and right multiplication by (e,1) and the (s,0) reaches
 every element from (e,0).  So by the left-nucleus lemma (groups module
 docstring) δc vanishes on all triples once it vanishes at S.
+
+The same holds on the right, and cocycle_space solves for c from it.
+(k,d) lies in the right nucleus {z : (xy)z = x(yz) for all x, y} iff
+δc(·,·,k) = 0.  The right nucleus is closed under products: for z, z'
+in it, (xy)(zz') = ((xy)z)z' = (x(yz))z' = x((yz)z') = x(y(zz')).  It
+holds (e,1), since δc(g,h,e) = 0 for normalized c, and every element
+is (e,a)(s1,0)...(sk,0) for some si in S.  So c is a cocycle once
+δc(g,h,s) = 0 for all g, h and s in S.  Read as
+
+    c(g, hs) = c(g, h) + c(gh, s) + c(h, s),
+
+that fixes every column c(·, x) along a breadth-first walk of the
+Cayley graph from e by right multiplication by S (groups.cayley_walk):
+x = hs is reached first by one tree edge (h, s) with column h known.
+A tree edge (e, s) gives column s back, and the filled cochain is
+normalized: column e is 0 and c(e, hs) = c(e, h) = 0.  The unknowns
+are therefore the |S|·(n-1) generator columns c(g, s), g != e, in
+place of n² cells, and what is left to impose is δc(g,h,s) = 0 at the
+other edges (h, s), whose end hs was reached before.
+
+Those equations are needed only at g = a in S, |S| per edge instead of
+n - 1.  Write f = δc.  Like every coboundary, f has δf = 0, which at
+(a, g, h, s) reads
+
+    f(g,h,s) + f(ag,h,s) + f(a,gh,s) + f(a,g,hs) + f(a,g,h) = 0.
+
+So the normalized 2-cochain f_a = f(a,·,·) has
+δf_a(g,h,s) = f(a,h,s) + f(g,h,s) + f(ag,h,s), which is 0 at every
+tree edge (h, s): f_a obeys the fill rule as c does, and it is 0 once
+its generator columns f(a,·,s) are.  For a in S they are, at the tree
+edges by the fill and at the other edges by the equations.  So S lies
+in the left nucleus, and δc = 0 by the left-nucleus lemma, as above.
 """
 from __future__ import annotations
 
@@ -33,6 +63,7 @@ from . import gf2
 from .groups import (
     Group,
     SubgroupHandle,
+    cayley_walk,
     generating_set,
     quotient_with_map,
 )
@@ -109,31 +140,76 @@ def _check_cap(G: Group) -> None:
         raise CohomologyError(f"group order {G.order} exceeds H2_CAP = {H2_CAP}")
 
 
+def _fill(G: Group, tree, columns: dict[int, list[int]], at) -> list[list[int]]:
+    """col[x][i] = c(at[i], x) for every x, from the generator columns
+    columns[s][g] = c(g, s) (all g, with columns[s][0] = 0), along the
+    tree edges (h, s): c(g, hs) = c(g, h) + c(gh, s) + c(h, s).  A tree
+    edge (e, s) gives column s back.  The entries are ints added
+    bitwise, so one pass fills many cochains at once, or linear forms
+    in the unknowns."""
+    t = G.table
+    col = [[0] * len(at)] * G.order  # entries not yet filled stay shared
+    for h, s in tree:
+        cs = columns[s]
+        c_hs = cs[h]
+        col[t[h][s]] = [a ^ cs[t[g][h]] ^ c_hs for a, g in zip(col[h], at)]
+    return col
+
+
+def cochains_from_columns(G: Group, columns: dict[int, list[int]],
+                          count: int) -> list[int]:
+    """The bits of `count` normalized cochains filled from generator
+    columns given bit-sliced: bit i of columns[s][g] is c_i(g, s).
+    Each c_i satisfies δc_i(g, h, s) = 0 on the tree edges (h, s) of
+    cayley_walk; it is a cocycle when that holds on the other edges too
+    (module docstring)."""
+    tree, _ = cayley_walk(G)
+    n = G.order
+    col = _fill(G, tree, columns, range(n))
+    return gf2.transpose([x for row in zip(*col) for x in row], count)
+
+
 def cocycle_space(G: Group) -> list[Cocycle2]:
-    """Basis of the space of normalized 2-cocycles, in the order
-    gf2.nullspace gives (it depends only on the space).  The identity is
-    imposed at g in a generating set only; see the module docstring.
-    Row e and column e are pivots of their one-bit equations, and
-    (g, h) -> g·n + h keeps the order of the other cells, so the free
-    columns and the basis are those of an index over g, h != e alone."""
+    """Basis of the space of normalized 2-cocycles: gf2.nullspace's basis
+    of the n²-unknown system (it depends only on the space).  Solved on
+    the |S|·(n-1) generator columns, unknown i·(n-1) + g - 1 being
+    c(g, S[i]), from |S| equations per non-tree edge of cayley_walk
+    (module docstring), which read only the rows a in S.  The solutions
+    are filled out to cochains bit-sliced, all in one pass, and
+    gf2.reduced_basis turns them into that basis."""
     _check_cap(G)
     n = G.order
     t = G.table
-    # c(e, .) = c(., e) = 0, one cell each
-    rows = {1 << h for h in range(n)} | {1 << (g * n) for g in range(n)}
-    for g in generating_set(G):
-        for h in range(1, n):
-            gh = t[g][h]
-            base = 1 << (g * n + h)
-            for k in range(1, n):
-                rows.add(base ^ (1 << (gh * n + k)) ^ (1 << (h * n + k))
-                         ^ (1 << (g * n + t[h][k])))
-    return [Cocycle2(G, v) for v in gf2.nullspace(rows, n * n)]
+    S = generating_set(G)
+    tree, other = cayley_walk(G)
+    w = n - 1
+    unknowns = {s: [0] + [1 << j for j in range(i * w, (i + 1) * w)]
+                for i, s in enumerate(S)}
+    at_S = _fill(G, tree, unknowns, S)  # at_S[x][i] = c(S[i], x)
+    # δc(a, h, s) = 0 for a = S[i] at the other edges (module docstring)
+    rows = {at_S[h][i] ^ unknowns[s][t[a][h]] ^ unknowns[s][h] ^ at_S[t[h][s]][i]
+            for h, s in other for i, a in enumerate(S)}
+    rows.discard(0)
+    solutions = gf2.nullspace(rows, len(S) * w)
+    words = gf2.transpose(solutions, len(S) * w)  # bit i: solution i
+    cochains = cochains_from_columns(
+        G, {s: [0] + words[i * w:(i + 1) * w] for i, s in enumerate(S)},
+        len(solutions))
+    return [Cocycle2(G, v) for v in gf2.reduced_basis(cochains)]
 
 
 def coboundary_generators(G: Group) -> list[Cocycle2]:
-    """The coboundaries of the indicator 1-cochains (not reduced)."""
-    return [delta1(G, 1 << g) for g in range(1, G.order)]
+    """The coboundaries δ1_x of the indicator 1-cochains, x != e (not
+    reduced).  δ1_x(g, h) = [g = x] + [h = x] + [gh = x], so it is the
+    sum of row x, column x and the cells (g, g^-1 x), O(n) each."""
+    n = G.order
+    t = G.table
+    row = (1 << n) - 1
+    column = ((1 << n * n) - 1) // row  # bit g·n for each g
+    inv = [G.inv(g) for g in range(n)]
+    return [Cocycle2(G, (row << (x * n)) ^ (column << x)
+                     ^ sum(1 << (g * n + t[inv[g]][x]) for g in range(n)))
+            for x in range(1, n)]
 
 
 class H2Basis:

@@ -50,3 +50,41 @@ def nullspace(rows, ncols: int) -> list[int]:
                 x |= 1 << c
         basis.append(x)
     return basis
+
+
+def reduced_basis(vectors) -> list[int]:
+    """The basis of the span of vectors that nullspace returns for it:
+    one vector per lowest set bit j occurring in the span, with no other
+    such bit set, in increasing j.  That is nullspace's basis vector for
+    free column j (x_j = 1, the other free entries 0, only pivots above
+    j set), so nullspace(rows, n) == reduced_basis(nullspace(rows, n))
+    and the result depends only on the span."""
+    low: dict[int, int] = {}  # lowest set bit -> vector
+    for v in vectors:
+        while v:
+            j = (v & -v).bit_length() - 1
+            if j not in low:
+                low[j] = v
+                break
+            v ^= low[j]
+    basis: dict[int, int] = {}
+    # from the highest j down: basis[k], k > j, is already zero at every
+    # other key, so clearing bit k of v changes no other key's bit
+    for j in sorted(low, reverse=True):
+        v = low[j]
+        for k, w in basis.items():
+            if (v >> k) & 1:
+                v ^= w
+        basis[j] = v
+    return [basis[j] for j in sorted(basis)]
+
+
+def transpose(rows, ncols: int) -> list[int]:
+    """Columns of the bit matrix whose rows (each below 2^ncols) are
+    given: bit i of column j is bit j of rows[i].  Done by slicing one
+    binary string with stride, not bit by bit: a leading 1 above bit
+    ncols-1 gives every row the same width, "0b1" and ncols digits."""
+    top = 1 << ncols
+    text = "".join(map(bin, [r | top for r in reversed(rows)]))
+    step = ncols + 3
+    return [int(text[step - 1 - j::step] or "0", 2) for j in range(ncols)]

@@ -41,7 +41,7 @@ class GroupError(ValueError):
 
 class Group:
     __slots__ = ("order", "table", "labels", "name", "_inv", "_orders", "_sylow2",
-                 "_gens")
+                 "_gens", "_walk")
 
     def __init__(self, table, labels=None, name: str = ""):
         table = tuple(tuple(row) for row in table)
@@ -66,6 +66,7 @@ class Group:
         self._orders = None
         self._sylow2 = None
         self._gens = None
+        self._walk = None
         # associativity at a generating set suffices: see the module docstring
         for a in generating_set(self):
             ta = table[a]
@@ -262,6 +263,31 @@ def generating_set(G: Group) -> list[int]:
                 span = set(_span(G.table, S))
         G._gens = tuple(S)
     return list(G._gens)
+
+
+def cayley_walk(G: Group) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """The Cayley graph of right multiplication by S = generating_set(G),
+    walked breadth first from 0, once per group and kept on it: the tree
+    edges (h, s), one for each x = hs != 0 in the order first reached
+    (the first |S| are (0, s)), and the other edges (h, s), whose end hs
+    was reached before."""
+    if G._walk is None:
+        t = G.table
+        S = generating_set(G)
+        seen = [True] + [False] * (G.order - 1)
+        walk, tree, other = [0], [], []
+        for h in walk:
+            row = t[h]
+            for s in S:
+                x = row[s]
+                if seen[x]:
+                    other.append((h, s))
+                else:
+                    seen[x] = True
+                    walk.append(x)
+                    tree.append((h, s))
+        G._walk = (tuple(tree), tuple(other))
+    return G._walk
 
 
 def normalizer(H: SubgroupHandle) -> list[int]:

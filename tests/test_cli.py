@@ -252,6 +252,30 @@ def test_malformed_json_payload_exits_2(capsys, tmp_path, verb, payload, match):
     assert err.startswith("error: ") and match in err
 
 
+def test_gram_numbers_are_read_exactly(capsys, tmp_path):
+    """A Gram entry written as a JSON number gives the same bytes as the
+    same entry written as a string: no float in between."""
+    g = tmp_path / "gram.json"
+    outputs = {}
+    for form, payload in [
+            ("number", '[[12345678901234567891.5, 0.25], [0.25, -3e-2]]'),
+            ("string", '[["12345678901234567891.5", "0.25"], ["0.25", "-3e-2"]]')]:
+        g.write_text(payload)
+        code, outputs[form], _ = run_cli(capsys, "form", "--gram", str(g))
+        assert code == 0
+    assert outputs["number"] == outputs["string"]
+    g.write_text("[[12345678901234567891.5]]")  # 24691357802469135783/2
+    code, out, _ = run_cli(capsys, "form", "--gram", str(g))
+    # read as a float it was 12345678901234567168, disc 123456789012345670
+    assert code == 0 and json.loads(out)["disc"] == 2 * 24691357802469135783
+    g.write_text("[[1e400]]")  # 10^400 is a square: an exact read gives 1
+    code, out, _ = run_cli(capsys, "form", "--gram", str(g))
+    assert code == 0 and json.loads(out)["disc"] == 1
+    g.write_text("[[1e5000]]")  # the exponent bound of --entries applies
+    code, _, err = run_cli(capsys, "form", "--gram", str(g))
+    assert code == 2 and "default_max_str_digits" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["form", "--entries", "1/0"],
     ["form", "--entries", "2,-3/0"],

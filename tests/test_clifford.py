@@ -16,6 +16,7 @@ from clifford_oracle import (
 )
 from traceforms import clifford
 from traceforms.clifford import (
+    FOLD_TERMS_CAP,
     CliffordError,
     SignMismatchError,
     _check_fold,
@@ -187,6 +188,33 @@ def test_pin_cocycle_caps():
     # involutions-only mode admits order 24
     res = pin_cocycle(catalog("sym", 4), involutions_only=True)
     assert set(res.square_signs.values()) == {1}
+
+
+def _cycle(n, shift=1):
+    return tuple((i + shift) % n for i in range(n))
+
+
+def test_fold_size_cap_names_the_limit():
+    """Folds whose 2^min(k, n) bound exceeds FOLD_TERMS_CAP are refused
+    before any folding: an 18-cycle's lift (k = 17), and the product of
+    two 17-cycles (k = 32 on rank 17)."""
+    assert FOLD_TERMS_CAP == 1 << 16
+    t0 = time.perf_counter()
+    with pytest.raises(CliffordError, match="FOLD_TERMS_CAP = 65536"):
+        pin_lift(_cycle(18))
+    with pytest.raises(CliffordError, match="2\\^17 terms"):
+        pin_product_sign(_cycle(17), _cycle(17, 3))
+    assert time.perf_counter() - t0 < 1
+    assert pin_lift((1, 0), 24)[0] == 1  # rank 24, but one factor
+
+
+def test_fold_size_cap_admits_rank_12_products():
+    """Degree <= 12, the largest the pin-sign verbs and benchmark use:
+    2^min(k, 12) <= 4096 terms whatever k is."""
+    assert 1 << 12 <= FOLD_TERMS_CAP
+    assert pin_product_sign(_cycle(12), _cycle(12, 5)) in (0, 1)
+    assert pin_product_sign(_cycle(11) + (11,), _cycle(12)) in (0, 1)
+    assert pin_lift(_cycle(12))[0] == 11
 
 
 # -- the Q(sqrt 2) route as an oracle for the integer sign rule --------------

@@ -10,6 +10,7 @@ from traceforms.cohomology import (
     CohomologyError,
     central_extension_from_quotient,
     class_of_extension,
+    coboundary_generators,
     cocycle_space,
     delta1,
     extension_from_cocycle,
@@ -108,6 +109,104 @@ def test_generator_system_matches_all_triples_oracle():
         got = [c.bits for c in cocycle_space(G)]
         want = [_from_oracle_index(G.order, v) for v in _all_triples_cocycle_vectors(G)]
         assert got == want, G.name or G.order
+
+
+def _n2_unknown_cocycle_space(G):
+    """Oracle: the solver cocycle_space used before it solved on generator
+    columns.  All n² cells are unknowns (bit g·n + h is c(g, h)), row e
+    and column e are pinned by one-bit equations, and the identity is
+    imposed at g in the generating set for every h, k: |S|·n² equations."""
+    n, t = G.order, G.table
+    rows = {1 << h for h in range(n)} | {1 << (g * n) for g in range(n)}
+    for g in generating_set(G):
+        for h in range(1, n):
+            gh = t[g][h]
+            base = 1 << (g * n + h)
+            for k in range(1, n):
+                rows.add(base ^ (1 << (gh * n + k)) ^ (1 << (h * n + k))
+                         ^ (1 << (g * n + t[h][k])))
+    return gf2.nullspace(rows, n * n)
+
+
+# every catalog group of order <= 64 (H2_CAP), and the benchmark's
+# perms: group classes
+_CATALOG_TO_64 = (
+    [("cyclic", k) for k in range(1, 65)]
+    + [("dihedral", k) for k in range(2, 65, 2)]
+    + [("elem_abelian_2", k) for k in range(7)]
+    + [("sym", k) for k in range(5)] + [("alt", k) for k in range(6)]
+    + [("quaternion8", None), ("z4xz2", None), ("quat_cover", None)]
+)
+_BENCH_PERMS = (
+    "perms:(0 1 2 3),(0 2)",  # D8
+    "perms:(0 1 2 3)(4 5 6 7),(0 4 2 6)(1 7 3 5)",  # Q8
+    "perms:(0 1 2 3 4 5 6 7)",  # C8
+    "perms:(0 1),(2 3),(4 5)",  # C2^3
+    "perms:(0 1 2 3),(4 5)",  # C4xC2
+    "perms:(0 1 2 3 4),(1 4)(2 3)",  # D10
+    "perms:(0 1 2 3 4 5),(1 5)(2 4)",  # D12
+    "perms:(0 1 2),(0 1)(2 3)",  # A4
+    "perms:(0 1 2 3)(4 5 6)",  # C12
+    "perms:(0 1 2 3 4 5 6 7),(1 7)(2 6)(3 5)",  # D16
+    "perms:(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)",  # C16
+    "perms:(0 1 2 3),(4 5 6 7)",  # C4xC4
+    "perms:(0 1 2 3),(0 2),(4 5)",  # C2xD8
+    "perms:(0 1 2 3 4),(1 2 4 3)",  # F20
+    "perms:(0 1 2 3 4 5 6 7 8 9),(1 9)(2 8)(3 7)(4 6)",  # D20
+    "perms:(0 1 2 3),(0 1)",  # S4
+    "perms:(0 1 2 3 4 5 6 7 8 9 10 11),(1 11)(2 10)(3 9)(4 8)(5 7)",  # D24
+    "perms:(0 1 2),(0 1)(2 3),(4 5)",  # C2xA4
+    "perms:(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15),"
+    "(1 15)(2 14)(3 13)(4 12)(5 11)(6 10)(7 9)",  # D32
+    "perms:(0 1 2 3),(0 4)(1 5)(2 6)(3 7)",  # C4wrC2
+    "perms:(0 1 2 3 4 5 6 7),(1 7)(2 6)(3 5),(8 9)",  # C2xD16
+    "perms:(0 1 2),(0 1),(3 4 5),(3 4)",  # S3xS3
+    "perms:(0 1 2 3),(0 1),(4 5)",  # C2xS4
+    "perms:(0 1 2 3)",  # C4
+    "perms:(0 1),(2 3)",  # C2^2
+    "perms:(0 1 2 3 4 5)",  # C6
+    "perms:(0 1 2),(0 1)",  # S3
+    "perms:(0 1 2 3 4 5 6 7 8 9)",  # C10
+)
+
+
+def _groups_to_64():
+    return ([_cat(name, param) for name, param in _CATALOG_TO_64]
+            + [group_from_spec(spec) for spec in _BENCH_PERMS])
+
+
+def test_generator_columns_match_n2_unknown_oracle():
+    """Solving on the |S|·(n-1) generator columns gives the n²-unknown
+    solver's basis, bit for bit and in the same order."""
+    for G in _groups_to_64():
+        got = [c.bits for c in cocycle_space(G)]
+        assert got == _n2_unknown_cocycle_space(G), G.name or G.order
+
+
+def test_generator_column_unknowns_and_equations(monkeypatch):
+    """The system cocycle_space hands gf2.nullspace has |S|·(n-1)
+    columns and at most |S| equations per non-tree Cayley edge."""
+    seen = []
+    nullspace = gf2.nullspace
+
+    def spy(rows, ncols):
+        seen.append((len(rows), ncols))
+        return nullspace(rows, ncols)
+
+    monkeypatch.setattr(gf2, "nullspace", spy)
+    G = group_from_spec("perms:(0 1 2 3),(0 1),(4 5)")  # C2 x S4
+    n, S = G.order, generating_set(G)
+    cocycle_space(G)
+    (nrows, ncols), = seen
+    assert ncols == len(S) * (n - 1) < n * n
+    assert 0 < nrows <= len(S) * (len(S) * n - (n - 1))
+
+
+def test_coboundary_generators_match_delta1():
+    for G in _groups_to_64():
+        got = [c.bits for c in coboundary_generators(G)]
+        assert got == [delta1(G, 1 << x).bits for x in range(1, G.order)], \
+            G.name or G.order
 
 
 def test_coboundary_dim_is_order_minus_rank_of_delta():

@@ -8,6 +8,7 @@ from traceforms.groups import (
     SubgroupHandle,
     catalog,
     catalog_order,
+    cayley_walk,
     closure,
     direct_product,
     generated_subgroup,
@@ -261,6 +262,31 @@ def test_generating_set_matches_retired_routine():
         G = group_from_spec(spec)
         assert generating_set(G) == _retired_generating_set(G), spec
         assert generated_subgroup(G, generating_set(G)).order == G.order
+
+
+def test_cayley_walk_is_a_breadth_first_spanning_tree():
+    """Every edge (h, s), h in G and s in S, appears once.  Edges are
+    walked in the order (position of h in the walk, s in S order); the
+    tree edges are the ones that reach a new element, one for each
+    x != e, and every other edge ends at an element reached before."""
+    for spec in ("catalog:cyclic:1", "catalog:cyclic:12", "catalog:dihedral:24",
+                 "catalog:elem_abelian_2:4", "catalog:alt:5",
+                 "perms:(0 1 2 3),(0 1),(4 5)"):
+        G = group_from_spec(spec)
+        t, S = G.table, generating_set(G)
+        tree, other = cayley_walk(G)
+        assert sorted(tree + other) == sorted((h, s) for h in range(G.order) for s in S)
+        walk = [0] + [t[h][s] for h, s in tree]
+        assert sorted(walk) == list(range(G.order)), spec
+        position = {x: i for i, x in enumerate(walk)}
+
+        def when(h, s):
+            return position[h], S.index(s)
+
+        reached = {0: (-1, 0)} | {t[h][s]: when(h, s) for h, s in tree}
+        assert [when(h, s) for h, s in tree] == sorted(when(h, s) for h, s in tree)
+        assert all(reached[h] < when(h, s) for h, s in tree)
+        assert all(reached[t[h][s]] < when(h, s) for h, s in other), spec
 
 
 def _is_subgroup_oracle(G, members):

@@ -211,3 +211,37 @@ def test_nullspace_matches_rref_reference():
     for rows, ncols in cases:
         assert gf2.nullspace(rows, ncols) == _nullspace_rref(rows, ncols), (rows, ncols)
     assert gf2.nullspace(cases[-1][0], cases[-1][1]) == []
+
+
+def test_reduced_basis_is_nullspace_of_orthogonal_complement():
+    """For a random subspace V, the lowest-bit reduced echelon basis of V
+    (from any spanning set, in any order) is nullspace's basis of the
+    equations V^perp, since V = (V^perp)^perp."""
+    rng = random.Random(53)
+    for _ in range(300):
+        ncols = rng.randint(1, 40)
+        span = [rng.getrandbits(ncols) for _ in range(rng.randint(0, ncols))]
+        want = gf2.nullspace(gf2.nullspace(span, ncols), ncols)
+        # a unit-triangular change of the spanning set keeps its span
+        mixed = list(span)
+        for i in range(len(mixed)):
+            for j in range(i):
+                if rng.getrandbits(1):
+                    mixed[i] ^= span[j]
+        mixed += [0, *rng.choices(span or [0], k=2)]
+        rng.shuffle(mixed)
+        assert gf2.reduced_basis(mixed) == want, (span, ncols)
+    assert gf2.reduced_basis([]) == []
+    rows = [rng.getrandbits(30) for _ in range(12)]
+    assert gf2.reduced_basis(gf2.nullspace(rows, 30)) == gf2.nullspace(rows, 30)
+
+
+def test_transpose_matches_bitwise_reference():
+    rng = random.Random(59)
+    for _ in range(200):
+        ncols = rng.randint(1, 70)
+        rows = [rng.getrandbits(ncols) for _ in range(rng.randint(0, 50))]
+        want = [sum(((r >> j) & 1) << i for i, r in enumerate(rows))
+                for j in range(ncols)]
+        assert gf2.transpose(rows, ncols) == want
+        assert gf2.transpose(gf2.transpose(rows, ncols), len(rows)) == rows
