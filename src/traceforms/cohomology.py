@@ -122,16 +122,21 @@ class Cocycle2:
 
 
 def delta1(G: Group, b_bits: int) -> Cocycle2:
-    """Coboundary of the 1-cochain b with b(e) = 0; bit g of b_bits is b(g)."""
+    """Coboundary of the 1-cochain b with b(e) = 0; bit g of b_bits is b(g).
+    δ is linear, and δ1_x(g, h) = [g = x] + [h = x] + [gh = x] is the
+    sum of row x, column x and the cells (g, g^-1 x), O(n) each: δb is
+    their sum over the x with b(x) = 1."""
     n = G.order
+    if b_bits & 1 or b_bits >> n:
+        raise CohomologyError(f"b must be a 1-cochain on {n} elements with b(e) = 0")
+    t, inv = G.table, G.inv
+    row = (1 << n) - 1
+    column = ((1 << n * n) - 1) // row  # bit g·n for each g
     bits = 0
-    for g in range(1, n):
-        bg = (b_bits >> g) & 1
-        row = 0
-        for h in range(1, n):
-            bit = bg ^ ((b_bits >> h) & 1) ^ ((b_bits >> G.table[g][h]) & 1)
-            row |= bit << h
-        bits |= row << (g * n)
+    for x in range(1, n):
+        if b_bits >> x & 1:
+            bits ^= ((row << (x * n)) ^ (column << x)
+                     ^ sum(1 << (g * n + t[inv(g)][x]) for g in range(n)))
     return Cocycle2(G, bits)
 
 
@@ -199,17 +204,8 @@ def cocycle_space(G: Group) -> list[Cocycle2]:
 
 
 def coboundary_generators(G: Group) -> list[Cocycle2]:
-    """The coboundaries δ1_x of the indicator 1-cochains, x != e (not
-    reduced).  δ1_x(g, h) = [g = x] + [h = x] + [gh = x], so it is the
-    sum of row x, column x and the cells (g, g^-1 x), O(n) each."""
-    n = G.order
-    t = G.table
-    row = (1 << n) - 1
-    column = ((1 << n * n) - 1) // row  # bit g·n for each g
-    inv = [G.inv(g) for g in range(n)]
-    return [Cocycle2(G, (row << (x * n)) ^ (column << x)
-                     ^ sum(1 << (g * n + t[inv[g]][x]) for g in range(n)))
-            for x in range(1, n)]
+    """The coboundaries of the indicator 1-cochains (not reduced)."""
+    return [delta1(G, 1 << g) for g in range(1, G.order)]
 
 
 class H2Basis:

@@ -202,11 +202,38 @@ def test_generator_column_unknowns_and_equations(monkeypatch):
     assert 0 < nrows <= len(S) * (len(S) * n - (n - 1))
 
 
-def test_coboundary_generators_match_delta1():
+def _n2_loop_delta1(G, b_bits):
+    """Oracle: delta1 as it was before it summed indicator supports,
+    δb(g, h) = b(g) + b(h) + b(gh) cell by cell, n² steps."""
+    n = G.order
+    bits = 0
+    for g in range(1, n):
+        bg = (b_bits >> g) & 1
+        row = 0
+        for h in range(1, n):
+            bit = bg ^ ((b_bits >> h) & 1) ^ ((b_bits >> G.table[g][h]) & 1)
+            row |= bit << h
+        bits |= row << (g * n)
+    return bits
+
+
+def test_delta1_matches_n2_loop_oracle():
+    """delta1 from the supports of the indicators equals the cell-by-cell
+    coboundary, on each indicator (coboundary_generators) and on random
+    1-cochains."""
+    rng = random.Random(14)
     for G in _groups_to_64():
+        n = G.order
         got = [c.bits for c in coboundary_generators(G)]
-        assert got == [delta1(G, 1 << x).bits for x in range(1, G.order)], \
-            G.name or G.order
+        assert got == [_n2_loop_delta1(G, 1 << x) for x in range(1, n)], \
+            G.name or n
+        for _ in range(3):
+            b = rng.getrandbits(n) & ~1
+            assert delta1(G, b).bits == _n2_loop_delta1(G, b), G.name or n
+    G = catalog("sym", 3)
+    for b in (1, 0b11, 1 << 6):
+        with pytest.raises(CohomologyError):
+            delta1(G, b)
 
 
 def test_coboundary_dim_is_order_minus_rank_of_delta():
