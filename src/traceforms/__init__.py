@@ -10,9 +10,12 @@ The layers, bottom to top:
 - ``cohomology``: normalized 2-cocycles with F2 coefficients, H²,
   the involution-diagonal map and its kernel, central extensions and
   the involution-lifting property.
-- ``clifford``: pin lifts of permutations as integer folds, each
-  checked by its norm and its action, and sign cocycles of translation
-  actions read off the folds; one Clifford product, on integers.
+- ``clifford``: pin lifts of permutations as integer folds, and sign
+  cocycles of translation actions read off the folds; one Clifford
+  product, on integers.  ``pin_lift`` checks a lift by its norm and its
+  action; the sign functions fold the factors directly and prove each
+  sign by proportionality of the product to the lift of the product,
+  and a full sign table also by the cocycle identity.
 - ``quadratic``: square classes, Hilbert symbols, ramification sets of
   cup products, diagonalization, Hasse-Witt style invariants, rational
   isometry via the local-global classification.

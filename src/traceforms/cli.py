@@ -5,8 +5,10 @@ form, trace, classify, verify, suite.  All output is JSON on stdout with
 sorted keys, so identical inputs produce byte-identical bytes; --pretty
 switches to an indented rendering (and a table for suite/verify).
 
-Exit codes: 0 for pass or informational output, 1 when any verification
-verdict is "fail", 2 for usage or input errors.
+A handler gets the parsed arguments and what `main` loaded: the algebra of
+a verb with --poly/--algebra, the group under the `cap` a verb declares.  It
+returns (payload, passed) for `main` to print, printing only the --pretty
+table of verify/suite.  Exit: 0 pass or info, 1 failing verdict, 2 bad input.
 """
 from __future__ import annotations
 
@@ -34,13 +36,12 @@ from .galois import (
     classify_2group_trace_form,
     trace_form,
 )
-from .groups import group_from_spec, regular_rep_in_alternating, sylow2
+from .groups import CLOSURE_CAP, group_from_spec, regular_rep_in_alternating, sylow2
 from .quadratic import (
     QForm,
     diagonalize,
     is_isometric_q,
     signature,
-    validate_gram,
     w1,
     w2,
 )
@@ -94,16 +95,24 @@ def _parse_poly(text: str) -> MonicPoly:
     return MonicPoly(tuple(coeffs))
 
 
+def _read_json(source: str, **kwargs):
+    """The JSON value in source, or in the file it names after an "@".
+    Nesting too deep for the decoder is malformed JSON, a ValueError."""
+    if source.startswith("@"):
+        with open(source[1:], encoding="ascii") as fh:
+            source = fh.read()
+    try:
+        return json.loads(source, **kwargs)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def _load_algebra(args) -> EtaleAlg:
     """Algebra from --poly (single field factor) or --algebra (JSON list
     of {poly, multiplicity}, inline or @file)."""
     if args.poly is not None:
         return EtaleAlg(((_parse_poly(args.poly), 1),))
-    raw = args.algebra
-    if raw.startswith("@"):
-        with open(raw[1:], encoding="ascii") as fh:
-            raw = fh.read()
-    data = json.loads(raw)
+    data = _read_json(args.algebra)
     shape = "algebra JSON must be a list of {poly, multiplicity}"
     if not isinstance(data, list):
         raise ValueError(shape)
@@ -127,13 +136,10 @@ def _json_int(x, what: str) -> int:
 def _load_gram(path: str) -> list[list[Fraction]]:
     # a JSON number with a fraction or exponent stays text, so _fraction
     # reads it exactly, with its exponent bound, and never as a float
-    with open(path, encoding="ascii") as fh:
-        data = json.load(fh, parse_float=str)
+    data = _read_json("@" + path, parse_float=str)
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise ValueError("Gram JSON must be a list of rows")
-    m = [[_fraction(str(x)) for x in row] for row in data]
-    validate_gram(m)
-    return m
+    return [[_fraction(str(x)) for x in row] for row in data]
 
 
 def _load_cocycle(G, spec: str) -> Cocycle2:
@@ -159,10 +165,9 @@ def _load_cocycle(G, spec: str) -> Cocycle2:
 # subcommand handlers
 
 
-def _cmd_group(args) -> int:
-    G = group_from_spec(args.group)
+def _cmd_group(args, G):
     S = sylow2(G)
-    info = {
+    return {
         "name": G.name or "anonymous",
         "order": G.order,
         "abelian": G.is_abelian(),
@@ -171,61 +176,48 @@ def _cmd_group(args) -> int:
         "sylow2_order": S.order,
         "sylow2_cyclic": S.is_cyclic(),
         "regular_rep_alternating": regular_rep_in_alternating(G),
-    }
-    _emit(info, args.pretty)
-    return EXIT_PASS
+    }, True
 
 
-def _cmd_h2(args) -> int:
-    G = group_from_spec(args.group, _H2)
+def _cmd_h2(args, G):
     b = h2(G)
-    _emit({"h2_dim": b.dim, "cocycle_dim": b.z2_dim,
-           "coboundary_dim": b.b2_dim}, args.pretty)
-    return EXIT_PASS
+    return {"h2_dim": b.dim, "cocycle_dim": b.z2_dim,
+            "coboundary_dim": b.b2_dim}, True
 
 
-def _cmd_kers(args) -> int:
-    G = group_from_spec(args.group, _H2)
+def _cmd_kers(args, G):
     kernel = ker_s(G)
-    b = h2(G)
-    _emit({
-        "h2_dim": b.dim,
+    return {
+        "h2_dim": h2(G).dim,
         "kernel_dim": len(kernel),
         "kernel_coords": sorted(cl.coords for cl in kernel),
         "two_reduced": not kernel,
-    }, args.pretty)
-    return EXIT_PASS
+    }, True
 
 
-def _cmd_2reduced(args) -> int:
-    G = group_from_spec(args.group, _H2)
-    _emit({"verdict": is_2_reduced(G)}, args.pretty)
-    return EXIT_PASS
+def _cmd_2reduced(args, G):
+    return {"verdict": is_2_reduced(G)}, True
 
 
-def _cmd_extension(args) -> int:
-    G = group_from_spec(args.group, _H2)
+def _cmd_extension(args, G):
     basis = h2(G)
     c = _load_cocycle(G, args.cocycle)
     E = extension_from_cocycle(G, c)
-    _emit({
+    return {
         "base_order": G.order,
         "total_order": E.total.order,
         "two_lift_property": two_lift_property(E),
         "class_is_coboundary": basis.is_coboundary(c),
         "class_coords": basis.coords(c),
         "s_diagonal": list(s_map(c)),
-    }, args.pretty)
-    return EXIT_PASS
+    }, True
 
 
-def _cmd_pin_sign(args) -> int:
-    print(json.dumps(involution_square_sign(args.n)))
-    return EXIT_PASS
+def _cmd_pin_sign(args):
+    return involution_square_sign(args.n), True
 
 
-def _cmd_pin_cocycle(args) -> int:
-    G = group_from_spec(args.group, pin_cap(args.involutions_only))
+def _cmd_pin_cocycle(args, G):
     res = pin_cocycle(G, involutions_only=args.involutions_only)
     out = {
         "order": G.order,
@@ -239,8 +231,7 @@ def _cmd_pin_cocycle(args) -> int:
         out["cocycle_bits"] = [flat[g * n:(g + 1) * n] for g in range(n)]
         if n <= H2_CAP:
             out["coboundary"] = h2(G).is_coboundary(res.cocycle)
-    _emit(out, args.pretty)
-    return EXIT_PASS
+    return out, True
 
 
 def _form_report(q: QForm) -> dict:
@@ -252,56 +243,39 @@ def _form_report(q: QForm) -> dict:
     }
 
 
-def _cmd_form(args) -> int:
+def _cmd_form(args):
     if args.gram is not None:
         q = diagonalize(_load_gram(args.gram))
     else:
         q = _parse_entries(args.entries)
-    out = _form_report(q)
-    verdicts = {}
+    out = dict(_form_report(q), verdicts={})
     if args.isometric_to:
         other = _parse_entries(args.isometric_to)
-        verdicts["isometric"] = is_isometric_q(q, other)
-    out["verdicts"] = verdicts
-    _emit(out, args.pretty)
-    return EXIT_PASS
+        out["verdicts"]["isometric"] = is_isometric_q(q, other)
+    return out, True
 
 
-def _cmd_trace(args) -> int:
-    A = _load_algebra(args)
+def _cmd_trace(args, A):
     q = trace_form(A)
-    out = _form_report(q)
-    out["degree"] = A.degree
-    out["totally_real"] = signature(q) == (A.degree, 0)
-    _emit(out, args.pretty)
-    return EXIT_PASS
+    return dict(_form_report(q), degree=A.degree,
+                totally_real=signature(q) == (A.degree, 0)), True
 
 
-def _cmd_classify(args) -> int:
-    A = _load_algebra(args)
-    G = group_from_spec(args.group, _H2)
+def _cmd_classify(args, A, G):
     r = classify_2group_trace_form(A, G)
     q = r["computed"]
-    _emit({
+    return {
         "w1": w1(q),
         "w2_places": jsonable(w2(q)),
         "signature": list(signature(q)),
         "case": r["case"],
         "predicted_form": jsonable(r["model"]),
         "verdict": r["isometric"],
-    }, args.pretty)
-    return EXIT_PASS if r["isometric"] else EXIT_FAIL
+    }, r["isometric"]
 
 
-def _report_table(reports) -> str:
-    lines = []
-    for r in reports:
-        lines.append(f"{r.statement:<22} {r.verdict}")
-    return "\n".join(lines)
-
-
-def _cmd_reports(args) -> int:
-    """`verify` prints one report, `suite` the list of all of them."""
+def _cmd_reports(args):
+    """`verify` returns one report, `suite` the list of all of them."""
     if args.command == "suite":
         reports = run_suite(args.seed)
         payload = [r.as_dict(include_runtime=args.timings) for r in reports]
@@ -309,9 +283,8 @@ def _cmd_reports(args) -> int:
         reports = [run_statement(args.statement, args.seed)]
         payload = reports[0].as_dict(include_runtime=args.timings)
     if args.pretty:
-        print(_report_table(reports))
-    _emit(payload, args.pretty)
-    return EXIT_FAIL if any(r.verdict == "fail" for r in reports) else EXIT_PASS
+        print("\n".join(f"{r.statement:<22} {r.verdict}" for r in reports))
+    return payload, all(r.verdict != "fail" for r in reports)
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +306,16 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--pretty", action="store_true",
                         help="indented output (tables for verify/suite)")
 
-    def grouped(name, help_, handler):
+    def grouped(name, help_, handler, cap=lambda args: _H2):
         p = sub.add_parser(name, parents=[common], help=help_)
         p.add_argument("--group", required=True,
                        help="group spec: catalog:<name>[:param] or "
                             "perms:<cycles>")
-        p.set_defaults(func=handler)
+        p.set_defaults(func=handler, cap=cap)
         return p
 
-    grouped("group", "structural fingerprint of a group", _cmd_group)
+    grouped("group", "structural fingerprint of a group", _cmd_group,
+            lambda args: ("CLOSURE_CAP", CLOSURE_CAP))
     grouped("h2", "dimension data of degree-2 mod-2 cohomology", _cmd_h2)
     grouped("kers", "kernel of the involution-diagonal map on H²", _cmd_kers)
     grouped("2reduced", "whether the kernel of the diagonal map vanishes",
@@ -362,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = grouped("pin-cocycle",
                 "sign cocycle of the pin lifts of left translations",
-                _cmd_pin_cocycle)
+                _cmd_pin_cocycle, lambda args: pin_cap(args.involutions_only))
     p.add_argument("--involutions-only", action="store_true",
                    help="only the diagonal signs at involutions (order ≤ 24)")
 
@@ -389,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="match a 2-group trace form against the four "
                             "model shapes")
     p.add_argument("--group", required=True, help="acting group spec")
-    p.set_defaults(func=_cmd_classify)
+    p.set_defaults(func=_cmd_classify, cap=lambda args: _H2)
 
     # --statement comes first so that `verify --help` lists it before --seed
     statement = argparse.ArgumentParser(add_help=False)
@@ -411,14 +385,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one verb (see the module docstring); returns the exit code."""
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:  # package errors are ValueErrors
+        inputs = [_load_algebra(args)] if "poly" in args else []
+        if "cap" in args:
+            inputs.append(group_from_spec(args.group, args.cap(args)))
+        payload, passed = args.func(args, *inputs)
+        _emit(payload, args.pretty)
+    except (ValueError, OSError) as exc:  # package errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return EXIT_PASS if passed else EXIT_FAIL

@@ -239,6 +239,16 @@ def place_sort_key(v):
 # diagonal forms
 
 
+def _rational(x) -> Fraction:
+    """x as a Fraction: an int, a Fraction or a string such as "1/10".  A
+    float is refused, since its binary value (0.1 is 3602879701896397/2^55)
+    is not the decimal it was written as, and so is a bool."""
+    if isinstance(x, (bool, float)):
+        raise QuadraticError(f"{x!r} is not an exact rational; "
+                             "pass an int, a Fraction or a string")
+    return Fraction(x)
+
+
 @dataclass(frozen=True)
 class QForm:
     """Nondegenerate diagonal quadratic form <a_1, ..., a_n> over Q."""
@@ -246,7 +256,7 @@ class QForm:
     entries: tuple[Fraction, ...]
 
     def __post_init__(self):
-        ent = tuple(Fraction(a) for a in self.entries)
+        ent = tuple(_rational(a) for a in self.entries)
         if any(a == 0 for a in ent):
             raise QuadraticError("diagonal entries must be nonzero")
         object.__setattr__(self, "entries", ent)
@@ -267,7 +277,7 @@ def direct_sum(*forms: QForm) -> QForm:
 
 
 def scale(a, q: QForm) -> QForm:
-    a = Fraction(a)
+    a = _rational(a)
     if a == 0:
         raise QuadraticError("cannot scale a form by zero")
     return QForm(tuple(a * x for x in q.entries))
@@ -371,7 +381,7 @@ def is_isometric_q(q1: QForm, q2: QForm) -> bool:
 
 
 def validate_gram(gram) -> tuple[tuple[Fraction, ...], ...]:
-    rows = tuple(tuple(Fraction(x) for x in row) for row in gram)
+    rows = tuple(tuple(_rational(x) for x in row) for row in gram)
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise QuadraticError("Gram matrix must be square")

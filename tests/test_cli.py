@@ -15,7 +15,7 @@ from traceforms.cli import main
 from traceforms.cohomology import h2
 from traceforms.fixtures import ALL_FIXTURES
 from traceforms.quadratic import signature, w2
-from traceforms.verify import DEFAULT_SEED, jsonable
+from traceforms.verify import DEFAULT_SEED, STATEMENTS, jsonable
 
 
 def run_cli(capsys, *argv):
@@ -441,6 +441,31 @@ def test_seeded_degree_128_trace_exits_2_within_10s():
     assert proc.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [["trace", "--algebra", "@DEEP"],
+                                  ["form", "--gram", "DEEP"]],
+                         ids=["trace-algebra", "form-gram"])
+def test_deeply_nested_json_exits_2(tmp_path, argv):
+    # the decoder's RecursionError used to escape as a traceback, exit 1
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    argv = [a.replace("DEEP", str(deep)) for a in argv]
+    proc, elapsed = _run_limited(argv, timeout=30)
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert proc.stderr.startswith("error: ") and "nested too deeply" in proc.stderr
+    assert elapsed < 10, elapsed
+
+
+def test_tall_degree_128_trace_exits_2_at_the_bits_cap():
+    # 10-digit coefficients: without the cap this took 38-53 s to exit 2
+    rng = random.Random(7)
+    cs = [1] + [rng.randint(-10**10 + 1, 10**10 - 1) for _ in range(128)]
+    proc, elapsed = _run_limited(["trace", "--poly", ",".join(map(str, cs))])
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert elapsed < 10, elapsed
+    assert proc.stderr == ("error: polynomial degree 128 times coefficient bits "
+                           "34 exceeds DEGREE_BITS_CAP = 1536\n")
+
+
 def test_import_builds_no_parser():
     src = os.path.dirname(os.path.dirname(traceforms.__file__))
     proc = subprocess.run(
@@ -612,3 +637,43 @@ def test_cohomology_outputs_match_golden_digest(capsys):
             assert code == 0, (verb, spec, err)
             digest.update(out.encode())
     assert digest.hexdigest() == _GOLDEN_DIGEST
+
+
+# every verb but the cohomology ones above, each run with and without
+# --pretty; the second classify fails its verdict (exit 1)
+_VERB_RUNS = [
+    ["group", "--group", "catalog:quaternion8"],
+    ["group", "--group", "perms:(0 1 2 3),(0 2)"],
+    ["2reduced", "--group", "catalog:Z4xZ2"],
+    ["2reduced", "--group", "catalog:sym:4"],
+    ["pin-sign", "--n", "12"],
+    ["form", "--entries", "1,2,-3,4/5"],
+    ["form", "--gram", "GRAM"],
+    ["form", "--entries", "2,2", "--isometric-to", "1,1"],
+    ["trace", "--poly", "1,0,-4,0,2"],
+    ["trace", "--algebra", '[{"poly": [1,0,-3], "multiplicity": 2}]'],
+    ["classify", "--poly", "1,0,-8,0,20,0,-16,0,2", "--group", "catalog:cyclic:8"],
+    ["classify", "--poly", "1,-3,2,-1,2,2,1,0,1", "--group", "catalog:cyclic:8"],
+    *(["verify", "--statement", s] for s in STATEMENTS),
+    ["suite"],
+    ["suite", "--seed", "99"],
+]
+# sha256 over the runs of "<exit code>\n<stdout>", recorded before main()
+# took over loading, printing and exit codes from the verb handlers
+_VERB_DIGEST = "47731c375a8c977631a870f08dc574124e51b74ed44de736cf3aef9150a023de"
+
+
+def test_verb_outputs_and_exit_codes_match_golden_digest(capsys, tmp_path):
+    gram = tmp_path / "gram.json"
+    gram.write_text('[["0","1"],["1","0"]]')
+    digest = hashlib.sha256()
+    codes = []
+    for argv in _VERB_RUNS:
+        argv = [str(gram) if a == "GRAM" else a for a in argv]
+        for extra in ([], ["--pretty"]):
+            code, out, err = run_cli(capsys, *argv, *extra)
+            assert err == "", (argv, err)
+            codes.append(code)
+            digest.update(f"{code}\n{out}".encode())
+    assert codes.count(1) == 2 and set(codes) == {0, 1}
+    assert digest.hexdigest() == _VERB_DIGEST

@@ -72,6 +72,29 @@ def test_monic_poly_validation():
         MonicPoly((1,))                # degree 0
 
 
+@pytest.mark.parametrize("make", [
+    lambda: MonicPoly((1, 0, -3.0)),
+    lambda: MonicPoly((True, 0, -3)),
+    lambda: MonicPoly((1, "0", -3)),
+    lambda: EtaleAlg(((MonicPoly((1, 0, -3)), 2.5),)),
+    lambda: EtaleAlg(((MonicPoly((1, 0, -3)), 2.0),)),
+    lambda: EtaleAlg(((MonicPoly((1, 0, -3)), True),)),
+    lambda: EtaleAlg(((MonicPoly((1, 0, -3)), Fraction(5, 2)),)),
+], ids=["float-coeff", "bool-coeff", "str-coeff", "float-mult",
+        "integral-float-mult", "bool-mult", "fraction-mult"])
+def test_constructors_refuse_floats_and_bools(make):
+    # int() made 2.5 a multiplicity of 2 (degree 4) and True one of 1
+    with pytest.raises(GaloisError, match="must be integers|must be an integer"):
+        make()
+
+
+def test_multiplicity_given_exactly_is_accepted():
+    f = MonicPoly((1, 0, -3))
+    for m in (2, "2", Fraction(2)):
+        A = EtaleAlg(((f, m),))
+        assert A.factors == ((f, 2),) and A.degree == 4
+
+
 def _poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -142,6 +165,21 @@ def test_algebra_degree_cap():
         MonicPoly((1,) + (0,) * cap + (-2,))
     with pytest.raises(GaloisError, match=f"algebra degree {cap + 2} exceeds {msg}"):
         EtaleAlg(((MonicPoly((1, 0, -3)), cap // 2 + 1),))
+
+
+def test_degree_bits_cap():
+    cap = galois.DEGREE_BITS_CAP
+    d = galois.ALGEBRA_DEGREE_CAP
+    bits = cap // d
+    c = (1 << bits) - 1
+    assert MonicPoly((1,) + (0,) * (d - 1) + (-c,)).degree == d
+    assert MonicPoly((1, -(1 << (cap - 1)))).degree == 1
+    msg = f"polynomial degree {d} times coefficient bits {bits + 1} exceeds " \
+          f"DEGREE_BITS_CAP = {cap}"
+    with pytest.raises(GaloisError, match=msg):
+        MonicPoly((1,) + (0,) * (d - 1) + (-(c + 1),))
+    with pytest.raises(GaloisError, match="DEGREE_BITS_CAP"):
+        MonicPoly((1, -(1 << cap)))
 
 
 def test_trace_gram_examples():

@@ -180,6 +180,27 @@ def test_qform_validation_and_invariants():
         QForm((Fraction(0),))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: QForm((Fraction(1, 10), 0.1)),
+    lambda: QForm((True,)),
+    lambda: diagonalize([[0.1]]),
+    lambda: diagonalize([["1", 0.5], [0.5, "1"]]),
+    lambda: scale(0.1, QForm((1,))),
+], ids=["qform-float", "qform-bool", "gram-float", "gram-mixed", "scale-float"])
+def test_forms_refuse_floats_and_bools(make):
+    # Fraction(0.1) is 3602879701896397/2^55: <0.1> had disc class
+    # 7205759403792794 instead of 10
+    with pytest.raises(QuadraticError, match="not an exact rational"):
+        make()
+
+
+def test_forms_read_strings_and_fractions_exactly():
+    for x in ("1/10", "0.1", Fraction(1, 10)):
+        assert QForm((x,)).entries == (Fraction(1, 10),)
+        assert w1(QForm((x,))) == 10
+        assert diagonalize([[x]]).entries == (Fraction(1, 10),)
+
+
 def test_w2_hand_values():
     assert w2(QForm((Fraction(1), Fraction(1)))) == frozenset()
     assert w2(QForm((Fraction(-1), Fraction(-1)))) == {2, INF}
