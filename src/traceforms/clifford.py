@@ -8,21 +8,46 @@ factors (e_i - e_j)/sqrt(2), one per transposition in a cycle
 decomposition.  A lift with k factors is (1/sqrt 2)^k z, where z, its
 fold, is an integer combination of basis masks.
 
-Every sign is read off folds.  The factor count k(g) = n - #cycles(g) is
-the distance from g to the identity in transpositions, so it is
-subadditive, and it is even exactly when g is.  Hence the gap
-k(g) + k(h) - k(gh) is even and >= 0, and lift(g) lift(h) =
-(-1)^b lift(gh) holds exactly when the fold of the product equals
-(-1)^b 2^(gap/2) times the fold of lift(gh), as integer dicts.  For
-the translation action of a group this gives a 2-cocycle, and for an
-involution g the sign of lift(g)^2.  The full cocycle folds only the
-products with a generating set and fills in the rest by associativity
-(see pin_cocycle).
+Every sign is one Pfaffian.  Let U = u_1...u_a be the product of the
+factors e_i - e_j of lift(g) followed by those of lift(h), and W =
+w_1...w_c that of lift(gh).  The factor count k(g) = n - #cycles(g) is
+even exactly when g is, so K = a + c is even; put m = K/2.  Each
+factor squares to 2, so W rev(W) = 2^c, and lift(g) lift(h) =
+(-1)^b lift(gh), that is U = (-1)^b 2^((a-c)/2) W, holds exactly when
+
+    V = u_1...u_a w_c...w_1 = (-1)^b 2^m.
+
+The scalar part of a product of K vectors is the Pfaffian of their
+K x K skew Gram matrix, <v_i, v_j> above the diagonal (Wick's theorem
+in the Clifford algebra); here every entry is 0, +-1 or +-2.
+
+Why V = +-2^m: twisted conjugation is a homomorphism Pin(n) -> O(n)
+with kernel {+-1}.  The factor (e_i - e_j)/sqrt 2 maps to the
+transposition (i j), and each factor list composes back to its
+permutation (_factors checks it), so lift(g) lift(h) and lift(gh) map
+to the same permutation and differ by a sign.
+
+Why the residue decides it: the Pfaffian is computed by skew
+elimination over the integers mod the prime P = 2^61 - 1, with no
+floats.  Reduction mod P is a ring map, so Pf = +-2^m has residue
++-2^m mod P, and the two residues differ because P is odd and does not
+divide 2^(m+1).  Any other residue raises SignMismatchError.  Within the
+rank cap the residue is also a proof on its own: V rev(V) = 2^K, and
+the scalar part of V rev(V) is the sum of the squares of V's
+coefficients (the form is positive definite), so |Pf| <= 2^m, with
+equality only when V is the scalar +-2^m.  As K <= 3(n - 1) <= 69,
+2^(m+1) < P, and a residue of +-2^m forces Pf = +-2^m.
+
+For the translation action of a group the signs form a 2-cocycle, and
+for an involution g (h = g, c = 0) they give the sign of lift(g)^2.  The
+full cocycle computes only the products with a generating set and fills
+in the rest by associativity (see pin_cocycle).
 
 pin_lift returns a lift as (k, z) and checks, at every rank, that z is
 a pin element whose twisted conjugation gives back p (_check_fold).
-_fold_factors is the only Clifford product here; an independent algebra
-over Q(sqrt 2) is kept as a test oracle (tests/clifford_oracle.py).
+_fold_factors, the Clifford product that builds z, serves only those
+two; an independent algebra over Q(sqrt 2) and the fold sign rule are
+kept as test oracles (tests/clifford_oracle.py).
 """
 from __future__ import annotations
 
@@ -34,10 +59,11 @@ from .groups import Group, generating_set, left_regular
 
 CLIFFORD_RANK_CAP = 24   # largest number of generators accepted
 FULL_PIN_CAP = 12        # largest group order for the full sign table
-# largest 2^min(k, n) that pin_lift and pin_product_sign fold: a fold of
-# k factors on rank n has at most that many terms.  A 17-cycle's lift
-# (2^16 terms) takes about 0.8 s; a 20-cycle's took 7 s and 200 MB.
+# largest 2^min(k, n) that pin_lift folds: a fold of k factors on rank n
+# has at most that many terms.  A 17-cycle's lift (2^16 terms) takes
+# about 0.8 s; a 20-cycle's took 7 s and 200 MB.
 FOLD_TERMS_CAP = 1 << 16
+_PRIME = (1 << 61) - 1  # the Pfaffians are taken mod this prime
 
 
 class CliffordError(ValueError):
@@ -59,10 +85,90 @@ def transposition_factors(p: perms.Perm) -> list[tuple[int, int]]:
     return out
 
 
+def _factors(p: perms.Perm) -> list[tuple[int, int]]:
+    """transposition_factors(p), checked to compose back to p: applying
+    the swaps left to right to the identity's image list gives p."""
+    out = transposition_factors(p)
+    images = list(range(len(p)))
+    for i, j in out:
+        images[i], images[j] = images[j], images[i]
+    if tuple(images) != tuple(p):
+        raise CliffordError("transposition factors do not compose to the permutation")
+    return out
+
+
+# -- signs by Pfaffians -----------------------------------------------------
+# One skew elimination mod _PRIME per sign (module docstring).
+
+
+def _pfaffian(a: list[list[int]]) -> int:
+    """Pfaffian mod _PRIME of the skew-symmetric integer matrix a, by skew
+    elimination (a is overwritten).  With a = [[0, x, b], [-x, 0, c],
+    [-b^T, -c^T, C]], Pf(a) = x Pf(C + (c^T b - b^T c)/x); swapping
+    rows and columns k + 1 and j to bring a nonzero x into place negates
+    it, and a zero row makes it 0."""
+    size = len(a)
+    pf = 1
+    for k in range(0, size, 2):
+        rk = a[k]
+        j = next((j for j in range(k + 1, size) if rk[j]), None)
+        if j is None:
+            return 0
+        if j != k + 1:
+            a[k + 1], a[j] = a[j], a[k + 1]
+            for row in a:
+                row[k + 1], row[j] = row[j], row[k + 1]
+            pf = -pf
+        rk1 = a[k + 1]
+        pf = pf * rk[k + 1] % _PRIME
+        inv = pow(rk[k + 1], -1, _PRIME)
+        b, c = rk[k + 2:], rk1[k + 2:]
+        for i in range(k + 2, size):
+            x, y = rk1[i] * inv % _PRIME, rk[i] * inv % _PRIME
+            if x or y:
+                row = a[i]
+                row[k + 2:] = [(r + x * bj - y * cj) % _PRIME
+                               for r, bj, cj in zip(row[k + 2:], b, c)]
+    return pf
+
+
+def _pfaffian_sign(vectors: list[tuple[int, int]]) -> int:
+    """The bit b with v_1...v_K = (-1)^b 2^(K/2), each (i, j) standing
+    for the vector e_i - e_j: the residue mod _PRIME of the Pfaffian of
+    the skew Gram matrix decides it (module docstring).  Raises
+    SignMismatchError for any other residue."""
+    size = len(vectors)
+    if size % 2:
+        raise SignMismatchError("product of lifts is not +-(lift of product)")
+    a = [[0] * size for _ in range(size)]
+    touching: dict[int, list[tuple[int, int]]] = {}  # coordinate -> (t, +-1)
+    for t, (i, j) in enumerate(vectors):
+        touching.setdefault(i, []).append((t, 1))
+        touching.setdefault(j, []).append((t, -1))
+    for col in touching.values():
+        for x, (t, st) in enumerate(col):
+            for u, su in col[x + 1:]:  # t < u: <v_t, v_u> gains st su
+                a[t][u] += st * su
+                a[u][t] -= st * su
+    pf = _pfaffian(a)
+    power = pow(2, size // 2, _PRIME)
+    if pf == power:
+        return 0
+    if pf == _PRIME - power:
+        return 1
+    raise SignMismatchError("product of lifts is not +-(lift of product)")
+
+
+def _square_sign(factors: list[tuple[int, int]]) -> int:
+    """+-1 with x^2 = +-1, x the lift with these factors (an involution's):
+    the lift of the identity has no factors."""
+    return -1 if _pfaffian_sign(factors + factors) else 1
+
+
 # -- integer fold kernel ----------------------------------------------------
 # A product of k factors (e_i - e_j)/sqrt(2) is (1/sqrt 2)^k times an
-# integer combination of basis masks (its fold); every sign is read off
-# folds.
+# integer combination of basis masks (its fold); pin_lift returns folds
+# and _check_fold proves them.
 
 
 def _fold_factors(state: dict[int, int], factors) -> dict[int, int]:
@@ -83,27 +189,6 @@ def _fold_factors(state: dict[int, int], factors) -> dict[int, int]:
                     del new[m]
         state = new
     return state
-
-
-def _sign_bit(z: dict[int, int], w: dict[int, int], gap: int) -> int:
-    """The bit b with z = (-1)^b 2^(gap/2) w.  For z the fold of
-    lift(g) lift(h) (k1 + k2 factors), w the fold of lift(gh) (k3
-    factors) and gap = k1 + k2 - k3, that is lift(g) lift(h) =
-    (-1)^b lift(gh); k = n - #cycles makes the gap even and >= 0."""
-    if gap >= 0 and gap % 2 == 0:
-        j = gap // 2
-        if z == {m: c << j for m, c in w.items()}:
-            return 0
-        if z == {m: -c << j for m, c in w.items()}:
-            return 1
-    raise SignMismatchError("product of lifts is not +-(lift of product)")
-
-
-def _square_sign(factors: list[tuple[int, int]]) -> int:
-    """+-1 with x^2 = +-1, x the lift with these factors (an involution's);
-    the empty fold {0: 1} is the lift of the identity."""
-    state = _fold_factors(_fold_factors({0: 1}, factors), factors)
-    return -1 if _sign_bit(state, {0: 1}, 2 * len(factors)) else 1
 
 
 def _check_fold(z: dict[int, int], factors, p: perms.Perm) -> None:
@@ -198,15 +283,11 @@ class PinCocycleResult:
 
 def pin_product_sign(p: perms.Perm, q: perms.Perm, n: int | None = None) -> int:
     """The sign bit with lift(p) lift(q) = (-1)^bit lift(p after q),
-    computed by folding q's factors onto lift(p).  Raises
-    SignMismatchError if the product fails to be proportional."""
+    one Pfaffian over the factors of p, of q and, reversed, of p after
+    q.  Raises SignMismatchError if the product fails to be proportional."""
     pp, qq = _padded([p, q], n)
-    fp = transposition_factors(pp)
-    fq = transposition_factors(qq)
-    _check_fold_size(len(fp) + len(fq), len(pp))
-    z = _fold_factors(_fold_factors({0: 1}, fp), fq)
-    fc = transposition_factors(perms.compose(pp, qq))
-    return _sign_bit(z, _fold_factors({0: 1}, fc), len(fp) + len(fq) - len(fc))
+    fc = _factors(perms.compose(pp, qq))
+    return _pfaffian_sign(_factors(pp) + _factors(qq) + fc[::-1])
 
 
 def pin_cap(involutions_only: bool) -> tuple[str, int]:
@@ -220,10 +301,11 @@ def pin_cocycle(G: Group, involutions_only: bool = False) -> PinCocycleResult:
     lift is the pin lift of left translation by g.  With involutions_only
     just the diagonal values at involutions (the squares) are computed.
 
-    The full table folds only the columns of a generating set S: c(x, s)
-    for x != e and s in S, each read off a fold by _sign_bit.  Every other
-    column follows from a column h already known, along the breadth-first
-    walk from e by right multiplication by S (cochains_from_columns):
+    The full table computes only the columns of a generating set S:
+    c(x, s) for x != e and s in S, each one Pfaffian (_pfaffian_sign).
+    Every other column follows from a column h already known, along the
+    breadth-first walk from e by right multiplication by S
+    (cochains_from_columns):
 
         c(g, hs) = c(g, h) + c(gh, s) + c(h, s).
 
@@ -231,8 +313,8 @@ def pin_cocycle(G: Group, involutions_only: bool = False) -> PinCocycleResult:
     e1 lift(gh) and lift(gh) lift(s) = e2 lift(ghs), all signs +-1,
     associativity gives lift(g) lift(hs) = e3 lift(g) lift(h) lift(s) =
     e1 e3 lift(gh) lift(s) = e1 e2 e3 lift(ghs).  So each entry is proven
-    from folds that _sign_bit verified, and validate() then checks the
-    cocycle identity independently."""
+    from signs that _pfaffian_sign decided, and validate() then checks
+    the cocycle identity independently."""
     n = G.order
     name, cap = pin_cap(involutions_only)
     if n > cap:
@@ -240,18 +322,14 @@ def pin_cocycle(G: Group, involutions_only: bool = False) -> PinCocycleResult:
     rows_of = left_regular(G)
 
     if involutions_only:
-        signs = {g: _square_sign(transposition_factors(rows_of[g]))
-                 for g in G.involutions()}
+        signs = {g: _square_sign(_factors(rows_of[g])) for g in G.involutions()}
         return PinCocycleResult(G, None, signs, True)
 
     t = G.table
-    factor_lists = [transposition_factors(rows_of[g]) for g in range(n)]
-    k = [len(fl) for fl in factor_lists]
-    folds = [_fold_factors({0: 1}, fl) for fl in factor_lists]
-    columns = {s: [0] + [
-        _sign_bit(_fold_factors(folds[x], factor_lists[s]),
-                  folds[t[x][s]], k[x] + k[s] - k[t[x][s]])
-        for x in range(1, n)] for s in generating_set(G)}
+    fl = [_factors(rows_of[g]) for g in range(n)]
+    columns = {s: [0] + [_pfaffian_sign(fl[x] + fl[s] + fl[t[x][s]][::-1])
+                         for x in range(1, n)]
+               for s in generating_set(G)}
     c = Cocycle2(G, cochains_from_columns(G, columns, 1)[0])
     c.validate()
     signs = {g: -1 if c.value(g, g) else 1 for g in G.involutions()}

@@ -1,18 +1,32 @@
-"""An independent Clifford algebra over Q(sqrt 2), kept as a test oracle
-for the integer fold kernel in traceforms.clifford.
+"""Independent routes to what traceforms.clifford computes, kept as test
+oracles.
 
-Elements are Fraction-valued: a lift is multiplied out factor by factor
-as a product of unit vectors epsilon(i, j, n) = (e_i - e_j)/sqrt(2), with
-the reordering sign of _sign_parity.  Of the library's Clifford code
-the oracle uses only transposition_factors (besides its error class and
-rank cap); pin_lift's (k, z) becomes an element here by as_element.
+A Clifford algebra over Q(sqrt 2): elements are Fraction-valued, and a
+lift is multiplied out factor by factor as a product of unit vectors
+epsilon(i, j, n) = (e_i - e_j)/sqrt(2), with the reordering sign of
+_sign_parity.  Of the library's Clifford code it uses only
+transposition_factors (besides its error class and rank cap); pin_lift's
+(k, z) becomes an element here by as_element.
+
+The fold sign rule, the library's former route to every sign: multiply
+the integer folds out with _fold_factors and compare the fold of a
+product of lifts with that of the lift of the product (fold_sign_bit).
+The library now decides each sign by a Pfaffian instead.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from traceforms import perms
-from traceforms.clifford import CLIFFORD_RANK_CAP, CliffordError, transposition_factors
+from traceforms.clifford import (
+    CLIFFORD_RANK_CAP,
+    CliffordError,
+    SignMismatchError,
+    _fold_factors,
+    transposition_factors,
+)
+from traceforms.cohomology import cochains_from_columns
+from traceforms.groups import generating_set, left_regular
 
 
 class QSqrt2:
@@ -250,3 +264,49 @@ def check_pin(x):
     if _scalar(x.reversal() * x) not in (QSqrt2(1), QSqrt2(-1)):
         raise CliffordError("spinor norm is not +-1")
     return twisted_action(x)
+
+
+# -- the fold sign rule ------------------------------------------------------
+
+def fold_sign_bit(z: dict[int, int], w: dict[int, int], gap: int) -> int:
+    """The bit b with z = (-1)^b 2^(gap/2) w.  For z the fold of
+    lift(g) lift(h) (k1 + k2 factors), w the fold of lift(gh) (k3
+    factors) and gap = k1 + k2 - k3, that is lift(g) lift(h) =
+    (-1)^b lift(gh); k = n - #cycles makes the gap even and >= 0."""
+    if gap >= 0 and gap % 2 == 0:
+        j = gap // 2
+        if z == {m: c << j for m, c in w.items()}:
+            return 0
+        if z == {m: -c << j for m, c in w.items()}:
+            return 1
+    raise SignMismatchError("product of lifts is not +-(lift of product)")
+
+
+def fold_product_sign(p: perms.Perm, q: perms.Perm) -> int:
+    """pin_product_sign(p, q) for p, q of one degree, by folds."""
+    fp, fq = transposition_factors(p), transposition_factors(q)
+    fc = transposition_factors(perms.compose(p, q))
+    z = _fold_factors(_fold_factors({0: 1}, fp), fq)
+    return fold_sign_bit(z, _fold_factors({0: 1}, fc), len(fp) + len(fq) - len(fc))
+
+
+def fold_square_sign(factors: list[tuple[int, int]]) -> int:
+    """+-1 with x^2 = +-1, x the lift with these factors, by folds."""
+    state = _fold_factors(_fold_factors({0: 1}, factors), factors)
+    return -1 if fold_sign_bit(state, {0: 1}, 2 * len(factors)) else 1
+
+
+def fold_cocycle_bits(G) -> int:
+    """The bits of pin_cocycle(G)'s table, from folded generator columns
+    filled out along the Cayley walk, as pin_cocycle computed it before
+    its signs became Pfaffians."""
+    n, t = G.order, G.table
+    rows_of = left_regular(G)
+    factor_lists = [transposition_factors(rows_of[g]) for g in range(n)]
+    k = [len(fl) for fl in factor_lists]
+    folds = [_fold_factors({0: 1}, fl) for fl in factor_lists]
+    columns = {s: [0] + [
+        fold_sign_bit(_fold_factors(folds[x], factor_lists[s]),
+                      folds[t[x][s]], k[x] + k[s] - k[t[x][s]])
+        for x in range(1, n)] for s in generating_set(G)}
+    return cochains_from_columns(G, columns, 1)[0]

@@ -11,6 +11,10 @@ from clifford_oracle import (
     as_element,
     check_pin,
     epsilon,
+    fold_cocycle_bits,
+    fold_product_sign,
+    fold_sign_bit,
+    fold_square_sign,
     times_lift,
     twisted_action,
 )
@@ -19,9 +23,12 @@ from traceforms.clifford import (
     FOLD_TERMS_CAP,
     CliffordError,
     SignMismatchError,
+    _PRIME,
     _check_fold,
+    _factors,
     _fold_factors,
-    _sign_bit,
+    _pfaffian,
+    _pfaffian_sign,
     _square_sign,
     involution_square_sign,
     pin_cocycle,
@@ -194,16 +201,25 @@ def _cycle(n, shift=1):
     return tuple((i + shift) % n for i in range(n))
 
 
+def _cocycle_identity_holds(p, q, r):
+    """c(p, q) + c(pq, r) = c(q, r) + c(p, qr) mod 2, by pin_product_sign."""
+    pq, qr = perms.compose(p, q), perms.compose(q, r)
+    return (pin_product_sign(p, q) ^ pin_product_sign(pq, r)
+            == pin_product_sign(q, r) ^ pin_product_sign(p, qr))
+
+
 def test_fold_size_cap_names_the_limit():
-    """Folds whose 2^min(k, n) bound exceeds FOLD_TERMS_CAP are refused
-    before any folding: an 18-cycle's lift (k = 17), and the product of
-    two 17-cycles (k = 32 on rank 17)."""
+    """A lift whose fold's 2^min(k, n) bound exceeds FOLD_TERMS_CAP is
+    refused before any folding: an 18-cycle's (k = 17).  Signs take no
+    fold, so the cap does not guard them: the product of two 17-cycles
+    (k = 32 on rank 17, once refused) gets a sign, and the signs of a
+    triple satisfy the cocycle identity."""
     assert FOLD_TERMS_CAP == 1 << 16
     t0 = time.perf_counter()
     with pytest.raises(CliffordError, match="FOLD_TERMS_CAP = 65536"):
         pin_lift(_cycle(18))
-    with pytest.raises(CliffordError, match="2\\^17 terms"):
-        pin_product_sign(_cycle(17), _cycle(17, 3))
+    assert pin_product_sign(_cycle(17), _cycle(17, 3)) in (0, 1)
+    assert _cocycle_identity_holds(_cycle(17), _cycle(17, 3), _cycle(17, 5))
     assert time.perf_counter() - t0 < 1
     assert pin_lift((1, 0), 24)[0] == 1  # rank 24, but one factor
 
@@ -280,8 +296,8 @@ W = {0b011: 1, 0b110: -3}
 
 
 def test_sign_rule_accepts_signed_powers_of_two():
-    assert _sign_bit({0b011: 1, 0b110: -3}, W, 0) == 0
-    assert _sign_bit({0b011: -4, 0b110: 12}, W, 4) == 1
+    assert fold_sign_bit({0b011: 1, 0b110: -3}, W, 0) == 0
+    assert fold_sign_bit({0b011: -4, 0b110: 12}, W, 4) == 1
     assert _square_sign([(0, 1)]) == 1
     assert _square_sign([(0, 1), (2, 3)]) == -1
 
@@ -296,7 +312,7 @@ def test_sign_rule_accepts_signed_powers_of_two():
 ])
 def test_sign_rule_rejects_non_proportional_folds(z, w, gap):
     with pytest.raises(SignMismatchError):
-        _sign_bit(z, w, gap)
+        fold_sign_bit(z, w, gap)
 
 
 def test_square_of_non_involution_lift_is_rejected():
@@ -476,7 +492,7 @@ def _all_pairs_bits(G):
         for h in range(1, n):
             gh = G.table[g][h]
             z = _fold_factors(folds[g], factor_lists[h])
-            bits |= _sign_bit(z, folds[gh], k[g] + k[h] - k[gh]) << (g * n + h)
+            bits |= fold_sign_bit(z, folds[gh], k[g] + k[h] - k[gh]) << (g * n + h)
     return bits
 
 
@@ -493,35 +509,167 @@ def test_pin_cocycle_matches_all_pairs_oracle():
 
 
 def test_pin_cocycle_folds_only_generator_columns(monkeypatch):
+    # one Pfaffian per generator column entry c(x, s), x != e, and no fold
     calls = [0]
 
-    def counted(state, factors):
+    def counted(a):
         calls[0] += 1
-        return _fold_factors(state, factors)
-    monkeypatch.setattr(clifford, "_fold_factors", counted)
+        return _pfaffian(a)
+    monkeypatch.setattr(clifford, "_pfaffian", counted)
+    monkeypatch.setattr(clifford, "_fold_factors", _no_fold)
     for spec in ("catalog:dihedral:10", "catalog:alt:4", "catalog:cyclic:12",
                  "catalog:elem_abelian_2:3", "catalog:cyclic:1"):
         G = group_from_spec(spec)
         n, d = G.order, len(generating_set(G))
         calls[0] = 0
         pin_cocycle(G)
-        assert calls[0] == n + (n - 1) * d, spec
+        assert calls[0] == (n - 1) * d, spec
 
 
 @pytest.mark.parametrize("spec", ["catalog:dihedral:10", "catalog:alt:4"])
 def test_flipped_generator_column_sign_is_caught(monkeypatch, spec):
     # With two or more generators the columns over-determine the table, so
     # one wrong sign makes it fail the cocycle identity.  (For a cyclic
-    # group every column is consistent: there only the fold check guards.)
+    # group every column is consistent: there only the residue guards.)
     G = group_from_spec(spec)
     n, d = G.order, len(generating_set(G))
     assert d == 2
     for target in range((n - 1) * d):
         calls = [0]
 
-        def flipped(z, w, gap):
+        def flipped(vectors):
             calls[0] += 1
-            return _sign_bit(z, w, gap) ^ (calls[0] == target + 1)
-        monkeypatch.setattr(clifford, "_sign_bit", flipped)
+            return _pfaffian_sign(vectors) ^ (calls[0] == target + 1)
+        monkeypatch.setattr(clifford, "_pfaffian_sign", flipped)
         with pytest.raises(CohomologyError):
             pin_cocycle(G)
+
+
+# -- signs by Pfaffians ------------------------------------------------------
+
+def _no_fold(state, factors):
+    raise AssertionError("a sign was computed by folding")
+
+
+def test_signs_take_no_fold(monkeypatch):
+    monkeypatch.setattr(clifford, "_fold_factors", _no_fold)
+    res = pin_cocycle(catalog("alt", 4))
+    assert res.cocycle is not None
+    assert pin_cocycle(catalog("cyclic", 12), involutions_only=True).square_signs
+    assert pin_product_sign(_cycle(24), _cycle(24, 7)) in (0, 1)
+    assert involution_square_sign(24) == 1
+
+
+def _pfaffian_by_expansion(a):
+    """Pf(a) expanded along the first row (exact integers)."""
+    if not a:
+        return 1
+    total = 0
+    for j in range(1, len(a)):
+        if a[0][j]:
+            rest = [r for r in range(1, len(a)) if r != j]
+            minor = [[a[x][y] for y in rest] for x in rest]
+            total += (-1) ** (j - 1) * a[0][j] * _pfaffian_by_expansion(minor)
+    return total
+
+
+def test_pfaffian_matches_expansion():
+    rng = random.Random(1950)
+    for trial in range(300):
+        size = 2 * rng.randint(0, 4)
+        density = rng.choice((0.2, 0.5, 1.0))  # sparse ones need pivoting
+        a = [[0] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i + 1, size):
+                if rng.random() < density:
+                    a[i][j] = rng.randint(-2, 2)
+                    a[j][i] = -a[i][j]
+        exact = _pfaffian_by_expansion(a)
+        assert _pfaffian([row[:] for row in a]) == exact % _PRIME, (trial, a)
+    # Pf of [[0, x], [-x, 0]] is x mod P: -3, and 2^61 = 1
+    assert _pfaffian([[0, -3], [3, 0]]) == _PRIME - 3
+    assert _pfaffian([[0, 1 << 61], [-(1 << 61), 0]]) == 1
+
+
+def test_pfaffian_sign_is_the_scalar_of_the_product():
+    # (e0 - e1)^2 = 2; (e0 - e1)(e1 - e2)(e1 - e2)(e0 - e1) = 4
+    assert _pfaffian_sign([(0, 1), (0, 1)]) == 0
+    assert _pfaffian_sign([(0, 1), (1, 0)]) == 1  # (e0 - e1)(e1 - e0) = -2
+    assert _pfaffian_sign([(0, 1), (1, 2), (1, 2), (0, 1)]) == 0
+    assert _pfaffian_sign([]) == 0
+    for bad in ([(0, 1)], [(0, 1), (1, 2)], [(0, 1), (2, 3)]):
+        with pytest.raises(SignMismatchError):  # odd, or scalar part 1 or 0
+            _pfaffian_sign(bad)
+
+
+def test_wrong_residue_raises(monkeypatch):
+    # only +-2^m mod P is a sign: any other residue raises, at every call site
+    G = catalog("dihedral", 8)
+    rows_of = left_regular(G)
+    for residue in (0, 3, 1 << 40):
+        monkeypatch.setattr(clifford, "_pfaffian", lambda a, r=residue: r)
+        for call in (lambda: pin_cocycle(G),
+                     lambda: pin_cocycle(G, involutions_only=True),
+                     lambda: pin_product_sign(rows_of[1], rows_of[2]),
+                     lambda: involution_square_sign(8)):
+            with pytest.raises(SignMismatchError):
+                call()
+
+
+def test_factor_lists_compose_back(monkeypatch):
+    for d in range(6):
+        for p in itertools.permutations(range(d)):
+            assert _factors(p) == transposition_factors(p)
+    G = catalog("dihedral", 8)
+    rows_of = left_regular(G)
+    calls = (lambda: pin_cocycle(G),
+             lambda: pin_cocycle(G, involutions_only=True),
+             lambda: pin_product_sign(rows_of[1], rows_of[3]))
+    # factors of another permutation: one too few, or one too many
+    for wrong in (lambda p: transposition_factors(p)[1:],
+                  lambda p: [(0, 1)] + transposition_factors(p)):
+        monkeypatch.setattr(clifford, "transposition_factors", wrong)
+        for call in calls:
+            with pytest.raises(CliffordError, match="do not compose"):
+                call()
+
+
+def test_pin_cocycle_matches_fold_oracle_at_order_16(monkeypatch):
+    # the full-table cap lifted to 16 for the comparison only
+    monkeypatch.setattr(clifford, "FULL_PIN_CAP", 16)
+    for spec in ("catalog:dihedral:16", "catalog:quat_cover", "catalog:cyclic:16"):
+        G = group_from_spec(spec)
+        assert G.order == 16
+        assert pin_cocycle(G).cocycle.bits == fold_cocycle_bits(G), spec
+
+
+def _random_perm(rng, d, swaps):
+    """The product of `swaps` random transpositions of degree d."""
+    p = tuple(range(d))
+    for _ in range(swaps):
+        a, b = rng.sample(range(d), 2)
+        p = perms.compose(perms.from_cycles(d, [(a, b)]), p)
+    return p
+
+
+def test_pin_product_sign_matches_fold_oracle():
+    # pairs of degree <= 24, compared wherever the oracle's folds are
+    # within FOLD_TERMS_CAP: products of few transpositions, and shuffles
+    rng = random.Random(24)
+    compared = 0
+    for trial in range(400):
+        if trial % 2:
+            d = rng.randint(2, 24)
+            p = _random_perm(rng, d, rng.randint(0, 10))
+            q = _random_perm(rng, d, rng.randint(0, 10))
+        else:
+            d = rng.randint(1, 12)
+            p, q = (tuple(rng.sample(range(d), d)) for _ in range(2))
+        k = len(transposition_factors(p)) + len(transposition_factors(q))
+        if 1 << min(k, d) <= FOLD_TERMS_CAP:
+            compared += 1
+            assert pin_product_sign(p, q) == fold_product_sign(p, q), (p, q)
+    assert 300 <= compared < 400
+    for d in range(2, 25):
+        factors = [(2 * i, 2 * i + 1) for i in range(d // 2)]
+        assert _square_sign(factors) == fold_square_sign(factors), d
