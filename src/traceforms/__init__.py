@@ -11,11 +11,11 @@ The layers, bottom to top:
   the involution-diagonal map and its kernel, central extensions and
   the involution-lifting property.
 - ``clifford``: pin lifts of permutations as integer folds, and sign
-  cocycles of translation actions read off the folds; one Clifford
-  product, on integers.  ``pin_lift`` checks a lift by its norm and its
-  action; the sign functions fold the factors directly and prove each
-  sign by proportionality of the product to the lift of the product,
-  and a full sign table also by the cocycle identity.
+  cocycles of translation actions.  ``pin_lift`` checks a lift by its
+  norm and its action; each sign is one Pfaffian, mod a prime, of the
+  skew Gram matrix of the factors of the two lifts and of the lift of
+  their product, and a full sign table is also checked by the cocycle
+  identity.
 - ``quadratic``: square classes, Hilbert symbols, ramification sets of
   cup products, diagonalization, Hasse-Witt style invariants, rational
   isometry via the local-global classification.
@@ -30,58 +30,66 @@ The layers, bottom to top:
 - ``verify``: statement-by-statement verification reports and the
   seeded property batteries.
 - ``cli``: the ``traceforms`` command.
+
+Every layer is registered here unexecuted and runs on its first
+attribute access (``importlib.util.LazyLoader``), so a command compiles
+only the layers its verb reaches.  ``import traceforms.cli`` still puts
+every layer in ``sys.modules``.  The public names below are served from
+their layers by the module ``__getattr__`` (PEP 562).
 """
 
-from .cohomology import (
-    Cocycle2,
-    CohClass,
-    h2,
-    is_2_reduced,
-    ker_s,
-    s_map,
-    two_lift_property,
-)
-from .clifford import involution_square_sign, pin_cocycle, pin_lift
-from .galois import (
-    EtaleAlg,
-    GaloisError,
-    MonicPoly,
-    algebra_disc,
-    classify_2group_trace_form,
-    trace_form,
-    trace_gram,
-    two_cyclic_sylow_orders,
-    verify_main,
-    verify_two_cyclic_sylow,
-    verify_w1,
-)
-from .groups import Group, catalog, group_from_spec, sylow2
-from .quadratic import (
-    QForm,
-    TruncatedSW,
-    cup,
-    diagonalize,
-    hilbert_symbol,
-    is_isometric_q,
-    signature,
-    sw_total,
-    w1,
-    w2,
-)
-from .verify import DEFAULT_SEED, VerificationReport, run_statement, run_suite
+import importlib.util
+import sys
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Cocycle2", "CohClass", "h2", "is_2_reduced", "ker_s", "s_map",
-    "two_lift_property", "involution_square_sign", "pin_cocycle", "pin_lift",
-    "EtaleAlg", "GaloisError", "MonicPoly", "algebra_disc",
-    "classify_2group_trace_form", "trace_form",
-    "trace_gram", "two_cyclic_sylow_orders", "verify_main",
-    "verify_two_cyclic_sylow", "verify_w1",
-    "Group", "catalog", "group_from_spec", "sylow2",
-    "QForm", "TruncatedSW", "cup", "diagonalize", "hilbert_symbol",
-    "is_isometric_q", "signature", "sw_total", "w1", "w2",
-    "DEFAULT_SEED", "VerificationReport", "run_statement", "run_suite",
-    "__version__",
-]
+# layer -> the public names it defines, in the order of __all__
+_EXPORTS = {
+    "cohomology": ("Cocycle2", "CohClass", "h2", "is_2_reduced", "ker_s",
+                   "s_map", "two_lift_property"),
+    "clifford": ("involution_square_sign", "pin_cocycle", "pin_lift"),
+    "galois": ("EtaleAlg", "GaloisError", "MonicPoly", "algebra_disc",
+               "classify_2group_trace_form", "trace_form", "trace_gram",
+               "two_cyclic_sylow_orders", "verify_main",
+               "verify_two_cyclic_sylow", "verify_w1"),
+    "groups": ("Group", "catalog", "group_from_spec", "sylow2"),
+    "quadratic": ("QForm", "TruncatedSW", "cup", "diagonalize",
+                  "hilbert_symbol", "is_isometric_q", "signature",
+                  "sw_total", "w1", "w2"),
+    "verify": ("DEFAULT_SEED", "VerificationReport", "run_statement",
+               "run_suite"),
+}
+_LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_LAYER_OF, "__version__"]
+
+
+def _lazy(layer: str):
+    """traceforms.<layer>, in sys.modules but run on first attribute access."""
+    spec = importlib.util.find_spec(f"{__name__}.{layer}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# bottom to top; __main__ is left to ``python -m``
+perms = _lazy("perms")
+gf2 = _lazy("gf2")
+groups = _lazy("groups")
+cohomology = _lazy("cohomology")
+clifford = _lazy("clifford")
+quadratic = _lazy("quadratic")
+oracles = _lazy("oracles")
+galois = _lazy("galois")
+fixtures = _lazy("fixtures")
+verify = _lazy("verify")
+cli = _lazy("cli")
+
+
+def __getattr__(name):
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[layer], name)

@@ -9,6 +9,10 @@ A handler gets the parsed arguments and what `main` loaded: the algebra of
 a verb with --poly/--algebra, the group under the `cap` a verb declares.  It
 returns (payload, passed) for `main` to print, printing only the --pretty
 table of verify/suite.  Exit: 0 pass or info, 1 failing verdict, 2 bad input.
+
+The layers are reached only as module attributes (``cohomology.h2(G)``),
+read when a verb runs: the package loads each layer on first use, so a
+command runs only the layers its verb needs.
 """
 from __future__ import annotations
 
@@ -19,46 +23,11 @@ import re
 import sys
 from fractions import Fraction
 
-from .clifford import involution_square_sign, pin_cap, pin_cocycle
-from .cohomology import (
-    H2_CAP,
-    Cocycle2,
-    extension_from_cocycle,
-    h2,
-    is_2_reduced,
-    ker_s,
-    s_map,
-    two_lift_property,
-)
-from .galois import (
-    EtaleAlg,
-    MonicPoly,
-    classify_2group_trace_form,
-    trace_form,
-)
-from .groups import CLOSURE_CAP, group_from_spec, regular_rep_in_alternating, sylow2
-from .quadratic import (
-    QForm,
-    diagonalize,
-    is_isometric_q,
-    signature,
-    w1,
-    w2,
-)
-from .verify import (
-    DEFAULT_SEED,
-    STATEMENTS,
-    jsonable,
-    run_statement,
-    run_suite,
-)
+from . import clifford, cohomology, galois, groups, quadratic, verify
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-# the order cap of the cohomology solver, checked before a table is built
-_H2 = ("H2_CAP", H2_CAP)
 
 
 def _emit(obj, pretty: bool) -> None:
@@ -83,16 +52,16 @@ def _fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def _parse_entries(text: str) -> QForm:
+def _parse_entries(text: str) -> quadratic.QForm:
     toks = [t.strip() for t in text.split(",") if t.strip()]
     if not toks:
         raise ValueError("empty form entry list")
-    return QForm(tuple(_fraction(t) for t in toks))
+    return quadratic.QForm(tuple(_fraction(t) for t in toks))
 
 
-def _parse_poly(text: str) -> MonicPoly:
+def _parse_poly(text: str) -> galois.MonicPoly:
     coeffs = [int(t.strip()) for t in text.split(",") if t.strip()]
-    return MonicPoly(tuple(coeffs))
+    return galois.MonicPoly(tuple(coeffs))
 
 
 def _read_json(source: str, **kwargs):
@@ -107,11 +76,11 @@ def _read_json(source: str, **kwargs):
         raise ValueError("JSON nested too deeply") from None
 
 
-def _load_algebra(args) -> EtaleAlg:
+def _load_algebra(args) -> galois.EtaleAlg:
     """Algebra from --poly (single field factor) or --algebra (JSON list
     of {poly, multiplicity}, inline or @file)."""
     if args.poly is not None:
-        return EtaleAlg(((_parse_poly(args.poly), 1),))
+        return galois.EtaleAlg(((_parse_poly(args.poly), 1),))
     data = _read_json(args.algebra)
     shape = "algebra JSON must be a list of {poly, multiplicity}"
     if not isinstance(data, list):
@@ -122,8 +91,8 @@ def _load_algebra(args) -> EtaleAlg:
             raise ValueError(shape)
         coeffs = tuple(_json_int(c, "poly coefficient") for c in item["poly"])
         mult = _json_int(item.get("multiplicity", 1), "multiplicity")
-        factors.append((MonicPoly(coeffs), mult))
-    return EtaleAlg(tuple(factors))
+        factors.append((galois.MonicPoly(coeffs), mult))
+    return galois.EtaleAlg(tuple(factors))
 
 
 def _json_int(x, what: str) -> int:
@@ -142,13 +111,13 @@ def _load_gram(path: str) -> list[list[Fraction]]:
     return [[_fraction(str(x)) for x in row] for row in data]
 
 
-def _load_cocycle(G, spec: str) -> Cocycle2:
+def _load_cocycle(G, spec: str) -> cohomology.Cocycle2:
     n = G.order
     if spec == "zero":
-        return Cocycle2.zero(G)
+        return cohomology.Cocycle2.zero(G)
     if spec.startswith("basis:"):
         i = int(spec.split(":", 1)[1])
-        basis = h2(G)
+        basis = cohomology.h2(G)
         if not 0 <= i < basis.dim:
             raise ValueError(
                 f"basis index {i} out of range (dim H² = {basis.dim})")
@@ -158,7 +127,7 @@ def _load_cocycle(G, spec: str) -> Cocycle2:
     if len(bits) != n * n or set(bits) - {"0", "1"}:
         raise ValueError(
             f"cocycle file must hold exactly {n}x{n} ASCII bits")
-    return Cocycle2(G, int(bits[::-1], 2))
+    return cohomology.Cocycle2(G, int(bits[::-1], 2))
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +135,7 @@ def _load_cocycle(G, spec: str) -> Cocycle2:
 
 
 def _cmd_group(args, G):
-    S = sylow2(G)
+    S = groups.sylow2(G)
     return {
         "name": G.name or "anonymous",
         "order": G.order,
@@ -175,20 +144,20 @@ def _cmd_group(args, G):
         "involutions": len(G.involutions()),
         "sylow2_order": S.order,
         "sylow2_cyclic": S.is_cyclic(),
-        "regular_rep_alternating": regular_rep_in_alternating(G),
+        "regular_rep_alternating": groups.regular_rep_in_alternating(G),
     }, True
 
 
 def _cmd_h2(args, G):
-    b = h2(G)
+    b = cohomology.h2(G)
     return {"h2_dim": b.dim, "cocycle_dim": b.z2_dim,
             "coboundary_dim": b.b2_dim}, True
 
 
 def _cmd_kers(args, G):
-    kernel = ker_s(G)
+    kernel = cohomology.ker_s(G)
     return {
-        "h2_dim": h2(G).dim,
+        "h2_dim": cohomology.h2(G).dim,
         "kernel_dim": len(kernel),
         "kernel_coords": sorted(cl.coords for cl in kernel),
         "two_reduced": not kernel,
@@ -196,29 +165,29 @@ def _cmd_kers(args, G):
 
 
 def _cmd_2reduced(args, G):
-    return {"verdict": is_2_reduced(G)}, True
+    return {"verdict": cohomology.is_2_reduced(G)}, True
 
 
 def _cmd_extension(args, G):
-    basis = h2(G)
+    basis = cohomology.h2(G)
     c = _load_cocycle(G, args.cocycle)
-    E = extension_from_cocycle(G, c)
+    E = cohomology.extension_from_cocycle(G, c)
     return {
         "base_order": G.order,
         "total_order": E.total.order,
-        "two_lift_property": two_lift_property(E),
+        "two_lift_property": cohomology.two_lift_property(E),
         "class_is_coboundary": basis.is_coboundary(c),
         "class_coords": basis.coords(c),
-        "s_diagonal": list(s_map(c)),
+        "s_diagonal": list(cohomology.s_map(c)),
     }, True
 
 
 def _cmd_pin_sign(args):
-    return involution_square_sign(args.n), True
+    return clifford.involution_square_sign(args.n), True
 
 
 def _cmd_pin_cocycle(args, G):
-    res = pin_cocycle(G, involutions_only=args.involutions_only)
+    res = clifford.pin_cocycle(G, involutions_only=args.involutions_only)
     out = {
         "order": G.order,
         "involutions_only": res.involutions_only,
@@ -229,58 +198,64 @@ def _cmd_pin_cocycle(args, G):
         n = G.order
         flat = format(res.cocycle.bits, f"0{n * n}b")[::-1]
         out["cocycle_bits"] = [flat[g * n:(g + 1) * n] for g in range(n)]
-        if n <= H2_CAP:
-            out["coboundary"] = h2(G).is_coboundary(res.cocycle)
+        if n <= cohomology.H2_CAP:
+            out["coboundary"] = cohomology.h2(G).is_coboundary(res.cocycle)
     return out, True
 
 
-def _form_report(q: QForm) -> dict:
+def _places(q: quadratic.QForm) -> list:
+    """The places of w2(q), primes ascending and then inf."""
+    return sorted(quadratic.w2(q), key=quadratic.place_sort_key)
+
+
+def _form_report(q: quadratic.QForm) -> dict:
     return {
         "rank": q.rank,
-        "signature": list(signature(q)),
-        "disc": w1(q),
-        "w2_places": jsonable(w2(q)),
+        "signature": list(quadratic.signature(q)),
+        "disc": quadratic.w1(q),
+        "w2_places": _places(q),
     }
 
 
 def _cmd_form(args):
     if args.gram is not None:
-        q = diagonalize(_load_gram(args.gram))
+        q = quadratic.diagonalize(_load_gram(args.gram))
     else:
         q = _parse_entries(args.entries)
     out = dict(_form_report(q), verdicts={})
     if args.isometric_to:
         other = _parse_entries(args.isometric_to)
-        out["verdicts"]["isometric"] = is_isometric_q(q, other)
+        out["verdicts"]["isometric"] = quadratic.is_isometric_q(q, other)
     return out, True
 
 
 def _cmd_trace(args, A):
-    q = trace_form(A)
+    q = galois.trace_form(A)
     return dict(_form_report(q), degree=A.degree,
-                totally_real=signature(q) == (A.degree, 0)), True
+                totally_real=quadratic.signature(q) == (A.degree, 0)), True
 
 
 def _cmd_classify(args, A, G):
-    r = classify_2group_trace_form(A, G)
+    r = galois.classify_2group_trace_form(A, G)
     q = r["computed"]
     return {
-        "w1": w1(q),
-        "w2_places": jsonable(w2(q)),
-        "signature": list(signature(q)),
+        "w1": quadratic.w1(q),
+        "w2_places": _places(q),
+        "signature": list(quadratic.signature(q)),
         "case": r["case"],
-        "predicted_form": jsonable(r["model"]),
+        "predicted_form": [str(a) for a in r["model"].entries],
         "verdict": r["isometric"],
     }, r["isometric"]
 
 
 def _cmd_reports(args):
     """`verify` returns one report, `suite` the list of all of them."""
+    seed = verify.DEFAULT_SEED if args.seed is None else args.seed
     if args.command == "suite":
-        reports = run_suite(args.seed)
+        reports = verify.run_suite(seed)
         payload = [r.as_dict(include_runtime=args.timings) for r in reports]
     else:
-        reports = [run_statement(args.statement, args.seed)]
+        reports = [verify.run_statement(args.statement, seed)]
         payload = reports[0].as_dict(include_runtime=args.timings)
     if args.pretty:
         print("\n".join(f"{r.statement:<22} {r.verdict}" for r in reports))
@@ -288,7 +263,31 @@ def _cmd_reports(args):
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# parser assembly: it reads nothing from the layers
+
+
+def _h2_cap(args):
+    """The order cap of the cohomology solver, checked before a table is built."""
+    return "H2_CAP", cohomology.H2_CAP
+
+
+class _VerifyHelp(argparse.Action):
+    """-h/--help of `verify`: shows the statement names as the choices of
+    --statement, read from verify only when the help is printed."""
+
+    def __init__(self, option_strings, dest, statement):
+        super().__init__(option_strings, dest, nargs=0, default=argparse.SUPPRESS,
+                         help="show this help message and exit")
+        self.statement = statement
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        shown = self.statement.metavar
+        self.statement.metavar = "{%s}" % ",".join(verify.STATEMENTS)
+        try:
+            parser.print_help()
+        finally:  # the parser is reused: later usage lines stay as built
+            self.statement.metavar = shown
+        parser.exit()
 
 
 @functools.cache
@@ -306,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--pretty", action="store_true",
                         help="indented output (tables for verify/suite)")
 
-    def grouped(name, help_, handler, cap=lambda args: _H2):
+    def grouped(name, help_, handler, cap=_h2_cap):
         p = sub.add_parser(name, parents=[common], help=help_)
         p.add_argument("--group", required=True,
                        help="group spec: catalog:<name>[:param] or "
@@ -315,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     grouped("group", "structural fingerprint of a group", _cmd_group,
-            lambda args: ("CLOSURE_CAP", CLOSURE_CAP))
+            lambda args: ("CLOSURE_CAP", groups.CLOSURE_CAP))
     grouped("h2", "dimension data of degree-2 mod-2 cohomology", _cmd_h2)
     grouped("kers", "kernel of the involution-diagonal map on H²", _cmd_kers)
     grouped("2reduced", "whether the kernel of the diagonal map vanishes",
@@ -336,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = grouped("pin-cocycle",
                 "sign cocycle of the pin lifts of left translations",
-                _cmd_pin_cocycle, lambda args: pin_cap(args.involutions_only))
+                _cmd_pin_cocycle, lambda args: clifford.pin_cap(args.involutions_only))
     p.add_argument("--involutions-only", action="store_true",
                    help="only the diagonal signs at involutions (order ≤ 24)")
 
@@ -363,18 +362,21 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="match a 2-group trace form against the four "
                             "model shapes")
     p.add_argument("--group", required=True, help="acting group spec")
-    p.set_defaults(func=_cmd_classify, cap=lambda args: _H2)
+    p.set_defaults(func=_cmd_classify, cap=_h2_cap)
 
-    # --statement comes first so that `verify --help` lists it before --seed
+    # --statement comes first so that `verify --help` lists it before --seed;
+    # an unknown name is refused by run_statement, with the list (exit 2)
     statement = argparse.ArgumentParser(add_help=False)
-    statement.add_argument("--statement", required=True, choices=STATEMENTS)
+    listed = statement.add_argument("--statement", required=True, metavar="NAME")
+    helped = argparse.ArgumentParser(add_help=False)
+    helped.add_argument("-h", "--help", action=_VerifyHelp, statement=listed)
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    seeded.add_argument("--seed", type=int)
     seeded.add_argument("--timings", action="store_true",
                         help="include runtimes (output no longer byte-stable)")
 
-    p = sub.add_parser("verify", parents=[common, statement, seeded],
-                       help="run one verification statement")
+    p = sub.add_parser("verify", parents=[helped, common, statement, seeded],
+                       help="run one verification statement", add_help=False)
     p.set_defaults(func=_cmd_reports)
 
     p = sub.add_parser("suite", parents=[common, seeded],
@@ -390,7 +392,7 @@ def main(argv=None) -> int:
     try:
         inputs = [_load_algebra(args)] if "poly" in args else []
         if "cap" in args:
-            inputs.append(group_from_spec(args.group, args.cap(args)))
+            inputs.append(groups.group_from_spec(args.group, args.cap(args)))
         payload, passed = args.func(args, *inputs)
         _emit(payload, args.pretty)
     except (ValueError, OSError) as exc:  # package errors are ValueErrors

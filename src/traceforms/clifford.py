@@ -53,9 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import perms
-from .cohomology import Cocycle2, cochains_from_columns
-from .groups import Group, generating_set, left_regular
+from . import cohomology, groups, perms
 
 CLIFFORD_RANK_CAP = 24   # largest number of generators accepted
 FULL_PIN_CAP = 12        # largest group order for the full sign table
@@ -270,8 +268,8 @@ def involution_square_sign(n: int) -> int:
 class PinCocycleResult:
     """Sign data of the pin lifts of a group's translation action."""
 
-    group: Group
-    cocycle: Cocycle2 | None
+    group: groups.Group
+    cocycle: cohomology.Cocycle2 | None
     square_signs: dict[int, int]  # involution index -> lift(g)^2 = +-1
     involutions_only: bool
 
@@ -296,7 +294,7 @@ def pin_cap(involutions_only: bool) -> tuple[str, int]:
             else ("FULL_PIN_CAP", FULL_PIN_CAP))
 
 
-def pin_cocycle(G: Group, involutions_only: bool = False) -> PinCocycleResult:
+def pin_cocycle(G: groups.Group, involutions_only: bool = False) -> PinCocycleResult:
     """Sign cocycle c with lift(g) lift(h) = (-1)^c(g,h) lift(gh), where
     lift is the pin lift of left translation by g.  With involutions_only
     just the diagonal values at involutions (the squares) are computed.
@@ -319,7 +317,7 @@ def pin_cocycle(G: Group, involutions_only: bool = False) -> PinCocycleResult:
     name, cap = pin_cap(involutions_only)
     if n > cap:
         raise CliffordError(f"group order {n} exceeds {name} = {cap}")
-    rows_of = left_regular(G)
+    rows_of = groups.left_regular(G)
 
     if involutions_only:
         signs = {g: _square_sign(_factors(rows_of[g])) for g in G.involutions()}
@@ -329,8 +327,8 @@ def pin_cocycle(G: Group, involutions_only: bool = False) -> PinCocycleResult:
     fl = [_factors(rows_of[g]) for g in range(n)]
     columns = {s: [0] + [_pfaffian_sign(fl[x] + fl[s] + fl[t[x][s]][::-1])
                          for x in range(1, n)]
-               for s in generating_set(G)}
-    c = Cocycle2(G, cochains_from_columns(G, columns, 1)[0])
+               for s in groups.generating_set(G)}
+    c = cohomology.Cocycle2(G, cohomology.cochains_from_columns(G, columns, 1)[0])
     c.validate()
     signs = {g: -1 if c.value(g, g) else 1 for g in G.involutions()}
     return PinCocycleResult(G, c, signs, False)

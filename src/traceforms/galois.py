@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cohomology import is_2_reduced
-from .groups import Group, regular_rep_in_alternating, sylow2
+from . import cohomology, groups
 from .quadratic import (
     QForm,
     cup,
@@ -203,7 +202,7 @@ def _det_fraction_free(m) -> int:
     return math.prod(diagonalize(m).entries).numerator
 
 
-def _check_galois(A: EtaleAlg, G: Group) -> bool:
+def _check_galois(A: EtaleAlg, G: groups.Group) -> bool:
     """Check that A can be a G-Galois algebra, a power F^m of one field
     with deg A = |G|, and return whether it is a field (m = 1)."""
     if A.degree != G.order:
@@ -213,12 +212,12 @@ def _check_galois(A: EtaleAlg, G: Group) -> bool:
     return A.factors[0][1] == 1
 
 
-def disc_square_prediction(A: EtaleAlg, G: Group) -> bool:
+def disc_square_prediction(A: EtaleAlg, G: groups.Group) -> bool:
     """Structural prediction of 'the discriminant is a square': true when
     the regular action of the group is by even permutations, or when the
     algebra is a power F^m with m even."""
     _check_galois(A, G)
-    return regular_rep_in_alternating(G) or A.factors[0][1] % 2 == 0
+    return groups.regular_rep_in_alternating(G) or A.factors[0][1] % 2 == 0
 
 
 def predicted_2group_form(n: int, real: bool, cyclic: bool, d: int) -> tuple[str, QForm]:
@@ -242,7 +241,7 @@ def predicted_2group_form(n: int, real: bool, cyclic: bool, d: int) -> tuple[str
     return "iv", QForm((one, -one) * m + (lead, Fraction(2 * d)))
 
 
-def classify_2group_trace_form(A: EtaleAlg, G: Group) -> dict:
+def classify_2group_trace_form(A: EtaleAlg, G: groups.Group) -> dict:
     """Compare the computed trace form of a Galois field with 2-power
     group against the predicted model form.  Preconditions: the algebra
     is a field of degree 0 or 2 mod 8, the group is a 2-group whose
@@ -256,7 +255,7 @@ def classify_2group_trace_form(A: EtaleAlg, G: Group) -> dict:
         raise GaloisError("classification needs a field, not a product")
     if n % 8 not in (0, 2) and n != 1:
         raise GaloisError(f"degree {n} is not 0 or 2 mod 8")
-    if not is_2_reduced(G):
+    if not cohomology.is_2_reduced(G):
         raise GaloisError("group fails the trivial-kernel condition")
     q = trace_form(A)
     sig = signature(q)
@@ -277,7 +276,7 @@ def classify_2group_trace_form(A: EtaleAlg, G: Group) -> dict:
     }
 
 
-def verify_w1(A: EtaleAlg, G: Group) -> dict:
+def verify_w1(A: EtaleAlg, G: groups.Group) -> dict:
     """Check that triviality of the discriminant class matches the
     structural predicate (even regular action, or even multiplicity)."""
     predicted = disc_square_prediction(A, G)
@@ -290,7 +289,7 @@ def verify_w1(A: EtaleAlg, G: Group) -> dict:
     }
 
 
-def verify_main(A: EtaleAlg, G: Group) -> dict:
+def verify_main(A: EtaleAlg, G: groups.Group) -> dict:
     """Check w2(trace form) == cup(2, disc).  Applies when the group has
     trivial involution-diagonal kernel and the degree is 0 or 2 mod 8;
     otherwise the check is skipped."""
@@ -298,7 +297,7 @@ def verify_main(A: EtaleAlg, G: Group) -> dict:
     n = A.degree
     if n % 8 not in (0, 2):
         return {"status": "skipped", "reason": f"degree {n} is not 0 or 2 mod 8"}
-    if not is_2_reduced(G):
+    if not cohomology.is_2_reduced(G):
         return {"status": "skipped",
                 "reason": "group fails the trivial-kernel condition"}
     q = trace_form(A)
@@ -311,13 +310,13 @@ def verify_main(A: EtaleAlg, G: Group) -> dict:
     }
 
 
-def two_cyclic_sylow_orders(G: Group) -> tuple[int, int] | None:
+def two_cyclic_sylow_orders(G: groups.Group) -> tuple[int, int] | None:
     """(2^r1, 2^r2) with r1 <= r2 when a Sylow 2-subgroup of G is
     Z/2^r1 x Z/2^r2 with r1 >= 1, else None.  An abelian 2-group is a
     product of cyclic groups, and its elements of order at most 2 form
     (Z/2)^rank: exactly three involutions means rank 2, and the exponent
     is then the larger factor."""
-    P = sylow2(G)
+    P = groups.sylow2(G)
     t = G.table
     if not P.is_abelian() or sum(t[x][x] == 0 for x in P.members) != 4:
         return None
@@ -325,7 +324,7 @@ def two_cyclic_sylow_orders(G: Group) -> tuple[int, int] | None:
     return P.order // o2, o2
 
 
-def verify_two_cyclic_sylow(A: EtaleAlg, G: Group, d1: int, d2: int) -> dict:
+def verify_two_cyclic_sylow(A: EtaleAlg, G: groups.Group, d1: int, d2: int) -> dict:
     """Check w2(trace form) against the two-cyclic-factor prediction.
     The premise, a Sylow 2-subgroup Z/2^r1 x Z/2^r2 with r2 >= 2, is read
     off G; when it fails the check is skipped."""

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ import time
 import pytest
 
 import traceforms
-from traceforms import cli, galois, groups
+from traceforms import cli, galois, groups, verify
 from traceforms.cli import main
 from traceforms.cohomology import h2
 from traceforms.fixtures import ALL_FIXTURES
@@ -135,7 +136,6 @@ def test_trace_verb_diagonalizes_once(capsys, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(galois, "trace_form", counting)
-    monkeypatch.setattr("traceforms.cli.trace_form", counting)
     code, _, _ = run_cli(capsys, "trace", "--poly", "1,0,-4,0,2")
     assert code == 0 and len(calls) == 1
 
@@ -499,16 +499,38 @@ def test_reused_parser_keeps_no_state(capsys, monkeypatch):
     _, again, _ = run_cli(capsys, "trace", "--poly", "1,0,-3")
     assert pretty != compact and again == compact and compact.count("\n") == 1
     seeds = []
-    real = cli.run_statement
+    real = verify.run_statement
 
     def recording(statement, seed):
         seeds.append(seed)
         return real(statement, seed)
 
-    monkeypatch.setattr(cli, "run_statement", recording)
+    monkeypatch.setattr(verify, "run_statement", recording)
     run_cli(capsys, "verify", "--statement", "h2-s4", "--seed", "99")
     run_cli(capsys, "verify", "--statement", "h2-s4")
     assert seeds == [99, DEFAULT_SEED]
+
+
+def test_unknown_statement_exits_2_naming_every_statement(capsys):
+    code, out, err = run_cli(capsys, "verify", "--statement", "bogus")
+    assert code == 2 and out == ""
+    assert err.startswith("error: unknown statement 'bogus'")
+    assert set(STATEMENTS) <= set(re.split(r"[\s,]+", err))
+
+
+def test_verify_help_lists_every_statement(capsys):
+    def usage_error():
+        with pytest.raises(SystemExit):
+            main(["verify"])
+        return capsys.readouterr().err
+
+    before = usage_error()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and out.startswith("usage: traceforms verify")
+    assert set(STATEMENTS) <= set(re.split(r"[\s,{}]+", out))
+    assert usage_error() == before  # the reused parser kept no help state
 
 
 @pytest.mark.parametrize("argv", [["form"], ["nonsense-verb"]])

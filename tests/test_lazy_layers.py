@@ -1,0 +1,89 @@
+"""The package registers every layer unexecuted; a layer runs on its
+first attribute access.  A command runs only the layers its verb uses,
+and the public names are served from their layers."""
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import traceforms
+from test_trace_hooks import _tracing
+
+SRC = os.path.dirname(os.path.dirname(traceforms.__file__))
+
+# prints {module: whether it has run} for every traceforms.* module, as
+# the last line of stdout, after the statements given
+_CHILD = """
+import json, runpy, sys, types
+{body}
+print(json.dumps({{k[len("traceforms."):]: type(m) is types.ModuleType
+                   for k, m in sys.modules.items()
+                   if k.startswith("traceforms.")}}))
+"""
+_RUN_VERB = """
+sys.argv = ["traceforms", *sys.argv[1:]]
+try:
+    runpy.run_module("traceforms", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+"""
+
+
+def _module_states(body: str, *argv) -> dict[str, bool]:
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD.format(body=body), *argv],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv, ran", [
+    (["form", "--entries", "3,-5,7"], {"cli", "quadratic"}),
+    (["pin-sign", "--n", "12"], {"cli", "clifford"}),
+    (["trace", "--poly", "1,0,-7"], {"cli", "galois", "quadratic"}),
+    (["h2", "--group", "catalog:sym:4"],
+     {"cli", "cohomology", "gf2", "groups", "perms"}),
+])
+def test_verb_runs_only_its_layers(argv, ran):
+    states = _module_states(_RUN_VERB, *argv)
+    assert {m for m, done in states.items() if done} == ran
+
+
+def test_import_cli_registers_every_traced_layer_unexecuted():
+    # the benchmark's tracer imports traceforms.cli and then looks up
+    # each wrapped module in sys.modules
+    states = _module_states("import traceforms.cli")
+    targets = {mod for mod, _, _, _ in _tracing()._TARGETS}
+    assert targets and targets <= set(states)
+    assert not any(states.values()), states
+
+
+def test_public_names_are_the_layers_own_objects():
+    seen = set()
+    for layer, names in traceforms._EXPORTS.items():
+        module = sys.modules[f"traceforms.{layer}"]
+        for name in names:
+            obj = getattr(traceforms, name)
+            assert obj is getattr(module, name), name
+            assert getattr(obj, "__module__", module.__name__) in (
+                module.__name__, "builtins"), name
+            seen.add(name)
+    assert seen | {"__version__"} == set(traceforms.__all__)
+    assert len(traceforms.__all__) == len(set(traceforms.__all__))
+
+
+def test_star_import_gives_every_public_name():
+    ns = {}
+    exec("from traceforms import *", ns)
+    assert set(traceforms.__all__) <= set(ns)
+    assert ns["h2"] is traceforms.cohomology.h2
+    assert ns["DEFAULT_SEED"] == traceforms.verify.DEFAULT_SEED
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        traceforms.no_such_name  # noqa: B018
+    assert not hasattr(traceforms, "no_such_name")

@@ -4,7 +4,8 @@ referenced by name somewhere else in the package or listed in an
 
 A top-level definition f of module m counts as referenced by the name f
 inside m, by `m.f`, or by the name under which another module imports it
-with `from .m import f`.  A method counts as referenced by any attribute
+with `from .m import f`.  A name the package serves lazily from m (its
+`_EXPORTS` table) counts as exported by m.  A method counts as referenced by any attribute
 of its name.  References made only from inside the definition itself, or
 from definitions already found dead, do not count, so a helper whose
 only caller is dead is dead too.
@@ -55,9 +56,15 @@ def _scan():
                 for a in node.names:
                     imports[node.module, a.name].append((mod, a.asname or a.name))
                     local[a.asname or a.name] = (node.module, a.name)
-            if isinstance(node, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-                exported |= {local.get(e.value, (mod, e.value)) for e in node.value.elts}
+            if not isinstance(node, ast.Assign):
+                continue
+            targets = {t.id for t in node.targets if isinstance(t, ast.Name)}
+            if "__all__" in targets:
+                exported |= {local.get(e.value, (mod, e.value)) for e in node.value.elts
+                             if isinstance(e, ast.Constant)}
+            if "_EXPORTS" in targets:  # the package's lazy table: layer -> names
+                exported |= {(layer.value, e.value) for layer, names in
+                             zip(node.value.keys, node.value.values) for e in names.elts}
     defs = []  # (module, name, node, keys that reference it)
     for mod, tree in trees.items():
         for node in tree.body:
