@@ -198,8 +198,7 @@ def _cmd_pin_cocycle(args, G):
         n = G.order
         flat = format(res.cocycle.bits, f"0{n * n}b")[::-1]
         out["cocycle_bits"] = [flat[g * n:(g + 1) * n] for g in range(n)]
-        if n <= cohomology.H2_CAP:
-            out["coboundary"] = cohomology.h2(G).is_coboundary(res.cocycle)
+        out["coboundary"] = cohomology.h2(G).is_coboundary(res.cocycle)
     return out, True
 
 

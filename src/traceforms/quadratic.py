@@ -6,12 +6,18 @@ places where the relevant symbol is -1).
 Rank, signature, discriminant and that place set classify forms over Q
 up to isometry, which is how `is_isometric_q` decides equivalence.
 
-Each value is factored once, by `_square_class`, the only caller of
-`factorint`: a fraction's coprime numerator and denominator separately,
-by trial division by the twelve Miller-Rabin bases (no sieve), then
-Miller-Rabin and Pollard rho.  Everything after that works on squarefree
-integers with known primes; `w2` evaluates each pair of entries only at
-INF, 2 and the primes of those two entries.
+Three decisions are each made by one function.  `_square_class` is the
+only code that reads a value (an int, a Fraction or a string; floats
+and bools are refused) and factors it, calling `factorint` on the coprime
+numerator and denominator separately: trial division by the twelve
+Miller-Rabin bases (no sieve), then Miller-Rabin and Pollard rho.
+`is_probable_prime` is the one primality proof: it raises rather than
+pass a probable prime beyond its proven range.  `check_place` decides
+what a place is.  Within one call, such as `cup` or `w2`, each value is
+factored once and the rest works on squarefree integers with known
+primes, evaluating a pair only at INF, 2 and the primes of its two
+entries; separate calls on one form (`w1` and `w2`) factor its entries
+again.
 """
 from __future__ import annotations
 
@@ -40,7 +46,8 @@ _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with fixed bases; deterministic for n < 3.3e24."""
+    """Whether n is prime, proven by Miller-Rabin with the fixed bases
+    below _MR_PROVEN_BOUND (3.3e24); a probable prime above it raises."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -61,6 +68,9 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_PROVEN_BOUND:
+        raise QuadraticError(f"cannot certify primality of {n} (above the "
+                             f"deterministic Miller-Rabin bound)")
     return True
 
 
@@ -122,10 +132,6 @@ def factorint(n: int) -> dict[int, int]:
         if m == 1:
             continue
         if is_probable_prime(m):
-            if m >= _MR_PROVEN_BOUND:
-                raise QuadraticError(
-                    f"cannot certify primality of {m} (above the "
-                    f"deterministic Miller-Rabin bound)")
             out[m] = out.get(m, 0) + 1
             continue
         r = math.isqrt(m)
@@ -139,17 +145,13 @@ def factorint(n: int) -> dict[int, int]:
 
 def _square_class(x) -> tuple[int, frozenset]:
     """The squarefree integer representing the square class of x, and the
-    set of its primes.  The numerator and denominator of a Fraction are
-    coprime, so each is factored on its own."""
-    if isinstance(x, Fraction):
-        parts = (abs(x.numerator), x.denominator)
-    elif isinstance(x, int):
-        parts = (abs(x),)
-    else:
-        raise QuadraticError(f"cannot reduce {type(x).__name__} to a square class")
+    set of its primes.  x is read as `_rational` reads it; the numerator
+    and denominator are coprime, so each is factored on its own."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        x = _rational(x)
     if x == 0:
         raise QuadraticError("zero has no square class")
-    primes = frozenset(p for n in parts if n > 1
+    primes = frozenset(p for n in (abs(x.numerator), x.denominator) if n > 1
                        for p, e in factorint(n).items() if e % 2)
     return (-1 if x < 0 else 1) * math.prod(primes), primes
 
@@ -191,44 +193,46 @@ def _hilbert(a: int, b: int, v) -> int:
     return -1 if e else 1
 
 
+def check_place(v) -> None:
+    """Refuse v unless it is a place: INF, or an int that
+    `is_probable_prime` proves prime (a bool is not a place)."""
+    if v != INF and (isinstance(v, bool) or not isinstance(v, int)
+                     or not is_probable_prime(v)):
+        raise QuadraticError(f"not a place: {v!r}")
+
+
 def hilbert_symbol(a, b, v) -> int:
     """Hilbert symbol (a, b) at the place v (a prime or INF), by the
     closed formulas: at INF it is -1 iff both arguments are negative;
     at odd p and at 2 it is read off valuations and residues."""
     a = squarefree_part(a)
     b = squarefree_part(b)
-    if v != INF:
-        if not isinstance(v, int) or v < 2:
-            raise QuadraticError(f"not a place: {v!r}")
-        if v != 2 and not is_probable_prime(v):
-            raise QuadraticError(f"place {v} is not prime")
+    check_place(v)
     return _hilbert(a, b, v)
 
 
-# Bound on the cup cache; its keys are pairs of squarefree integers.
+# Bound on the cup cache; its keys are pairs of square classes.
 CUP_CACHE_SIZE = 1024
 
 
-def _cup_at(a: int, b: int, places) -> frozenset:
-    """Places where (a, b) is -1, for squarefree a, b and a place set
-    holding INF, 2 and every prime of a and b (elsewhere the symbol is 1).
-    Always of even size by the product formula, which is asserted."""
-    out = frozenset(v for v in places if _hilbert(a, b, v) == -1)
+def _cup_at(a: int, pa: frozenset, b: int, pb: frozenset) -> frozenset:
+    """Places where (a, b) is -1, for squarefree a, b with prime sets pa,
+    pb: only INF, 2 and those primes can be such places.  Always of even
+    size by the product formula, which is asserted."""
+    out = frozenset(v for v in {INF, 2} | pa | pb if _hilbert(a, b, v) == -1)
     if len(out) % 2:
         raise QuadraticError(f"odd number of places in cup({a}, {b}); "
                              "this breaks product-formula reciprocity")
     return out
 
 
-@functools.lru_cache(maxsize=CUP_CACHE_SIZE)
-def _cup_cached(a: int, b: int) -> frozenset:
-    return _cup_at(a, b, {INF, 2} | _square_class(a)[1] | _square_class(b)[1])
+_cup_cached = functools.lru_cache(maxsize=CUP_CACHE_SIZE)(_cup_at)
 
 
 def cup(a, b) -> frozenset:
     """Set of places where the Hilbert symbol of (a, b) is -1.  Always of
     even size by the product formula, which is asserted."""
-    return _cup_cached(squarefree_part(a), squarefree_part(b))
+    return _cup_cached(*_square_class(a), *_square_class(b))
 
 
 def place_sort_key(v):
@@ -242,8 +246,9 @@ def place_sort_key(v):
 def _rational(x) -> Fraction:
     """x as a Fraction: an int, a Fraction or a string such as "1/10".  A
     float is refused, since its binary value (0.1 is 3602879701896397/2^55)
-    is not the decimal it was written as, and so is a bool."""
-    if isinstance(x, (bool, float)):
+    is not the decimal it was written as; so are a bool and any other
+    type."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction, str)):
         raise QuadraticError(f"{x!r} is not an exact rational; "
                              "pass an int, a Fraction or a string")
     return Fraction(x)
@@ -310,7 +315,7 @@ def w2(q: QForm) -> frozenset:
     out: frozenset = frozenset()
     for i, (a, pa) in enumerate(classes):
         for b, pb in classes[i + 1:]:
-            out ^= _cup_at(a, b, {INF, 2} | pa | pb)
+            out ^= _cup_at(a, pa, b, pb)
     return out
 
 
@@ -345,7 +350,7 @@ def sw_direct_sum(s1: TruncatedSW, s2: TruncatedSW) -> TruncatedSW:
 
 def sw_scale(a, s: TruncatedSW) -> TruncatedSW:
     """Invariants of the scaled form a*q from those of q."""
-    a = squarefree_part(a if isinstance(a, (int, Fraction)) else Fraction(a))
+    a = squarefree_part(a)
     n = s.rank
     disc = sqclass_mul(a, s.disc) if n % 2 else s.disc
     places = s.places

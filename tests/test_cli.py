@@ -6,17 +6,18 @@ import random
 import re
 import subprocess
 import sys
-import time
 
 import pytest
 
 import traceforms
-from traceforms import cli, galois, groups, verify
+from traceforms import cli, clifford, cohomology, galois, groups, verify
 from traceforms.cli import main
 from traceforms.cohomology import h2
 from traceforms.fixtures import ALL_FIXTURES
 from traceforms.quadratic import signature, w2
 from traceforms.verify import DEFAULT_SEED, STATEMENTS, jsonable
+
+from limited_child import run_limited
 
 
 def run_cli(capsys, *argv):
@@ -85,6 +86,12 @@ def test_pin_cocycle_verb(capsys):
     data = json.loads(out)
     assert code == 0 and "cocycle_bits" not in data
     assert set(data["diagonal_signs"].values()) == {1}
+
+
+def test_every_full_pin_table_fits_under_h2_cap():
+    # pin-cocycle reports "coboundary" for every full sign table without
+    # checking the order against H2_CAP: a full table needs order <= 12
+    assert clifford.FULL_PIN_CAP <= cohomology.H2_CAP
 
 
 def test_form_verb(capsys, tmp_path):
@@ -287,21 +294,6 @@ def test_zero_denominator_entry_exits_2(capsys, argv):
     assert err.startswith("error: ") and "zero denominator" in err
 
 
-def _run_limited(argv, timeout=60):
-    """A `python -m traceforms` child under a 1 GiB address-space limit;
-    returns the process and its wall time."""
-    resource = pytest.importorskip("resource")
-    limit = 1 << 30
-    src = os.path.dirname(os.path.dirname(traceforms.__file__))
-    t0 = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "traceforms", *argv],
-        capture_output=True, text=True, timeout=timeout,
-        env=dict(os.environ, PYTHONPATH=src),
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
-    return proc, time.perf_counter() - t0
-
-
 @pytest.mark.parametrize("spec", ["cyclic:1000000000", "cyclic:4096",
                                   "elem_abelian_2:64",
                                   "dihedral:1000000000000",
@@ -309,8 +301,8 @@ def _run_limited(argv, timeout=60):
 def test_oversized_catalog_parameters_exit_2(spec):
     # The child runs under a 1 GiB address-space limit, so a missing bound
     # fails with MemoryError instead of building the table.
-    proc, elapsed = _run_limited(["group", "--group", f"catalog:{spec}"],
-                                 timeout=30)
+    proc, elapsed = run_limited(
+        ["-m", "traceforms", "group", "--group", f"catalog:{spec}"], timeout=30)
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
     assert elapsed < 2, elapsed
     bound = "between 0 and 5" if spec.startswith("sym") else "CLOSURE_CAP = 2048"
@@ -320,8 +312,9 @@ def test_oversized_catalog_parameters_exit_2(spec):
 def test_oversized_permutation_degree_exits_2():
     # a permutation is sized by its largest point: without the bound this
     # child allocates 10^8 images and dies with MemoryError (exit 1)
-    proc, elapsed = _run_limited(["group", "--group", "perms:(0 100000000)"],
-                                 timeout=30)
+    proc, elapsed = run_limited(
+        ["-m", "traceforms", "group", "--group", "perms:(0 100000000)"],
+        timeout=30)
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
     assert elapsed < 10, elapsed
     assert "DEGREE_CAP = 2048" in proc.stderr
@@ -345,8 +338,8 @@ def test_group_verb_grows_sylow2_once(capsys, monkeypatch):
 def test_unsplittable_entry_exits_2_within_rho_budget():
     # a product of two 16-digit primes is out of reach of Pollard rho
     # within RHO_BUDGET; without the budget this ran until killed
-    proc, elapsed = _run_limited(
-        ["form", "--entries", "3000000000000148000000000001369"])
+    proc, elapsed = run_limited(
+        ["-m", "traceforms", "form", "--entries", "3000000000000148000000000001369"])
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
     assert elapsed < 10, elapsed
     assert "RHO_BUDGET = 8388608" in proc.stderr
@@ -354,8 +347,9 @@ def test_unsplittable_entry_exits_2_within_rho_budget():
 
 def test_extension_trips_h2_cap_before_other_work():
     # the order-1024 extension group used to be built (37 s) before the cap
-    proc, elapsed = _run_limited(
-        ["extension", "--group", "catalog:dihedral:512", "--cocycle", "zero"])
+    proc, elapsed = run_limited(
+        ["-m", "traceforms", "extension", "--group", "catalog:dihedral:512",
+         "--cocycle", "zero"])
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
     assert elapsed < 2, elapsed
     assert proc.stderr == "error: group order 512 exceeds H2_CAP = 64\n"
@@ -402,7 +396,7 @@ def test_wide_unsplittable_entry_exits_2_within_rho_budget():
     # budget runs out in about the time it takes below 2^128
     n = ("300000000000000000000000000000000000000000000380300000"
          "000000000000000000000000000000000000011416587")
-    proc, elapsed = _run_limited(["form", "--entries", n])
+    proc, elapsed = run_limited(["-m", "traceforms", "form", "--entries", n])
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
     assert elapsed < 10, elapsed
     assert "RHO_BUDGET = 8388608" in proc.stderr
@@ -410,20 +404,23 @@ def test_wide_unsplittable_entry_exits_2_within_rho_budget():
 
 def test_algebra_degree_cap_exits_2():
     # without the cap, repeat() allocated 10^13 entries: MemoryError, exit 1
-    proc, elapsed = _run_limited(
-        ["trace", "--algebra", '[{"poly":[1,0,-3],"multiplicity":10000000000000}]'])
+    proc, elapsed = run_limited(
+        ["-m", "traceforms", "trace", "--algebra",
+         '[{"poly":[1,0,-3],"multiplicity":10000000000000}]'])
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
     assert elapsed < 10, elapsed
     assert proc.stderr == ("error: algebra degree 20000000000000 exceeds "
                            "ALGEBRA_DEGREE_CAP = 128\n")
-    proc, elapsed = _run_limited(["trace", "--poly", ",".join(["1"] + ["0"] * 128 + ["-2"])])
+    proc, elapsed = run_limited(["-m", "traceforms", "trace", "--poly",
+                                 ",".join(["1"] + ["0"] * 128 + ["-2"])])
     assert proc.returncode == 2 and elapsed < 10, proc.stderr
     assert "polynomial degree 129 exceeds ALGEBRA_DEGREE_CAP = 128" in proc.stderr
 
 
 def test_largest_admitted_algebra_finishes():
-    proc, elapsed = _run_limited(
-        ["trace", "--algebra", '[{"poly":[1,0,-3],"multiplicity":64}]'])
+    proc, elapsed = run_limited(
+        ["-m", "traceforms", "trace", "--algebra",
+         '[{"poly":[1,0,-3],"multiplicity":64}]'])
     assert proc.returncode == 0, proc.stderr
     assert elapsed < 10, elapsed
     assert json.loads(proc.stdout)["degree"] == galois.ALGEBRA_DEGREE_CAP
@@ -435,7 +432,8 @@ def test_seeded_degree_128_trace_exits_2_within_10s():
     # one of the square classes and exits 2
     rng = random.Random(128)
     cs = [1] + [rng.randint(-9, 9) for _ in range(128)]
-    proc, elapsed = _run_limited(["trace", "--poly", ",".join(map(str, cs))])
+    proc, elapsed = run_limited(
+        ["-m", "traceforms", "trace", "--poly", ",".join(map(str, cs))])
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
     assert elapsed < 10, elapsed
     assert proc.stderr.startswith("error: ")
@@ -449,7 +447,7 @@ def test_deeply_nested_json_exits_2(tmp_path, argv):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000)
     argv = [a.replace("DEEP", str(deep)) for a in argv]
-    proc, elapsed = _run_limited(argv, timeout=30)
+    proc, elapsed = run_limited(["-m", "traceforms", *argv], timeout=30)
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
     assert proc.stderr.startswith("error: ") and "nested too deeply" in proc.stderr
     assert elapsed < 10, elapsed
@@ -459,7 +457,8 @@ def test_tall_degree_128_trace_exits_2_at_the_bits_cap():
     # 10-digit coefficients: without the cap this took 38-53 s to exit 2
     rng = random.Random(7)
     cs = [1] + [rng.randint(-10**10 + 1, 10**10 - 1) for _ in range(128)]
-    proc, elapsed = _run_limited(["trace", "--poly", ",".join(map(str, cs))])
+    proc, elapsed = run_limited(
+        ["-m", "traceforms", "trace", "--poly", ",".join(map(str, cs))])
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
     assert elapsed < 10, elapsed
     assert proc.stderr == ("error: polynomial degree 128 times coefficient bits "
@@ -555,7 +554,7 @@ def test_decimal_exponent_beyond_int_digit_limit_exits_2(tmp_path, argv):
     g = tmp_path / "gram.json"
     g.write_text('[["1e1_0000", "0"], ["0", "1"]]')
     argv = [str(g) if a == "GRAM" else a for a in argv]
-    proc, elapsed = _run_limited(argv, timeout=30)
+    proc, elapsed = run_limited(["-m", "traceforms", *argv], timeout=30)
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
     assert elapsed < 2, elapsed
     limit = sys.int_info.default_max_str_digits
@@ -564,7 +563,8 @@ def test_decimal_exponent_beyond_int_digit_limit_exits_2(tmp_path, argv):
 
 def test_decimal_exponent_at_int_digit_limit_finishes():
     limit = sys.int_info.default_max_str_digits
-    proc, elapsed = _run_limited(["form", "--entries", f"1e{limit},1e-{limit}"])
+    proc, elapsed = run_limited(
+        ["-m", "traceforms", "form", "--entries", f"1e{limit},1e-{limit}"])
     assert proc.returncode == 0, proc.stderr
     assert elapsed < 10, elapsed
     assert json.loads(proc.stdout)["disc"] == 1

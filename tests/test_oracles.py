@@ -1,7 +1,9 @@
 import pytest
 
-from traceforms.oracles import hilbert_symbol_oracle
-from traceforms.quadratic import INF, QuadraticError
+from traceforms.oracles import ORACLE_PLACE_CAP, hilbert_symbol_oracle
+from traceforms.quadratic import INF, QuadraticError, hilbert_symbol
+
+from limited_child import run_limited
 
 
 def test_oracle_real_place_signs():
@@ -49,3 +51,27 @@ def test_oracle_rejects_bad_place():
         hilbert_symbol_oracle(2, 3, 4)
     with pytest.raises(QuadraticError):
         hilbert_symbol_oracle(0, 3, 2)
+
+
+def test_oracle_place_cap_admits_the_battery_places():
+    # the verify battery compares the two symbols at every prime up to 47
+    assert ORACLE_PLACE_CAP >= 47
+    for a, b in ((3, 5), (-1, -1), (2, 47), (-47, 5)):
+        assert hilbert_symbol_oracle(a, b, 47) == hilbert_symbol(a, b, 47)
+    with pytest.raises(QuadraticError,
+                       match=f"place 53 exceeds ORACLE_PLACE_CAP = {ORACLE_PLACE_CAP}"):
+        hilbert_symbol_oracle(3, 5, 53)
+
+
+def test_oracle_refuses_a_large_place_before_allocating():
+    # at p = 1,000,003 the oracle would tabulate the squares mod p^3, about
+    # 10^18 residues; under the child's address-space limit a missing bound
+    # ends in MemoryError instead of the cap's error
+    code = ("from traceforms.oracles import hilbert_symbol_oracle\n"
+            "hilbert_symbol_oracle(3, 5, 1_000_003)\n")
+    proc, elapsed = run_limited(["-c", code], timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.rstrip().endswith(
+        "QuadraticError: place 1000003 exceeds "
+        f"ORACLE_PLACE_CAP = {ORACLE_PLACE_CAP}"), proc.stderr
+    assert elapsed < 10, elapsed

@@ -1,11 +1,12 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from traceforms import quadratic
+from traceforms import oracles, quadratic
 from traceforms.galois import MonicPoly, trace_gram
 from traceforms.oracles import hilbert_symbol_oracle
 from traceforms.quadratic import (
@@ -121,6 +122,29 @@ def test_hilbert_symbol_input_validation():
         hilbert_symbol(1, 1, 6)  # not a prime or inf
 
 
+@pytest.mark.parametrize("symbol", [hilbert_symbol, hilbert_symbol_oracle],
+                         ids=["closed-form", "oracle"])
+@pytest.mark.parametrize("v", [4, True, 2**89 - 1],
+                         ids=["composite", "bool", "uncertified-prime"])
+def test_symbols_refuse_what_is_not_a_proven_place(symbol, v, monkeypatch):
+    # 2^89 - 1 is prime, but above the range where the fixed Miller-Rabin
+    # bases prove it; the closed form used to answer 1 there, and the
+    # oracle ran out of memory tabulating the squares mod v^3
+    def no_table(m):
+        raise AssertionError(f"the oracle tabulates squares mod {m}")
+
+    monkeypatch.setattr(oracles, "_squares_mod", no_table)
+    with pytest.raises(QuadraticError):
+        symbol(3, 5, v)
+
+
+def test_is_probable_prime_refuses_to_certify_above_the_proven_bound():
+    with pytest.raises(QuadraticError, match="cannot certify primality"):
+        is_probable_prime(2**89 - 1)
+    assert not is_probable_prime(2**89 + 1)  # divisible by 3
+    assert not is_probable_prime((2**61 - 1) * (2**89 - 1))
+
+
 def test_hilbert_matches_bruteforce_oracle_grid():
     places = [INF, 2, 3, 5, 7, 11, 13]
     for a in range(-12, 13):
@@ -192,6 +216,31 @@ def test_forms_refuse_floats_and_bools(make):
     # 7205759403792794 instead of 10
     with pytest.raises(QuadraticError, match="not an exact rational"):
         make()
+
+
+# Every function that takes a value: each reads it the same way.
+_VALUE_DOORS = {
+    "QForm": lambda x: QForm((x, 2)),
+    "scale": lambda x: scale(x, QForm((1, -2, 5))),
+    "sw_scale": lambda x: sw_scale(x, sw_total(QForm((1, -2, 5)))),
+    "squarefree_part": squarefree_part,
+    "cup": lambda x: cup(x, -1),
+    "hilbert_symbol": lambda x: hilbert_symbol(x, -1, 3),
+}
+
+
+@pytest.mark.parametrize("door", _VALUE_DOORS.values(), ids=_VALUE_DOORS)
+@pytest.mark.parametrize("x", [0.5, True, None], ids=["float", "bool", "none"])
+def test_every_value_door_refuses_inexact_values(door, x):
+    # sw_scale(0.5, s), sw_scale(True, s), cup(True, -1) and
+    # squarefree_part(True) used to answer; QForm((None, 2)) raised TypeError
+    with pytest.raises(QuadraticError):
+        door(x)
+
+
+@pytest.mark.parametrize("door", _VALUE_DOORS.values(), ids=_VALUE_DOORS)
+def test_every_value_door_reads_ints_strings_and_fractions_alike(door):
+    assert door(3) == door("3") == door(Fraction(3))
 
 
 def test_forms_read_strings_and_fractions_exactly():
@@ -424,3 +473,37 @@ def test_w2_factors_each_entry_once(monkeypatch):
         w2(q)
         assert len(calls) <= 2 * q.rank, (q, len(calls))
 
+
+_DEGREE16 = (1, -2, 0, 0, 1, 0, 2, 0, -1, 1, -2, 0, -1, -1, 0, -2, -1)
+
+
+def test_cup_factors_each_argument_once_on_the_degree16_trace_form(monkeypatch):
+    # cup used to factor each argument, then the squarefree product of its
+    # numerator and denominator again: on pair (13, 14) of this trace form
+    # that second pass raised after 4.9 s (a 33-digit number out of reach
+    # of RHO_BUDGET), and 28 more of the 120 pairs raised too
+    q = diagonalize(trace_gram(MonicPoly(_DEGREE16)))
+    assert q.rank == 16
+    calls = []
+    real = quadratic.factorint
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(quadratic, "factorint", counting)
+    quadratic._cup_cached.cache_clear()
+    a, b = q.entries[13], q.entries[14]
+    pair = cup(a, b)
+    assert len(calls) <= 4, calls  # a numerator and a denominator each
+    places = {INF, 2} | {p for x in (a, b) for n in (abs(x.numerator), x.denominator)
+                         for p in sympy.primefactors(n)}
+    assert pair == {v for v in places if hilbert_symbol(a, b, v) == -1}
+    t0 = time.perf_counter()
+    total: frozenset = frozenset()
+    for i, a in enumerate(q.entries):
+        for b in q.entries[i + 1:]:
+            total ^= cup(a, b)
+    elapsed = time.perf_counter() - t0
+    assert total == w2(q)
+    assert elapsed < 5, elapsed  # 0.1 s on a 2-core Xeon
