@@ -347,8 +347,4 @@ def two_cyclic_sylow_w2_prediction(d1: int, d2: int, r1_is_1: bool) -> frozenset
     2-subgroup is Z/2^r1 x Z/2^r2: the fixed fields of the two factors
     have discriminant classes d1 (first factor side) and d2 (second),
     and the shape depends on whether the first factor has order 2."""
-    d1 = squarefree_part(d1)
-    d2 = squarefree_part(d2)
-    if r1_is_1:
-        return cup(sqclass_mul(d1, d2), d2)
-    return cup(d1, d2)
+    return cup(d1 * d2 if r1_is_1 else d1, d2)

@@ -401,6 +401,12 @@ def _dihedral(order: int) -> Group:
     return Group(table, labels=labels, name=f"dihedral{order}")
 
 
+def _table_group(els, mul, labels, name: str) -> Group:
+    """The group on els (identity first) under mul, by its table."""
+    idx = {p: i for i, p in enumerate(els)}
+    return Group([[idx[mul(p, q)] for q in els] for p in els], labels=labels, name=name)
+
+
 def _quaternion8() -> Group:
     # x^4 = e, y^2 = x^2, y x y^-1 = x^-1; element (a, b) is x^a y^b
     def mul(p, q):
@@ -415,24 +421,17 @@ def _quaternion8() -> Group:
 
     els = [(a, b) for b in (0, 1) for a in range(4)]
     els.sort(key=lambda p: (p != (0, 0),))
-    idx = {p: i for i, p in enumerate(els)}
-    table = [[idx[mul(p, q)] for q in els] for p in els]
-    labels = [f"x{a}y{b}" for (a, b) in els]
-    return Group(table, labels=labels, name="quaternion8")
+    return _table_group(els, mul, [f"x{a}y{b}" for (a, b) in els], "quaternion8")
 
 
 def _sym(n: int) -> Group:
-    els = [p for p in itertools.permutations(range(n))]
-    idx = {p: i for i, p in enumerate(els)}
-    table = [[idx[perms.compose(a, b)] for b in els] for a in els]
-    return Group(table, labels=[perms.to_cycle_string(p) for p in els], name=f"sym{n}")
+    els = list(itertools.permutations(range(n)))
+    return _table_group(els, perms.compose, map(perms.to_cycle_string, els), f"sym{n}")
 
 
 def _alt(n: int) -> Group:
     els = [p for p in itertools.permutations(range(n)) if perms.signature(p) == 1]
-    idx = {p: i for i, p in enumerate(els)}
-    table = [[idx[perms.compose(a, b)] for b in els] for a in els]
-    return Group(table, labels=[perms.to_cycle_string(p) for p in els], name=f"alt{n}")
+    return _table_group(els, perms.compose, map(perms.to_cycle_string, els), f"alt{n}")
 
 
 def _quat_cover() -> Group:
@@ -447,10 +446,7 @@ def _quat_cover() -> Group:
 
     els = [(a, b) for a in range(4) for b in range(4)]
     els.sort(key=lambda p: p != (0, 0))
-    idx = {p: i for i, p in enumerate(els)}
-    table = [[idx[mul(p, q)] for q in els] for p in els]
-    labels = [f"({a},{b})" for (a, b) in els]
-    return Group(table, labels=labels, name="quat_cover")
+    return _table_group(els, mul, [f"({a},{b})" for (a, b) in els], "quat_cover")
 
 
 def _z4xz2() -> Group:

@@ -83,12 +83,9 @@ def _oracle_cached(a: int, b: int, v) -> int:
 
 def hilbert_symbol_oracle(a, b, v) -> int:
     """Hilbert symbol at v by brute-force solubility search."""
-    a = squarefree_part(a)
-    b = squarefree_part(b)
     check_place(v)
     if v != INF and v > ORACLE_PLACE_CAP:
         raise QuadraticError(f"place {v} exceeds ORACLE_PLACE_CAP = "
                              f"{ORACLE_PLACE_CAP}")
-    if (a, b) != (min(a, b), max(a, b)):
-        a, b = min(a, b), max(a, b)  # the symbol is symmetric
+    a, b = sorted((squarefree_part(a), squarefree_part(b)))  # the symbol is symmetric
     return _oracle_cached(a, b, v)

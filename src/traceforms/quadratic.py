@@ -16,8 +16,8 @@ pass a probable prime beyond its proven range.  `check_place` decides
 what a place is.  Within one call, such as `cup` or `w2`, each value is
 factored once and the rest works on squarefree integers with known
 primes, evaluating a pair only at INF, 2 and the primes of its two
-entries; separate calls on one form (`w1` and `w2`) factor its entries
-again.
+entries; a `QForm` keeps its entries' classes and a `TruncatedSW` its
+disc's, so `w1`, `w2` and the `sw_*` rules factor no held value again.
 """
 from __future__ import annotations
 
@@ -205,10 +205,8 @@ def hilbert_symbol(a, b, v) -> int:
     """Hilbert symbol (a, b) at the place v (a prime or INF), by the
     closed formulas: at INF it is -1 iff both arguments are negative;
     at odd p and at 2 it is read off valuations and residues."""
-    a = squarefree_part(a)
-    b = squarefree_part(b)
     check_place(v)
-    return _hilbert(a, b, v)
+    return _hilbert(squarefree_part(a), squarefree_part(b), v)
 
 
 # Bound on the cup cache; its keys are pairs of square classes.
@@ -266,6 +264,10 @@ class QForm:
             raise QuadraticError("diagonal entries must be nonzero")
         object.__setattr__(self, "entries", ent)
 
+    @functools.cached_property
+    def _classes(self) -> tuple[tuple[int, frozenset], ...]:
+        return tuple(_square_class(a) for a in self.entries)
+
     @property
     def rank(self) -> int:
         return len(self.entries)
@@ -301,20 +303,16 @@ def signature(q: QForm) -> tuple[int, int]:
 
 def w1(q: QForm) -> int:
     """Square class of the product of the diagonal entries (squarefree)."""
-    out = 1
-    for a in q.entries:
-        out = sqclass_mul(out, squarefree_part(a))
-    return out
+    return functools.reduce(sqclass_mul, (d for d, _ in q._classes), 1)
 
 
 def w2(q: QForm) -> frozenset:
     """Symmetric difference of cup(a_i, a_j) over pairs i < j.  Each entry
     is factored once; a pair is evaluated at INF, 2 and its two entries'
     primes, the only places where its symbol can be -1."""
-    classes = [_square_class(a) for a in q.entries]
     out: frozenset = frozenset()
-    for i, (a, pa) in enumerate(classes):
-        for b, pb in classes[i + 1:]:
+    for i, (a, pa) in enumerate(q._classes):
+        for b, pb in q._classes[i + 1:]:
             out ^= _cup_at(a, pa, b, pb)
     return out
 
@@ -332,8 +330,12 @@ class TruncatedSW:
     places: frozenset
 
     def __post_init__(self):
-        if squarefree_part(self.disc) != self.disc:
+        if self._disc_class[0] != self.disc:
             raise QuadraticError("disc must be a squarefree integer")
+
+    @functools.cached_property
+    def _disc_class(self) -> tuple[int, frozenset]:
+        return _square_class(self.disc)
 
 
 def sw_total(q: QForm) -> TruncatedSW:
@@ -344,20 +346,20 @@ def sw_direct_sum(s1: TruncatedSW, s2: TruncatedSW) -> TruncatedSW:
     return TruncatedSW(
         s1.rank + s2.rank,
         sqclass_mul(s1.disc, s2.disc),
-        s1.places ^ s2.places ^ cup(s1.disc, s2.disc),
+        s1.places ^ s2.places ^ _cup_cached(*s1._disc_class, *s2._disc_class),
     )
 
 
 def sw_scale(a, s: TruncatedSW) -> TruncatedSW:
     """Invariants of the scaled form a*q from those of q."""
-    a = squarefree_part(a)
+    a, pa = _square_class(a)
     n = s.rank
     disc = sqclass_mul(a, s.disc) if n % 2 else s.disc
     places = s.places
     if (n * (n - 1) // 2) % 2:
-        places = places ^ cup(a, a)
+        places = places ^ _cup_cached(a, pa, a, pa)
     if (n - 1) % 2:
-        places = places ^ cup(a, s.disc)
+        places = places ^ _cup_cached(a, pa, *s._disc_class)
     return TruncatedSW(n, disc, places)
 
 
@@ -368,7 +370,7 @@ def sw_repeat(s: TruncatedSW, m: int) -> TruncatedSW:
     disc = s.disc if m % 2 else 1
     places = s.places if m % 2 else frozenset()
     if (m * (m - 1) // 2) % 2:
-        places = places ^ cup(s.disc, s.disc)
+        places = places ^ _cup_cached(*s._disc_class, *s._disc_class)
     return TruncatedSW(m * s.rank, disc, places)
 
 

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import traceforms
-from traceforms import cli, clifford, cohomology, galois, groups, verify
+from traceforms import cli, clifford, cohomology, galois, groups, quadratic, verify
 from traceforms.cli import main
 from traceforms.cohomology import h2
 from traceforms.fixtures import ALL_FIXTURES
@@ -187,6 +187,49 @@ def test_classify_verb(capsys):
     assert code == 0
     assert data["case"] == "iii" and data["verdict"] is True
     assert data["w1"] == 2
+
+
+def _entry_parts(*forms):
+    """Numerators and denominators > 1 among the forms' entries."""
+    return sum(n > 1 for q in forms for a in q.entries
+               for n in (abs(a.numerator), a.denominator))
+
+
+_MULTIQUADRATIC = (1, 0, -40, 0, 352, 0, -960, 0, 576)
+
+
+@pytest.mark.parametrize("argv, poly, spec", [
+    (["form", "--entries", "3,5/7,-11,13/2"], None, None),
+    (["trace", "--poly", ",".join(map(str, _MULTIQUADRATIC))], _MULTIQUADRATIC, None),
+    (["classify", "--poly", ",".join(map(str, _MULTIQUADRATIC)),
+      "--group", "catalog:elem_abelian_2:3"], _MULTIQUADRATIC, "catalog:elem_abelian_2:3"),
+    (["classify", "--poly", "1,0,-8,0,20,0,-16,0,2", "--group", "catalog:cyclic:8"],
+     (1, 0, -8, 0, 20, 0, -16, 0, 2), "catalog:cyclic:8"),
+], ids=["form", "trace", "classify-multiquadratic", "classify-cyclic8"])
+def test_form_verbs_factor_each_entry_once(capsys, monkeypatch, argv, poly, spec):
+    # w1 and w2 of one form each factored its entries, and classify's
+    # isometry check factored them again: 12, 24, 60 and 44 factorint
+    # calls where the entries have 6, 12, 12 and 10 parts
+    if poly is None:
+        bound = _entry_parts(quadratic.QForm(("3", "5/7", "-11", "13/2")))
+    else:
+        A = galois.EtaleAlg(((galois.MonicPoly(poly), 1),))
+        if spec is None:
+            bound = _entry_parts(galois.trace_form(A))
+        else:
+            r = galois.classify_2group_trace_form(A, groups.group_from_spec(spec))
+            bound = _entry_parts(r["computed"], r["model"])
+    calls = []
+    real = quadratic.factorint
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(quadratic, "factorint", counting)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(calls) <= bound, (len(calls), bound)
 
 
 def test_verify_verb(capsys):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -348,3 +350,74 @@ def test_is_normal_and_normalizer_match_all_pairs_oracle():
                 assert normalizer(H) == norm, H.members
                 assert H.is_normal() == (len(norm) == n), H.members
         assert len(seen) > 5
+
+
+# sha256 of the JSON of (table, labels, name) of catalog groups, taken
+# before their constructors shared one table builder
+_CATALOG_DIGESTS = {
+    ("cyclic", 1):
+        "51cfc67bdcfd32ca8db60b4cf35d676a793145e8ec44f6857aeb516a94fc8841",
+    ("cyclic", 2):
+        "536679ef89e7a454ed83400b61c7ca63e327ef908b4f634c5169bb9c74b901bb",
+    ("cyclic", 3):
+        "5f92b855dc60ac3facfe14647d01d80344cbc966dfe6a316c0cadfdf113c023b",
+    ("cyclic", 4):
+        "1849b23684184f24bb3e7b156f091fbe6375ca8382387d5af2abe384ef59d2b3",
+    ("cyclic", 8):
+        "b992bf20d5f9ecc67dce0e10838d033ebf1b9dd21d3ff70dc41461aa151f2448",
+    ("elem_abelian_2", 0):
+        "ff782dbb8a7b71c05cf9ec67b72dcc5631914149da4f6d6d15ca0fddd44e7bc9",
+    ("elem_abelian_2", 1):
+        "64a0c592e9c42f8c85b2102e3587c3f48d2eb7235457ce9e00c2d1fbccc68ce7",
+    ("elem_abelian_2", 2):
+        "b6d19d43fcb2d457eb67fb4855b8f2849f831250d40239eafaa748ec8c0c198f",
+    ("elem_abelian_2", 3):
+        "be230fcf88cdb9f29fc5def3d1b87aa2ba7573aac2cee3c2cf58ae66b4030d4b",
+    ("dihedral", 2):
+        "077ae6eb137b1045699c94ef979c59ae4e3de247d49051cfb4446adfd151b57f",
+    ("dihedral", 4):
+        "4de210d7825501e2e7e6a79812c1da031936fc3aa965cd9785230d9518f7caa9",
+    ("dihedral", 6):
+        "4eb85765183bd3ab54e3912471bc59d6e9176f42b616b1f814d125db7c5bff09",
+    ("dihedral", 8):
+        "cadafca53eb662d5e0acf85fdedb6ae066a71dba5c4c694c9febc8a8d51aa8ff",
+    ("dihedral", 12):
+        "3a1fb42671ed130fcdd205744776309f3beeee8bd80898063d90f7c81551ef60",
+    ("sym", 0):
+        "e122f8beac7ad81b548dafe220fec6f90b463d18cbff3deb0c72e5bb75f69888",
+    ("sym", 1):
+        "a757ae9ca0f85096b116942ad9933f3a9d6cdf138a80ba9dbf619bc3e0dcaecd",
+    ("sym", 2):
+        "9acbc8d1dac17624b8db788044d1404d129317e0b6525c2988600ef1d4ae2c68",
+    ("sym", 3):
+        "d2034c37aa0f411fcb297a8c1733ce10b20152264d0b1b189ebfbdfdf04f751f",
+    ("sym", 4):
+        "45c44e4d9f0e977942d5a6762da9f6e92cf6377cf87e9de2907248b8276b3f0b",
+    ("sym", 5):
+        "ac9b174e038c74787becff3c47e5351dc6e0d7ace45cb1200444efd45b337c3c",
+    ("alt", 0):
+        "8e0a44c71ee2a55ed9ceb798df6411dca911343fd9fcf78ebc222cec85abba2b",
+    ("alt", 1):
+        "11750cf2c9aaeed2df7f63ccf5e36bd2d7ccc53cc187dd8d3389ac939cac681a",
+    ("alt", 2):
+        "6bad531e3507fb62a5e7497210ecf8bcd1726ebce19153e15e0f15a37a531ba0",
+    ("alt", 3):
+        "436ed8a5e69369bd5cdd2831f3937716889623c2654a2c6c8a98e01a475df921",
+    ("alt", 4):
+        "141511fd53fdc371bd408af15a9f42ff264d9d5360e5b75dccc2a77e0d84fa8b",
+    ("alt", 5):
+        "53bb7e2773f0f78f2fadaece3f081c4194eedc01b9130bfc48ddd2f9b8ac893c",
+    ("quaternion8", None):
+        "1aff5b00845c15b41e84e85648a356c6d90c6be80c977d9756e62fbf15270350",
+    ("z4xz2", None):
+        "add1032ad2ccd2f058859dc8e0fea32c790b6ac7e0a05fcf775428e9db903cb1",
+    ("quat_cover", None):
+        "8fdaf8672ce79cc75fbbf34b34204f49b7873a82320f29fa9ec9554c95f5cea8",
+}
+
+
+@pytest.mark.parametrize("name, param", _CATALOG_DIGESTS, ids=str)
+def test_catalog_tables_labels_and_names_are_pinned(name, param):
+    G = catalog(name, param)
+    blob = json.dumps([G.table, G.labels, G.name]).encode()
+    assert hashlib.sha256(blob).hexdigest() == _CATALOG_DIGESTS[name, param]

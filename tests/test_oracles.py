@@ -1,5 +1,6 @@
 import pytest
 
+from traceforms import quadratic
 from traceforms.oracles import ORACLE_PLACE_CAP, hilbert_symbol_oracle
 from traceforms.quadratic import INF, QuadraticError, hilbert_symbol
 
@@ -53,14 +54,20 @@ def test_oracle_rejects_bad_place():
         hilbert_symbol_oracle(0, 3, 2)
 
 
-def test_oracle_place_cap_admits_the_battery_places():
+def test_oracle_place_cap_admits_the_battery_places(monkeypatch):
     # the verify battery compares the two symbols at every prime up to 47
     assert ORACLE_PLACE_CAP >= 47
     for a, b in ((3, 5), (-1, -1), (2, 47), (-47, 5)):
         assert hilbert_symbol_oracle(a, b, 47) == hilbert_symbol(a, b, 47)
+
+    # the cap is checked before a is factored, which took 1.3 s here
+    def no_factoring(n):
+        raise AssertionError(f"factored {n} before checking the cap")
+
+    monkeypatch.setattr(quadratic, "factorint", no_factoring)
     with pytest.raises(QuadraticError,
                        match=f"place 53 exceeds ORACLE_PLACE_CAP = {ORACLE_PLACE_CAP}"):
-        hilbert_symbol_oracle(3, 5, 53)
+        hilbert_symbol_oracle((2**61 - 1) * (2**67 - 1) * 1_000_003, 5, 53)
 
 
 def test_oracle_refuses_a_large_place_before_allocating():

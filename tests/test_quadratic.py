@@ -122,6 +122,9 @@ def test_hilbert_symbol_input_validation():
         hilbert_symbol(1, 1, 6)  # not a prime or inf
 
 
+_SLOW_TO_FACTOR = (2**61 - 1) * (2**67 - 1) * 1_000_003
+
+
 @pytest.mark.parametrize("symbol", [hilbert_symbol, hilbert_symbol_oracle],
                          ids=["closed-form", "oracle"])
 @pytest.mark.parametrize("v", [4, True, 2**89 - 1],
@@ -129,13 +132,19 @@ def test_hilbert_symbol_input_validation():
 def test_symbols_refuse_what_is_not_a_proven_place(symbol, v, monkeypatch):
     # 2^89 - 1 is prime, but above the range where the fixed Miller-Rabin
     # bases prove it; the closed form used to answer 1 there, and the
-    # oracle ran out of memory tabulating the squares mod v^3
+    # oracle ran out of memory tabulating the squares mod v^3.  Both
+    # factored a before checking v: 1.3 s for this a, and a product of
+    # two 25-digit primes raised the rho budget's error instead
     def no_table(m):
         raise AssertionError(f"the oracle tabulates squares mod {m}")
 
+    def no_factoring(n):
+        raise AssertionError(f"factored {n} before checking the place")
+
     monkeypatch.setattr(oracles, "_squares_mod", no_table)
-    with pytest.raises(QuadraticError):
-        symbol(3, 5, v)
+    monkeypatch.setattr(quadratic, "factorint", no_factoring)
+    with pytest.raises(QuadraticError, match=str(v)):
+        symbol(_SLOW_TO_FACTOR, 5, v)
 
 
 def test_is_probable_prime_refuses_to_certify_above_the_proven_bound():
@@ -470,8 +479,39 @@ def test_w2_factors_each_entry_once(monkeypatch):
     for _ in range(10):
         q = _random_form(rng)
         calls.clear()
+        # w1 and w2 each factored every entry again, and so did each
+        # side of is_isometric_q; sw_total adds only its disc
+        w1(q)
         w2(q)
-        assert len(calls) <= 2 * q.rank, (q, len(calls))
+        is_isometric_q(q, q)
+        sw_total(q)
+        parts = sum(n > 1 for a in q.entries for n in (abs(a.numerator), a.denominator))
+        assert len(calls) <= parts + 1, (q, len(calls))
+
+
+def test_sw_rules_factor_only_a_and_the_disc_they_build(monkeypatch):
+    # sw_direct_sum, sw_repeat and sw_scale gave the discs of the triples
+    # they were given to cup, which factored them again; what is left is
+    # a itself and the one check of the disc of the triple they build
+    s1 = sw_total(QForm((3, -5, 7)))
+    s2 = sw_total(QForm((2, 11)))
+    calls = []
+    real = quadratic.factorint
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(quadratic, "factorint", counting)
+    for rule, a in [(lambda: sw_direct_sum(s1, s2), 1),
+                    (lambda: sw_repeat(s1, 2), 1),
+                    (lambda: sw_repeat(s1, 3), 1),
+                    (lambda: sw_scale(Fraction(6, 35), s1), Fraction(6, 35)),
+                    (lambda: sw_scale(10, s2), 10)]:
+        calls.clear()
+        out = rule()
+        expected = [n for n in (a.numerator, a.denominator, abs(out.disc)) if n > 1]
+        assert sorted(calls) == sorted(expected), (out, calls)
 
 
 _DEGREE16 = (1, -2, 0, 0, 1, 0, 2, 0, -1, 1, -2, 0, -1, -1, 0, -2, -1)
