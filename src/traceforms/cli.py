@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -103,12 +104,29 @@ def _json_int(x, what: str) -> int:
 
 
 def _load_gram(path: str) -> list[list[Fraction]]:
+    """The matrix in the JSON file, refused above GRAM_RANK_CAP, or when its
+    rank times its entry bits exceeds GRAM_BITS_CAP.  Its entry bits are
+    the largest numerator's plus den's less one, den the lcm of the
+    denominators: an integer matrix's are its largest entry's."""
     # a JSON number with a fraction or exponent stays text, so _fraction
     # reads it exactly, with its exponent bound, and never as a float
     data = _read_json("@" + path, parse_float=str)
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise ValueError("Gram JSON must be a list of rows")
-    return [[_fraction(str(x)) for x in row] for row in data]
+    n = max([len(data), *map(len, data)])
+    if n > quadratic.GRAM_RANK_CAP:
+        raise ValueError(f"Gram rank {n} exceeds GRAM_RANK_CAP = {quadratic.GRAM_RANK_CAP}")
+    rows = [[_fraction(str(x)) for x in row] for row in data]
+    entries = [x for row in rows for x in row]
+    num_bits = max((abs(x.numerator).bit_length() for x in entries), default=0)
+    den = 1
+    for x in entries:
+        den = math.lcm(den, x.denominator)
+        bits = num_bits + den.bit_length() - 1
+        if n * bits > quadratic.GRAM_BITS_CAP:  # den only grows: stop at once
+            raise ValueError(f"Gram rank {n} x {bits} entry bits exceeds "
+                             f"GRAM_BITS_CAP = {quadratic.GRAM_BITS_CAP}")
+    return rows
 
 
 def _load_cocycle(G, spec: str) -> cohomology.Cocycle2:
@@ -140,7 +158,7 @@ def _cmd_group(args, G):
         "name": G.name or "anonymous",
         "order": G.order,
         "abelian": G.is_abelian(),
-        "cyclic": any(G.element_order(g) == G.order for g in range(G.order)),
+        "cyclic": G.full_handle().is_cyclic(),
         "involutions": len(G.involutions()),
         "sylow2_order": S.order,
         "sylow2_cyclic": S.is_cyclic(),

@@ -262,7 +262,7 @@ def classify_2group_trace_form(A: EtaleAlg, G: groups.Group) -> dict:
     if sig not in ((n, 0), (n // 2, n - n // 2)):
         raise GaloisError(f"signature {sig} is neither definite nor balanced")
     real = sig == (n, 0)
-    cyclic = any(G.element_order(g) == n for g in range(n))
+    cyclic = G.full_handle().is_cyclic()
     d = w1(q)
     case, model = predicted_2group_form(n, real, cyclic, d)
     return {

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 
 from . import perms
 from .perms import Perm
@@ -357,153 +356,93 @@ def quotient_with_map(G: Group, N: SubgroupHandle) -> tuple[Group, tuple[int, ..
     return Q, tuple(coset_of)
 
 
-def direct_product(G: Group, H: Group) -> Group:
-    n, m = G.order, H.order
-    table = [
-        [G.table[a][c] * m + H.table[b][d] for c in range(n) for d in range(m)]
-        for a in range(n)
-        for b in range(m)
-    ]
-    labels = None
-    if G.labels and H.labels:
-        labels = [f"({G.labels[a]},{H.labels[b]})" for a in range(n) for b in range(m)]
-    return Group(table, labels=labels, name=f"{G.name}x{H.name}" if G.name and H.name else "product")
-
-
-def _cyclic(k: int) -> Group:
-    table = [[(i + j) % k for j in range(k)] for i in range(k)]
-    return Group(table, labels=[str(i) for i in range(k)], name=f"cyclic{k}")
-
-
-def _elem_abelian_2(k: int) -> Group:
-    n = 1 << k
-    table = [[i ^ j for j in range(n)] for i in range(n)]
-    return Group(table, labels=[format(i, f"0{k}b") for i in range(n)], name=f"elem_abelian_2^{k}")
-
-
-def _dihedral(order: int) -> Group:
-    k = order // 2
-
-    def idx(eps, i):
-        return eps * k + i % k
-
-    table = []
-    labels = []
-    for e1 in (0, 1):
-        for i1 in range(k):
-            row = []
-            for e2 in (0, 1):
-                for i2 in range(k):
-                    # s^e1 r^i1 * s^e2 r^i2 = s^(e1+e2) r^(i1*(-1)^e2 + i2)
-                    row.append(idx((e1 + e2) % 2, (i1 * (-1) ** e2 + i2) % k))
-            table.append(row)
-            labels.append(f"r{i1}" if e1 == 0 else f"sr{i1}")
-    return Group(table, labels=labels, name=f"dihedral{order}")
-
-
-def _table_group(els, mul, labels, name: str) -> Group:
-    """The group on els (identity first) under mul, by its table."""
+def _table_group(els, mul, label, name: str) -> Group:
+    """The group on els (identity first) under mul, by its table, with
+    label(p) naming each element p."""
     idx = {p: i for i, p in enumerate(els)}
-    return Group([[idx[mul(p, q)] for q in els] for p in els], labels=labels, name=name)
+    return Group([[idx[mul(p, q)] for q in els] for p in els],
+                 labels=map(label, els), name=name)
 
 
-def _quaternion8() -> Group:
-    # x^4 = e, y^2 = x^2, y x y^-1 = x^-1; element (a, b) is x^a y^b
-    def mul(p, q):
-        a1, b1 = p
-        a2, b2 = q
-        a = (a1 + (a2 if b1 == 0 else -a2)) % 4
-        b = b1 + b2
-        if b == 2:
-            a = (a + 2) % 4
-            b = 0
-        return a, b
-
-    els = [(a, b) for b in (0, 1) for a in range(4)]
-    els.sort(key=lambda p: (p != (0, 0),))
-    return _table_group(els, mul, [f"x{a}y{b}" for (a, b) in els], "quaternion8")
+_CAP = f"CLOSURE_CAP = {CLOSURE_CAP}"
+# name -> (the parameters it admits, the error naming them), or None if it
+# takes none; the bounds keep every table within CLOSURE_CAP
+_PARAMS = {
+    "cyclic": (range(1, CLOSURE_CAP + 1), f"cyclic order must be between 1 and {_CAP}"),
+    "elem_abelian_2": (range(CLOSURE_CAP.bit_length()),
+                       f"elem_abelian_2 rank k needs k >= 0 and 2^k <= {_CAP}"),
+    "dihedral": (range(2, CLOSURE_CAP + 1, 2),
+                 f"dihedral order must be even, >= 2 and <= {_CAP}"),
+    "sym": (range(6), "sym degree must be between 0 and 5"),
+    "alt": (range(6), "alt degree must be between 0 and 5"),
+    "quaternion8": None, "z4xz2": None, "quat_cover": None,
+}
 
 
-def _sym(n: int) -> Group:
-    els = list(itertools.permutations(range(n)))
-    return _table_group(els, perms.compose, map(perms.to_cycle_string, els), f"sym{n}")
+def _entry(name: str, k: int | None):
+    """The catalog group `name` with parameter k, checked against _PARAMS,
+    as the arguments of _table_group: its elements, identity first and in
+    table order; their product; a label function; and its name."""
+    if name not in _PARAMS:
+        raise GroupError(f"unknown catalog group {name!r}")
+    if (_PARAMS[name] is None) != (k is None):
+        need = "takes no" if k is not None else "needs a"
+        raise GroupError(f"catalog group {name!r} {need} parameter")
+    if k is not None and k not in _PARAMS[name][0]:
+        raise GroupError(_PARAMS[name][1])
+    if name == "cyclic":
+        return range(k), lambda a, b: (a + b) % k, str, f"cyclic{k}"
+    if name == "elem_abelian_2":
+        return (range(1 << k), lambda a, b: a ^ b, lambda i: format(i, f"0{k}b"),
+                f"elem_abelian_2^{k}")
+    if name == "dihedral":
+        # (e, i) is s^e r^i, and s^e1 r^i1 * s^e2 r^i2 = s^(e1+e2) r^(i1*(-1)^e2 + i2)
+        m = k // 2
+        return ([(e, i) for e in (0, 1) for i in range(m)],
+                lambda p, q: ((p[0] + q[0]) % 2, (q[1] - p[1] if q[0] else p[1] + q[1]) % m),
+                lambda p: f"sr{p[1]}" if p[0] else f"r{p[1]}", f"dihedral{k}")
+    if name in ("sym", "alt"):
+        els = [p for p in itertools.permutations(range(k))
+               if name == "sym" or perms.signature(p) == 1]
+        return els, perms.compose, perms.to_cycle_string, f"{name}{k}"
+    if name == "quaternion8":
+        # (a, b) is x^a y^b, with x^4 = e, y^2 = x^2 and y x y^-1 = x^-1
+        return ([(a, b) for b in (0, 1) for a in range(4)],
+                lambda p, q: ((p[0] + (-q[0] if p[1] else q[0]) + 2 * (p[1] & q[1])) % 4,
+                              (p[1] + q[1]) % 2),
+                lambda p: f"x{p[0]}y{p[1]}", "quaternion8")
+    pair = "({0[0]},{0[1]})".format  # (a, b) as "(a,b)"
+    if name == "z4xz2":
+        return ([(a, b) for a in range(4) for b in range(2)],
+                lambda p, q: ((p[0] + q[0]) % 4, (p[1] + q[1]) % 2), pair, "Z4xZ2")
+    # quat_cover: (a,b)(c,d) = (a + (-1)^b c, b + d) on Z/4 x Z/4; it has 3
+    # involutions and a central order-2 subgroup with quaternion quotient
+    return ([(a, b) for a in range(4) for b in range(4)],
+            lambda p, q: ((p[0] + (-q[0] if p[1] % 2 else q[0])) % 4, (p[1] + q[1]) % 4),
+            pair, "quat_cover")
 
 
-def _alt(n: int) -> Group:
-    els = [p for p in itertools.permutations(range(n)) if perms.signature(p) == 1]
-    return _table_group(els, perms.compose, map(perms.to_cycle_string, els), f"alt{n}")
-
-
-def _quat_cover() -> Group:
-    """Order-16 group on pairs (a, b) in Z/4 x Z/4 with product
-    (a,b)(c,d) = (a + (-1)^b c, b + d).  It has exactly 3 involutions and
-    a central order-2 subgroup with quaternion quotient."""
-
-    def mul(p, q):
-        a, b = p
-        c, d = q
-        return (a + (c if b % 2 == 0 else -c)) % 4, (b + d) % 4
-
-    els = [(a, b) for a in range(4) for b in range(4)]
-    els.sort(key=lambda p: p != (0, 0))
-    return _table_group(els, mul, [f"({a},{b})" for (a, b) in els], "quat_cover")
-
-
-def _z4xz2() -> Group:
-    g = direct_product(_cyclic(4), _cyclic(2))
-    g.name = "Z4xZ2"
-    return g
-
-
-_CONSTRUCTORS = {"cyclic": _cyclic, "elem_abelian_2": _elem_abelian_2,
-             "dihedral": _dihedral, "quaternion8": _quaternion8, "sym": _sym,
-             "alt": _alt, "z4xz2": _z4xz2, "quat_cover": _quat_cover}
+# Bound on the catalog cache: a suite run names 15 catalog groups.
+CATALOG_CACHE_SIZE = 32
 
 
 def catalog(name: str, param: int | None = None) -> Group:
     """Named groups.  Those with a size take it as `param`; `dihedral`
     takes the group order (so dihedral 8 has 5 involutions).  Lookups are
-    case-insensitive and cached, so equal specs share one Group object."""
+    case-insensitive and cached, so equal specs share one Group object
+    while the spec is among the last CATALOG_CACHE_SIZE looked up."""
     return _catalog_cached(name.strip().lower(), param)
 
 
 def catalog_order(name: str, param: int | None = None) -> int:
-    """Order of the catalog group `catalog(name, param)` names, found
-    without building it; raises GroupError as `catalog` does."""
-    name = name.strip().lower()
-    if name not in _CONSTRUCTORS:
-        raise GroupError(f"unknown catalog group {name!r}")
-    need_param = {"cyclic", "elem_abelian_2", "dihedral", "sym", "alt"}
-    if name in need_param:
-        if param is None:
-            raise GroupError(f"catalog group {name!r} needs a parameter")
-    elif param is not None:
-        raise GroupError(f"catalog group {name!r} takes no parameter")
-    # bound each table before building it
-    cap = f"CLOSURE_CAP = {CLOSURE_CAP}"
-    if name == "cyclic" and not 1 <= param <= CLOSURE_CAP:
-        raise GroupError(f"cyclic order must be between 1 and {cap}")
-    if name == "elem_abelian_2" and not 0 <= param < CLOSURE_CAP.bit_length():
-        raise GroupError(f"elem_abelian_2 rank k needs k >= 0 and 2^k <= {cap}")
-    if name == "dihedral" and (param % 2 or not 2 <= param <= CLOSURE_CAP):
-        raise GroupError(f"dihedral order must be even, >= 2 and <= {cap}")
-    if name in ("sym", "alt") and not 0 <= param <= 5:
-        raise GroupError(f"{name} degree must be between 0 and 5")
-    if name in ("cyclic", "dihedral"):
-        return param
-    if name == "elem_abelian_2":
-        return 1 << param
-    if name in ("sym", "alt"):
-        n = math.factorial(param)
-        return n // 2 if name == "alt" and n > 1 else n
-    return {"quaternion8": 8, "z4xz2": 8, "quat_cover": 16}[name]
+    """Order of the group `catalog(name, param)` names: the length of its
+    element list, with no table built.  Raises GroupError as `catalog` does."""
+    return len(_entry(name.strip().lower(), param)[0])
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CATALOG_CACHE_SIZE)
 def _catalog_cached(name: str, param: int | None) -> Group:
-    catalog_order(name, param)
-    build = _CONSTRUCTORS[name]
-    return build() if param is None else build(param)
+    return _table_group(*_entry(name, param))
 
 
 def group_from_spec(text: str, cap: tuple[str, int] = ("CLOSURE_CAP", CLOSURE_CAP)) -> Group:

@@ -72,7 +72,12 @@ def _solvable_2(a: int, b: int) -> bool:
     return False
 
 
-@functools.lru_cache(maxsize=None)
+# Bound on the symbol cache; its keys are (a, b, place) with a and b any
+# squarefree ints.  A suite run asks for 11,856 of them.
+ORACLE_CACHE_SIZE = 1 << 14
+
+
+@functools.lru_cache(maxsize=ORACLE_CACHE_SIZE)
 def _oracle_cached(a: int, b: int, v) -> int:
     if v == INF:
         return -1 if (a < 0 and b < 0) else 1

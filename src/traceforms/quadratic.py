@@ -386,6 +386,15 @@ def is_isometric_q(q1: QForm, q2: QForm) -> bool:
 # ---------------------------------------------------------------------------
 # symmetric Gram matrices and diagonalization
 
+# Bounds on a Gram matrix read from outside (`form --gram`), checked before
+# `diagonalize`, whose time grows with the rank and with the bits of the
+# integer matrix den * gram it eliminates (den the lcm of the entries'
+# denominators).  A rank-128 matrix of 16-bit integers takes 3 s there,
+# so `form` ends within 10 s even when factoring its entries then spends
+# a whole RHO_BUDGET (5 s); 20-bit entries take 4 s, 32-bit ones 7 s.
+GRAM_RANK_CAP = 128
+GRAM_BITS_CAP = 128 * 16  # rank times entry bits
+
 
 def validate_gram(gram) -> tuple[tuple[Fraction, ...], ...]:
     rows = tuple(tuple(_rational(x) for x in row) for row in gram)

@@ -250,17 +250,13 @@ def run_thm_main(seed: int) -> _Claim:
     )
 
 
-_NUMB2_FIXTURES = (
-    ("multiquadratic_real", "i"),
-    ("dihedral8_imaginary", "ii"),
-    ("cyclic8_real", "iii"),
-    ("cyclic8_imaginary", "iv"),
-)
+_NUMB2_FIXTURES = ("multiquadratic_real", "dihedral8_imaginary", "cyclic8_real",
+                   "cyclic8_imaginary")
 
 
 def run_cor_numb2(seed: int) -> _Claim:
     computed = {}
-    for name, _ in _NUMB2_FIXTURES:
+    for name in _NUMB2_FIXTURES:
         fx = fixtures.BY_NAME[name]
         r = classify_2group_trace_form(fx.algebra, fx.group)
         computed[name] = {
@@ -272,8 +268,8 @@ def run_cor_numb2(seed: int) -> _Claim:
             "trace_form": r["computed"],
             "isometric": r["isometric"],
         }
-    expected = {name: {"case": c, "isometric": True}
-                for name, c in _NUMB2_FIXTURES}
+    expected = {name: {"case": fixtures.BY_NAME[name].case, "isometric": True}
+                for name in _NUMB2_FIXTURES}
     return _Claim(
         {"fixtures": list(computed)}, computed, expected,
         notes="the imaginary cyclic octic was validated as cyclic degree 8"

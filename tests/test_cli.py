@@ -496,6 +496,36 @@ def test_deeply_nested_json_exits_2(tmp_path, argv):
     assert elapsed < 10, elapsed
 
 
+def _gram(n, bits, seed=0):
+    """A symmetric n x n integer matrix whose largest entry has `bits` bits."""
+    rng = random.Random(seed)
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = rng.randrange(-(1 << bits) + 1, 1 << bits)
+    g[0][0] = (1 << bits) - 1
+    return g
+
+
+@pytest.mark.parametrize("gram, cap", [
+    (_gram(256, 3), "GRAM_RANK_CAP = 128"),  # diagonalize: 12 s
+    (_gram(128, 133), "GRAM_BITS_CAP = 2048"),  # 40-digit entries: 97 s
+    ([["1/%d" % (2 * i + 3) if i == j else "0" for j in range(128)]
+      for i in range(128)], "GRAM_BITS_CAP = 2048"),  # den = lcm(3, 5, ..., 257)
+    (_gram(128, 16), None),  # at the cap: 3 s, then factoring exits 2
+], ids=["rank-256", "40-digit", "denominators", "at-the-cap"])
+def test_gram_is_bounded_before_it_is_diagonalized(tmp_path, gram, cap):
+    g = tmp_path / "gram.json"
+    g.write_text(json.dumps(gram))
+    proc, elapsed = run_limited(["-m", "traceforms", "form", "--gram", str(g)])
+    assert elapsed < 10, elapsed
+    if cap is None:
+        assert "GRAM_" not in proc.stderr, proc.stderr
+    else:
+        assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+        assert proc.stderr.startswith("error: Gram rank ") and cap in proc.stderr
+
+
 def test_tall_degree_128_trace_exits_2_at_the_bits_cap():
     # 10-digit coefficients: without the cap this took 38-53 s to exit 2
     rng = random.Random(7)

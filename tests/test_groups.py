@@ -12,7 +12,6 @@ from traceforms.groups import (
     catalog_order,
     cayley_walk,
     closure,
-    direct_product,
     generated_subgroup,
     generating_set,
     group_from_spec,
@@ -107,6 +106,19 @@ def test_catalog_order_matches_built_groups():
             catalog_order(name, param)
 
 
+def test_catalog_order_at_each_cap_builds_no_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(Group, "__init__", refuse)
+    for name, cap, order in (("cyclic", 2048, 2048), ("elem_abelian_2", 11, 2048),
+                             ("dihedral", 2048, 2048), ("sym", 5, 120), ("alt", 5, 60)):
+        assert catalog_order(name, cap) == order
+        beyond = cap + 2 if name == "dihedral" else cap + 1
+        with pytest.raises(GroupError, match="CLOSURE_CAP = 2048|between 0 and 5"):
+            catalog_order(name, beyond)
+
+
 def test_subgroup_is_abelian_matches_all_pairs():
     for G in (catalog("sym", 4), catalog("alt", 4), catalog("dihedral", 16),
               catalog("quat_cover")):
@@ -133,12 +145,9 @@ def test_quotient_with_map():
     assert not Q.is_abelian()
 
 
-def test_direct_product_and_z4xz2():
-    P = direct_product(catalog("cyclic", 4), catalog("cyclic", 2))
+def test_z4xz2_element_orders():
     Z = catalog("Z4xZ2")
-    assert P.order == Z.order == 8
-    assert sorted(P.element_order(g) for g in range(8)) == \
-        sorted(Z.element_order(g) for g in range(8))
+    assert sorted(Z.element_order(g) for g in range(Z.order)) == [1, 2, 2, 2, 4, 4, 4, 4]
 
 
 def test_group_from_spec_catalog_and_perms():
@@ -365,6 +374,8 @@ _CATALOG_DIGESTS = {
         "1849b23684184f24bb3e7b156f091fbe6375ca8382387d5af2abe384ef59d2b3",
     ("cyclic", 8):
         "b992bf20d5f9ecc67dce0e10838d033ebf1b9dd21d3ff70dc41461aa151f2448",
+    ("cyclic", 64):
+        "1ef669932532c2cc4b94a2b89182efeb009b8ede0ca7d51c546a52cf40910d83",
     ("elem_abelian_2", 0):
         "ff782dbb8a7b71c05cf9ec67b72dcc5631914149da4f6d6d15ca0fddd44e7bc9",
     ("elem_abelian_2", 1):
@@ -373,6 +384,8 @@ _CATALOG_DIGESTS = {
         "b6d19d43fcb2d457eb67fb4855b8f2849f831250d40239eafaa748ec8c0c198f",
     ("elem_abelian_2", 3):
         "be230fcf88cdb9f29fc5def3d1b87aa2ba7573aac2cee3c2cf58ae66b4030d4b",
+    ("elem_abelian_2", 6):
+        "c0c42f3bcdeca41127758c6b2da977102aa1d53c8744df96e8ebaaedebb0f293",
     ("dihedral", 2):
         "077ae6eb137b1045699c94ef979c59ae4e3de247d49051cfb4446adfd151b57f",
     ("dihedral", 4):
@@ -383,6 +396,8 @@ _CATALOG_DIGESTS = {
         "cadafca53eb662d5e0acf85fdedb6ae066a71dba5c4c694c9febc8a8d51aa8ff",
     ("dihedral", 12):
         "3a1fb42671ed130fcdd205744776309f3beeee8bd80898063d90f7c81551ef60",
+    ("dihedral", 128):
+        "289c3f386cb885e71a09dee758ae39ee8ec43305e627fc6babd952f098642e9b",
     ("sym", 0):
         "e122f8beac7ad81b548dafe220fec6f90b463d18cbff3deb0c72e5bb75f69888",
     ("sym", 1):

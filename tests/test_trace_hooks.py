@@ -3,7 +3,10 @@ by name.  These tests fail when such a function is renamed or removed,
 instead of a traced run breaking later."""
 import importlib
 import pathlib
+import pkgutil
 import types
+
+import traceforms
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -37,10 +40,28 @@ def test_traced_caches_keep_cache_info():
     assert callable(quadratic._cup_cached.cache_info)
 
 
+# The caches that may be unbounded, each with what bounds its keys instead.
+_UNBOUNDED_CACHES = {
+    ("oracles", "_squares_mod"): "its moduli are p^3 for p <= ORACLE_PLACE_CAP, and 64",
+    ("oracles", "_odd_squares_mod"): "it is asked only for the modulus 64",
+    ("cli", "_build_parser"): "it takes no arguments, so it holds one parser",
+}
+
+
 def test_program_caches_are_bounded():
-    # an unbounded cache keeps every perms: group (and its H2 basis) alive
-    cohomology = importlib.import_module("traceforms.cohomology")
-    quadratic = importlib.import_module("traceforms.quadratic")
-    for lru in (cohomology.h2, quadratic._cup_cached):
-        maxsize = lru.cache_info().maxsize
-        assert isinstance(maxsize, int) and maxsize > 0, lru
+    # an unbounded cache keeps every group, H2 basis or symbol it was
+    # asked for alive: one order-2048 catalog group holds about 145 MB
+    found = set()
+    for info in pkgutil.iter_modules(traceforms.__path__):
+        if info.name == "__main__":
+            continue
+        mod = importlib.import_module(f"traceforms.{info.name}")
+        for name, obj in vars(mod).items():
+            if callable(getattr(obj, "cache_info", None)) and obj.__module__ == mod.__name__:
+                found.add((info.name, name))
+                if (info.name, name) not in _UNBOUNDED_CACHES:
+                    maxsize = obj.cache_info().maxsize
+                    assert isinstance(maxsize, int) and maxsize > 0, (info.name, name)
+    assert set(_UNBOUNDED_CACHES) <= found
+    assert {("cohomology", "h2"), ("quadratic", "_cup_cached"), ("groups", "_catalog_cached"),
+            ("oracles", "_oracle_cached")} <= found
