@@ -250,8 +250,8 @@ def pin_lift(p: perms.Perm, n: int | None = None) -> tuple[int, dict[int, int]]:
 
 def involution_square_sign(n: int) -> int:
     """Square of the pin lift of (0 1)(2 3)...(n-2 n-1) on n coordinates,
-    computed from its fold and cross-checked against the closed form
-    +1 iff n = 0, 2 mod 8."""
+    decided by one Pfaffian (`_square_sign`) and cross-checked against
+    the closed form +1 iff n = 0, 2 mod 8."""
     if n < 2 or n % 2:
         raise CliffordError("need an even number of coordinates, at least 2")
     if n > CLIFFORD_RANK_CAP:

@@ -24,7 +24,7 @@ from .quadratic import (
     repeat,
     signature,
     sqclass_mul,
-    squarefree_part,
+    square_class,
     w1,
     w2,
 )
@@ -188,12 +188,11 @@ def trace_form(A: EtaleAlg) -> QForm:
 def algebra_disc(A: EtaleAlg) -> int:
     """Square class of the discriminant (the determinant of the trace
     form), as a squarefree integer."""
-    d = 1
+    d = square_class(1)
     for f, m in A.factors:
         if m % 2:
-            det = _det_fraction_free(trace_gram(f))
-            d = sqclass_mul(d, squarefree_part(det))
-    return d
+            d = sqclass_mul(d, square_class(_det_fraction_free(trace_gram(f))))
+    return d.d
 
 
 def _det_fraction_free(m) -> int:

@@ -72,25 +72,15 @@ def _solvable_2(a: int, b: int) -> bool:
     return False
 
 
-# Bound on the symbol cache; its keys are (a, b, place) with a and b any
-# squarefree ints.  A suite run asks for 11,856 of them.
-ORACLE_CACHE_SIZE = 1 << 14
-
-
-@functools.lru_cache(maxsize=ORACLE_CACHE_SIZE)
-def _oracle_cached(a: int, b: int, v) -> int:
-    if v == INF:
-        return -1 if (a < 0 and b < 0) else 1
-    if v == 2:
-        return 1 if _solvable_2(a, b) else -1
-    return 1 if _solvable_odd_p(a, b, v) else -1
-
-
 def hilbert_symbol_oracle(a, b, v) -> int:
     """Hilbert symbol at v by brute-force solubility search."""
     check_place(v)
     if v != INF and v > ORACLE_PLACE_CAP:
         raise QuadraticError(f"place {v} exceeds ORACLE_PLACE_CAP = "
                              f"{ORACLE_PLACE_CAP}")
-    a, b = sorted((squarefree_part(a), squarefree_part(b)))  # the symbol is symmetric
-    return _oracle_cached(a, b, v)
+    a, b = squarefree_part(a), squarefree_part(b)
+    if v == INF:
+        return -1 if (a < 0 and b < 0) else 1
+    if v == 2:
+        return 1 if _solvable_2(a, b) else -1
+    return 1 if _solvable_odd_p(a, b, v) else -1

@@ -6,18 +6,18 @@ places where the relevant symbol is -1).
 Rank, signature, discriminant and that place set classify forms over Q
 up to isometry, which is how `is_isometric_q` decides equivalence.
 
-Three decisions are each made by one function.  `_square_class` is the
+Three decisions are each made by one function.  `square_class` is the
 only code that reads a value (an int, a Fraction or a string; floats
 and bools are refused) and factors it, calling `factorint` on the coprime
 numerator and denominator separately: trial division by the twelve
 Miller-Rabin bases (no sieve), then Miller-Rabin and Pollard rho.
 `is_probable_prime` is the one primality proof: it raises rather than
 pass a probable prime beyond its proven range.  `check_place` decides
-what a place is.  Within one call, such as `cup` or `w2`, each value is
-factored once and the rest works on squarefree integers with known
-primes, evaluating a pair only at INF, 2 and the primes of its two
-entries; a `QForm` keeps its entries' classes and a `TruncatedSW` its
-disc's, so `w1`, `w2` and the `sw_*` rules factor no held value again.
+what a place is.  A value is factored once, where it enters, into a
+square class (the squarefree integer and its primes) that is then held:
+a `QForm` keeps its entries' and its disc's, a `TruncatedSW` its disc's,
+and a caller its own, since each door that takes a value takes a class.
+A product's class comes from its factors', unfactored.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 INF = "inf"  # the archimedean place, alongside prime numbers
 
@@ -143,28 +144,38 @@ def factorint(n: int) -> dict[int, int]:
     return out
 
 
-def _square_class(x) -> tuple[int, frozenset]:
-    """The squarefree integer representing the square class of x, and the
-    set of its primes.  x is read as `_rational` reads it; the numerator
-    and denominator are coprime, so each is factored on its own."""
+class _SquareClass(NamedTuple):
+    """The squarefree integer d representing a square class, and its primes."""
+    d: int
+    primes: frozenset
+
+
+def square_class(x) -> _SquareClass:
+    """The square class of x.  A class is returned as it is; any other x
+    is read as `_rational` reads it (so a plain tuple is refused), and
+    its numerator and denominator, coprime, are each factored on their
+    own."""
+    if isinstance(x, _SquareClass):
+        return x
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         x = _rational(x)
     if x == 0:
         raise QuadraticError("zero has no square class")
     primes = frozenset(p for n in (abs(x.numerator), x.denominator) if n > 1
                        for p, e in factorint(n).items() if e % 2)
-    return (-1 if x < 0 else 1) * math.prod(primes), primes
+    return _SquareClass((-1 if x < 0 else 1) * math.prod(primes), primes)
 
 
 def squarefree_part(x) -> int:
     """The squarefree integer representing the square class of x."""
-    return _square_class(x)[0]
+    return square_class(x).d
 
 
-def sqclass_mul(a: int, b: int) -> int:
-    """Product of square classes of squarefree integers, kept squarefree."""
-    g = math.gcd(a, b)
-    return (a // g) * (b // g)
+def sqclass_mul(c1: _SquareClass, c2: _SquareClass) -> _SquareClass:
+    """The class of a product, from its factors' classes, unfactored:
+    d1*d2/gcd^2, with the primes of exactly one factor."""
+    g = math.gcd(c1.d, c2.d)
+    return _SquareClass(c1.d // g * (c2.d // g), c1.primes ^ c2.primes)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +241,7 @@ _cup_cached = functools.lru_cache(maxsize=CUP_CACHE_SIZE)(_cup_at)
 def cup(a, b) -> frozenset:
     """Set of places where the Hilbert symbol of (a, b) is -1.  Always of
     even size by the product formula, which is asserted."""
-    return _cup_cached(*_square_class(a), *_square_class(b))
+    return _cup_cached(*square_class(a), *square_class(b))
 
 
 def place_sort_key(v):
@@ -265,8 +276,12 @@ class QForm:
         object.__setattr__(self, "entries", ent)
 
     @functools.cached_property
-    def _classes(self) -> tuple[tuple[int, frozenset], ...]:
-        return tuple(_square_class(a) for a in self.entries)
+    def _classes(self) -> tuple[_SquareClass, ...]:
+        return tuple(square_class(a) for a in self.entries)
+
+    @functools.cached_property
+    def _disc_class(self) -> _SquareClass:
+        return functools.reduce(sqclass_mul, self._classes, square_class(1))
 
     @property
     def rank(self) -> int:
@@ -303,7 +318,7 @@ def signature(q: QForm) -> tuple[int, int]:
 
 def w1(q: QForm) -> int:
     """Square class of the product of the diagonal entries (squarefree)."""
-    return functools.reduce(sqclass_mul, (d for d, _ in q._classes), 1)
+    return q._disc_class.d
 
 
 def w2(q: QForm) -> frozenset:
@@ -323,43 +338,43 @@ def w2(q: QForm) -> frozenset:
 
 @dataclass(frozen=True)
 class TruncatedSW:
-    """(rank, squarefree discriminant class, place set) of a form."""
+    """(rank, squarefree discriminant class, place set) of a form.  Given
+    as a square class, disc is kept; an int disc must be squarefree."""
 
     rank: int
     disc: int
     places: frozenset
 
     def __post_init__(self):
-        if self._disc_class[0] != self.disc:
+        c = square_class(self.disc)
+        if c is not self.disc and c.d != self.disc:
             raise QuadraticError("disc must be a squarefree integer")
-
-    @functools.cached_property
-    def _disc_class(self) -> tuple[int, frozenset]:
-        return _square_class(self.disc)
+        object.__setattr__(self, "disc", c.d)
+        object.__setattr__(self, "_disc_class", c)
 
 
 def sw_total(q: QForm) -> TruncatedSW:
-    return TruncatedSW(q.rank, w1(q), w2(q))
+    return TruncatedSW(q.rank, q._disc_class, w2(q))
 
 
 def sw_direct_sum(s1: TruncatedSW, s2: TruncatedSW) -> TruncatedSW:
     return TruncatedSW(
         s1.rank + s2.rank,
-        sqclass_mul(s1.disc, s2.disc),
+        sqclass_mul(s1._disc_class, s2._disc_class),
         s1.places ^ s2.places ^ _cup_cached(*s1._disc_class, *s2._disc_class),
     )
 
 
 def sw_scale(a, s: TruncatedSW) -> TruncatedSW:
     """Invariants of the scaled form a*q from those of q."""
-    a, pa = _square_class(a)
+    a = square_class(a)
     n = s.rank
-    disc = sqclass_mul(a, s.disc) if n % 2 else s.disc
+    disc = sqclass_mul(a, s._disc_class) if n % 2 else s._disc_class
     places = s.places
     if (n * (n - 1) // 2) % 2:
-        places = places ^ _cup_cached(a, pa, a, pa)
+        places = places ^ _cup_cached(*a, *a)
     if (n - 1) % 2:
-        places = places ^ _cup_cached(a, pa, *s._disc_class)
+        places = places ^ _cup_cached(*a, *s._disc_class)
     return TruncatedSW(n, disc, places)
 
 
@@ -367,7 +382,7 @@ def sw_repeat(s: TruncatedSW, m: int) -> TruncatedSW:
     """Invariants of the m-fold orthogonal sum of a form from its own."""
     if m < 1:
         raise QuadraticError("need at least one copy")
-    disc = s.disc if m % 2 else 1
+    disc = s._disc_class if m % 2 else square_class(1)
     places = s.places if m % 2 else frozenset()
     if (m * (m - 1) // 2) % 2:
         places = places ^ _cup_cached(*s._disc_class, *s._disc_class)

@@ -1,9 +1,12 @@
-"""Factoring happens where a value is held.  `_square_class` factors a
-value once, and the object that holds the value keeps its class: a
-`QForm` its entries', a `TruncatedSW` its disc's.  These tests read the
-package's source and keep it that way: a function of `quadratic` that
-names one of the names below must be one of the listed readers, and no
-other module names the private square-class and cup helpers.
+"""Factoring happens where a value enters.  `square_class` factors a
+value once into a square class, and whatever holds the value keeps its
+class: a `QForm` its entries' and its disc's, a `TruncatedSW` its
+disc's, a caller such as a verify battery its own.  These tests read
+the package's source and keep it that way: a function of `quadratic`
+that names one of the names below must be one of the listed readers,
+only `square_class` and the product of two classes build a class, and
+no other module names the private square-class and cup helpers, so
+they reach a class only through the public constructor.
 """
 import ast
 import collections
@@ -15,22 +18,26 @@ PKG = pathlib.Path(traceforms.__file__).parent
 
 # name -> the only functions of quadratic that may name it
 _READERS = {
-    "factorint": {"_square_class"},
+    "factorint": {"square_class"},
     "squarefree_part": {"hilbert_symbol"},
-    # the public door takes bare values; inside the module they are held
+    # the public door takes bare values; inside the module classes are held
     "cup": set(),
-    "_square_class": {"squarefree_part", "cup", "_classes", "_disc_class", "sw_scale"},
+    "square_class": {"squarefree_part", "cup", "_classes", "_disc_class",
+                     "__post_init__", "sw_scale", "sw_repeat"},
 }
-_PRIVATE = {"_square_class", "_cup_at", "_cup_cached"}
+# name -> the only functions of quadratic that may call it
+_BUILDERS = {"_SquareClass": {"square_class", "sqclass_mul"}}
+_PRIVATE = {"_SquareClass", "_cup_at", "_cup_cached"}
 
 
 def _tree(mod: str) -> ast.Module:
     return ast.parse((PKG / f"{mod}.py").read_text(encoding="utf-8"))
 
 
-def _names_by_function(tree: ast.Module) -> dict:
+def _names_by_function(tree: ast.Module, calls: bool = False) -> dict:
     """name -> the top-level functions and methods (by name) whose
-    bodies load it; code outside any function counts as "<module>"."""
+    bodies load it (with calls, call it); code outside any function
+    counts as "<module>"."""
     out = collections.defaultdict(set)
     funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
     owners = []
@@ -42,6 +49,8 @@ def _names_by_function(tree: ast.Module) -> dict:
             owners.append((node.name if isinstance(node, funcs) else "<module>", node))
     for owner, node in owners:
         for n in ast.walk(node):
+            if calls:
+                n = n.func if isinstance(n, ast.Call) else None
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
                 out[n.id].add(owner)
     return out
@@ -50,6 +59,11 @@ def _names_by_function(tree: ast.Module) -> dict:
 def test_quadratic_names_each_door_only_from_its_readers():
     names = _names_by_function(_tree("quadratic"))
     assert {k: names.get(k, set()) for k in _READERS} == _READERS
+
+
+def test_only_square_class_and_the_class_product_build_a_class():
+    calls = _names_by_function(_tree("quadratic"), calls=True)
+    assert {k: calls.get(k, set()) for k in _BUILDERS} == _BUILDERS
 
 
 def test_no_other_module_names_the_square_class_helpers():

@@ -2,7 +2,7 @@ import pytest
 
 from traceforms import quadratic
 from traceforms.oracles import ORACLE_PLACE_CAP, hilbert_symbol_oracle
-from traceforms.quadratic import INF, QuadraticError, hilbert_symbol
+from traceforms.quadratic import INF, QuadraticError, hilbert_symbol, square_class
 
 from limited_child import run_limited
 
@@ -82,3 +82,28 @@ def test_oracle_refuses_a_large_place_before_allocating():
         "QuadraticError: place 1000003 exceeds "
         f"ORACLE_PLACE_CAP = {ORACLE_PLACE_CAP}"), proc.stderr
     assert elapsed < 10, elapsed
+
+
+def test_oracle_answers_on_a_class_as_on_the_value():
+    for x in range(-30, 31):
+        if not x:
+            continue
+        c = square_class(x)
+        for y in (-1, 2, -3, 13):
+            for v in (INF, 2, 3, 5, 7, 11, 13):
+                want = hilbert_symbol_oracle(x, y, v)
+                assert hilbert_symbol_oracle(c, y, v) == want, (x, y, v)
+                assert hilbert_symbol_oracle(y, c, v) == want, (x, y, v)
+
+
+def test_oracle_factors_no_class(monkeypatch):
+    classes = [square_class(x) for x in (-30, -7, 6, 22)]
+
+    def no_factoring(n):
+        raise AssertionError(f"factored {n} of a class")
+
+    monkeypatch.setattr(quadratic, "factorint", no_factoring)
+    for c in classes:
+        for d in classes:
+            for v in (INF, 2, 3, 5, 11):
+                assert hilbert_symbol_oracle(c, d, v) == hilbert_symbol(c, d, v)

@@ -25,6 +25,7 @@ from traceforms.quadratic import (
     repeat,
     scale,
     signature,
+    square_class,
     squarefree_part,
     sw_direct_sum,
     sw_repeat,
@@ -233,6 +234,7 @@ _VALUE_DOORS = {
     "scale": lambda x: scale(x, QForm((1, -2, 5))),
     "sw_scale": lambda x: sw_scale(x, sw_total(QForm((1, -2, 5)))),
     "squarefree_part": squarefree_part,
+    "square_class": square_class,
     "cup": lambda x: cup(x, -1),
     "hilbert_symbol": lambda x: hilbert_symbol(x, -1, 3),
 }
@@ -491,8 +493,9 @@ def test_w2_factors_each_entry_once(monkeypatch):
 
 def test_sw_rules_factor_only_a_and_the_disc_they_build(monkeypatch):
     # sw_direct_sum, sw_repeat and sw_scale gave the discs of the triples
-    # they were given to cup, which factored them again; what is left is
-    # a itself and the one check of the disc of the triple they build
+    # they were given to cup, which factored them again, and the triple
+    # they built factored its disc once more; the class of that disc is
+    # now the product of classes already held, so only a is factored
     s1 = sw_total(QForm((3, -5, 7)))
     s2 = sw_total(QForm((2, 11)))
     calls = []
@@ -510,7 +513,7 @@ def test_sw_rules_factor_only_a_and_the_disc_they_build(monkeypatch):
                     (lambda: sw_scale(10, s2), 10)]:
         calls.clear()
         out = rule()
-        expected = [n for n in (a.numerator, a.denominator, abs(out.disc)) if n > 1]
+        expected = [n for n in (a.numerator, a.denominator) if n > 1]
         assert sorted(calls) == sorted(expected), (out, calls)
 
 
@@ -547,3 +550,64 @@ def test_cup_factors_each_argument_once_on_the_degree16_trace_form(monkeypatch):
     elapsed = time.perf_counter() - t0
     assert total == w2(q)
     assert elapsed < 5, elapsed  # 0.1 s on a 2-core Xeon
+
+
+# A square class goes through every door that takes a value.
+_CLASS_PARTNERS = (-1, 2, -3, 13)
+_PLACES_TO_13 = (INF, 2, 3, 5, 7, 11, 13)
+
+
+def test_class_doors_answer_as_on_the_value():
+    s_odd, s_even = sw_total(QForm((3, -5, 7))), sw_total(QForm((2, 11)))
+    for x in range(-30, 31):
+        if not x:
+            continue
+        c = square_class(x)
+        assert square_class(c) is c
+        assert c == (squarefree_part(x), frozenset(sympy.primefactors(squarefree_part(x))))
+        for s in (s_odd, s_even):
+            assert sw_scale(c, s) == sw_scale(x, s)
+        built = TruncatedSW(3, c, frozenset({2, 3}))
+        assert built == TruncatedSW(3, c.d, frozenset({2, 3}))
+        assert built.disc == c.d and type(built.disc) is int
+        for y in _CLASS_PARTNERS:
+            assert cup(c, y) == cup(x, square_class(y)) == cup(x, y)
+            for v in _PLACES_TO_13:
+                assert hilbert_symbol(c, y, v) == hilbert_symbol(x, y, v), (x, y, v)
+                assert hilbert_symbol(y, c, v) == hilbert_symbol(y, x, v), (x, y, v)
+
+
+def test_class_doors_factor_nothing(monkeypatch):
+    classes = [square_class(x) for x in (-30, -7, 6, 22, Fraction(-15, 49))]
+    s_odd, s_even = sw_total(QForm((3, -5, 7))), sw_total(QForm((2, 11)))
+
+    def no_factoring(n):
+        raise AssertionError(f"factored {n} of a class")
+
+    monkeypatch.setattr(quadratic, "factorint", no_factoring)
+    quadratic._cup_cached.cache_clear()
+    for c in classes:
+        for d in classes:
+            cup(c, d)
+            for v in _PLACES_TO_13:
+                hilbert_symbol(c, d, v)
+        for s in (s_odd, s_even):
+            sw_direct_sum(sw_scale(c, s), s)
+            sw_repeat(sw_scale(c, s), 3)
+        TruncatedSW(4, c, frozenset())
+
+
+@pytest.mark.parametrize("door", [
+    lambda c: square_class(c),
+    lambda c: hilbert_symbol(c, 5, 5),
+    lambda c: cup(c, 5),
+    lambda c: hilbert_symbol_oracle(c, 5, 5),
+    lambda c: sw_scale(c, sw_total(QForm((1, -2, 5)))),
+    lambda c: TruncatedSW(2, c, frozenset()),
+], ids=["square_class", "hilbert_symbol", "cup", "oracle", "sw_scale", "TruncatedSW"])
+def test_a_plain_tuple_is_not_a_class(door):
+    # (6, {5}) has the wrong primes for 6: read as a class it would send
+    # cup(6, 2) to look for its places at 5 instead of at 3
+    assert cup(6, 2) == {2, 3}
+    with pytest.raises(QuadraticError, match="not an exact rational"):
+        door((6, frozenset({5})))

@@ -63,5 +63,5 @@ def test_program_caches_are_bounded():
                     maxsize = obj.cache_info().maxsize
                     assert isinstance(maxsize, int) and maxsize > 0, (info.name, name)
     assert set(_UNBOUNDED_CACHES) <= found
-    assert {("cohomology", "h2"), ("quadratic", "_cup_cached"), ("groups", "_catalog_cached"),
-            ("oracles", "_oracle_cached")} <= found
+    assert {("cohomology", "h2"), ("quadratic", "_cup_cached"),
+            ("groups", "_catalog_cached")} <= found

@@ -1,9 +1,10 @@
+import collections
 import hashlib
 import json
 
 import pytest
 
-from traceforms import verify
+from traceforms import quadratic, verify
 from traceforms.cli import main
 from traceforms.verify import (
     DEFAULT_SEED,
@@ -60,6 +61,38 @@ def test_property_suites_trial_counts():
     assert c["smap_coboundary"]["trials"] == 800
     assert c["regular_parity"]["trials"] >= 10
     assert all(v["failures"] == 0 for v in c.values())
+
+
+def test_suite_factoring_counts(monkeypatch):
+    # the batteries handed bare ints to hilbert_symbol, the oracle and cup,
+    # which factored them on every call: 113,216 factorint calls in
+    # hilbert_oracle and 118,528 in the whole suite; hilbert_oracle now
+    # holds the class of each of its values, one call per |x| > 1
+    calls = collections.Counter()
+    battery = [None]
+    real = quadratic.factorint
+
+    def counting(n):
+        calls[battery[0]] += 1
+        return real(n)
+
+    def tracked(name, fn):
+        def run(rng):
+            battery[0] = name
+            try:
+                return fn(rng)
+            finally:
+                battery[0] = None
+        return run
+
+    monkeypatch.setattr(quadratic, "factorint", counting)
+    monkeypatch.setattr(verify, "_BATTERIES",
+                        tuple((name, tracked(name, fn)) for name, fn in verify._BATTERIES))
+    quadratic._cup_cached.cache_clear()
+    reports = run_suite(DEFAULT_SEED)
+    assert all(r.verdict == "pass" for r in reports)
+    assert calls["hilbert_oracle"] == 58
+    assert sum(calls.values()) <= 5000, calls
 
 
 def test_property_suites_error_becomes_fail(monkeypatch):
