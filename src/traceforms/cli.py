@@ -22,7 +22,6 @@ import json
 import math
 import re
 import sys
-from fractions import Fraction
 
 from . import clifford, cohomology, galois, groups, quadratic, verify
 
@@ -38,10 +37,13 @@ def _emit(obj, pretty: bool) -> None:
         print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
-def _fraction(text: str) -> Fraction:
+def _fraction(text: str):
     """text as a Fraction.  Its decimal exponent is held to the digit
     limit that int() applies to --poly coefficients and JSON integers:
-    1e100000 would be a 100,001-digit entry for factorint."""
+    1e100000 would be a 100,001-digit entry for factorint.  Only the
+    verbs that read a rational import fractions (and with it decimal)."""
+    from fractions import Fraction
+
     limit = sys.int_info.default_max_str_digits
     exp = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", text)
     if exp and abs(int(exp[1])) > limit:
@@ -103,7 +105,7 @@ def _json_int(x, what: str) -> int:
     return int(x)
 
 
-def _load_gram(path: str) -> list[list[Fraction]]:
+def _load_gram(path: str) -> list[list]:
     """The matrix in the JSON file, refused above GRAM_RANK_CAP, or when its
     rank times its entry bits exceeds GRAM_BITS_CAP.  Its entry bits are
     the largest numerator's plus den's less one, den the lcm of the

@@ -51,8 +51,6 @@ kept as test oracles (tests/clifford_oracle.py).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import cohomology, groups, perms
 
 CLIFFORD_RANK_CAP = 24   # largest number of generators accepted
@@ -264,14 +262,22 @@ def involution_square_sign(n: int) -> int:
     return alg
 
 
-@dataclass
 class PinCocycleResult:
     """Sign data of the pin lifts of a group's translation action."""
 
-    group: groups.Group
-    cocycle: cohomology.Cocycle2 | None
-    square_signs: dict[int, int]  # involution index -> lift(g)^2 = +-1
-    involutions_only: bool
+    __slots__ = ("group", "cocycle", "square_signs", "involutions_only")
+
+    def __init__(self, group: groups.Group, cocycle: cohomology.Cocycle2 | None,
+                 square_signs: dict[int, int], involutions_only: bool):
+        self.group = group
+        self.cocycle = cocycle
+        self.square_signs = square_signs  # involution index -> lift(g)^2 = +-1
+        self.involutions_only = involutions_only
+
+    def __repr__(self):
+        return (f"PinCocycleResult(group={self.group!r}, cocycle={self.cocycle!r}, "
+                f"square_signs={self.square_signs!r}, "
+                f"involutions_only={self.involutions_only!r})")
 
     @property
     def s_vector(self) -> tuple[int, ...]:

@@ -57,7 +57,6 @@ in the left nucleus, and δc = 0 by the left-nucleus lemma, as above.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from . import gf2
 from .groups import (
@@ -78,18 +77,21 @@ class CohomologyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Cocycle2:
-    group: Group
-    bits: int  # bit g·n + h is c(g, h)
+    __slots__ = ("group", "bits")
 
-    def __post_init__(self):
-        n = self.group.order
-        if self.bits >> (n * n):  # negative bits shift to -1
+    def __init__(self, group: Group, bits: int):  # bit g·n + h is c(g, h)
+        n = group.order
+        if bits >> (n * n):  # negative bits shift to -1
             raise CohomologyError("cocycle bits out of range")
         column_e = ((1 << n * n) - 1) // ((1 << n) - 1)  # bit g·n for each g
-        if self.bits & (column_e | ((1 << n) - 1)):
+        if bits & (column_e | ((1 << n) - 1)):
             raise CohomologyError("cocycle is not normalized")
+        self.group = group
+        self.bits = bits
+
+    def __repr__(self):
+        return f"Cocycle2(group={self.group!r}, bits={self.bits!r})"
 
     def value(self, g: int, h: int) -> int:
         return (self.bits >> (g * self.group.order + h)) & 1
@@ -284,11 +286,17 @@ class H2Basis:
         return [self.class_from_coords(1 << i) for i in range(self.dim)]
 
 
-@dataclass(frozen=True)
 class CohClass:
-    basis: H2Basis
-    coords: int
-    representative: Cocycle2
+    __slots__ = ("basis", "coords", "representative")
+
+    def __init__(self, basis: H2Basis, coords: int, representative: Cocycle2):
+        self.basis = basis
+        self.coords = coords
+        self.representative = representative
+
+    def __repr__(self):
+        return (f"CohClass(basis={self.basis!r}, coords={self.coords!r}, "
+                f"representative={self.representative!r})")
 
     def is_zero(self) -> bool:
         return self.coords == 0
@@ -332,37 +340,41 @@ def is_2_reduced(G: Group) -> bool:
 # central extensions by Z/2
 
 
-@dataclass(frozen=True)
 class CentralExt:
     """A central extension  Z/2 -> total -> base  with kernel {0, t}."""
 
-    base: Group
-    total: Group
-    t: int
-    projection: tuple[int, ...]
+    __slots__ = ("base", "total", "t", "projection")
 
-    def __post_init__(self):
-        if self.total.order != 2 * self.base.order:
+    def __init__(self, base: Group, total: Group, t: int, projection: tuple[int, ...]):
+        if total.order != 2 * base.order:
             raise CohomologyError("total group must have twice the base order")
-        if self.total.element_order(self.t) != 2:
+        if total.element_order(t) != 2:
             raise CohomologyError("kernel generator must have order 2")
-        tt = self.total.table
-        if any(tt[self.t][x] != tt[x][self.t] for x in range(self.total.order)):
+        tt = total.table
+        if any(tt[t][x] != tt[x][t] for x in range(total.order)):
             raise CohomologyError("kernel generator is not central")
-        proj = self.projection
-        if len(proj) != self.total.order:
+        proj = projection
+        if len(proj) != total.order:
             raise CohomologyError("projection length mismatch")
         if proj[0] != 0:
             raise CohomologyError("projection must send identity to identity")
         # the y with proj(xy) = proj(x)proj(y) for all x are closed under
         # products and hold 0, so a generating set of the total suffices
-        bt = self.base.table
-        for y in generating_set(self.total):
-            if any(proj[tt[x][y]] != bt[proj[x]][proj[y]] for x in range(self.total.order)):
+        bt = base.table
+        for y in generating_set(total):
+            if any(proj[tt[x][y]] != bt[proj[x]][proj[y]] for x in range(total.order)):
                 raise CohomologyError("projection is not a homomorphism")
-        kernel = sorted(x for x in range(self.total.order) if proj[x] == 0)
-        if kernel != sorted({0, self.t}):
+        kernel = sorted(x for x in range(total.order) if proj[x] == 0)
+        if kernel != sorted({0, t}):
             raise CohomologyError("projection kernel is not {e, t}")
+        self.base = base
+        self.total = total
+        self.t = t
+        self.projection = projection
+
+    def __repr__(self):
+        return (f"CentralExt(base={self.base!r}, total={self.total!r}, "
+                f"t={self.t!r}, projection={self.projection!r})")
 
     def fiber(self, g: int) -> list[int]:
         return [x for x in range(self.total.order) if self.projection[x] == g]

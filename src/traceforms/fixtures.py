@@ -16,96 +16,101 @@ Primitive elements:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .galois import EtaleAlg, MonicPoly
-from .groups import Group, catalog
+from . import galois, groups
 
 
-@dataclass(frozen=True)
 class FieldFixture:
-    name: str
-    poly: MonicPoly
-    group: Group
-    real: bool
-    disc_class: int          # squarefree discriminant class
-    case: str | None = None  # expected classification case, 2-groups only
+    __slots__ = ("name", "poly", "group", "real", "disc_class", "case")
+
+    def __init__(self, name: str, poly: galois.MonicPoly, group: groups.Group,
+                 real: bool, disc_class: int, case: str | None = None):
+        self.name = name
+        self.poly = poly
+        self.group = group
+        self.real = real
+        self.disc_class = disc_class  # squarefree discriminant class
+        self.case = case  # expected classification case, 2-groups only
+
+    def __repr__(self):
+        return (f"FieldFixture(name={self.name!r}, poly={self.poly!r}, "
+                f"group={self.group!r}, real={self.real!r}, "
+                f"disc_class={self.disc_class!r}, case={self.case!r})")
 
     @property
-    def algebra(self) -> EtaleAlg:
-        return EtaleAlg.field(self.poly)
+    def algebra(self) -> galois.EtaleAlg:
+        return galois.EtaleAlg.field(self.poly)
 
 
 MULTIQUADRATIC_REAL = FieldFixture(
     "multiquadratic_real",
-    MonicPoly((1, 0, -40, 0, 352, 0, -960, 0, 576)),
-    catalog("elem_abelian_2", 3),
+    galois.MonicPoly((1, 0, -40, 0, 352, 0, -960, 0, 576)),
+    groups.catalog("elem_abelian_2", 3),
     real=True, disc_class=1, case="i",
 )
 
 MULTIQUADRATIC_IMAGINARY = FieldFixture(
     "multiquadratic_imaginary",
-    MonicPoly((1, 0, -16, 0, 88, 0, 192, 0, 144)),
-    catalog("elem_abelian_2", 3),
+    galois.MonicPoly((1, 0, -16, 0, 88, 0, 192, 0, 144)),
+    groups.catalog("elem_abelian_2", 3),
     real=False, disc_class=1, case="ii",
 )
 
 CYCLIC8_REAL = FieldFixture(
     "cyclic8_real",
-    MonicPoly((1, 0, -8, 0, 20, 0, -16, 0, 2)),
-    catalog("cyclic", 8),
+    galois.MonicPoly((1, 0, -8, 0, 20, 0, -16, 0, 2)),
+    groups.catalog("cyclic", 8),
     real=True, disc_class=2, case="iii",
 )
 
 CYCLIC8_IMAGINARY = FieldFixture(
     "cyclic8_imaginary",
-    MonicPoly((1, 0, 8, 0, 20, 0, 16, 0, 2)),
-    catalog("cyclic", 8),
+    galois.MonicPoly((1, 0, 8, 0, 20, 0, 16, 0, 2)),
+    groups.catalog("cyclic", 8),
     real=False, disc_class=2, case="iv",
 )
 
 DIHEDRAL8_IMAGINARY = FieldFixture(
     "dihedral8_imaginary",
-    MonicPoly((1, 0, 4, 0, 2, 0, 28, 0, 1)),
-    catalog("dihedral", 8),
+    galois.MonicPoly((1, 0, 4, 0, 2, 0, 28, 0, 1)),
+    groups.catalog("dihedral", 8),
     real=False, disc_class=1, case="ii",
 )
 
 COMPOSITUM_C2XC4 = FieldFixture(
     "compositum_c2xc4",
-    MonicPoly((1, 0, -20, 0, 98, 0, -76, 0, 1)),
-    catalog("z4xz2"),
+    galois.MonicPoly((1, 0, -20, 0, 98, 0, -76, 0, 1)),
+    groups.catalog("z4xz2"),
     real=True, disc_class=1,
 )
 
 C4_REAL = FieldFixture(
     "c4_real",
-    MonicPoly((1, 0, -4, 0, 2)),
-    catalog("cyclic", 4),
+    galois.MonicPoly((1, 0, -4, 0, 2)),
+    groups.catalog("cyclic", 4),
     real=True, disc_class=2,
 )
 
 # quadratic fields used by the product-algebra identities
 QUAD_REAL_5 = FieldFixture(
-    "quad_real_5", MonicPoly((1, 0, -5)), catalog("cyclic", 2),
+    "quad_real_5", galois.MonicPoly((1, 0, -5)), groups.catalog("cyclic", 2),
     real=True, disc_class=5,
 )
 QUAD_IMAG_3 = FieldFixture(
-    "quad_imag_3", MonicPoly((1, 0, 3)), catalog("cyclic", 2),
+    "quad_imag_3", galois.MonicPoly((1, 0, 3)), groups.catalog("cyclic", 2),
     real=False, disc_class=-3,
 )
 
 # sqrt(2) + sqrt(3); its group misses the two-cyclic-factor premise
 BIQUADRATIC_REAL = FieldFixture(
-    "biquadratic_real", MonicPoly((1, 0, -10, 0, 1)),
-    catalog("elem_abelian_2", 2), real=True, disc_class=1,
+    "biquadratic_real", galois.MonicPoly((1, 0, -10, 0, 1)),
+    groups.catalog("elem_abelian_2", 2), real=True, disc_class=1,
 )
 
 # cyclotomic quartic of conductor 8 (roots are the primitive 8th roots
 # of unity), used by the repeated-algebra identities
 CYCLOTOMIC8 = FieldFixture(
-    "cyclotomic8", MonicPoly((1, 0, 0, 0, 1)),
-    catalog("elem_abelian_2", 2), real=False, disc_class=1,
+    "cyclotomic8", galois.MonicPoly((1, 0, 0, 0, 1)),
+    groups.catalog("elem_abelian_2", 2), real=False, disc_class=1,
 )
 
 # data for the two-cyclic-Sylow statement on the compositum: the fixed

@@ -11,7 +11,6 @@ and the shape of the Sylow 2-subgroup is read off G.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cohomology, groups
@@ -20,6 +19,7 @@ from .quadratic import (
     cup,
     diagonalize,
     direct_sum,
+    disc_class,
     is_isometric_q,
     repeat,
     signature,
@@ -88,23 +88,22 @@ def _poly_gcd_degree(a: list[int], b: list[int]) -> int:
     return len(a) - 1
 
 
-@dataclass(frozen=True)
 class MonicPoly:
     """Monic squarefree polynomial with integer coefficients, leading
     coefficient first."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
+    def __init__(self, coeffs: tuple[int, ...]):
         # a bool is an int to isinstance, and int() would truncate a float
-        if any(isinstance(c, bool) or not isinstance(c, int) for c in self.coeffs):
+        if any(isinstance(c, bool) or not isinstance(c, int) for c in coeffs):
             raise GaloisError("coefficients must be integers")
-        cs = tuple(int(c) for c in self.coeffs)
+        cs = tuple(int(c) for c in coeffs)
         if len(cs) < 2:
             raise GaloisError("polynomial must have degree at least 1")
         if cs[0] != 1:
             raise GaloisError("polynomial must be monic")
-        object.__setattr__(self, "coeffs", cs)
+        self.coeffs = cs
         d = self.degree
         _check_degree("polynomial", d)
         bits = max(abs(c).bit_length() for c in cs)
@@ -114,6 +113,9 @@ class MonicPoly:
                 f"DEGREE_BITS_CAP = {DEGREE_BITS_CAP}")
         if _poly_gcd_degree(list(cs), [(d - i) * cs[i] for i in range(d)]) != 0:
             raise GaloisError("polynomial has repeated roots")
+
+    def __repr__(self):
+        return f"MonicPoly(coeffs={self.coeffs!r})"
 
     @property
     def degree(self) -> int:
@@ -145,18 +147,17 @@ def trace_gram(f: MonicPoly) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(ps[i + j] for j in range(d)) for i in range(d))
 
 
-@dataclass(frozen=True)
 class EtaleAlg:
     """Product of number fields Q[x]/(f_i), each with a multiplicity."""
 
-    factors: tuple[tuple[MonicPoly, int], ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        for _, m in self.factors:
+    def __init__(self, factors: tuple[tuple[MonicPoly, int], ...]):
+        for _, m in factors:
             # int() would read True as 1 and truncate 2.5 to 2
             if isinstance(m, (bool, float)) or Fraction(m).denominator != 1:
                 raise GaloisError(f"multiplicity must be an integer, got {m!r}")
-        fs = tuple((f, int(m)) for f, m in self.factors)
+        fs = tuple((f, int(m)) for f, m in factors)
         if not fs:
             raise GaloisError("algebra needs at least one factor")
         for f, m in fs:
@@ -165,7 +166,10 @@ class EtaleAlg:
             if m < 1:
                 raise GaloisError("multiplicities must be positive")
         _check_degree("algebra", sum(f.degree * m for f, m in fs))
-        object.__setattr__(self, "factors", fs)
+        self.factors = fs
+
+    def __repr__(self):
+        return f"EtaleAlg(factors={self.factors!r})"
 
     @staticmethod
     def field(f: MonicPoly) -> "EtaleAlg":
@@ -301,7 +305,7 @@ def verify_main(A: EtaleAlg, G: groups.Group) -> dict:
                 "reason": "group fails the trivial-kernel condition"}
     q = trace_form(A)
     lhs = w2(q)
-    rhs = cup(2, w1(q))
+    rhs = cup(2, disc_class(q))
     return {
         "status": "pass" if lhs == rhs else "fail",
         "w2_places": lhs,

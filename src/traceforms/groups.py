@@ -29,7 +29,6 @@ import functools
 import itertools
 
 from . import perms
-from .perms import Perm
 
 CLOSURE_CAP = 2048
 
@@ -205,7 +204,7 @@ def closure(generators, cap: tuple[str, int] = ("CLOSURE_CAP", CLOSURE_CAP)) -> 
     return Group(table, labels=[perms.to_cycle_string(p) for p in els], name="closure")
 
 
-def left_regular(G: Group) -> list[Perm]:
+def left_regular(G: Group) -> list[perms.Perm]:
     """f(g): x -> g*x.  A homomorphism for compose(p, q)(x) = p(q(x))."""
     return [tuple(G.table[g]) for g in range(G.order)]
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 
-from .quadratic import INF, QuadraticError, check_place, squarefree_part
+from . import quadratic
 
 # Largest place the oracle searches.  At an odd prime p it tabulates the
 # squares mod p^3 and walks half of the residues, so p is bounded before
@@ -74,12 +74,12 @@ def _solvable_2(a: int, b: int) -> bool:
 
 def hilbert_symbol_oracle(a, b, v) -> int:
     """Hilbert symbol at v by brute-force solubility search."""
-    check_place(v)
-    if v != INF and v > ORACLE_PLACE_CAP:
-        raise QuadraticError(f"place {v} exceeds ORACLE_PLACE_CAP = "
-                             f"{ORACLE_PLACE_CAP}")
-    a, b = squarefree_part(a), squarefree_part(b)
-    if v == INF:
+    quadratic.check_place(v)
+    if v != quadratic.INF and v > ORACLE_PLACE_CAP:
+        raise quadratic.QuadraticError(f"place {v} exceeds ORACLE_PLACE_CAP = "
+                                       f"{ORACLE_PLACE_CAP}")
+    a, b = quadratic.squarefree_part(a), quadratic.squarefree_part(b)
+    if v == quadratic.INF:
         return -1 if (a < 0 and b < 0) else 1
     if v == 2:
         return 1 if _solvable_2(a, b) else -1

@@ -15,8 +15,9 @@ Miller-Rabin bases (no sieve), then Miller-Rabin and Pollard rho.
 pass a probable prime beyond its proven range.  `check_place` decides
 what a place is.  A value is factored once, where it enters, into a
 square class (the squarefree integer and its primes) that is then held:
-a `QForm` keeps its entries' and its disc's, a `TruncatedSW` its disc's,
-and a caller its own, since each door that takes a value takes a class.
+a `QForm` keeps its entries' and its disc's (a form built from others
+takes theirs), a `TruncatedSW` its disc's, and a caller its own, since
+each door that takes a value takes a class.
 A product's class comes from its factors', unfactored.
 """
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -263,29 +263,49 @@ def _rational(x) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
 class QForm:
-    """Nondegenerate diagonal quadratic form <a_1, ..., a_n> over Q."""
+    """Nondegenerate diagonal quadratic form <a_1, ..., a_n> over Q.
 
-    entries: tuple[Fraction, ...]
+    Its entries' square classes are found on first use: by factoring
+    each entry, or, where `classes` is given, by calling it, which is
+    how a form built from held classes (`direct_sum`, `scale`,
+    `repeat`, a battery's shared classes) skips the factoring."""
 
-    def __post_init__(self):
-        ent = tuple(_rational(a) for a in self.entries)
+    __slots__ = ("entries", "_held", "_disc")
+
+    def __init__(self, entries, classes=None):
+        ent = tuple(_rational(a) for a in entries)
         if any(a == 0 for a in ent):
             raise QuadraticError("diagonal entries must be nonzero")
-        object.__setattr__(self, "entries", ent)
+        self.entries = ent
+        self._held = classes  # None, a function giving the classes, or them
+        self._disc = None
 
-    @functools.cached_property
+    @property
     def _classes(self) -> tuple[_SquareClass, ...]:
-        return tuple(square_class(a) for a in self.entries)
+        held = self._held
+        if type(held) is not tuple:
+            held = tuple(map(square_class, self.entries)) if held is None else held()
+            self._held = held
+        return held
 
-    @functools.cached_property
+    @property
     def _disc_class(self) -> _SquareClass:
-        return functools.reduce(sqclass_mul, self._classes, square_class(1))
+        if self._disc is None:
+            self._disc = functools.reduce(sqclass_mul, self._classes, square_class(1))
+        return self._disc
 
     @property
     def rank(self) -> int:
         return len(self.entries)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.entries,))
 
     def __repr__(self):
         return "<" + ", ".join(str(a) for a in self.entries) + ">"
@@ -295,25 +315,35 @@ def direct_sum(*forms: QForm) -> QForm:
     ent: tuple[Fraction, ...] = ()
     for q in forms:
         ent += q.entries
-    return QForm(ent)
+    return QForm(ent, lambda: tuple(c for q in forms for c in q._classes))
 
 
 def scale(a, q: QForm) -> QForm:
     a = _rational(a)
     if a == 0:
         raise QuadraticError("cannot scale a form by zero")
-    return QForm(tuple(a * x for x in q.entries))
+
+    def classes():
+        ca = square_class(a)
+        return tuple(sqclass_mul(ca, c) for c in q._classes)
+    return QForm(tuple(a * x for x in q.entries), classes)
 
 
 def repeat(q: QForm, m: int) -> QForm:
     if m < 1:
         raise QuadraticError("need at least one copy")
-    return QForm(q.entries * m)
+    return QForm(q.entries * m, lambda: q._classes * m)
 
 
 def signature(q: QForm) -> tuple[int, int]:
     pos = sum(1 for a in q.entries if a > 0)
     return pos, q.rank - pos
+
+
+def disc_class(q: QForm) -> _SquareClass:
+    """The square class of the product of the diagonal entries, from
+    the entries' classes: a caller hands it on where a value is taken."""
+    return q._disc_class
 
 
 def w1(q: QForm) -> int:
@@ -336,21 +366,33 @@ def w2(q: QForm) -> frozenset:
 # rank/discriminant/place-set triples, and their algebra
 
 
-@dataclass(frozen=True)
 class TruncatedSW:
     """(rank, squarefree discriminant class, place set) of a form.  Given
     as a square class, disc is kept; an int disc must be squarefree."""
 
-    rank: int
-    disc: int
-    places: frozenset
+    __slots__ = ("rank", "disc", "places", "_disc_class")
 
-    def __post_init__(self):
-        c = square_class(self.disc)
-        if c is not self.disc and c.d != self.disc:
+    def __init__(self, rank: int, disc, places: frozenset):
+        c = square_class(disc)
+        if c is not disc and c.d != disc:
             raise QuadraticError("disc must be a squarefree integer")
-        object.__setattr__(self, "disc", c.d)
-        object.__setattr__(self, "_disc_class", c)
+        self.rank = rank
+        self.disc = c.d
+        self.places = places
+        self._disc_class = c
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.rank, self.disc, self.places)
+                == (other.rank, other.disc, other.places))
+
+    def __hash__(self):
+        return hash((self.rank, self.disc, self.places))
+
+    def __repr__(self):
+        return (f"TruncatedSW(rank={self.rank!r}, disc={self.disc!r}, "
+                f"places={self.places!r})")
 
 
 def sw_total(q: QForm) -> TruncatedSW:

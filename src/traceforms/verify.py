@@ -16,87 +16,52 @@ import functools
 import random
 import time
 import zlib
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
 
-from . import fixtures
-from .clifford import (
-    SignMismatchError,
-    involution_square_sign,
-    pin_cocycle,
-    pin_product_sign,
-)
-from .cohomology import (
-    central_extension_from_quotient,
-    class_of_extension,
-    delta1,
-    h2,
-    is_2_reduced,
-    s_map,
-    two_lift_property,
-)
-from .galois import (
-    EtaleAlg,
-    classify_2group_trace_form,
-    trace_form,
-    two_cyclic_sylow_orders,
-    verify_main,
-    verify_two_cyclic_sylow,
-    verify_w1,
-)
-from .groups import Group, catalog, group_from_spec, regular_rep_in_alternating, sylow2
-from .oracles import hilbert_symbol_oracle
-from .quadratic import (
-    INF,
-    QForm,
-    QuadraticError,
-    cup,
-    diagonalize,
-    direct_sum,
-    hilbert_symbol,
-    is_isometric_q,
-    place_sort_key,
-    scale,
-    square_class,
-    sw_direct_sum,
-    sw_repeat,
-    sw_scale,
-    sw_total,
-)
+from . import clifford, cohomology, fixtures, galois, groups, oracles, quadratic
 
 DEFAULT_SEED = 20260816
 
 
 def jsonable(x):
-    """Deterministic JSON-safe rendering of the computational objects."""
+    """Deterministic JSON-safe rendering of the computational objects.
+    The builtin types are tried first, so a report of plain values
+    reads no layer; anything else, such as a Fraction, is its str."""
     if isinstance(x, dict):
         return {str(k): jsonable(v) for k, v in x.items()}
-    if isinstance(x, (frozenset, set)):
-        return [jsonable(v) for v in sorted(x, key=place_sort_key)]
-    if isinstance(x, QForm):
-        return [str(a) for a in x.entries]
-    if isinstance(x, Fraction):
-        return str(x)
     if isinstance(x, (list, tuple)):
         return [jsonable(v) for v in x]
-    if isinstance(x, Group):
-        return x.name or f"group-of-order-{x.order}"
     if isinstance(x, bool) or x is None or isinstance(x, (int, float, str)):
         return x
+    if isinstance(x, (frozenset, set)):
+        return [jsonable(v) for v in sorted(x, key=quadratic.place_sort_key)]
+    if isinstance(x, quadratic.QForm):
+        return [str(a) for a in x.entries]
+    if isinstance(x, groups.Group):
+        return x.name or f"group-of-order-{x.order}"
     return str(x)
 
 
-@dataclass
 class VerificationReport:
-    statement: str
-    inputs: dict
-    computed: dict
-    expected: dict
-    verdict: str  # "pass" | "fail", set by run_statement
-    notes: str = ""
-    runtime: float = 0.0  # set by run_statement
+    __slots__ = ("statement", "inputs", "computed", "expected", "verdict", "notes",
+                 "runtime")
+
+    def __init__(self, statement: str, inputs: dict, computed: dict, expected: dict,
+                 verdict: str, notes: str = "", runtime: float = 0.0):
+        self.statement = statement
+        self.inputs = inputs
+        self.computed = computed
+        self.expected = expected
+        self.verdict = verdict  # "pass" | "fail", set by run_statement
+        self.notes = notes
+        self.runtime = runtime  # set by run_statement
+
+    def __repr__(self):
+        return (f"VerificationReport(statement={self.statement!r}, "
+                f"inputs={self.inputs!r}, computed={self.computed!r}, "
+                f"expected={self.expected!r}, verdict={self.verdict!r}, "
+                f"notes={self.notes!r}, runtime={self.runtime!r})")
 
     def as_dict(self, include_runtime: bool = False) -> dict:
         d = {
@@ -142,7 +107,7 @@ def run_prop_lift2(seed: int) -> _Claim:
     closed-form routes are compared internally at every even n <= 24."""
     degrees = list(range(2, 25, 2))
     # involution_square_sign raises if the two routes disagree
-    computed = {n: involution_square_sign(n) for n in degrees}
+    computed = {n: clifford.involution_square_sign(n) for n in degrees}
     expected = {**{n: 1 for n in (2, 8, 10, 16, 24)},
                 **{n: -1 for n in (4, 6, 12, 14, 20)}}
     return _Claim(
@@ -163,14 +128,14 @@ _TWO_REDUCED_EXPECTED = (
 
 
 def run_2reduced_table(seed: int) -> _Claim:
-    computed = {key: is_2_reduced(group_from_spec("catalog:" + key))
+    computed = {key: cohomology.is_2_reduced(groups.group_from_spec("catalog:" + key))
                 for key, _ in _TWO_REDUCED_EXPECTED}
     return _Claim({"groups": list(computed)}, computed,
                   dict(_TWO_REDUCED_EXPECTED))
 
 
 def run_h2_s4(seed: int) -> _Claim:
-    b = h2(catalog("sym", 4))
+    b = cohomology.h2(groups.catalog("sym", 4))
     computed = {"dim": b.dim, "cocycle_dim": b.z2_dim, "coboundary_dim": b.b2_dim}
     return _Claim({"group": "sym:4"}, computed, {"dim": 2})
 
@@ -178,19 +143,19 @@ def run_h2_s4(seed: int) -> _Claim:
 def run_quat_counterexample(seed: int) -> _Claim:
     """The order-16 cover of the quaternion group: the extension has the
     involution-lifting property but its class is not a coboundary."""
-    T = catalog("quat_cover")
+    T = groups.catalog("quat_cover")
     t = T.labels.index("(2,2)")
-    E = central_extension_from_quotient(T, t)
+    E = cohomology.central_extension_from_quotient(T, t)
     base = E.base
-    cl = class_of_extension(E)
+    cl = cohomology.class_of_extension(E)
     computed = {
         "base_order": base.order,
         "base_involutions": len(base.involutions()),
         "base_abelian": base.is_abelian(),
-        "two_lift_property": two_lift_property(E),
+        "two_lift_property": cohomology.two_lift_property(E),
         "class_is_coboundary": cl.is_zero(),
-        "class_diagonal": list(s_map(cl)),
-        "base_two_reduced": is_2_reduced(base),
+        "class_diagonal": list(cohomology.s_map(cl)),
+        "base_two_reduced": cohomology.is_2_reduced(base),
     }
     return _Claim(
         {"total": "quat_cover", "kernel": "(2,2)"}, computed,
@@ -206,9 +171,9 @@ def run_pin_splitness(seed: int) -> _Claim:
     computed = {}
     for key in ("dihedral:8", "cyclic:8", "elem_abelian_2:3", "cyclic:4",
                 "quaternion8"):
-        G = group_from_spec("catalog:" + key)
-        res = pin_cocycle(G)
-        computed[key] = {"coboundary": h2(G).is_coboundary(res.cocycle),
+        G = groups.group_from_spec("catalog:" + key)
+        res = clifford.pin_cocycle(G)
+        computed[key] = {"coboundary": cohomology.h2(G).is_coboundary(res.cocycle),
                          "diagonal": list(res.s_vector)}
     expected = {
         "dihedral:8": {"coboundary": True},
@@ -236,8 +201,8 @@ def run_thm_main(seed: int) -> _Claim:
     computed = {}
     for name in _MAIN_FIXTURES:
         fx = fixtures.BY_NAME[name]
-        rep = verify_main(fx.algebra, fx.group)
-        repw = verify_w1(fx.algebra, fx.group)
+        rep = galois.verify_main(fx.algebra, fx.group)
+        repw = galois.verify_w1(fx.algebra, fx.group)
         computed[name] = {
             "status": rep["status"],
             "w2_places": rep.get("w2_places"),
@@ -260,7 +225,7 @@ def run_cor_numb2(seed: int) -> _Claim:
     computed = {}
     for name in _NUMB2_FIXTURES:
         fx = fixtures.BY_NAME[name]
-        r = classify_2group_trace_form(fx.algebra, fx.group)
+        r = galois.classify_2group_trace_form(fx.algebra, fx.group)
         computed[name] = {
             "case": r["case"],
             "real": r["real"],
@@ -282,10 +247,10 @@ def run_cor_numb2(seed: int) -> _Claim:
 
 def run_two_cyclic_sylow(seed: int) -> _Claim:
     fx = fixtures.COMPOSITUM_C2XC4
-    rep = verify_two_cyclic_sylow(fx.algebra, fx.group, fixtures.COMPOSITUM_D1,
+    rep = galois.verify_two_cyclic_sylow(fx.algebra, fx.group, fixtures.COMPOSITUM_D1,
                                   fixtures.COMPOSITUM_D2)
     bq = fixtures.BIQUADRATIC_REAL
-    gate = verify_two_cyclic_sylow(bq.algebra, bq.group, 2, 3)
+    gate = galois.verify_two_cyclic_sylow(bq.algebra, bq.group, 2, 3)
     computed = {
         "compositum": rep,
         "compositum_expected_places": fixtures.COMPOSITUM_EXPECTED_W2,
@@ -299,7 +264,7 @@ def run_two_cyclic_sylow(seed: int) -> _Claim:
     return _Claim(
         {"fixture": fx.name, "d1": fixtures.COMPOSITUM_D1,
          "d2": fixtures.COMPOSITUM_D2,
-         "first_factor_order_2": two_cyclic_sylow_orders(fx.group)[0] == 2},
+         "first_factor_order_2": galois.two_cyclic_sylow_orders(fx.group)[0] == 2},
         computed, expected,
     )
 
@@ -314,11 +279,12 @@ def run_rel_identities(seed: int) -> _Claim:
     computed = {}
     for name in _REL_POLYS:
         fx = fixtures.BY_NAME[name]
-        base = sw_total(trace_form(fx.algebra))
+        base = quadratic.sw_total(galois.trace_form(fx.algebra))
         rows = {}
         for m in range(1, 5):
-            direct = sw_total(trace_form(EtaleAlg(((fx.poly, m),))))
-            derived = sw_repeat(base, m)
+            A = galois.EtaleAlg(((fx.poly, m),))
+            direct = quadratic.sw_total(galois.trace_form(A))
+            derived = quadratic.sw_repeat(base, m)
             rows[m] = {
                 "direct": {"disc": direct.disc, "places": direct.places},
                 "derived": {"disc": derived.disc, "places": derived.places},
@@ -360,22 +326,27 @@ def _fails_only_with(error, fn):
     return check
 
 
-def _random_form(rng: random.Random, max_rank: int) -> QForm:
+def _random_form(rng: random.Random, max_rank: int, cls) -> quadratic.QForm:
+    """A form of nonzero entries in [-12, 12]; its classes are read from
+    cls, a square_class shared by the battery's forms."""
     rank = rng.randint(1, max_rank)
     pool = [x for x in range(-12, 13) if x]
-    return QForm(tuple(Fraction(rng.choice(pool)) for _ in range(rank)))
+    entries = tuple(rng.choice(pool) for _ in range(rank))
+    return quadratic.QForm(entries, lambda: tuple(map(cls, entries)))
 
 
 def _gram_cases(rng: random.Random):
     """Random symmetric 6x6 integer matrices; degenerate draws are skipped."""
+    from fractions import Fraction  # a failing case prints its entries as text
+
     while True:
         m = [[Fraction(rng.randint(-5, 5)) for _ in range(6)] for _ in range(6)]
         for i in range(6):
             for j in range(i):
                 m[i][j] = m[j][i]
         try:
-            diagonalize(m)
-        except QuadraticError:
+            quadratic.diagonalize(m)
+        except quadratic.QuadraticError:
             continue
         yield {"gram": m}
 
@@ -398,8 +369,8 @@ _EVEN_ORDER_CATALOG = (
 
 
 def _regular_parity(group: str) -> bool:
-    G = group_from_spec("catalog:" + group)
-    return regular_rep_in_alternating(G) == (not sylow2(G).is_cyclic())
+    G = groups.group_from_spec("catalog:" + group)
+    return groups.regular_rep_in_alternating(G) == (not groups.sylow2(G).is_cyclic())
 
 
 _SMAP_GROUPS = ("cyclic:4", "cyclic:8", "elem_abelian_2:2",
@@ -411,53 +382,69 @@ def _smap_cases(rng: random.Random):
     """A class of H^2 by its coordinates, and the coboundary of a cochain
     with b(e) = 0 to add to its representative."""
     for key in _SMAP_GROUPS:
-        G = group_from_spec("catalog:" + key)
-        dim = h2(G).dim
+        G = groups.group_from_spec("catalog:" + key)
+        dim = cohomology.h2(G).dim
         for _ in range(100):
             yield {"group": key, "coords": rng.getrandbits(dim),
                    "shift": rng.getrandbits(G.order) & ~1}
 
 
 def _smap_invariant(group: str, coords: int, shift: int) -> bool:
-    G = group_from_spec("catalog:" + group)
-    cl = h2(G).class_from_coords(coords)
-    return s_map(cl.representative.add(delta1(G, shift))) == s_map(cl)
+    G = groups.group_from_spec("catalog:" + group)
+    cl = cohomology.h2(G).class_from_coords(coords)
+    shifted = cl.representative.add(cohomology.delta1(G, shift))
+    return cohomology.s_map(shifted) == cohomology.s_map(cl)
 
 
 def _agrees_with_oracle():
     """A check of the closed form against the oracle that, while it lives,
     builds each value's class and searches each (symmetric) symbol once."""
-    cls = functools.cache(square_class)
-    oracle = functools.cache(hilbert_symbol_oracle)
-    return lambda a, b, v: (hilbert_symbol(cls(a), cls(b), v)
+    cls = functools.cache(quadratic.square_class)
+    oracle = functools.cache(oracles.hilbert_symbol_oracle)
+    return lambda a, b, v: (quadratic.hilbert_symbol(cls(a), cls(b), v)
                             == oracle(*sorted((cls(a), cls(b))), v))
+
+
+def _whitney(rng: random.Random) -> dict:
+    cls = functools.cache(quadratic.square_class)
+    sw = quadratic.sw_total
+    return _tally(
+        ({"q1": _random_form(rng, 5, cls), "q2": _random_form(rng, 5, cls)}
+         for _ in range(100)),
+        lambda q1, q2: (quadratic.sw_direct_sum(sw(q1), sw(q2))
+                        == sw(quadratic.direct_sum(q1, q2))))
+
+
+def _scale_formula(rng: random.Random) -> dict:
+    cls = functools.cache(quadratic.square_class)
+    sw = quadratic.sw_total
+    return _tally(
+        ({"q": _random_form(rng, 6, cls),
+          "a": rng.choice([x for x in range(-10, 11) if x])}
+         for _ in range(100)),
+        lambda q, a: quadratic.sw_scale(cls(a), sw(q)) == sw(quadratic.scale(a, q)))
 
 
 _BATTERIES = (  # (name, fn(rng)): each fn tallies a check over its cases
     ("diag_invariance", lambda rng: _tally(
         islice(_gram_cases(rng), 100),
-        lambda gram: is_isometric_q(diagonalize(gram), diagonalize(gram, rng=rng)))),
+        lambda gram: quadratic.is_isometric_q(quadratic.diagonalize(gram),
+                                              quadratic.diagonalize(gram, rng=rng)))),
     ("hilbert_oracle", lambda rng: _tally(  # exhaustive, not sampled
         ({"a": a, "b": b, "v": v} for a in range(-30, 31) if a
          for b in range(a, 31) if b
-         for v in (INF, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)),
+         for v in (quadratic.INF, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
+                   47)),
         _agrees_with_oracle())),
     ("reciprocity", lambda rng: _tally(  # cup asserts an even place count
         ({"a": rng.randint(-200, 200) or 1, "b": rng.randint(-200, 200) or 3}
          for _ in range(300)),
-        _fails_only_with(QuadraticError, cup))),
-    ("whitney", lambda rng: _tally(
-        ({"q1": _random_form(rng, 5), "q2": _random_form(rng, 5)}
-         for _ in range(100)),
-        lambda q1, q2: (sw_direct_sum(sw_total(q1), sw_total(q2))
-                        == sw_total(direct_sum(q1, q2))))),
-    ("scale_formula", lambda rng: _tally(
-        ({"q": _random_form(rng, 6),
-          "a": rng.choice([x for x in range(-10, 11) if x])}
-         for _ in range(100)),
-        lambda q, a: sw_scale(a, sw_total(q)) == sw_total(scale(a, q)))),
+        _fails_only_with(quadratic.QuadraticError, quadratic.cup))),
+    ("whitney", _whitney),
+    ("scale_formula", _scale_formula),
     ("pin_proportionality", lambda rng: _tally(
-        _perm_pairs(rng), _fails_only_with(SignMismatchError, pin_product_sign))),
+        _perm_pairs(rng),
+        _fails_only_with(clifford.SignMismatchError, clifford.pin_product_sign))),
     ("regular_parity", lambda rng: _tally(
         ({"group": key} for key in _EVEN_ORDER_CATALOG), _regular_parity)),
     ("smap_coboundary", lambda rng: _tally(_smap_cases(rng), _smap_invariant)),

@@ -22,8 +22,9 @@ _READERS = {
     "squarefree_part": {"hilbert_symbol"},
     # the public door takes bare values; inside the module classes are held
     "cup": set(),
+    # scale reads a's class, to multiply it into the classes q holds
     "square_class": {"squarefree_part", "cup", "_classes", "_disc_class",
-                     "__post_init__", "sw_scale", "sw_repeat"},
+                     "__init__", "scale", "sw_scale", "sw_repeat"},
 }
 # name -> the only functions of quadratic that may call it
 _BUILDERS = {"_SquareClass": {"square_class", "sqclass_mul"}}

@@ -357,6 +357,40 @@ def test_verify_main_on_all_octic_fixtures():
         assert rep["status"] == "pass", fx.name
 
 
+def _counting_factorint(monkeypatch) -> list:
+    from traceforms import quadratic
+    calls, real = [], quadratic.factorint
+    monkeypatch.setattr(quadratic, "factorint", lambda n: calls.append(n) or real(n))
+    return calls
+
+
+def _entry_parts(q: QForm) -> list[int]:
+    return [n for a in q.entries for n in (abs(a.numerator), a.denominator) if n > 1]
+
+
+def test_verify_main_factors_each_entry_and_two_once(monkeypatch):
+    # cup(2, w1(q)) handed the disc class of q on as a bare int, which was
+    # factored again: once more on each cyclic octic, whose disc class is 2
+    from traceforms import fixtures
+    calls = _counting_factorint(monkeypatch)
+    for fx in fixtures.OCTIC_FIXTURES:
+        parts = _entry_parts(trace_form(fx.algebra))
+        calls.clear()
+        verify_main(fx.algebra, fx.group)
+        assert sorted(calls) == sorted(parts + [2]), fx.name
+
+
+def test_copies_of_a_field_factor_one_copy(monkeypatch):
+    # the trace form of F^m is m copies of F's, and takes their classes:
+    # sw_total of four copies of the cyclotomic quartic made 16 calls
+    from traceforms import fixtures, quadratic
+    f = fixtures.CYCLOTOMIC8.poly
+    parts = _entry_parts(trace_form(EtaleAlg.field(f)))
+    calls = _counting_factorint(monkeypatch)
+    quadratic.sw_total(trace_form(EtaleAlg(((f, 4),))))
+    assert sorted(calls) == sorted(parts) == [2, 4, 4, 8]
+
+
 def test_classification_cases_and_models():
     case, m1 = predicted_2group_form(8, real=True, cyclic=False, d=1)
     assert case == "i" and all(e == Fraction(1) for e in m1.entries)

@@ -13,14 +13,17 @@ from test_trace_hooks import _tracing
 
 SRC = os.path.dirname(os.path.dirname(traceforms.__file__))
 
-# prints {module: whether it has run} for every traceforms.* module, as
-# the last line of stdout, after the statements given
+# prints {module: whether it has run} for every traceforms.* module, and
+# which of the costly stdlib modules are loaded, as the last line of
+# stdout, after the statements given
 _CHILD = """
 import json, runpy, sys, types
 {body}
-print(json.dumps({{k[len("traceforms."):]: type(m) is types.ModuleType
-                   for k, m in sys.modules.items()
-                   if k.startswith("traceforms.")}}))
+print(json.dumps({{
+    "layers": {{k[len("traceforms."):]: type(m) is types.ModuleType
+                for k, m in sys.modules.items() if k.startswith("traceforms.")}},
+    "stdlib": sorted({{"dataclasses", "inspect", "fractions"}} & set(sys.modules)),
+}}))
 """
 _RUN_VERB = """
 sys.argv = ["traceforms", *sys.argv[1:]]
@@ -31,7 +34,7 @@ except SystemExit as exc:
 """
 
 
-def _module_states(body: str, *argv) -> dict[str, bool]:
+def _child(body: str, *argv) -> dict:
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD.format(body=body), *argv],
         capture_output=True, text=True, timeout=60,
@@ -40,16 +43,62 @@ def _module_states(body: str, *argv) -> dict[str, bool]:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def _module_states(body: str, *argv) -> dict[str, bool]:
+    return _child(body, *argv)["layers"]
+
+
 @pytest.mark.parametrize("argv, ran", [
     (["form", "--entries", "3,-5,7"], {"cli", "quadratic"}),
     (["pin-sign", "--n", "12"], {"cli", "clifford"}),
     (["trace", "--poly", "1,0,-7"], {"cli", "galois", "quadratic"}),
     (["h2", "--group", "catalog:sym:4"],
      {"cli", "cohomology", "gf2", "groups", "perms"}),
+    # the four statements the benchmark pins
+    (["verify", "--statement", "h2-s4"],
+     {"cli", "verify", "cohomology", "gf2", "groups", "perms"}),
+    (["verify", "--statement", "prop-lift2"], {"cli", "verify", "clifford"}),
+    (["verify", "--statement", "quat-counterexample"],
+     {"cli", "verify", "cohomology", "gf2", "groups"}),
+    (["verify", "--statement", "rel-identities"],
+     {"cli", "verify", "fixtures", "galois", "groups", "quadratic"}),
+    # a table group needs no permutation code
+    (["kers", "--group", "catalog:z4xz2"], {"cli", "cohomology", "gf2", "groups"}),
 ])
 def test_verb_runs_only_its_layers(argv, ran):
     states = _module_states(_RUN_VERB, *argv)
     assert {m for m, done in states.items() if done} == ran
+
+
+# One invocation of each verb, the first the benchmark pins for it
+# (perfbench/ops.py::PINNED_CLI), and `suite`.  The verbs before `form`
+# read no rational, so they import no fractions (nor its decimal).
+_RATIONAL_FREE = [
+    ["group", "--group", "catalog:quaternion8", "--pretty"],
+    ["h2", "--group", "catalog:sym:4"],
+    ["kers", "--group", "catalog:z4xz2"],
+    ["2reduced", "--group", "catalog:cyclic:8"],
+    ["extension", "--group", "catalog:cyclic:4", "--cocycle", "basis:0"],
+    ["pin-sign", "--n", "12"],
+    ["pin-cocycle", "--group", "catalog:cyclic:4"],
+]
+_RATIONAL = [
+    ["form", "--entries", "1,1", "--isometric-to", "2,2"],
+    ["trace", "--poly", "1,0,-3"],
+    ["classify", "--poly", "1,0,-8,0,20,0,-16,0,2", "--group", "catalog:cyclic:8"],
+    ["verify", "--statement", "h2-s4"],
+    ["suite"],
+]
+
+
+@pytest.mark.parametrize("argv, allowed", [
+    *((argv, set()) for argv in _RATIONAL_FREE),
+    *((argv, {"fractions"}) for argv in _RATIONAL),
+], ids=lambda x: x[0] if isinstance(x, list) else None)
+def test_verb_imports_no_dataclasses_or_inspect(argv, allowed):
+    # dataclasses imports inspect, ast, dis, tokenize and more: 8-10 ms
+    # of a child's start-up, on every verb but group
+    loaded = _child(_RUN_VERB, *argv)["stdlib"]
+    assert set(loaded) <= allowed, loaded
 
 
 def test_import_cli_registers_every_traced_layer_unexecuted():

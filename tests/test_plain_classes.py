@@ -1,0 +1,113 @@
+"""The package's record classes are plain `__slots__` classes.  Each keeps
+the repr, the validation and its errors that it had as a dataclass; the
+two value classes that are compared, `QForm` and `TruncatedSW`, compare
+and hash by their fields."""
+from fractions import Fraction
+
+import pytest
+
+from traceforms import clifford, cohomology, fixtures, galois, groups, quadratic, verify
+
+C2 = groups.catalog("cyclic", 2)
+ZERO = cohomology.Cocycle2.zero(C2)
+EXT = cohomology.extension_from_cocycle(C2, ZERO)
+POLY = galois.MonicPoly((1, 0, -7))
+
+_REPRS = [
+    (lambda: quadratic.QForm((1, "-2/3")), "<1, -2/3>"),
+    (lambda: quadratic.TruncatedSW(3, -105, frozenset({3})),
+     "TruncatedSW(rank=3, disc=-105, places=frozenset({3}))"),
+    (lambda: POLY, "MonicPoly(coeffs=(1, 0, -7))"),
+    (lambda: galois.EtaleAlg(((POLY, 2),)),
+     "EtaleAlg(factors=((MonicPoly(coeffs=(1, 0, -7)), 2),))"),
+    (lambda: ZERO, "Cocycle2(group=<Group cyclic2 of order 2>, bits=0)"),
+    (lambda: EXT, "CentralExt(base=<Group cyclic2 of order 2>, total=<Group "
+                  "ext(cyclic2) of order 4>, t=1, projection=(0, 0, 1, 1))"),
+    (lambda: cohomology.h2(C2).class_from_coords(0),
+     "CohClass(basis=BASIS, coords=0, "
+     "representative=Cocycle2(group=<Group cyclic2 of order 2>, bits=0))"),
+    (lambda: clifford.pin_cocycle(C2, involutions_only=True),
+     "PinCocycleResult(group=<Group cyclic2 of order 2>, cocycle=None, "
+     "square_signs={1: 1}, involutions_only=True)"),
+    (lambda: fixtures.QUAD_REAL_5,
+     "FieldFixture(name='quad_real_5', poly=MonicPoly(coeffs=(1, 0, -5)), "
+     "group=<Group cyclic2 of order 2>, real=True, disc_class=5, case=None)"),
+    (lambda: verify.VerificationReport("h2-s4", {"group": "sym:4"}, {"dim": 2},
+                                       {"dim": 2}, "pass"),
+     "VerificationReport(statement='h2-s4', inputs={'group': 'sym:4'}, "
+     "computed={'dim': 2}, expected={'dim': 2}, verdict='pass', notes='', "
+     "runtime=0.0)"),
+]
+
+
+@pytest.mark.parametrize("make, text", _REPRS,
+                         ids=[type(make()).__name__ for make, _ in _REPRS])
+def test_repr_is_the_dataclass_repr(make, text):
+    obj = make()
+    # an H2Basis has the default repr, with its address
+    assert repr(obj) == text.replace("BASIS", repr(getattr(obj, "basis", None)))
+    assert not hasattr(obj, "__dict__")
+
+
+# (build, an equal build, an unequal build)
+_VALUES = [
+    (lambda: quadratic.QForm((1, "-2/3")),
+     lambda: quadratic.QForm(entries=(Fraction(1), Fraction(-2, 3))),
+     lambda: quadratic.QForm((1, "2/3"))),
+    (lambda: quadratic.TruncatedSW(3, -105, frozenset({3})),
+     lambda: quadratic.TruncatedSW(3, quadratic.square_class(-105), frozenset({3})),
+     lambda: quadratic.TruncatedSW(3, -105, frozenset())),
+]
+
+
+@pytest.mark.parametrize("make, same, other", _VALUES, ids=["QForm", "TruncatedSW"])
+def test_value_classes_compare_and_hash_by_fields(make, same, other):
+    a, b, c = make(), same(), other()
+    assert a == b and hash(a) == hash(b) and len({a, b, c}) == 2
+    assert a != c and a != object()
+
+
+_ERRORS = [
+    (lambda: quadratic.QForm((0, 1)), quadratic.QuadraticError,
+     "diagonal entries must be nonzero"),
+    (lambda: quadratic.QForm((0.5,)), quadratic.QuadraticError,
+     "0.5 is not an exact rational; pass an int, a Fraction or a string"),
+    (lambda: quadratic.TruncatedSW(1, 4, frozenset()), quadratic.QuadraticError,
+     "disc must be a squarefree integer"),
+    (lambda: quadratic.TruncatedSW(1, 0.5, frozenset()), quadratic.QuadraticError,
+     "0.5 is not an exact rational; pass an int, a Fraction or a string"),
+    (lambda: galois.MonicPoly((1, True)), galois.GaloisError,
+     "coefficients must be integers"),
+    (lambda: galois.MonicPoly((1,)), galois.GaloisError,
+     "polynomial must have degree at least 1"),
+    (lambda: galois.MonicPoly((2, 1)), galois.GaloisError, "polynomial must be monic"),
+    (lambda: galois.MonicPoly((1, 0, 0)), galois.GaloisError,
+     "polynomial has repeated roots"),
+    (lambda: galois.EtaleAlg(()), galois.GaloisError, "algebra needs at least one factor"),
+    (lambda: galois.EtaleAlg(((POLY, 1.0),)), galois.GaloisError,
+     "multiplicity must be an integer, got 1.0"),
+    (lambda: galois.EtaleAlg(((POLY, 0),)), galois.GaloisError,
+     "multiplicities must be positive"),
+    (lambda: galois.EtaleAlg((((1, 0, -7), 1),)), galois.GaloisError,
+     "factors must be monic polynomials"),
+    (lambda: cohomology.Cocycle2(C2, 1 << 4), cohomology.CohomologyError,
+     "cocycle bits out of range"),
+    (lambda: cohomology.Cocycle2(C2, -1), cohomology.CohomologyError,
+     "cocycle bits out of range"),
+    (lambda: cohomology.Cocycle2(C2, 1), cohomology.CohomologyError,
+     "cocycle is not normalized"),
+    (lambda: cohomology.CentralExt(C2, C2, 1, (0, 1)), cohomology.CohomologyError,
+     "total group must have twice the base order"),
+    (lambda: cohomology.CentralExt(C2, EXT.total, 0, EXT.projection),
+     cohomology.CohomologyError, "kernel generator must have order 2"),
+    (lambda: cohomology.CentralExt(C2, EXT.total, EXT.t, (0, 0, 0, 1)),
+     cohomology.CohomologyError, "projection is not a homomorphism"),
+]
+
+
+@pytest.mark.parametrize("make, error, message", _ERRORS,
+                         ids=[m for _, _, m in _ERRORS])
+def test_validation_raises_as_before(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert str(info.value) == message

@@ -517,6 +517,29 @@ def test_sw_rules_factor_only_a_and_the_disc_they_build(monkeypatch):
         assert sorted(calls) == sorted(expected), (out, calls)
 
 
+def test_built_forms_take_the_classes_of_their_parts(monkeypatch):
+    # direct_sum, repeat and scale built a QForm of bare entries, which
+    # factored again every entry whose class its parts already held
+    q1, q2 = QForm((3, Fraction(-5, 2), 7)), QForm((2, 11))
+    builds = [(lambda: direct_sum(q1, q2, q1), 1),
+              (lambda: repeat(q2, 3), 1),
+              (lambda: scale(Fraction(6, 35), q1), Fraction(6, 35))]
+    references = [sw_total(QForm(build().entries)) for build, _ in builds]
+    sw_total(q1), sw_total(q2)
+    calls = []
+    real = quadratic.factorint
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(quadratic, "factorint", counting)
+    for (build, a), reference in zip(builds, references):
+        calls.clear()
+        assert sw_total(build()) == reference
+        assert sorted(calls) == sorted(n for n in (a.numerator, a.denominator) if n > 1)
+
+
 _DEGREE16 = (1, -2, 0, 0, 1, 0, 2, 0, -1, 1, -2, 0, -1, -1, 0, -2, -1)
 
 

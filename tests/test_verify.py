@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from traceforms import quadratic, verify
+from traceforms import clifford, quadratic, verify
 from traceforms.cli import main
 from traceforms.verify import (
     DEFAULT_SEED,
@@ -92,6 +92,9 @@ def test_suite_factoring_counts(monkeypatch):
     reports = run_suite(DEFAULT_SEED)
     assert all(r.verdict == "pass" for r in reports)
     assert calls["hilbert_oracle"] == 58
+    # whitney's forms share their classes, and a sum takes its parts':
+    # one call per value drawn from ±2..±12 (1,090 calls before)
+    assert calls["whitney"] == 22
     assert sum(calls.values()) <= 5000, calls
 
 
@@ -150,15 +153,15 @@ def _only_battery(monkeypatch, name):
 @pytest.mark.parametrize("k", [1, 7])
 def test_failing_check_reports_its_first_case(monkeypatch, k):
     _only_battery(monkeypatch, "reciprocity")
-    real_cup, calls = verify.cup, []
+    real_cup, calls = quadratic.cup, []
 
     def cup(a, b):  # reciprocity counts QuadraticError as a failure
         calls.append((a, b))
         if len(calls) in (k, k + 2):
-            raise verify.QuadraticError("planted")
+            raise quadratic.QuadraticError("planted")
         return real_cup(a, b)
 
-    monkeypatch.setattr(verify, "cup", cup)
+    monkeypatch.setattr(quadratic, "cup", cup)
     r1 = run_statement("property-suites", DEFAULT_SEED)
     c = r1.computed["reciprocity"]
     assert r1.verdict == "fail"
@@ -171,7 +174,7 @@ def test_failing_check_reports_its_first_case(monkeypatch, k):
 
 def test_failing_case_is_plain_json(monkeypatch):
     _only_battery(monkeypatch, "diag_invariance")
-    monkeypatch.setattr(verify, "is_isometric_q", lambda q1, q2: False)
+    monkeypatch.setattr(quadratic, "is_isometric_q", lambda q1, q2: False)
     r = run_statement("property-suites", DEFAULT_SEED)
     c = r.computed["diag_invariance"]
     assert r.verdict == "fail" and c["failures"] == 100
@@ -180,16 +183,18 @@ def test_failing_case_is_plain_json(monkeypatch):
     assert all(int(x) in range(-5, 6) for row in gram for x in row)
 
 
-@pytest.mark.parametrize("battery, target", [
-    ("reciprocity", "cup"), ("pin_proportionality", "pin_product_sign")])
-def test_battery_counts_only_its_own_error(monkeypatch, battery, target):
+@pytest.mark.parametrize("battery, layer, target", [
+    ("reciprocity", quadratic, "cup"),
+    ("pin_proportionality", clifford, "pin_product_sign")],
+    ids=["reciprocity-cup", "pin_proportionality-pin_product_sign"])
+def test_battery_counts_only_its_own_error(monkeypatch, battery, layer, target):
     # any other exception is an error of the statement, not a counted failure
     _only_battery(monkeypatch, battery)
 
     def boom(*args, **kwargs):
         raise ZeroDivisionError("not a counted failure")
 
-    monkeypatch.setattr(verify, target, boom)
+    monkeypatch.setattr(layer, target, boom)
     r = run_statement("property-suites", DEFAULT_SEED)
     assert r.verdict == "fail"
     assert r.computed == {"error": "ZeroDivisionError: not a counted failure"}
