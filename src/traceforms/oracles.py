@@ -11,9 +11,11 @@ import functools
 from . import quadratic
 
 # Largest place the oracle searches.  At an odd prime p it tabulates the
-# squares mod p^3 and walks half of the residues, so p is bounded before
-# the table is built: 47, the largest place of the verify battery, has
-# 50,831 squares mod p^3, and a p near 10^6 would ask for 10^18.
+# squares mod p^3, one byte per residue, and walks half of the residues,
+# so one symbol costs about p^3/2 steps and a p^3-byte table.  p is
+# bounded before the table is built: at 47, the largest place of the
+# verify battery, that is 51,912 steps and 103,823 bytes, and a p near
+# 10^6 would ask for 10^18 of each.
 ORACLE_PLACE_CAP = 50
 
 # Odd p, squarefree a and b.  A solution of z^2 = a x^2 + b y^2 over the
@@ -30,13 +32,13 @@ ORACLE_PLACE_CAP = 50
 
 
 @functools.lru_cache(maxsize=None)
-def _squares_mod(m: int) -> frozenset:
-    return frozenset((w * w) % m for w in range(m))
-
-
-@functools.lru_cache(maxsize=None)
-def _odd_squares_mod(m: int) -> frozenset:
-    return frozenset((w * w) % m for w in range(1, m, 2))
+def _squares_mod(m: int) -> bytes:
+    """1 at each square residue mod m and 0 elsewhere; w and m - w have
+    the same square, so w runs up to m/2."""
+    table = bytearray(m)
+    for w in range(m // 2 + 1):
+        table[w * w % m] = 1
+    return bytes(table)
 
 
 def _solvable_odd_p(a: int, b: int, p: int) -> bool:
@@ -46,29 +48,27 @@ def _solvable_odd_p(a: int, b: int, p: int) -> bool:
     half = p3 // 2 + 1
     for y in range(half):  # a + b y^2 is even in y mod p^3
         t = (a + b * y * y) % p3
-        if t != 0 and t in sq:
+        if t and sq[t]:
             return True
     # p | x, y a unit scaled to 1: need a (p x')^2 + b square, x' mod p
     pp = p * p
     for x1 in range(p):
         t = (a * pp * x1 * x1 + b) % p3
-        if t != 0 and t in sq:
+        if t and sq[t]:
             return True
     return False
 
 
 def _solvable_2(a: int, b: int) -> bool:
-    m = 64
-    sq_all = _squares_mod(m)
-    sq_odd = _odd_squares_mod(m)
-    for x in range(m):
-        ax2 = a * x * x
-        for y in range(m):
-            t = (ax2 + b * y * y) % m
-            if t in sq_odd:
-                return True  # a solution with z odd
-            if (x & 1 or y & 1) and t in sq_all:
-                return True  # a solution with x or y odd
+    sq = _squares_mod(64)
+    # a x^2 + b y^2 mod 64 depends on x and y only through r = x^2 and
+    # s = y^2 mod 64, twelve residues each, and r is odd exactly when x is
+    squares = [r for r in range(64) if sq[r]]
+    for r in squares:
+        for s in squares:
+            t = (a * r + b * s) % 64
+            if sq[t] and (t | r | s) & 1:
+                return True  # a solution with z, x or y odd
     return False
 
 

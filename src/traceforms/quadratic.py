@@ -45,15 +45,22 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # deterministic primality test (Sorenson-Webster).
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 
+# The bases are every prime below 41, so below 41^2 a number that none of
+# them divides is prime by trial division alone.
+_TRIAL_PROVEN_BOUND = 41 * 41
+
 
 def is_probable_prime(n: int) -> bool:
-    """Whether n is prime, proven by Miller-Rabin with the fixed bases
-    below _MR_PROVEN_BOUND (3.3e24); a probable prime above it raises."""
+    """Whether n is prime: by trial division by the fixed bases below
+    _TRIAL_PROVEN_BOUND (41^2), then by Miller-Rabin with them below
+    _MR_PROVEN_BOUND (3.3e24); a probable prime above it raises."""
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < _TRIAL_PROVEN_BOUND:
+        return True
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -318,13 +325,15 @@ def direct_sum(*forms: QForm) -> QForm:
     return QForm(ent, lambda: tuple(c for q in forms for c in q._classes))
 
 
-def scale(a, q: QForm) -> QForm:
+def scale(a, q: QForm, a_class=None) -> QForm:
+    """The form a*q; a_class, the square class of a where the caller
+    holds it, spares factoring a."""
     a = _rational(a)
     if a == 0:
         raise QuadraticError("cannot scale a form by zero")
 
     def classes():
-        ca = square_class(a)
+        ca = square_class(a) if a_class is None else a_class
         return tuple(sqclass_mul(ca, c) for c in q._classes)
     return QForm(tuple(a * x for x in q.entries), classes)
 
@@ -352,13 +361,18 @@ def w1(q: QForm) -> int:
 
 
 def w2(q: QForm) -> frozenset:
-    """Symmetric difference of cup(a_i, a_j) over pairs i < j.  Each entry
-    is factored once; a pair is evaluated at INF, 2 and its two entries'
-    primes, the only places where its symbol can be -1."""
+    """Symmetric difference of cup(a_i, a_j) over pairs i < j, which by
+    bilinearity is that of cup(a_1 ... a_(j-1), a_j) over j: n - 1 cups,
+    each of an entry's class with the product of the classes before it
+    (`sqclass_mul`, unfactored).  A cup is evaluated at INF, 2 and its
+    two classes' primes, the only places where its symbol can be -1."""
     out: frozenset = frozenset()
-    for i, (a, pa) in enumerate(q._classes):
-        for b, pb in q._classes[i + 1:]:
-            out ^= _cup_at(a, pa, b, pb)
+    classes = q._classes
+    if classes:
+        prefix = classes[0]
+        for c in classes[1:]:
+            out ^= _cup_at(*prefix, *c)
+            prefix = sqclass_mul(prefix, c)
     return out
 
 

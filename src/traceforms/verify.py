@@ -326,13 +326,31 @@ def _fails_only_with(error, fn):
     return check
 
 
+def _class_memo():
+    """square_class for one run of a battery.  Each numerator and
+    denominator it meets is factored once, without its sign, and each
+    value's class is built once, as the product of theirs."""
+    of_int = functools.cache(quadratic.square_class)
+    minus = quadratic.square_class(-1)
+
+    @functools.cache
+    def cls(x):
+        c = quadratic.sqclass_mul(of_int(abs(x.numerator)), of_int(x.denominator))
+        return c if x > 0 else quadratic.sqclass_mul(minus, c)
+    return cls
+
+
+def _sharing(entries, cls) -> quadratic.QForm:
+    """The form of these entries, its classes read from cls, a
+    square_class that one run of a battery shares among its values."""
+    return quadratic.QForm(entries, lambda: tuple(map(cls, entries)))
+
+
 def _random_form(rng: random.Random, max_rank: int, cls) -> quadratic.QForm:
-    """A form of nonzero entries in [-12, 12]; its classes are read from
-    cls, a square_class shared by the battery's forms."""
+    """A form of nonzero entries in [-12, 12], its classes read from cls."""
     rank = rng.randint(1, max_rank)
     pool = [x for x in range(-12, 13) if x]
-    entries = tuple(rng.choice(pool) for _ in range(rank))
-    return quadratic.QForm(entries, lambda: tuple(map(cls, entries)))
+    return _sharing(tuple(rng.choice(pool) for _ in range(rank)), cls)
 
 
 def _gram_cases(rng: random.Random):
@@ -399,14 +417,33 @@ def _smap_invariant(group: str, coords: int, shift: int) -> bool:
 def _agrees_with_oracle():
     """A check of the closed form against the oracle that, while it lives,
     builds each value's class and searches each (symmetric) symbol once."""
-    cls = functools.cache(quadratic.square_class)
+    cls = _class_memo()
     oracle = functools.cache(oracles.hilbert_symbol_oracle)
     return lambda a, b, v: (quadratic.hilbert_symbol(cls(a), cls(b), v)
                             == oracle(*sorted((cls(a), cls(b))), v))
 
 
+def _diag_invariance(rng: random.Random) -> dict:
+    cls = _class_memo()
+
+    def diagonal(gram, pivots=None):
+        return _sharing(quadratic.diagonalize(gram, pivots).entries, cls)
+    return _tally(
+        islice(_gram_cases(rng), 100),
+        lambda gram: quadratic.is_isometric_q(diagonal(gram), diagonal(gram, rng)))
+
+
+def _reciprocity(rng: random.Random) -> dict:
+    cls = _class_memo()
+    return _tally(  # cup asserts an even place count
+        ({"a": rng.randint(-200, 200) or 1, "b": rng.randint(-200, 200) or 3}
+         for _ in range(300)),
+        _fails_only_with(quadratic.QuadraticError,
+                         lambda a, b: quadratic.cup(cls(a), cls(b))))
+
+
 def _whitney(rng: random.Random) -> dict:
-    cls = functools.cache(quadratic.square_class)
+    cls = _class_memo()
     sw = quadratic.sw_total
     return _tally(
         ({"q1": _random_form(rng, 5, cls), "q2": _random_form(rng, 5, cls)}
@@ -416,30 +453,25 @@ def _whitney(rng: random.Random) -> dict:
 
 
 def _scale_formula(rng: random.Random) -> dict:
-    cls = functools.cache(quadratic.square_class)
+    cls = _class_memo()
     sw = quadratic.sw_total
     return _tally(
         ({"q": _random_form(rng, 6, cls),
           "a": rng.choice([x for x in range(-10, 11) if x])}
          for _ in range(100)),
-        lambda q, a: quadratic.sw_scale(cls(a), sw(q)) == sw(quadratic.scale(a, q)))
+        lambda q, a: (quadratic.sw_scale(cls(a), sw(q))
+                      == sw(quadratic.scale(a, q, a_class=cls(a)))))
 
 
 _BATTERIES = (  # (name, fn(rng)): each fn tallies a check over its cases
-    ("diag_invariance", lambda rng: _tally(
-        islice(_gram_cases(rng), 100),
-        lambda gram: quadratic.is_isometric_q(quadratic.diagonalize(gram),
-                                              quadratic.diagonalize(gram, rng=rng)))),
+    ("diag_invariance", _diag_invariance),
     ("hilbert_oracle", lambda rng: _tally(  # exhaustive, not sampled
         ({"a": a, "b": b, "v": v} for a in range(-30, 31) if a
          for b in range(a, 31) if b
          for v in (quadratic.INF, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
                    47)),
         _agrees_with_oracle())),
-    ("reciprocity", lambda rng: _tally(  # cup asserts an even place count
-        ({"a": rng.randint(-200, 200) or 1, "b": rng.randint(-200, 200) or 3}
-         for _ in range(300)),
-        _fails_only_with(quadratic.QuadraticError, quadratic.cup))),
+    ("reciprocity", _reciprocity),
     ("whitney", _whitney),
     ("scale_formula", _scale_formula),
     ("pin_proportionality", lambda rng: _tally(

@@ -1,6 +1,9 @@
-import pytest
+import tracemalloc
 
-from traceforms import quadratic
+import pytest
+import sympy
+
+from traceforms import oracles, quadratic
 from traceforms.oracles import ORACLE_PLACE_CAP, hilbert_symbol_oracle
 from traceforms.quadratic import INF, QuadraticError, hilbert_symbol, square_class
 
@@ -107,3 +110,49 @@ def test_oracle_factors_no_class(monkeypatch):
         for d in classes:
             for v in (INF, 2, 3, 5, 11):
                 assert hilbert_symbol_oracle(c, d, v) == hilbert_symbol(c, d, v)
+
+
+# the moduli the oracle tabulates: p^3 at each odd place up to the cap, 64 at 2
+_MODULI = [64] + [p ** 3 for p in sympy.primerange(3, ORACLE_PLACE_CAP + 1)]
+
+
+def test_residue_tables_mark_exactly_the_squares():
+    for m in _MODULI:
+        table = oracles._squares_mod(m)
+        assert len(table) == m and set(table) == {0, 1}
+        assert {r for r in range(m) if table[r]} == {w * w % m for w in range(m)}, m
+
+
+def _solvable_2_reference(a, b):
+    # the retired search: every (x, y) mod 64, and a residue set each for
+    # the squares and the odd squares
+    sq_all = {w * w % 64 for w in range(64)}
+    sq_odd = {w * w % 64 for w in range(1, 64, 2)}
+    for x in range(64):
+        for y in range(64):
+            t = (a * x * x + b * y * y) % 64
+            if t in sq_odd or ((x & 1 or y & 1) and t in sq_all):
+                return True
+    return False
+
+
+def test_residue_search_at_2_matches_the_64_by_64_search():
+    squarefree = [x for x in range(-30, 31) if x and all(x % (k * k) for k in (2, 3, 5))]
+    assert len(squarefree) == 38
+    for a in squarefree:
+        for b in squarefree:
+            assert oracles._solvable_2(a, b) == _solvable_2_reference(a, b), (a, b)
+
+
+def test_residue_tables_take_under_a_megabyte():
+    # as frozensets of ints the tables up to 47 took 15.5 MB, which set the
+    # peak memory of a `suite` process
+    oracles._squares_mod.cache_clear()
+    tracemalloc.start()
+    try:
+        for m in _MODULI:
+            oracles._squares_mod(m)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size < 1 << 20, size

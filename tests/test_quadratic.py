@@ -94,6 +94,38 @@ def test_is_probable_prime_small_table():
             n > 1 and all(n % d for d in range(2, n))))
 
 
+def test_is_probable_prime_needs_no_miller_rabin_below_41_squared(monkeypatch):
+    # the bases are every prime below 41, so trial division by them proves
+    # every n < 41^2 = 1681 prime or not; Miller-Rabin starts at 1681 = 41^2
+    assert quadratic._MR_BASES == tuple(sympy.primerange(41))
+    powers = []
+
+    def counting(*args):
+        powers.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(quadratic, "pow", counting, raising=False)
+    for n in range(-2, 41 * 41):
+        assert is_probable_prime(n) == sympy.isprime(n), n
+    assert powers == []
+    assert not is_probable_prime(41 * 41) and powers
+    for n in range(41 * 41 + 1, 2000):
+        assert is_probable_prime(n) == sympy.isprime(n), n
+
+
+def test_scale_takes_the_class_of_a_that_the_caller_holds(monkeypatch):
+    q = QForm((3, Fraction(-5, 2), 7))
+    a = Fraction(-6, 35)
+    held, reference = square_class(a), sw_total(scale(a, q))
+    sw_total(q)
+
+    def no_factoring(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(quadratic, "factorint", no_factoring)
+    assert sw_total(scale(a, q, a_class=held)) == reference
+
+
 def test_squarefree_part():
     assert squarefree_part(18) == 2
     assert squarefree_part(-18) == -2
@@ -456,10 +488,14 @@ def _random_form(rng):
 
 
 def test_w2_matches_pairwise_cup_oracle():
-    # the pairwise route through the public cup, which w2 no longer takes
+    # the pairwise route through the public cup, n(n-1)/2 cups where w2
+    # takes n - 1 cups of an entry with the product of those before it
     rng = random.Random(83)
-    for _ in range(60):
-        q = _random_form(rng)
+    small = [x for x in range(-30, 31) if x]
+    forms = [_random_form(rng) for _ in range(60)]
+    forms += [QForm(tuple(rng.choice(small) for _ in range(rng.randint(1, 16))))
+              for _ in range(300)]
+    for q in forms:
         expected: frozenset = frozenset()
         for i, a in enumerate(q.entries):
             for b in q.entries[i + 1:]:

@@ -66,14 +66,16 @@ def test_property_suites_trial_counts():
 def test_suite_factoring_counts(monkeypatch):
     # the batteries handed bare ints to hilbert_symbol, the oracle and cup,
     # which factored them on every call: 113,216 factorint calls in
-    # hilbert_oracle and 118,528 in the whole suite; hilbert_oracle now
-    # holds the class of each of its values, one call per |x| > 1
-    calls = collections.Counter()
+    # hilbert_oracle and 118,528 in the whole suite; then diag_invariance
+    # (1,968 calls on 574 inputs), reciprocity (600 on 196) and
+    # scale_formula (110 on 11) still factored a value each time they drew
+    # it.  Each battery now factors each int it meets once per run.
+    calls = collections.defaultdict(list)
     battery = [None]
     real = quadratic.factorint
 
     def counting(n):
-        calls[battery[0]] += 1
+        calls[battery[0]].append(n)
         return real(n)
 
     def tracked(name, fn):
@@ -91,11 +93,13 @@ def test_suite_factoring_counts(monkeypatch):
     quadratic._cup_cached.cache_clear()
     reports = run_suite(DEFAULT_SEED)
     assert all(r.verdict == "pass" for r in reports)
-    assert calls["hilbert_oracle"] == 58
-    # whitney's forms share their classes, and a sum takes its parts':
-    # one call per value drawn from ±2..±12 (1,090 calls before)
-    assert calls["whitney"] == 22
-    assert sum(calls.values()) <= 5000, calls
+    counts = {name: len(ns) for name, ns in calls.items() if name is not None}
+    assert counts == {"diag_invariance": 574, "hilbert_oracle": 29, "reciprocity": 196,
+                      "whitney": 11, "scale_formula": 11}
+    for name, ns in calls.items():
+        if name is not None:
+            assert len(ns) == len(set(ns)), name
+    assert sum(map(len, calls.values())) <= 1000, counts
 
 
 def test_property_suites_error_becomes_fail(monkeypatch):
@@ -166,7 +170,11 @@ def test_failing_check_reports_its_first_case(monkeypatch, k):
     c = r1.computed["reciprocity"]
     assert r1.verdict == "fail"
     assert c["trials"] == 300 and c["failures"] == 2
-    assert c["first_failure"] == {"trial": k, "case": dict(zip("ab", calls[k - 1]))}
+    # cup is handed the classes of the case's values, which the report prints
+    first = c["first_failure"]
+    assert first["trial"] == k and set(first["case"]) == {"a", "b"}
+    assert (quadratic.square_class(first["case"]["a"]),
+            quadratic.square_class(first["case"]["b"])) == calls[k - 1]
     calls.clear()
     r2 = run_statement("property-suites", DEFAULT_SEED)
     assert json.dumps(r1.as_dict()) == json.dumps(r2.as_dict())
