@@ -325,15 +325,13 @@ def direct_sum(*forms: QForm) -> QForm:
     return QForm(ent, lambda: tuple(c for q in forms for c in q._classes))
 
 
-def scale(a, q: QForm, a_class=None) -> QForm:
-    """The form a*q; a_class, the square class of a where the caller
-    holds it, spares factoring a."""
+def scale(a, q: QForm) -> QForm:
     a = _rational(a)
     if a == 0:
         raise QuadraticError("cannot scale a form by zero")
 
     def classes():
-        ca = square_class(a) if a_class is None else a_class
+        ca = square_class(a)
         return tuple(sqclass_mul(ca, c) for c in q._classes)
     return QForm(tuple(a * x for x in q.entries), classes)
 

@@ -327,17 +327,8 @@ def _fails_only_with(error, fn):
 
 
 def _class_memo():
-    """square_class for one run of a battery.  Each numerator and
-    denominator it meets is factored once, without its sign, and each
-    value's class is built once, as the product of theirs."""
-    of_int = functools.cache(quadratic.square_class)
-    minus = quadratic.square_class(-1)
-
-    @functools.cache
-    def cls(x):
-        c = quadratic.sqclass_mul(of_int(abs(x.numerator)), of_int(x.denominator))
-        return c if x > 0 else quadratic.sqclass_mul(minus, c)
-    return cls
+    """square_class for one run of a battery: one class per distinct value."""
+    return functools.cache(quadratic.square_class)
 
 
 def _sharing(entries, cls) -> quadratic.QForm:
@@ -426,11 +417,11 @@ def _agrees_with_oracle():
 def _diag_invariance(rng: random.Random) -> dict:
     cls = _class_memo()
 
-    def diagonal(gram, pivots=None):
-        return _sharing(quadratic.diagonalize(gram, pivots).entries, cls)
+    def diagonal(gram, rng=None):
+        return _sharing(quadratic.diagonalize(gram, rng=rng).entries, cls)
     return _tally(
         islice(_gram_cases(rng), 100),
-        lambda gram: quadratic.is_isometric_q(diagonal(gram), diagonal(gram, rng)))
+        lambda gram: quadratic.is_isometric_q(diagonal(gram), diagonal(gram, rng=rng)))
 
 
 def _reciprocity(rng: random.Random) -> dict:
@@ -459,8 +450,7 @@ def _scale_formula(rng: random.Random) -> dict:
         ({"q": _random_form(rng, 6, cls),
           "a": rng.choice([x for x in range(-10, 11) if x])}
          for _ in range(100)),
-        lambda q, a: (quadratic.sw_scale(cls(a), sw(q))
-                      == sw(quadratic.scale(a, q, a_class=cls(a)))))
+        lambda q, a: quadratic.sw_scale(cls(a), sw(q)) == sw(quadratic.scale(a, q)))
 
 
 _BATTERIES = (  # (name, fn(rng)): each fn tallies a check over its cases

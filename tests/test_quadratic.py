@@ -113,19 +113,6 @@ def test_is_probable_prime_needs_no_miller_rabin_below_41_squared(monkeypatch):
         assert is_probable_prime(n) == sympy.isprime(n), n
 
 
-def test_scale_takes_the_class_of_a_that_the_caller_holds(monkeypatch):
-    q = QForm((3, Fraction(-5, 2), 7))
-    a = Fraction(-6, 35)
-    held, reference = square_class(a), sw_total(scale(a, q))
-    sw_total(q)
-
-    def no_factoring(n):
-        raise AssertionError(f"factored {n}")
-
-    monkeypatch.setattr(quadratic, "factorint", no_factoring)
-    assert sw_total(scale(a, q, a_class=held)) == reference
-
-
 def test_squarefree_part():
     assert squarefree_part(18) == 2
     assert squarefree_part(-18) == -2

@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -63,14 +64,31 @@ def test_property_suites_trial_counts():
     assert all(v["failures"] == 0 for v in c.values())
 
 
+def _logged_memo(monkeypatch, log):
+    """Patch verify._class_memo so that each battery's memo appends every
+    value it is handed to log() before it answers."""
+    real = verify._class_memo
+
+    def memo():
+        cls = real()
+
+        def logging(x):
+            log().append(x)
+            return cls(x)
+        return logging
+    monkeypatch.setattr(verify, "_class_memo", memo)
+
+
 def test_suite_factoring_counts(monkeypatch):
     # the batteries handed bare ints to hilbert_symbol, the oracle and cup,
     # which factored them on every call: 113,216 factorint calls in
     # hilbert_oracle and 118,528 in the whole suite; then diag_invariance
-    # (1,968 calls on 574 inputs), reciprocity (600 on 196) and
-    # scale_formula (110 on 11) still factored a value each time they drew
-    # it.  Each battery now factors each int it meets once per run.
+    # (1,968 calls), reciprocity (600) and scale_formula (110) still
+    # factored a value each time they drew it.  Each battery now builds
+    # one class per distinct value per run, which factors the value's
+    # numerator and denominator where they are not 1.
     calls = collections.defaultdict(list)
+    drawn = collections.defaultdict(list)
     battery = [None]
     real = quadratic.factorint
 
@@ -90,16 +108,20 @@ def test_suite_factoring_counts(monkeypatch):
     monkeypatch.setattr(quadratic, "factorint", counting)
     monkeypatch.setattr(verify, "_BATTERIES",
                         tuple((name, tracked(name, fn)) for name, fn in verify._BATTERIES))
+    _logged_memo(monkeypatch, lambda: drawn[battery[0]])
     quadratic._cup_cached.cache_clear()
     reports = run_suite(DEFAULT_SEED)
     assert all(r.verdict == "pass" for r in reports)
     counts = {name: len(ns) for name, ns in calls.items() if name is not None}
-    assert counts == {"diag_invariance": 574, "hilbert_oracle": 29, "reciprocity": 196,
-                      "whitney": 11, "scale_formula": 11}
-    for name, ns in calls.items():
-        if name is not None:
-            assert len(ns) == len(set(ns)), name
-    assert sum(map(len, calls.values())) <= 1000, counts
+    assert counts == {"diag_invariance": 1525, "hilbert_oracle": 58, "reciprocity": 329,
+                      "whitney": 22, "scale_formula": 110}
+    once = {name: sum((abs(Fraction(x).numerator) > 1) + (Fraction(x).denominator > 1)
+                      for x in set(xs))
+            for name, xs in drawn.items()}
+    # scale_formula's scale(a, q) also factors a, on each of its 100 draws
+    assert once == {**counts, "scale_formula": once["scale_formula"]}
+    assert once["scale_formula"] < counts["scale_formula"]
+    assert sum(map(len, calls.values())) <= 2500, counts
 
 
 def test_property_suites_error_becomes_fail(monkeypatch):
@@ -166,15 +188,13 @@ def test_failing_check_reports_its_first_case(monkeypatch, k):
         return real_cup(a, b)
 
     monkeypatch.setattr(quadratic, "cup", cup)
+    drawn = []  # reciprocity classifies a, then b, before each cup
+    _logged_memo(monkeypatch, lambda: drawn)
     r1 = run_statement("property-suites", DEFAULT_SEED)
     c = r1.computed["reciprocity"]
     assert r1.verdict == "fail"
     assert c["trials"] == 300 and c["failures"] == 2
-    # cup is handed the classes of the case's values, which the report prints
-    first = c["first_failure"]
-    assert first["trial"] == k and set(first["case"]) == {"a", "b"}
-    assert (quadratic.square_class(first["case"]["a"]),
-            quadratic.square_class(first["case"]["b"])) == calls[k - 1]
+    assert c["first_failure"] == {"trial": k, "case": dict(zip("ab", drawn[2 * k - 2:2 * k]))}
     calls.clear()
     r2 = run_statement("property-suites", DEFAULT_SEED)
     assert json.dumps(r1.as_dict()) == json.dumps(r2.as_dict())
