@@ -20,7 +20,6 @@ import argparse
 import functools
 import json
 import math
-import re
 import sys
 
 from . import clifford, cohomology, galois, groups, quadratic, verify
@@ -37,29 +36,11 @@ def _emit(obj, pretty: bool) -> None:
         print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
-def _fraction(text: str):
-    """text as a Fraction.  Its decimal exponent is held to the digit
-    limit that int() applies to --poly coefficients and JSON integers:
-    1e100000 would be a 100,001-digit entry for factorint.  Only the
-    verbs that read a rational import fractions (and with it decimal)."""
-    from fractions import Fraction
-
-    limit = sys.int_info.default_max_str_digits
-    exp = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", text)
-    if exp and abs(int(exp[1])) > limit:
-        raise ValueError(f"decimal exponent in {text!r} exceeds "
-                         f"sys.int_info.default_max_str_digits = {limit}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-
-
 def _parse_entries(text: str) -> quadratic.QForm:
     toks = [t.strip() for t in text.split(",") if t.strip()]
     if not toks:
         raise ValueError("empty form entry list")
-    return quadratic.QForm(tuple(_fraction(t) for t in toks))
+    return quadratic.QForm(toks)
 
 
 def _parse_poly(text: str) -> galois.MonicPoly:
@@ -105,20 +86,21 @@ def _json_int(x, what: str) -> int:
     return int(x)
 
 
-def _load_gram(path: str) -> list[list]:
-    """The matrix in the JSON file, refused above GRAM_RANK_CAP, or when its
+def _load_gram(path: str) -> tuple[tuple, ...]:
+    """The matrix in the JSON file as `quadratic.validate_gram` reads it,
+    refused above GRAM_RANK_CAP before it is read, and after, when its
     rank times its entry bits exceeds GRAM_BITS_CAP.  Its entry bits are
     the largest numerator's plus den's less one, den the lcm of the
     denominators: an integer matrix's are its largest entry's."""
-    # a JSON number with a fraction or exponent stays text, so _fraction
-    # reads it exactly, with its exponent bound, and never as a float
+    # a JSON number with a fraction or exponent stays text, so the rows
+    # are read exactly, with the exponent bound, and never as floats
     data = _read_json("@" + path, parse_float=str)
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise ValueError("Gram JSON must be a list of rows")
     n = max([len(data), *map(len, data)])
     if n > quadratic.GRAM_RANK_CAP:
         raise ValueError(f"Gram rank {n} exceeds GRAM_RANK_CAP = {quadratic.GRAM_RANK_CAP}")
-    rows = [[_fraction(str(x)) for x in row] for row in data]
+    rows = quadratic.validate_gram(data)
     entries = [x for row in rows for x in row]
     num_bits = max((abs(x.numerator).bit_length() for x in entries), default=0)
     den = 1

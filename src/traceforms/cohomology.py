@@ -321,13 +321,9 @@ def ker_s(G: Group) -> list[CohClass]:
     if basis.dim == 0:
         return []
     diags = [s_map(cl) for cl in basis.classes()]
-    ninv = len(diags[0])
-    rows = []
-    for j in range(ninv):
-        row = 0
-        for i in range(basis.dim):
-            row |= diags[i][j] << i
-        rows.append(row)
+    # row j of the map is column j of the diagonals, each packed bit j first
+    packed = [int("".join(map(str, reversed(d))), 2) for d in diags]
+    rows = gf2.transpose(packed, len(diags[0]))
     return [basis.class_from_coords(m) for m in gf2.nullspace(rows, basis.dim)]
 
 

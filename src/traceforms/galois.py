@@ -16,6 +16,8 @@ from fractions import Fraction
 from . import cohomology, groups
 from .quadratic import (
     QForm,
+    QuadraticError,
+    _rational,
     cup,
     diagonalize,
     direct_sum,
@@ -153,20 +155,23 @@ class EtaleAlg:
     __slots__ = ("factors",)
 
     def __init__(self, factors: tuple[tuple[MonicPoly, int], ...]):
-        for _, m in factors:
-            # int() would read True as 1 and truncate 2.5 to 2
-            if isinstance(m, (bool, float)) or Fraction(m).denominator != 1:
+        fs = []
+        for f, m in factors:
+            try:  # read exactly: int() would read True as 1 and truncate 2.5 to 2
+                r = _rational(m)
+            except QuadraticError:
+                r = None
+            if r is None or r.denominator != 1:
                 raise GaloisError(f"multiplicity must be an integer, got {m!r}")
-        fs = tuple((f, int(m)) for f, m in factors)
-        if not fs:
-            raise GaloisError("algebra needs at least one factor")
-        for f, m in fs:
             if not isinstance(f, MonicPoly):
                 raise GaloisError("factors must be monic polynomials")
-            if m < 1:
+            if r < 1:
                 raise GaloisError("multiplicities must be positive")
+            fs.append((f, r.numerator))
+        if not fs:
+            raise GaloisError("algebra needs at least one factor")
         _check_degree("algebra", sum(f.degree * m for f, m in fs))
-        self.factors = fs
+        self.factors = tuple(fs)
 
     def __repr__(self):
         return f"EtaleAlg(factors={self.factors!r})"

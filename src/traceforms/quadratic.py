@@ -6,11 +6,13 @@ places where the relevant symbol is -1).
 Rank, signature, discriminant and that place set classify forms over Q
 up to isometry, which is how `is_isometric_q` decides equivalence.
 
-Three decisions are each made by one function.  `square_class` is the
-only code that reads a value (an int, a Fraction or a string; floats
-and bools are refused) and factors it, calling `factorint` on the coprime
-numerator and denominator separately: trial division by the twelve
-Miller-Rabin bases (no sieve), then Miller-Rabin and Pollard rho.
+Four decisions are each made by one function.  `_rational` is the only
+code that reads a value, for every door and the command line: an int, a
+Fraction or a string, its decimal exponent bounded by
+sys.int_info.default_max_str_digits.  `square_class` is the only code
+that factors one, calling `factorint` on the coprime numerator and
+denominator separately: trial division by the twelve Miller-Rabin bases
+(no sieve), then Miller-Rabin and Pollard rho.
 `is_probable_prime` is the one primality proof: it raises rather than
 pass a probable prime beyond its proven range.  `check_place` decides
 what a place is.  A value is factored once, where it enters, into a
@@ -25,6 +27,8 @@ from __future__ import annotations
 import functools
 import math
 import random
+import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -263,8 +267,22 @@ def _rational(x) -> Fraction:
     """x as a Fraction: an int, a Fraction or a string such as "1/10".  A
     float is refused, since its binary value (0.1 is 3602879701896397/2^55)
     is not the decimal it was written as; so are a bool and any other
-    type."""
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction, str)):
+    type, malformed text and a zero denominator.  A string's decimal
+    exponent is held to the digit limit int() puts on an integer's text:
+    1e100000 would be a 100,001-digit value for factorint."""
+    if isinstance(x, str):
+        limit = sys.int_info.default_max_str_digits
+        exp = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", x)
+        try:
+            if exp is None or abs(int(exp[1])) <= limit:
+                return Fraction(x)
+        except ZeroDivisionError:
+            raise QuadraticError(f"zero denominator in {x!r}") from None
+        except ValueError as exc:  # Fraction's text, or int()'s on a long exponent
+            raise QuadraticError(str(exc)) from None
+        raise QuadraticError(f"decimal exponent in {x!r} exceeds "
+                             f"sys.int_info.default_max_str_digits = {limit}")
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise QuadraticError(f"{x!r} is not an exact rational; "
                              "pass an int, a Fraction or a string")
     return Fraction(x)

@@ -369,12 +369,8 @@ def _perm_pairs(rng: random.Random):
         yield {"p": tuple(p), "q": tuple(q), "n": n}
 
 
-_EVEN_ORDER_CATALOG = (
-    "cyclic:2", "cyclic:4", "cyclic:8", "cyclic:16",
-    "elem_abelian_2:1", "elem_abelian_2:2", "elem_abelian_2:3",
-    "dihedral:8", "dihedral:16", "quaternion8",
-    "sym:3", "sym:4", "alt:4", "z4xz2", "quat_cover",
-)
+# the even-order groups of the 2-reduced table, and the quaternion cover
+_EVEN_ORDER_CATALOG = (*(key for key, _ in _TWO_REDUCED_EXPECTED), "quat_cover")
 
 
 def _regular_parity(group: str) -> bool:

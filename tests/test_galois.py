@@ -80,10 +80,15 @@ def test_monic_poly_validation():
     lambda: EtaleAlg(((MonicPoly((1, 0, -3)), 2.0),)),
     lambda: EtaleAlg(((MonicPoly((1, 0, -3)), True),)),
     lambda: EtaleAlg(((MonicPoly((1, 0, -3)), Fraction(5, 2)),)),
+    lambda: EtaleAlg(((MonicPoly((1, 0, -3)), None),)),
+    lambda: EtaleAlg(((MonicPoly((1, 0, -3)), "1/0"),)),
+    lambda: EtaleAlg(((MonicPoly((1, 0, -3)), object()),)),
 ], ids=["float-coeff", "bool-coeff", "str-coeff", "float-mult",
-        "integral-float-mult", "bool-mult", "fraction-mult"])
+        "integral-float-mult", "bool-mult", "fraction-mult", "none-mult",
+        "zero-denominator-mult", "object-mult"])
 def test_constructors_refuse_floats_and_bools(make):
-    # int() made 2.5 a multiplicity of 2 (degree 4) and True one of 1
+    # int() made 2.5 a multiplicity of 2 (degree 4) and True one of 1;
+    # None and object() raised TypeError, "1/0" ZeroDivisionError
     with pytest.raises(GaloisError, match="must be integers|must be an integer"):
         make()
 

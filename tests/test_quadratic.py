@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -256,16 +257,28 @@ _VALUE_DOORS = {
     "square_class": square_class,
     "cup": lambda x: cup(x, -1),
     "hilbert_symbol": lambda x: hilbert_symbol(x, -1, 3),
+    "diagonalize": lambda x: diagonalize([[x]]),
 }
 
 
 @pytest.mark.parametrize("door", _VALUE_DOORS.values(), ids=_VALUE_DOORS)
-@pytest.mark.parametrize("x", [0.5, True, None], ids=["float", "bool", "none"])
+@pytest.mark.parametrize("x", [0.5, True, None, "1/0", "1e100000", "1e-100000", "0x10"],
+                         ids=["float", "bool", "none", "zero-denominator",
+                              "exponent", "negative-exponent", "hex"])
 def test_every_value_door_refuses_inexact_values(door, x):
     # sw_scale(0.5, s), sw_scale(True, s), cup(True, -1) and
-    # squarefree_part(True) used to answer; QForm((None, 2)) raised TypeError
-    with pytest.raises(QuadraticError):
+    # squarefree_part(True) used to answer; QForm((None, 2)) raised TypeError,
+    # "1/0" ZeroDivisionError and "0x10" a bare ValueError, and "1e100000"
+    # reached factorint as a 100,001-digit integer
+    start = time.perf_counter()
+    with pytest.raises(QuadraticError) as exc:
         door(x)
+    assert time.perf_counter() - start < 1
+    if x == "1/0":
+        assert str(exc.value) == "zero denominator in '1/0'"
+    elif isinstance(x, str) and "e" in x:
+        limit = sys.int_info.default_max_str_digits
+        assert f"sys.int_info.default_max_str_digits = {limit}" in str(exc.value)
 
 
 @pytest.mark.parametrize("door", _VALUE_DOORS.values(), ids=_VALUE_DOORS)

@@ -10,12 +10,10 @@ PACKAGE = pathlib.Path(traceforms.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
-def _imports(tree, top_level_only=False):
-    """(module, node) of each absolute import in a module's AST, only the
-    statements of its top level with top_level_only; relative imports
-    stay inside the package and are skipped."""
-    nodes = tree.body if top_level_only else ast.walk(tree)
-    for node in nodes:
+def _imports(tree):
+    """(module, node) of each absolute import in a module's AST; relative
+    imports stay inside the package and are skipped."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.name, node
@@ -52,10 +50,8 @@ def test_no_module_imports_dataclasses():
         assert not found, f"{path.name} imports dataclasses at lines {found}"
 
 
-def test_cli_imports_fractions_only_where_it_parses_a_rational():
-    # fractions imports decimal; the group, cohomology and pin verbs read
-    # no rational
+def test_cli_imports_no_fractions():
+    # fractions imports decimal, and the group, cohomology and pin verbs
+    # read no rational; the verbs that do read it through quadratic
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
-    assert [name for name, _ in _imports(tree, top_level_only=True)
-            if name.split(".")[0] == "fractions"] == []
-    assert any(name == "fractions" for name, _ in _imports(tree))
+    assert "fractions" not in set(_imported_roots(tree))
