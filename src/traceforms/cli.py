@@ -9,6 +9,8 @@ A handler gets the parsed arguments and what `main` loaded: the algebra of
 a verb with --poly/--algebra, the group under the `cap` a verb declares.  It
 returns (payload, passed) for `main` to print, printing only the --pretty
 table of verify/suite.  Exit: 0 pass or info, 1 failing verdict, 2 bad input.
+A file is read by `_read` and a comma list split by `_fields`; every value
+goes unconverted to the library door that reads it exactly.
 
 The layers are reached only as module attributes (``cohomology.h2(G)``),
 read when a verb runs: the package loads each layer on first use, so a
@@ -36,24 +38,31 @@ def _emit(obj, pretty: bool) -> None:
         print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
-def _parse_entries(text: str) -> quadratic.QForm:
-    toks = [t.strip() for t in text.split(",") if t.strip()]
-    if not toks:
-        raise ValueError("empty form entry list")
-    return quadratic.QForm(toks)
+INPUT_BYTES_CAP = 1 << 20  # 3x a pretty-printed rank-128 Gram of 16-bit entries
 
 
-def _parse_poly(text: str) -> galois.MonicPoly:
-    coeffs = [int(t.strip()) for t in text.split(",") if t.strip()]
-    return galois.MonicPoly(tuple(coeffs))
+def _read(path: str) -> str:
+    """The ASCII file at path, refused past INPUT_BYTES_CAP bytes."""
+    with open(path, encoding="ascii") as fh:
+        text = fh.read(INPUT_BYTES_CAP + 1)
+    if len(text) > INPUT_BYTES_CAP:
+        raise ValueError(f"{path} exceeds INPUT_BYTES_CAP = {INPUT_BYTES_CAP} bytes")
+    return text
+
+
+def _fields(text: str) -> list[str]:
+    """The comma-separated fields of text, stripped, none of them empty."""
+    fields = [t.strip() for t in text.split(",")]
+    if not all(fields):
+        raise ValueError(f"empty field in {text!r}")
+    return fields
 
 
 def _read_json(source: str, **kwargs):
     """The JSON value in source, or in the file it names after an "@".
     Nesting too deep for the decoder is malformed JSON, a ValueError."""
     if source.startswith("@"):
-        with open(source[1:], encoding="ascii") as fh:
-            source = fh.read()
+        source = _read(source[1:])
     try:
         return json.loads(source, **kwargs)
     except RecursionError:
@@ -64,26 +73,13 @@ def _load_algebra(args) -> galois.EtaleAlg:
     """Algebra from --poly (single field factor) or --algebra (JSON list
     of {poly, multiplicity}, inline or @file)."""
     if args.poly is not None:
-        return galois.EtaleAlg(((_parse_poly(args.poly), 1),))
+        return galois.EtaleAlg(((galois.MonicPoly(_fields(args.poly)), 1),))
     data = _read_json(args.algebra)
-    shape = "algebra JSON must be a list of {poly, multiplicity}"
-    if not isinstance(data, list):
-        raise ValueError(shape)
-    factors = []
-    for item in data:
-        if not isinstance(item, dict) or not isinstance(item.get("poly"), list):
-            raise ValueError(shape)
-        coeffs = tuple(_json_int(c, "poly coefficient") for c in item["poly"])
-        mult = _json_int(item.get("multiplicity", 1), "multiplicity")
-        factors.append((galois.MonicPoly(coeffs), mult))
-    return galois.EtaleAlg(tuple(factors))
-
-
-def _json_int(x, what: str) -> int:
-    """x as an integer: a JSON integer or decimal string, nothing else."""
-    if isinstance(x, bool) or not isinstance(x, (int, str)):
-        raise ValueError(f"{what} must be an integer, got {json.dumps(x)}")
-    return int(x)
+    if not isinstance(data, list) or not all(
+            isinstance(item, dict) and isinstance(item.get("poly"), list) for item in data):
+        raise ValueError("algebra JSON must be a list of {poly, multiplicity}")
+    return galois.EtaleAlg(tuple(
+        (galois.MonicPoly(item["poly"]), item.get("multiplicity", 1)) for item in data))
 
 
 def _load_gram(path: str) -> tuple[tuple, ...]:
@@ -124,8 +120,7 @@ def _load_cocycle(G, spec: str) -> cohomology.Cocycle2:
             raise ValueError(
                 f"basis index {i} out of range (dim H² = {basis.dim})")
         return basis.class_from_coords(1 << i).representative
-    with open(spec, encoding="ascii") as fh:
-        bits = "".join(fh.read().split())
+    bits = "".join(_read(spec).split())
     if len(bits) != n * n or set(bits) - {"0", "1"}:
         raise ValueError(
             f"cocycle file must hold exactly {n}x{n} ASCII bits")
@@ -222,10 +217,10 @@ def _cmd_form(args):
     if args.gram is not None:
         q = quadratic.diagonalize(_load_gram(args.gram))
     else:
-        q = _parse_entries(args.entries)
+        q = quadratic.QForm(_fields(args.entries))
     out = dict(_form_report(q), verdicts={})
     if args.isometric_to:
-        other = _parse_entries(args.isometric_to)
+        other = quadratic.QForm(_fields(args.isometric_to))
         out["verdicts"]["isometric"] = quadratic.is_isometric_q(q, other)
     return out, True
 

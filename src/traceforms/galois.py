@@ -6,11 +6,13 @@ factor) given by power sums of the roots, computed exactly from the
 coefficients by Newton's identities.  The theorem checks take a Galois
 algebra A with its group G and derive their premises from the pair: A
 is a power F^m of one field with deg A = |G|, it is a field when m = 1,
-and the shape of the Sylow 2-subgroup is read off G.
+and the shape of the Sylow 2-subgroup is read off G.  Every coefficient
+and multiplicity is read by `_integer`.
 """
 from __future__ import annotations
 
 import math
+import reprlib
 from fractions import Fraction
 
 from . import cohomology, groups
@@ -57,6 +59,17 @@ def _check_degree(what: str, n: int) -> None:
             f"{what} degree {n} exceeds ALGEBRA_DEGREE_CAP = {ALGEBRA_DEGREE_CAP}")
 
 
+def _integer(x, what: str) -> int:
+    """x read by `_rational`, not int(), which reads True as 1 and 2.5 as 2."""
+    try:
+        r = _rational(x)
+    except QuadraticError:
+        r = None
+    if r is None or r.denominator != 1:
+        raise GaloisError(f"{what} must be an integer, got {reprlib.repr(x)}")
+    return r.numerator
+
+
 def _primitive(a: list[int]) -> list[int]:
     """a divided by its content."""
     c = math.gcd(*a)
@@ -96,18 +109,15 @@ class MonicPoly:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[int, ...]):
-        # a bool is an int to isinstance, and int() would truncate a float
-        if any(isinstance(c, bool) or not isinstance(c, int) for c in coeffs):
-            raise GaloisError("coefficients must be integers")
-        cs = tuple(int(c) for c in coeffs)
+    def __init__(self, coeffs):
+        _check_degree("polynomial", len(coeffs) - 1)
+        cs = tuple(_integer(c, "coefficient") for c in coeffs)
         if len(cs) < 2:
             raise GaloisError("polynomial must have degree at least 1")
         if cs[0] != 1:
             raise GaloisError("polynomial must be monic")
         self.coeffs = cs
         d = self.degree
-        _check_degree("polynomial", d)
         bits = max(abs(c).bit_length() for c in cs)
         if d * bits > DEGREE_BITS_CAP:
             raise GaloisError(
@@ -155,23 +165,15 @@ class EtaleAlg:
     __slots__ = ("factors",)
 
     def __init__(self, factors: tuple[tuple[MonicPoly, int], ...]):
-        fs = []
-        for f, m in factors:
-            try:  # read exactly: int() would read True as 1 and truncate 2.5 to 2
-                r = _rational(m)
-            except QuadraticError:
-                r = None
-            if r is None or r.denominator != 1:
-                raise GaloisError(f"multiplicity must be an integer, got {m!r}")
-            if not isinstance(f, MonicPoly):
-                raise GaloisError("factors must be monic polynomials")
-            if r < 1:
-                raise GaloisError("multiplicities must be positive")
-            fs.append((f, r.numerator))
+        fs = tuple((f, _integer(m, "multiplicity")) for f, m in factors)
         if not fs:
             raise GaloisError("algebra needs at least one factor")
+        if not all(isinstance(f, MonicPoly) for f, _ in fs):
+            raise GaloisError("factors must be monic polynomials")
+        if any(m < 1 for _, m in fs):
+            raise GaloisError("multiplicities must be positive")
         _check_degree("algebra", sum(f.degree * m for f, m in fs))
-        self.factors = tuple(fs)
+        self.factors = fs
 
     def __repr__(self):
         return f"EtaleAlg(factors={self.factors!r})"
@@ -220,6 +222,15 @@ def _check_galois(A: EtaleAlg, G: groups.Group) -> bool:
     return A.factors[0][1] == 1
 
 
+def _premise_failure(n: int, G: groups.Group) -> str | None:
+    """Why the theorem does not apply to degree n and group G, or None."""
+    if n % 8 not in (0, 2):
+        return f"degree {n} is not 0 or 2 mod 8"
+    if not cohomology.is_2_reduced(G):
+        return "group fails the trivial-kernel condition"
+    return None
+
+
 def disc_square_prediction(A: EtaleAlg, G: groups.Group) -> bool:
     """Structural prediction of 'the discriminant is a square': true when
     the regular action of the group is by even permutations, or when the
@@ -261,10 +272,9 @@ def classify_2group_trace_form(A: EtaleAlg, G: groups.Group) -> dict:
         raise GaloisError("group order must be a power of two")
     if not field:
         raise GaloisError("classification needs a field, not a product")
-    if n % 8 not in (0, 2) and n != 1:
-        raise GaloisError(f"degree {n} is not 0 or 2 mod 8")
-    if not cohomology.is_2_reduced(G):
-        raise GaloisError("group fails the trivial-kernel condition")
+    # degree 1 is exempt: its group, the trivial one, is 2-reduced
+    if n != 1 and (reason := _premise_failure(n, G)):
+        raise GaloisError(reason)
     q = trace_form(A)
     sig = signature(q)
     if sig not in ((n, 0), (n // 2, n - n // 2)):
@@ -302,12 +312,8 @@ def verify_main(A: EtaleAlg, G: groups.Group) -> dict:
     trivial involution-diagonal kernel and the degree is 0 or 2 mod 8;
     otherwise the check is skipped."""
     _check_galois(A, G)
-    n = A.degree
-    if n % 8 not in (0, 2):
-        return {"status": "skipped", "reason": f"degree {n} is not 0 or 2 mod 8"}
-    if not cohomology.is_2_reduced(G):
-        return {"status": "skipped",
-                "reason": "group fails the trivial-kernel condition"}
+    if reason := _premise_failure(A.degree, G):
+        return {"status": "skipped", "reason": reason}
     q = trace_form(A)
     lhs = w2(q)
     rhs = cup(2, disc_class(q))

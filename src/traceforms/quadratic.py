@@ -168,8 +168,7 @@ def square_class(x) -> _SquareClass:
     own."""
     if isinstance(x, _SquareClass):
         return x
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-        x = _rational(x)
+    x = _rational(x)
     if x == 0:
         raise QuadraticError("zero has no square class")
     primes = frozenset(p for n in (abs(x.numerator), x.denominator) if n > 1
@@ -285,7 +284,7 @@ def _rational(x) -> Fraction:
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise QuadraticError(f"{x!r} is not an exact rational; "
                              "pass an int, a Fraction or a string")
-    return Fraction(x)
+    return x if type(x) is Fraction else Fraction(x)
 
 
 class QForm:

@@ -38,8 +38,6 @@ def jsonable(x):
         return [jsonable(v) for v in sorted(x, key=quadratic.place_sort_key)]
     if isinstance(x, quadratic.QForm):
         return [str(a) for a in x.entries]
-    if isinstance(x, groups.Group):
-        return x.name or f"group-of-order-{x.order}"
     return str(x)
 
 

@@ -281,7 +281,7 @@ def test_conflicting_or_missing_inputs_exit_2(capsys, argv):
     ("trace", '[{"poly": 5}]', "list of {poly, multiplicity}"),
     ("trace", '[{"multiplicity": 2}]', "list of {poly, multiplicity}"),
     ("trace", '[{"poly": [1,0,-3], "multiplicity": null}]',
-     "multiplicity must be an integer, got null"),
+     "multiplicity must be an integer, got None"),
     ("trace", '[{"poly": [1,0,-3], "multiplicity": 1.5}]',
      "multiplicity must be an integer, got 1.5"),
     ("trace", '[{"poly": [1,0,[3]]}]', "coefficient must be an integer"),
@@ -335,6 +335,72 @@ def test_zero_denominator_entry_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "zero denominator" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--poly", "1,,-3"],
+    ["form", "--entries", "3,,5"],
+    ["form", "--entries", "1", "--isometric-to", "1,"],
+], ids=["poly", "entries", "isometric-to"])
+def test_empty_field_exits_2(capsys, argv):
+    # "1,,-3" used to be read as x - 3, and "3,,5" as <3, 5>
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: empty field in {argv[-1]!r}\n"
+
+
+def test_refused_integer_is_not_echoed_whole(capsys):
+    # the message quotes a long refused value shortened, not all 100,000 digits
+    code, out, err = run_cli(capsys, "trace", "--poly", "1," + "9" * 100_000)
+    assert code == 2 and out == ""
+    assert err == "error: coefficient must be an integer, got '999999999999...9999999999999'\n"
+
+
+@pytest.mark.parametrize("given, exact", [
+    (["trace", "--poly", "1,0,-3.0"], ["trace", "--poly", "1,0,-3"]),
+    (["trace", "--poly", "1,0,-6/2"], ["trace", "--poly", "1,0,-3"]),
+    (["trace", "--algebra", '[{"poly": [1,0,-3], "multiplicity": "2.0"}]'],
+     ["trace", "--algebra", '[{"poly": [1,0,-3], "multiplicity": 2}]']),
+    (["trace", "--algebra", '[{"poly": [1,"0","-3"], "multiplicity": "4/2"}]'],
+     ["trace", "--algebra", '[{"poly": [1,0,-3], "multiplicity": 2}]']),
+], ids=["poly-decimal", "poly-fraction", "multiplicity-decimal",
+        "algebra-text"])
+def test_integers_are_read_exactly(capsys, given, exact):
+    # --poly used int(), which refused "-3.0", and --algebra int() on a
+    # multiplicity, which refused the "2.0" that EtaleAlg itself accepts
+    assert run_cli(capsys, *given) == run_cli(capsys, *exact)
+    assert run_cli(capsys, *exact)[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["form", "--gram", "FILE"],
+    ["extension", "--group", "catalog:cyclic:2", "--cocycle", "FILE"],
+    ["trace", "--algebra", "@FILE"],
+], ids=["gram", "cocycle", "algebra"])
+@pytest.mark.parametrize("source", ["/dev/zero", "spaces"])
+def test_input_file_is_bounded_before_it_is_read(tmp_path, argv, source):
+    # /dev/zero was read until MemoryError (exit 1, 0.7-1.3 s under the
+    # child's address-space limit; without it, without end)
+    if source == "spaces":
+        source = tmp_path / "spaces"
+        source.write_text(" " * (cli.INPUT_BYTES_CAP + 1))
+    elif not os.path.exists(source):
+        pytest.skip(f"no {source}")
+    argv = [a.replace("FILE", str(source)) for a in argv]
+    proc, elapsed = run_limited(["-m", "traceforms", *argv], timeout=30)
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert proc.stderr == (f"error: {source} exceeds INPUT_BYTES_CAP = "
+                           f"{cli.INPUT_BYTES_CAP} bytes\n")
+    assert elapsed < 1, elapsed
+
+
+def test_input_file_at_the_cap_is_read(capsys, tmp_path):
+    # one byte less than the refused file: its content decides
+    spaces = tmp_path / "spaces"
+    spaces.write_text(" " * cli.INPUT_BYTES_CAP)
+    code, _, err = run_cli(capsys, "extension", "--group", "catalog:cyclic:2",
+                           "--cocycle", str(spaces))
+    assert code == 2 and err == "error: cocycle file must hold exactly 2x2 ASCII bits\n"
 
 
 @pytest.mark.parametrize("spec", ["cyclic:1000000000", "cyclic:4096",

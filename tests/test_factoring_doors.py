@@ -6,7 +6,9 @@ the package's source and keep it that way: a function of `quadratic`
 that names one of the names below must be one of the listed readers,
 only `square_class` and the product of two classes build a class, and
 no other module names the private square-class and cup helpers, so
-they reach a class only through the public constructor.
+they reach a class only through the public constructor.  Outside input
+has one door of each kind too: only `cli._read` opens a file, and only
+`galois._integer` reads a value through `quadratic._rational`.
 """
 import ast
 import collections
@@ -65,6 +67,17 @@ def test_quadratic_names_each_door_only_from_its_readers():
 def test_only_square_class_and_the_class_product_build_a_class():
     calls = _names_by_function(_tree("quadratic"), calls=True)
     assert {k: calls.get(k, set()) for k in _BUILDERS} == _BUILDERS
+
+
+def test_only_cli_read_opens_a_file():
+    # every input file is read by one bounded reader
+    openers = {(path.stem, f) for path in sorted(PKG.glob("*.py"))
+               for f in _names_by_function(_tree(path.stem), calls=True).get("open", ())}
+    assert openers == {("cli", "_read")}
+
+
+def test_galois_reads_every_integer_through_one_function():
+    assert _names_by_function(_tree("galois")).get("_rational") == {"_integer"}
 
 
 def test_no_other_module_names_the_square_class_helpers():

@@ -75,7 +75,6 @@ def test_monic_poly_validation():
 @pytest.mark.parametrize("make", [
     lambda: MonicPoly((1, 0, -3.0)),
     lambda: MonicPoly((True, 0, -3)),
-    lambda: MonicPoly((1, "0", -3)),
     lambda: EtaleAlg(((MonicPoly((1, 0, -3)), 2.5),)),
     lambda: EtaleAlg(((MonicPoly((1, 0, -3)), 2.0),)),
     lambda: EtaleAlg(((MonicPoly((1, 0, -3)), True),)),
@@ -83,7 +82,7 @@ def test_monic_poly_validation():
     lambda: EtaleAlg(((MonicPoly((1, 0, -3)), None),)),
     lambda: EtaleAlg(((MonicPoly((1, 0, -3)), "1/0"),)),
     lambda: EtaleAlg(((MonicPoly((1, 0, -3)), object()),)),
-], ids=["float-coeff", "bool-coeff", "str-coeff", "float-mult",
+], ids=["float-coeff", "bool-coeff", "float-mult",
         "integral-float-mult", "bool-mult", "fraction-mult", "none-mult",
         "zero-denominator-mult", "object-mult"])
 def test_constructors_refuse_floats_and_bools(make):
@@ -98,6 +97,28 @@ def test_multiplicity_given_exactly_is_accepted():
     for m in (2, "2", Fraction(2)):
         A = EtaleAlg(((f, m),))
         assert A.factors == ((f, 2),) and A.degree == 4
+
+
+def _read_or_none(make):
+    try:
+        return make()
+    except GaloisError as exc:
+        assert "must be an integer, got " in str(exc)
+        return None
+
+
+@pytest.mark.parametrize("x", [
+    3, "3", "3.0", "6/2", Fraction(3), " 3 ",
+    3.0, True, None, Fraction(7, 2), "1/0", "x", "1e100000", object(),
+], ids=["int", "str", "str-decimal", "str-fraction", "fraction", "str-spaced",
+        "float", "bool", "none", "half", "zero-denominator", "text", "long-exponent",
+        "object"])
+def test_coefficients_and_multiplicities_read_integers_alike(x):
+    # one reader for both: MonicPoly used to refuse text and Fractions
+    # that EtaleAlg took as multiplicities
+    coeffs = _read_or_none(lambda: MonicPoly((1, "0", x)).coeffs)
+    mult = _read_or_none(lambda: EtaleAlg(((MonicPoly((1, 0, 7)), x),)).factors[0][1])
+    assert (coeffs, mult) in {((1, 0, 3), 3), (None, None)}
 
 
 def _poly_mul(a, b):
@@ -413,14 +434,18 @@ def test_classification_cases_and_models():
 
 
 def test_classify_rejects_wrong_degree_and_groups():
-    G = catalog("cyclic", 4)
-    A = EtaleAlg.field(MonicPoly((1, 0, -4, 0, 2)))
-    with pytest.raises(GaloisError):
-        classify_2group_trace_form(A, G)  # degree 4 not 0/2 mod 8
+    # degree 4 is not 0/2 mod 8, and Q8 is not 2-reduced: classify refuses
+    # each with the reason verify_main skips it for
     from traceforms import fixtures
-    GQ = catalog("quaternion8")
-    with pytest.raises(GaloisError):
-        classify_2group_trace_form(fixtures.MULTIQUADRATIC_REAL.algebra, GQ)
+    for A, G, reason in [
+            (EtaleAlg.field(MonicPoly((1, 0, -4, 0, 2))), catalog("cyclic", 4),
+             "degree 4 is not 0 or 2 mod 8"),
+            (fixtures.MULTIQUADRATIC_REAL.algebra, catalog("quaternion8"),
+             "group fails the trivial-kernel condition")]:
+        assert verify_main(A, G) == {"status": "skipped", "reason": reason}
+        with pytest.raises(GaloisError) as info:
+            classify_2group_trace_form(A, G)
+        assert str(info.value) == reason
 
 
 def test_classify_degree_one_and_two():

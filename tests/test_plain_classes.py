@@ -77,9 +77,11 @@ _ERRORS = [
     (lambda: quadratic.TruncatedSW(1, 0.5, frozenset()), quadratic.QuadraticError,
      "0.5 is not an exact rational; pass an int, a Fraction or a string"),
     (lambda: galois.MonicPoly((1, True)), galois.GaloisError,
-     "coefficients must be integers"),
+     "coefficient must be an integer, got True"),
     (lambda: galois.MonicPoly((1,)), galois.GaloisError,
      "polynomial must have degree at least 1"),
+    (lambda: galois.MonicPoly((1,) + (None,) * 129), galois.GaloisError,
+     "polynomial degree 129 exceeds ALGEBRA_DEGREE_CAP = 128"),
     (lambda: galois.MonicPoly((2, 1)), galois.GaloisError, "polynomial must be monic"),
     (lambda: galois.MonicPoly((1, 0, 0)), galois.GaloisError,
      "polynomial has repeated roots"),
