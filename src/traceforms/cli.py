@@ -22,6 +22,7 @@ import argparse
 import functools
 import json
 import math
+import reprlib
 import sys
 
 from . import clifford, cohomology, galois, groups, quadratic, verify
@@ -54,7 +55,7 @@ def _fields(text: str) -> list[str]:
     """The comma-separated fields of text, stripped, none of them empty."""
     fields = [t.strip() for t in text.split(",")]
     if not all(fields):
-        raise ValueError(f"empty field in {text!r}")
+        raise ValueError(f"empty field in {reprlib.repr(text)}")
     return fields
 
 
@@ -114,7 +115,10 @@ def _load_cocycle(G, spec: str) -> cohomology.Cocycle2:
     if spec == "zero":
         return cohomology.Cocycle2.zero(G)
     if spec.startswith("basis:"):
-        i = int(spec.split(":", 1)[1])
+        try:
+            i = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"malformed cocycle spec {reprlib.repr(spec)}") from None
         basis = cohomology.h2(G)
         if not 0 <= i < basis.dim:
             raise ValueError(
@@ -137,7 +141,7 @@ def _cmd_group(args, G):
         "name": G.name or "anonymous",
         "order": G.order,
         "abelian": G.is_abelian(),
-        "cyclic": G.full_handle().is_cyclic(),
+        "cyclic": G.is_cyclic(),
         "involutions": len(G.involutions()),
         "sylow2_order": S.order,
         "sylow2_cyclic": S.is_cyclic(),

@@ -61,7 +61,6 @@ import functools
 from . import gf2
 from .groups import (
     Group,
-    SubgroupHandle,
     cayley_walk,
     generating_set,
     quotient_with_map,
@@ -405,8 +404,7 @@ def central_extension_from_quotient(total: Group, t: int) -> CentralExt:
         raise CohomologyError(f"element {t} does not have order 2")
     if any(total.table[t][g] != total.table[g][t] for g in range(total.order)):
         raise CohomologyError(f"element {t} is not central")
-    N = SubgroupHandle(total, [0, t])
-    base, proj = quotient_with_map(total, N)
+    base, proj = quotient_with_map(total, [0, t])
     return CentralExt(base, total, t, proj)
 
 

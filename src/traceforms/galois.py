@@ -280,7 +280,7 @@ def classify_2group_trace_form(A: EtaleAlg, G: groups.Group) -> dict:
     if sig not in ((n, 0), (n // 2, n - n // 2)):
         raise GaloisError(f"signature {sig} is neither definite nor balanced")
     real = sig == (n, 0)
-    cyclic = G.full_handle().is_cyclic()
+    cyclic = G.is_cyclic()
     d = w1(q)
     case, model = predicted_2group_form(n, real, cyclic, d)
     return {
@@ -331,10 +331,9 @@ def two_cyclic_sylow_orders(G: groups.Group) -> tuple[int, int] | None:
     (Z/2)^rank: exactly three involutions means rank 2, and the exponent
     is then the larger factor."""
     P = groups.sylow2(G)
-    t = G.table
-    if not P.is_abelian() or sum(t[x][x] == 0 for x in P.members) != 4:
+    if not P.is_abelian() or len(P.involutions()) != 3:
         return None
-    o2 = max(G.element_order(x) for x in P.members)
+    o2 = max(map(P.element_order, range(P.order)))
     return P.order // o2, o2
 
 

@@ -5,8 +5,8 @@ product g*h.  Group objects are immutable once built.  Every table is
 checked on construction: its rows and columns are permutations, 0 is a
 two-sided identity, and the product is associative.
 
-Associativity, subgroup closure and the cocycle identity (in cohomology)
-are checked at a generating set only, by one argument.
+Associativity and the cocycle identity (in cohomology) are checked at a
+generating set only, by one argument.
 
 Left-nucleus lemma.  In a finite magma M with identity e, the left
 nucleus N = {a : (ab)c = a(bc) for all b, c} is closed under products:
@@ -19,14 +19,19 @@ generating_set returns such an S for any table with identity: it takes
 elements until the span, the elements reached from 0 by right
 multiplication by S, is everything.  Group then checks (sb)c = s(bc)
 for s in S only.  In a finite group the span of S is the subgroup S
-generates (s^-1 is a power of s), so SubgroupHandle checks a set by
-growing the span of its members one generator at a time, and rejects it
-once a span leaves it.
+generates (s^-1 is a power of s), which is how sylow2 grows a 2-subgroup
+one generator at a time.
+
+A subgroup is a Group on its own table: `subgroup` re-indexes a set of
+elements that holds 0 and is closed under products (in a finite group,
+such a set is a subgroup), and `sylow2` returns one.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
+import reprlib
 
 from . import perms
 
@@ -89,14 +94,19 @@ class Group:
         return self.mul(self.mul(g, x), self.inv(g))
 
     def element_order(self, g: int) -> int:
+        """Found for all elements at once: walking the powers x^k of one
+        x of order o gives every x^k, of order o / gcd(k, o)."""
         if self._orders is None:
-            orders = [1] * self.order
-            for x in range(1, self.order):
-                k, acc = 1, x
-                while acc != 0:
-                    acc = self.table[acc][x]
-                    k += 1
-                orders[x] = k
+            orders = [0] * self.order
+            for x in range(self.order):
+                if not orders[x]:
+                    walk, acc = [0], x
+                    while acc != 0:
+                        walk.append(acc)
+                        acc = self.table[acc][x]
+                    o = len(walk)
+                    for k, y in enumerate(walk):
+                        orders[y] = o // math.gcd(k, o)
             self._orders = tuple(orders)
         return self._orders[g]
 
@@ -107,57 +117,8 @@ class Group:
         t, S = self.table, generating_set(self)
         return all(t[a][b] == t[b][a] for a in S for b in S)
 
-    def full_handle(self) -> "SubgroupHandle":
-        return SubgroupHandle(self, range(self.order))
-
-
-class SubgroupHandle:
-    """A subgroup of a parent Group, stored as a sorted tuple of parent
-    element indices.  The set is checked to be a subgroup by growing the
-    span of its members (see the module docstring)."""
-
-    __slots__ = ("parent", "members", "_member_set", "_gens")
-
-    def __init__(self, parent: Group, members):
-        members = tuple(sorted(set(members)))
-        if not members or members[0] != 0:
-            raise GroupError("subgroup must contain the identity")
-        mset = frozenset(members)
-        gens: list[int] = []
-        span = {0}
-        for m in members:
-            if m not in span:
-                gens.append(m)
-                span = set(_span(parent.table, gens, mset))
-        self.parent = parent
-        self.members = members
-        self._member_set = mset
-        self._gens = tuple(gens)
-
-    @property
-    def order(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, g: int) -> bool:
-        return g in self._member_set
-
-    def __repr__(self):
-        return f"<Subgroup of order {self.order} in {self.parent!r}>"
-
     def is_cyclic(self) -> bool:
-        return any(self.parent.element_order(g) == self.order for g in self.members)
-
-    def is_normal(self) -> bool:
-        """The g with gHg^-1 in H form a subgroup, and gHg^-1 is generated
-        by the conjugates of H's generators, so generators suffice."""
-        par = self.parent
-        return all(par.conj(g, m) in self._member_set
-                   for g in generating_set(par) for m in self._gens)
-
-    def is_abelian(self) -> bool:
-        """Generators that commute pairwise suffice."""
-        t = self.parent.table
-        return all(t[a][b] == t[b][a] for a in self._gens for b in self._gens)
+        return any(self.element_order(g) == self.order for g in range(self.order))
 
 
 def closure(generators, cap: tuple[str, int] = ("CLOSURE_CAP", CLOSURE_CAP)) -> Group:
@@ -225,25 +186,17 @@ def regular_rep_in_alternating(G: Group) -> bool:
     return result
 
 
-def _span(table, gens, within=None) -> list[int]:
-    """Elements reached from 0 by right multiplication by gens, breadth
-    first; in a group, the subgroup gens generate.  With `within` given,
-    raise as soon as one falls outside it."""
-    span, seen = [0], {0}
-    for x in span:
+def _span(table, gens) -> set[int]:
+    """Elements reached from 0 by right multiplication by gens; in a
+    group, the subgroup gens generate."""
+    span, todo = {0}, [0]
+    for x in todo:
         row = table[x]
         for s in gens:
-            y = row[s]
-            if y not in seen:
-                if within is not None and y not in within:
-                    raise GroupError(f"subgroup not closed under product at ({x}, {s})")
-                seen.add(y)
-                span.append(y)
+            if (y := row[s]) not in span:
+                span.add(y)
+                todo.append(y)
     return span
-
-
-def generated_subgroup(G: Group, seeds) -> SubgroupHandle:
-    return SubgroupHandle(G, _span(G.table, sorted(set(seeds))))
 
 
 def generating_set(G: Group) -> list[int]:
@@ -258,7 +211,7 @@ def generating_set(G: Group) -> list[int]:
                 break
             if g not in span:
                 S.append(g)
-                span = set(_span(G.table, S))
+                span = _span(G.table, S)
         G._gens = tuple(S)
     return list(G._gens)
 
@@ -288,65 +241,71 @@ def cayley_walk(G: Group) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int,
     return G._walk
 
 
-def normalizer(H: SubgroupHandle) -> list[int]:
-    """The g in H's parent with gHg^-1 = H; conjugating H's generators
-    suffices."""
-    G = H.parent
-    return [g for g in range(G.order) if all(G.conj(g, m) in H for m in H._gens)]
+def subgroup(G: Group, members) -> Group:
+    """The subgroup of G on a set of its elements, as a Group on its own
+    table: member i in increasing order is element i, so the identity
+    comes first.  A set without 0 or not closed under products is refused."""
+    els = sorted(set(members))
+    if not els or els[0] != 0 or els[-1] >= G.order:
+        raise GroupError("subgroup must be a set of element indices holding 0")
+    idx = {m: i for i, m in enumerate(els)}
+    try:
+        table = [list(map(idx.__getitem__, map(G.table[a].__getitem__, els))) for a in els]
+    except KeyError:
+        raise GroupError("subset is not closed under products") from None
+    return Group(table, labels=None if G.labels is None else [G.labels[m] for m in els],
+                 name=f"subgroup of {G.name}" if G.name else "")
 
 
-def sylow2(G: Group) -> SubgroupHandle:
-    """A Sylow 2-subgroup, grown inside successive normalizers once per
+def sylow2(G: Group) -> Group:
+    """A Sylow 2-subgroup: G itself for a 2-group, else one grown once per
     group and kept on it."""
+    if G.order & (G.order - 1) == 0:
+        return G
     if G._sylow2 is None:
         G._sylow2 = _grow_sylow2(G)
     return G._sylow2
 
 
-def _grow_sylow2(G: Group) -> SubgroupHandle:
-    target = 1
-    n = G.order
-    while n % 2 == 0:
-        target *= 2
-        n //= 2
-    if target == G.order:  # a 2-group is its own Sylow 2-subgroup
-        return G.full_handle()
-    P = SubgroupHandle(G, [0])
+def _grow_sylow2(G: Group) -> Group:
+    """Extend P, from {0}, by the least g outside P of 2-power order with
+    gPg^-1 = P (conjugating P's generators suffices) until |P| is the
+    2-part of |G|.  Such a g exists while |P| is short of it: P lies in
+    a Sylow 2-subgroup Q != P, and in a p-group some g in Q outside P
+    has gPg^-1 = P."""
+    target = G.order & -G.order
     gens: list[int] = []
-    while P.order < target:
-        ext = None
-        for g in normalizer(P):
-            if g in P:
-                continue
-            o = G.element_order(g)
-            if o & (o - 1) == 0:  # power of two
-                ext = g
-                break
+    P = {0}
+    while len(P) < target:
+        ext = next((g for g in range(G.order) if g not in P
+                    and (o := G.element_order(g)) & (o - 1) == 0
+                    and all(G.conj(g, m) in P for m in gens)), None)
         if ext is None:
             raise GroupError("failed to extend 2-subgroup (table is not a group?)")
         gens.append(ext)
-        P = generated_subgroup(G, gens)
-        if P.order & (P.order - 1) != 0:
+        P = _span(G.table, gens)
+        if len(P) & (len(P) - 1) != 0:
             raise GroupError("extension left the class of 2-groups")
-    return P
+    return subgroup(G, P)
 
 
-def quotient_with_map(G: Group, N: SubgroupHandle) -> tuple[Group, tuple[int, ...]]:
-    """Quotient G/N for a normal subgroup handle N, plus the projection
-    list sending each element of G to its coset index."""
-    if N.parent is not G:
-        raise GroupError("subgroup handle belongs to a different group")
-    if not N.is_normal():
+def quotient_with_map(G: Group, members) -> tuple[Group, tuple[int, ...]]:
+    """Quotient G/N for the normal subgroup N of G on `members`, plus the
+    projection list sending each element of G to its coset index.  N is
+    normal when G's generators conjugate it into itself."""
+    N = set(members)
+    subgroup(G, N)  # refuses a set that is not a subgroup
+    if not all(G.conj(g, m) in N for g in generating_set(G) for m in N):
         raise GroupError("subgroup is not normal")
     coset_of = [-1] * G.order
     reps = []
     for g in range(G.order):
         if coset_of[g] >= 0:
             continue
-        members = sorted(G.table[g][m] for m in N.members)
+        coset = sorted(G.table[g][m] for m in N)
         idx = len(reps)
-        reps.append(members[0])
-        for m in members:
+        reps.append(coset[0])
+        for m in coset:
             coset_of[m] = idx
     # identity coset is discovered first (g = 0), so index 0 is correct
     k = len(reps)
@@ -383,10 +342,10 @@ def _entry(name: str, k: int | None):
     as the arguments of _table_group: its elements, identity first and in
     table order; their product; a label function; and its name."""
     if name not in _PARAMS:
-        raise GroupError(f"unknown catalog group {name!r}")
+        raise GroupError(f"unknown catalog group {reprlib.repr(name)}")
     if (_PARAMS[name] is None) != (k is None):
         need = "takes no" if k is not None else "needs a"
-        raise GroupError(f"catalog group {name!r} {need} parameter")
+        raise GroupError(f"catalog group {reprlib.repr(name)} {need} parameter")
     if k is not None and k not in _PARAMS[name][0]:
         raise GroupError(_PARAMS[name][1])
     if name == "cyclic":
@@ -449,25 +408,32 @@ def group_from_spec(text: str, cap: tuple[str, int] = ("CLOSURE_CAP", CLOSURE_CA
     'perms:<cycleperm>,<cycleperm>,...' (e.g. 'perms:(0 1 2 3),(0 2)').
     cap = (name, value) bounds the order before any table is built: a
     catalog spec is sized from its name, and a perms: closure stops once
-    it holds more than value elements."""
+    it holds more than value elements.  A perms: spec with more than
+    value generators is refused before any is parsed, since a group
+    within the cap has fewer distinct non-identity elements."""
     text = text.strip()
     cap_name, cap_value = cap
     if text.startswith("catalog:"):
         parts = text.split(":")
         if len(parts) not in (2, 3):
-            raise GroupError(f"malformed catalog spec {text!r}")
-        param = int(parts[2]) if len(parts) == 3 else None
+            raise GroupError(f"malformed catalog spec {reprlib.repr(text)}")
+        try:
+            param = int(parts[2]) if len(parts) == 3 else None
+        except ValueError:
+            raise GroupError(f"malformed catalog parameter {reprlib.repr(parts[2])}") from None
         n = catalog_order(parts[1], param)
         if n > cap_value:
             raise GroupError(f"group order {n} exceeds {cap_name} = {cap_value}")
         return catalog(parts[1], param)
     if text.startswith("perms:"):
-        body = text[len("perms:"):]
-        chunks = [c for c in body.split(",") if c.strip()]
-        if not chunks:
-            raise GroupError("no generators in perms spec")
+        chunks = text[len("perms:"):].split(",", cap_value)
+        if len(chunks) > cap_value:
+            raise GroupError(f"perms spec has more than {cap_name} = {cap_value} generators")
+        if not all(c.strip() for c in chunks):
+            raise GroupError(f"empty generator in {reprlib.repr(text)}")
         raw = [perms.parse_cycle_string(c) for c in chunks]
         deg = max(len(p) for p in raw)
         gens = [p + tuple(range(len(p), deg)) for p in raw]
         return closure(gens, cap)
-    raise GroupError(f"unknown group spec {text!r} (want 'catalog:...' or 'perms:...')")
+    raise GroupError(f"unknown group spec {reprlib.repr(text)} "
+                     "(want 'catalog:...' or 'perms:...')")

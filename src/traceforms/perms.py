@@ -9,6 +9,8 @@ maps each c_i to c_{i+1}.
 """
 from __future__ import annotations
 
+import reprlib
+
 Perm = tuple[int, ...]
 
 # Largest degree accepted, checked before the image list is allocated (a
@@ -87,14 +89,15 @@ def parse_cycle_string(text: str, n: int | None = None) -> Perm:
             raise ValueError("empty permutation needs an explicit degree")
         _check_degree(n)
         return identity(n)
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ValueError(f"malformed cycle string: {text!r}")
-    cycs = []
-    for chunk in text[1:-1].split(")("):
-        pts = tuple(int(tok) for tok in chunk.replace(",", " ").split())
-        if not pts:
-            raise ValueError(f"empty cycle in {text!r}")
-        cycs.append(pts)
+    try:
+        if not (text.startswith("(") and text.endswith(")")):
+            raise ValueError("no enclosing parentheses")
+        cycs = [tuple(map(int, chunk.replace(",", " ").split()))
+                for chunk in text[1:-1].split(")(")]
+    except ValueError:  # the parentheses, or int() on a point
+        raise ValueError(f"malformed cycle string: {reprlib.repr(text)}") from None
+    if not all(cycs):
+        raise ValueError(f"empty cycle in {reprlib.repr(text)}")
     deg = n if n is not None else 1 + max(max(c) for c in cycs)
     return from_cycles(deg, cycs)
 

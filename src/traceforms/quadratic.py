@@ -28,6 +28,7 @@ import functools
 import math
 import random
 import re
+import reprlib
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -276,13 +277,13 @@ def _rational(x) -> Fraction:
             if exp is None or abs(int(exp[1])) <= limit:
                 return Fraction(x)
         except ZeroDivisionError:
-            raise QuadraticError(f"zero denominator in {x!r}") from None
-        except ValueError as exc:  # Fraction's text, or int()'s on a long exponent
-            raise QuadraticError(str(exc)) from None
-        raise QuadraticError(f"decimal exponent in {x!r} exceeds "
+            raise QuadraticError(f"zero denominator in {reprlib.repr(x)}") from None
+        except ValueError as exc:  # Fraction's on text, quoting x; int()'s on a long exponent
+            raise QuadraticError(str(exc).replace(repr(x), reprlib.repr(x))) from None
+        raise QuadraticError(f"decimal exponent in {reprlib.repr(x)} exceeds "
                              f"sys.int_info.default_max_str_digits = {limit}")
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-        raise QuadraticError(f"{x!r} is not an exact rational; "
+        raise QuadraticError(f"{reprlib.repr(x)} is not an exact rational; "
                              "pass an int, a Fraction or a string")
     return x if type(x) is Fraction else Fraction(x)
 

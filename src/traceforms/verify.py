@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import random
+import reprlib
 import time
 import zlib
 from itertools import islice
@@ -500,7 +501,7 @@ def run_statement(statement: str, seed: int = DEFAULT_SEED) -> VerificationRepor
     the runner raises."""
     runner = _RUNNERS.get(statement)
     if runner is None:
-        raise ValueError(f"unknown statement {statement!r}; "
+        raise ValueError(f"unknown statement {reprlib.repr(statement)}; "
                          f"choose from {', '.join(STATEMENTS)}")
     t0 = time.perf_counter()
     try:

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import traceforms
-from traceforms import cli, clifford, cohomology, galois, groups, quadratic, verify
+from traceforms import cli, clifford, cohomology, galois, groups, perms, quadratic, verify
 from traceforms.cli import main
 from traceforms.cohomology import h2
 from traceforms.fixtures import ALL_FIXTURES
@@ -354,6 +354,66 @@ def test_refused_integer_is_not_echoed_whole(capsys):
     code, out, err = run_cli(capsys, "trace", "--poly", "1," + "9" * 100_000)
     assert code == 2 and out == ""
     assert err == "error: coefficient must be an integer, got '999999999999...9999999999999'\n"
+
+
+_LONG = "7" * 200_000
+
+
+@pytest.mark.parametrize("door, value, message", [
+    (quadratic._rational, "x" + _LONG, "Invalid literal for Fraction"),
+    (quadratic._rational, _LONG + "e5000", "decimal exponent"),
+    (quadratic._rational, _LONG[:4000] + "/0", "zero denominator"),
+    (groups.group_from_spec, "x" + _LONG, "unknown group spec"),
+    (groups.group_from_spec, "catalog:a:b:" + _LONG, "malformed catalog spec"),
+    (groups.group_from_spec, "catalog:x" + _LONG, "unknown catalog group"),
+    (groups.group_from_spec, "catalog:cyclic:x" + _LONG, "malformed catalog parameter"),
+    (groups.group_from_spec, "perms:(0 1)," + _LONG + ",", "empty generator"),
+    (perms.parse_cycle_string, "x" + _LONG, "malformed cycle string"),
+    (perms.parse_cycle_string, "(0 x" + _LONG + ")", "malformed cycle string"),
+    (perms.parse_cycle_string, "(0 1)(" + " " * 200_000 + ")", "empty cycle"),
+    (cli._fields, _LONG + ",", "empty field"),
+], ids=["fraction", "exponent", "zero-denominator", "group-spec", "catalog-spec",
+        "catalog-name", "catalog-parameter", "empty-generator", "cycle-string",
+        "cycle-point", "empty-cycle", "empty-field"])
+def test_refused_value_is_echoed_shortened(door, value, message):
+    with pytest.raises(ValueError, match=message) as exc:
+        door(value)
+    assert len(str(exc.value)) < 200, len(str(exc.value))
+
+
+def test_unknown_statement_is_echoed_shortened():
+    with pytest.raises(ValueError) as exc:
+        verify.run_statement(_LONG)
+    assert str(exc.value).startswith("unknown statement '777777777777...7777777777777'; ")
+
+
+def test_gram_entry_with_a_long_exponent_is_echoed_shortened(capsys, tmp_path):
+    # the exponent message quoted the entry whole: 900,086 bytes of stderr
+    # for an entry of 900,000 ones
+    g = tmp_path / "gram.json"
+    g.write_text(json.dumps([[_LONG + "e5000"]]))
+    code, out, err = run_cli(capsys, "form", "--gram", str(g))
+    assert code == 2 and out == ""
+    assert "decimal exponent" in err and len(err.encode()) < 200, len(err)
+
+
+@pytest.mark.parametrize("spec", ["perms:(0 1),,(2 3)", "perms:(0 1),", "perms:,(0 1)",
+                                  "perms: ", "perms:(0 1), ,(2 3)"])
+def test_empty_generator_exits_2(capsys, spec):
+    # "(0 1),,(2 3)" and "(0 1)," were read with the empty ones dropped
+    code, out, err = run_cli(capsys, "group", "--group", spec)
+    assert code == 2 and out == ""
+    assert err == f"error: empty generator in {spec.strip()!r}\n"
+
+
+def test_perms_spec_is_bounded_before_its_generators_are_built():
+    # 14,000 copies of (0 2047) were each padded to degree 2048: 1 GB
+    # peak, 9-11 s, and a MemoryError (exit 1) under an address-space limit
+    spec = "perms:" + ",".join(["(0 2047)"] * 14_000)
+    proc, elapsed = run_limited(["-m", "traceforms", "group", "--group", spec], timeout=30)
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert proc.stderr == "error: perms spec has more than CLOSURE_CAP = 2048 generators\n"
+    assert elapsed < 2, elapsed
 
 
 @pytest.mark.parametrize("given, exact", [
@@ -838,3 +898,22 @@ def test_verb_outputs_and_exit_codes_match_golden_digest(capsys, tmp_path):
             digest.update(f"{code}\n{out}".encode())
     assert codes.count(1) == 2 and set(codes) == {0, 1}
     assert digest.hexdigest() == _VERB_DIGEST
+
+
+# the group verb on groups that are not 2-groups, whose Sylow 2-subgroup
+# is grown inside successive normalizers
+_SYLOW_SPECS = ["catalog:sym:3", "catalog:sym:4", "catalog:alt:4", "catalog:sym:5",
+                "catalog:cyclic:12", "catalog:dihedral:24", "perms:(0 1 2 3 4 5),(0 1)"]
+# sha256 over the runs of "<exit code>\n<stdout>", recorded while sylow2
+# returned a member list inside its parent
+_SYLOW_DIGEST = "e9490e5019cee144b44b81a4c2c1014c4c90617168d37c6d5820a7d548d1b6e0"
+
+
+def test_group_verb_on_non_2_groups_matches_golden_digest(capsys):
+    digest = hashlib.sha256()
+    for spec in _SYLOW_SPECS:
+        for extra in ([], ["--pretty"]):
+            code, out, err = run_cli(capsys, "group", "--group", spec, *extra)
+            assert code == 0 and err == "", (spec, err)
+            digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == _SYLOW_DIGEST

@@ -20,7 +20,7 @@ from traceforms.cohomology import (
     s_map,
     two_lift_property,
 )
-from traceforms.groups import catalog, generating_set, group_from_spec
+from traceforms.groups import Group, catalog, generating_set, group_from_spec, sylow2
 
 
 H2_DIMS = {
@@ -173,6 +173,19 @@ _BENCH_PERMS = (
 def _groups_to_64():
     return ([_cat(name, param) for name, param in _CATALOG_TO_64]
             + [group_from_spec(spec) for spec in _BENCH_PERMS])
+
+
+def test_sylow2_decides_2_reducedness_in_the_proven_direction():
+    """[G:S] is odd for a Sylow 2-subgroup S, so restriction H²(G; F₂) ->
+    H²(S; F₂) is injective; an involution of S is one of G, so a class of
+    G vanishing at every involution restricts to one of S.  Hence S
+    2-reduced implies G 2-reduced."""
+    others = [G for G in _groups_to_64() if G.order & (G.order - 1)]
+    assert len(others) == 102
+    for G in others:
+        S = sylow2(G)
+        assert type(S) is Group and S.order == G.order & -G.order, G
+        assert not is_2_reduced(S) or is_2_reduced(G), G
 
 
 def test_generator_columns_match_n2_unknown_oracle():

@@ -22,7 +22,7 @@ from traceforms.galois import (
     verify_w1,
 )
 from traceforms import galois
-from traceforms.groups import Group, catalog, generated_subgroup, group_from_spec, sylow2
+from traceforms.groups import catalog, group_from_spec, sylow2
 from traceforms.quadratic import (
     QForm,
     cup,
@@ -522,9 +522,7 @@ def _two_cyclic_orders_oracle(G):
     Z/a x Z/b (2 <= a <= b) exactly when P is abelian and some x of
     order b and y of order a have <x> and <y> meeting in e and
     generating P."""
-    S = sylow2(G)
-    idx = {m: i for i, m in enumerate(S.members)}
-    P = Group([[idx[G.table[a][b]] for b in S.members] for a in S.members])
+    P = sylow2(G)
     n, t = P.order, P.table
     if any(t[a][b] != t[b][a] for a in range(n) for b in range(n)):
         return None
@@ -543,7 +541,7 @@ def _two_cyclic_orders_oracle(G):
             a, b = len(powers[y]), len(powers[x])
             if not 2 <= a <= b or a * b != n or powers[x] & powers[y] != {0}:
                 continue
-            if generated_subgroup(P, [x, y]).order == n:
+            if len({t[p][q] for p in powers[x] for q in powers[y]}) == n:
                 best = (a, b)
     return best
 

@@ -7,18 +7,16 @@ import pytest
 from traceforms.groups import (
     Group,
     GroupError,
-    SubgroupHandle,
     catalog,
     catalog_order,
     cayley_walk,
     closure,
-    generated_subgroup,
     generating_set,
     group_from_spec,
     left_regular,
-    normalizer,
     quotient_with_map,
     regular_rep_in_alternating,
+    subgroup,
     sylow2,
 )
 from traceforms import perms
@@ -119,13 +117,26 @@ def test_catalog_order_at_each_cap_builds_no_table(monkeypatch):
             catalog_order(name, beyond)
 
 
+def _generated(G, seeds):
+    """The subgroup seeds generate: the elements that right multiplication
+    by seeds reaches from e."""
+    H, todo = {0}, [0]
+    while todo:
+        x = todo.pop()
+        for s in seeds:
+            if (y := G.mul(x, s)) not in H:
+                H.add(y)
+                todo.append(y)
+    return H
+
+
 def test_subgroup_is_abelian_matches_all_pairs():
     for G in (catalog("sym", 4), catalog("alt", 4), catalog("dihedral", 16),
               catalog("quat_cover")):
         for a in range(G.order):
-            H = generated_subgroup(G, [a, G.order - 1 - a])
-            want = all(G.mul(x, y) == G.mul(y, x) for x in H.members for y in H.members)
-            assert H.is_abelian() == want, (G, H.members)
+            members = _generated(G, [a, G.order - 1 - a])
+            want = all(G.mul(x, y) == G.mul(y, x) for x in members for y in members)
+            assert subgroup(G, members).is_abelian() == want, (G, sorted(members))
     assert not sylow2(catalog("sym", 4)).is_abelian()
     assert sylow2(catalog("alt", 4)).is_abelian()
 
@@ -133,8 +144,7 @@ def test_subgroup_is_abelian_matches_all_pairs():
 def test_quotient_with_map():
     G = catalog("quat_cover")
     t = G.labels.index("(2,2)")
-    H = SubgroupHandle(G, [0, t])
-    Q, pi = quotient_with_map(G, H)
+    Q, pi = quotient_with_map(G, [0, t])
     assert Q.order == 8
     # projection is a homomorphism
     for g in range(G.order):
@@ -143,6 +153,19 @@ def test_quotient_with_map():
     # the quotient is the quaternion group: one involution, nonabelian
     assert len(Q.involutions()) == 1
     assert not Q.is_abelian()
+
+
+def test_element_orders_match_repeated_multiplication():
+    for spec in ("catalog:cyclic:60", "catalog:dihedral:24", "catalog:elem_abelian_2:4",
+                 "catalog:quat_cover", "catalog:sym:5", "catalog:alt:5",
+                 "perms:(0 1 2),(0 1),(3 4 5),(3 4)", "perms:(0 1 2 3),(0 1),(4 5)"):
+        G = group_from_spec(spec)
+        for x in range(G.order):
+            k, acc = 1, x
+            while acc != 0:
+                acc = G.mul(acc, x)
+                k += 1
+            assert G.element_order(x) == k, (spec, x)
 
 
 def test_z4xz2_element_orders():
@@ -186,18 +209,25 @@ def test_closure_table_matches_composition():
 def test_sylow2_of_a_2group_is_the_whole_group():
     for G in (catalog("dihedral", 8), catalog("elem_abelian_2", 3),
               catalog("quat_cover"), group_from_spec("perms:(0 1),(2 3)")):
-        assert sylow2(G).members == tuple(range(G.order))
+        assert sylow2(G) is G
+        assert G._sylow2 is None  # not kept on itself: no reference cycle
 
 
 def test_subgroup_closure_inside_parent():
     G = catalog("sym", 4)
     S = sylow2(G)
-    assert S.order == 8
-    idx = {m: i for i, m in enumerate(S.members)}
-    H = Group([[idx[G.table[a][b]] for b in S.members] for a in S.members])
+    assert type(S) is Group and S.order == 8
+    # S is its members re-indexed in increasing order, with their labels
+    at = {label: g for g, label in enumerate(G.labels)}
+    members = [at[label] for label in S.labels]
+    assert members == sorted(members) and members[0] == 0
+    assert all(members[S.mul(a, b)] == G.mul(members[a], members[b])
+               for a in range(8) for b in range(8))
     # a 2-Sylow of S4 is dihedral of order 8: 5 involutions
-    assert len(H.involutions()) == 5
+    assert len(S.involutions()) == 5
     assert not S.is_cyclic()
+    with pytest.raises(GroupError, match="holding 0"):
+        subgroup(G, members[1:])
 
 
 def _intercalate_swapped_cyclic(n):
@@ -272,7 +302,7 @@ def test_generating_set_matches_retired_routine():
     for spec in specs:
         G = group_from_spec(spec)
         assert generating_set(G) == _retired_generating_set(G), spec
-        assert generated_subgroup(G, generating_set(G)).order == G.order
+        assert len(_generated(G, generating_set(G))) == G.order
 
 
 def test_cayley_walk_is_a_breadth_first_spanning_tree():
@@ -308,13 +338,13 @@ def _is_subgroup_oracle(G, members):
 
 def _accepted(G, members):
     try:
-        SubgroupHandle(G, members)
+        subgroup(G, members)
     except GroupError:
         return False
     return True
 
 
-def test_subgroup_handle_matches_all_pairs_oracle_on_order_8():
+def test_subgroup_matches_all_pairs_oracle_on_order_8():
     # every subset containing e; the counts are the numbers of subgroups
     subgroups = {"cyclic:8": 4, "elem_abelian_2:3": 16, "dihedral:8": 10,
                  "quaternion8": 6, "z4xz2": 8}
@@ -329,12 +359,12 @@ def test_subgroup_handle_matches_all_pairs_oracle_on_order_8():
         assert accepted == count, key
 
 
-def test_subgroup_handle_matches_all_pairs_oracle_on_s4():
+def test_subgroup_matches_all_pairs_oracle_on_s4():
     G = catalog("sym", 4)
     rng = random.Random(24)
     outcomes = set()
     for _ in range(300):
-        members = set(generated_subgroup(G, rng.sample(range(24), rng.randint(0, 2))).members)
+        members = _generated(G, rng.sample(range(24), rng.randint(0, 2)))
         for _ in range(rng.randint(0, 2)):  # perturb: add or drop an element
             g = rng.randrange(1, 24)
             members ^= {g}
@@ -345,20 +375,26 @@ def test_subgroup_handle_matches_all_pairs_oracle_on_s4():
     assert outcomes == {True, False}
 
 
-def test_is_normal_and_normalizer_match_all_pairs_oracle():
+def test_quotient_refuses_exactly_the_non_normal_subgroups():
     for G in (catalog("sym", 4), catalog("dihedral", 16), catalog("quat_cover")):
         n = G.order
-        seen = set()
+        seen, normal = set(), 0
         for a in range(n):
             for b in range(a, n):
-                H = generated_subgroup(G, [a, b])
-                if H.members in seen:
+                H = frozenset(_generated(G, [a, b]))
+                if H in seen:
                     continue
-                seen.add(H.members)
-                norm = [g for g in range(n) if all(G.conj(g, m) in H for m in H.members)]
-                assert normalizer(H) == norm, H.members
-                assert H.is_normal() == (len(norm) == n), H.members
-        assert len(seen) > 5
+                seen.add(H)
+                want = all(G.conj(g, m) in H for g in range(n) for m in H)
+                try:
+                    Q, pi = quotient_with_map(G, H)
+                except GroupError as exc:
+                    assert not want and str(exc) == "subgroup is not normal", sorted(H)
+                else:
+                    assert want and Q.order * len(H) == n, sorted(H)
+                    assert all(pi[m] == 0 for m in H)
+                    normal += 1
+        assert len(seen) > 5 and 0 < normal < len(seen), G
 
 
 # sha256 of the JSON of (table, labels, name) of catalog groups, taken
