@@ -43,12 +43,26 @@ INPUT_BYTES_CAP = 1 << 20  # 3x a pretty-printed rank-128 Gram of 16-bit entries
 
 
 def _read(path: str) -> str:
-    """The ASCII file at path, refused past INPUT_BYTES_CAP bytes."""
-    with open(path, encoding="ascii") as fh:
+    """The ASCII file at path, refused past INPUT_BYTES_CAP bytes.  A file
+    that cannot be opened is refused with its path shortened."""
+    try:
+        fh = open(path, encoding="ascii")
+    except OSError as exc:
+        raise OSError(exc.errno, f"{exc.strerror}: {reprlib.repr(path)}") from None
+    with fh:
         text = fh.read(INPUT_BYTES_CAP + 1)
     if len(text) > INPUT_BYTES_CAP:
         raise ValueError(f"{path} exceeds INPUT_BYTES_CAP = {INPUT_BYTES_CAP} bytes")
     return text
+
+
+def _int(text: str) -> int:
+    """An integer option, refused as argparse's type=int would be, but
+    with the value shortened."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {reprlib.repr(text)}") from None
 
 
 def _fields(text: str) -> list[str]:
@@ -173,12 +187,13 @@ def _cmd_extension(args, G):
     basis = cohomology.h2(G)
     c = _load_cocycle(G, args.cocycle)
     E = cohomology.extension_from_cocycle(G, c)
+    coords = basis.coords(c)
     return {
         "base_order": G.order,
         "total_order": E.total.order,
         "two_lift_property": cohomology.two_lift_property(E),
-        "class_is_coboundary": basis.is_coboundary(c),
-        "class_coords": basis.coords(c),
+        "class_is_coboundary": coords == 0,
+        "class_coords": coords,
         "s_diagonal": list(cohomology.s_map(c)),
     }, True
 
@@ -330,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pin-sign", parents=[common],
                        help="sign of the square of the pin lift of a "
                             "fixed-point-free involution")
-    p.add_argument("--n", type=int, required=True, help="even degree ≤ 24")
+    p.add_argument("--n", type=_int, required=True, help="even degree ≤ 24")
     p.set_defaults(func=_cmd_pin_sign)
 
     p = grouped("pin-cocycle",
@@ -371,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     helped = argparse.ArgumentParser(add_help=False)
     helped.add_argument("-h", "--help", action=_VerifyHelp, statement=listed)
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int)
+    seeded.add_argument("--seed", type=_int)
     seeded.add_argument("--timings", action="store_true",
                         help="include runtimes (output no longer byte-stable)")
 

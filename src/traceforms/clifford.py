@@ -318,7 +318,8 @@ def pin_cocycle(G: groups.Group, involutions_only: bool = False) -> PinCocycleRe
     associativity gives lift(g) lift(hs) = e3 lift(g) lift(h) lift(s) =
     e1 e3 lift(gh) lift(s) = e1 e2 e3 lift(ghs).  So each entry is proven
     from signs that _pfaffian_sign decided, and validate() then checks
-    the cocycle identity independently."""
+    the cocycle identity independently, by building the central extension
+    the table defines (cohomology.extension_from_cocycle)."""
     n = G.order
     name, cap = pin_cap(involutions_only)
     if n > cap:

@@ -10,25 +10,23 @@ A 2-cochain is one integer whose bit g·n + h is c(g, h), the row-major
 order of a `--cocycle` file; cocycle_space returns, and H2Basis
 reduces, that same integer.
 
-validate checks the identity only at g in a generating set S of G.
-For a normalized 2-cochain c, give G×F2 the product
+For a normalized 2-cochain c, give G×F2 the twisted product
 (g,a)(h,b) = (gh, a+b+c(g,h)).  Then
 
     ((g,a)(h,b))(k,d) and (g,a)((h,b)(k,d))
 
-differ exactly by δc(g,h,k) in the second coordinate, so (g,a) lies in
-the left nucleus iff δc(g,·,·) = 0.  The nucleus holds (e,1), because c
-is normalized, and right multiplication by (e,1) and the (s,0) reaches
-every element from (e,0).  So by the left-nucleus lemma (groups module
-docstring) δc vanishes on all triples once it vanishes at S.
+differ exactly by δc(g,h,k) in the second coordinate, so δc = 0 exactly
+when the twisted product is associative, and Group checks that:
+validate builds it (extension_from_cocycle).  In particular (g,a) lies
+in the left nucleus iff δc(g,·,·) = 0.
 
-The same holds on the right, and cocycle_space solves for c from it.
-(k,d) lies in the right nucleus {z : (xy)z = x(yz) for all x, y} iff
-δc(·,·,k) = 0.  The right nucleus is closed under products: for z, z'
-in it, (xy)(zz') = ((xy)z)z' = (x(yz))z' = x((yz)z') = x(y(zz')).  It
-holds (e,1), since δc(g,h,e) = 0 for normalized c, and every element
-is (e,a)(s1,0)...(sk,0) for some si in S.  So c is a cocycle once
-δc(g,h,s) = 0 for all g, h and s in S.  Read as
+cocycle_space solves for c from the right.  (k,d) lies in the right
+nucleus {z : (xy)z = x(yz) for all x, y} iff δc(·,·,k) = 0.  The right
+nucleus is closed under products: for z, z' in it, (xy)(zz') =
+((xy)z)z' = (x(yz))z' = x((yz)z') = x(y(zz')).  It holds (e,1), since
+δc(g,h,e) = 0 for normalized c, and every element is
+(e,a)(s1,0)...(sk,0) for some si in S, a generating set of G.  So c is a
+cocycle once δc(g,h,s) = 0 for all g, h and s in S.  Read as
 
     c(g, hs) = c(g, h) + c(gh, s) + c(h, s),
 
@@ -51,8 +49,11 @@ So the normalized 2-cochain f_a = f(a,·,·) has
 δf_a(g,h,s) = f(a,h,s) + f(g,h,s) + f(ag,h,s), which is 0 at every
 tree edge (h, s): f_a obeys the fill rule as c does, and it is 0 once
 its generator columns f(a,·,s) are.  For a in S they are, at the tree
-edges by the fill and at the other edges by the equations.  So S lies
-in the left nucleus, and δc = 0 by the left-nucleus lemma, as above.
+edges by the fill and at the other edges by the equations.  So the
+(s,0) lie in the left nucleus, and so does (e,1), because c is
+normalized.  Right multiplication by these reaches every element from
+(e,0), so by the left-nucleus lemma (groups module docstring) the left
+nucleus is everything, and δc = 0.
 """
 from __future__ import annotations
 
@@ -61,6 +62,7 @@ import functools
 from . import gf2
 from .groups import (
     Group,
+    GroupError,
     cayley_walk,
     generating_set,
     quotient_with_map,
@@ -96,17 +98,9 @@ class Cocycle2:
         return (self.bits >> (g * self.group.order + h)) & 1
 
     def validate(self) -> None:
-        """Check the cocycle identity at g in the generating set; for a
-        normalized cochain that is every triple (module docstring)."""
-        n = self.group.order
-        t = self.group.table
-        for g in generating_set(self.group):
-            for h in range(1, n):
-                gh = t[g][h]
-                v_gh = self.value(g, h)
-                for k in range(1, n):
-                    if v_gh ^ self.value(gh, k) ^ self.value(h, k) ^ self.value(g, t[h][k]):
-                        raise CohomologyError(f"cocycle identity fails at ({g}, {h}, {k})")
+        """Check the cocycle identity: build the twisted product, which is
+        a group exactly when c is a cocycle (module docstring)."""
+        extension_from_cocycle(self.group, self)
 
     def add(self, other: "Cocycle2") -> "Cocycle2":
         if other.group is not self.group:
@@ -336,32 +330,15 @@ def is_2_reduced(G: Group) -> bool:
 
 
 class CentralExt:
-    """A central extension  Z/2 -> total -> base  with kernel {0, t}."""
+    """A central extension  Z/2 -> total -> base: t is a central involution
+    of total, and projection, indexed by the elements of total, is a
+    homomorphism onto base with kernel {e, t}, so |total| = 2|base|.
+    Built by extension_from_cocycle and central_extension_from_quotient,
+    which prove this (see each); the fields are stored unchecked."""
 
     __slots__ = ("base", "total", "t", "projection")
 
     def __init__(self, base: Group, total: Group, t: int, projection: tuple[int, ...]):
-        if total.order != 2 * base.order:
-            raise CohomologyError("total group must have twice the base order")
-        if total.element_order(t) != 2:
-            raise CohomologyError("kernel generator must have order 2")
-        tt = total.table
-        if any(tt[t][x] != tt[x][t] for x in range(total.order)):
-            raise CohomologyError("kernel generator is not central")
-        proj = projection
-        if len(proj) != total.order:
-            raise CohomologyError("projection length mismatch")
-        if proj[0] != 0:
-            raise CohomologyError("projection must send identity to identity")
-        # the y with proj(xy) = proj(x)proj(y) for all x are closed under
-        # products and hold 0, so a generating set of the total suffices
-        bt = base.table
-        for y in generating_set(total):
-            if any(proj[tt[x][y]] != bt[proj[x]][proj[y]] for x in range(total.order)):
-                raise CohomologyError("projection is not a homomorphism")
-        kernel = sorted(x for x in range(total.order) if proj[x] == 0)
-        if kernel != sorted({0, t}):
-            raise CohomologyError("projection kernel is not {e, t}")
         self.base = base
         self.total = total
         self.t = t
@@ -377,29 +354,36 @@ class CentralExt:
 
 def extension_from_cocycle(G: Group, c: Cocycle2) -> CentralExt:
     """Total group on pairs (g, a), a in F2, with
-    (g,a)(h,b) = (gh, a+b+c(g,h)).  Pair (g, a) gets index 2g + a."""
+    (g,a)(h,b) = (gh, a+b+c(g,h)); pair (g, a) gets index 2g + a.
+    Building it checks the cocycle identity: the table has permutation
+    rows and columns and identity (e,0) = 0, as c is normalized, so Group
+    refuses it exactly when δc != 0 (module docstring).  t = (e,1) = 1 is
+    central of order 2, as c(e,·) = c(·,e) = 0, and the projection
+    (g,a) -> g, index x -> x // 2, is a homomorphism, as products multiply
+    first coordinates, with kernel {(e,0), (e,1)} = {e, t}."""
     if c.group is not G:
         raise CohomologyError("cocycle lives on a different group")
-    c.validate()
-    n = G.order
-    t = G.table
+    n, bits = G.order, c.bits
     table = []
-    for g in range(n):
-        for a in (0, 1):
-            row = []
-            for h in range(n):
-                cc = c.value(g, h)
-                for b in (0, 1):
-                    row.append(2 * t[g][h] + (a ^ b ^ cc))
-            table.append(row)
-    total = Group(table, name=f"ext({G.name})" if G.name else "ext")
-    proj = tuple(x // 2 for x in range(2 * n))
-    return CentralExt(G, total, 1, proj)
+    for g, row in enumerate(G.table):
+        c_g = bits >> (g * n)
+        even = []  # the row of (g, 0); that of (g, 1) flips each a + b + c
+        for h, gh in enumerate(row):
+            x = 2 * gh + (c_g >> h & 1)
+            even += (x, x ^ 1)
+        table += (even, [x ^ 1 for x in even])
+    try:
+        total = Group(table, name=f"ext({G.name})" if G.name else "ext")
+    except GroupError as exc:
+        raise CohomologyError(f"cocycle identity fails: {exc}") from None
+    return CentralExt(G, total, 1, tuple(x // 2 for x in range(2 * n)))
 
 
 def central_extension_from_quotient(total: Group, t: int) -> CentralExt:
     """View total/(t) as the base of a central extension, for t a central
-    involution of `total`."""
+    involution of `total` (both checked).  Then N = {e, t} is a normal
+    subgroup, and quotient_with_map gives total/N with the quotient map,
+    a homomorphism whose kernel is N."""
     if total.element_order(t) != 2:
         raise CohomologyError(f"element {t} does not have order 2")
     if any(total.table[t][g] != total.table[g][t] for g in range(total.order)):
@@ -411,31 +395,23 @@ def central_extension_from_quotient(total: Group, t: int) -> CentralExt:
 def class_of_extension(E: CentralExt, rng=None) -> CohClass:
     """Cohomology class of the extension.  A section s with s(e) = e is
     chosen (minimum index by default, random with rng) and
-    s(g)s(h) = t^c(g,h) s(gh) defines the cocycle."""
+    s(g)s(h) = t^c(g,h) s(gh) defines the cocycle.  It is one by
+    associativity of the total group, and h2(G).class_of refuses any
+    cochain outside Z² anyway."""
     G = E.base
     n = G.order
     sec = [0] * n
     for g in range(1, n):
         fib = E.fiber(g)
         sec[g] = rng.choice(fib) if rng is not None else min(fib)
-    tt = E.total.table
+    tt, bt = E.total.table, G.table
     bits = 0
     for g in range(1, n):
-        row = 0
         for h in range(1, n):
-            z = tt[sec[g]][sec[h]]
-            gh = G.table[g][h]
-            if z == sec[gh]:
-                bit = 0
-            elif z == tt[E.t][sec[gh]]:
-                bit = 1
-            else:
-                raise CohomologyError("section product escaped the fiber")
-            row |= bit << h
-        bits |= row << (g * n)
-    c = Cocycle2(G, bits)
-    c.validate()
-    return h2(G).class_of(c)
+            # the projection is a homomorphism with kernel {e, t} (see the
+            # builders), so s(g)s(h) is s(gh) or t s(gh)
+            bits |= (tt[sec[g]][sec[h]] != sec[bt[g][h]]) << (g * n + h)
+    return h2(G).class_of(Cocycle2(G, bits))
 
 
 def two_lift_property(E: CentralExt) -> bool:

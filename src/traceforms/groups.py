@@ -5,8 +5,9 @@ product g*h.  Group objects are immutable once built.  Every table is
 checked on construction: its rows and columns are permutations, 0 is a
 two-sided identity, and the product is associative.
 
-Associativity and the cocycle identity (in cohomology) are checked at a
-generating set only, by one argument.
+Associativity is checked at a generating set only, by one argument.  It
+is also the package's check of the cocycle identity: cohomology builds
+the twisted product of a 2-cochain and lets Group check it.
 
 Left-nucleus lemma.  In a finite magma M with identity e, the left
 nucleus N = {a : (ab)c = a(bc) for all b, c} is closed under products:

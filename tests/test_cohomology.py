@@ -1,11 +1,9 @@
-import itertools
 import random
 
 import pytest
 
 from traceforms import gf2
 from traceforms.cohomology import (
-    CentralExt,
     Cocycle2,
     CohomologyError,
     central_extension_from_quotient,
@@ -20,7 +18,14 @@ from traceforms.cohomology import (
     s_map,
     two_lift_property,
 )
-from traceforms.groups import Group, catalog, generating_set, group_from_spec, sylow2
+from traceforms.groups import (
+    Group,
+    catalog,
+    catalog_order,
+    generating_set,
+    group_from_spec,
+    sylow2,
+)
 
 
 H2_DIMS = {
@@ -370,7 +375,7 @@ def test_central_extension_validation_errors():
 def test_cocycle_validation_rejects_garbage():
     G = catalog("cyclic", 4)
     bad = Cocycle2(G, 1 << (1 * 4 + 1))  # c(1,1)=1 alone is not a cocycle
-    with pytest.raises(CohomologyError):
+    with pytest.raises(CohomologyError, match="^cocycle identity fails: "):
         bad.validate()
     zero = Cocycle2.zero(G)
     zero.validate()
@@ -465,29 +470,90 @@ def test_validate_matches_all_triples_oracle_exhaustively_at_order_4():
         assert valid == 1 << len(cocycle_space(G))
 
 
-def test_central_ext_homomorphism_check_matches_all_pairs_oracle():
-    """The projection is checked at a generating set of the total group;
-    relabel the base to get maps that are and are not homomorphisms."""
-    # in C2^3 the first generator's image spans a subgroup of index 4, so
-    # some relabelings respect it and are still not homomorphisms
-    for G in (catalog("dihedral", 8), catalog("quaternion8"), catalog("sym", 3),
-              catalog("elem_abelian_2", 3)):
-        E = extension_from_cocycle(G, h2(G).class_from_coords(1).representative)
-        tt, bt, n = E.total.table, G.table, G.order
-        outcomes = set()
-        for rest in itertools.permutations(range(1, n)):  # every relabeling
-            sigma = (0,) + rest
-            proj = tuple(sigma[p] for p in E.projection)
-            want = all(proj[tt[x][y]] == bt[proj[x]][proj[y]]
-                       for x in range(2 * n) for y in range(2 * n))
-            try:
-                CentralExt(G, E.total, E.t, proj)
-                got = True
-            except CohomologyError:
-                got = False
-            assert got == want, (G.name, sigma)
-            outcomes.add(want)
-        assert outcomes == {True, False}
+def _catalog_to_16():
+    return [_cat(name, param) for name, param in _CATALOG_TO_64
+            if catalog_order(name, param) <= 16]
+
+
+def _assert_central_ext(E):
+    """Oracle, on all pairs: t is a central involution, the projection is
+    a homomorphism onto the base with kernel {e, t}, and the total has
+    twice the base's order."""
+    T, B, t, proj = E.total, E.base, E.t, E.projection
+    tt, bt, m = T.table, B.table, T.order
+    assert m == 2 * B.order and len(proj) == m
+    assert t != 0 and tt[t][t] == 0
+    assert all(tt[t][x] == tt[x][t] for x in range(m))
+    assert all(proj[tt[x][y]] == bt[proj[x]][proj[y]] for x in range(m) for y in range(m))
+    assert {x for x in range(m) if proj[x] == 0} == {0, t}
+
+
+def test_central_ext_builders_match_all_pairs_oracle():
+    """CentralExt checks nothing: each builder proves what it holds.  Both
+    run on every catalog group of order <= 16, extension_from_cocycle on
+    each basis class and zero, central_extension_from_quotient at each
+    central involution (and at t = (e,1) of the built extensions)."""
+    quotients = 0
+    for G in _catalog_to_16():
+        basis = h2(G)
+        for c in [Cocycle2.zero(G), *(cl.representative for cl in basis.classes())]:
+            E = extension_from_cocycle(G, c)
+            _assert_central_ext(E)
+            _assert_central_ext(central_extension_from_quotient(E.total, E.t))
+        for t in G.involutions():
+            if all(G.table[t][x] == G.table[x][t] for x in range(G.order)):
+                _assert_central_ext(central_extension_from_quotient(G, t))
+                quotients += 1
+    assert quotients > 20
+
+
+def _cell_by_cell_table(G, c):
+    """Oracle: the twisted table built one cell at a time from c.value,
+    as extension_from_cocycle once did."""
+    n, t = G.order, G.table
+    table = []
+    for g in range(n):
+        for a in (0, 1):
+            row = []
+            for h in range(n):
+                cc = c.value(g, h)
+                for b in (0, 1):
+                    row.append(2 * t[g][h] + (a ^ b ^ cc))
+            table.append(tuple(row))
+    return tuple(table)
+
+
+def test_extension_table_matches_cell_by_cell_oracle():
+    for G in _catalog_to_16() + [catalog("elem_abelian_2", 6), catalog("dihedral", 64)]:
+        basis = h2(G)
+        classes = [cl.representative for cl in basis.classes()]
+        for c in [Cocycle2.zero(G), *classes,
+                  basis.class_from_coords((1 << basis.dim) - 1).representative]:
+            E = extension_from_cocycle(G, c)
+            assert E.total.table == _cell_by_cell_table(G, c), (G.name, c.bits)
+            assert E.t == 1 and E.projection == tuple(x // 2 for x in range(2 * G.order))
+
+
+def test_single_bit_flips_are_refused_exactly_when_the_identity_breaks():
+    """Flip each inner bit c(g, h), g, h != e, of each basis representative
+    on every catalog group of order <= 16: validate refuses the result
+    exactly when the all-triples oracle does."""
+    outcomes = set()
+    for G in _catalog_to_16():
+        n = G.order
+        for cl in h2(G).classes():
+            bits = cl.representative.bits
+            for g in range(1, n):
+                for h in range(1, n):
+                    outcomes.add(_validate_agrees(Cocycle2(G, bits ^ 1 << (g * n + h))))
+    assert outcomes == {True, False}
+
+
+def test_validate_works_above_h2_cap():
+    G = catalog("dihedral", 128)
+    Cocycle2.zero(G).validate()
+    with pytest.raises(CohomologyError, match="^cocycle identity fails: "):
+        Cocycle2(G, 1 << (1 * G.order + 1)).validate()  # c(1,1) = 1 alone
 
 
 def test_h2_cap_names_the_limit():
