@@ -65,6 +65,22 @@ def _int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {reprlib.repr(text)}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose refusals shorten what they quote of the
+    command line, as `_int` shortens a value; `main` sets `argv` first."""
+    argv: list[str] = []
+
+    def error(self, message):
+        # argparse quotes a token, or what follows its '=' or its -h flags
+        # (-hhx reads as -h -h -x), as typed or by repr; longest first
+        quoted = {t for a in self.argv for t in (a, a.partition("=")[2], a.lstrip("-h"))}
+        for text in sorted(quoted, key=len, reverse=True):
+            short = reprlib.repr(text)
+            if short != repr(text):
+                message = message.replace(repr(text), short).replace(text, short)
+        super().error(message)
+
+
 def _fields(text: str) -> list[str]:
     """The comma-separated fields of text, stripped, none of them empty."""
     fields = [t.strip() for t in text.split(",")]
@@ -245,9 +261,9 @@ def _cmd_form(args):
 
 
 def _cmd_trace(args, A):
-    q = galois.trace_form(A)
-    return dict(_form_report(q), degree=A.degree,
-                totally_real=quadratic.signature(q) == (A.degree, 0)), True
+    out = _form_report(galois.trace_form(A))
+    out.update(degree=A.degree, totally_real=out["signature"] == [A.degree, 0])
+    return out, True
 
 
 def _cmd_classify(args, A, G):
@@ -306,11 +322,12 @@ class _VerifyHelp(argparse.Action):
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on the first `main` call.
-    parse_args keeps no state between calls, and the handlers look up
-    library functions at call time, so rebinding those takes effect."""
-    top = argparse.ArgumentParser(
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The one parser of the process, built on the first `main` call, and
+    its verbs' parsers by name.  parse_args keeps no state between calls,
+    and the handlers look up library functions at call time, so rebinding
+    those takes effect."""
+    top = _Parser(
         prog="traceforms",
         description="Exact computation of mod-2 group-cohomology "
                     "obstructions and trace-form invariants over Q.")
@@ -398,12 +415,20 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run the full verification battery")
     p.set_defaults(func=_cmd_reports)
 
-    return top
+    return top, sub.choices
 
 
 def main(argv=None) -> int:
     """Run one verb (see the module docstring); returns the exit code."""
-    args = _build_parser().parse_args(argv)
+    top, verbs = _build_parser()
+    argv = _Parser.argv = sys.argv[1:] if argv is None else argv
+    verb = verbs.get(argv[0]) if argv else None
+    if verb is None:  # no verb, a refused one or top-level help
+        args, extras = top.parse_known_args(argv)
+    else:  # the top parser would hand every argument after the verb to it
+        args, extras = verb.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:  # refused as parse_args refuses them
+        top.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         inputs = [_load_algebra(args)] if "poly" in args else []
         if "cap" in args:

@@ -19,9 +19,9 @@ from . import cohomology, groups
 from .quadratic import (
     QForm,
     QuadraticError,
+    _bareiss,
     _rational,
     cup,
-    diagonalize,
     direct_sum,
     disc_class,
     is_isometric_q,
@@ -136,19 +136,17 @@ class MonicPoly:
 
 def power_sums(f: MonicPoly, count: int) -> tuple[int, ...]:
     """p_0, ..., p_(count-1), where p_k is the sum of k-th powers of the
-    roots of f, by Newton's identities."""
-    d = f.degree
-    e = [0] * (d + 1)  # elementary symmetric functions
-    for i in range(1, d + 1):
-        e[i] = (-1) ** i * f.coeffs[i]
+    roots of f = x^d + a_1 x^(d-1) + ... + a_d, by Newton's identities:
+    p_k = -(k a_k + sum of a_i p_(k-i) over 0 < i < k), with a_i = 0 past
+    d.  The recurrence is over the integers, so every p_k is one."""
+    a = f.coeffs
+    d = len(a) - 1
     ps = [d]
     for k in range(1, count):
-        acc = 0
+        acc = k * a[k] if k <= d else 0
         for i in range(1, min(k - 1, d) + 1):
-            acc += (-1) ** (i - 1) * e[i] * ps[k - i]
-        if k <= d:
-            acc += (-1) ** (k - 1) * k * e[k]
-        ps.append(acc)
+            acc += a[i] * ps[k - i]
+        ps.append(-acc)
     return tuple(ps)
 
 
@@ -156,7 +154,7 @@ def trace_gram(f: MonicPoly) -> tuple[tuple[int, ...], ...]:
     """Gram matrix of (x, y) -> Tr(xy) on Q[t]/(f) in the power basis."""
     d = f.degree
     ps = power_sums(f, 2 * d - 1)
-    return tuple(tuple(ps[i + j] for j in range(d)) for i in range(d))
+    return tuple(ps[i:i + d] for i in range(d))
 
 
 class EtaleAlg:
@@ -188,12 +186,16 @@ class EtaleAlg:
 
 
 def trace_form(A: EtaleAlg) -> QForm:
-    """Diagonalized trace form of the algebra."""
+    """Diagonalized trace form of the algebra, a field's form itself.
+
+    Each field's Gram goes to `_bareiss` unchecked: `trace_gram` builds
+    it d x d with entry (i, j) the power sum p_(i+j), so it is square,
+    symmetric (i + j = j + i) and integral (`power_sums`)."""
     parts = []
     for f, m in A.factors:
-        q = diagonalize(trace_gram(f))
+        q = _bareiss(trace_gram(f))
         parts.append(repeat(q, m) if m > 1 else q)
-    return direct_sum(*parts)
+    return parts[0] if len(parts) == 1 else direct_sum(*parts)
 
 
 def algebra_disc(A: EtaleAlg) -> int:
@@ -207,9 +209,9 @@ def algebra_disc(A: EtaleAlg) -> int:
 
 
 def _det_fraction_free(m) -> int:
-    """Determinant of a nondegenerate symmetric integer matrix: the
+    """Determinant of a nondegenerate trace Gram (`trace_gram`): the
     product of the entries of its fraction-free diagonalization."""
-    return math.prod(diagonalize(m).entries).numerator
+    return math.prod(_bareiss(m).entries).numerator
 
 
 def _check_galois(A: EtaleAlg, G: groups.Group) -> bool:

@@ -136,6 +136,10 @@ def factorint(n: int) -> dict[int, int]:
         raise QuadraticError("factorint needs a positive integer")
     out: dict[int, int] = {}
     for p in _MR_BASES:
+        if p * p > n:  # no prime below p divides n, so it is 1 or a prime
+            if n > 1:
+                out[n] = 1
+            return out
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
@@ -170,11 +174,12 @@ def square_class(x) -> _SquareClass:
     if isinstance(x, _SquareClass):
         return x
     x = _rational(x)
-    if x == 0:
+    num, den = x.numerator, x.denominator
+    if not num:
         raise QuadraticError("zero has no square class")
-    primes = frozenset(p for n in (abs(x.numerator), x.denominator) if n > 1
+    primes = frozenset(p for n in (abs(num), den) if n > 1
                        for p, e in factorint(n).items() if e % 2)
-    return _SquareClass((-1 if x < 0 else 1) * math.prod(primes), primes)
+    return _SquareClass((-1 if num < 0 else 1) * math.prod(primes), primes)
 
 
 def squarefree_part(x) -> int:
@@ -269,11 +274,20 @@ def _rational(x) -> Fraction:
     is not the decimal it was written as; so are a bool and any other
     type, malformed text and a zero denominator.  A string's decimal
     exponent is held to the digit limit int() puts on an integer's text:
-    1e100000 would be a 100,001-digit value for factorint."""
+    1e100000 would be a 100,001-digit value for factorint.  An int, a
+    Fraction and plain ASCII integer text ([+-]digits, which int() reads
+    as Fraction() would, under the same digit limit) take the short way."""
+    t = type(x)
+    if t is Fraction:
+        return x
+    if t is int:
+        return Fraction(x)
     if isinstance(x, str):
         limit = sys.int_info.default_max_str_digits
-        exp = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", x)
         try:
+            if x.isascii() and (x[1:] if x[:1] in "+-" else x).isdigit():
+                return Fraction(int(x))
+            exp = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", x)
             if exp is None or abs(int(exp[1])) <= limit:
                 return Fraction(x)
         except ZeroDivisionError:
@@ -285,7 +299,7 @@ def _rational(x) -> Fraction:
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise QuadraticError(f"{reprlib.repr(x)} is not an exact rational; "
                              "pass an int, a Fraction or a string")
-    return x if type(x) is Fraction else Fraction(x)
+    return Fraction(x)
 
 
 class QForm:
@@ -299,8 +313,8 @@ class QForm:
     __slots__ = ("entries", "_held", "_disc")
 
     def __init__(self, entries, classes=None):
-        ent = tuple(_rational(a) for a in entries)
-        if any(a == 0 for a in ent):
+        ent = tuple(map(_rational, entries))
+        if not all(a.numerator for a in ent):
             raise QuadraticError("diagonal entries must be nonzero")
         self.entries = ent
         self._held = classes  # None, a function giving the classes, or them
@@ -361,7 +375,7 @@ def repeat(q: QForm, m: int) -> QForm:
 
 
 def signature(q: QForm) -> tuple[int, int]:
-    pos = sum(1 for a in q.entries if a > 0)
+    pos = sum(a.numerator > 0 for a in q.entries)
     return pos, q.rank - pos
 
 
@@ -381,13 +395,14 @@ def w2(q: QForm) -> frozenset:
     bilinearity is that of cup(a_1 ... a_(j-1), a_j) over j: n - 1 cups,
     each of an entry's class with the product of the classes before it
     (`sqclass_mul`, unfactored).  A cup is evaluated at INF, 2 and its
-    two classes' primes, the only places where its symbol can be -1."""
+    two classes' primes, the only places where its symbol can be -1, or
+    read from the cup cache, where a form of the same classes left it."""
     out: frozenset = frozenset()
     classes = q._classes
     if classes:
         prefix = classes[0]
         for c in classes[1:]:
-            out ^= _cup_at(*prefix, *c)
+            out ^= _cup_cached(*prefix, *c)
             prefix = sqclass_mul(prefix, c)
     return out
 
@@ -496,16 +511,26 @@ def validate_gram(gram) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def diagonalize(gram, rng=None) -> QForm:
-    """Diagonal form congruent to the symmetric matrix, by fraction-free
-    (Bareiss) symmetric elimination of den * gram, den the lcm of its
-    denominators.  The trailing block is held as D_k times the Schur
-    complement (D_k the k-th pivot, D_0 = 1) and the k-th entry is
-    D_k / (D_(k-1) * den).  With rng, pivots are chosen at random among
-    the usable ones; the isometry class never depends on the choice.
-    Raises on degenerate input."""
+    """Diagonal form congruent to the symmetric matrix read from outside:
+    `validate_gram` reads and checks it once, and `_bareiss` eliminates
+    den * gram, den the lcm of its denominators.  With rng, pivots are
+    chosen at random among the usable ones; the isometry class never
+    depends on the choice.  Raises on degenerate input."""
     rows = validate_gram(gram)
     den = math.lcm(*(x.denominator for row in rows for x in row))
-    a = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    return _bareiss([[x.numerator * (den // x.denominator) for x in row] for row in rows],
+                    den, rng)
+
+
+def _bareiss(rows, den: int = 1, rng=None) -> QForm:
+    """The diagonal form of gram = rows / den, for square symmetric rows
+    of ints, by fraction-free (Bareiss) symmetric elimination.  The
+    trailing block is held as D_k times the Schur complement (D_k the
+    k-th pivot, D_0 = 1) and the k-th entry is D_k / (D_(k-1) * den).  It
+    checks nothing: `diagonalize` checks an outside matrix first, and
+    `galois.trace_form` passes a trace Gram, square, symmetric and
+    integral by construction."""
+    a = [list(row) for row in rows]
     prev = 1
     diag = []
     while a:

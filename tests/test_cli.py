@@ -147,6 +147,29 @@ def test_trace_verb_diagonalizes_once(capsys, monkeypatch):
     assert code == 0 and len(calls) == 1
 
 
+@pytest.mark.parametrize("coeffs", ["1,0,-3", "1,2,-1,2,-2,0", "1,0,-8,0,20,0,-16,0,2"],
+                         ids=["degree-2", "degree-5", "degree-8"])
+def test_trace_verb_reads_each_value_once(capsys, monkeypatch, coeffs):
+    # each coefficient and the multiplicity once, each diagonal entry once
+    # as QForm takes it and once as square_class reads it, and the class of
+    # 1 that starts the disc's product: 3d + 3.  The Gram matrix was read
+    # as an outside one and the lone form copied by direct_sum: 15, 48 and
+    # 99 calls at degrees 2, 5 and 8
+    real = quadratic._rational
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "traceforms" and vars(mod).get("_rational") is real:
+            monkeypatch.setattr(mod, "_rational", counting)
+    code, _, _ = run_cli(capsys, "trace", "--poly", coeffs)
+    d = coeffs.count(",")
+    assert code == 0 and 0 < len(calls) <= 3 * d + 3, len(calls)
+
+
 def test_trace_verb_takes_disc_from_the_form(capsys, monkeypatch):
     # disc is w1 of the form trace already diagonalized; a second
     # discriminant (and its factoring) would only repeat it
@@ -438,6 +461,49 @@ def test_short_refused_option_or_path_is_echoed_whole(capsys, tmp_path, monkeypa
                              "--cocycle", "no-such-cocycle.txt")
     assert code == 2 and out == ""
     assert err == "error: [Errno 2] No such file or directory: 'no-such-cocycle.txt'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["LONG"],
+    ["group", "--group", "catalog:cyclic:2", "LONG"],
+    ["trace", "--p=LONG"],
+    ["trace", "--poly", "1,0,1", "--pretty=LONG"],
+    ["trace", "-hhLONG"],
+], ids=["verb", "extra-argument", "ambiguous-option", "explicit-argument", "help-flags"])
+def test_refused_verb_or_argument_is_echoed_shortened(capsys, argv):
+    # argparse quoted them whole: 100,344 bytes of stderr for the verb and
+    # 100,196 for the extra argument
+    argv = [a.replace("LONG", "y" * 100_000) for a in argv]
+    assert _exit_code(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and len(out.err.encode()) < 400, len(out.err)
+    assert "y" * 13 + "'" in out.err and "..." in out.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["badverb"], "argument command: invalid choice: 'badverb' (choose from 'group', "),
+    (["it's\\x"], """argument command: invalid choice: "it's\\\\x" (choose from """),
+    (["group", "--group", "catalog:cyclic:2", "yy", "z" * 25],  # 28 characters
+     "unrecognized arguments: yy " + "z" * 25 + "\n"),
+    (["trace", "--p=xx"], "ambiguous option: --p=xx could match --pretty, --poly\n"),
+    (["trace", "--poly", "1,0,1", "--pretty=xx"],
+     "argument --pretty: ignored explicit argument 'xx'\n"),
+    (["trace", "-hhello"], "argument -h/--help: ignored explicit argument 'ello'\n"),
+    # a value that reads like argparse's own wording is quoted as it is
+    (["pin-sign", "--n", "invalid choice: x"],
+     "argument --n: invalid int value: 'invalid choice: x'\n"),
+    (["group", "--group", "catalog:cyclic:2", "invalid choice: x"],
+     "unrecognized arguments: invalid choice: x\n"),
+    (["trace", "--poly", "1,0,1", "--pretty=invalid choice: x"],
+     "argument --pretty: ignored explicit argument 'invalid choice: x'\n"),
+    (["trace", "--poly", "1,0,1", "--pretty=explicit argument 'x'"],
+     "argument --pretty: ignored explicit argument \"explicit argument 'x'\"\n"),
+], ids=["verb", "verb-repr", "extra-arguments", "ambiguous-option", "explicit-argument",
+        "help-flags", "int-value-wording", "extra-argument-wording", "explicit-argument-wording",
+        "explicit-argument-quoting-wording"])
+def test_short_refused_verb_or_argument_is_echoed_whole(capsys, argv, message):
+    assert _exit_code(argv) == 2
+    assert "error: " + message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec", ["perms:(0 1),,(2 3)", "perms:(0 1),", "perms:,(0 1)",
@@ -734,6 +800,32 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
     assert builds == ["traceforms"]
 
 
+def _parsed(capsys, parse):
+    try:
+        ns, extras = parse()
+        return vars(ns), extras
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--poly", "1,0,-3"], ["trace", "--poly=1,0,-3", "--pretty", "--pretty"],
+    ["trace", "--", "--poly", "1,0,1"], ["trace", "--po", "1,0,1"], ["trace", "--p", "1,0,1"],
+    ["trace", "-h"], ["trace"], ["trace", "--poly", "1,0,1", "--algebra", "[]"],
+    ["pin-sign", "--n", "2", "extra", "-x"], ["pin-sign", "--n", "x"],
+    ["verify", "--statement", "h2-s4", "--seed", "3"], ["verify", "-h"],
+    ["group", "--gr", "catalog:cyclic:4"], ["form", "--entries", "1", "--gram", "x"],
+    ["suite", "--timings"], ["classify", "--group", "catalog:cyclic:2", "--algebra", "@f"],
+])
+def test_verb_parser_parses_as_the_top_parser_does(capsys, argv):
+    # main hands the arguments after a verb to that verb's parser, as the
+    # top parser's subcommand action does, without the top parser's pass
+    top, verbs = cli._build_parser()
+    assert _parsed(capsys, lambda: top.parse_known_args(argv)) == _parsed(
+        capsys, lambda: verbs[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0])))
+
+
 def test_reused_parser_keeps_no_state(capsys, monkeypatch):
     _, compact, _ = run_cli(capsys, "trace", "--poly", "1,0,-3")
     _, pretty, _ = run_cli(capsys, "trace", "--poly", "1,0,-3", "--pretty")
@@ -980,3 +1072,76 @@ def test_extension_verb_matches_golden_digest(capsys):
                 assert code == 0 and err == "", (spec, cocycle, err)
                 digest.update(f"{code}\n{out}".encode())
     assert digest.hexdigest() == _EXTENSION_DIGEST
+
+
+def _trace_digest_polys():
+    """60 seeded monic polynomials of degree 2-12 with coefficients in
+    [-9, 9], but every fifth is instead the product of two such factors:
+    reducible, with larger coefficients, and sometimes a repeated root."""
+    rng = random.Random("trace-digest")
+    polys = []
+    for i in range(60):
+        d = 2 + i % 11
+        if i % 5 == 4:
+            k = rng.randint(1, d - 1)
+            a = [1] + [rng.randint(-9, 9) for _ in range(k)]
+            b = [1] + [rng.randint(-9, 9) for _ in range(d - k)]
+            cs = [0] * (d + 1)
+            for i1, x in enumerate(a):
+                for j1, y in enumerate(b):
+                    cs[i1 + j1] += x * y
+        else:
+            cs = [1] + [rng.randint(-9, 9) for _ in range(d)]
+        polys.append(cs)
+    return polys
+
+
+_OCTIC_SPECS = {"multiquadratic_real": "catalog:elem_abelian_2:3",
+                "multiquadratic_imaginary": "catalog:elem_abelian_2:3",
+                "cyclic8_real": "catalog:cyclic:8",
+                "cyclic8_imaginary": "catalog:cyclic:8",
+                "dihedral8_imaginary": "catalog:dihedral:8"}
+
+
+def _trace_digest_runs():
+    runs = []
+    for cs in _trace_digest_polys():
+        for flip in (False, True):  # f(x) and f(-x)
+            c = [-x if flip and i % 2 else x for i, x in enumerate(cs)]
+            runs.append(["trace", "--poly=" + ",".join(map(str, c))])
+    for poly in ([1, 0, -3], [1, 0, 0, -2], [1, 0, -4, 0, 2]):
+        for m in (1, 2, 3, 4):
+            runs.append(["trace", "--algebra", json.dumps([{"poly": poly, "multiplicity": m}])])
+    runs.append(["trace", "--algebra", json.dumps([{"poly": [1, 0, -3], "multiplicity": 2},
+                                                   {"poly": [1, 0, 1], "multiplicity": 3}])])
+    runs += [["form", "--entries", "1/10,2.0,-3"],
+             ["form", "--entries", "1/10,2.0,-3", "--isometric-to", "10,2,-3"],
+             ["form", "--entries", "1/10,2.0", "--isometric-to", "1,-1"],
+             ["form", "--gram", "INT_GRAM"], ["form", "--gram", "RATIONAL_GRAM"]]
+    from traceforms.fixtures import OCTIC_FIXTURES
+    for f in OCTIC_FIXTURES:
+        runs.append(["classify", "--poly", ",".join(map(str, f.poly.coeffs)),
+                     "--group", _OCTIC_SPECS[f.name]])
+    runs += [["trace", "--poly", "1,-2,1"], ["trace", "--poly", "1,2.5,1"],
+             ["trace", "--poly", "1," + "7" * 100_000]]
+    return runs
+
+
+# sha256 over the runs above of "<exit>\n<stdout>\n<stderr>", each with
+# and without --pretty, recorded while every value was read as a Fraction
+# and the trace Gram was checked as an outside matrix
+_TRACE_DIGEST = "4cfb369ee80f58d15efa559a860efc903798ea07211e1247ceda2cc46dcfd86e"
+
+
+def test_trace_and_form_outputs_match_golden_digest(capsys, tmp_path):
+    grams = {"INT_GRAM": [[2, 1, 0], [1, 2, 1], [0, 1, 2]],
+             "RATIONAL_GRAM": [["1/2", 0.25], [0.25, "-3/7"]]}
+    for name, rows in grams.items():
+        (tmp_path / name).write_text(json.dumps(rows))
+    digest = hashlib.sha256()
+    for argv in _trace_digest_runs():
+        argv = [str(tmp_path / a) if a in grams else a for a in argv]
+        for extra in ([], ["--pretty"]):
+            code, out, err = run_cli(capsys, *argv, *extra)
+            digest.update(f"{code}\n{out}\n{err}".encode())
+    assert digest.hexdigest() == _TRACE_DIGEST
