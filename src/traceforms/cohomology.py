@@ -69,9 +69,11 @@ from .groups import (
 )
 
 H2_CAP = 64
-# Bound on h2's cache.  Every `perms:` spec builds a new Group, so an
-# unbounded cache would keep each such group and its basis alive.
-H2_CACHE_SIZE = 64
+# Bound on h2's cache.  Its key is the Group object, which comes back only
+# for the catalog's shared groups and within one computation: a `suite`
+# run reuses 15 groups.  Every `perms:` spec builds a new Group, so a
+# larger cache keeps groups and bases alive that no later call reaches.
+H2_CACHE_SIZE = 16
 
 
 class CohomologyError(ValueError):
@@ -213,6 +215,7 @@ class H2Basis:
         self._b2: dict[int, int] = {}
         for c in coboundary_generators(G):
             gf2.echelon_insert(self._b2, c.bits)
+        self._pivots = sum(1 << c for c in self._b2)  # one bit per pivot
         self._reps: list[int] = []
         self._rep_pivot: dict[int, int] = {}
         self._z_dim = 0
@@ -222,26 +225,26 @@ class H2Basis:
             if resid:
                 idx = len(self._reps)
                 self._reps.append(resid)
-                self._rep_pivot[resid.bit_length() - 1] = idx
+                c = resid.bit_length() - 1
+                self._rep_pivot[c] = idx
+                self._pivots |= 1 << c
         self.dim = len(self._reps)
 
     def _reduce(self, v: int) -> tuple[int, int]:
-        """Reduce against coboundaries and chosen representatives.  Returns
-        (residue, mask of representatives used)."""
+        """Reduce against coboundaries and chosen representatives, top
+        pivot first.  Returns (residue, mask of representatives used): the
+        residue is what is left of v off the pivots, as each vector
+        reduced against changes only bits at and below its pivot."""
         mask = 0
-        residue = 0
-        while v:
-            c = v.bit_length() - 1
+        while p := v & self._pivots:
+            c = p.bit_length() - 1
             if c in self._b2:
                 v ^= self._b2[c]
-            elif c in self._rep_pivot:
+            else:
                 idx = self._rep_pivot[c]
                 v ^= self._reps[idx]
                 mask ^= 1 << idx
-            else:
-                residue |= 1 << c
-                v ^= 1 << c
-        return residue, mask
+        return v, mask
 
     @property
     def b2_dim(self) -> int:
@@ -371,7 +374,7 @@ def extension_from_cocycle(G: Group, c: Cocycle2) -> CentralExt:
         for h, gh in enumerate(row):
             x = 2 * gh + (c_g >> h & 1)
             even += (x, x ^ 1)
-        table += (even, [x ^ 1 for x in even])
+        table += (tuple(even), tuple([x ^ 1 for x in even]))
     try:
         total = Group(table, name=f"ext({G.name})" if G.name else "ext")
     except GroupError as exc:

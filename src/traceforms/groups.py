@@ -44,6 +44,12 @@ class GroupError(ValueError):
 
 
 class Group:
+    """A group on its multiplication table, held as a tuple of tuple rows.
+    A row that arrives as a tuple is kept as that same object, and a row
+    of any other sequence type is copied into one.  So the builders here
+    and cohomology.extension_from_cocycle pass tuple rows, and each table
+    is held once, not also as the builder's copy."""
+
     __slots__ = ("order", "table", "labels", "name", "_inv", "_orders", "_sylow2",
                  "_gens", "_walk")
 
@@ -158,10 +164,9 @@ def closure(generators, cap: tuple[str, int] = ("CLOSURE_CAP", CLOSURE_CAP)) -> 
     # (p * g) * b = p * (g * b): each row is an earlier row permuted, so
     # only products with a generator compose permutations
     left = [[idx[perms.compose(g, b)] for b in els] for g in gens]
-    rows = {ident: list(range(len(els)))}
+    rows = {ident: tuple(range(len(els)))}
     for q, p, k in steps:
-        row = rows[p]
-        rows[q] = [row[x] for x in left[k]]
+        rows[q] = tuple(map(rows[p].__getitem__, left[k]))
     table = [rows[p] for p in els]
     return Group(table, labels=[perms.to_cycle_string(p) for p in els], name="closure")
 
@@ -251,7 +256,7 @@ def subgroup(G: Group, members) -> Group:
         raise GroupError("subgroup must be a set of element indices holding 0")
     idx = {m: i for i, m in enumerate(els)}
     try:
-        table = [list(map(idx.__getitem__, map(G.table[a].__getitem__, els))) for a in els]
+        table = [tuple(map(idx.__getitem__, map(G.table[a].__getitem__, els))) for a in els]
     except KeyError:
         raise GroupError("subset is not closed under products") from None
     return Group(table, labels=None if G.labels is None else [G.labels[m] for m in els],
@@ -310,7 +315,7 @@ def quotient_with_map(G: Group, members) -> tuple[Group, tuple[int, ...]]:
             coset_of[m] = idx
     # identity coset is discovered first (g = 0), so index 0 is correct
     k = len(reps)
-    table = [[coset_of[G.table[reps[a]][reps[b]]] for b in range(k)] for a in range(k)]
+    table = [tuple([coset_of[G.table[reps[a]][reps[b]]] for b in range(k)]) for a in range(k)]
     Q = Group(table, name=f"{G.name}/N" if G.name else "quotient")
     return Q, tuple(coset_of)
 
@@ -319,7 +324,7 @@ def _table_group(els, mul, label, name: str) -> Group:
     """The group on els (identity first) under mul, by its table, with
     label(p) naming each element p."""
     idx = {p: i for i, p in enumerate(els)}
-    return Group([[idx[mul(p, q)] for q in els] for p in els],
+    return Group([tuple([idx[mul(p, q)] for q in els]) for p in els],
                  labels=map(label, els), name=name)
 
 

@@ -11,7 +11,7 @@ code that reads a value, for every door and the command line: an int, a
 Fraction or a string, its decimal exponent bounded by
 sys.int_info.default_max_str_digits.  `square_class` is the only code
 that factors one, calling `factorint` on the coprime numerator and
-denominator separately: trial division by the twelve Miller-Rabin bases
+denominator separately: trial division by the thirteen Miller-Rabin bases
 (no sieve), then Miller-Rabin and Pollard rho.
 `is_probable_prime` is the one primality proof: it raises rather than
 pass a probable prime beyond its proven range.  `check_place` decides
@@ -44,20 +44,23 @@ class QuadraticError(ValueError):
 # integer factorization (trial division by the Miller-Rabin bases, then
 # Miller-Rabin + Pollard rho)
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-# Largest bound for which the fixed Miller-Rabin bases above are a proven
-# deterministic primality test (Sorenson-Webster).
+# Bound below which the first thirteen prime bases, those above, are a
+# proven deterministic primality test: psi_13, the least composite that
+# is a strong pseudoprime to all of them (Sorenson and Webster, Math.
+# Comp. 86, 2017).  The first twelve fall short at psi_12 =
+# 318,665,857,834,031,151,167,461 = 399,165,290,221 * 798,330,580,441.
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 
-# The bases are every prime below 41, so below 41^2 a number that none of
+# The bases are every prime below 43, so below 43^2 a number that none of
 # them divides is prime by trial division alone.
-_TRIAL_PROVEN_BOUND = 41 * 41
+_TRIAL_PROVEN_BOUND = 43 * 43
 
 
 def is_probable_prime(n: int) -> bool:
     """Whether n is prime: by trial division by the fixed bases below
-    _TRIAL_PROVEN_BOUND (41^2), then by Miller-Rabin with them below
+    _TRIAL_PROVEN_BOUND (43^2), then by Miller-Rabin with them below
     _MR_PROVEN_BOUND (3.3e24); a probable prime above it raises."""
     if n < 2:
         return False
@@ -236,8 +239,12 @@ def hilbert_symbol(a, b, v) -> int:
     return _hilbert(squarefree_part(a), squarefree_part(b), v)
 
 
-# Bound on the cup cache; its keys are pairs of square classes.
-CUP_CACHE_SIZE = 1024
+# Bound on the cup cache; its keys are pairs of square classes.  A
+# computation reuses the pairs of its own forms: a perfbench `library`
+# run (two rounds) fills 199.  Random forms mostly do not: `suite`'s
+# diag_invariance battery takes 1,000 cups of 803 pairs, which a cache
+# of 1024 kept, in 0.64 MB, to the end of the run.
+CUP_CACHE_SIZE = 256
 
 
 def _cup_at(a: int, pa: frozenset, b: int, pb: frozenset) -> frozenset:

@@ -17,7 +17,7 @@ from traceforms.fixtures import ALL_FIXTURES
 from traceforms.quadratic import signature, w2
 from traceforms.verify import DEFAULT_SEED, STATEMENTS, jsonable
 
-from limited_child import run_limited
+from limited_child import run_limited, verb_peak_mb
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +111,26 @@ def test_form_verb(capsys, tmp_path):
     # zero diagonal entry in --entries is a usage error
     code, _, err = run_cli(capsys, "form", "--entries", "1,0")
     assert code == 2
+
+
+def test_form_factors_a_strong_pseudoprime_to_twelve_bases(capsys):
+    # 318665857834031151167461 = 399165290221 * 798330580441 passes
+    # Miller-Rabin at the twelve bases 2..37, with which form read it as
+    # a prime place: w2_places was [2, 318665857834031151167461]
+    code, out, _ = run_cli(capsys, "form", "--entries", "318665857834031151167461,2")
+    assert code == 0 and json.loads(out)["w2_places"] == [2, 399165290221]
+
+
+def test_order_2048_group_child_peaks_under_55_mb():
+    # Group copied the list rows its builder had just made, so the child
+    # peaked at 83 MB for a table that keeps 32.5 MB
+    assert verb_peak_mb("group", "--group", "catalog:cyclic:2048") <= 55
+
+
+def test_suite_child_peaks_under_18_mb():
+    # 19.2 MB while the hilbert_oracle battery kept one memo entry per
+    # symbol (11,856) and the cup cache held up to 1024 pairs
+    assert verb_peak_mb("suite") <= 18
 
 
 def test_trace_verb(capsys):

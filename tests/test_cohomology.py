@@ -1,4 +1,5 @@
 import random
+import types
 
 import pytest
 
@@ -260,6 +261,46 @@ def test_coboundary_dim_is_order_minus_rank_of_delta():
     assert h2(G).b2_dim == 1  # 3 - 2
     G8 = catalog("cyclic", 8)
     assert h2(G8).b2_dim == 6  # 7 - 1
+
+
+def _bit_by_bit_reduce(basis, v):
+    """The reduction H2Basis._reduce replaced, kept as an oracle: each set
+    bit of v, top first, is a coboundary pivot, a representative's pivot
+    or a bit of the residue."""
+    mask = residue = 0
+    while v:
+        c = v.bit_length() - 1
+        if c in basis._b2:
+            v ^= basis._b2[c]
+        elif c in basis._rep_pivot:
+            idx = basis._rep_pivot[c]
+            v ^= basis._reps[idx]
+            mask ^= 1 << idx
+        else:
+            residue |= 1 << c
+            v ^= 1 << c
+    return residue, mask
+
+
+def test_reduce_at_pivots_matches_bit_by_bit_oracle():
+    rng = random.Random(13)
+    for name, param in [("cyclic", 8), ("dihedral", 12), ("sym", 4), ("alt", 4),
+                        ("quaternion8", None), ("dihedral", 16)]:
+        G = _cat(name, param)
+        basis = h2(G)
+        assert basis._pivots == sum(1 << c for c in [*basis._b2, *basis._rep_pivot])
+        # the representatives the oracle picks from the same cocycle basis
+        shadow = types.SimpleNamespace(_b2=basis._b2, _reps=[], _rep_pivot={})
+        for z in cocycle_space(G):
+            resid, _ = _bit_by_bit_reduce(shadow, z.bits)
+            if resid:
+                shadow._rep_pivot[resid.bit_length() - 1] = len(shadow._reps)
+                shadow._reps.append(resid)
+        assert shadow._reps == basis._reps, G
+        vectors = [z.bits for z in cocycle_space(G)]
+        vectors += [rng.getrandbits(G.order ** 2) for _ in range(20)]
+        for v in vectors:
+            assert basis._reduce(v) == _bit_by_bit_reduce(basis, v), (G, v)
 
 
 def test_delta1_is_normalized_cocycle_and_coboundary():

@@ -95,10 +95,10 @@ def test_is_probable_prime_small_table():
             n > 1 and all(n % d for d in range(2, n))))
 
 
-def test_is_probable_prime_needs_no_miller_rabin_below_41_squared(monkeypatch):
-    # the bases are every prime below 41, so trial division by them proves
-    # every n < 41^2 = 1681 prime or not; Miller-Rabin starts at 1681 = 41^2
-    assert quadratic._MR_BASES == tuple(sympy.primerange(41))
+def test_is_probable_prime_needs_no_miller_rabin_below_43_squared(monkeypatch):
+    # the bases are every prime below 43, so trial division by them proves
+    # every n < 43^2 = 1849 prime or not; Miller-Rabin starts at 1849 = 43^2
+    assert quadratic._MR_BASES == tuple(sympy.primerange(43))
     powers = []
 
     def counting(*args):
@@ -106,12 +106,34 @@ def test_is_probable_prime_needs_no_miller_rabin_below_41_squared(monkeypatch):
         return pow(*args)
 
     monkeypatch.setattr(quadratic, "pow", counting, raising=False)
-    for n in range(-2, 41 * 41):
+    for n in range(-2, 43 * 43):
         assert is_probable_prime(n) == sympy.isprime(n), n
     assert powers == []
-    assert not is_probable_prime(41 * 41) and powers
-    for n in range(41 * 41 + 1, 2000):
+    assert not is_probable_prime(43 * 43) and powers
+    for n in range(43 * 43 + 1, 2000):
         assert is_probable_prime(n) == sympy.isprime(n), n
+
+
+# psi_t, the least composite that is a strong pseudoprime to each of the
+# first t prime bases, for t = 1..13 (Sorenson and Webster, Math. Comp.
+# 86, 2017); a Miller-Rabin test with the first t prime bases passes
+# psi_t as prime
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051,
+        318665857834031151167461, 3317044064679887385961981)
+
+
+def test_is_probable_prime_refuses_every_psi_below_its_bound():
+    # with the twelve bases 2..37, psi_12 passed as a prime, and
+    # factorint(psi_12) was {psi_12: 1}
+    for psi in _PSI[:12]:
+        assert not sympy.isprime(psi)
+        assert not is_probable_prime(psi), psi
+    assert factorint(_PSI[11]) == {399165290221: 1, 798330580441: 1}
+    assert quadratic._MR_PROVEN_BOUND == _PSI[12]
+    with pytest.raises(QuadraticError, match="cannot certify primality"):
+        is_probable_prime(_PSI[12])
 
 
 def test_squarefree_part():

@@ -49,7 +49,7 @@ _UNBOUNDED_CACHES = {
 
 def test_program_caches_are_bounded():
     # an unbounded cache keeps every group, H2 basis or symbol it was
-    # asked for alive: one order-2048 catalog group holds about 145 MB
+    # asked for alive: one order-2048 catalog group holds 32.5 MB
     found = set()
     for info in pkgutil.iter_modules(traceforms.__path__):
         if info.name == "__main__":

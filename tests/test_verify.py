@@ -16,6 +16,8 @@ from traceforms.verify import (
     run_suite,
 )
 
+from limited_child import run_limited
+
 
 def test_statement_list_is_stable():
     assert STATEMENTS == (
@@ -77,6 +79,19 @@ def _logged_memo(monkeypatch, log):
             return cls(x)
         return logging
     monkeypatch.setattr(verify, "_class_memo", memo)
+
+
+def test_suite_solves_each_h2_basis_once():
+    # a suite run asks h2 about 15 groups, 838 times in all; the cache
+    # holds H2_CACHE_SIZE = 16 bases, so each is solved once.  Run in a
+    # fresh child: groups that earlier tests built and kept (a fixture's,
+    # say) would be more objects to key
+    proc, _ = run_limited(["-c", "import contextlib, io\n"
+                           "from traceforms import cli, cohomology\n"
+                           "with contextlib.redirect_stdout(io.StringIO()):\n"
+                           "    code = cli.main(['suite'])\n"
+                           "print(code, cohomology.h2.cache_info().misses)"])
+    assert proc.stdout.split() == ["0", "15"], proc.stderr
 
 
 def test_suite_factoring_counts(monkeypatch):
