@@ -12,9 +12,9 @@ The layers, bottom to top:
   the involution-lifting property.
 - ``clifford``: pin lifts of permutations as integer folds, and sign
   cocycles of translation actions.  ``pin_lift`` checks a lift by its
-  norm and its action; each sign is one Pfaffian, mod a prime, of the
-  skew Gram matrix of the factors of the two lifts and of the lift of
-  their product, and a full sign table is also checked by the cocycle
+  norm and its action; each sign is read off an exact rewrite of the
+  word of the factors of the two lifts and of the lift of their
+  product, and a full sign table is also checked by the cocycle
   identity.
 - ``quadratic``: square classes, Hilbert symbols, ramification sets of
   cup products, diagonalization, Hasse-Witt style invariants, rational

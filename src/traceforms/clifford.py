@@ -8,18 +8,14 @@ factors (e_i - e_j)/sqrt(2), one per transposition in a cycle
 decomposition.  A lift with k factors is (1/sqrt 2)^k z, where z, its
 fold, is an integer combination of basis masks.
 
-Every sign is one Pfaffian.  Let U = u_1...u_a be the product of the
-factors e_i - e_j of lift(g) followed by those of lift(h), and W =
-w_1...w_c that of lift(gh).  The factor count k(g) = n - #cycles(g) is
-even exactly when g is, so K = a + c is even; put m = K/2.  Each
+Every sign is one word of vectors.  Let U = u_1...u_a be the product
+of the factors e_i - e_j of lift(g) followed by those of lift(h), and
+W = w_1...w_c that of lift(gh).  The factor count k(g) = n - #cycles(g)
+is even exactly when g is, so K = a + c is even; put m = K/2.  Each
 factor squares to 2, so W rev(W) = 2^c, and lift(g) lift(h) =
 (-1)^b lift(gh), that is U = (-1)^b 2^((a-c)/2) W, holds exactly when
 
     V = u_1...u_a w_c...w_1 = (-1)^b 2^m.
-
-The scalar part of a product of K vectors is the Pfaffian of their
-K x K skew Gram matrix, <v_i, v_j> above the diagonal (Wick's theorem
-in the Clifford algebra); here every entry is 0, +-1 or +-2.
 
 Why V = +-2^m: twisted conjugation is a homomorphism Pin(n) -> O(n)
 with kernel {+-1}.  The factor (e_i - e_j)/sqrt 2 maps to the
@@ -27,16 +23,27 @@ transposition (i j), and each factor list composes back to its
 permutation (_factors checks it), so lift(g) lift(h) and lift(gh) map
 to the same permutation and differ by a sign.
 
-Why the residue decides it: the Pfaffian is computed by skew
-elimination over the integers mod the prime P = 2^61 - 1, with no
-floats.  Reduction mod P is a ring map, so Pf = +-2^m has residue
-+-2^m mod P, and the two residues differ because P is odd and does not
-divide 2^(m+1).  Any other residue raises SignMismatchError.  Within the
-rank cap the residue is also a proof on its own: V rev(V) = 2^K, and
-the scalar part of V rev(V) is the sum of the squares of V's
-coefficients (the form is positive definite), so |Pf| <= 2^m, with
-equality only when V is the scalar +-2^m.  As K <= 3(n - 1) <= 69,
-2^(m+1) < P, and a residue of +-2^m forces Pf = +-2^m.
+How _word_sign finds b, exactly and with integers only: it peels V one
+coordinate z at a time, the largest first, by two identities that
+follow from c y + y c = 2<c, y> for vectors.  For c = e_i - e_j, whose
+reflection s_c swaps coordinates i and j,
+
+    (1) c y = -s_c(y) c, since s_c(y) = y - <y, c> c and c c = 2;
+    (2) c c = <c, c> = 2.
+
+By (1), a product X of r factors has X y = (-1)^r rho_X(y) X, rho_X the
+composite of their swaps.  At level z each factor on z moves left past
+the factors X before it that avoid z; rho_X fixes z, so it stays
++-(e_z - e_a).  The moved factors are multiplied out left to right,
+carrying one c = e_z - e_a: a next e_z - e_a gives c c = 2 by (2), and
+e_z - e_b, b != a, gives c y = -(e_a - e_b) c by (1), a new factor that
+avoids z.  What is left is +-2^t L X or +-2^t L c X, with L and X free
+of z.  In the second case V's image in O(n) sends z to rho_L(s_c(z)) =
+rho_L(a) != z, so V is no scalar and SignMismatchError is raised.  In
+the first, 2t factors are gone and the rest avoid z; once the word is
+empty, V = +-2^t with 2t = K, and b counts the -1s collected: one per
+factor passed in (1), one per e_i - e_z read as -(e_z - e_i), one per
+new factor.  A level is one pass over at most K factors: O(n K) a sign.
 
 For the translation action of a group the signs form a 2-cocycle, and
 for an involution g (h = g, c = 0) they give the sign of lift(g)^2.  The
@@ -59,7 +66,6 @@ FULL_PIN_CAP = 12        # largest group order for the full sign table
 # has at most that many terms.  A 17-cycle's lift (2^16 terms) takes
 # about 0.8 s; a 20-cycle's took 7 s and 200 MB.
 FOLD_TERMS_CAP = 1 << 16
-_PRIME = (1 << 61) - 1  # the Pfaffians are taken mod this prime
 
 
 class CliffordError(ValueError):
@@ -93,72 +99,54 @@ def _factors(p: perms.Perm) -> list[tuple[int, int]]:
     return out
 
 
-# -- signs by Pfaffians -----------------------------------------------------
-# One skew elimination mod _PRIME per sign (module docstring).
+# -- signs by peeling the factor word ---------------------------------------
+# One pass over the word per coordinate (module docstring).
 
 
-def _pfaffian(a: list[list[int]]) -> int:
-    """Pfaffian mod _PRIME of the skew-symmetric integer matrix a, by skew
-    elimination (a is overwritten).  With a = [[0, x, b], [-x, 0, c],
-    [-b^T, -c^T, C]], Pf(a) = x Pf(C + (c^T b - b^T c)/x); swapping
-    rows and columns k + 1 and j to bring a nonzero x into place negates
-    it, and a zero row makes it 0."""
-    size = len(a)
-    pf = 1
-    for k in range(0, size, 2):
-        rk = a[k]
-        j = next((j for j in range(k + 1, size) if rk[j]), None)
-        if j is None:
-            return 0
-        if j != k + 1:
-            a[k + 1], a[j] = a[j], a[k + 1]
-            for row in a:
-                row[k + 1], row[j] = row[j], row[k + 1]
-            pf = -pf
-        rk1 = a[k + 1]
-        pf = pf * rk[k + 1] % _PRIME
-        inv = pow(rk[k + 1], -1, _PRIME)
-        b, c = rk[k + 2:], rk1[k + 2:]
-        for i in range(k + 2, size):
-            x, y = rk1[i] * inv % _PRIME, rk[i] * inv % _PRIME
-            if x or y:
-                row = a[i]
-                row[k + 2:] = [(r + x * bj - y * cj) % _PRIME
-                               for r, bj, cj in zip(row[k + 2:], b, c)]
-    return pf
-
-
-def _pfaffian_sign(vectors: list[tuple[int, int]]) -> int:
+def _word_sign(word: list[tuple[int, int]]) -> int:
     """The bit b with v_1...v_K = (-1)^b 2^(K/2), each (i, j) standing
-    for the vector e_i - e_j: the residue mod _PRIME of the Pfaffian of
-    the skew Gram matrix decides it (module docstring).  Raises
-    SignMismatchError for any other residue."""
-    size = len(vectors)
-    if size % 2:
-        raise SignMismatchError("product of lifts is not +-(lift of product)")
-    a = [[0] * size for _ in range(size)]
-    touching: dict[int, list[tuple[int, int]]] = {}  # coordinate -> (t, +-1)
-    for t, (i, j) in enumerate(vectors):
-        touching.setdefault(i, []).append((t, 1))
-        touching.setdefault(j, []).append((t, -1))
-    for col in touching.values():
-        for x, (t, st) in enumerate(col):
-            for u, su in col[x + 1:]:  # t < u: <v_t, v_u> gains st su
-                a[t][u] += st * su
-                a[u][t] -= st * su
-    pf = _pfaffian(a)
-    power = pow(2, size // 2, _PRIME)
-    if pf == power:
-        return 0
-    if pf == _PRIME - power:
-        return 1
-    raise SignMismatchError("product of lifts is not +-(lift of product)")
+    for the vector e_i - e_j, by peeling the word one coordinate z at a
+    time, the largest first (module docstring).  Raises SignMismatchError
+    if the product is not a scalar."""
+    bit = 0
+    z = max(map(max, word), default=0)
+    while word:
+        rho = list(range(z))  # rho_X of the factors passed so far
+        peeled: list[tuple[int, int]] = []
+        rest: list[tuple[int, int]] = []
+        odd = 0  # parity of len(rest)
+        carried = None  # a, while e_z - e_a waits to be multiplied out
+        for v in word:
+            i, j = v
+            if i == z:
+                b = rho[j]
+                bit ^= odd
+            elif j == z:  # e_i - e_z = -(e_z - e_i)
+                b = rho[i]
+                bit ^= odd ^ 1
+            else:
+                rest.append(v)
+                rho[i], rho[j] = rho[j], rho[i]
+                odd ^= 1
+                continue
+            if carried is None:
+                carried = b
+            elif carried == b:  # (e_z - e_a)^2 = 2
+                carried = None
+            else:  # (e_z - e_a)(e_z - e_b) = -(e_a - e_b)(e_z - e_a)
+                peeled.append((carried, b))
+                bit ^= 1
+        if carried is not None:
+            raise SignMismatchError("product of lifts is not +-(lift of product)")
+        word = peeled + rest
+        z -= 1
+    return bit
 
 
 def _square_sign(factors: list[tuple[int, int]]) -> int:
     """+-1 with x^2 = +-1, x the lift with these factors (an involution's):
     the lift of the identity has no factors."""
-    return -1 if _pfaffian_sign(factors + factors) else 1
+    return -1 if _word_sign(factors + factors) else 1
 
 
 # -- integer fold kernel ----------------------------------------------------
@@ -248,7 +236,7 @@ def pin_lift(p: perms.Perm, n: int | None = None) -> tuple[int, dict[int, int]]:
 
 def involution_square_sign(n: int) -> int:
     """Square of the pin lift of (0 1)(2 3)...(n-2 n-1) on n coordinates,
-    decided by one Pfaffian (`_square_sign`) and cross-checked against
+    decided by one word sign (`_square_sign`) and cross-checked against
     the closed form +1 iff n = 0, 2 mod 8."""
     if n < 2 or n % 2:
         raise CliffordError("need an even number of coordinates, at least 2")
@@ -287,11 +275,12 @@ class PinCocycleResult:
 
 def pin_product_sign(p: perms.Perm, q: perms.Perm, n: int | None = None) -> int:
     """The sign bit with lift(p) lift(q) = (-1)^bit lift(p after q),
-    one Pfaffian over the factors of p, of q and, reversed, of p after
-    q.  Raises SignMismatchError if the product fails to be proportional."""
+    one word sign (_word_sign) over the factors of p, of q and, reversed,
+    of p after q.  Raises SignMismatchError if the product fails to be
+    proportional."""
     pp, qq = _padded([p, q], n)
     fc = _factors(perms.compose(pp, qq))
-    return _pfaffian_sign(_factors(pp) + _factors(qq) + fc[::-1])
+    return _word_sign(_factors(pp) + _factors(qq) + fc[::-1])
 
 
 def pin_cap(involutions_only: bool) -> tuple[str, int]:
@@ -306,7 +295,7 @@ def pin_cocycle(G: groups.Group, involutions_only: bool = False) -> PinCocycleRe
     just the diagonal values at involutions (the squares) are computed.
 
     The full table computes only the columns of a generating set S:
-    c(x, s) for x != e and s in S, each one Pfaffian (_pfaffian_sign).
+    c(x, s) for x != e and s in S, each one word sign (_word_sign).
     Every other column follows from a column h already known, along the
     breadth-first walk from e by right multiplication by S
     (cochains_from_columns):
@@ -317,7 +306,7 @@ def pin_cocycle(G: groups.Group, involutions_only: bool = False) -> PinCocycleRe
     e1 lift(gh) and lift(gh) lift(s) = e2 lift(ghs), all signs +-1,
     associativity gives lift(g) lift(hs) = e3 lift(g) lift(h) lift(s) =
     e1 e3 lift(gh) lift(s) = e1 e2 e3 lift(ghs).  So each entry is proven
-    from signs that _pfaffian_sign decided, and validate() then checks
+    from signs that _word_sign decided, and validate() then checks
     the cocycle identity independently, by building the central extension
     the table defines (cohomology.extension_from_cocycle)."""
     n = G.order
@@ -332,7 +321,7 @@ def pin_cocycle(G: groups.Group, involutions_only: bool = False) -> PinCocycleRe
 
     t = G.table
     fl = [_factors(rows_of[g]) for g in range(n)]
-    columns = {s: [0] + [_pfaffian_sign(fl[x] + fl[s] + fl[t[x][s]][::-1])
+    columns = {s: [0] + [_word_sign(fl[x] + fl[s] + fl[t[x][s]][::-1])
                          for x in range(1, n)]
                for s in groups.generating_set(G)}
     c = cohomology.Cocycle2(G, cohomology.cochains_from_columns(G, columns, 1)[0])

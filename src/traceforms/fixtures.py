@@ -20,21 +20,28 @@ from . import galois, groups
 
 
 class FieldFixture:
-    __slots__ = ("name", "poly", "group", "real", "disc_class", "case")
+    __slots__ = ("name", "poly", "catalog", "real", "disc_class", "case")
 
-    def __init__(self, name: str, poly: galois.MonicPoly, group: groups.Group,
-                 real: bool, disc_class: int, case: str | None = None):
+    def __init__(self, name: str, poly: galois.MonicPoly,
+                 catalog: tuple[str, int | None], real: bool, disc_class: int,
+                 case: str | None = None):
         self.name = name
         self.poly = poly
-        self.group = group
+        self.catalog = catalog  # (name, param) of the group in groups.catalog
         self.real = real
         self.disc_class = disc_class  # squarefree discriminant class
         self.case = case  # expected classification case, 2-groups only
 
     def __repr__(self):
         return (f"FieldFixture(name={self.name!r}, poly={self.poly!r}, "
-                f"group={self.group!r}, real={self.real!r}, "
+                f"catalog={self.catalog!r}, real={self.real!r}, "
                 f"disc_class={self.disc_class!r}, case={self.case!r})")
+
+    @property
+    def group(self) -> groups.Group:
+        """The acting group, looked up on each use, so that a fixture holds
+        no Group of its own and shares the catalog's one for its spec."""
+        return groups.catalog(*self.catalog)
 
     @property
     def algebra(self) -> galois.EtaleAlg:
@@ -44,73 +51,73 @@ class FieldFixture:
 MULTIQUADRATIC_REAL = FieldFixture(
     "multiquadratic_real",
     galois.MonicPoly((1, 0, -40, 0, 352, 0, -960, 0, 576)),
-    groups.catalog("elem_abelian_2", 3),
+    ("elem_abelian_2", 3),
     real=True, disc_class=1, case="i",
 )
 
 MULTIQUADRATIC_IMAGINARY = FieldFixture(
     "multiquadratic_imaginary",
     galois.MonicPoly((1, 0, -16, 0, 88, 0, 192, 0, 144)),
-    groups.catalog("elem_abelian_2", 3),
+    ("elem_abelian_2", 3),
     real=False, disc_class=1, case="ii",
 )
 
 CYCLIC8_REAL = FieldFixture(
     "cyclic8_real",
     galois.MonicPoly((1, 0, -8, 0, 20, 0, -16, 0, 2)),
-    groups.catalog("cyclic", 8),
+    ("cyclic", 8),
     real=True, disc_class=2, case="iii",
 )
 
 CYCLIC8_IMAGINARY = FieldFixture(
     "cyclic8_imaginary",
     galois.MonicPoly((1, 0, 8, 0, 20, 0, 16, 0, 2)),
-    groups.catalog("cyclic", 8),
+    ("cyclic", 8),
     real=False, disc_class=2, case="iv",
 )
 
 DIHEDRAL8_IMAGINARY = FieldFixture(
     "dihedral8_imaginary",
     galois.MonicPoly((1, 0, 4, 0, 2, 0, 28, 0, 1)),
-    groups.catalog("dihedral", 8),
+    ("dihedral", 8),
     real=False, disc_class=1, case="ii",
 )
 
 COMPOSITUM_C2XC4 = FieldFixture(
     "compositum_c2xc4",
     galois.MonicPoly((1, 0, -20, 0, 98, 0, -76, 0, 1)),
-    groups.catalog("z4xz2"),
+    ("z4xz2", None),
     real=True, disc_class=1,
 )
 
 C4_REAL = FieldFixture(
     "c4_real",
     galois.MonicPoly((1, 0, -4, 0, 2)),
-    groups.catalog("cyclic", 4),
+    ("cyclic", 4),
     real=True, disc_class=2,
 )
 
 # quadratic fields used by the product-algebra identities
 QUAD_REAL_5 = FieldFixture(
-    "quad_real_5", galois.MonicPoly((1, 0, -5)), groups.catalog("cyclic", 2),
+    "quad_real_5", galois.MonicPoly((1, 0, -5)), ("cyclic", 2),
     real=True, disc_class=5,
 )
 QUAD_IMAG_3 = FieldFixture(
-    "quad_imag_3", galois.MonicPoly((1, 0, 3)), groups.catalog("cyclic", 2),
+    "quad_imag_3", galois.MonicPoly((1, 0, 3)), ("cyclic", 2),
     real=False, disc_class=-3,
 )
 
 # sqrt(2) + sqrt(3); its group misses the two-cyclic-factor premise
 BIQUADRATIC_REAL = FieldFixture(
     "biquadratic_real", galois.MonicPoly((1, 0, -10, 0, 1)),
-    groups.catalog("elem_abelian_2", 2), real=True, disc_class=1,
+    ("elem_abelian_2", 2), real=True, disc_class=1,
 )
 
 # cyclotomic quartic of conductor 8 (roots are the primitive 8th roots
 # of unity), used by the repeated-algebra identities
 CYCLOTOMIC8 = FieldFixture(
     "cyclotomic8", galois.MonicPoly((1, 0, 0, 0, 1)),
-    groups.catalog("elem_abelian_2", 2), real=False, disc_class=1,
+    ("elem_abelian_2", 2), real=False, disc_class=1,
 )
 
 # data for the two-cyclic-Sylow statement on the compositum: the fixed

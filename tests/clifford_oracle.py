@@ -8,10 +8,21 @@ _sign_parity.  Of the library's Clifford code it uses only
 transposition_factors (besides its error class and rank cap); pin_lift's
 (k, z) becomes an element here by as_element.
 
-The fold sign rule, the library's former route to every sign: multiply
-the integer folds out with _fold_factors and compare the fold of a
-product of lifts with that of the lift of the product (fold_sign_bit).
-The library now decides each sign by a Pfaffian instead.
+The fold sign rule, the library's first integer route to every sign:
+multiply the integer folds out with _fold_factors and compare the fold
+of a product of lifts with that of the lift of the product
+(fold_sign_bit).
+
+The Pfaffian residue rule, its second: the scalar part of a product of
+K vectors is the Pfaffian of their K x K skew Gram matrix (Wick's
+theorem), taken by skew elimination mod the prime PRIME = 2^61 - 1
+(pfaffian).  A product of K vectors e_i - e_j has coefficients whose
+squares sum to 2^K, so |Pf| <= 2^(K/2), with equality only when the
+product is the scalar +-2^(K/2); for K <= 118, 2^(K/2 + 1) < PRIME, so
+a residue of +-2^(K/2) proves that scalar and any other residue that
+the product is not one (pfaffian_sign).  The library now reads each
+sign off an exact rewrite of the word (clifford._word_sign), with no
+modulus.
 """
 from __future__ import annotations
 
@@ -299,7 +310,7 @@ def fold_square_sign(factors: list[tuple[int, int]]) -> int:
 def fold_cocycle_bits(G) -> int:
     """The bits of pin_cocycle(G)'s table, from folded generator columns
     filled out along the Cayley walk, as pin_cocycle computed it before
-    its signs became Pfaffians."""
+    its signs became Pfaffians and then word signs."""
     n, t = G.order, G.table
     rows_of = left_regular(G)
     factor_lists = [transposition_factors(rows_of[g]) for g in range(n)]
@@ -310,3 +321,73 @@ def fold_cocycle_bits(G) -> int:
                       folds[t[x][s]], k[x] + k[s] - k[t[x][s]])
         for x in range(1, n)] for s in generating_set(G)}
     return cochains_from_columns(G, columns, 1)[0]
+
+
+# -- the Pfaffian residue rule -----------------------------------------------
+
+PRIME = (1 << 61) - 1  # the Pfaffians are taken mod this prime
+
+
+def pfaffian(a: list[list[int]]) -> int:
+    """Pfaffian mod PRIME of the skew-symmetric integer matrix a, by skew
+    elimination (a is overwritten).  With a = [[0, x, b], [-x, 0, c],
+    [-b^T, -c^T, C]], Pf(a) = x Pf(C + (c^T b - b^T c)/x); swapping
+    rows and columns k + 1 and j to bring a nonzero x into place negates
+    it, and a zero row makes it 0."""
+    size = len(a)
+    pf = 1
+    for k in range(0, size, 2):
+        rk = a[k]
+        j = next((j for j in range(k + 1, size) if rk[j]), None)
+        if j is None:
+            return 0
+        if j != k + 1:
+            a[k + 1], a[j] = a[j], a[k + 1]
+            for row in a:
+                row[k + 1], row[j] = row[j], row[k + 1]
+            pf = -pf
+        rk1 = a[k + 1]
+        pf = pf * rk[k + 1] % PRIME
+        inv = pow(rk[k + 1], -1, PRIME)
+        b, c = rk[k + 2:], rk1[k + 2:]
+        for i in range(k + 2, size):
+            x, y = rk1[i] * inv % PRIME, rk[i] * inv % PRIME
+            if x or y:
+                row = a[i]
+                row[k + 2:] = [(r + x * bj - y * cj) % PRIME
+                               for r, bj, cj in zip(row[k + 2:], b, c)]
+    return pf
+
+
+def pfaffian_sign(vectors: list[tuple[int, int]]) -> int:
+    """The bit b with v_1...v_K = (-1)^b 2^(K/2), each (i, j) standing
+    for the vector e_i - e_j, read off the residue mod PRIME of the
+    Pfaffian of their skew Gram matrix; raises SignMismatchError for any
+    other residue (module docstring)."""
+    size = len(vectors)
+    if size % 2:
+        raise SignMismatchError("product of lifts is not +-(lift of product)")
+    a = [[0] * size for _ in range(size)]
+    touching: dict[int, list[tuple[int, int]]] = {}  # coordinate -> (t, +-1)
+    for t, (i, j) in enumerate(vectors):
+        touching.setdefault(i, []).append((t, 1))
+        touching.setdefault(j, []).append((t, -1))
+    for col in touching.values():
+        for x, (t, st) in enumerate(col):
+            for u, su in col[x + 1:]:  # t < u: <v_t, v_u> gains st su
+                a[t][u] += st * su
+                a[u][t] -= st * su
+    pf = pfaffian(a)
+    power = pow(2, size // 2, PRIME)
+    if pf == power:
+        return 0
+    if pf == PRIME - power:
+        return 1
+    raise SignMismatchError("product of lifts is not +-(lift of product)")
+
+
+def pfaffian_product_sign(p: perms.Perm, q: perms.Perm) -> int:
+    """pin_product_sign(p, q) for p, q of one degree, by one Pfaffian over
+    the factors of p, of q and, reversed, of p after q."""
+    fc = transposition_factors(perms.compose(p, q))
+    return pfaffian_sign(transposition_factors(p) + transposition_factors(q) + fc[::-1])

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import time
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from clifford_oracle import (
+    PRIME,
     CliffordElt,
     QSqrt2,
     as_element,
@@ -15,6 +17,9 @@ from clifford_oracle import (
     fold_product_sign,
     fold_sign_bit,
     fold_square_sign,
+    pfaffian,
+    pfaffian_product_sign,
+    pfaffian_sign,
     times_lift,
     twisted_action,
 )
@@ -23,20 +28,18 @@ from traceforms.clifford import (
     FOLD_TERMS_CAP,
     CliffordError,
     SignMismatchError,
-    _PRIME,
     _check_fold,
     _factors,
     _fold_factors,
-    _pfaffian,
-    _pfaffian_sign,
     _square_sign,
+    _word_sign,
     involution_square_sign,
     pin_cocycle,
     pin_lift,
     pin_product_sign,
     transposition_factors,
 )
-from traceforms.cohomology import CohomologyError, h2, s_map
+from traceforms.cohomology import CohomologyError, cochains_from_columns, h2, s_map
 from traceforms.groups import catalog, generating_set, group_from_spec, left_regular
 from traceforms import perms
 
@@ -509,13 +512,13 @@ def test_pin_cocycle_matches_all_pairs_oracle():
 
 
 def test_pin_cocycle_folds_only_generator_columns(monkeypatch):
-    # one Pfaffian per generator column entry c(x, s), x != e, and no fold
+    # one word sign per generator column entry c(x, s), x != e, and no fold
     calls = [0]
 
-    def counted(a):
+    def counted(word):
         calls[0] += 1
-        return _pfaffian(a)
-    monkeypatch.setattr(clifford, "_pfaffian", counted)
+        return _word_sign(word)
+    monkeypatch.setattr(clifford, "_word_sign", counted)
     monkeypatch.setattr(clifford, "_fold_factors", _no_fold)
     for spec in ("catalog:dihedral:10", "catalog:alt:4", "catalog:cyclic:12",
                  "catalog:elem_abelian_2:3", "catalog:cyclic:1"):
@@ -530,22 +533,22 @@ def test_pin_cocycle_folds_only_generator_columns(monkeypatch):
 def test_flipped_generator_column_sign_is_caught(monkeypatch, spec):
     # With two or more generators the columns over-determine the table, so
     # one wrong sign makes it fail the cocycle identity.  (For a cyclic
-    # group every column is consistent: there only the residue guards.)
+    # group every column is consistent: there only the word sign guards.)
     G = group_from_spec(spec)
     n, d = G.order, len(generating_set(G))
     assert d == 2
     for target in range((n - 1) * d):
         calls = [0]
 
-        def flipped(vectors):
+        def flipped(word):
             calls[0] += 1
-            return _pfaffian_sign(vectors) ^ (calls[0] == target + 1)
-        monkeypatch.setattr(clifford, "_pfaffian_sign", flipped)
+            return _word_sign(word) ^ (calls[0] == target + 1)
+        monkeypatch.setattr(clifford, "_word_sign", flipped)
         with pytest.raises(CohomologyError):
             pin_cocycle(G)
 
 
-# -- signs by Pfaffians ------------------------------------------------------
+# -- signs by peeling the factor word ----------------------------------------
 
 def _no_fold(state, factors):
     raise AssertionError("a sign was computed by folding")
@@ -585,35 +588,156 @@ def test_pfaffian_matches_expansion():
                     a[i][j] = rng.randint(-2, 2)
                     a[j][i] = -a[i][j]
         exact = _pfaffian_by_expansion(a)
-        assert _pfaffian([row[:] for row in a]) == exact % _PRIME, (trial, a)
+        assert pfaffian([row[:] for row in a]) == exact % PRIME, (trial, a)
     # Pf of [[0, x], [-x, 0]] is x mod P: -3, and 2^61 = 1
-    assert _pfaffian([[0, -3], [3, 0]]) == _PRIME - 3
-    assert _pfaffian([[0, 1 << 61], [-(1 << 61), 0]]) == 1
-
-
-def test_pfaffian_sign_is_the_scalar_of_the_product():
-    # (e0 - e1)^2 = 2; (e0 - e1)(e1 - e2)(e1 - e2)(e0 - e1) = 4
-    assert _pfaffian_sign([(0, 1), (0, 1)]) == 0
-    assert _pfaffian_sign([(0, 1), (1, 0)]) == 1  # (e0 - e1)(e1 - e0) = -2
-    assert _pfaffian_sign([(0, 1), (1, 2), (1, 2), (0, 1)]) == 0
-    assert _pfaffian_sign([]) == 0
+    assert pfaffian([[0, -3], [3, 0]]) == PRIME - 3
+    assert pfaffian([[0, 1 << 61], [-(1 << 61), 0]]) == 1
+    # the residue rule: +-2^(K/2) is a sign, any other residue raises
+    assert pfaffian_sign([(0, 1), (0, 1)]) == 0
+    assert pfaffian_sign([(0, 1), (1, 0)]) == 1
     for bad in ([(0, 1)], [(0, 1), (1, 2)], [(0, 1), (2, 3)]):
-        with pytest.raises(SignMismatchError):  # odd, or scalar part 1 or 0
-            _pfaffian_sign(bad)
+        with pytest.raises(SignMismatchError):
+            pfaffian_sign(bad)
 
 
-def test_wrong_residue_raises(monkeypatch):
-    # only +-2^m mod P is a sign: any other residue raises, at every call site
+def test_word_sign_is_the_scalar_of_the_product():
+    # (e0 - e1)^2 = 2; (e0 - e1)(e1 - e2)(e1 - e2)(e0 - e1) = 4
+    assert _word_sign([(0, 1), (0, 1)]) == 0
+    assert _word_sign([(0, 1), (1, 0)]) == 1  # (e0 - e1)(e1 - e0) = -2
+    assert _word_sign([(0, 1), (1, 2), (1, 2), (0, 1)]) == 0
+    assert _word_sign([]) == 0
+    for bad in ([(0, 1)], [(0, 1), (1, 2)], [(0, 1), (2, 3)]):
+        with pytest.raises(SignMismatchError):  # odd, or not a scalar
+            _word_sign(bad)
+
+
+def test_word_sign_matches_the_algebra_on_every_short_word():
+    # every word of up to four vectors e_i - e_j on three coordinates,
+    # multiplied out in the Q(sqrt 2) algebra: a scalar +-2^(K/2) gives
+    # the sign, and anything else must raise
+    vectors = [(i, j) for i in range(3) for j in range(3) if i != j]
+    e = [CliffordElt.basis_vector(3, k) for k in range(3)]
+    signs = collections.Counter()
+    for size in range(5):
+        for word in itertools.product(vectors, repeat=size):
+            x = CliffordElt.scalar(3, 1)
+            for i, j in word:
+                x = x * (e[i] + -e[j])
+            scalar = CliffordElt.scalar(3, 2 ** (size // 2))
+            if x in (scalar, -scalar):
+                signs[x == -scalar] += 1
+                assert _word_sign(list(word)) == (x == -scalar), word
+            else:
+                signs[None] += 1
+                with pytest.raises(SignMismatchError):
+                    _word_sign(list(word))
+    assert signs[0] and signs[1] and signs[None]
+
+
+def test_word_with_wrong_image_raises(monkeypatch):
+    # factor lists of another permutation, past _factors' compose-back
+    # check, make words whose image is not the identity, at all four call
+    # sites: at the products, one transposition short; at the squares,
+    # where an involution one transposition short still squares to a
+    # sign, the first transposition swapped for (0 2), so no involution
     G = catalog("dihedral", 8)
     rows_of = left_regular(G)
-    for residue in (0, 3, 1 << 40):
-        monkeypatch.setattr(clifford, "_pfaffian", lambda a, r=residue: r)
-        for call in (lambda: pin_cocycle(G),
-                     lambda: pin_cocycle(G, involutions_only=True),
-                     lambda: pin_product_sign(rows_of[1], rows_of[2]),
-                     lambda: involution_square_sign(8)):
-            with pytest.raises(SignMismatchError):
-                call()
+    monkeypatch.setattr(clifford, "_factors", lambda p: transposition_factors(p)[1:])
+    for call in (lambda: pin_cocycle(G),
+                 lambda: pin_product_sign(rows_of[1], rows_of[2])):
+        with pytest.raises(SignMismatchError):
+            call()
+    monkeypatch.setattr(clifford, "_factors", transposition_factors)
+    monkeypatch.setattr(clifford, "_square_sign",
+                        lambda factors: _square_sign([(0, 2)] + factors[1:]))
+    for call in (lambda: pin_cocycle(G, involutions_only=True),
+                 lambda: involution_square_sign(8)):
+        with pytest.raises(SignMismatchError):
+            call()
+
+
+# -- the word sign against the Pfaffian oracle -------------------------------
+
+def _agree(word):
+    """The bit that the word sign and the Pfaffian residue rule both give
+    for word, or None when both raise SignMismatchError."""
+    try:
+        bit = pfaffian_sign(list(word))
+    except SignMismatchError:
+        with pytest.raises(SignMismatchError):
+            _word_sign(list(word))
+        return None
+    assert _word_sign(list(word)) == bit, word
+    return bit
+
+
+def test_word_sign_matches_pfaffian_on_generator_columns(monkeypatch):
+    # every catalog group of order <= 12, and D24, C24 and D32 with the
+    # caps lifted in this test only; the columns also fill out the table
+    monkeypatch.setattr(clifford, "FULL_PIN_CAP", 32)
+    monkeypatch.setattr(clifford, "CLIFFORD_RANK_CAP", 32)
+    specs = [s for s in SPECS_UP_TO_12 if s.startswith("catalog:")] + [
+        "catalog:dihedral:24", "catalog:cyclic:24", "catalog:dihedral:32"]
+    for spec in specs:
+        G = group_from_spec(spec)
+        n, t = G.order, G.table
+        rows_of = left_regular(G)
+        fl = [transposition_factors(rows_of[g]) for g in range(n)]
+        columns = {s: [0] + [_agree(fl[x] + fl[s] + fl[t[x][s]][::-1])
+                             for x in range(1, n)]
+                   for s in generating_set(G)}
+        assert pin_cocycle(G).cocycle.bits == \
+            cochains_from_columns(G, columns, 1)[0], spec
+
+
+def test_word_sign_matches_pfaffian_on_product_triples():
+    # 2,000 seeded triples (p, q, r) of degree 2 to 24, shuffles and
+    # products of few transpositions in turn, each giving the four
+    # products of the cocycle identity
+    rng = random.Random(2024)
+    for trial in range(2000):
+        d = rng.randint(2, 24)
+        if trial % 2:
+            p, q, r = (_random_perm(rng, d, rng.randint(0, 10)) for _ in range(3))
+        else:
+            p, q, r = (tuple(rng.sample(range(d), d)) for _ in range(3))
+        pairs = ((p, q), (perms.compose(p, q), r), (q, r), (p, perms.compose(q, r)))
+        bits = [pin_product_sign(a, b) for a, b in pairs]
+        assert bits == [pfaffian_product_sign(a, b) for a, b in pairs], (p, q, r)
+        assert bits[0] ^ bits[1] == bits[2] ^ bits[3]
+
+
+def test_word_sign_matches_pfaffian_on_involution_squares():
+    for n in range(2, 25, 2):
+        factors = [(2 * i, 2 * i + 1) for i in range(n // 2)]
+        assert involution_square_sign(n) == (-1) ** pfaffian_sign(factors * 2), n
+
+
+def test_word_sign_matches_pfaffian_on_random_words():
+    # 2,000 seeded words on 2 to 8 coordinates: random ones, which mostly
+    # raise, and in turn a random word followed by its reversal with some
+    # factors negated, which never raises; both routes raise on the same
+    rng = random.Random(1984)
+    raised = 0
+    for trial in range(2000):
+        d = rng.randint(2, 8)
+        word = [tuple(rng.sample(range(d), 2)) for _ in range(rng.randint(0, 12))]
+        if trial % 2:
+            word += [(j, i) if rng.random() < 0.5 else (i, j) for i, j in reversed(word)]
+        raised += _agree(word) is None
+    assert 800 < raised < 1000
+
+
+def test_pin_cocycle_at_order_64_within_bound(monkeypatch):
+    # the caps lifted to 64 in this test only (the Pfaffians took 3.1 s
+    # for D64 and 6.0 s for C64)
+    monkeypatch.setattr(clifford, "FULL_PIN_CAP", 64)
+    monkeypatch.setattr(clifford, "CLIFFORD_RANK_CAP", 64)
+    for spec in ("catalog:dihedral:64", "catalog:cyclic:64"):
+        G = group_from_spec(spec)
+        t0 = time.perf_counter()
+        assert pin_cocycle(G).cocycle is not None
+        assert time.perf_counter() - t0 < 1.5, spec
 
 
 def test_factor_lists_compose_back(monkeypatch):

@@ -31,7 +31,7 @@ _REPRS = [
      "square_signs={1: 1}, involutions_only=True)"),
     (lambda: fixtures.QUAD_REAL_5,
      "FieldFixture(name='quad_real_5', poly=MonicPoly(coeffs=(1, 0, -5)), "
-     "group=<Group cyclic2 of order 2>, real=True, disc_class=5, case=None)"),
+     "catalog=('cyclic', 2), real=True, disc_class=5, case=None)"),
     (lambda: verify.VerificationReport("h2-s4", {"group": "sym:4"}, {"dim": 2},
                                        {"dim": 2}, "pass"),
      "VerificationReport(statement='h2-s4', inputs={'group': 'sym:4'}, "

@@ -1,11 +1,13 @@
 import collections
+import contextlib
 import hashlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
 
-from traceforms import clifford, quadratic, verify
+from traceforms import clifford, cohomology, fixtures, groups, quadratic, verify
 from traceforms.cli import main
 from traceforms.verify import (
     DEFAULT_SEED,
@@ -92,6 +94,20 @@ def test_suite_solves_each_h2_basis_once():
                            "    code = cli.main(['suite'])\n"
                            "print(code, cohomology.h2.cache_info().misses)"])
     assert proc.stdout.split() == ["0", "15"], proc.stderr
+
+
+def test_suite_after_a_catalog_clear_solves_as_a_fresh_process():
+    # a fixture keeps its group's catalog name and parameter, not a Group,
+    # so once the catalog cache is cleared no spec has two live groups:
+    # suite here makes the fresh child's 15 h2 misses (18 while the
+    # fixtures held the groups they built at import)
+    assert not any(isinstance(getattr(fx, name), groups.Group)
+                   for fx in fixtures.ALL_FIXTURES for name in fx.__slots__)
+    groups._catalog_cached.cache_clear()
+    before = cohomology.h2.cache_info().misses
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["suite"]) == 0
+    assert cohomology.h2.cache_info().misses - before == 15
 
 
 def test_suite_factoring_counts(monkeypatch):
