@@ -10,7 +10,7 @@ a verb with --poly/--algebra, the group under the `cap` a verb declares.  It
 returns (payload, passed) for `main` to print, printing only the --pretty
 table of verify/suite.  Exit: 0 pass or info, 1 failing verdict, 2 bad input.
 A file is read by `_read` and a comma list split by `_fields`; every value
-goes unconverted to the library door that reads it exactly.
+goes unconverted to the library door that bounds and reads it exactly.
 
 The layers are reached only as module attributes (``cohomology.h2(G)``),
 read when a verb runs: the package loads each layer on first use, so a
@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import reprlib
 import sys
 
@@ -56,18 +55,9 @@ def _read(path: str) -> str:
     return text
 
 
-def _int(text: str) -> int:
-    """An integer option, refused as argparse's type=int would be, but
-    with the value shortened."""
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {reprlib.repr(text)}") from None
-
-
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose refusals shorten what they quote of the
-    command line, as `_int` shortens a value; `main` sets `argv` first."""
+    command line, such as a refused int value; `main` sets `argv` first."""
     argv: list[str] = []
 
     def error(self, message):
@@ -113,31 +103,15 @@ def _load_algebra(args) -> galois.EtaleAlg:
         (galois.MonicPoly(item["poly"]), item.get("multiplicity", 1)) for item in data))
 
 
-def _load_gram(path: str) -> tuple[tuple, ...]:
-    """The matrix in the JSON file as `quadratic.validate_gram` reads it,
-    refused above GRAM_RANK_CAP before it is read, and after, when its
-    rank times its entry bits exceeds GRAM_BITS_CAP.  Its entry bits are
-    the largest numerator's plus den's less one, den the lcm of the
-    denominators: an integer matrix's are its largest entry's."""
+def _load_gram(path: str) -> list:
+    """The rows of the JSON file, unread: `quadratic.diagonalize` bounds,
+    reads and checks them."""
     # a JSON number with a fraction or exponent stays text, so the rows
     # are read exactly, with the exponent bound, and never as floats
     data = _read_json("@" + path, parse_float=str)
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise ValueError("Gram JSON must be a list of rows")
-    n = max([len(data), *map(len, data)])
-    if n > quadratic.GRAM_RANK_CAP:
-        raise ValueError(f"Gram rank {n} exceeds GRAM_RANK_CAP = {quadratic.GRAM_RANK_CAP}")
-    rows = quadratic.validate_gram(data)
-    entries = [x for row in rows for x in row]
-    num_bits = max((abs(x.numerator).bit_length() for x in entries), default=0)
-    den = 1
-    for x in entries:
-        den = math.lcm(den, x.denominator)
-        bits = num_bits + den.bit_length() - 1
-        if n * bits > quadratic.GRAM_BITS_CAP:  # den only grows: stop at once
-            raise ValueError(f"Gram rank {n} x {bits} entry bits exceeds "
-                             f"GRAM_BITS_CAP = {quadratic.GRAM_BITS_CAP}")
-    return rows
+    return data
 
 
 def _load_cocycle(G, spec: str) -> cohomology.Cocycle2:
@@ -362,7 +336,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("pin-sign", parents=[common],
                        help="sign of the square of the pin lift of a "
                             "fixed-point-free involution")
-    p.add_argument("--n", type=_int, required=True, help="even degree ≤ 24")
+    p.add_argument("--n", type=int, required=True, help="even degree ≤ 24")
     p.set_defaults(func=_cmd_pin_sign)
 
     p = grouped("pin-cocycle",
@@ -403,7 +377,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     helped = argparse.ArgumentParser(add_help=False)
     helped.add_argument("-h", "--help", action=_VerifyHelp, statement=listed)
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=_int)
+    seeded.add_argument("--seed", type=int)
     seeded.add_argument("--timings", action="store_true",
                         help="include runtimes (output no longer byte-stable)")
 

@@ -313,14 +313,13 @@ def pin_cocycle(G: groups.Group, involutions_only: bool = False) -> PinCocycleRe
     name, cap = pin_cap(involutions_only)
     if n > cap:
         raise CliffordError(f"group order {n} exceeds {name} = {cap}")
-    rows_of = groups.left_regular(G)
+    t = G.table  # row g is the left translation by g
 
     if involutions_only:
-        signs = {g: _square_sign(_factors(rows_of[g])) for g in G.involutions()}
+        signs = {g: _square_sign(_factors(t[g])) for g in G.involutions()}
         return PinCocycleResult(G, None, signs, True)
 
-    t = G.table
-    fl = [_factors(rows_of[g]) for g in range(n)]
+    fl = list(map(_factors, t))
     columns = {s: [0] + [_word_sign(fl[x] + fl[s] + fl[t[x][s]][::-1])
                          for x in range(1, n)]
                for s in groups.generating_set(G)}

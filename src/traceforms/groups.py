@@ -171,11 +171,6 @@ def closure(generators, cap: tuple[str, int] = ("CLOSURE_CAP", CLOSURE_CAP)) -> 
     return Group(table, labels=[perms.to_cycle_string(p) for p in els], name="closure")
 
 
-def left_regular(G: Group) -> list[perms.Perm]:
-    """f(g): x -> g*x.  A homomorphism for compose(p, q)(x) = p(q(x))."""
-    return [tuple(G.table[g]) for g in range(G.order)]
-
-
 def regular_rep_in_alternating(G: Group) -> bool:
     """True when every left translation is an even permutation; the sign
     of a translation is a homomorphism, so the generators decide.  For odd

@@ -21,6 +21,8 @@ a `QForm` keeps its entries' and its disc's (a form built from others
 takes theirs), a `TruncatedSW` its disc's, and a caller its own, since
 each door that takes a value takes a class.
 A product's class comes from its factors', unfactored.
+A form enters by `QForm` or `diagonalize`, which bound it for every
+caller: GRAM_RANK_CAP, and for a Gram matrix GRAM_BITS_CAP too.
 """
 from __future__ import annotations
 
@@ -320,6 +322,9 @@ class QForm:
     __slots__ = ("entries", "_held", "_disc")
 
     def __init__(self, entries, classes=None):
+        if len(entries) > GRAM_RANK_CAP:  # before an entry is read
+            raise QuadraticError(f"form rank {len(entries)} exceeds "
+                                 f"GRAM_RANK_CAP = {GRAM_RANK_CAP}")
         ent = tuple(map(_rational, entries))
         if not all(a.numerator for a in ent):
             raise QuadraticError("diagonal entries must be nonzero")
@@ -495,9 +500,9 @@ def is_isometric_q(q1: QForm, q2: QForm) -> bool:
 # ---------------------------------------------------------------------------
 # symmetric Gram matrices and diagonalization
 
-# Bounds on a Gram matrix read from outside (`form --gram`), checked before
-# `diagonalize`, whose time grows with the rank and with the bits of the
-# integer matrix den * gram it eliminates (den the lcm of the entries'
+# Bounds on a Gram matrix, checked by `diagonalize` (the rank by `QForm`
+# too), whose time grows with the rank and with the bits of the integer
+# matrix den * gram it eliminates (den the lcm of the entries'
 # denominators).  A rank-128 matrix of 16-bit integers takes 3 s there,
 # so `form` ends within 10 s even when factoring its entries then spends
 # a whole RHO_BUDGET (5 s); 20-bit entries take 4 s, 32-bit ones 7 s.
@@ -518,13 +523,27 @@ def validate_gram(gram) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def diagonalize(gram, rng=None) -> QForm:
-    """Diagonal form congruent to the symmetric matrix read from outside:
-    `validate_gram` reads and checks it once, and `_bareiss` eliminates
-    den * gram, den the lcm of its denominators.  With rng, pivots are
-    chosen at random among the usable ones; the isometry class never
-    depends on the choice.  Raises on degenerate input."""
+    """Diagonal form congruent to the symmetric matrix read from outside.
+    Its rank (row count or length) is refused above GRAM_RANK_CAP before
+    `validate_gram` reads and checks it once, and rank times entry bits
+    (the largest numerator's plus den's, less one) above GRAM_BITS_CAP as
+    den, the lcm of the denominators, is built.  `_bareiss` eliminates
+    den * gram.  With rng, pivots are chosen at random among the usable
+    ones; the isometry class never depends on the choice.  Raises on
+    degenerate input."""
+    n = max([len(gram), *map(len, gram)])
+    if n > GRAM_RANK_CAP:
+        raise QuadraticError(f"Gram rank {n} exceeds GRAM_RANK_CAP = {GRAM_RANK_CAP}")
     rows = validate_gram(gram)
-    den = math.lcm(*(x.denominator for row in rows for x in row))
+    entries = [x for row in rows for x in row]
+    num_bits = max((abs(x.numerator).bit_length() for x in entries), default=0)
+    den = 1
+    for x in entries:
+        den = math.lcm(den, x.denominator)
+        bits = num_bits + den.bit_length() - 1
+        if n * bits > GRAM_BITS_CAP:  # den only grows: stop at once
+            raise QuadraticError(f"Gram rank {n} x {bits} entry bits exceeds "
+                                 f"GRAM_BITS_CAP = {GRAM_BITS_CAP}")
     return _bareiss([[x.numerator * (den // x.denominator) for x in row] for row in rows],
                     den, rng)
 

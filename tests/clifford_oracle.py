@@ -37,7 +37,7 @@ from traceforms.clifford import (
     transposition_factors,
 )
 from traceforms.cohomology import cochains_from_columns
-from traceforms.groups import generating_set, left_regular
+from traceforms.groups import generating_set
 
 
 class QSqrt2:
@@ -312,8 +312,7 @@ def fold_cocycle_bits(G) -> int:
     filled out along the Cayley walk, as pin_cocycle computed it before
     its signs became Pfaffians and then word signs."""
     n, t = G.order, G.table
-    rows_of = left_regular(G)
-    factor_lists = [transposition_factors(rows_of[g]) for g in range(n)]
+    factor_lists = [transposition_factors(t[g]) for g in range(n)]
     k = [len(fl) for fl in factor_lists]
     folds = [_fold_factors({0: 1}, fl) for fl in factor_lists]
     columns = {s: [0] + [

@@ -6,8 +6,10 @@ import random
 import re
 import subprocess
 import sys
+import time
 
 import pytest
+import sympy
 
 import traceforms
 from traceforms import cli, clifford, cohomology, galois, groups, perms, quadratic, verify
@@ -779,6 +781,48 @@ def test_gram_is_bounded_before_it_is_diagonalized(tmp_path, gram, cap):
     else:
         assert proc.returncode == 2 and proc.stdout == "", proc.stderr
         assert proc.stderr.startswith("error: Gram rank ") and cap in proc.stderr
+
+
+def test_form_gram_reads_the_matrix_once(capsys, tmp_path, monkeypatch):
+    # the command line read and checked it, and then diagonalize again
+    calls = []
+    real = quadratic.validate_gram
+
+    def counting(gram):
+        calls.append(gram)
+        return real(gram)
+
+    monkeypatch.setattr(quadratic, "validate_gram", counting)
+    g = tmp_path / "gram.json"
+    g.write_text(json.dumps(_gram(4, 3)))
+    code, _, err = run_cli(capsys, "form", "--gram", str(g))
+    assert code == 0, err
+    assert len(calls) == 1
+
+
+_PRIMES = list(map(str, sympy.primerange(2, 800)))[:129]
+
+
+def test_form_entries_are_bounded_by_the_gram_rank_cap(capsys):
+    # 2,000 primes ran 18 s and then exited 2 on a 7,483-digit disc
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "form", "--entries", ",".join(_PRIMES))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == "error: form rank 129 exceeds GRAM_RANK_CAP = 128\n"
+    code, out, err = run_cli(capsys, "form", "--entries", ",".join(_PRIMES[:128]))
+    assert code == 0 and json.loads(out)["rank"] == 128, err
+
+
+@pytest.mark.parametrize("entries", ["3,5/7,-11", "1,2,-3,4/5", "-1,-1,-1", _PRIMES[-1]])
+def test_form_entries_and_diagonal_gram_print_the_same_bytes(capsys, tmp_path, entries):
+    fields = entries.split(",")
+    g = tmp_path / "gram.json"
+    g.write_text(json.dumps([[x if i == j else "0" for j in range(len(fields))]
+                             for i, x in enumerate(fields)]))
+    code, by_entries, _ = run_cli(capsys, "form", f"--entries={entries}")
+    assert code == 0
+    assert run_cli(capsys, "form", "--gram", str(g)) == (0, by_entries, "")
 
 
 def test_tall_degree_128_trace_exits_2_at_the_bits_cap():

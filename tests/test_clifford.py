@@ -40,7 +40,7 @@ from traceforms.clifford import (
     transposition_factors,
 )
 from traceforms.cohomology import CohomologyError, cochains_from_columns, h2, s_map
-from traceforms.groups import catalog, generating_set, group_from_spec, left_regular
+from traceforms.groups import catalog, generating_set, group_from_spec
 from traceforms import perms
 
 
@@ -150,7 +150,7 @@ def test_lift_entry_checks(p, n, match):
 
 def test_pin_product_sign_matches_cocycle_rows():
     G = catalog("dihedral", 8)
-    rows_of = left_regular(G)
+    rows_of = G.table
     res = pin_cocycle(G)
     for g in range(G.order):
         for h in range(G.order):
@@ -273,7 +273,7 @@ def test_pin_cocycle_matches_algebra_oracle():
         G = catalog(key, param)
         assert G.order <= 8
         n = G.order
-        rows_of = left_regular(G)
+        rows_of = G.table
         lifts = [times_lift(CliffordElt.scalar(n, 1), r) for r in rows_of]
         bits = sum(_algebra_sign(times_lift(lifts[g], rows_of[h]),
                                  lifts[G.table[g][h]]) << (g * n + h)
@@ -486,8 +486,7 @@ SPECS_UP_TO_12 = (
 def _all_pairs_bits(G):
     """The retired loop: one fold per pair (g, h); bit g·n + h is c(g, h)."""
     n = G.order
-    rows_of = left_regular(G)
-    factor_lists = [transposition_factors(rows_of[g]) for g in range(n)]
+    factor_lists = [transposition_factors(G.table[g]) for g in range(n)]
     k = [len(fl) for fl in factor_lists]
     folds = [_fold_factors({0: 1}, fl) for fl in factor_lists]
     bits = 0
@@ -641,7 +640,7 @@ def test_word_with_wrong_image_raises(monkeypatch):
     # where an involution one transposition short still squares to a
     # sign, the first transposition swapped for (0 2), so no involution
     G = catalog("dihedral", 8)
-    rows_of = left_regular(G)
+    rows_of = G.table
     monkeypatch.setattr(clifford, "_factors", lambda p: transposition_factors(p)[1:])
     for call in (lambda: pin_cocycle(G),
                  lambda: pin_product_sign(rows_of[1], rows_of[2])):
@@ -681,8 +680,7 @@ def test_word_sign_matches_pfaffian_on_generator_columns(monkeypatch):
     for spec in specs:
         G = group_from_spec(spec)
         n, t = G.order, G.table
-        rows_of = left_regular(G)
-        fl = [transposition_factors(rows_of[g]) for g in range(n)]
+        fl = [transposition_factors(t[g]) for g in range(n)]
         columns = {s: [0] + [_agree(fl[x] + fl[s] + fl[t[x][s]][::-1])
                              for x in range(1, n)]
                    for s in generating_set(G)}
@@ -745,7 +743,7 @@ def test_factor_lists_compose_back(monkeypatch):
         for p in itertools.permutations(range(d)):
             assert _factors(p) == transposition_factors(p)
     G = catalog("dihedral", 8)
-    rows_of = left_regular(G)
+    rows_of = G.table
     calls = (lambda: pin_cocycle(G),
              lambda: pin_cocycle(G, involutions_only=True),
              lambda: pin_product_sign(rows_of[1], rows_of[3]))

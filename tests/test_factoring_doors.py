@@ -7,12 +7,18 @@ that names one of the names below must be one of the listed readers,
 only `square_class` and the product of two classes build a class, and
 no other module names the private square-class and cup helpers, so
 they reach a class only through the public constructor.  Outside input
-has one door of each kind too: only `cli._read` opens a file, and only
-`galois._integer` reads a value through `quadratic._rational`.
+has one door of each kind too: only `cli._read` opens a file, only
+`galois._integer` reads a value through `quadratic._rational`, and a
+form's bounds are checked only by its two doors, `QForm` and
+`diagonalize`, which `cli` reaches without naming a bound.  Every cap
+and budget of the package names itself in a refusal, and a test
+expects that refusal with the cap's value.
 """
 import ast
 import collections
+import importlib
 import pathlib
+import re
 
 import traceforms
 
@@ -91,3 +97,70 @@ def test_no_other_module_names_the_square_class_helpers():
                 named |= {a.name for a in n.names}
             found += [f"{path.name}:{n.lineno} {x}" for x in named & _PRIVATE]
     assert found == []
+
+
+# name -> the only functions of quadratic that may name it; no other
+# module may name it at all
+_FORM_BOUNDS = {
+    "GRAM_RANK_CAP": {"__init__", "diagonalize"},
+    "GRAM_BITS_CAP": {"diagonalize"},
+    "validate_gram": {"diagonalize"},
+}
+
+
+def _named(tree: ast.AST) -> set:
+    """The names and attribute names tree mentions."""
+    return {x for n in ast.walk(tree)
+            for x in (getattr(n, "id", None), getattr(n, "attr", None))}
+
+
+def test_only_the_form_doors_check_a_forms_bounds():
+    names = _names_by_function(_tree("quadratic"))
+    assert {k: names.get(k, set()) for k in _FORM_BOUNDS} == _FORM_BOUNDS
+    others = {path.stem: sorted(_named(_tree(path.stem)) & set(_FORM_BOUNDS))
+              for path in sorted(PKG.glob("*.py")) if path.stem != "quadratic"}
+    assert {k: v for k, v in others.items() if v} == {}
+
+
+def _strings(tree: ast.AST) -> list:
+    """The string literals of tree but its bare string statements (the
+    docstrings), an f-string as its source text: f"X = {m.X}" as written."""
+    bare = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Expr)}
+    return [ast.unparse(n) if isinstance(n, ast.JoinedStr) else n.value
+            for n in ast.walk(tree) if id(n) not in bare
+            and (isinstance(n, ast.JoinedStr)
+                 or isinstance(n, ast.Constant) and isinstance(n.value, str))]
+
+
+def _caps() -> dict:
+    """Every module-level *_CAP and *_BUDGET constant: name -> value."""
+    caps = {}
+    for path in sorted(PKG.glob("*.py")):
+        for node in _tree(path.stem).body:
+            for target in node.targets if isinstance(node, ast.Assign) else ():
+                name = getattr(target, "id", "")
+                if re.fullmatch(r"[A-Z0-9_]+_(CAP|BUDGET)", name):
+                    module = importlib.import_module(f"traceforms.{path.stem}")
+                    caps[name] = getattr(module, name)
+    return caps
+
+
+def test_every_cap_is_named_in_a_refusal_and_expected_by_a_test():
+    # a cap that trips must name itself and its value (a message, or the
+    # (name, value) pair a verb's cap hands to group_from_spec), and a
+    # test must expect that text
+    caps = _caps()
+    assert len(caps) >= 13, sorted(caps)
+    package = [t for path in sorted(PKG.glob("*.py"))
+               for t in _strings(_tree(path.stem))]
+    tests = [t for path in sorted(pathlib.Path(__file__).parent.glob("*.py"))
+             for t in _strings(ast.parse(path.read_text(encoding="utf-8")))]
+    unnamed, untested = [], []
+    for name, value in caps.items():
+        word = rf"(?<![A-Za-z0-9_]){name}"
+        if not any(re.search(rf"{word}(?![A-Za-z0-9_])", t) for t in package):
+            unnamed.append(name)
+        expected = rf"{word} = ({value}(?!\d)|\{{(\w+\.)?{name}\}})"
+        if not any(re.search(expected, t) for t in tests):
+            untested.append(name)
+    assert (unnamed, untested) == ([], [])

@@ -14,7 +14,6 @@ from traceforms.groups import (
     closure,
     generating_set,
     group_from_spec,
-    left_regular,
     quotient_with_map,
     regular_rep_in_alternating,
     subgroup,
@@ -99,8 +98,9 @@ def test_element_orders_quaternion():
 
 
 def test_left_regular_is_faithful_homomorphism():
+    # row g of the table is the left translation x -> g*x
     G = catalog("dihedral", 8)
-    rho = left_regular(G)
+    rho = G.table
     assert len(set(rho)) == G.order
     for g in range(G.order):
         for h in range(G.order):

@@ -481,6 +481,36 @@ def test_validate_gram_rejects_nonsymmetric():
         validate_gram([[Fraction(1), Fraction(2)]])
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: diagonalize([[0.5] + [0] * 128] + [[0] * 129] * 128),
+     "Gram rank 129 exceeds GRAM_RANK_CAP = 128"),
+    (lambda: QForm((0.5,) + (1,) * 128), "form rank 129 exceeds GRAM_RANK_CAP = 128"),
+], ids=["gram", "entries"])
+def test_rank_is_refused_before_an_entry_is_read(make, message):
+    # the first entry is a float, which reading it would refuse first
+    with pytest.raises(QuadraticError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+def test_gram_entry_bits_are_refused_before_elimination():
+    # the bound was the command line's alone: this matrix took 16.9 s here
+    rng = random.Random(96)
+    gram = [[0] * 96 for _ in range(96)]
+    for i in range(96):
+        for j in range(i, 96):
+            gram[i][j] = gram[j][i] = rng.randrange(-(1 << 133) + 1, 1 << 133)
+    gram[0][0] = (1 << 133) - 1  # 40 digits
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(QuadraticError) as exc:
+            diagonalize(gram)
+        times.append(time.perf_counter() - start)
+    assert str(exc.value) == "Gram rank 96 x 133 entry bits exceeds GRAM_BITS_CAP = 2048"
+    assert min(times) < 0.1, times
+
+
 def test_isometry_classification():
     one = QForm((Fraction(1), Fraction(1)))
     two = QForm((Fraction(2), Fraction(2)))
