@@ -271,7 +271,7 @@ def _cmd_reports(args):
 # parser assembly: it reads nothing from the layers
 
 
-def _h2_cap(args):
+def _h2_cap():
     """The order cap of the cohomology solver, checked before a table is built."""
     return "H2_CAP", cohomology.H2_CAP
 
@@ -320,7 +320,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         return p
 
     grouped("group", "structural fingerprint of a group", _cmd_group,
-            lambda args: ("CLOSURE_CAP", groups.CLOSURE_CAP))
+            lambda: ("CLOSURE_CAP", groups.CLOSURE_CAP))
     grouped("h2", "dimension data of degree-2 mod-2 cohomology", _cmd_h2)
     grouped("kers", "kernel of the involution-diagonal map on H²", _cmd_kers)
     grouped("2reduced", "whether the kernel of the diagonal map vanishes",
@@ -339,11 +339,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--n", type=int, required=True, help="even degree ≤ 24")
     p.set_defaults(func=_cmd_pin_sign)
 
-    p = grouped("pin-cocycle",
-                "sign cocycle of the pin lifts of left translations",
-                _cmd_pin_cocycle, lambda args: clifford.pin_cap(args.involutions_only))
+    p = grouped("pin-cocycle", "sign cocycle of the pin lifts of left translations "
+                "(order ≤ 24)", _cmd_pin_cocycle,
+                lambda: ("CLIFFORD_RANK_CAP", clifford.CLIFFORD_RANK_CAP))
     p.add_argument("--involutions-only", action="store_true",
-                   help="only the diagonal signs at involutions (order ≤ 24)")
+                   help="only the diagonal signs at involutions")
 
     p = sub.add_parser("form", parents=[common],
                        help="invariants of a diagonal form or a Gram matrix")
@@ -406,7 +406,7 @@ def main(argv=None) -> int:
     try:
         inputs = [_load_algebra(args)] if "poly" in args else []
         if "cap" in args:
-            inputs.append(groups.group_from_spec(args.group, args.cap(args)))
+            inputs.append(groups.group_from_spec(args.group, args.cap()))
         payload, passed = args.func(args, *inputs)
         _emit(payload, args.pretty)
     except (ValueError, OSError) as exc:  # package errors are ValueErrors

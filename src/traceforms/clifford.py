@@ -50,18 +50,22 @@ for an involution g (h = g, c = 0) they give the sign of lift(g)^2.  The
 full cocycle computes only the products with a generating set and fills
 in the rest by associativity (see pin_cocycle).
 
-pin_lift returns a lift as (k, z) and checks, at every rank, that z is
-a pin element whose twisted conjugation gives back p (_check_fold).
-_fold_factors, the Clifford product that builds z, serves only those
-two; an independent algebra over Q(sqrt 2) and the fold sign rule are
-kept as test oracles (tests/clifford_oracle.py).
+Every input passes one check, _door: a permutation must be a tuple or
+list of images, and a rank an int of at most CLIFFORD_RANK_CAP (for
+pin_cocycle, the group order).  pin_lift returns a lift as (k, z) and
+checks, at every rank, that z is a pin element whose twisted
+conjugation gives back p (_check_fold).  _fold_factors, the Clifford
+product that builds z, serves only those two; an independent algebra
+over Q(sqrt 2) and the fold sign rule are kept as test oracles
+(tests/clifford_oracle.py).
 """
 from __future__ import annotations
 
+import reprlib
+
 from . import cohomology, groups, perms
 
-CLIFFORD_RANK_CAP = 24   # largest number of generators accepted
-FULL_PIN_CAP = 12        # largest group order for the full sign table
+CLIFFORD_RANK_CAP = 24   # largest number of generators, so of pin_cocycle's order
 # largest 2^min(k, n) that pin_lift folds: a fold of k factors on rank n
 # has at most that many terms.  A 17-cycle's lift (2^16 terms) takes
 # about 0.8 s; a 20-cycle's took 7 s and 200 MB.
@@ -79,12 +83,7 @@ class SignMismatchError(CliffordError):
 def transposition_factors(p: perms.Perm) -> list[tuple[int, int]]:
     """Transpositions whose composition (leftmost applied last) is p;
     each cycle (c1 c2 ... ck) contributes (c1,ck), (c1,c(k-1)), ..., (c1,c2)."""
-    out: list[tuple[int, int]] = []
-    for cyc in perms.cycles(p):
-        c1 = cyc[0]
-        for other in reversed(cyc[1:]):
-            out.append((c1, other))
-    return out
+    return [(cyc[0], other) for cyc in perms.cycles(p) for other in reversed(cyc[1:])]
 
 
 def _factors(p: perms.Perm) -> list[tuple[int, int]]:
@@ -202,46 +201,51 @@ def _check_fold(z: dict[int, int], factors, p: perms.Perm) -> None:
             raise CliffordError("lift does not act as the permutation")
 
 
-def _padded(ps, n: int | None) -> list[perms.Perm]:
-    """The permutations ps on n coordinates (by default their largest
-    degree), each padded with fixed points, once n is within the cap."""
-    degree = max(len(p) for p in ps)
-    if n is None:
-        n = degree
-    if degree > n:
-        raise CliffordError("permutation degree exceeds rank")
+def _door(ps, n: int | None) -> list[perms.Perm]:
+    """ps on n coordinates (by default their largest degree), as tuples
+    padded with fixed points: the layer's one input check.  Each p must be
+    a tuple or list of the images of a permutation of 0..len(p) - 1, and n
+    an int from each len(p) to CLIFFORD_RANK_CAP, checked before a point
+    is read."""
+    for p in ps:
+        if not isinstance(p, (tuple, list)):
+            raise CliffordError(f"not a permutation: {reprlib.repr(p)}")
+    if n is None:  # no permutation gives no rank
+        n = max(map(len, ps), default=None)
+    if not isinstance(n, int):
+        raise CliffordError(f"rank is not an int: {reprlib.repr(n)}")
     if n > CLIFFORD_RANK_CAP:
         raise CliffordError(f"rank {n} exceeds CLIFFORD_RANK_CAP = {CLIFFORD_RANK_CAP}")
+    for p in ps:
+        if len(p) > n:
+            raise CliffordError("permutation degree exceeds rank")
+        if not perms.is_perm(tuple(p)):
+            raise CliffordError(f"not a permutation: {reprlib.repr(p)}")
     return [tuple(p) + tuple(range(len(p), n)) for p in ps]
-
-
-def _check_fold_size(k: int, n: int) -> None:
-    """Refuse a fold of k factors on rank n above FOLD_TERMS_CAP terms."""
-    if 1 << min(k, n) > FOLD_TERMS_CAP:
-        raise CliffordError(f"a fold of {k} factors on rank {n} may reach "
-                            f"2^{min(k, n)} terms, above FOLD_TERMS_CAP = {FOLD_TERMS_CAP}")
 
 
 def pin_lift(p: perms.Perm, n: int | None = None) -> tuple[int, dict[int, int]]:
     """Pin lift of the permutation p acting on n coordinates, as (k, z):
     the lift is (1/sqrt 2)^k z, with z the integer fold of its k factors.
     Raises CliffordError unless _check_fold proves it."""
-    q, = _padded([p], n)
+    q, = _door([p], n)
     factors = transposition_factors(q)
-    _check_fold_size(len(factors), len(q))
+    k, n = len(factors), len(q)
+    if 1 << min(k, n) > FOLD_TERMS_CAP:
+        raise CliffordError(f"a fold of {k} factors on rank {n} may reach "
+                            f"2^{min(k, n)} terms, above FOLD_TERMS_CAP = {FOLD_TERMS_CAP}")
     z = _fold_factors({0: 1}, factors)
     _check_fold(z, factors, q)
-    return len(factors), z
+    return k, z
 
 
 def involution_square_sign(n: int) -> int:
     """Square of the pin lift of (0 1)(2 3)...(n-2 n-1) on n coordinates,
     decided by one word sign (`_square_sign`) and cross-checked against
     the closed form +1 iff n = 0, 2 mod 8."""
+    _door((), n)
     if n < 2 or n % 2:
         raise CliffordError("need an even number of coordinates, at least 2")
-    if n > CLIFFORD_RANK_CAP:
-        raise CliffordError(f"rank {n} exceeds CLIFFORD_RANK_CAP = {CLIFFORD_RANK_CAP}")
     alg = _square_sign([(2 * i, 2 * i + 1) for i in range(n // 2)])
     m = n // 2
     closed = 1 if (m * (m - 1) // 2) % 2 == 0 else -1
@@ -278,21 +282,16 @@ def pin_product_sign(p: perms.Perm, q: perms.Perm, n: int | None = None) -> int:
     one word sign (_word_sign) over the factors of p, of q and, reversed,
     of p after q.  Raises SignMismatchError if the product fails to be
     proportional."""
-    pp, qq = _padded([p, q], n)
+    pp, qq = _door([p, q], n)
     fc = _factors(perms.compose(pp, qq))
     return _word_sign(_factors(pp) + _factors(qq) + fc[::-1])
-
-
-def pin_cap(involutions_only: bool) -> tuple[str, int]:
-    """(name, value) of the largest group order pin_cocycle accepts."""
-    return (("CLIFFORD_RANK_CAP", CLIFFORD_RANK_CAP) if involutions_only
-            else ("FULL_PIN_CAP", FULL_PIN_CAP))
 
 
 def pin_cocycle(G: groups.Group, involutions_only: bool = False) -> PinCocycleResult:
     """Sign cocycle c with lift(g) lift(h) = (-1)^c(g,h) lift(gh), where
     lift is the pin lift of left translation by g.  With involutions_only
     just the diagonal values at involutions (the squares) are computed.
+    In both modes _door bounds the order, the rank of the translations.
 
     The full table computes only the columns of a generating set S:
     c(x, s) for x != e and s in S, each one word sign (_word_sign).
@@ -310,9 +309,7 @@ def pin_cocycle(G: groups.Group, involutions_only: bool = False) -> PinCocycleRe
     the cocycle identity independently, by building the central extension
     the table defines (cohomology.extension_from_cocycle)."""
     n = G.order
-    name, cap = pin_cap(involutions_only)
-    if n > cap:
-        raise CliffordError(f"group order {n} exceeds {name} = {cap}")
+    _door((), n)
     t = G.table  # row g is the left translation by g
 
     if involutions_only:

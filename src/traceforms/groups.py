@@ -140,7 +140,7 @@ def closure(generators, cap: tuple[str, int] = ("CLOSURE_CAP", CLOSURE_CAP)) -> 
         if len(g) != deg:
             raise GroupError("generator degree mismatch")
         if not perms.is_perm(g):
-            raise GroupError(f"not a permutation: {g}")
+            raise GroupError(f"not a permutation: {reprlib.repr(g)}")
     cap_name, cap_value = cap
     ident = perms.identity(deg)
     seen = {ident}

@@ -29,7 +29,8 @@ def identity(n: int) -> Perm:
 
 
 def is_perm(p) -> bool:
-    return isinstance(p, tuple) and sorted(p) == list(range(len(p)))
+    return (isinstance(p, tuple) and all(isinstance(x, int) for x in p)
+            and sorted(p) == list(range(len(p))))
 
 
 def compose(p: Perm, q: Perm) -> Perm:

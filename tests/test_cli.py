@@ -85,15 +85,31 @@ def test_pin_cocycle_verb(capsys):
     assert data["coboundary"] is False and data["s_vector"] == [1]
     code, out, _ = run_cli(capsys, "pin-cocycle", "--group", "catalog:sym:4",
                            "--involutions-only")
-    data = json.loads(out)
-    assert code == 0 and "cocycle_bits" not in data
-    assert set(data["diagonal_signs"].values()) == {1}
+    only = json.loads(out)
+    assert code == 0 and "cocycle_bits" not in only
+    assert set(only["diagonal_signs"].values()) == {1}
+    # the full table of order 24, the rank cap, answers too
+    code, out, _ = run_cli(capsys, "pin-cocycle", "--group", "catalog:sym:4")
+    full = json.loads(out)
+    assert code == 0 and len(full["cocycle_bits"]) == 24
+    assert full["diagonal_signs"] == only["diagonal_signs"]
+    assert full["s_vector"] == only["s_vector"]
+
+
+def test_full_pin_table_at_the_rank_cap_within_bound():
+    # a fresh process: the order-24 table and its coboundary verdict
+    proc, elapsed = run_limited(
+        ["-m", "traceforms", "pin-cocycle", "--group", "catalog:sym:4"])
+    assert proc.returncode == 0, proc.stderr
+    assert "cocycle_bits" in json.loads(proc.stdout)
+    assert elapsed < 2, elapsed
 
 
 def test_every_full_pin_table_fits_under_h2_cap():
     # pin-cocycle reports "coboundary" for every full sign table without
-    # checking the order against H2_CAP: a full table needs order <= 12
-    assert clifford.FULL_PIN_CAP <= cohomology.H2_CAP
+    # checking the order against H2_CAP: a full table needs order <=
+    # CLIFFORD_RANK_CAP
+    assert clifford.CLIFFORD_RANK_CAP <= cohomology.H2_CAP
 
 
 def test_form_verb(capsys, tmp_path):
@@ -663,14 +679,20 @@ def test_extension_trips_h2_cap_before_other_work():
      "H2_CAP = 64"),
     (["classify", "--poly", "1,0,-3", "--group", "catalog:dihedral:128"],
      "H2_CAP = 64"),
-    (["pin-cocycle", "--group", "catalog:cyclic:2048"], "FULL_PIN_CAP = 12"),
+    (["pin-cocycle", "--group", "catalog:cyclic:2048"], "CLIFFORD_RANK_CAP = 24"),
     (["pin-cocycle", "--involutions-only", "--group", "catalog:dihedral:2048"],
      "CLIFFORD_RANK_CAP = 24"),
     (["h2", "--group", "perms:" + ",".join(f"({2 * i} {2 * i + 1})"
                                            for i in range(11))],
      "H2_CAP = 64"),
-    (["pin-cocycle", "--group", "perms:(0 1 2 3 4 5 6 7 8 9 10 11 12)"],
-     "FULL_PIN_CAP = 12"),
+    (["pin-cocycle", "--group", "perms:(" + " ".join(map(str, range(25))) + ")"],
+     "CLIFFORD_RANK_CAP = 24"),
+    (["pin-cocycle", "--involutions-only",
+      "--group", "perms:(" + " ".join(map(str, range(25))) + ")"],
+     "CLIFFORD_RANK_CAP = 24"),
+    (["pin-cocycle", "--group", "catalog:cyclic:25"], "CLIFFORD_RANK_CAP = 24"),
+    (["pin-cocycle", "--involutions-only", "--group", "catalog:cyclic:25"],
+     "CLIFFORD_RANK_CAP = 24"),
 ])
 def test_verb_caps_are_checked_before_a_table_is_built(capsys, monkeypatch,
                                                        argv, cap):

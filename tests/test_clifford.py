@@ -43,6 +43,8 @@ from traceforms.cohomology import CohomologyError, cochains_from_columns, h2, s_
 from traceforms.groups import catalog, generating_set, group_from_spec
 from traceforms import perms
 
+from limited_child import run_limited
+
 
 # -- the Q(sqrt 2) oracle itself (tests/clifford_oracle.py) ------------------
 
@@ -148,6 +150,47 @@ def test_lift_entry_checks(p, n, match):
         pin_product_sign(p, p, n)
 
 
+@pytest.mark.parametrize("call", [
+    "pin_lift((0, 0))",
+    "pin_lift((1, 1, 0))",
+    "pin_product_sign((0, 0), (0, 1))",
+])
+def test_a_repeated_image_is_refused_without_a_hang(call):
+    # perms.cycles walks a repeated image forever: each of these ran until
+    # killed before the door checked the images, so run them in a child
+    code = ("from traceforms.clifford import *\n"
+            f"try:\n    {call}\nexcept CliffordError as e:\n    print(e)")
+    proc, elapsed = run_limited(["-c", code], timeout=10)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout.startswith("not a permutation: (")
+    assert elapsed < 2, elapsed
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: pin_lift((2, 0, 1, 5)), r"not a permutation: \(2, 0, 1, 5\)"),
+    (lambda: pin_lift((1.0, 0.0)), r"not a permutation: \(1\.0, 0\.0\)"),
+    (lambda: pin_lift("10"), "not a permutation: '10'"),
+    (lambda: pin_lift(None), "not a permutation: None"),
+    (lambda: pin_product_sign((0, 1), (0, 2)), r"not a permutation: \(0, 2\)"),
+    (lambda: pin_lift((1, 0), 3.0), "rank is not an int: 3.0"),
+    (lambda: pin_product_sign((1, 0), (0, 1), "3"), "rank is not an int: '3'"),
+    (lambda: involution_square_sign(12.0), "rank is not an int: 12.0"),
+    (lambda: involution_square_sign(None), "rank is not an int: None"),
+    # the quoted value is shortened; the length is bounded before a point is read
+    (lambda: pin_lift(tuple(range(24)) * 2, 24), "permutation degree exceeds rank"),
+    (lambda: pin_lift((0, 0) * 12), r"not a permutation: \(0, 0, 0, 0, 0, 0, \.\.\.\)$"),
+    (lambda: pin_lift(list(range(10 ** 6))), "rank 1000000 exceeds CLIFFORD_RANK_CAP = 24"),
+])
+def test_the_door_refuses_what_is_not_a_permutation_or_an_int_rank(call, match):
+    with pytest.raises(CliffordError, match=match):
+        call()
+
+
+def test_a_list_is_a_permutation_too():
+    assert pin_lift([1, 0]) == pin_lift((1, 0))
+    assert pin_product_sign([1, 2, 0], [1, 0]) == pin_product_sign((1, 2, 0), (1, 0, 2))
+
+
 def test_pin_product_sign_matches_cocycle_rows():
     G = catalog("dihedral", 8)
     rows_of = G.table
@@ -181,7 +224,9 @@ def test_pin_cocycle_splitness_small_groups():
 
 
 def test_pin_cocycle_involutions_only_agrees_with_full():
-    for key, param in [("cyclic", 4), ("dihedral", 8), ("quaternion8", None)]:
+    for key, param in [("cyclic", 4), ("dihedral", 8), ("quaternion8", None),
+                       ("sym", 4), ("elem_abelian_2", 4), ("dihedral", 24),
+                       ("quat_cover", None)]:
         G = catalog(key, param) if param is not None else catalog(key)
         full = pin_cocycle(G)
         only = pin_cocycle(G, involutions_only=True)
@@ -191,13 +236,15 @@ def test_pin_cocycle_involutions_only_agrees_with_full():
 
 
 def test_pin_cocycle_caps():
-    with pytest.raises(CliffordError, match="FULL_PIN_CAP = 12"):
-        pin_cocycle(catalog("sym", 4))  # order 24 > full cap
-    with pytest.raises(CliffordError, match="CLIFFORD_RANK_CAP = 24"):
-        pin_cocycle(catalog("cyclic", 25), involutions_only=True)
-    # involutions-only mode admits order 24
-    res = pin_cocycle(catalog("sym", 4), involutions_only=True)
-    assert set(res.square_signs.values()) == {1}
+    # both modes admit order 24, the rank cap, and refuse order 25
+    full = pin_cocycle(catalog("sym", 4))
+    only = pin_cocycle(catalog("sym", 4), involutions_only=True)
+    assert full.cocycle is not None and only.cocycle is None
+    assert full.square_signs == only.square_signs
+    assert set(only.square_signs.values()) == {1}
+    for involutions_only in (False, True):
+        with pytest.raises(CliffordError, match="CLIFFORD_RANK_CAP = 24"):
+            pin_cocycle(catalog("cyclic", 25), involutions_only=involutions_only)
 
 
 def _cycle(n, shift=1):
@@ -671,9 +718,8 @@ def _agree(word):
 
 
 def test_word_sign_matches_pfaffian_on_generator_columns(monkeypatch):
-    # every catalog group of order <= 12, and D24, C24 and D32 with the
-    # caps lifted in this test only; the columns also fill out the table
-    monkeypatch.setattr(clifford, "FULL_PIN_CAP", 32)
+    # every catalog group of order <= 12, D24 and C24, and D32 with the
+    # rank cap lifted in this test only; the columns also fill out the table
     monkeypatch.setattr(clifford, "CLIFFORD_RANK_CAP", 32)
     specs = [s for s in SPECS_UP_TO_12 if s.startswith("catalog:")] + [
         "catalog:dihedral:24", "catalog:cyclic:24", "catalog:dihedral:32"]
@@ -727,9 +773,8 @@ def test_word_sign_matches_pfaffian_on_random_words():
 
 
 def test_pin_cocycle_at_order_64_within_bound(monkeypatch):
-    # the caps lifted to 64 in this test only (the Pfaffians took 3.1 s
-    # for D64 and 6.0 s for C64)
-    monkeypatch.setattr(clifford, "FULL_PIN_CAP", 64)
+    # the rank cap lifted to 64 in this test only (the Pfaffians took
+    # 3.1 s for D64 and 6.0 s for C64)
     monkeypatch.setattr(clifford, "CLIFFORD_RANK_CAP", 64)
     for spec in ("catalog:dihedral:64", "catalog:cyclic:64"):
         G = group_from_spec(spec)
@@ -756,9 +801,7 @@ def test_factor_lists_compose_back(monkeypatch):
                 call()
 
 
-def test_pin_cocycle_matches_fold_oracle_at_order_16(monkeypatch):
-    # the full-table cap lifted to 16 for the comparison only
-    monkeypatch.setattr(clifford, "FULL_PIN_CAP", 16)
+def test_pin_cocycle_matches_fold_oracle_at_order_16():
     for spec in ("catalog:dihedral:16", "catalog:quat_cover", "catalog:cyclic:16"):
         G = group_from_spec(spec)
         assert G.order == 16

@@ -10,9 +10,10 @@ they reach a class only through the public constructor.  Outside input
 has one door of each kind too: only `cli._read` opens a file, only
 `galois._integer` reads a value through `quadratic._rational`, and a
 form's bounds are checked only by its two doors, `QForm` and
-`diagonalize`, which `cli` reaches without naming a bound.  Every cap
-and budget of the package names itself in a refusal, and a test
-expects that refusal with the cap's value.
+`diagonalize`, which `cli` reaches without naming a bound; a pin
+input's rank is compared with `CLIFFORD_RANK_CAP` only by
+`clifford._door`.  Every cap and budget of the package names itself in
+a refusal, and a test expects that refusal with the cap's value.
 """
 import ast
 import collections
@@ -122,6 +123,16 @@ def test_only_the_form_doors_check_a_forms_bounds():
     assert {k: v for k, v in others.items() if v} == {}
 
 
+def test_only_the_pin_door_compares_a_rank_with_the_rank_cap():
+    # pin_lift, pin_product_sign, involution_square_sign and pin_cocycle
+    # in both modes are bounded by the one comparison in clifford._door
+    owners = {(path.stem, f.name) for path in sorted(PKG.glob("*.py"))
+              for f in ast.walk(_tree(path.stem)) if isinstance(f, ast.FunctionDef)
+              for c in ast.walk(f)
+              if isinstance(c, ast.Compare) and "CLIFFORD_RANK_CAP" in _named(c)}
+    assert owners == {("clifford", "_door")}
+
+
 def _strings(tree: ast.AST) -> list:
     """The string literals of tree but its bare string statements (the
     docstrings), an f-string as its source text: f"X = {m.X}" as written."""
@@ -150,7 +161,7 @@ def test_every_cap_is_named_in_a_refusal_and_expected_by_a_test():
     # (name, value) pair a verb's cap hands to group_from_spec), and a
     # test must expect that text
     caps = _caps()
-    assert len(caps) >= 13, sorted(caps)
+    assert len(caps) >= 12, sorted(caps)
     package = [t for path in sorted(PKG.glob("*.py"))
                for t in _strings(_tree(path.stem))]
     tests = [t for path in sorted(pathlib.Path(__file__).parent.glob("*.py"))

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from traceforms import gf2
+from traceforms.groups import GroupError, closure
 from traceforms.perms import (
     compose,
     cycles,
@@ -104,6 +105,18 @@ def test_cycle_validation():
         parse_cycle_string("0 1 2")
     with pytest.raises(ValueError):
         parse_cycle_string("()")
+
+
+def test_a_permutation_has_int_images():
+    # a float tuple sorted like range(n) passed, and a str image raised
+    # TypeError from sorted; closure checks its generators with is_perm
+    # and quotes a refused one shortened
+    assert is_perm((1, 0)) and is_perm(())
+    assert not is_perm((1.0, 0.0)) and not is_perm((0, "a")) and not is_perm([1, 0])
+    with pytest.raises(GroupError, match=r"^not a permutation: \(1\.0, 0\.0\)$"):
+        closure([(1.0, 0.0)])
+    with pytest.raises(GroupError, match=r"^not a permutation: \(0, 0, 0, 0, 0, 0, \.\.\.\)$"):
+        closure([(0, 0) * 5000])
 
 
 def test_degree_is_bounded_before_allocating():
