@@ -36,6 +36,11 @@ attribute access (``importlib.util.LazyLoader``), so a command compiles
 only the layers its verb reaches.  ``import traceforms.cli`` still puts
 every layer in ``sys.modules``.  The public names below are served from
 their layers by the module ``__getattr__`` (PEP 562).
+
+The package's one integer rule lives here, in the module every command
+runs: an integer is an ``int`` (never a ``bool``: a bool is no number) or
+text that, stripped, is an optional ASCII sign and ASCII digits.  So
+"1_0", "٣" and "4.0" are integers on no Python.
 """
 
 import importlib.util
@@ -62,6 +67,23 @@ _EXPORTS = {
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
 
 __all__ = [*_LAYER_OF, "__version__"]
+
+
+def _ints(xs) -> bool:
+    """Whether every x in xs is of type int itself, so never a bool; at C
+    speed, with no Python call per x."""
+    return set(map(type, xs)) <= {int}
+
+
+def _as_int(x) -> int:
+    """x read by the integer rule, else ValueError for the caller to re-raise."""
+    if _ints((x,)):
+        return x
+    if isinstance(x, str) and x.isascii():
+        t = x.strip()
+        if (t[1:] if t[:1] in "+-" else t).isdigit():
+            return int(t)  # past sys.int_info.default_max_str_digits, ValueError
+    raise ValueError("not an integer")
 
 
 def _lazy(layer: str):

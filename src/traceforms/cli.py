@@ -9,8 +9,9 @@ A handler gets the parsed arguments and what `main` loaded: the algebra of
 a verb with --poly/--algebra, the group under the `cap` a verb declares.  It
 returns (payload, passed) for `main` to print, printing only the --pretty
 table of verify/suite.  Exit: 0 pass or info, 1 failing verdict, 2 bad input.
-A file is read by `_read` and a comma list split by `_fields`; every value
-goes unconverted to the library door that bounds and reads it exactly.
+A file is read by `_read` and a comma list split by `_fields`; --n and
+--seed are read by `_integer`, the package's integer rule, and every other
+value goes unconverted to the library door that bounds and reads it exactly.
 
 The layers are reached only as module attributes (``cohomology.h2(G)``),
 read when a verb runs: the package loads each layer on first use, so a
@@ -24,7 +25,7 @@ import json
 import reprlib
 import sys
 
-from . import clifford, cohomology, galois, groups, quadratic, verify
+from . import _as_int, clifford, cohomology, galois, groups, quadratic, verify
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -69,6 +70,14 @@ class _Parser(argparse.ArgumentParser):
             if short != repr(text):
                 message = message.replace(repr(text), short).replace(text, short)
         super().error(message)
+
+
+def _integer(text: str) -> int:
+    """An --n or --seed value, read by the package's integer rule."""
+    try:
+        return _as_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _fields(text: str) -> list[str]:
@@ -120,7 +129,7 @@ def _load_cocycle(G, spec: str) -> cohomology.Cocycle2:
         return cohomology.Cocycle2.zero(G)
     if spec.startswith("basis:"):
         try:
-            i = int(spec.split(":", 1)[1])
+            i = _as_int(spec.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"malformed cocycle spec {reprlib.repr(spec)}") from None
         basis = cohomology.h2(G)
@@ -336,7 +345,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("pin-sign", parents=[common],
                        help="sign of the square of the pin lift of a "
                             "fixed-point-free involution")
-    p.add_argument("--n", type=int, required=True, help="even degree ≤ 24")
+    p.add_argument("--n", type=_integer, required=True, help="even degree ≤ 24")
     p.set_defaults(func=_cmd_pin_sign)
 
     p = grouped("pin-cocycle", "sign cocycle of the pin lifts of left translations "
@@ -377,7 +386,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     helped = argparse.ArgumentParser(add_help=False)
     helped.add_argument("-h", "--help", action=_VerifyHelp, statement=listed)
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int)
+    seeded.add_argument("--seed", type=_integer)
     seeded.add_argument("--timings", action="store_true",
                         help="include runtimes (output no longer byte-stable)")
 

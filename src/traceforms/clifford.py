@@ -50,9 +50,9 @@ for an involution g (h = g, c = 0) they give the sign of lift(g)^2.  The
 full cocycle computes only the products with a generating set and fills
 in the rest by associativity (see pin_cocycle).
 
-Every input passes one check, _door: a permutation must be a tuple or
-list of images, and a rank an int of at most CLIFFORD_RANK_CAP (for
-pin_cocycle, the group order).  pin_lift returns a lift as (k, z) and
+Every input passes one check, _door: a permutation must pass perms.door,
+and a rank be an int of at most CLIFFORD_RANK_CAP (for pin_cocycle, the
+group order).  pin_lift returns a lift as (k, z) and
 checks, at every rank, that z is a pin element whose twisted
 conjugation gives back p (_check_fold).  _fold_factors, the Clifford
 product that builds z, serves only those two; an independent algebra
@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import reprlib
 
-from . import cohomology, groups, perms
+from . import _ints, cohomology, groups, perms
 
 CLIFFORD_RANK_CAP = 24   # largest number of generators, so of pin_cocycle's order
 # largest 2^min(k, n) that pin_lift folds: a fold of k factors on rank n
@@ -203,25 +203,20 @@ def _check_fold(z: dict[int, int], factors, p: perms.Perm) -> None:
 
 def _door(ps, n: int | None) -> list[perms.Perm]:
     """ps on n coordinates (by default their largest degree), as tuples
-    padded with fixed points: the layer's one input check.  Each p must be
-    a tuple or list of the images of a permutation of 0..len(p) - 1, and n
-    an int from each len(p) to CLIFFORD_RANK_CAP, checked before a point
-    is read."""
-    for p in ps:
-        if not isinstance(p, (tuple, list)):
-            raise CliffordError(f"not a permutation: {reprlib.repr(p)}")
-    if n is None:  # no permutation gives no rank
-        n = max(map(len, ps), default=None)
-    if not isinstance(n, int):
-        raise CliffordError(f"rank is not an int: {reprlib.repr(n)}")
-    if n > CLIFFORD_RANK_CAP:
-        raise CliffordError(f"rank {n} exceeds CLIFFORD_RANK_CAP = {CLIFFORD_RANK_CAP}")
-    for p in ps:
-        if len(p) > n:
-            raise CliffordError("permutation degree exceeds rank")
-        if not perms.is_perm(tuple(p)):
-            raise CliffordError(f"not a permutation: {reprlib.repr(p)}")
-    return [tuple(p) + tuple(range(len(p), n)) for p in ps]
+    padded with fixed points: the layer's one input check.  A given n
+    must be an int of at most CLIFFORD_RANK_CAP; perms.door, not loaded
+    for a rank alone, checks ps and bounds a derived n by the same cap."""
+    if n is not None or not ps:  # no permutation gives no rank
+        if not _ints((n,)):
+            raise CliffordError(f"rank is not an int: {reprlib.repr(n)}")
+        if n > CLIFFORD_RANK_CAP:
+            raise CliffordError(f"rank {n} exceeds CLIFFORD_RANK_CAP = {CLIFFORD_RANK_CAP}")
+        if not ps:
+            return []
+    try:
+        return perms.door(ps, ("CLIFFORD_RANK_CAP", CLIFFORD_RANK_CAP), n, "rank")
+    except ValueError as exc:
+        raise CliffordError(str(exc)) from None
 
 
 def pin_lift(p: perms.Perm, n: int | None = None) -> tuple[int, dict[int, int]]:

@@ -7,7 +7,7 @@ coefficients by Newton's identities.  The theorem checks take a Galois
 algebra A with its group G and derive their premises from the pair: A
 is a power F^m of one field with deg A = |G|, it is a field when m = 1,
 and the shape of the Sylow 2-subgroup is read off G.  Every coefficient
-and multiplicity is read by `_integer`.
+and multiplicity is read by `_integer`, by the package's integer rule.
 """
 from __future__ import annotations
 
@@ -15,12 +15,10 @@ import math
 import reprlib
 from fractions import Fraction
 
-from . import cohomology, groups
+from . import _as_int, cohomology, groups
 from .quadratic import (
     QForm,
-    QuadraticError,
     _bareiss,
-    _rational,
     cup,
     direct_sum,
     disc_class,
@@ -60,14 +58,11 @@ def _check_degree(what: str, n: int) -> None:
 
 
 def _integer(x, what: str) -> int:
-    """x read by `_rational`, not int(), which reads True as 1 and 2.5 as 2."""
+    """x by the package's integer rule, not int(): True is not 1, 2.5 not 2."""
     try:
-        r = _rational(x)
-    except QuadraticError:
-        r = None
-    if r is None or r.denominator != 1:
-        raise GaloisError(f"{what} must be an integer, got {reprlib.repr(x)}")
-    return r.numerator
+        return _as_int(x)
+    except ValueError:
+        raise GaloisError(f"{what} must be an integer, got {reprlib.repr(x)}") from None
 
 
 def _primitive(a: list[int]) -> list[int]:

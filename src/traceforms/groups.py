@@ -2,8 +2,9 @@
 
 Elements are indices 0..order-1 with 0 the identity.  table[g][h] is the
 product g*h.  Group objects are immutable once built.  Every table is
-checked on construction: its rows and columns are permutations, 0 is a
-two-sided identity, and the product is associative.
+checked on construction: its rows are permutations of int indices, 0 is
+a two-sided identity, and the product is associative.  Then it is a group
+(a monoid whose elements have right inverses), so no column is checked.
 
 Associativity is checked at a generating set only, by one argument.  It
 is also the package's check of the cocycle identity: cohomology builds
@@ -34,7 +35,7 @@ import itertools
 import math
 import reprlib
 
-from . import perms
+from . import _as_int, _ints, perms
 
 CLOSURE_CAP = 2048
 
@@ -58,14 +59,12 @@ class Group:
         n = len(table)
         if n == 0:
             raise GroupError("empty table")
+        indices = list(range(n))
         for row in table:
             if len(row) != n:
                 raise GroupError("table is not square")
-            if sorted(row) != list(range(n)):
+            if not _ints(row) or sorted(row) != indices:
                 raise GroupError("table row is not a permutation of element indices")
-        for col in zip(*table):
-            if sorted(col) != list(range(n)):
-                raise GroupError("table column is not a permutation of element indices")
         if any(table[0][j] != j for j in range(n)) or any(table[i][0] != i for i in range(n)):
             raise GroupError("element 0 is not a two-sided identity")
         self.order = n
@@ -111,6 +110,8 @@ class Group:
                     while acc != 0:
                         walk.append(acc)
                         acc = self.table[acc][x]
+                        if len(walk) > self.order:  # x's column is no permutation
+                            raise GroupError("table column is not a permutation")
                     o = len(walk)
                     for k, y in enumerate(walk):
                         orders[y] = o // math.gcd(k, o)
@@ -129,20 +130,19 @@ class Group:
 
 
 def closure(generators, cap: tuple[str, int] = ("CLOSURE_CAP", CLOSURE_CAP)) -> Group:
-    """Group generated by permutations (as image tuples), as a table.
-    Element 0 is the identity; the rest are sorted by image tuple.  The
-    search stops once it finds more than cap = (name, value) elements."""
-    gens = [tuple(g) for g in generators]
+    """Group generated by permutations (perms.door, bounded by DEGREE_CAP),
+    as a table.  Element 0 is the identity; the rest are sorted by image
+    tuple.  The search stops once it finds more than cap = (name, value)
+    elements."""
+    gens = list(generators)
     if not gens:
         raise GroupError("need at least one generator")
-    deg = len(gens[0])
-    for g in gens:
-        if len(g) != deg:
-            raise GroupError("generator degree mismatch")
-        if not perms.is_perm(g):
-            raise GroupError(f"not a permutation: {reprlib.repr(g)}")
+    try:
+        gens = perms.door(gens, ("DEGREE_CAP", perms.DEGREE_CAP))
+    except ValueError as exc:
+        raise GroupError(str(exc)) from None
     cap_name, cap_value = cap
-    ident = perms.identity(deg)
+    ident = perms.identity(len(gens[0]))
     seen = {ident}
     frontier = [ident]
     steps = []  # q = p * gens[k] for each new q: a spanning tree
@@ -245,8 +245,10 @@ def cayley_walk(G: Group) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int,
 def subgroup(G: Group, members) -> Group:
     """The subgroup of G on a set of its elements, as a Group on its own
     table: member i in increasing order is element i, so the identity
-    comes first.  A set without 0 or not closed under products is refused."""
-    els = sorted(set(members))
+    comes first.  A set of non-ints, without 0 or not closed under
+    products is refused."""
+    els = set(members)
+    els = sorted(els) if _ints(els) else []
     if not els or els[0] != 0 or els[-1] >= G.order:
         raise GroupError("subgroup must be a set of element indices holding 0")
     idx = {m: i for i, m in enumerate(els)}
@@ -385,18 +387,26 @@ def _entry(name: str, k: int | None):
 CATALOG_CACHE_SIZE = 32
 
 
-def catalog(name: str, param: int | None = None) -> Group:
+def _key(name: str, param: int | str | None) -> tuple[str, int | None]:
+    """(name, param) as the catalog reads them, param by the integer rule."""
+    try:
+        return name.strip().lower(), None if param is None else _as_int(param)
+    except ValueError:
+        raise GroupError(f"malformed catalog parameter {reprlib.repr(param)}") from None
+
+
+def catalog(name: str, param: int | str | None = None) -> Group:
     """Named groups.  Those with a size take it as `param`; `dihedral`
     takes the group order (so dihedral 8 has 5 involutions).  Lookups are
     case-insensitive and cached, so equal specs share one Group object
     while the spec is among the last CATALOG_CACHE_SIZE looked up."""
-    return _catalog_cached(name.strip().lower(), param)
+    return _catalog_cached(*_key(name, param))
 
 
-def catalog_order(name: str, param: int | None = None) -> int:
+def catalog_order(name: str, param: int | str | None = None) -> int:
     """Order of the group `catalog(name, param)` names: the length of its
     element list, with no table built.  Raises GroupError as `catalog` does."""
-    return len(_entry(name.strip().lower(), param)[0])
+    return len(_entry(*_key(name, param))[0])
 
 
 @functools.lru_cache(maxsize=CATALOG_CACHE_SIZE)
@@ -418,10 +428,7 @@ def group_from_spec(text: str, cap: tuple[str, int] = ("CLOSURE_CAP", CLOSURE_CA
         parts = text.split(":")
         if len(parts) not in (2, 3):
             raise GroupError(f"malformed catalog spec {reprlib.repr(text)}")
-        try:
-            param = int(parts[2]) if len(parts) == 3 else None
-        except ValueError:
-            raise GroupError(f"malformed catalog parameter {reprlib.repr(parts[2])}") from None
+        param = parts[2] if len(parts) == 3 else None
         n = catalog_order(parts[1], param)
         if n > cap_value:
             raise GroupError(f"group order {n} exceeds {cap_name} = {cap_value}")
@@ -432,9 +439,6 @@ def group_from_spec(text: str, cap: tuple[str, int] = ("CLOSURE_CAP", CLOSURE_CA
             raise GroupError(f"perms spec has more than {cap_name} = {cap_value} generators")
         if not all(c.strip() for c in chunks):
             raise GroupError(f"empty generator in {reprlib.repr(text)}")
-        raw = [perms.parse_cycle_string(c) for c in chunks]
-        deg = max(len(p) for p in raw)
-        gens = [p + tuple(range(len(p), deg)) for p in raw]
-        return closure(gens, cap)
+        return closure([perms.parse_cycle_string(c) for c in chunks], cap)
     raise GroupError(f"unknown group spec {reprlib.repr(text)} "
                      "(want 'catalog:...' or 'perms:...')")

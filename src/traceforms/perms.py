@@ -6,10 +6,15 @@ Composition convention used everywhere in this package:
 
 so in a product the right factor acts first, and a cycle (c0 c1 ... ck)
 maps each c_i to c_{i+1}.
+
+A permutation given by its images enters by one check, `door`, whose
+refusals groups.closure and clifford._door re-raise as their own errors.
 """
 from __future__ import annotations
 
 import reprlib
+
+from . import _as_int, _ints
 
 Perm = tuple[int, ...]
 
@@ -20,7 +25,7 @@ DEGREE_CAP = 2048
 
 
 def _check_degree(n: int) -> None:
-    if not 0 <= n <= DEGREE_CAP:
+    if not (_ints((n,)) and 0 <= n <= DEGREE_CAP):
         raise ValueError(f"degree {n} is outside 0..DEGREE_CAP = {DEGREE_CAP}")
 
 
@@ -29,8 +34,26 @@ def identity(n: int) -> Perm:
 
 
 def is_perm(p) -> bool:
-    return (isinstance(p, tuple) and all(isinstance(x, int) for x in p)
-            and sorted(p) == list(range(len(p))))
+    return isinstance(p, tuple) and _ints(p) and sorted(p) == list(range(len(p)))
+
+
+def door(ps, cap: tuple[str, int], n: int | None = None, what: str = "degree") -> list[Perm]:
+    """ps on n points, as tuples padded with fixed points.  Each p must be
+    a tuple or list of int images forming a permutation of 0..len(p) - 1.
+    Before an image is read, a given n (checked by the caller) bounds each
+    len(p), or else n, the largest len(p), is bounded by cap = (name,
+    value).  A refusal is a ValueError naming n as `what`."""
+    for p in ps:
+        if not isinstance(p, (tuple, list)):
+            raise ValueError(f"not a permutation: {reprlib.repr(p)}")
+    if n is None and (n := max(map(len, ps), default=0)) > cap[1]:
+        raise ValueError(f"{what} {n} exceeds {cap[0]} = {cap[1]}")
+    for p in ps:
+        if len(p) > n:
+            raise ValueError(f"permutation degree exceeds {what}")
+        if not is_perm(tuple(p)):
+            raise ValueError(f"not a permutation: {reprlib.repr(p)}")
+    return [tuple(p) + tuple(range(len(p), n)) for p in ps]
 
 
 def compose(p: Perm, q: Perm) -> Perm:
@@ -64,8 +87,8 @@ def from_cycles(n: int, cycs) -> Perm:
     _check_degree(n)
     images = list(range(n))
     for cyc in cycs:
-        if len(set(cyc)) != len(cyc):
-            raise ValueError(f"repeated point in cycle {cyc}")
+        if not _ints(cyc) or len(set(cyc)) != len(cyc):
+            raise ValueError(f"repeated or non-int point in cycle {reprlib.repr(cyc)}")
         for i, c in enumerate(cyc):
             if not 0 <= c < n:
                 raise ValueError(f"point {c} out of range 0..{n - 1}")
@@ -93,9 +116,9 @@ def parse_cycle_string(text: str, n: int | None = None) -> Perm:
     try:
         if not (text.startswith("(") and text.endswith(")")):
             raise ValueError("no enclosing parentheses")
-        cycs = [tuple(map(int, chunk.replace(",", " ").split()))
+        cycs = [tuple(map(_as_int, chunk.replace(",", " ").split()))
                 for chunk in text[1:-1].split(")(")]
-    except ValueError:  # the parentheses, or int() on a point
+    except ValueError:  # the parentheses, or a point that is no integer
         raise ValueError(f"malformed cycle string: {reprlib.repr(text)}") from None
     if not all(cycs):
         raise ValueError(f"empty cycle in {reprlib.repr(text)}")

@@ -7,7 +7,7 @@ Rank, signature, discriminant and that place set classify forms over Q
 up to isometry, which is how `is_isometric_q` decides equivalence.
 
 Four decisions are each made by one function.  `_rational` is the only
-code that reads a value, for every door and the command line: an int, a
+code that reads a rational, for every door and the command line: an int, a
 Fraction or a string, its decimal exponent bounded by
 sys.int_info.default_max_str_digits.  `square_class` is the only code
 that factors one, calling `factorint` on the coprime numerator and
@@ -34,6 +34,8 @@ import reprlib
 import sys
 from fractions import Fraction
 from typing import NamedTuple
+
+from . import _as_int, _ints
 
 INF = "inf"  # the archimedean place, alongside prime numbers
 
@@ -228,8 +230,7 @@ def _hilbert(a: int, b: int, v) -> int:
 def check_place(v) -> None:
     """Refuse v unless it is a place: INF, or an int that
     `is_probable_prime` proves prime (a bool is not a place)."""
-    if v != INF and (isinstance(v, bool) or not isinstance(v, int)
-                     or not is_probable_prime(v)):
+    if v != INF and not (_ints((v,)) and is_probable_prime(v)):
         raise QuadraticError(f"not a place: {v!r}")
 
 
@@ -281,23 +282,25 @@ def _rational(x) -> Fraction:
     """x as a Fraction: an int, a Fraction or a string such as "1/10".  A
     float is refused, since its binary value (0.1 is 3602879701896397/2^55)
     is not the decimal it was written as; so are a bool and any other
-    type, malformed text and a zero denominator.  A string's decimal
+    type, malformed text and a zero denominator.  Text must be ASCII with
+    no "_" and no inner space, which Fraction() reads alike on every
+    supported Python (3.11 added "1_0", 3.12 "1 / 2").  A string's decimal
     exponent is held to the digit limit int() puts on an integer's text:
-    1e100000 would be a 100,001-digit value for factorint.  An int, a
-    Fraction and plain ASCII integer text ([+-]digits, which int() reads
-    as Fraction() would, under the same digit limit) take the short way."""
-    t = type(x)
-    if t is Fraction:
+    1e100000 would be a 100,001-digit value for factorint.  A Fraction and
+    an integer (the package's integer rule) take the short way."""
+    if type(x) is Fraction:
         return x
-    if t is int:
-        return Fraction(x)
+    try:
+        return Fraction(_as_int(x))
+    except ValueError:  # no integer, or text past the digit limit
+        pass
     if isinstance(x, str):
         limit = sys.int_info.default_max_str_digits
         try:
-            if x.isascii() and (x[1:] if x[:1] in "+-" else x).isdigit():
-                return Fraction(int(x))
             exp = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", x)
             if exp is None or abs(int(exp[1])) <= limit:
+                if not x.isascii() or "_" in x or len(x.split()) != 1:
+                    raise ValueError(f"Invalid literal for Fraction: {x!r}")
                 return Fraction(x)
         except ZeroDivisionError:
             raise QuadraticError(f"zero denominator in {reprlib.repr(x)}") from None
@@ -305,7 +308,7 @@ def _rational(x) -> Fraction:
             raise QuadraticError(str(exc).replace(repr(x), reprlib.repr(x))) from None
         raise QuadraticError(f"decimal exponent in {reprlib.repr(x)} exceeds "
                              f"sys.int_info.default_max_str_digits = {limit}")
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+    if not isinstance(x, Fraction):  # an int subclass such as bool is no int
         raise QuadraticError(f"{reprlib.repr(x)} is not an exact rational; "
                              "pass an int, a Fraction or a string")
     return Fraction(x)

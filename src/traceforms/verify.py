@@ -20,7 +20,7 @@ import zlib
 from itertools import islice
 from typing import NamedTuple
 
-from . import clifford, cohomology, fixtures, galois, groups, oracles, quadratic
+from . import _ints, clifford, cohomology, fixtures, galois, groups, oracles, quadratic
 
 DEFAULT_SEED = 20260816
 
@@ -33,7 +33,7 @@ def jsonable(x):
         return {str(k): jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [jsonable(v) for v in x]
-    if isinstance(x, bool) or x is None or isinstance(x, (int, float, str)):
+    if x is None or isinstance(x, (int, float, str)):
         return x
     if isinstance(x, (frozenset, set)):
         return [jsonable(v) for v in sorted(x, key=quadratic.place_sort_key)]
@@ -504,11 +504,13 @@ STATEMENTS = tuple(_RUNNERS)
 def run_statement(statement: str, seed: int = DEFAULT_SEED) -> VerificationReport:
     """Run one statement; its verdict is "pass" exactly when the computed
     values hold the expected ones, and "fail" when they do not or when
-    the runner raises."""
+    the runner raises.  An unknown statement or a non-int seed raises."""
     runner = _RUNNERS.get(statement)
     if runner is None:
         raise ValueError(f"unknown statement {reprlib.repr(statement)}; "
                          f"choose from {', '.join(STATEMENTS)}")
+    if not _ints((seed,)):
+        raise ValueError(f"seed must be an int, got {reprlib.repr(seed)}")
     t0 = time.perf_counter()
     try:
         claim = runner(seed)

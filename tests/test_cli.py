@@ -564,19 +564,53 @@ def test_perms_spec_is_bounded_before_its_generators_are_built():
 
 
 @pytest.mark.parametrize("given, exact", [
-    (["trace", "--poly", "1,0,-3.0"], ["trace", "--poly", "1,0,-3"]),
-    (["trace", "--poly", "1,0,-6/2"], ["trace", "--poly", "1,0,-3"]),
-    (["trace", "--algebra", '[{"poly": [1,0,-3], "multiplicity": "2.0"}]'],
+    (["trace", "--poly", " 1, +0 ,-3"], ["trace", "--poly", "1,0,-3"]),
+    (["trace", "--algebra", '[{"poly": [1,"0","-3"], "multiplicity": " 2 "}]'],
      ["trace", "--algebra", '[{"poly": [1,0,-3], "multiplicity": 2}]']),
-    (["trace", "--algebra", '[{"poly": [1,"0","-3"], "multiplicity": "4/2"}]'],
-     ["trace", "--algebra", '[{"poly": [1,0,-3], "multiplicity": 2}]']),
-], ids=["poly-decimal", "poly-fraction", "multiplicity-decimal",
-        "algebra-text"])
+], ids=["poly-signed", "algebra-text"])
 def test_integers_are_read_exactly(capsys, given, exact):
-    # --poly used int(), which refused "-3.0", and --algebra int() on a
-    # multiplicity, which refused the "2.0" that EtaleAlg itself accepts
+    # --poly used int(), and --algebra int() on a multiplicity; both read
+    # integer text now as EtaleAlg itself does, by the package's rule
     assert run_cli(capsys, *given) == run_cli(capsys, *exact)
     assert run_cli(capsys, *exact)[0] == 0
+
+
+@pytest.mark.parametrize("argv, quoted", [
+    (["trace", "--poly", "1,0,-3.0"], "'-3.0'"),
+    (["trace", "--poly", "1,0,-6/2"], "'-6/2'"),
+    (["trace", "--poly", "1,0,-1e3"], "'-1e3'"),
+    (["trace", "--poly", "1,0,-1_0"], "'-1_0'"),
+    (["trace", "--poly", "1,0,٣"], "'٣'"),
+    (["trace", "--algebra", '[{"poly": [1,0,-3], "multiplicity": "2.0"}]'], "'2.0'"),
+    (["trace", "--algebra", '[{"poly": [1,0,-3], "multiplicity": "4/2"}]'], "'4/2'"),
+    (["trace", "--algebra", '[{"poly": [1,0,-3], "multiplicity": true}]'], "True"),
+    (["h2", "--group", "catalog:cyclic:1_0"], "'1_0'"),
+    (["h2", "--group", "catalog:cyclic:٣"], "'٣'"),
+    (["h2", "--group", "catalog:cyclic:4.0"], "'4.0'"),
+    (["group", "--group", "perms:(0 1_0)"], "'(0 1_0)'"),
+    (["extension", "--group", "catalog:cyclic:4", "--cocycle", "basis:0_0"], "'basis:0_0'"),
+    (["form", "--entries", "1_0,3"], "'1_0'"),
+    (["form", "--entries", "1 / 2,3"], "'1 / 2'"),
+    (["form", "--entries", "٣,3"], "'٣'"),
+    (["pin-sign", "--n", "1_2"], "'1_2'"),
+    (["pin-sign", "--n", "١٢"], "'١٢'"),
+    (["suite", "--seed", "9_9"], "'9_9'"),
+], ids=["poly-decimal", "poly-fraction", "poly-exponent", "poly-underscore",
+        "poly-arabic-indic", "multiplicity-decimal", "multiplicity-fraction",
+        "multiplicity-bool", "catalog-underscore", "catalog-arabic-indic",
+        "catalog-decimal", "cycle-point", "basis-index", "entry-underscore",
+        "entry-spaced-slash", "entry-arabic-indic", "n-underscore", "n-arabic-indic",
+        "seed-underscore"])
+def test_integer_text_outside_the_rule_exits_2(capsys, argv, quoted):
+    # an integer is ASCII digits with an optional sign, and rational text
+    # is ASCII with no "_" or inner space, on every supported Python:
+    # "1_0" answered on 3.11 and "1 / 2" on 3.12 but exited 2 on 3.10,
+    # "٣" read as 3 everywhere, and a coefficient took "-3.0" as -3
+    assert _exit_code(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    message = err.splitlines()[-1]
+    assert "error: " in message and quoted in message, err
 
 
 @pytest.mark.parametrize("argv", [

@@ -186,6 +186,18 @@ def test_the_door_refuses_what_is_not_a_permutation_or_an_int_rank(call, match):
         call()
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: pin_lift((True, False)), r"not a permutation: \(True, False\)"),
+    (lambda: pin_product_sign((0, 1), [False, True]), r"not a permutation: \[False, True\]"),
+    (lambda: pin_lift((1, 0), True), "rank is not an int: True"),
+    (lambda: involution_square_sign(True), "rank is not an int: True"),
+])
+def test_a_bool_is_no_image_and_no_rank(call, match):
+    # pin_lift((True, False)) answered as the swap of two points
+    with pytest.raises(CliffordError, match=match):
+        call()
+
+
 def test_a_list_is_a_permutation_too():
     assert pin_lift([1, 0]) == pin_lift((1, 0))
     assert pin_product_sign([1, 2, 0], [1, 0]) == pin_product_sign((1, 2, 0), (1, 0, 2))

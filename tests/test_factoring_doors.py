@@ -7,9 +7,10 @@ that names one of the names below must be one of the listed readers,
 only `square_class` and the product of two classes build a class, and
 no other module names the private square-class and cup helpers, so
 they reach a class only through the public constructor.  Outside input
-has one door of each kind too: only `cli._read` opens a file, only
-`galois._integer` reads a value through `quadratic._rational`, and a
-form's bounds are checked only by its two doors, `QForm` and
+has one door of each kind too: only `cli._read` opens a file, one
+integer rule in the package root reads every integer (`galois._integer`
+for coefficients and multiplicities), `perms.door` checks every
+permutation given by its images, and a form's bounds are checked only by its two doors, `QForm` and
 `diagonalize`, which `cli` reaches without naming a bound; a pin
 input's rank is compared with `CLIFFORD_RANK_CAP` only by
 `clifford._door`.  Every cap and budget of the package names itself in
@@ -84,7 +85,9 @@ def test_only_cli_read_opens_a_file():
 
 
 def test_galois_reads_every_integer_through_one_function():
-    assert _names_by_function(_tree("galois")).get("_rational") == {"_integer"}
+    # the package's integer rule, no longer the rational reader
+    names = _names_by_function(_tree("galois"))
+    assert names.get("_as_int") == {"_integer"} and "_rational" not in names
 
 
 def test_no_other_module_names_the_square_class_helpers():
@@ -175,3 +178,73 @@ def test_every_cap_is_named_in_a_refusal_and_expected_by_a_test():
         if not any(re.search(expected, t) for t in tests):
             untested.append(name)
     assert (unnamed, untested) == ([], [])
+
+
+# ROADMAP item 16: the modules whose outside text holds integers (catalog
+# parameters, cycle points, the basis:<i> index, --n and --seed)
+_INTEGER_TEXT = ("perms", "groups", "cli", "verify")
+
+
+def test_no_integer_text_is_read_by_int():
+    # int() read "1_0" as 10 and "٣" as 3, as did argparse's type=int.
+    # int(bits, 2) of a cocycle file's checked 0/1 characters reads a bit
+    # string, so only a one-argument int() or int handed over is counted
+    found = []
+    for mod in _INTEGER_TEXT:
+        for n in ast.walk(_tree(mod)):
+            if (isinstance(n, ast.Call) and getattr(n.func, "id", None) == "int"
+                    and len(n.args) + len(n.keywords) == 1):
+                found.append(f"{mod}:{n.lineno} int()")
+            if isinstance(n, ast.Call) and getattr(n.func, "id", None) != "isinstance":
+                handed = n.args + [k.value for k in n.keywords]
+                found += [f"{mod}:{n.lineno} int handed over" for a in handed
+                          if isinstance(a, ast.Name) and a.id == "int"]
+    assert found == []
+
+
+def _owners(pred) -> set:
+    """(module, function) of every top-level function or method of the
+    package, root included, with a node for which pred holds."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    out = set()
+    for path in sorted(PKG.glob("*.py")):
+        for f in ast.walk(_tree(path.stem)):
+            if isinstance(f, funcs) and any(pred(n) for n in ast.walk(f)):
+                out.add((path.stem, f.name))
+    return out
+
+
+def test_the_integer_rule_has_one_implementation():
+    # integer text is recognised, and a value's type tested as int or
+    # bool, only in the package root; every layer calls _as_int or _ints
+    def reads_digits(n):
+        return isinstance(n, ast.Attribute) and n.attr in ("isdigit", "isdecimal", "isnumeric")
+
+    def tests_int_or_bool_type(n):
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "isinstance":
+            return bool({"int", "bool"} & _named(n.args[1]))
+        return isinstance(n, ast.Compare) and "type" in _named(n) and "int" in _named(n)
+
+    assert _owners(reads_digits) == {("__init__", "_as_int")}
+    assert _owners(tests_int_or_bool_type) == {
+        ("__init__", "_ints"), ("verify", "jsonable")}  # jsonable renders output
+    defined = {(path.stem, f.name) for path in sorted(PKG.glob("*.py"))
+               for f in ast.walk(_tree(path.stem))
+               if isinstance(f, ast.FunctionDef) and f.name in ("_as_int", "_ints")}
+    assert defined == {("__init__", "_as_int"), ("__init__", "_ints")}
+    users = {path.stem for path in sorted(PKG.glob("*.py")) if path.stem != "__init__"
+             and {"_as_int", "_ints"} & _named(_tree(path.stem))}
+    assert users == {"perms", "groups", "clifford", "quadratic", "galois", "cli", "verify"}
+
+
+def test_only_the_permutation_door_checks_a_permutation():
+    # closure and the pin layer each had their own loop over images
+    def names_is_perm(n):
+        return getattr(n, "attr", None) == "is_perm" or getattr(n, "id", None) == "is_perm"
+
+    def calls_the_door(n):
+        return isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "door"
+
+    assert _owners(names_is_perm) == {("perms", "door"), ("perms", "from_cycles")}
+    assert {o for o in _owners(calls_the_door) if o[0] != "perms"} == {
+        ("groups", "closure"), ("clifford", "_door")}

@@ -94,9 +94,14 @@ def test_constructors_refuse_floats_and_bools(make):
 
 def test_multiplicity_given_exactly_is_accepted():
     f = MonicPoly((1, 0, -3))
-    for m in (2, "2", Fraction(2)):
+    for m in (2, "2", " +2 "):
         A = EtaleAlg(((f, m),))
         assert A.factors == ((f, 2),) and A.degree == 4
+    # the integer rule: an int or integer text; Fraction(2) and "4/2" are
+    # refused alike as coefficients (test_coefficients_and_...)
+    for m in (Fraction(2), "4/2", "2.0", "1_0", "٢"):
+        with pytest.raises(GaloisError, match="must be an integer"):
+            EtaleAlg(((f, m),))
 
 
 def _read_or_none(make):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import operator
 import random
@@ -503,3 +504,71 @@ def test_catalog_tables_labels_and_names_are_pinned(name, param):
     G = catalog(name, param)
     blob = json.dumps([G.table, G.labels, G.name]).encode()
     assert hashlib.sha256(blob).hexdigest() == _CATALOG_DIGESTS[name, param]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Group(((0, 1.0), (1.0, 0))),
+    lambda: Group(((0, True), (True, 0))),
+    lambda: Group(((0, "1"), ("1", 0))),
+    lambda: subgroup(catalog("cyclic", 4), [0, 2.0]),
+    lambda: subgroup(catalog("cyclic", 4), [False, 2]),
+    lambda: quotient_with_map(catalog("cyclic", 4), [0, 2.0]),
+    lambda: catalog("cyclic", True),
+    lambda: catalog("cyclic", 2.0),
+    lambda: catalog("cyclic", "1_0"),
+    lambda: catalog_order("cyclic", "٣"),
+    lambda: closure([(True, False)]),
+    lambda: closure([(1, 0), [0, 2.0, 1]]),
+    lambda: closure([range(2)]),
+], ids=["float-entry", "bool-entry", "text-entry", "float-member", "bool-member",
+        "float-normal-member", "bool-param", "float-param", "underscore-param",
+        "digit-param", "bool-image", "float-image", "range-generator"])
+def test_library_input_outside_the_integer_rule_raises_group_error(call):
+    # each raised TypeError, or answered: catalog("cyclic", True) built a
+    # group named "cyclicTrue" and closure composed bools
+    with pytest.raises(GroupError):
+        call()
+
+
+def test_integer_parameters_share_one_catalog_entry():
+    assert catalog("cyclic", " 4 ") is catalog("cyclic", 4) is catalog("Cyclic", "+4")
+    assert catalog_order("dihedral", "16") == 16
+
+
+def test_closure_bounds_the_degree_before_it_composes(monkeypatch):
+    # a 3,000-point generator was held and composed, where a perms: spec
+    # refused degree 2,049 before it parsed a point
+    def compose(p, q):
+        raise AssertionError("composed")
+    monkeypatch.setattr(perms, "compose", compose)
+    with pytest.raises(GroupError, match=r"^degree 3000 exceeds DEGREE_CAP = 2048$"):
+        closure([tuple(range(3000))[::-1]])
+    with pytest.raises(GroupError, match=r"^degree 2049 exceeds DEGREE_CAP = 2048$"):
+        closure([(1, 0), list(range(2049))])
+
+
+def test_closure_pads_generators_of_mixed_degrees():
+    # one degree rule with the perms: spec, which padded before closure
+    # refused the mix as a "generator degree mismatch"
+    G = closure([(1, 0), [0, 2, 1]])
+    assert G.order == 6 and G.labels[1:] == ("(1 2)", "(0 1)", "(0 1 2)", "(0 2 1)", "(0 2)")
+    assert G.table == group_from_spec("perms:(0 1),(1 2)").table
+
+
+def test_a_table_of_permutation_rows_is_accepted_exactly_when_it_is_a_group():
+    # Group checks no column: with rows that are permutations, 0 a
+    # two-sided identity and the product associative, every element has
+    # a right inverse, so the table is a group and its columns are
+    # permutations.  Of the 216 tables of order 4 with such rows, the 4
+    # labelled groups (3 cyclic, 1 Klein) pass, and only Latin squares
+    rows = [[p for p in itertools.permutations(range(4)) if p[0] == i] for i in (1, 2, 3)]
+    accepted = []
+    for r1, r2, r3 in itertools.product(*rows):
+        table = ((0, 1, 2, 3), r1, r2, r3)
+        try:
+            Group(table)
+        except GroupError:
+            continue
+        accepted.append(table)
+    assert len(accepted) == 4
+    assert all(sorted(col) == [0, 1, 2, 3] for t in accepted for col in zip(*t))

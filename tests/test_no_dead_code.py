@@ -4,7 +4,7 @@ referenced by name somewhere else in the package or listed in an
 
 A top-level definition f of module m counts as referenced by the name f
 inside m, by `m.f`, or by the name under which another module imports it
-with `from .m import f`.  A name the package serves lazily from m (its
+with `from .m import f` (`from . import f` for the package root's f).  A name the package serves lazily from m (its
 `_EXPORTS` table) counts as exported by m.  A method counts as referenced by any attribute
 of its name.  References made only from inside the definition itself, or
 from definitions already found dead, do not count, so a helper whose
@@ -52,10 +52,11 @@ def _scan():
     for mod, tree in trees.items():
         local = {}
         for node in tree.body:
-            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                source = node.module or "__init__"  # "from . import f": the root's f
                 for a in node.names:
-                    imports[node.module, a.name].append((mod, a.asname or a.name))
-                    local[a.asname or a.name] = (node.module, a.name)
+                    imports[source, a.name].append((mod, a.asname or a.name))
+                    local[a.asname or a.name] = (source, a.name)
             if not isinstance(node, ast.Assign):
                 continue
             targets = {t.id for t in node.targets if isinstance(t, ast.Name)}

@@ -109,14 +109,36 @@ def test_cycle_validation():
 
 def test_a_permutation_has_int_images():
     # a float tuple sorted like range(n) passed, and a str image raised
-    # TypeError from sorted; closure checks its generators with is_perm
-    # and quotes a refused one shortened
+    # TypeError from sorted; closure checks its generators with perms.door
+    # and quotes a refused one shortened.  A bool is not an int image.
     assert is_perm((1, 0)) and is_perm(())
     assert not is_perm((1.0, 0.0)) and not is_perm((0, "a")) and not is_perm([1, 0])
+    assert not is_perm((True, False)) and not is_perm((0, True))
     with pytest.raises(GroupError, match=r"^not a permutation: \(1\.0, 0\.0\)$"):
         closure([(1.0, 0.0)])
+    # within DEGREE_CAP, so the images are read; 10,000 points are refused
+    # by their count first (test_closure_bounds_the_degree_before_it_composes)
     with pytest.raises(GroupError, match=r"^not a permutation: \(0, 0, 0, 0, 0, 0, \.\.\.\)$"):
+        closure([(0, 0) * 1000])
+    with pytest.raises(GroupError, match=r"^degree 10000 exceeds DEGREE_CAP = 2048$"):
         closure([(0, 0) * 5000])
+
+
+@pytest.mark.parametrize("text", ["(0 1_0)", "(0 ٣)", "(0 1.0)", "(0 True)", "(0 1e1)"])
+def test_a_cycle_point_is_ascii_digits(text):
+    # int() read "1_0" as 10 and "٣" as 3
+    with pytest.raises(ValueError, match="malformed cycle string"):
+        parse_cycle_string(text)
+    assert parse_cycle_string("(0 +2 )") == (2, 1, 0)
+
+
+@pytest.mark.parametrize("n, cycs", [(3, [(0, 1.0)]), (3, [(True, 2)]), (3, [(0, "1")]),
+                                     (True, []), (2.0, [])])
+def test_from_cycles_takes_int_points_and_degree(n, cycs):
+    # a float point raised TypeError, (True, 2) was refused as an overlap,
+    # and degree True built the identity on one point
+    with pytest.raises(ValueError, match="non-int point|DEGREE_CAP"):
+        from_cycles(n, cycs)
 
 
 def test_degree_is_bounded_before_allocating():

@@ -272,6 +272,24 @@ def test_unknown_statement_raises():
         run_statement("nope", DEFAULT_SEED)
 
 
+@pytest.mark.parametrize("run", [
+    lambda: run_statement("property-suites", 1.5),
+    lambda: run_statement("h2-s4", True),
+    lambda: run_statement("h2-s4", "7"),
+    lambda: run_suite("7"),
+    lambda: run_suite(None),
+], ids=["float", "bool", "text", "suite-text", "suite-none"])
+def test_a_seed_that_is_not_an_int_raises_before_a_runner_starts(monkeypatch, run):
+    # 1.5 and "7" reported "fail", the verdict of a computed result that
+    # came out false, and True ran as seed 1
+    def started(seed):
+        raise AssertionError("a runner started")
+    for name in STATEMENTS:
+        monkeypatch.setitem(verify._RUNNERS, name, started)
+    with pytest.raises(ValueError, match="seed must be an int, got "):
+        run()
+
+
 def test_run_suite_order_and_verdicts():
     reports = run_suite(DEFAULT_SEED)
     assert [r.statement for r in reports] == list(STATEMENTS)
