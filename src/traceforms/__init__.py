@@ -7,7 +7,8 @@ The layers, bottom to top:
 - ``perms``, ``gf2``: permutation words and GF(2) linear algebra.
 - ``groups``: finite groups as multiplication tables, a named catalog,
   Sylow 2-subgroups, quotients, the left regular representation.
-- ``cohomology``: normalized 2-cocycles with F2 coefficients, H²,
+- ``cohomology``: normalized 2-cocycles with F2 coefficients, each one
+  int, and H², whose classes are coordinate masks in ``h2(G)``'s basis;
   the involution-diagonal map and its kernel, central extensions and
   the involution-lifting property.
 - ``clifford``: pin lifts of permutations as integer folds, and sign
@@ -40,7 +41,8 @@ their layers by the module ``__getattr__`` (PEP 562).
 The package's one integer rule lives here, in the module every command
 runs: an integer is an ``int`` (never a ``bool``: a bool is no number) or
 text that, stripped, is an optional ASCII sign and ASCII digits.  So
-"1_0", "٣" and "4.0" are integers on no Python.
+"1_0", "٣" and "4.0" are integers on no Python, and `_DigitLimit`
+refuses one too long for int() in words that do not change with it.
 """
 
 import importlib.util
@@ -50,8 +52,8 @@ __version__ = "1.0.0"
 
 # layer -> the public names it defines, in the order of __all__
 _EXPORTS = {
-    "cohomology": ("Cocycle2", "CohClass", "h2", "is_2_reduced", "ker_s",
-                   "s_map", "two_lift_property"),
+    "cohomology": ("Cocycle2", "h2", "is_2_reduced", "ker_s", "s_map",
+                   "two_lift_property"),
     "clifford": ("involution_square_sign", "pin_cocycle", "pin_lift"),
     "galois": ("EtaleAlg", "GaloisError", "MonicPoly", "algebra_disc",
                "classify_2group_trace_form", "trace_form", "trace_gram",
@@ -75,14 +77,27 @@ def _ints(xs) -> bool:
     return set(map(type, xs)) <= {int}
 
 
+class _DigitLimit(ValueError):
+    """A number written with more digits than int() and Fraction() read."""
+
+    def __init__(self, digits: int):
+        super().__init__(f"a number of {digits} digits exceeds "
+                         f"sys.int_info.default_max_str_digits = "
+                         f"{sys.int_info.default_max_str_digits}")
+
+
 def _as_int(x) -> int:
-    """x read by the integer rule, else ValueError for the caller to re-raise."""
+    """x read by the integer rule, else ValueError for the caller to re-raise
+    (but _DigitLimit, which it passes on: that text is an integer)."""
     if _ints((x,)):
         return x
     if isinstance(x, str) and x.isascii():
         t = x.strip()
-        if (t[1:] if t[:1] in "+-" else t).isdigit():
-            return int(t)  # past sys.int_info.default_max_str_digits, ValueError
+        digits = t[1:] if t[:1] in "+-" else t
+        if digits.isdigit():
+            if len(digits) > sys.int_info.default_max_str_digits:
+                raise _DigitLimit(len(digits))
+            return int(t)
     raise ValueError("not an integer")
 
 

@@ -90,11 +90,12 @@ def _fields(text: str) -> list[str]:
 
 def _read_json(source: str, **kwargs):
     """The JSON value in source, or in the file it names after an "@".
-    Nesting too deep for the decoder is malformed JSON, a ValueError."""
+    Nesting too deep for the decoder is malformed JSON, a ValueError.  An
+    integer stays text, which the library door reads and bounds."""
     if source.startswith("@"):
         source = _read(source[1:])
     try:
-        return json.loads(source, **kwargs)
+        return json.loads(source, parse_int=str, **kwargs)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
 
@@ -115,8 +116,8 @@ def _load_algebra(args) -> galois.EtaleAlg:
 def _load_gram(path: str) -> list:
     """The rows of the JSON file, unread: `quadratic.diagonalize` bounds,
     reads and checks them."""
-    # a JSON number with a fraction or exponent stays text, so the rows
-    # are read exactly, with the exponent bound, and never as floats
+    # every JSON number stays text, so the rows are read exactly, with
+    # the digit and exponent bounds, and never as floats
     data = _read_json("@" + path, parse_float=str)
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise ValueError("Gram JSON must be a list of rows")
@@ -124,9 +125,8 @@ def _load_gram(path: str) -> list:
 
 
 def _load_cocycle(G, spec: str) -> cohomology.Cocycle2:
-    n = G.order
     if spec == "zero":
-        return cohomology.Cocycle2.zero(G)
+        return cohomology.Cocycle2(G, 0)
     if spec.startswith("basis:"):
         try:
             i = _as_int(spec.split(":", 1)[1])
@@ -134,14 +134,9 @@ def _load_cocycle(G, spec: str) -> cohomology.Cocycle2:
             raise ValueError(f"malformed cocycle spec {reprlib.repr(spec)}") from None
         basis = cohomology.h2(G)
         if not 0 <= i < basis.dim:
-            raise ValueError(
-                f"basis index {i} out of range (dim H² = {basis.dim})")
-        return basis.class_from_coords(1 << i).representative
-    bits = "".join(_read(spec).split())
-    if len(bits) != n * n or set(bits) - {"0", "1"}:
-        raise ValueError(
-            f"cocycle file must hold exactly {n}x{n} ASCII bits")
-    return cohomology.Cocycle2(G, int(bits[::-1], 2))
+            raise ValueError(f"basis index {i} out of range (dim H² = {basis.dim})")
+        return basis.representative(1 << i)
+    return cohomology.Cocycle2.from_rows(G, _read(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +168,7 @@ def _cmd_kers(args, G):
     return {
         "h2_dim": cohomology.h2(G).dim,
         "kernel_dim": len(kernel),
-        "kernel_coords": sorted(cl.coords for cl in kernel),
+        "kernel_coords": sorted(kernel),
         "two_reduced": not kernel,
     }, True
 
@@ -183,10 +178,9 @@ def _cmd_2reduced(args, G):
 
 
 def _cmd_extension(args, G):
-    basis = cohomology.h2(G)
     c = _load_cocycle(G, args.cocycle)
     E = cohomology.extension_from_cocycle(G, c)
-    coords = basis.coords(c)
+    coords = cohomology.h2(G).coords(c)
     return {
         "base_order": G.order,
         "total_order": E.total.order,
@@ -210,10 +204,8 @@ def _cmd_pin_cocycle(args, G):
         "s_vector": list(res.s_vector),
     }
     if res.cocycle is not None:
-        n = G.order
-        flat = format(res.cocycle.bits, f"0{n * n}b")[::-1]
-        out["cocycle_bits"] = [flat[g * n:(g + 1) * n] for g in range(n)]
-        out["coboundary"] = cohomology.h2(G).is_coboundary(res.cocycle)
+        out["cocycle_bits"] = res.cocycle.rows()
+        out["coboundary"] = cohomology.h2(G).coords(res.cocycle) == 0
     return out, True
 
 

@@ -8,7 +8,9 @@ A normalized 2-cocycle c on G satisfies c(e,.) = c(.,e) = 0 and
 
 A 2-cochain is one integer whose bit g·n + h is c(g, h), the row-major
 order of a `--cocycle` file; cocycle_space returns, and H2Basis
-reduces, that same integer.
+reduces, that same integer.  A class of H² is its coordinate mask in
+h2(G)'s basis, which H2Basis.coords and H2Basis.representative map to
+and from a cocycle.  Only Cocycle2.from_rows and rows handle its text.
 
 For a normalized 2-cochain c, give G×F2 the twisted product
 (g,a)(h,b) = (gh, a+b+c(g,h)).  Then
@@ -109,13 +111,22 @@ class Cocycle2:
             raise CohomologyError("cocycles live on different groups")
         return Cocycle2(self.group, self.bits ^ other.bits)
 
-    def diagonal(self) -> tuple[int, ...]:
-        """Values c(g, g) at the involutions of G, in increasing index order."""
-        return tuple(self.value(g, g) for g in self.group.involutions())
+    @classmethod
+    def from_rows(cls, group: Group, text: str) -> "Cocycle2":
+        """The cochain whose row-major bits c(0, 0) c(0, 1) ... text holds
+        as '0' and '1', with any whitespace between: a `--cocycle` file."""
+        n = group.order
+        bits = "".join(text.split())
+        if len(bits) != n * n or set(bits) - {"0", "1"}:
+            raise CohomologyError(f"cocycle file must hold exactly {n}x{n} ASCII bits")
+        return cls(group, int(bits[::-1], 2))
 
-    @staticmethod
-    def zero(G: Group) -> "Cocycle2":
-        return Cocycle2(G, 0)
+    def rows(self) -> list[str]:
+        """Row g is c(g, 0) c(g, 1) ... as '0' and '1' text; from_rows
+        reads the rows back."""
+        n = self.group.order
+        flat = format(self.bits, f"0{n * n}b")[::-1]
+        return [flat[g * n:(g + 1) * n] for g in range(n)]
 
 
 def delta1(G: Group, b_bits: int) -> Cocycle2:
@@ -200,27 +211,24 @@ def cocycle_space(G: Group) -> list[Cocycle2]:
     return [Cocycle2(G, v) for v in gf2.reduced_basis(cochains)]
 
 
-def coboundary_generators(G: Group) -> list[Cocycle2]:
-    """The coboundaries of the indicator 1-cochains (not reduced)."""
-    return [delta1(G, 1 << g) for g in range(1, G.order)]
-
-
 class H2Basis:
     """Echelonized model of H^2(G, F2): coboundary pivots plus one reduced
-    representative vector per basis class."""
+    representative vector per basis class; dim, z2_dim and b2_dim are
+    the dimensions of H², Z² and B²."""
 
     def __init__(self, G: Group):
         _check_cap(G)
         self.group = G
         self._b2: dict[int, int] = {}
-        for c in coboundary_generators(G):
-            gf2.echelon_insert(self._b2, c.bits)
+        for x in range(1, G.order):  # the coboundaries of the indicators
+            gf2.echelon_insert(self._b2, delta1(G, 1 << x).bits)
+        self.b2_dim = len(self._b2)
         self._pivots = sum(1 << c for c in self._b2)  # one bit per pivot
         self._reps: list[int] = []
         self._rep_pivot: dict[int, int] = {}
-        self._z_dim = 0
-        for z in cocycle_space(G):
-            self._z_dim += 1
+        cocycles = cocycle_space(G)
+        self.z2_dim = len(cocycles)
+        for z in cocycles:
             resid, _ = self._reduce(z.bits)
             if resid:
                 idx = len(self._reps)
@@ -246,14 +254,6 @@ class H2Basis:
                 mask ^= 1 << idx
         return v, mask
 
-    @property
-    def b2_dim(self) -> int:
-        return len(self._b2)
-
-    @property
-    def z2_dim(self) -> int:
-        return self._z_dim
-
     def coords(self, c: Cocycle2) -> int:
         """Coordinate bitmask of the class of c in the chosen basis."""
         if c.group is not self.group:
@@ -263,39 +263,13 @@ class H2Basis:
             raise CohomologyError("vector is not in the cocycle space")
         return mask
 
-    def is_coboundary(self, c: Cocycle2) -> bool:
-        return self.coords(c) == 0
-
-    def class_from_coords(self, mask: int) -> "CohClass":
+    def representative(self, mask: int) -> Cocycle2:
+        """The cocycle of the class with coordinate mask `mask`: the sum of
+        the chosen representatives of the basis classes in it."""
         if mask >> self.dim:
             raise CohomologyError(f"coordinate mask {mask:#x} out of range")
-        v = 0
-        for i in range(self.dim):
-            if (mask >> i) & 1:
-                v ^= self._reps[i]
-        return CohClass(self, mask, Cocycle2(self.group, v))
-
-    def class_of(self, c: Cocycle2) -> "CohClass":
-        return self.class_from_coords(self.coords(c))
-
-    def classes(self) -> list["CohClass"]:
-        return [self.class_from_coords(1 << i) for i in range(self.dim)]
-
-
-class CohClass:
-    __slots__ = ("basis", "coords", "representative")
-
-    def __init__(self, basis: H2Basis, coords: int, representative: Cocycle2):
-        self.basis = basis
-        self.coords = coords
-        self.representative = representative
-
-    def __repr__(self):
-        return (f"CohClass(basis={self.basis!r}, coords={self.coords!r}, "
-                f"representative={self.representative!r})")
-
-    def is_zero(self) -> bool:
-        return self.coords == 0
+        return Cocycle2(self.group, functools.reduce(
+            int.__xor__, [rep for i, rep in enumerate(self._reps) if mask >> i & 1], 0))
 
 
 @functools.lru_cache(maxsize=H2_CACHE_SIZE)
@@ -303,24 +277,21 @@ def h2(G: Group) -> H2Basis:
     return H2Basis(G)
 
 
-def s_map(x) -> tuple[int, ...]:
-    """Diagonal values at involutions; accepts a class or a raw cocycle.
-    Constant on cohomology classes because coboundaries vanish on the
-    diagonal at involutions."""
-    c = x.representative if isinstance(x, CohClass) else x
-    return c.diagonal()
+def s_map(c: Cocycle2) -> tuple[int, ...]:
+    """Values c(t, t) at the involutions t of G, in increasing index
+    order.  Constant on cohomology classes, because a coboundary has
+    δb(t, t) = b(t) + b(t) + b(t²) = b(e) = 0 at an involution t."""
+    return tuple(c.value(t, t) for t in c.group.involutions())
 
 
-def ker_s(G: Group) -> list[CohClass]:
-    """Basis of the kernel of the involution-diagonal map on H^2."""
-    basis = h2(G)
-    if basis.dim == 0:
-        return []
-    diags = [s_map(cl) for cl in basis.classes()]
-    # row j of the map is column j of the diagonals, each packed bit j first
-    packed = [int("".join(map(str, reversed(d))), 2) for d in diags]
-    rows = gf2.transpose(packed, len(diags[0]))
-    return [basis.class_from_coords(m) for m in gf2.nullspace(rows, basis.dim)]
+def ker_s(G: Group) -> list[int]:
+    """Basis of the kernel of s on H², as coordinate masks: row j of the
+    map holds bit c(t, t), t the j-th involution, of each basis
+    representative c, representative i at bit i."""
+    basis, n = h2(G), G.order
+    rows = [sum((rep >> (t * n + t) & 1) << i for i, rep in enumerate(basis._reps))
+            for t in G.involutions()]
+    return gf2.nullspace(rows, basis.dim)
 
 
 def is_2_reduced(G: Group) -> bool:
@@ -395,26 +366,20 @@ def central_extension_from_quotient(total: Group, t: int) -> CentralExt:
     return CentralExt(base, total, t, proj)
 
 
-def class_of_extension(E: CentralExt, rng=None) -> CohClass:
-    """Cohomology class of the extension.  A section s with s(e) = e is
-    chosen (minimum index by default, random with rng) and
-    s(g)s(h) = t^c(g,h) s(gh) defines the cocycle.  It is one by
-    associativity of the total group, and h2(G).class_of refuses any
-    cochain outside Z² anyway."""
+def class_of_extension(E: CentralExt) -> int:
+    """Coordinate mask of the extension's class.  The section s with s(g)
+    the least index over g, so s(e) = e, defines the cocycle by
+    s(g)s(h) = t^c(g,h) s(gh).  It is one by associativity of the total
+    group, and h2(G).coords refuses any cochain outside Z² anyway."""
     G = E.base
     n = G.order
-    sec = [0] * n
-    for g in range(1, n):
-        fib = E.fiber(g)
-        sec[g] = rng.choice(fib) if rng is not None else min(fib)
+    sec = [0] + [min(E.fiber(g)) for g in range(1, n)]
     tt, bt = E.total.table, G.table
-    bits = 0
-    for g in range(1, n):
-        for h in range(1, n):
-            # the projection is a homomorphism with kernel {e, t} (see the
-            # builders), so s(g)s(h) is s(gh) or t s(gh)
-            bits |= (tt[sec[g]][sec[h]] != sec[bt[g][h]]) << (g * n + h)
-    return h2(G).class_of(Cocycle2(G, bits))
+    # the projection is a homomorphism with kernel {e, t} (see the
+    # builders), so s(g)s(h) is s(gh) or t s(gh)
+    bits = sum((tt[sec[g]][sec[h]] != sec[bt[g][h]]) << (g * n + h)
+               for g in range(1, n) for h in range(1, n))
+    return h2(G).coords(Cocycle2(G, bits))
 
 
 def two_lift_property(E: CentralExt) -> bool:

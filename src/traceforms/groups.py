@@ -44,6 +44,15 @@ class GroupError(ValueError):
     pass
 
 
+def _of_kind(convert, x, want: str):
+    """convert(x), where a TypeError, raised for an argument of the wrong
+    kind, is refused as a GroupError quoting x shortened."""
+    try:
+        return convert(x)
+    except TypeError:
+        raise GroupError(f"{want}, got {reprlib.repr(x)}") from None
+
+
 class Group:
     """A group on its multiplication table, held as a tuple of tuple rows.
     A row that arrives as a tuple is kept as that same object, and a row
@@ -55,7 +64,7 @@ class Group:
                  "_gens", "_walk")
 
     def __init__(self, table, labels=None, name: str = ""):
-        table = tuple(tuple(row) for row in table)
+        table = _of_kind(lambda t: tuple(map(tuple, t)), table, "table must be rows")
         n = len(table)
         if n == 0:
             raise GroupError("empty table")
@@ -69,7 +78,9 @@ class Group:
             raise GroupError("element 0 is not a two-sided identity")
         self.order = n
         self.table = table
-        self.labels = tuple(labels) if labels is not None else None
+        if labels is not None:
+            labels = _of_kind(tuple, labels, "labels must be a sequence")
+        self.labels = labels
         self.name = name
         self._inv = None
         self._orders = None
@@ -134,7 +145,7 @@ def closure(generators, cap: tuple[str, int] = ("CLOSURE_CAP", CLOSURE_CAP)) -> 
     as a table.  Element 0 is the identity; the rest are sorted by image
     tuple.  The search stops once it finds more than cap = (name, value)
     elements."""
-    gens = list(generators)
+    gens = _of_kind(list, generators, "generators must be a sequence of permutations")
     if not gens:
         raise GroupError("need at least one generator")
     try:
@@ -247,7 +258,7 @@ def subgroup(G: Group, members) -> Group:
     table: member i in increasing order is element i, so the identity
     comes first.  A set of non-ints, without 0 or not closed under
     products is refused."""
-    els = set(members)
+    els = _of_kind(set, members, "members must be a collection of element indices")
     els = sorted(els) if _ints(els) else []
     if not els or els[0] != 0 or els[-1] >= G.order:
         raise GroupError("subgroup must be a set of element indices holding 0")
@@ -296,7 +307,7 @@ def quotient_with_map(G: Group, members) -> tuple[Group, tuple[int, ...]]:
     """Quotient G/N for the normal subgroup N of G on `members`, plus the
     projection list sending each element of G to its coset index.  N is
     normal when G's generators conjugate it into itself."""
-    N = set(members)
+    N = _of_kind(set, members, "members must be a collection of element indices")
     subgroup(G, N)  # refuses a set that is not a subgroup
     if not all(G.conj(g, m) in N for g in generating_set(G) for m in N):
         raise GroupError("subgroup is not normal")
@@ -389,8 +400,9 @@ CATALOG_CACHE_SIZE = 32
 
 def _key(name: str, param: int | str | None) -> tuple[str, int | None]:
     """(name, param) as the catalog reads them, param by the integer rule."""
+    name = _of_kind(str.strip, name, "catalog name must be a string").lower()
     try:
-        return name.strip().lower(), None if param is None else _as_int(param)
+        return name, None if param is None else _as_int(param)
     except ValueError:
         raise GroupError(f"malformed catalog parameter {reprlib.repr(param)}") from None
 
@@ -422,7 +434,7 @@ def group_from_spec(text: str, cap: tuple[str, int] = ("CLOSURE_CAP", CLOSURE_CA
     it holds more than value elements.  A perms: spec with more than
     value generators is refused before any is parsed, since a group
     within the cap has fewer distinct non-identity elements."""
-    text = text.strip()
+    text = _of_kind(str.strip, text, "group spec must be a string")
     cap_name, cap_value = cap
     if text.startswith("catalog:"):
         parts = text.split(":")

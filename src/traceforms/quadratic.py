@@ -35,7 +35,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import _as_int, _ints
+from . import _as_int, _DigitLimit, _ints
 
 INF = "inf"  # the archimedean place, alongside prime numbers
 
@@ -287,12 +287,15 @@ def _rational(x) -> Fraction:
     supported Python (3.11 added "1_0", 3.12 "1 / 2").  A string's decimal
     exponent is held to the digit limit int() puts on an integer's text:
     1e100000 would be a 100,001-digit value for factorint.  A Fraction and
-    an integer (the package's integer rule) take the short way."""
+    an integer (the package's integer rule) take the short way, and
+    integer text past that limit is refused by the rule's _DigitLimit."""
     if type(x) is Fraction:
         return x
     try:
         return Fraction(_as_int(x))
-    except ValueError:  # no integer, or text past the digit limit
+    except _DigitLimit as exc:
+        raise QuadraticError(str(exc)) from None
+    except ValueError:  # no integer
         pass
     if isinstance(x, str):
         limit = sys.int_info.default_max_str_digits

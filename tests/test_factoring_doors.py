@@ -13,7 +13,9 @@ for coefficients and multiplicities), `perms.door` checks every
 permutation given by its images, and a form's bounds are checked only by its two doors, `QForm` and
 `diagonalize`, which `cli` reaches without naming a bound; a pin
 input's rank is compared with `CLIFFORD_RANK_CAP` only by
-`clifford._door`.  Every cap and budget of the package names itself in
+`clifford._door`; and only `cohomology` reads a 2-cochain's bits, so
+only `Cocycle2.from_rows` and `Cocycle2.rows` know the bit order of
+its text.  Every cap and budget of the package names itself in
 a refusal, and a test expects that refusal with the cap's value.
 """
 import ast
@@ -248,3 +250,24 @@ def test_only_the_permutation_door_checks_a_permutation():
     assert _owners(names_is_perm) == {("perms", "door"), ("perms", "from_cycles")}
     assert {o for o in _owners(calls_the_door) if o[0] != "perms"} == {
         ("groups", "closure"), ("clifford", "_door")}
+
+
+def test_only_cohomology_reads_or_writes_a_cochains_bits():
+    # cli worked out the row-major bit order itself, twice: int(text, 2)
+    # of a --cocycle file and format(bits, "0…b") of pin-cocycle's rows
+    readers = {path.stem for path in sorted(PKG.glob("*.py"))
+               for n in ast.walk(_tree(path.stem))
+               if isinstance(n, ast.Attribute) and n.attr == "bits"
+               and isinstance(n.ctx, ast.Load)}
+    assert readers == {"cohomology"}
+
+    def bit_text(n):
+        if not isinstance(n, ast.Call):
+            return False
+        name = getattr(n.func, "id", None)
+        if name == "int":
+            return len(n.args) + len(n.keywords) == 2
+        return (name == "format" and len(n.args) == 2
+                and ast.unparse(n.args[1]).strip("'\"").endswith("b"))
+
+    assert {f for mod, f in _owners(bit_text) if mod == "cli"} == set()

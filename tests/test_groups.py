@@ -3,6 +3,7 @@ import itertools
 import json
 import operator
 import random
+import reprlib
 
 import pytest
 
@@ -87,7 +88,7 @@ def test_builders_hand_group_tuple_rows_it_keeps(monkeypatch):
     assert kept(D8)
     center = [g for g in range(8) if all(D8.mul(g, h) == D8.mul(h, g) for h in range(8))]
     assert kept(quotient_with_map(D8, center)[0])
-    assert kept(extension_from_cocycle(D8, Cocycle2.zero(D8)).total)
+    assert kept(extension_from_cocycle(D8, Cocycle2(D8, 0)).total)
     # rows from outside arrive as lists and are copied into tuples
     assert Group([[0, 1], [1, 0]]).table == ((0, 1), (1, 0))
 
@@ -520,14 +521,33 @@ def test_catalog_tables_labels_and_names_are_pinned(name, param):
     lambda: closure([(True, False)]),
     lambda: closure([(1, 0), [0, 2.0, 1]]),
     lambda: closure([range(2)]),
+    lambda: catalog(None),
+    lambda: group_from_spec(None),
+    lambda: Group(5),
+    lambda: closure(5),
+    lambda: subgroup(catalog("cyclic", 4), 5),
+    lambda: quotient_with_map(catalog("cyclic", 4), 5),
 ], ids=["float-entry", "bool-entry", "text-entry", "float-member", "bool-member",
         "float-normal-member", "bool-param", "float-param", "underscore-param",
-        "digit-param", "bool-image", "float-image", "range-generator"])
+        "digit-param", "bool-image", "float-image", "range-generator",
+        "none-catalog-name", "none-spec", "int-table", "int-generators",
+        "int-members", "int-normal-members"])
 def test_library_input_outside_the_integer_rule_raises_group_error(call):
-    # each raised TypeError, or answered: catalog("cyclic", True) built a
-    # group named "cyclicTrue" and closure composed bools
+    # each raised TypeError or AttributeError, or answered: catalog("cyclic",
+    # True) built a group named "cyclicTrue" and closure composed bools
     with pytest.raises(GroupError):
         call()
+
+
+def test_an_argument_of_the_wrong_kind_is_quoted_shortened():
+    with pytest.raises(GroupError) as exc:
+        catalog(None)
+    assert str(exc.value) == "catalog name must be a string, got None"
+    with pytest.raises(GroupError) as exc:
+        closure(10 ** 60)
+    assert str(exc.value) == ("generators must be a sequence of permutations, "
+                              f"got {reprlib.repr(10 ** 60)}")
+    assert "..." in str(exc.value)
 
 
 def test_integer_parameters_share_one_catalog_entry():

@@ -1,7 +1,9 @@
 """The same command line gets the same answer on every supported Python.
 Each other python3.10-python3.13 on PATH that starts runs the package
-from this source tree, and its stdout bytes and exit code must equal the
-running interpreter's.  The tests skip when no other one starts."""
+from this source tree, and its stdout bytes and exit code (with stderr,
+for a number past int()'s digit limit) must equal the running
+interpreter's.  Those tests skip when no other one starts; the
+digit-limit message is also pinned in process."""
 import functools
 import os
 import shutil
@@ -11,6 +13,7 @@ import sys
 import pytest
 
 import traceforms
+from traceforms import cli, quadratic
 
 SRC = os.path.dirname(os.path.dirname(traceforms.__file__))
 
@@ -51,10 +54,10 @@ def _others() -> tuple[str, ...]:
     return tuple(found)
 
 
-def _run(exe: str, argv: list[str]) -> tuple[bytes, int]:
+def _run(exe: str, argv: list[str], stderr: bool = False) -> tuple[bytes, ...]:
     proc = subprocess.run([exe, "-m", "traceforms", *argv], capture_output=True,
                           timeout=120, env=dict(os.environ, PYTHONPATH=SRC))
-    return proc.stdout, proc.returncode
+    return (proc.stdout, proc.returncode) + ((proc.stderr,) if stderr else ())
 
 
 @pytest.mark.parametrize("argv", _REFUSED + _ANSWERED, ids=" ".join)
@@ -66,3 +69,46 @@ def test_every_python_answers_alike(argv):
     assert here[1] == (2 if argv in _REFUSED else 0), here
     for exe in others:
         assert _run(exe, argv) == here, exe
+
+
+# integer text one digit past int()'s limit: Python's own refusal reads
+# "Exceeds the limit (4300) ..." on 3.10 and "... (4300 digits) ..." on
+# 3.11-3.13.  A form entry is refused in the package's words; a
+# coefficient keeps galois's "must be an integer", which a golden
+# digest in test_cli.py pins for a 100,000-digit coefficient
+_LIMIT = sys.int_info.default_max_str_digits
+_LONG = "1" * (_LIMIT + 1)
+_PAST_LIMIT = {
+    "form-entries": ["form", "--entries", _LONG],
+    "trace-poly": ["trace", "--poly", "1,0," + _LONG],
+}
+_LIMIT_MESSAGE = (f"a number of {_LIMIT + 1} digits exceeds "
+                  f"sys.int_info.default_max_str_digits = {_LIMIT}")
+_COEFFICIENT_MESSAGE = "coefficient must be an integer, got '111111111111...1111111111111'"
+
+
+@pytest.mark.parametrize("argv", _PAST_LIMIT.values(), ids=_PAST_LIMIT)
+def test_every_python_refuses_a_number_past_the_digit_limit_alike(argv):
+    others = _others()
+    if not others:
+        pytest.skip("no other python3.10-python3.13 on PATH starts")
+    here = _run(sys.executable, argv, stderr=True)
+    assert here[:2] == (b"", 2), here
+    for exe in others:
+        assert _run(exe, argv, stderr=True) == here, exe
+
+
+def test_a_number_past_the_digit_limit_is_refused_in_the_packages_words(capsys, tmp_path):
+    gram = tmp_path / "gram.json"
+    gram.write_text(f"[[{_LONG}]]")
+    algebra = f'[{{"poly": [1, 0, {_LONG}]}}]'
+    for argv, message in [(_PAST_LIMIT["form-entries"], _LIMIT_MESSAGE),
+                          (["form", "--gram", str(gram)], _LIMIT_MESSAGE),
+                          (_PAST_LIMIT["trace-poly"], _COEFFICIENT_MESSAGE),
+                          (["trace", "--algebra", algebra], _COEFFICIENT_MESSAGE)]:
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    for x in (_LONG, "-" + _LONG, " +" + _LONG + " "):
+        with pytest.raises(quadratic.QuadraticError) as exc:
+            quadratic.QForm((x,))
+        assert str(exc.value) == _LIMIT_MESSAGE
