@@ -196,16 +196,18 @@ def _cmd_pin_sign(args):
 
 
 def _cmd_pin_cocycle(args, G):
-    res = clifford.pin_cocycle(G, involutions_only=args.involutions_only)
-    out = {
-        "order": G.order,
-        "involutions_only": res.involutions_only,
-        "diagonal_signs": {str(g): s for g, s in sorted(res.square_signs.items())},
-        "s_vector": list(res.s_vector),
-    }
-    if res.cocycle is not None:
-        out["cocycle_bits"] = res.cocycle.rows()
-        out["coboundary"] = cohomology.h2(G).coords(res.cocycle) == 0
+    ts = G.involutions()
+    out = {"order": G.order, "involutions_only": args.involutions_only}
+    if args.involutions_only:  # every involution squares to one sign
+        bit = (1 - clifford.involution_square_sign(G.order)) // 2 if ts else 0
+        s_vector = [bit] * len(ts)
+    else:
+        c = clifford.pin_cocycle(G)
+        s_vector = list(cohomology.s_map(c))
+        out["cocycle_bits"] = c.rows()
+        out["coboundary"] = cohomology.h2(G).coords(c) == 0
+    out["diagonal_signs"] = {str(t): 1 - 2 * b for t, b in zip(ts, s_vector)}
+    out["s_vector"] = s_vector
     return out, True
 
 
@@ -344,7 +346,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                 "(order ≤ 24)", _cmd_pin_cocycle,
                 lambda: ("CLIFFORD_RANK_CAP", clifford.CLIFFORD_RANK_CAP))
     p.add_argument("--involutions-only", action="store_true",
-                   help="only the diagonal signs at involutions")
+                   help="only the diagonal signs at involutions: each is "
+                        "pin-sign of the group order")
 
     p = sub.add_parser("form", parents=[common],
                        help="invariants of a diagonal form or a Gram matrix")

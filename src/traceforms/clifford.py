@@ -46,9 +46,10 @@ factor passed in (1), one per e_i - e_z read as -(e_z - e_i), one per
 new factor.  A level is one pass over at most K factors: O(n K) a sign.
 
 For the translation action of a group the signs form a 2-cocycle, and
-for an involution g (h = g, c = 0) they give the sign of lift(g)^2.  The
-full cocycle computes only the products with a generating set and fills
-in the rest by associativity (see pin_cocycle).
+for an involution g (h = g, c = 0) they give the sign of lift(g)^2, the
+one sign involution_square_sign(|G|) at every g.  pin_cocycle computes
+the products with a generating set and fills in the rest by
+associativity.
 
 Every input passes one check, _door: a permutation must pass perms.door,
 and a rank be an int of at most CLIFFORD_RANK_CAP (for pin_cocycle, the
@@ -142,12 +143,6 @@ def _word_sign(word: list[tuple[int, int]]) -> int:
     return bit
 
 
-def _square_sign(factors: list[tuple[int, int]]) -> int:
-    """+-1 with x^2 = +-1, x the lift with these factors (an involution's):
-    the lift of the identity has no factors."""
-    return -1 if _word_sign(factors + factors) else 1
-
-
 # -- integer fold kernel ----------------------------------------------------
 # A product of k factors (e_i - e_j)/sqrt(2) is (1/sqrt 2)^k times an
 # integer combination of basis masks (its fold); pin_lift returns folds
@@ -236,40 +231,22 @@ def pin_lift(p: perms.Perm, n: int | None = None) -> tuple[int, dict[int, int]]:
 
 def involution_square_sign(n: int) -> int:
     """Square of the pin lift of (0 1)(2 3)...(n-2 n-1) on n coordinates,
-    decided by one word sign (`_square_sign`) and cross-checked against
-    the closed form +1 iff n = 0, 2 mod 8."""
+    decided by one word sign and cross-checked against the closed form
+    +1 iff n = 0, 2 mod 8.  It is the square at every fixed-point-free
+    involution t = s (0 1)...(n-2 n-1) s^-1: lift(s) lift((0 1)...)
+    lift(s)^-1 is +-lift(t), twisted conjugation being a homomorphism
+    with kernel +-1, and x^2 = +-1 is central.  Left translation by an
+    involution of G has no fixed point (tx = x forces t = e), so
+    s_map(pin_cocycle(G)) is this one sign at every involution."""
     _door((), n)
     if n < 2 or n % 2:
         raise CliffordError("need an even number of coordinates, at least 2")
-    alg = _square_sign([(2 * i, 2 * i + 1) for i in range(n // 2)])
+    alg = -1 if _word_sign([(2 * i, 2 * i + 1) for i in range(n // 2)] * 2) else 1
     m = n // 2
     closed = 1 if (m * (m - 1) // 2) % 2 == 0 else -1
     if alg != closed:
         raise CliffordError("algebraic and closed-form signs disagree")
     return alg
-
-
-class PinCocycleResult:
-    """Sign data of the pin lifts of a group's translation action."""
-
-    __slots__ = ("group", "cocycle", "square_signs", "involutions_only")
-
-    def __init__(self, group: groups.Group, cocycle: cohomology.Cocycle2 | None,
-                 square_signs: dict[int, int], involutions_only: bool):
-        self.group = group
-        self.cocycle = cocycle
-        self.square_signs = square_signs  # involution index -> lift(g)^2 = +-1
-        self.involutions_only = involutions_only
-
-    def __repr__(self):
-        return (f"PinCocycleResult(group={self.group!r}, cocycle={self.cocycle!r}, "
-                f"square_signs={self.square_signs!r}, "
-                f"involutions_only={self.involutions_only!r})")
-
-    @property
-    def s_vector(self) -> tuple[int, ...]:
-        return tuple(int(self.square_signs[g] == -1)
-                     for g in sorted(self.square_signs))
 
 
 def pin_product_sign(p: perms.Perm, q: perms.Perm, n: int | None = None) -> int:
@@ -282,13 +259,13 @@ def pin_product_sign(p: perms.Perm, q: perms.Perm, n: int | None = None) -> int:
     return _word_sign(_factors(pp) + _factors(qq) + fc[::-1])
 
 
-def pin_cocycle(G: groups.Group, involutions_only: bool = False) -> PinCocycleResult:
-    """Sign cocycle c with lift(g) lift(h) = (-1)^c(g,h) lift(gh), where
-    lift is the pin lift of left translation by g.  With involutions_only
-    just the diagonal values at involutions (the squares) are computed.
-    In both modes _door bounds the order, the rank of the translations.
+def pin_cocycle(G: groups.Group) -> cohomology.Cocycle2:
+    """The validated sign cocycle c with lift(g) lift(h) =
+    (-1)^c(g,h) lift(gh), where lift is the pin lift of left translation
+    by g; its squares at the involutions are cohomology.s_map(c).  _door
+    bounds the order, the rank of the translations.
 
-    The full table computes only the columns of a generating set S:
+    The table computes only the columns of a generating set S:
     c(x, s) for x != e and s in S, each one word sign (_word_sign).
     Every other column follows from a column h already known, along the
     breadth-first walk from e by right multiplication by S
@@ -306,16 +283,10 @@ def pin_cocycle(G: groups.Group, involutions_only: bool = False) -> PinCocycleRe
     n = G.order
     _door((), n)
     t = G.table  # row g is the left translation by g
-
-    if involutions_only:
-        signs = {g: _square_sign(_factors(t[g])) for g in G.involutions()}
-        return PinCocycleResult(G, None, signs, True)
-
     fl = list(map(_factors, t))
     columns = {s: [0] + [_word_sign(fl[x] + fl[s] + fl[t[x][s]][::-1])
                          for x in range(1, n)]
                for s in groups.generating_set(G)}
     c = cohomology.Cocycle2(G, cohomology.cochains_from_columns(G, columns, 1)[0])
     c.validate()
-    signs = {g: -1 if c.value(g, g) else 1 for g in G.involutions()}
-    return PinCocycleResult(G, c, signs, False)
+    return c

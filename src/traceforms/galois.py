@@ -15,7 +15,7 @@ import math
 import reprlib
 from fractions import Fraction
 
-from . import _as_int, cohomology, groups
+from . import _as_int, _DigitLimit, cohomology, groups
 from .quadratic import (
     QForm,
     _bareiss,
@@ -58,9 +58,12 @@ def _check_degree(what: str, n: int) -> None:
 
 
 def _integer(x, what: str) -> int:
-    """x by the package's integer rule, not int(): True is not 1, 2.5 not 2."""
+    """x by the package's integer rule, not int(): True is not 1, 2.5 not 2;
+    integer text past the digit limit is refused in _DigitLimit's words."""
     try:
         return _as_int(x)
+    except _DigitLimit as exc:
+        raise GaloisError(str(exc)) from None
     except ValueError:
         raise GaloisError(f"{what} must be an integer, got {reprlib.repr(x)}") from None
 

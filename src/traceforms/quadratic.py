@@ -62,10 +62,11 @@ _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 _TRIAL_PROVEN_BOUND = 43 * 43
 
 
-def is_probable_prime(n: int) -> bool:
+def is_probable_prime(n: int, charge=None) -> bool:
     """Whether n is prime: by trial division by the fixed bases below
     _TRIAL_PROVEN_BOUND (43^2), then by Miller-Rabin with them below
-    _MR_PROVEN_BOUND (3.3e24); a probable prime above it raises."""
+    _MR_PROVEN_BOUND (3.3e24); a probable prime above it raises.  Each
+    round, at most n.bit_length() squarings, is paid to charge first."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -79,6 +80,8 @@ def is_probable_prime(n: int) -> bool:
         d //= 2
         r += 1
     for a in _MR_BASES:
+        if charge:
+            charge(n, n.bit_length())
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -94,28 +97,25 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-# Steps y -> y^2 + c allowed in one Pollard rho call: enough for the cycle
-# length 2^21 that two 12-digit primes can need, about 4 s at 31 digits
-# on a 2-core Xeon.  A step on an n of b bits counts ceil(b/128) times,
-# since its cost grows with b: a 99-digit n stops within the same time.
+# Steps y -> y^2 + c and Miller-Rabin squarings allowed in one factorint
+# call: enough for the cycle length 2^21 that two 12-digit primes can
+# need, about 4 s at 31 digits on a 2-core Xeon.  A step mod n of
+# w = ceil(bits/128) words counts max(w, w^2 // 12) times, as its cost
+# grows (as w^2 once CPython's division dominates): a 99-digit n stops
+# within the same time, and a round on 4,300 digits (7 s) never starts.
 RHO_BUDGET = 1 << 23
 
 
-def _pollard_rho(n: int) -> int:
+def _pollard_rho(n: int, charge) -> int:
     """A nontrivial factor of odd composite n (Brent's cycle variant),
-    within RHO_BUDGET steps."""
+    each step paid to charge first."""
     rng = random.Random(0xC0FFEE ^ n)
-    steps = 0
-    width = -(-n.bit_length() // 128)
     while True:
         y, c, m = rng.randrange(1, n), rng.randrange(1, n), 128
         g = r = q = 1
         x = ys = y
         while g == 1:
-            steps += 2 * r * width  # r steps to move x, at most r more to find g
-            if steps > RHO_BUDGET:
-                raise QuadraticError(f"cannot factor {n} within "
-                                     f"RHO_BUDGET = {RHO_BUDGET} rho steps")
+            charge(n, 2 * r)  # r steps to move x, at most r more to find g
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -138,9 +138,20 @@ def _pollard_rho(n: int) -> int:
 
 
 def factorint(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}."""
+    """Prime factorization of n >= 1 as {prime: exponent}, its steps
+    paid to charge out of one RHO_BUDGET."""
     if n < 1:
         raise QuadraticError("factorint needs a positive integer")
+    spent = 0
+
+    def charge(m: int, steps: int) -> None:
+        nonlocal spent
+        w = -(-m.bit_length() // 128)
+        spent += steps * max(w, w * w // 12)
+        if spent > RHO_BUDGET:
+            raise QuadraticError(f"cannot factor {reprlib.repr(m)} within "
+                                 f"RHO_BUDGET = {RHO_BUDGET} rho steps")
+
     out: dict[int, int] = {}
     for p in _MR_BASES:
         if p * p > n:  # no prime below p divides n, so it is 1 or a prime
@@ -155,14 +166,14 @@ def factorint(n: int) -> dict[int, int]:
         m = stack.pop()
         if m == 1:
             continue
-        if is_probable_prime(m):
+        if is_probable_prime(m, charge):
             out[m] = out.get(m, 0) + 1
             continue
         r = math.isqrt(m)
         if r * r == m:
             stack += [r, r]
             continue
-        d = _pollard_rho(m)
+        d = _pollard_rho(m, charge)
         stack += [d, m // d]
     return out
 
@@ -278,39 +289,44 @@ def place_sort_key(v):
 # diagonal forms
 
 
+# stripped rational text that Fraction() reads alike on every supported
+# Python; the groups are its digit runs
+_RATIONAL_TEXT = re.compile(r"[-+]?(?=\.?\d)(\d*)(?:/(\d+)|(?:\.(\d*))?(?:[eE][-+]?(\d+))?)",
+                            re.ASCII)
+
+
 def _rational(x) -> Fraction:
     """x as a Fraction: an int, a Fraction or a string such as "1/10".  A
     float is refused, since its binary value (0.1 is 3602879701896397/2^55)
     is not the decimal it was written as; so are a bool and any other
     type, malformed text and a zero denominator.  Text must be ASCII with
-    no "_" and no inner space, which Fraction() reads alike on every
-    supported Python (3.11 added "1_0", 3.12 "1 / 2").  A string's decimal
-    exponent is held to the digit limit int() puts on an integer's text:
-    1e100000 would be a 100,001-digit value for factorint.  A Fraction and
-    an integer (the package's integer rule) take the short way, and
-    integer text past that limit is refused by the rule's _DigitLimit."""
+    no "_" and no inner space (_RATIONAL_TEXT), which Fraction() reads alike
+    on every supported Python (3.11 added "1_0", 3.12 "1 / 2").  A string's
+    decimal exponent is held to the digit limit int() puts on an integer's
+    text: 1e100000 would be a 100,001-digit value for factorint.  A digit
+    run past that limit is refused in _DigitLimit's words before Fraction()
+    reads it.  A Fraction and an integer take the short way."""
     if type(x) is Fraction:
         return x
     try:
         return Fraction(_as_int(x))
-    except _DigitLimit as exc:
-        raise QuadraticError(str(exc)) from None
-    except ValueError:  # no integer
+    except ValueError:  # no integer, or past the digit limit: read below
         pass
     if isinstance(x, str):
         limit = sys.int_info.default_max_str_digits
-        try:
-            exp = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", x)
-            if exp is None or abs(int(exp[1])) <= limit:
-                if not x.isascii() or "_" in x or len(x.split()) != 1:
-                    raise ValueError(f"Invalid literal for Fraction: {x!r}")
-                return Fraction(x)
-        except ZeroDivisionError:
-            raise QuadraticError(f"zero denominator in {reprlib.repr(x)}") from None
-        except ValueError as exc:  # Fraction's on text, quoting x; int()'s on a long exponent
-            raise QuadraticError(str(exc).replace(repr(x), reprlib.repr(x))) from None
-        raise QuadraticError(f"decimal exponent in {reprlib.repr(x)} exceeds "
-                             f"sys.int_info.default_max_str_digits = {limit}")
+        exp = re.search(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z", x)
+        if exp and len(exp[1]) <= limit and int(exp[1]) > limit:
+            raise QuadraticError(f"decimal exponent in {reprlib.repr(x)} exceeds "
+                                 f"sys.int_info.default_max_str_digits = {limit}")
+        text = x.isascii() and _RATIONAL_TEXT.fullmatch(x.strip())
+        if not text:
+            raise QuadraticError(f"Invalid literal for Fraction: {reprlib.repr(x)}")
+        digits = max(len(run or "") for run in text.groups())
+        if digits > limit:
+            raise QuadraticError(str(_DigitLimit(digits)))
+        if text[2] and not int(text[2]):  # a zero denominator
+            raise QuadraticError(f"zero denominator in {reprlib.repr(x)}")
+        return Fraction(x)
     if not isinstance(x, Fraction):  # an int subclass such as bool is no int
         raise QuadraticError(f"{reprlib.repr(x)} is not an exact rational; "
                              "pass an int, a Fraction or a string")

@@ -411,10 +411,12 @@ def test_empty_field_exits_2(capsys, argv):
 
 
 def test_refused_integer_is_not_echoed_whole(capsys):
-    # the message quotes a long refused value shortened, not all 100,000 digits
+    # the message counts the digits of a long refused value, not all 100,000
     code, out, err = run_cli(capsys, "trace", "--poly", "1," + "9" * 100_000)
     assert code == 2 and out == ""
-    assert err == "error: coefficient must be an integer, got '999999999999...9999999999999'\n"
+    limit = sys.int_info.default_max_str_digits
+    assert err == ("error: a number of 100000 digits exceeds "
+                   f"sys.int_info.default_max_str_digits = {limit}\n")
 
 
 _LONG = "7" * 200_000
@@ -693,6 +695,18 @@ def test_unsplittable_entry_exits_2_within_rho_budget():
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
     assert elapsed < 10, elapsed
     assert "RHO_BUDGET = 8388608" in proc.stderr
+
+
+@pytest.mark.parametrize("digits", [300, 4300])
+def test_long_entry_exits_2_within_the_factoring_budget(digits):
+    # one RHO_BUDGET bounds a whole factorint call, its Miller-Rabin rounds
+    # included: a round on the 4,300-digit entry took 7 s, one was run for
+    # every small factor rho split off, and the entry ran until killed
+    proc, elapsed = run_limited(
+        ["-m", "traceforms", "form", "--entries", "3," + "1" * digits])
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert elapsed < 10, elapsed
+    assert "RHO_BUDGET = 8388608" in proc.stderr and len(proc.stderr) < 200
 
 
 def test_extension_trips_h2_cap_before_other_work():
@@ -1249,8 +1263,10 @@ def _trace_digest_runs():
 
 # sha256 over the runs above of "<exit>\n<stdout>\n<stderr>", each with
 # and without --pretty, recorded while every value was read as a Fraction
-# and the trace Gram was checked as an outside matrix
-_TRACE_DIGEST = "4cfb369ee80f58d15efa559a860efc903798ea07211e1247ceda2cc46dcfd86e"
+# and the trace Gram was checked as an outside matrix; re-pinned when the
+# 100,000-digit coefficient's refusal became the digit-limit message, the
+# old digest's records with only that stderr replaced
+_TRACE_DIGEST = "ad39a5d0b57789ad257e1011f577f307f0849bde60daae6bc39c3618336c5d5a"
 
 
 def test_trace_and_form_outputs_match_golden_digest(capsys, tmp_path):

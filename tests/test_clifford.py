@@ -1,5 +1,6 @@
 import collections
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -23,7 +24,7 @@ from clifford_oracle import (
     times_lift,
     twisted_action,
 )
-from traceforms import clifford
+from traceforms import cli, clifford
 from traceforms.clifford import (
     FOLD_TERMS_CAP,
     CliffordError,
@@ -31,7 +32,6 @@ from traceforms.clifford import (
     _check_fold,
     _factors,
     _fold_factors,
-    _square_sign,
     _word_sign,
     involution_square_sign,
     pin_cocycle,
@@ -206,11 +206,11 @@ def test_a_list_is_a_permutation_too():
 def test_pin_product_sign_matches_cocycle_rows():
     G = catalog("dihedral", 8)
     rows_of = G.table
-    res = pin_cocycle(G)
+    c = pin_cocycle(G)
     for g in range(G.order):
         for h in range(G.order):
             bit = pin_product_sign(rows_of[g], rows_of[h])
-            assert bit == res.cocycle.value(g, h)
+            assert bit == c.value(g, h)
 
 
 def test_involution_square_sign_table():
@@ -230,33 +230,81 @@ def test_pin_cocycle_splitness_small_groups():
                               ("elem_abelian_2", 3, True),
                               ("cyclic", 4, False)]:
         G = catalog(key, param) if param else catalog(key)
-        res = pin_cocycle(G)
-        res.cocycle.validate()
-        assert (h2(G).coords(res.cocycle) == 0) == split, (key, param)
-
-
-def test_pin_cocycle_involutions_only_agrees_with_full():
-    for key, param in [("cyclic", 4), ("dihedral", 8), ("quaternion8", None),
-                       ("sym", 4), ("elem_abelian_2", 4), ("dihedral", 24),
-                       ("quat_cover", None)]:
-        G = catalog(key, param) if param is not None else catalog(key)
-        full = pin_cocycle(G)
-        only = pin_cocycle(G, involutions_only=True)
-        assert full.square_signs == only.square_signs
-        assert full.s_vector == only.s_vector
-        assert s_map(full.cocycle) == full.s_vector
+        c = pin_cocycle(G)
+        c.validate()
+        assert (h2(G).coords(c) == 0) == split, (key, param)
 
 
 def test_pin_cocycle_caps():
-    # both modes admit order 24, the rank cap, and refuse order 25
-    full = pin_cocycle(catalog("sym", 4))
-    only = pin_cocycle(catalog("sym", 4), involutions_only=True)
-    assert full.cocycle is not None and only.cocycle is None
-    assert full.square_signs == only.square_signs
-    assert set(only.square_signs.values()) == {1}
-    for involutions_only in (False, True):
-        with pytest.raises(CliffordError, match="CLIFFORD_RANK_CAP = 24"):
-            pin_cocycle(catalog("cyclic", 25), involutions_only=involutions_only)
+    # order 24, the rank cap, answers, and order 25 is refused
+    G = catalog("sym", 4)
+    c = pin_cocycle(G)
+    assert c.group is G and s_map(c) == (0,) * 9
+    with pytest.raises(CliffordError, match="CLIFFORD_RANK_CAP = 24"):
+        pin_cocycle(catalog("cyclic", 25))
+
+
+# every catalog group of order <= 24, and perms: groups up to that order,
+# three of them of odd order and so with no involution
+SPECS_UP_TO_24 = (
+    [f"catalog:cyclic:{k}" for k in range(1, 25)]
+    + [f"catalog:dihedral:{k}" for k in range(2, 25, 2)]
+    + [f"catalog:elem_abelian_2:{k}" for k in range(5)]
+    + [f"catalog:{name}:{k}" for name in ("sym", "alt") for k in range(5)]
+    + ["catalog:quaternion8", "catalog:z4xz2", "catalog:quat_cover"]
+    + ["perms:(0 1 2 3),(0 2)",  # D8
+       "perms:(0 1 2 3)(4 5 6 7),(0 4 2 6)(1 7 3 5)",  # Q8
+       "perms:(0 1),(2 3),(4 5)",  # C2^3
+       "perms:(0 1 2 3),(4 5)",  # C4xC2
+       "perms:(0 1 2),(0 1)(2 3)",  # A4
+       "perms:(0 1 2 3)(4 5 6)",  # C12
+       "perms:(0 1 2 3 4),(1 4)(2 3)",  # D10
+       "perms:(0 1 2 3),(0 2),(4 5)",  # C2xD8
+       "perms:(0 1 2 3 4 5 6 7),(1 7)(2 6)(3 5)",  # D16
+       "perms:(0 1 2 3),(4 5),(6 7)",  # C4xC2^2
+       "perms:(0 1 2 3 4),(1 2 4 3)",  # the Frobenius group of order 20
+       "perms:(0 1 2),(0 1),(3 4 5)",  # S3xC3
+       "perms:(0 1 2 3),(0 1)",  # S4
+       "perms:(0 1 2 3 4)(5 6 7)",  # C15
+       "perms:(0 1 2 3 4 5 6),(1 2 4)(3 6 5)",  # C7:C3, order 21
+       "perms:(0 1 2),(3 4 5)"])  # C3^2
+
+
+@pytest.mark.parametrize("spec", SPECS_UP_TO_24)
+def test_regular_squares_are_the_one_involution_sign(capsys, spec):
+    # a translation by an involution has no fixed point, so each squares
+    # to involution_square_sign(|G|); the table's diagonal says the same,
+    # and so does pin-cocycle with and without --involutions-only
+    G = group_from_spec(spec)
+    assert G.order <= 24
+    ts = G.involutions()
+    b = int(involution_square_sign(G.order) < 0) if ts else 0
+    assert s_map(pin_cocycle(G)) == (b,) * len(ts)
+    printed = []
+    for extra in ([], ["--involutions-only"]):
+        assert cli.main(["pin-cocycle", "--group", spec, *extra]) == 0
+        data = json.loads(capsys.readouterr().out)
+        printed.append((data["diagonal_signs"], data["s_vector"]))
+    assert printed[0] == printed[1]
+    assert printed[0] == ({str(t): (-1) ** b for t in ts}, [b] * len(ts))
+
+
+@pytest.mark.parametrize("spec, signs", [
+    ("catalog:elem_abelian_2:4", 1), ("catalog:dihedral:24", 1), ("catalog:sym:4", 1),
+    ("catalog:cyclic:2", 1), ("catalog:cyclic:1", 0), ("catalog:cyclic:15", 0),
+    ("perms:(0 1 2 3 4 5 6),(1 2 4)(3 6 5)", 0)])
+def test_involutions_only_decides_one_word_sign(monkeypatch, capsys, spec, signs):
+    # one sign for all 15 involutions of C2^4, 13 of D24 and 9 of S4, and
+    # none for a group of odd order
+    calls = [0]
+
+    def counted(word):
+        calls[0] += 1
+        return _word_sign(word)
+    monkeypatch.setattr(clifford, "_word_sign", counted)
+    assert cli.main(["pin-cocycle", "--involutions-only", "--group", spec]) == 0
+    capsys.readouterr()
+    assert calls[0] == signs
 
 
 def _cycle(n, shift=1):
@@ -337,7 +385,7 @@ def test_pin_cocycle_matches_algebra_oracle():
         bits = sum(_algebra_sign(times_lift(lifts[g], rows_of[h]),
                                  lifts[G.table[g][h]]) << (g * n + h)
                    for g in range(n) for h in range(n))
-        assert pin_cocycle(G).cocycle.bits == bits, (key, param)
+        assert pin_cocycle(G).bits == bits, (key, param)
 
 
 def test_pin_product_sign_matches_algebra_oracle():
@@ -360,8 +408,8 @@ W = {0b011: 1, 0b110: -3}
 def test_sign_rule_accepts_signed_powers_of_two():
     assert fold_sign_bit({0b011: 1, 0b110: -3}, W, 0) == 0
     assert fold_sign_bit({0b011: -4, 0b110: 12}, W, 4) == 1
-    assert _square_sign([(0, 1)]) == 1
-    assert _square_sign([(0, 1), (2, 3)]) == -1
+    assert _word_sign([(0, 1)] * 2) == 0
+    assert _word_sign([(0, 1), (2, 3)] * 2) == 1
 
 
 @pytest.mark.parametrize("z, w, gap", [
@@ -380,7 +428,7 @@ def test_sign_rule_rejects_non_proportional_folds(z, w, gap):
 def test_square_of_non_involution_lift_is_rejected():
     # the lift of a 3-cycle does not square to +-1
     with pytest.raises(CliffordError):
-        _square_sign([(0, 2), (0, 1)])
+        _word_sign([(0, 2), (0, 1)] * 2)
 
 
 # -- the integer lift check against the Q(sqrt 2) oracle ---------------------
@@ -563,10 +611,10 @@ def test_pin_cocycle_matches_all_pairs_oracle():
         assert G.order <= 12
         n = G.order
         bits = _all_pairs_bits(G)
-        res = pin_cocycle(G)
-        assert res.cocycle.bits == bits, spec
-        squares = {g: -1 if (bits >> (g * n + g)) & 1 else 1 for g in G.involutions()}
-        assert res.square_signs == squares, spec
+        c = pin_cocycle(G)
+        assert c.bits == bits, spec
+        squares = tuple((bits >> (g * n + g)) & 1 for g in G.involutions())
+        assert s_map(c) == squares, spec
 
 
 def test_pin_cocycle_folds_only_generator_columns(monkeypatch):
@@ -614,9 +662,8 @@ def _no_fold(state, factors):
 
 def test_signs_take_no_fold(monkeypatch):
     monkeypatch.setattr(clifford, "_fold_factors", _no_fold)
-    res = pin_cocycle(catalog("alt", 4))
-    assert res.cocycle is not None
-    assert pin_cocycle(catalog("cyclic", 12), involutions_only=True).square_signs
+    assert pin_cocycle(catalog("alt", 4)).group is catalog("alt", 4)
+    assert involution_square_sign(12) == -1
     assert pin_product_sign(_cycle(24), _cycle(24, 7)) in (0, 1)
     assert involution_square_sign(24) == 1
 
@@ -694,8 +741,8 @@ def test_word_sign_matches_the_algebra_on_every_short_word():
 
 def test_word_with_wrong_image_raises(monkeypatch):
     # factor lists of another permutation, past _factors' compose-back
-    # check, make words whose image is not the identity, at all four call
-    # sites: at the products, one transposition short; at the squares,
+    # check, make words whose image is not the identity, at all three call
+    # sites: at the products, one transposition short; at the square,
     # where an involution one transposition short still squares to a
     # sign, the first transposition swapped for (0 2), so no involution
     G = catalog("dihedral", 8)
@@ -705,13 +752,9 @@ def test_word_with_wrong_image_raises(monkeypatch):
                  lambda: pin_product_sign(rows_of[1], rows_of[2])):
         with pytest.raises(SignMismatchError):
             call()
-    monkeypatch.setattr(clifford, "_factors", transposition_factors)
-    monkeypatch.setattr(clifford, "_square_sign",
-                        lambda factors: _square_sign([(0, 2)] + factors[1:]))
-    for call in (lambda: pin_cocycle(G, involutions_only=True),
-                 lambda: involution_square_sign(8)):
-        with pytest.raises(SignMismatchError):
-            call()
+    monkeypatch.setattr(clifford, "_word_sign", lambda word: _word_sign([(0, 2)] + word[1:]))
+    with pytest.raises(SignMismatchError):
+        involution_square_sign(8)
 
 
 # -- the word sign against the Pfaffian oracle -------------------------------
@@ -742,8 +785,7 @@ def test_word_sign_matches_pfaffian_on_generator_columns(monkeypatch):
         columns = {s: [0] + [_agree(fl[x] + fl[s] + fl[t[x][s]][::-1])
                              for x in range(1, n)]
                    for s in generating_set(G)}
-        assert pin_cocycle(G).cocycle.bits == \
-            cochains_from_columns(G, columns, 1)[0], spec
+        assert pin_cocycle(G).bits == cochains_from_columns(G, columns, 1)[0], spec
 
 
 def test_word_sign_matches_pfaffian_on_product_triples():
@@ -791,7 +833,7 @@ def test_pin_cocycle_at_order_64_within_bound(monkeypatch):
     for spec in ("catalog:dihedral:64", "catalog:cyclic:64"):
         G = group_from_spec(spec)
         t0 = time.perf_counter()
-        assert pin_cocycle(G).cocycle is not None
+        assert pin_cocycle(G).group is G
         assert time.perf_counter() - t0 < 1.5, spec
 
 
@@ -802,7 +844,6 @@ def test_factor_lists_compose_back(monkeypatch):
     G = catalog("dihedral", 8)
     rows_of = G.table
     calls = (lambda: pin_cocycle(G),
-             lambda: pin_cocycle(G, involutions_only=True),
              lambda: pin_product_sign(rows_of[1], rows_of[3]))
     # factors of another permutation: one too few, or one too many
     for wrong in (lambda p: transposition_factors(p)[1:],
@@ -817,7 +858,7 @@ def test_pin_cocycle_matches_fold_oracle_at_order_16():
     for spec in ("catalog:dihedral:16", "catalog:quat_cover", "catalog:cyclic:16"):
         G = group_from_spec(spec)
         assert G.order == 16
-        assert pin_cocycle(G).cocycle.bits == fold_cocycle_bits(G), spec
+        assert pin_cocycle(G).bits == fold_cocycle_bits(G), spec
 
 
 def _random_perm(rng, d, swaps):
@@ -849,4 +890,4 @@ def test_pin_product_sign_matches_fold_oracle():
     assert 300 <= compared < 400
     for d in range(2, 25):
         factors = [(2 * i, 2 * i + 1) for i in range(d // 2)]
-        assert _square_sign(factors) == fold_square_sign(factors), d
+        assert (-1) ** _word_sign(factors * 2) == fold_square_sign(factors), d

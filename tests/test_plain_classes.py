@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from traceforms import clifford, cohomology, fixtures, galois, groups, quadratic, verify
+from traceforms import cohomology, fixtures, galois, groups, quadratic, verify
 
 C2 = groups.catalog("cyclic", 2)
 ZERO = cohomology.Cocycle2(C2, 0)
@@ -23,9 +23,6 @@ _REPRS = [
     (lambda: ZERO, "Cocycle2(group=<Group cyclic2 of order 2>, bits=0)"),
     (lambda: EXT, "CentralExt(base=<Group cyclic2 of order 2>, total=<Group "
                   "ext(cyclic2) of order 4>, t=1, projection=(0, 0, 1, 1))"),
-    (lambda: clifford.pin_cocycle(C2, involutions_only=True),
-     "PinCocycleResult(group=<Group cyclic2 of order 2>, cocycle=None, "
-     "square_signs={1: 1}, involutions_only=True)"),
     (lambda: fixtures.QUAD_REAL_5,
      "FieldFixture(name='quad_real_5', poly=MonicPoly(coeffs=(1, 0, -5)), "
      "catalog=('cyclic', 2), real=True, disc_class=5, case=None)"),

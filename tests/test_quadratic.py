@@ -88,6 +88,21 @@ def test_rho_budget_names_the_limit(monkeypatch):
         factorint(1_000_003 * 999_983)
 
 
+def test_miller_rabin_rounds_are_paid_from_the_budget(monkeypatch):
+    # a prime takes no rho step, but each of its 13 rounds on 20 bits costs
+    # 20 steps, paid before it runs; a round on 4,300 digits (7 s) costs
+    # more than the whole budget
+    monkeypatch.setattr(quadratic, "RHO_BUDGET", 39)
+    with pytest.raises(QuadraticError, match="cannot factor 1000003 within RHO_BUDGET = 39"):
+        factorint(1_000_003)
+    assert is_probable_prime(1_000_003)  # no budget outside factorint
+    monkeypatch.undo()
+    t0 = time.perf_counter()
+    with pytest.raises(QuadraticError, match=r"cannot factor \d+\.\.\.\d+ within RHO_BUDGET"):
+        factorint(int("1" * 4300))
+    assert time.perf_counter() - t0 < 1
+
+
 def test_is_probable_prime_small_table():
     primes = {2, 3, 5, 7, 11, 13, 97, 101, 3511, 1_000_003}
     for n in range(-2, 110):
