@@ -35,8 +35,12 @@ The layers, bottom to top:
 Every layer is registered here unexecuted and runs on its first
 attribute access (``importlib.util.LazyLoader``), so a command compiles
 only the layers its verb reaches.  ``import traceforms.cli`` still puts
-every layer in ``sys.modules``.  The public names below are served from
-their layers by the module ``__getattr__`` (PEP 562).
+every layer in ``sys.modules``.  A first run that raises (an error, or a
+signal such as Ctrl-C or SIGALRM arriving mid-run) leaves its layer
+unexecuted again, as a failed import leaves nothing behind, so the next
+access runs it afresh instead of finding it half-run.  The public names
+below are served from their layers by the module ``__getattr__`` (PEP
+562).
 
 The package's one integer rule lives here, in the module every command
 runs: an integer is an ``int`` (never a ``bool``: a bool is no number) or
@@ -101,10 +105,32 @@ def _as_int(x) -> int:
     raise ValueError("not an integer")
 
 
+class _Rerun:
+    """A layer's own loader, whose run of the layer either completes or is
+    undone: the module gets back the namespace it had before and is made
+    lazy again.  The module object stays the one other layers hold."""
+
+    def __init__(self, loader):
+        self._loader = loader
+
+    def __getattr__(self, name):  # get_source, get_filename, ...
+        return getattr(self._loader, name)
+
+    def exec_module(self, module):
+        before = dict(module.__dict__)
+        try:
+            self._loader.exec_module(module)
+        except BaseException:
+            module.__dict__.clear()
+            module.__dict__.update(before)
+            importlib.util.LazyLoader(self).exec_module(module)
+            raise
+
+
 def _lazy(layer: str):
     """traceforms.<layer>, in sys.modules but run on first attribute access."""
     spec = importlib.util.find_spec(f"{__name__}.{layer}")
-    spec.loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = importlib.util.LazyLoader(_Rerun(spec.loader))
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)

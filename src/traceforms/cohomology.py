@@ -71,11 +71,13 @@ from .groups import (
 )
 
 H2_CAP = 64
-# Bound on h2's cache.  Its key is the Group object, which comes back only
-# for the catalog's shared groups and within one computation: a `suite`
-# run reuses 15 groups.  Every `perms:` spec builds a new Group, so a
-# larger cache keeps groups and bases alive that no later call reaches.
-H2_CACHE_SIZE = 16
+# Bound on h2's cache.  Its key is the group's table (groups compare by
+# table), so a `perms:` spec that closes into a table seen before reuses
+# its basis: a `suite` run asks about 14 tables, a perfbench `library`
+# round about 27.  An order-64 group and its basis keep about 115 KB (a
+# dihedral closure on 32 points, by tracemalloc), so a full cache holds
+# about 3.6 MB.
+H2_CACHE_SIZE = 32
 
 
 class CohomologyError(ValueError):
@@ -107,7 +109,7 @@ class Cocycle2:
         extension_from_cocycle(self.group, self)
 
     def add(self, other: "Cocycle2") -> "Cocycle2":
-        if other.group is not self.group:
+        if other.group != self.group:
             raise CohomologyError("cocycles live on different groups")
         return Cocycle2(self.group, self.bits ^ other.bits)
 
@@ -256,7 +258,7 @@ class H2Basis:
 
     def coords(self, c: Cocycle2) -> int:
         """Coordinate bitmask of the class of c in the chosen basis."""
-        if c.group is not self.group:
+        if c.group != self.group:
             raise CohomologyError("cocycle lives on a different group")
         residue, mask = self._reduce(c.bits)
         if residue:
@@ -335,7 +337,7 @@ def extension_from_cocycle(G: Group, c: Cocycle2) -> CentralExt:
     central of order 2, as c(e,·) = c(·,e) = 0, and the projection
     (g,a) -> g, index x -> x // 2, is a homomorphism, as products multiply
     first coordinates, with kernel {(e,0), (e,1)} = {e, t}."""
-    if c.group is not G:
+    if c.group != G:
         raise CohomologyError("cocycle lives on a different group")
     n, bits = G.order, c.bits
     table = []

@@ -27,6 +27,12 @@ one generator at a time.
 A subgroup is a Group on its own table: `subgroup` re-indexes a set of
 elements that holds 0 and is closed under products (in a finite group,
 such a set is a subgroup), and `sylow2` returns one.
+
+A Group is a value: two groups are equal exactly when their tables are
+equal, whatever their labels and names.  What the package derives from a
+group (its generating set, Sylow 2-subgroup, H² basis, the table of a
+central extension) depends on the table alone, so equal groups share it:
+`perms:(0 1)` and `perms:(2 3)` are one group to cohomology.h2's cache.
 """
 from __future__ import annotations
 
@@ -58,10 +64,12 @@ class Group:
     A row that arrives as a tuple is kept as that same object, and a row
     of any other sequence type is copied into one.  So the builders here
     and cohomology.extension_from_cocycle pass tuple rows, and each table
-    is held once, not also as the builder's copy."""
+    is held once, not also as the builder's copy.  Groups compare by
+    table (module docstring); the hash reads the order and the last row
+    only, O(order), and is kept."""
 
     __slots__ = ("order", "table", "labels", "name", "_inv", "_orders", "_sylow2",
-                 "_gens", "_walk")
+                 "_gens", "_walk", "_hash")
 
     def __init__(self, table, labels=None, name: str = ""):
         table = _of_kind(lambda t: tuple(map(tuple, t)), table, "table must be rows")
@@ -87,6 +95,7 @@ class Group:
         self._sylow2 = None
         self._gens = None
         self._walk = None
+        self._hash = None
         # associativity at a generating set suffices: see the module docstring
         for a in generating_set(self):
             ta = table[a]
@@ -97,6 +106,18 @@ class Group:
     def __repr__(self):
         tag = self.name or "group"
         return f"<Group {tag} of order {self.order}>"
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.table == other.table
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.order, self.table[-1]))
+        return self._hash
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]

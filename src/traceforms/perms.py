@@ -60,7 +60,7 @@ def compose(p: Perm, q: Perm) -> Perm:
     """Return p after q, i.e. x -> p(q(x))."""
     if len(p) != len(q):
         raise ValueError(f"degree mismatch: {len(p)} vs {len(q)}")
-    return tuple(p[x] for x in q)
+    return tuple(map(p.__getitem__, q))
 
 
 def cycles(p: Perm) -> list[tuple[int, ...]]:

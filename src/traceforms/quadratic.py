@@ -240,9 +240,17 @@ def _hilbert(a: int, b: int, v) -> int:
 
 def check_place(v) -> None:
     """Refuse v unless it is a place: INF, or an int that
-    `is_probable_prime` proves prime (a bool is not a place)."""
-    if v != INF and not (_ints((v,)) and is_probable_prime(v)):
-        raise QuadraticError(f"not a place: {v!r}")
+    `is_probable_prime` proves prime (a bool is not a place).  No int at
+    or above _MR_PROVEN_BOUND is proven, so one that no base divides is
+    refused before any Miller-Rabin round, and one that a base divides is
+    not a place; a refusal quotes v shortened."""
+    if v == INF:
+        return
+    if _ints((v,)) and v >= _MR_PROVEN_BOUND and all(v % p for p in _MR_BASES):
+        raise QuadraticError(f"cannot certify primality of {reprlib.repr(v)} (above "
+                             f"the deterministic Miller-Rabin bound)")
+    if not (_ints((v,)) and is_probable_prime(v)):
+        raise QuadraticError(f"not a place: {reprlib.repr(v)}")
 
 
 def hilbert_symbol(a, b, v) -> int:

@@ -3,7 +3,7 @@ import types
 
 import pytest
 
-from traceforms import gf2
+from traceforms import cohomology, gf2, perms
 from traceforms.cohomology import (
     Cocycle2,
     CohomologyError,
@@ -636,3 +636,73 @@ def test_ker_s_and_representatives_match_brute_force_over_every_mask():
                                 for g in range(n)], G
                 assert Cocycle2.from_rows(G, "\n".join(rows)).bits == c.bits, G
     assert seen == 143
+
+
+def test_a_cocycle_belongs_to_every_group_on_its_table():
+    # a basis, a cocycle and the twisted table depend only on the table,
+    # so groups built apart on one table share them
+    G1, G2 = catalog("cyclic", 4), group_from_spec("perms:(0 1 2 3)")
+    assert G1 is not G2 and h2(G1) is h2(G2)
+    c = h2(G1).representative(1)
+    E = extension_from_cocycle(G2, c)
+    assert E.base is G2 and E.total.table == extension_from_cocycle(G1, c).total.table
+    assert h2(G2).coords(c) == 1
+    assert c.add(Cocycle2(G2, c.bits)).bits == 0
+    # the isomorphic table of (0 2 1 3) is another group
+    other = group_from_spec("perms:(0 2 1 3)")
+    assert other != G1
+    for refused in (lambda: extension_from_cocycle(other, c),
+                    lambda: h2(other).coords(c), lambda: c.add(Cocycle2(other, 0))):
+        with pytest.raises(CohomologyError, match="different group"):
+            refused()
+
+
+def _s4_generating_sets(count, seed):
+    """perms: specs of S4 as the benchmark's S4 block draws them: (0 1 2 3)
+    and (0 1), with up to two products of them added, shuffled."""
+    rng = random.Random(seed)
+    specs = []
+    for _ in range(count):
+        gens = [perms.parse_cycle_string("(0 1 2 3)"), perms.parse_cycle_string("(0 1)", 4)]
+        for _ in range(rng.randint(0, 2)):
+            gens.append(perms.compose(rng.choice(gens), rng.choice(gens)))
+        gens = [g for g in gens if g != perms.identity(4)]
+        rng.shuffle(gens)
+        specs.append("perms:" + ",".join(map(perms.to_cycle_string, gens)))
+    return specs
+
+
+def test_generating_sets_of_one_table_share_one_solve():
+    # each perms: spec closes into a new Group, but all twelve sort S4's
+    # elements into one table; keyed by the Group object they made 12 solves
+    specs = _s4_generating_sets(12, seed=41)
+    assert len(set(specs)) > 3
+    h2.cache_clear()
+    dims = {h2(group_from_spec(spec)).dim for spec in specs}
+    assert dims == {2} and h2.cache_info().misses == 1
+
+
+def test_every_h2_miss_is_one_solve(monkeypatch):
+    # perfbench's tracer checks its count of wrapped H2Basis solves against
+    # h2's misses; over a mixed stream of specs (catalog and perms:,
+    # repeated, and two of them on one table) each distinct table is solved
+    # once, and once only
+    solved = []
+    real = cohomology.H2Basis.__init__
+
+    def counting(self, G):
+        solved.append(G)
+        real(self, G)
+
+    monkeypatch.setattr(cohomology.H2Basis, "__init__", counting)
+    h2.cache_clear()
+    stream = ["catalog:cyclic:4", "perms:(0 1 2 3)", "catalog:dihedral:8",
+              "perms:(0 1 2 3),(0 2)", "perms:(0 1)", "perms:(2 3)",
+              "catalog:cyclic:2", "catalog:elem_abelian_2:1", "catalog:sym:4",
+              "perms:(0 2 1 3)", "catalog:dihedral:8", *_s4_generating_sets(3, seed=7)]
+    groups_seen = [group_from_spec(spec) for spec in stream]
+    for G in groups_seen:
+        is_2_reduced(G)
+        h2(G).representative(0)
+    assert len(solved) == h2.cache_info().misses == len(set(groups_seen))
+    assert len(solved) == len({G.table for G in groups_seen})

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import json
@@ -592,3 +593,36 @@ def test_a_table_of_permutation_rows_is_accepted_exactly_when_it_is_a_group():
         accepted.append(table)
     assert len(accepted) == 4
     assert all(sorted(col) == [0, 1, 2, 3] for t in accepted for col in zip(*t))
+
+
+def test_groups_are_equal_exactly_when_their_tables_are():
+    C4 = catalog("cyclic", 4)
+    assert C4 == group_from_spec("perms:(0 1 2 3)") and C4 != catalog("elem_abelian_2", 2)
+    # labels and names are not the group: the two transpositions close
+    # into one table
+    a, b = group_from_spec("perms:(0 1)"), group_from_spec("perms:(2 3)")
+    assert a == b and hash(a) == hash(b) and a.labels != b.labels
+    # isomorphic, but closure sorts the elements of (0 2 1 3) into another table
+    other = group_from_spec("perms:(0 2 1 3)")
+    assert other != C4 and other.table != C4.table
+    assert C4 != C4.table and C4 != object()
+    assert len({C4, group_from_spec("perms:(0 1 2 3)"), other, a, b}) == 3
+
+
+def test_hashing_a_group_reads_one_row():
+    # an order-2048 table holds 4,194,304 entries; the hash reads the last
+    # row's 2,048 and is kept
+    read = []
+
+    class Row(tuple):
+        def __hash__(self):
+            read.append(len(self))
+            return tuple.__hash__(self)
+
+    G = catalog("cyclic", 2048)
+    H = copy.copy(G)
+    H.table, H._hash = tuple(map(Row, G.table)), None
+    assert hash(H) == hash(G) and read == [2048]
+    assert hash(H) == hash(G) and read == [2048]  # kept, not read again
+    assert H == G
+

@@ -111,6 +111,41 @@ def test_import_cli_registers_every_traced_layer_unexecuted():
     assert not any(states.values()), states
 
 
+# groups' first run is interrupted once its Group class exists, as a signal
+# (Ctrl-C, a SIGALRM time limit) could interrupt it
+_INTERRUPTED = """
+import traceforms
+fired = []
+
+def tracer(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_name == "<module>" and code.co_filename.endswith("groups.py"):
+        def line(frame, event, arg):
+            if event == "line" and not fired and "Group" in frame.f_globals:
+                fired.append(frame.f_lineno)
+                raise KeyboardInterrupt
+            return line
+        return line
+
+sys.settrace(tracer)
+try:
+    traceforms.groups.group_from_spec
+except KeyboardInterrupt:
+    pass
+sys.settrace(None)
+assert fired and type(traceforms.groups) is not types.ModuleType
+assert traceforms.groups.group_from_spec("perms:(0 1 2)").order == 3
+assert traceforms.cohomology.h2(traceforms.groups.catalog("cyclic", 2)).dim == 1
+"""
+
+
+def test_an_interrupted_first_run_leaves_the_layer_to_run_again():
+    # the layer is unexecuted again, not half-run: the next access runs it
+    # through, as an import retried after a failed one would
+    states = _module_states(_INTERRUPTED)
+    assert states["groups"] and states["cohomology"], states
+
+
 def test_public_names_are_the_layers_own_objects():
     seen = set()
     for layer, names in traceforms._EXPORTS.items():

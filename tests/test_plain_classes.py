@@ -1,7 +1,7 @@
 """The package's record classes are plain `__slots__` classes.  Each keeps
 the repr, the validation and its errors that it had as a dataclass; the
-two value classes that are compared, `QForm` and `TruncatedSW`, compare
-and hash by their fields."""
+value classes that are compared, `QForm`, `TruncatedSW` and `Group`,
+compare and hash by their fields (a group by its table alone)."""
 from fractions import Fraction
 
 import pytest
@@ -50,10 +50,13 @@ _VALUES = [
     (lambda: quadratic.TruncatedSW(3, -105, frozenset({3})),
      lambda: quadratic.TruncatedSW(3, quadratic.square_class(-105), frozenset({3})),
      lambda: quadratic.TruncatedSW(3, -105, frozenset())),
+    (lambda: groups.catalog("cyclic", 4),
+     lambda: groups.group_from_spec("perms:(0 1 2 3)"),
+     lambda: groups.catalog("elem_abelian_2", 2)),
 ]
 
 
-@pytest.mark.parametrize("make, same, other", _VALUES, ids=["QForm", "TruncatedSW"])
+@pytest.mark.parametrize("make, same, other", _VALUES, ids=["QForm", "TruncatedSW", "Group"])
 def test_value_classes_compare_and_hash_by_fields(make, same, other):
     a, b, c = make(), same(), other()
     assert a == b and hash(a) == hash(b) and len({a, b, c}) == 2

@@ -205,6 +205,24 @@ def test_symbols_refuse_what_is_not_a_proven_place(symbol, v, monkeypatch):
         symbol(_SLOW_TO_FACTOR, 5, v)
 
 
+@pytest.mark.parametrize("symbol", [hilbert_symbol, hilbert_symbol_oracle],
+                         ids=["closed-form", "oracle"])
+def test_place_above_the_proven_bound_is_refused_before_any_round(symbol):
+    # the Mersenne prime 2^9941 - 1 has 2,993 digits: the symbol ran 13
+    # Miller-Rabin rounds for 32.7 s and then quoted every digit
+    start = time.perf_counter()
+    with pytest.raises(QuadraticError, match="cannot certify primality") as info:
+        symbol(3, 5, 2**9941 - 1)
+    assert time.perf_counter() - start < 1
+    assert len(str(info.value)) < 200 and "..." in str(info.value)
+    # a small factor still settles a place above the bound
+    start = time.perf_counter()
+    with pytest.raises(QuadraticError, match="not a place") as info:
+        symbol(1, 1, 2**100)
+    assert time.perf_counter() - start < 1
+    assert len(str(info.value)) < 200
+
+
 def test_is_probable_prime_refuses_to_certify_above_the_proven_bound():
     with pytest.raises(QuadraticError, match="cannot certify primality"):
         is_probable_prime(2**89 - 1)

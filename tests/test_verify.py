@@ -84,30 +84,33 @@ def _logged_memo(monkeypatch, log):
 
 
 def test_suite_solves_each_h2_basis_once():
-    # a suite run asks h2 about 15 groups, 838 times in all; the cache
-    # holds H2_CACHE_SIZE = 16 bases, so each is solved once.  Run in a
-    # fresh child: groups that earlier tests built and kept (a fixture's,
-    # say) would be more objects to key
+    # a suite run asks h2 about 15 groups, 839 times in all, and 14 tables:
+    # catalog:cyclic:2 and catalog:elem_abelian_2:1 are one table.  h2's
+    # cache is keyed by the table and holds H2_CACHE_SIZE = 32 bases, so
+    # each table is solved once.  Run in a fresh child: tables that
+    # earlier tests left in the cache would not be solved again
     proc, _ = run_limited(["-c", "import contextlib, io\n"
                            "from traceforms import cli, cohomology\n"
                            "with contextlib.redirect_stdout(io.StringIO()):\n"
                            "    code = cli.main(['suite'])\n"
                            "print(code, cohomology.h2.cache_info().misses)"])
-    assert proc.stdout.split() == ["0", "15"], proc.stderr
+    assert proc.stdout.split() == ["0", "14"], proc.stderr
 
 
 def test_suite_after_a_catalog_clear_solves_as_a_fresh_process():
     # a fixture keeps its group's catalog name and parameter, not a Group,
-    # so once the catalog cache is cleared no spec has two live groups:
-    # suite here makes the fresh child's 15 h2 misses (18 while the
-    # fixtures held the groups they built at import)
+    # so once the catalog and h2 caches are cleared no spec has two live
+    # groups: suite here makes the fresh child's 14 h2 misses (18 while
+    # the fixtures held the groups they built at import, and h2 was keyed
+    # by the Group object).  h2 is cleared too, as its keys are tables that
+    # earlier tests solved
     assert not any(isinstance(getattr(fx, name), groups.Group)
                    for fx in fixtures.ALL_FIXTURES for name in fx.__slots__)
     groups._catalog_cached.cache_clear()
-    before = cohomology.h2.cache_info().misses
+    cohomology.h2.cache_clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["suite"]) == 0
-    assert cohomology.h2.cache_info().misses - before == 15
+    assert cohomology.h2.cache_info().misses == 14
 
 
 def test_suite_factoring_counts(monkeypatch):
