@@ -9,8 +9,9 @@ The layers, bottom to top:
   Sylow 2-subgroups, quotients, the left regular representation.
 - ``cohomology``: normalized 2-cocycles with F2 coefficients, each one
   int, and H², whose classes are coordinate masks in ``h2(G)``'s basis;
-  the involution-diagonal map and its kernel, central extensions and
-  the involution-lifting property.
+  the involution-diagonal map and its kernel, central extensions as
+  pairs (total group, central involution) and the involution-lifting
+  property, read off the squares of the total group.
 - ``clifford``: pin lifts of permutations as integer folds, and sign
   cocycles of translation actions.  ``pin_lift`` checks a lift by its
   norm and its action; each sign is read off an exact rewrite of the

@@ -104,24 +104,12 @@ def _load_algebra(args) -> galois.EtaleAlg:
     """Algebra from --poly (single field factor) or --algebra (JSON list
     of {poly, multiplicity}, inline or @file)."""
     if args.poly is not None:
-        return galois.EtaleAlg(((galois.MonicPoly(_fields(args.poly)), 1),))
+        return galois.EtaleAlg([(_fields(args.poly), 1)])
     data = _read_json(args.algebra)
     if not isinstance(data, list) or not all(
             isinstance(item, dict) and isinstance(item.get("poly"), list) for item in data):
         raise ValueError("algebra JSON must be a list of {poly, multiplicity}")
-    return galois.EtaleAlg(tuple(
-        (galois.MonicPoly(item["poly"]), item.get("multiplicity", 1)) for item in data))
-
-
-def _load_gram(path: str) -> list:
-    """The rows of the JSON file, unread: `quadratic.diagonalize` bounds,
-    reads and checks them."""
-    # every JSON number stays text, so the rows are read exactly, with
-    # the digit and exponent bounds, and never as floats
-    data = _read_json("@" + path, parse_float=str)
-    if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
-        raise ValueError("Gram JSON must be a list of rows")
-    return data
+    return galois.EtaleAlg([(item["poly"], item.get("multiplicity", 1)) for item in data])
 
 
 def _load_cocycle(G, spec: str) -> cohomology.Cocycle2:
@@ -179,12 +167,12 @@ def _cmd_2reduced(args, G):
 
 def _cmd_extension(args, G):
     c = _load_cocycle(G, args.cocycle)
-    E = cohomology.extension_from_cocycle(G, c)
+    total, t = cohomology.extension_from_cocycle(c)
     coords = cohomology.h2(G).coords(c)
     return {
         "base_order": G.order,
-        "total_order": E.total.order,
-        "two_lift_property": cohomology.two_lift_property(E),
+        "total_order": total.order,
+        "two_lift_property": cohomology.two_lift_property(total, t),
         "class_is_coboundary": coords == 0,
         "class_coords": coords,
         "s_diagonal": list(cohomology.s_map(c)),
@@ -227,7 +215,9 @@ def _form_report(q: quadratic.QForm) -> dict:
 
 def _cmd_form(args):
     if args.gram is not None:
-        q = quadratic.diagonalize(_load_gram(args.gram))
+        # every JSON number stays text, so `diagonalize` reads the rows
+        # exactly, with the digit and exponent bounds, and never as floats
+        q = quadratic.diagonalize(_read_json("@" + args.gram, parse_float=str))
     else:
         q = quadratic.QForm(_fields(args.entries))
     out = dict(_form_report(q), verdicts={})

@@ -1,6 +1,7 @@
 """Degree-2 group cohomology with F2 coefficients, central extensions by
 Z/2, and the obstruction map that reads a class off its values at
-involutions.
+involutions.  A central extension is the pair (total, t) of its total
+group and its kernel's involution t; its base is total/{e, t}.
 
 A normalized 2-cocycle c on G satisfies c(e,.) = c(.,e) = 0 and
 
@@ -60,8 +61,9 @@ nucleus is everything, and δc = 0.
 from __future__ import annotations
 
 import functools
+import reprlib
 
-from . import gf2
+from . import _ints, gf2
 from .groups import (
     Group,
     GroupError,
@@ -106,7 +108,7 @@ class Cocycle2:
     def validate(self) -> None:
         """Check the cocycle identity: build the twisted product, which is
         a group exactly when c is a cocycle (module docstring)."""
-        extension_from_cocycle(self.group, self)
+        extension_from_cocycle(self)
 
     def add(self, other: "Cocycle2") -> "Cocycle2":
         if other.group != self.group:
@@ -302,43 +304,19 @@ def is_2_reduced(G: Group) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# central extensions by Z/2
+# central extensions by Z/2, each the pair (total, t) (module docstring)
 
 
-class CentralExt:
-    """A central extension  Z/2 -> total -> base: t is a central involution
-    of total, and projection, indexed by the elements of total, is a
-    homomorphism onto base with kernel {e, t}, so |total| = 2|base|.
-    Built by extension_from_cocycle and central_extension_from_quotient,
-    which prove this (see each); the fields are stored unchecked."""
-
-    __slots__ = ("base", "total", "t", "projection")
-
-    def __init__(self, base: Group, total: Group, t: int, projection: tuple[int, ...]):
-        self.base = base
-        self.total = total
-        self.t = t
-        self.projection = projection
-
-    def __repr__(self):
-        return (f"CentralExt(base={self.base!r}, total={self.total!r}, "
-                f"t={self.t!r}, projection={self.projection!r})")
-
-    def fiber(self, g: int) -> list[int]:
-        return [x for x in range(self.total.order) if self.projection[x] == g]
-
-
-def extension_from_cocycle(G: Group, c: Cocycle2) -> CentralExt:
-    """Total group on pairs (g, a), a in F2, with
-    (g,a)(h,b) = (gh, a+b+c(g,h)); pair (g, a) gets index 2g + a.
-    Building it checks the cocycle identity: the table has permutation
-    rows and columns and identity (e,0) = 0, as c is normalized, so Group
+def extension_from_cocycle(c: Cocycle2) -> tuple[Group, int]:
+    """The extension (total, 1) of c.group by c.  total is on pairs
+    (g, a), a in F2, with (g,a)(h,b) = (gh, a+b+c(g,h)); pair (g, a) gets
+    index 2g + a.  Building it checks the cocycle identity: the table has
+    permutation rows and identity (e,0) = 0, as c is normalized, so Group
     refuses it exactly when δc != 0 (module docstring).  t = (e,1) = 1 is
-    central of order 2, as c(e,·) = c(·,e) = 0, and the projection
-    (g,a) -> g, index x -> x // 2, is a homomorphism, as products multiply
-    first coordinates, with kernel {(e,0), (e,1)} = {e, t}."""
-    if c.group != G:
-        raise CohomologyError("cocycle lives on a different group")
+    central of order 2, as c(e,·) = c(·,e) = 0, and (g,a) -> g, index
+    x -> x // 2, is a homomorphism, as products multiply first
+    coordinates, with kernel {(e,0), (e,1)} = {e, t}: total/{e, t} is G."""
+    G = c.group
     n, bits = G.order, c.bits
     table = []
     for g, row in enumerate(G.table):
@@ -352,41 +330,46 @@ def extension_from_cocycle(G: Group, c: Cocycle2) -> CentralExt:
         total = Group(table, name=f"ext({G.name})" if G.name else "ext")
     except GroupError as exc:
         raise CohomologyError(f"cocycle identity fails: {exc}") from None
-    return CentralExt(G, total, 1, tuple(x // 2 for x in range(2 * n)))
+    return total, 1
 
 
-def central_extension_from_quotient(total: Group, t: int) -> CentralExt:
-    """View total/(t) as the base of a central extension, for t a central
-    involution of `total` (both checked).  Then N = {e, t} is a normal
-    subgroup, and quotient_with_map gives total/N with the quotient map,
-    a homomorphism whose kernel is N."""
-    if total.element_order(t) != 2:
-        raise CohomologyError(f"element {t} does not have order 2")
-    if any(total.table[t][g] != total.table[g][t] for g in range(total.order)):
+def _check_kernel(total: Group, t: int) -> None:
+    """Refuse a t that is not a central involution of total."""
+    tt = total.table
+    if not (_ints([t]) and 0 < t < total.order and tt[t][t] == 0):
+        raise CohomologyError(f"element {reprlib.repr(t)} does not have order 2")
+    if any(row[t] != x for row, x in zip(tt, tt[t])):
         raise CohomologyError(f"element {t} is not central")
+
+
+def class_of_extension(total: Group, t: int) -> tuple[Group, int]:
+    """The base total/{e, t} and the coordinate mask of the extension's
+    class in h2(base).  quotient_with_map gives the base and the
+    projection, a homomorphism with kernel {e, t}, so s(g)s(h) is s(gh)
+    or t s(gh) for any section s.  The section s with s(g) the least
+    element over g, so s(e) = e, defines the cocycle by
+    s(g)s(h) = t^c(g,h) s(gh).  It is one by associativity of total, and
+    h2(base).coords refuses any cochain outside Z² anyway."""
+    _check_kernel(total, t)
     base, proj = quotient_with_map(total, [0, t])
-    return CentralExt(base, total, t, proj)
-
-
-def class_of_extension(E: CentralExt) -> int:
-    """Coordinate mask of the extension's class.  The section s with s(g)
-    the least index over g, so s(e) = e, defines the cocycle by
-    s(g)s(h) = t^c(g,h) s(gh).  It is one by associativity of the total
-    group, and h2(G).coords refuses any cochain outside Z² anyway."""
-    G = E.base
-    n = G.order
-    sec = [0] + [min(E.fiber(g)) for g in range(1, n)]
-    tt, bt = E.total.table, G.table
-    # the projection is a homomorphism with kernel {e, t} (see the
-    # builders), so s(g)s(h) is s(gh) or t s(gh)
+    n, tt, bt = base.order, total.table, base.table
+    sec = [0] * n
+    for x in reversed(range(total.order)):
+        sec[proj[x]] = x
     bits = sum((tt[sec[g]][sec[h]] != sec[bt[g][h]]) << (g * n + h)
                for g in range(1, n) for h in range(1, n))
-    return h2(G).coords(Cocycle2(G, bits))
+    return base, h2(base).coords(Cocycle2(base, bits))
 
 
-def two_lift_property(E: CentralExt) -> bool:
-    """True when every involution of the base has an order-2 preimage."""
-    for g in E.base.involutions():
-        if not any(E.total.element_order(x) == 2 for x in E.fiber(g)):
-            return False
-    return True
+def two_lift_property(total: Group, t: int) -> bool:
+    """True when every involution of the base total/{e, t} lifts to an
+    involution of total: exactly when no x in total has x² = t.
+
+    An x over an involution g of the base has x² in {e, t}, and its
+    fibre is {x, tx}.  x and tx square alike, (tx)² = t²x² = x², because
+    t is central.  So g lifts to an involution exactly when x² = e, that
+    is when x² != t.  And an x with x² = t lies over an involution: x is
+    not e or t, whose squares are e, so its image is not e, and that
+    image squares to the image of t, which is e."""
+    _check_kernel(total, t)
+    return all(row[x] != t for x, row in enumerate(total.table))

@@ -156,20 +156,31 @@ def trace_gram(f: MonicPoly) -> tuple[tuple[int, ...], ...]:
 
 
 class EtaleAlg:
-    """Product of number fields Q[x]/(f_i), each with a multiplicity."""
+    """Product of number fields Q[x]/(f_i), each with a multiplicity.  The
+    one door for an algebra: a factor is a MonicPoly or a list of its
+    coefficients, and every multiplicity and degree is read and bounded
+    before a polynomial is built, so an algebra past ALGEBRA_DEGREE_CAP
+    runs no separability test."""
 
     __slots__ = ("factors",)
 
-    def __init__(self, factors: tuple[tuple[MonicPoly, int], ...]):
-        fs = tuple((f, _integer(m, "multiplicity")) for f, m in factors)
+    def __init__(self, factors):
+        fs = tuple(factors)
         if not fs:
             raise GaloisError("algebra needs at least one factor")
-        if not all(isinstance(f, MonicPoly) for f, _ in fs):
+        if not all(isinstance(f, (MonicPoly, list)) for f, _ in fs):
             raise GaloisError("factors must be monic polynomials")
+        fs = tuple((f, _integer(m, "multiplicity")) for f, m in fs)
         if any(m < 1 for _, m in fs):
             raise GaloisError("multiplicities must be positive")
-        _check_degree("algebra", sum(f.degree * m for f, m in fs))
-        self.factors = fs
+        # a list too short for degree 1 counts 0; MonicPoly refuses it
+        degrees = [f.degree if isinstance(f, MonicPoly) else max(len(f) - 1, 0)
+                   for f, _ in fs]
+        for d in degrees:
+            _check_degree("polynomial", d)
+        _check_degree("algebra", sum(d * m for d, (_, m) in zip(degrees, fs)))
+        self.factors = tuple((f if isinstance(f, MonicPoly) else MonicPoly(f), m)
+                             for f, m in fs)
 
     def __repr__(self):
         return f"EtaleAlg(factors={self.factors!r})"

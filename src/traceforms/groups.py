@@ -88,6 +88,8 @@ class Group:
         self.table = table
         if labels is not None:
             labels = _of_kind(tuple, labels, "labels must be a sequence")
+            if len(labels) != n:
+                raise GroupError(f"{len(labels)} labels for a group of order {n}")
         self.labels = labels
         self.name = name
         self._inv = None

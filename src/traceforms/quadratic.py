@@ -533,9 +533,11 @@ def is_isometric_q(q1: QForm, q2: QForm) -> bool:
 # Bounds on a Gram matrix, checked by `diagonalize` (the rank by `QForm`
 # too), whose time grows with the rank and with the bits of the integer
 # matrix den * gram it eliminates (den the lcm of the entries'
-# denominators).  A rank-128 matrix of 16-bit integers takes 3 s there,
-# so `form` ends within 10 s even when factoring its entries then spends
-# a whole RHO_BUDGET (5 s); 20-bit entries take 4 s, 32-bit ones 7 s.
+# denominators).  A rank-128 matrix of 16-bit integers takes 3 s there;
+# 20-bit entries take 4 s, 32-bit ones 7 s.  The caps bound the
+# elimination only.  RHO_BUDGET bounds one factorint call, and a form's
+# square classes make one call for each entry's numerator and one for its
+# denominator, so a form of hard entries can spend that many budgets.
 GRAM_RANK_CAP = 128
 GRAM_BITS_CAP = 128 * 16  # rank times entry bits
 
@@ -553,14 +555,18 @@ def validate_gram(gram) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def diagonalize(gram, rng=None) -> QForm:
-    """Diagonal form congruent to the symmetric matrix read from outside.
-    Its rank (row count or length) is refused above GRAM_RANK_CAP before
-    `validate_gram` reads and checks it once, and rank times entry bits
-    (the largest numerator's plus den's, less one) above GRAM_BITS_CAP as
-    den, the lcm of the denominators, is built.  `_bareiss` eliminates
-    den * gram.  With rng, pivots are chosen at random among the usable
-    ones; the isometry class never depends on the choice.  Raises on
-    degenerate input."""
+    """Diagonal form congruent to the symmetric matrix read from outside,
+    a list or tuple of list or tuple rows, refused before a length is
+    taken if it is anything else.  Its rank (row count or length) is
+    refused above GRAM_RANK_CAP before `validate_gram` reads and checks
+    it once, and rank times entry bits (the largest numerator's plus
+    den's, less one) above GRAM_BITS_CAP as den, the lcm of the
+    denominators, is built.  `_bareiss` eliminates den * gram.  With rng,
+    pivots are chosen at random among the usable ones; the isometry class
+    never depends on the choice.  Raises on degenerate input."""
+    if not (isinstance(gram, (list, tuple))
+            and all(isinstance(row, (list, tuple)) for row in gram)):
+        raise QuadraticError("Gram matrix must be a list of rows")
     n = max([len(gram), *map(len, gram)])
     if n > GRAM_RANK_CAP:
         raise QuadraticError(f"Gram rank {n} exceeds GRAM_RANK_CAP = {GRAM_RANK_CAP}")

@@ -144,14 +144,12 @@ def run_quat_counterexample(seed: int) -> _Claim:
     involution-lifting property but its class is not a coboundary."""
     T = groups.catalog("quat_cover")
     t = T.labels.index("(2,2)")
-    E = cohomology.central_extension_from_quotient(T, t)
-    base = E.base
-    coords = cohomology.class_of_extension(E)
+    base, coords = cohomology.class_of_extension(T, t)
     computed = {
         "base_order": base.order,
         "base_involutions": len(base.involutions()),
         "base_abelian": base.is_abelian(),
-        "two_lift_property": cohomology.two_lift_property(E),
+        "two_lift_property": cohomology.two_lift_property(T, t),
         "class_is_coboundary": coords == 0,
         "class_diagonal": list(cohomology.s_map(cohomology.h2(base).representative(coords))),
         "base_two_reduced": cohomology.is_2_reduced(base),

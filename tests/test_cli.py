@@ -349,9 +349,9 @@ def test_conflicting_or_missing_inputs_exit_2(capsys, argv):
     ("trace", '[{"poly": [1,0,-3], "multiplicity": 1.5}]',
      "multiplicity must be an integer, got 1.5"),
     ("trace", '[{"poly": [1,0,[3]]}]', "coefficient must be an integer"),
-    ("form", "5", "Gram JSON must be a list of rows"),
-    ("form", "[1,2]", "Gram JSON must be a list of rows"),
-    ("form", '{"a": [1]}', "Gram JSON must be a list of rows"),
+    ("form", "5", "Gram matrix must be a list of rows"),
+    ("form", "[1,2]", "Gram matrix must be a list of rows"),
+    ("form", '{"a": [1]}', "Gram matrix must be a list of rows"),
     ("form", '[["1/0"]]', "zero denominator in '1/0'"),
 ])
 def test_malformed_json_payload_exits_2(capsys, tmp_path, verb, payload, match):
@@ -710,6 +710,26 @@ def test_long_entry_exits_2_within_the_factoring_budget(digits):
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
     assert elapsed < 10, elapsed
     assert "RHO_BUDGET = 8388608" in proc.stderr and len(proc.stderr) < 200
+
+
+def test_oversized_algebra_exits_2_before_a_polynomial_is_built(tmp_path):
+    # a file at INPUT_BYTES_CAP of one squarefree degree-128 factor: its
+    # separability test takes about 50 ms, and one ran for every factor
+    # before the algebra's degree was checked, over 3 minutes in all
+    rng = random.Random(128)
+    poly = [1] + [rng.randint(0, 1) for _ in range(127)] + [1]
+    assert galois.MonicPoly(poly).degree == 128
+    factor = json.dumps({"poly": poly}, separators=(",", ":"))
+    count = (cli.INPUT_BYTES_CAP - 1) // (len(factor) + 1)
+    algebra = tmp_path / "algebra.json"
+    algebra.write_text("[" + ",".join([factor] * count) + "]")
+    assert count > 3000 and algebra.stat().st_size <= cli.INPUT_BYTES_CAP
+    proc, elapsed = run_limited(["-m", "traceforms", "trace", "--algebra", f"@{algebra}"],
+                                timeout=30)
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert elapsed < 2, elapsed
+    assert proc.stderr == (f"error: algebra degree {128 * count} exceeds "
+                           "ALGEBRA_DEGREE_CAP = 128\n")
 
 
 def test_extension_trips_h2_cap_before_other_work():

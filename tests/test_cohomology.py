@@ -7,7 +7,6 @@ from traceforms import cohomology, gf2, perms
 from traceforms.cohomology import (
     Cocycle2,
     CohomologyError,
-    central_extension_from_quotient,
     class_of_extension,
     cocycle_space,
     delta1,
@@ -24,6 +23,7 @@ from traceforms.groups import (
     catalog_order,
     generating_set,
     group_from_spec,
+    quotient_with_map,
     sylow2,
 )
 
@@ -341,12 +341,21 @@ def test_ker_s_dimensions():
     assert len(ker_s(catalog("Z4xZ2"))) == 1
 
 
-def _section_cocycle(E, sec):
+def _fibres(total, t):
+    """The base total/{e, t} and each of its elements' fibre in total."""
+    base, proj = quotient_with_map(total, [0, t])
+    fibres = [[] for _ in range(base.order)]
+    for x, g in enumerate(proj):
+        fibres[g].append(x)
+    return base, fibres
+
+
+def _section_cocycle(total, base, sec):
     """Oracle: the cocycle of the section sec (sec[g] over g, sec[0] the
     identity) by s(g)s(h) = t^c(g,h) s(gh), cell by cell."""
-    n, tt = E.base.order, E.total.table
-    return Cocycle2(E.base, sum(
-        (tt[sec[g]][sec[h]] != sec[E.base.table[g][h]]) << (g * n + h)
+    n, tt = base.order, total.table
+    return Cocycle2(base, sum(
+        (tt[sec[g]][sec[h]] != sec[base.table[g][h]]) << (g * n + h)
         for g in range(1, n) for h in range(1, n)))
 
 
@@ -359,10 +368,12 @@ def test_extension_round_trip_all_classes():
         G = _cat(key, param)
         basis = h2(G)
         for mask in range(1 << basis.dim):
-            E = extension_from_cocycle(G, basis.representative(mask))
-            assert class_of_extension(E) == mask
-            sec = [0] + [rng.choice(E.fiber(g)) for g in range(1, G.order)]
-            assert basis.coords(_section_cocycle(E, sec)) == mask
+            total, t = extension_from_cocycle(basis.representative(mask))
+            base, got = class_of_extension(total, t)
+            assert base == G and got == mask
+            _, fibres = _fibres(total, t)
+            sec = [0] + [rng.choice(fibres[g]) for g in range(1, G.order)]
+            assert basis.coords(_section_cocycle(total, base, sec)) == mask
 
 
 def test_two_lift_iff_kernel_membership():
@@ -373,18 +384,49 @@ def test_two_lift_iff_kernel_membership():
         basis = h2(G)
         for mask in range(1 << basis.dim):
             c = basis.representative(mask)
-            E = extension_from_cocycle(G, c)
-            assert two_lift_property(E) == (set(s_map(c)) <= {0})
+            assert two_lift_property(*extension_from_cocycle(c)) == (set(s_map(c)) <= {0})
+
+
+def _lifts_by_fibres(total, t):
+    """Oracle, the fibre walk two_lift_property once took: every
+    involution of the base total/{e, t} has an element of order 2 in its
+    fibre."""
+    base, fibres = _fibres(total, t)
+    return all(any(total.element_order(x) == 2 for x in fibres[g])
+               for g in base.involutions())
+
+
+def _central_involutions(G):
+    return [t for t in G.involutions()
+            if all(G.table[t][x] == G.table[x][t] for x in range(G.order))]
+
+
+def test_two_lift_property_matches_fibre_oracle():
+    """The squares test agrees with the fibre walk on every catalog group
+    of order <= 32: on the extension by each H² class (the first 64
+    masks where there are more), and on each quotient of the group by a
+    central involution."""
+    seen = {True: 0, False: 0}
+    for G in _catalog_to(32):
+        basis = h2(G)
+        pairs = [extension_from_cocycle(basis.representative(mask))
+                 for mask in range(min(1 << basis.dim, 64))]
+        pairs += [(G, t) for t in _central_involutions(G)]
+        for total, t in pairs:
+            got = two_lift_property(total, t)
+            assert got == _lifts_by_fibres(total, t), (G, t)
+            seen[got] += 1
+    assert min(seen.values()) > 50, seen
 
 
 def test_quaternion_cover_counterexample():
     T = catalog("quat_cover")
     t = T.labels.index("(2,2)")
-    E = central_extension_from_quotient(T, t)
-    assert E.base.order == 8
-    assert len(E.base.involutions()) == 1 and not E.base.is_abelian()
-    assert two_lift_property(E)
-    assert class_of_extension(E) != 0
+    base, mask = class_of_extension(T, t)
+    assert base.order == 8
+    assert len(base.involutions()) == 1 and not base.is_abelian()
+    assert two_lift_property(T, t)
+    assert mask != 0
 
 
 def test_abelian_preimage_in_lifting_extensions_of_cyclic_2_groups():
@@ -395,24 +437,30 @@ def test_abelian_preimage_in_lifting_extensions_of_cyclic_2_groups():
         G = catalog("cyclic", k)
         basis = h2(G)
         for mask in range(1 << basis.dim):
-            E = extension_from_cocycle(G, basis.representative(mask))
-            if two_lift_property(E):
-                assert E.total.is_abelian(), (k, mask)
+            total, t = extension_from_cocycle(basis.representative(mask))
+            if two_lift_property(total, t):
+                assert total.is_abelian(), (k, mask)
 
 
 def test_central_extension_validation_errors():
-    G = catalog("cyclic", 4)
-    basis = h2(G)
-    E = extension_from_cocycle(G, basis.representative(1))
-    # kernel element must be a central involution
-    with pytest.raises(CohomologyError):
-        central_extension_from_quotient(E.total, 0)
-    # a non-central involution is rejected
+    """Each function taking a pair (total, t) refuses a t that is not a
+    central involution of total before it reads anything else."""
+    C4 = catalog("cyclic", 4)
+    total, _ = extension_from_cocycle(Cocycle2(C4, 0))  # C4 x C2, (g, a) at 2g + a
     D = catalog("dihedral", 8)
-    refl = next(g for g in D.involutions()
-                if any(D.table[g][h] != D.table[h][g] for h in range(8)))
-    with pytest.raises(CohomologyError):
-        central_extension_from_quotient(D, refl)
+    refl = next(g for g in D.involutions() if g not in _central_involutions(D))
+    cases = [(total, 0, "element 0 does not have order 2"),
+             (total, 2, "element 2 does not have order 2"),  # (1, 0) has order 4
+             (total, 8, "element 8 does not have order 2"),
+             (total, -1, "element -1 does not have order 2"),
+             (total, True, "element True does not have order 2"),
+             (total, "1", "element '1' does not have order 2"),
+             (D, refl, f"element {refl} is not central")]
+    for refuses in (class_of_extension, two_lift_property):
+        for group, t, message in cases:
+            with pytest.raises(CohomologyError) as exc:
+                refuses(group, t)
+            assert str(exc.value) == message
 
 
 def test_cocycle_validation_rejects_garbage():
@@ -428,10 +476,10 @@ def test_nontrivial_class_gives_nonsplit_group():
     the zero class yields Z/4 x Z/2 (exponent 4)."""
     G = catalog("cyclic", 4)
     basis = h2(G)
-    E1 = extension_from_cocycle(G, basis.representative(1))
-    assert max(E1.total.element_order(g) for g in range(8)) == 8
-    E0 = extension_from_cocycle(G, basis.representative(0))
-    assert max(E0.total.element_order(g) for g in range(8)) == 4
+    E1, _ = extension_from_cocycle(basis.representative(1))
+    assert max(E1.element_order(g) for g in range(8)) == 8
+    E0, _ = extension_from_cocycle(basis.representative(0))
+    assert max(E0.element_order(g) for g in range(8)) == 4
 
 
 def _all_triples_identity_holds(c):
@@ -516,18 +564,17 @@ def _basis_masks(basis):
     return [1 << i for i in range(basis.dim)]
 
 
-def _catalog_to_16():
+def _catalog_to(order):
     return [_cat(name, param) for name, param in _CATALOG_TO_64
-            if catalog_order(name, param) <= 16]
+            if catalog_order(name, param) <= order]
 
 
-def _assert_central_ext(E):
+def _assert_central_ext(total, t, base, proj):
     """Oracle, on all pairs: t is a central involution, the projection is
     a homomorphism onto the base with kernel {e, t}, and the total has
     twice the base's order."""
-    T, B, t, proj = E.total, E.base, E.t, E.projection
-    tt, bt, m = T.table, B.table, T.order
-    assert m == 2 * B.order and len(proj) == m
+    tt, bt, m = total.table, base.table, total.order
+    assert m == 2 * base.order and len(proj) == m
     assert t != 0 and tt[t][t] == 0
     assert all(tt[t][x] == tt[x][t] for x in range(m))
     assert all(proj[tt[x][y]] == bt[proj[x]][proj[y]] for x in range(m) for y in range(m))
@@ -535,21 +582,25 @@ def _assert_central_ext(E):
 
 
 def test_central_ext_builders_match_all_pairs_oracle():
-    """CentralExt checks nothing: each builder proves what it holds.  Both
-    run on every catalog group of order <= 16, extension_from_cocycle on
-    each basis class and zero, central_extension_from_quotient at each
-    central involution (and at t = (e,1) of the built extensions)."""
+    """An extension is its pair (total, t), and its base is total/{e, t}.
+    On every catalog group G of order <= 16: extension_from_cocycle's
+    pair, for zero and each basis class, is an extension of G by the
+    projection x -> x // 2, and quotient_with_map at t gives one too;
+    so does quotient_with_map at each central involution of G, whose
+    base class_of_extension returns."""
     quotients = 0
-    for G in _catalog_to_16():
+    for G in _catalog_to(16):
         basis = h2(G)
         for c in [Cocycle2(G, 0), *map(basis.representative, _basis_masks(basis))]:
-            E = extension_from_cocycle(G, c)
-            _assert_central_ext(E)
-            _assert_central_ext(central_extension_from_quotient(E.total, E.t))
-        for t in G.involutions():
-            if all(G.table[t][x] == G.table[x][t] for x in range(G.order)):
-                _assert_central_ext(central_extension_from_quotient(G, t))
-                quotients += 1
+            total, t = extension_from_cocycle(c)
+            assert t == 1
+            _assert_central_ext(total, t, G, tuple(x // 2 for x in range(2 * G.order)))
+            _assert_central_ext(total, t, *quotient_with_map(total, [0, t]))
+        for t in _central_involutions(G):
+            base, proj = quotient_with_map(G, [0, t])
+            _assert_central_ext(G, t, base, proj)
+            assert class_of_extension(G, t)[0] == base
+            quotients += 1
     assert quotients > 20
 
 
@@ -570,13 +621,13 @@ def _cell_by_cell_table(G, c):
 
 
 def test_extension_table_matches_cell_by_cell_oracle():
-    for G in _catalog_to_16() + [catalog("elem_abelian_2", 6), catalog("dihedral", 64)]:
+    for G in _catalog_to(16) + [catalog("elem_abelian_2", 6), catalog("dihedral", 64)]:
         basis = h2(G)
         masks = [0, *_basis_masks(basis), (1 << basis.dim) - 1]
         for c in map(basis.representative, masks):
-            E = extension_from_cocycle(G, c)
-            assert E.total.table == _cell_by_cell_table(G, c), (G.name, c.bits)
-            assert E.t == 1 and E.projection == tuple(x // 2 for x in range(2 * G.order))
+            total, t = extension_from_cocycle(c)
+            assert total.table == _cell_by_cell_table(G, c), (G.name, c.bits)
+            assert t == 1
 
 
 def test_single_bit_flips_are_refused_exactly_when_the_identity_breaks():
@@ -584,7 +635,7 @@ def test_single_bit_flips_are_refused_exactly_when_the_identity_breaks():
     on every catalog group of order <= 16: validate refuses the result
     exactly when the all-triples oracle does."""
     outcomes = set()
-    for G in _catalog_to_16():
+    for G in _catalog_to(16):
         n = G.order
         basis = h2(G)
         for bits in (basis.representative(m).bits for m in _basis_masks(basis)):
@@ -644,15 +695,14 @@ def test_a_cocycle_belongs_to_every_group_on_its_table():
     G1, G2 = catalog("cyclic", 4), group_from_spec("perms:(0 1 2 3)")
     assert G1 is not G2 and h2(G1) is h2(G2)
     c = h2(G1).representative(1)
-    E = extension_from_cocycle(G2, c)
-    assert E.base is G2 and E.total.table == extension_from_cocycle(G1, c).total.table
+    total, _ = extension_from_cocycle(Cocycle2(G2, c.bits))
+    assert total == extension_from_cocycle(c)[0]
     assert h2(G2).coords(c) == 1
     assert c.add(Cocycle2(G2, c.bits)).bits == 0
     # the isomorphic table of (0 2 1 3) is another group
     other = group_from_spec("perms:(0 2 1 3)")
     assert other != G1
-    for refused in (lambda: extension_from_cocycle(other, c),
-                    lambda: h2(other).coords(c), lambda: c.add(Cocycle2(other, 0))):
+    for refused in (lambda: h2(other).coords(c), lambda: c.add(Cocycle2(other, 0))):
         with pytest.raises(CohomologyError, match="different group"):
             refused()
 

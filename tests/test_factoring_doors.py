@@ -236,7 +236,8 @@ def test_the_integer_rule_has_one_implementation():
     assert defined == {("__init__", "_as_int"), ("__init__", "_ints")}
     users = {path.stem for path in sorted(PKG.glob("*.py")) if path.stem != "__init__"
              and {"_as_int", "_ints"} & _named(_tree(path.stem))}
-    assert users == {"perms", "groups", "clifford", "quadratic", "galois", "cli", "verify"}
+    assert users == {"perms", "groups", "cohomology", "clifford", "quadratic", "galois",
+                     "cli", "verify"}
 
 
 def test_only_the_permutation_door_checks_a_permutation():

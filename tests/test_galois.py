@@ -198,6 +198,35 @@ def test_algebra_degree_cap():
         EtaleAlg(((MonicPoly((1, 0, -3)), cap // 2 + 1),))
 
 
+def test_algebra_is_bounded_before_a_polynomial_is_built(monkeypatch):
+    """EtaleAlg takes a factor as a MonicPoly or a coefficient list, and
+    reads every multiplicity and bounds every degree before it builds a
+    polynomial, whose separability test is the costly step."""
+    assert repr(EtaleAlg([([1, 0, "-7"], "2")])) == repr(EtaleAlg(((MonicPoly((1, 0, -7)), 2),)))
+    cap = galois.ALGEBRA_DEGREE_CAP
+    tests = []
+    monkeypatch.setattr(galois, "_poly_gcd_degree", lambda a, b: tests.append(a) or 0)
+    big = [1] + [0] * (cap - 1) + [-2]  # degree cap
+    refused = [
+        ([(big, 1)] * 3, f"algebra degree {3 * cap} exceeds ALGEBRA_DEGREE_CAP = {cap}"),
+        ([(big, 1), (big + [0], 1)],
+         f"polynomial degree {cap + 1} exceeds ALGEBRA_DEGREE_CAP = {cap}"),
+        ([(big + [0.5], 1), (big, 1)],  # past the cap before a coefficient is read
+         f"polynomial degree {cap + 1} exceeds ALGEBRA_DEGREE_CAP = {cap}"),
+        ([(big, 1), ([1, 0.5], 2.5)], "multiplicity must be an integer, got 2.5"),
+        ([(big, 1), ([1, 0.5], 0)], "multiplicities must be positive"),
+        ([(big, 1), ((1, 0, -7), 1)], "factors must be monic polynomials"),
+    ]
+    for factors, message in refused:
+        with pytest.raises(GaloisError) as exc:
+            EtaleAlg(factors)
+        assert str(exc.value) == message
+    assert tests == []
+    # a list too short for degree 1 does not lower the sum, and is refused
+    with pytest.raises(GaloisError, match="^polynomial must have degree at least 1$"):
+        EtaleAlg([([], 10 ** 100), ([1, 0, -7], 1)])
+
+
 def test_degree_bits_cap():
     cap = galois.DEGREE_BITS_CAP
     d = galois.ALGEBRA_DEGREE_CAP

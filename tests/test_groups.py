@@ -89,7 +89,7 @@ def test_builders_hand_group_tuple_rows_it_keeps(monkeypatch):
     assert kept(D8)
     center = [g for g in range(8) if all(D8.mul(g, h) == D8.mul(h, g) for h in range(8))]
     assert kept(quotient_with_map(D8, center)[0])
-    assert kept(extension_from_cocycle(D8, Cocycle2(D8, 0)).total)
+    assert kept(extension_from_cocycle(Cocycle2(D8, 0))[0])
     # rows from outside arrive as lists and are copied into tuples
     assert Group([[0, 1], [1, 0]]).table == ((0, 1), (1, 0))
 
@@ -262,6 +262,15 @@ def test_subgroup_closure_inside_parent():
     assert not S.is_cyclic()
     with pytest.raises(GroupError, match="holding 0"):
         subgroup(G, members[1:])
+
+
+@pytest.mark.parametrize("labels", [["e"], ["e", "a", "b"], []])
+def test_labels_must_name_every_element(labels):
+    # one label too few was accepted, and subgroup then raised IndexError
+    with pytest.raises(GroupError) as exc:
+        Group([[0, 1], [1, 0]], labels=labels)
+    assert str(exc.value) == f"{len(labels)} labels for a group of order 2"
+    assert Group([[0, 1], [1, 0]], labels=["e", "a"]).labels == ("e", "a")
 
 
 def _intercalate_swapped_cyclic(n):

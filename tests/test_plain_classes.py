@@ -10,7 +10,6 @@ from traceforms import cohomology, fixtures, galois, groups, quadratic, verify
 
 C2 = groups.catalog("cyclic", 2)
 ZERO = cohomology.Cocycle2(C2, 0)
-EXT = cohomology.extension_from_cocycle(C2, ZERO)
 POLY = galois.MonicPoly((1, 0, -7))
 
 _REPRS = [
@@ -21,8 +20,6 @@ _REPRS = [
     (lambda: galois.EtaleAlg(((POLY, 2),)),
      "EtaleAlg(factors=((MonicPoly(coeffs=(1, 0, -7)), 2),))"),
     (lambda: ZERO, "Cocycle2(group=<Group cyclic2 of order 2>, bits=0)"),
-    (lambda: EXT, "CentralExt(base=<Group cyclic2 of order 2>, total=<Group "
-                  "ext(cyclic2) of order 4>, t=1, projection=(0, 0, 1, 1))"),
     (lambda: fixtures.QUAD_REAL_5,
      "FieldFixture(name='quad_real_5', poly=MonicPoly(coeffs=(1, 0, -5)), "
      "catalog=('cyclic', 2), real=True, disc_class=5, case=None)"),

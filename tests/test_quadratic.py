@@ -526,6 +526,16 @@ def test_rank_is_refused_before_an_entry_is_read(make, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("gram", [5, None, "ab", [[1, 2], 3], {"a": [1]}, [1, 2],
+                                  [(1,), "1"]])
+def test_a_gram_that_is_no_list_of_rows_is_refused(gram):
+    # diagonalize(5) and diagonalize([[1, 2], 3]) raised TypeError from len
+    with pytest.raises(QuadraticError) as exc:
+        diagonalize(gram)
+    assert str(exc.value) == "Gram matrix must be a list of rows"
+    assert diagonalize(((1, 0), [0, "-1"])).entries == (1, -1)
+
+
 def test_gram_entry_bits_are_refused_before_elimination():
     # the bound was the command line's alone: this matrix took 16.9 s here
     rng = random.Random(96)
