@@ -91,6 +91,8 @@ class Cocycle2:
 
     def __init__(self, group: Group, bits: int):  # bit g·n + h is c(g, h)
         n = group.order
+        if not _ints((bits,)):
+            raise CohomologyError(f"cocycle bits must be an integer, got {reprlib.repr(bits)}")
         if bits >> (n * n):  # negative bits shift to -1
             raise CohomologyError("cocycle bits out of range")
         column_e = ((1 << n * n) - 1) // ((1 << n) - 1)  # bit g·n for each g
@@ -103,7 +105,11 @@ class Cocycle2:
         return f"Cocycle2(group={self.group!r}, bits={self.bits!r})"
 
     def value(self, g: int, h: int) -> int:
-        return (self.bits >> (g * self.group.order + h)) & 1
+        n = self.group.order
+        if not (_ints((g, h)) and 0 <= g < n and 0 <= h < n):
+            raise CohomologyError(f"cell {reprlib.repr((g, h))} is not a pair of "
+                                  f"element indices 0..{n - 1}")
+        return (self.bits >> (g * n + h)) & 1
 
     def validate(self) -> None:
         """Check the cocycle identity: build the twisted product, which is
@@ -270,6 +276,8 @@ class H2Basis:
     def representative(self, mask: int) -> Cocycle2:
         """The cocycle of the class with coordinate mask `mask`: the sum of
         the chosen representatives of the basis classes in it."""
+        if not _ints((mask,)):
+            raise CohomologyError(f"coordinate mask must be an integer, got {reprlib.repr(mask)}")
         if mask >> self.dim:
             raise CohomologyError(f"coordinate mask {mask:#x} out of range")
         return Cocycle2(self.group, functools.reduce(

@@ -28,8 +28,10 @@ A subgroup is a Group on its own table: `subgroup` re-indexes a set of
 elements that holds 0 and is closed under products (in a finite group,
 such a set is a subgroup), and `sylow2` returns one.
 
-A Group is a value: two groups are equal exactly when their tables are
-equal, whatever their labels and names.  What the package derives from a
+A Group is its table and its name: an element is its index, and the
+closure and catalog builders document which index each element gets.
+It is a value: two groups are equal exactly when their tables are
+equal, whatever their names.  What the package derives from a
 group (its generating set, Sylow 2-subgroup, H² basis, the table of a
 central extension) depends on the table alone, so equal groups share it:
 `perms:(0 1)` and `perms:(2 3)` are one group to cohomology.h2's cache.
@@ -68,10 +70,10 @@ class Group:
     table (module docstring); the hash reads the order and the last row
     only, O(order), and is kept."""
 
-    __slots__ = ("order", "table", "labels", "name", "_inv", "_orders", "_sylow2",
+    __slots__ = ("order", "table", "name", "_inv", "_orders", "_sylow2",
                  "_gens", "_walk", "_hash")
 
-    def __init__(self, table, labels=None, name: str = ""):
+    def __init__(self, table, name: str = ""):
         table = _of_kind(lambda t: tuple(map(tuple, t)), table, "table must be rows")
         n = len(table)
         if n == 0:
@@ -86,11 +88,6 @@ class Group:
             raise GroupError("element 0 is not a two-sided identity")
         self.order = n
         self.table = table
-        if labels is not None:
-            labels = _of_kind(tuple, labels, "labels must be a sequence")
-            if len(labels) != n:
-                raise GroupError(f"{len(labels)} labels for a group of order {n}")
-        self.labels = labels
         self.name = name
         self._inv = None
         self._orders = None
@@ -202,7 +199,7 @@ def closure(generators, cap: tuple[str, int] = ("CLOSURE_CAP", CLOSURE_CAP)) -> 
     for q, p, k in steps:
         rows[q] = tuple(map(rows[p].__getitem__, left[k]))
     table = [rows[p] for p in els]
-    return Group(table, labels=[perms.to_cycle_string(p) for p in els], name="closure")
+    return Group(table, name="closure")
 
 
 def regular_rep_in_alternating(G: Group) -> bool:
@@ -290,8 +287,7 @@ def subgroup(G: Group, members) -> Group:
         table = [tuple(map(idx.__getitem__, map(G.table[a].__getitem__, els))) for a in els]
     except KeyError:
         raise GroupError("subset is not closed under products") from None
-    return Group(table, labels=None if G.labels is None else [G.labels[m] for m in els],
-                 name=f"subgroup of {G.name}" if G.name else "")
+    return Group(table, name=f"subgroup of {G.name}" if G.name else "")
 
 
 def sylow2(G: Group) -> Group:
@@ -351,12 +347,11 @@ def quotient_with_map(G: Group, members) -> tuple[Group, tuple[int, ...]]:
     return Q, tuple(coset_of)
 
 
-def _table_group(els, mul, label, name: str) -> Group:
-    """The group on els (identity first) under mul, by its table, with
-    label(p) naming each element p."""
+def _table_group(els, mul, name: str) -> Group:
+    """The group on els (identity first) under mul, by its table: element
+    i is els[i]."""
     idx = {p: i for i, p in enumerate(els)}
-    return Group([tuple([idx[mul(p, q)] for q in els]) for p in els],
-                 labels=map(label, els), name=name)
+    return Group([tuple([idx[mul(p, q)] for q in els]) for p in els], name=name)
 
 
 _CAP = f"CLOSURE_CAP = {CLOSURE_CAP}"
@@ -377,7 +372,7 @@ _PARAMS = {
 def _entry(name: str, k: int | None):
     """The catalog group `name` with parameter k, checked against _PARAMS,
     as the arguments of _table_group: its elements, identity first and in
-    table order; their product; a label function; and its name."""
+    table order; their product; and its name."""
     if name not in _PARAMS:
         raise GroupError(f"unknown catalog group {reprlib.repr(name)}")
     if (_PARAMS[name] is None) != (k is None):
@@ -386,35 +381,32 @@ def _entry(name: str, k: int | None):
     if k is not None and k not in _PARAMS[name][0]:
         raise GroupError(_PARAMS[name][1])
     if name == "cyclic":
-        return range(k), lambda a, b: (a + b) % k, str, f"cyclic{k}"
+        return range(k), lambda a, b: (a + b) % k, f"cyclic{k}"
     if name == "elem_abelian_2":
-        return (range(1 << k), lambda a, b: a ^ b, lambda i: format(i, f"0{k}b"),
-                f"elem_abelian_2^{k}")
+        return range(1 << k), lambda a, b: a ^ b, f"elem_abelian_2^{k}"
     if name == "dihedral":
         # (e, i) is s^e r^i, and s^e1 r^i1 * s^e2 r^i2 = s^(e1+e2) r^(i1*(-1)^e2 + i2)
         m = k // 2
         return ([(e, i) for e in (0, 1) for i in range(m)],
                 lambda p, q: ((p[0] + q[0]) % 2, (q[1] - p[1] if q[0] else p[1] + q[1]) % m),
-                lambda p: f"sr{p[1]}" if p[0] else f"r{p[1]}", f"dihedral{k}")
+                f"dihedral{k}")
     if name in ("sym", "alt"):
         els = [p for p in itertools.permutations(range(k))
                if name == "sym" or perms.signature(p) == 1]
-        return els, perms.compose, perms.to_cycle_string, f"{name}{k}"
+        return els, perms.compose, f"{name}{k}"
     if name == "quaternion8":
         # (a, b) is x^a y^b, with x^4 = e, y^2 = x^2 and y x y^-1 = x^-1
         return ([(a, b) for b in (0, 1) for a in range(4)],
                 lambda p, q: ((p[0] + (-q[0] if p[1] else q[0]) + 2 * (p[1] & q[1])) % 4,
-                              (p[1] + q[1]) % 2),
-                lambda p: f"x{p[0]}y{p[1]}", "quaternion8")
-    pair = "({0[0]},{0[1]})".format  # (a, b) as "(a,b)"
+                              (p[1] + q[1]) % 2), "quaternion8")
     if name == "z4xz2":
         return ([(a, b) for a in range(4) for b in range(2)],
-                lambda p, q: ((p[0] + q[0]) % 4, (p[1] + q[1]) % 2), pair, "Z4xZ2")
+                lambda p, q: ((p[0] + q[0]) % 4, (p[1] + q[1]) % 2), "Z4xZ2")
     # quat_cover: (a,b)(c,d) = (a + (-1)^b c, b + d) on Z/4 x Z/4; it has 3
     # involutions and a central order-2 subgroup with quaternion quotient
     return ([(a, b) for a in range(4) for b in range(4)],
             lambda p, q: ((p[0] + (-q[0] if p[1] % 2 else q[0])) % 4, (p[1] + q[1]) % 4),
-            pair, "quat_cover")
+            "quat_cover")
 
 
 # Bound on the catalog cache: a suite run names 15 catalog groups.

@@ -124,10 +124,3 @@ def parse_cycle_string(text: str, n: int | None = None) -> Perm:
         raise ValueError(f"empty cycle in {reprlib.repr(text)}")
     deg = n if n is not None else 1 + max(max(c) for c in cycs)
     return from_cycles(deg, cycs)
-
-
-def to_cycle_string(p: Perm) -> str:
-    cycs = cycles(p)
-    if not cycs:
-        return "()"
-    return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cycs)

@@ -344,10 +344,10 @@ def _rational(x) -> Fraction:
 class QForm:
     """Nondegenerate diagonal quadratic form <a_1, ..., a_n> over Q.
 
-    Its entries' square classes are found on first use: by factoring
-    each entry, or, where `classes` is given, by calling it, which is
-    how a form built from held classes (`direct_sum`, `scale`,
-    `repeat`, a battery's shared classes) skips the factoring."""
+    Its entries' square classes are `classes` where given, which is how
+    a form built from held classes (`direct_sum`, `scale`, `repeat`, a
+    battery's shared classes) skips the factoring; else they are found
+    on first use, by factoring each entry."""
 
     __slots__ = ("entries", "_held", "_disc")
 
@@ -359,16 +359,14 @@ class QForm:
         if not all(a.numerator for a in ent):
             raise QuadraticError("diagonal entries must be nonzero")
         self.entries = ent
-        self._held = classes  # None, a function giving the classes, or them
+        self._held = classes  # None until first read, then a tuple
         self._disc = None
 
     @property
     def _classes(self) -> tuple[_SquareClass, ...]:
-        held = self._held
-        if type(held) is not tuple:
-            held = tuple(map(square_class, self.entries)) if held is None else held()
-            self._held = held
-        return held
+        if self._held is None:
+            self._held = tuple(map(square_class, self.entries))
+        return self._held
 
     @property
     def _disc_class(self) -> _SquareClass:
@@ -396,24 +394,21 @@ def direct_sum(*forms: QForm) -> QForm:
     ent: tuple[Fraction, ...] = ()
     for q in forms:
         ent += q.entries
-    return QForm(ent, lambda: tuple(c for q in forms for c in q._classes))
+    return QForm(ent, tuple(c for q in forms for c in q._classes))
 
 
 def scale(a, q: QForm) -> QForm:
     a = _rational(a)
     if a == 0:
         raise QuadraticError("cannot scale a form by zero")
-
-    def classes():
-        ca = square_class(a)
-        return tuple(sqclass_mul(ca, c) for c in q._classes)
-    return QForm(tuple(a * x for x in q.entries), classes)
+    ca = square_class(a)
+    return QForm(tuple(a * x for x in q.entries), tuple(sqclass_mul(ca, c) for c in q._classes))
 
 
 def repeat(q: QForm, m: int) -> QForm:
     if m < 1:
         raise QuadraticError("need at least one copy")
-    return QForm(q.entries * m, lambda: q._classes * m)
+    return QForm(q.entries * m, q._classes * m)
 
 
 def signature(q: QForm) -> tuple[int, int]:

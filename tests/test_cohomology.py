@@ -421,7 +421,7 @@ def test_two_lift_property_matches_fibre_oracle():
 
 def test_quaternion_cover_counterexample():
     T = catalog("quat_cover")
-    t = T.labels.index("(2,2)")
+    t = 10  # (2, 2) in the element list [(a, b) for a in range(4) for b in range(4)]
     base, mask = class_of_extension(T, t)
     assert base.order == 8
     assert len(base.involutions()) == 1 and not base.is_abelian()
@@ -652,6 +652,37 @@ def test_validate_works_above_h2_cap():
         Cocycle2(G, 1 << (1 * G.order + 1)).validate()  # c(1,1) = 1 alone
 
 
+_C2 = catalog("cyclic", 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    # True was read as mask 1, and 1.0 and 2.0 raised TypeError
+    (lambda: h2(catalog("z4xz2")).representative(True),
+     "coordinate mask must be an integer, got True"),
+    (lambda: h2(catalog("z4xz2")).representative(1.0),
+     "coordinate mask must be an integer, got 1.0"),
+    (lambda: Cocycle2(_C2, 2.0), "cocycle bits must be an integer, got 2.0"),
+    # refused only as "not normalized"
+    (lambda: Cocycle2(_C2, True), "cocycle bits must be an integer, got True"),
+    (lambda: Cocycle2(_C2, "8" * 100), "cocycle bits must be an integer, got '888888"),
+    # (0, 3) read c(1, 1), and (True, True) answered
+    (lambda: Cocycle2(_C2, 8).value(0, 3),
+     "cell (0, 3) is not a pair of element indices 0..1"),
+    (lambda: Cocycle2(_C2, 8).value(True, True),
+     "cell (True, True) is not a pair of element indices 0..1"),
+    (lambda: Cocycle2(_C2, 8).value(-1, 1),
+     "cell (-1, 1) is not a pair of element indices 0..1"),
+    (lambda: Cocycle2(_C2, 8).value(1, 1.0),
+     "cell (1, 1.0) is not a pair of element indices 0..1"),
+])
+def test_cochains_read_ints_by_the_integer_rule(call, message):
+    with pytest.raises(CohomologyError) as exc:
+        call()
+    assert str(exc.value).startswith(message) and len(str(exc.value)) < 100
+    assert Cocycle2(_C2, 8).value(1, 1) == 1
+    assert h2(catalog("z4xz2")).representative(1).bits != 0
+
+
 def test_h2_cap_names_the_limit():
     with pytest.raises(CohomologyError, match="H2_CAP = 64"):
         h2(catalog("cyclic", 65))
@@ -707,6 +738,10 @@ def test_a_cocycle_belongs_to_every_group_on_its_table():
             refused()
 
 
+def _cycle_string(p):
+    return "".join("(" + " ".join(map(str, c)) + ")" for c in perms.cycles(p))
+
+
 def _s4_generating_sets(count, seed):
     """perms: specs of S4 as the benchmark's S4 block draws them: (0 1 2 3)
     and (0 1), with up to two products of them added, shuffled."""
@@ -718,7 +753,7 @@ def _s4_generating_sets(count, seed):
             gens.append(perms.compose(rng.choice(gens), rng.choice(gens)))
         gens = [g for g in gens if g != perms.identity(4)]
         rng.shuffle(gens)
-        specs.append("perms:" + ",".join(map(perms.to_cycle_string, gens)))
+        specs.append("perms:" + ",".join(map(_cycle_string, gens)))
     return specs
 
 

@@ -14,7 +14,6 @@ from traceforms.perms import (
     is_perm,
     parse_cycle_string,
     signature,
-    to_cycle_string,
 )
 
 
@@ -87,11 +86,9 @@ def compose_power(p, k, n):
 def test_cycle_round_trip_and_canonical_form():
     p = from_cycles(6, [(0, 3), (1, 4, 5)])
     assert cycles(p) == [(0, 3), (1, 4, 5)]
-    assert to_cycle_string(p) == "(0 3)(1 4 5)"
     assert parse_cycle_string("(0 3)(1 4 5)") == p
     assert parse_cycle_string("(0, 3)(1, 4, 5)", 6) == p
     assert parse_cycle_string("()", 4) == identity(4)
-    assert to_cycle_string(identity(4)) == "()"
 
 
 def test_cycle_validation():

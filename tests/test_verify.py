@@ -168,6 +168,21 @@ def test_property_suites_error_becomes_fail(monkeypatch):
     assert r.computed == {"error": "ZeroDivisionError: battery blew up"}
 
 
+def test_regular_parity_reports_its_failing_group(monkeypatch):
+    # a parity that disagrees with Sylow cyclicity is a counted failure of
+    # its group, not an error that drops the other seven tallies
+    real, S4 = groups.sylow2, groups.catalog("sym", 4)
+    monkeypatch.setattr(groups, "sylow2",
+                        lambda G: groups.catalog("cyclic", 8) if G == S4 else real(G))
+    r = run_statement("property-suites", DEFAULT_SEED)
+    assert r.verdict == "fail"
+    assert list(r.computed) == [name for name, _ in verify._BATTERIES]
+    c = r.computed["regular_parity"]
+    assert c["failures"] == 1 and c["first_failure"] == {
+        "trial": verify._EVEN_ORDER_CATALOG.index("sym:4") + 1, "case": {"group": "sym:4"}}
+    assert all(t["failures"] == 0 for name, t in r.computed.items() if name != "regular_parity")
+
+
 def _leaf_paths(expected, path=()):
     if not isinstance(expected, dict):
         yield path
