@@ -48,9 +48,13 @@ runs: an integer is an ``int`` (never a ``bool``: a bool is no number) or
 text that, stripped, is an optional ASCII sign and ASCII digits.  So
 "1_0", "٣" and "4.0" are integers on no Python, and `_DigitLimit`
 refuses one too long for int() in words that do not change with it.
+Its one quoting rule lives here too: a refusal shows a value by
+`_quote`, reprlib.repr's shortened text, in which an int past that
+digit limit reads ``<int of N bits>`` on every Python.
 """
 
 import importlib.util
+import reprlib
 import sys
 
 __version__ = "1.0.0"
@@ -104,6 +108,18 @@ def _as_int(x) -> int:
                 raise _DigitLimit(len(digits))
             return int(t)
     raise ValueError("not an integer")
+
+
+def _quote_int(n: int, level: int) -> str:
+    """n by its size past the digit limit: 3.10-3.12 raise, 3.13 shows its address."""
+    if abs(n) >= 10 ** sys.int_info.default_max_str_digits:
+        return f"<int of {n.bit_length()} bits>"
+    return reprlib.Repr.repr_int(_QUOTER, n, level)
+
+
+_QUOTER = reprlib.Repr()
+_QUOTER.repr_int = _quote_int  # Repr looks up repr_<type name> on itself
+_quote = _QUOTER.repr  # a value in a refusal, by reprlib.repr's rule
 
 
 class _Rerun:

@@ -22,10 +22,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import reprlib
 import sys
 
-from . import _as_int, clifford, cohomology, galois, groups, quadratic, verify
+from . import _as_int, _quote, clifford, cohomology, galois, groups, quadratic, verify
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -48,7 +47,7 @@ def _read(path: str) -> str:
     try:
         fh = open(path, encoding="ascii")
     except OSError as exc:
-        raise OSError(exc.errno, f"{exc.strerror}: {reprlib.repr(path)}") from None
+        raise OSError(exc.errno, f"{exc.strerror}: {_quote(path)}") from None
     with fh:
         text = fh.read(INPUT_BYTES_CAP + 1)
     if len(text) > INPUT_BYTES_CAP:
@@ -66,7 +65,7 @@ class _Parser(argparse.ArgumentParser):
         # (-hhx reads as -h -h -x), as typed or by repr; longest first
         quoted = {t for a in self.argv for t in (a, a.partition("=")[2], a.lstrip("-h"))}
         for text in sorted(quoted, key=len, reverse=True):
-            short = reprlib.repr(text)
+            short = _quote(text)
             if short != repr(text):
                 message = message.replace(repr(text), short).replace(text, short)
         super().error(message)
@@ -84,7 +83,7 @@ def _fields(text: str) -> list[str]:
     """The comma-separated fields of text, stripped, none of them empty."""
     fields = [t.strip() for t in text.split(",")]
     if not all(fields):
-        raise ValueError(f"empty field in {reprlib.repr(text)}")
+        raise ValueError(f"empty field in {_quote(text)}")
     return fields
 
 
@@ -119,10 +118,10 @@ def _load_cocycle(G, spec: str) -> cohomology.Cocycle2:
         try:
             i = _as_int(spec.split(":", 1)[1])
         except ValueError:
-            raise ValueError(f"malformed cocycle spec {reprlib.repr(spec)}") from None
+            raise ValueError(f"malformed cocycle spec {_quote(spec)}") from None
         basis = cohomology.h2(G)
         if not 0 <= i < basis.dim:
-            raise ValueError(f"basis index {i} out of range (dim H² = {basis.dim})")
+            raise ValueError(f"basis index {_quote(i)} out of range (dim H² = {basis.dim})")
         return basis.representative(1 << i)
     return cohomology.Cocycle2.from_rows(G, _read(spec))
 
@@ -221,7 +220,7 @@ def _cmd_form(args):
     else:
         q = quadratic.QForm(_fields(args.entries))
     out = dict(_form_report(q), verdicts={})
-    if args.isometric_to:
+    if args.isometric_to is not None:
         other = quadratic.QForm(_fields(args.isometric_to))
         out["verdicts"]["isometric"] = quadratic.is_isometric_q(q, other)
     return out, True

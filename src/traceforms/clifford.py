@@ -62,9 +62,7 @@ over Q(sqrt 2) and the fold sign rule are kept as test oracles
 """
 from __future__ import annotations
 
-import reprlib
-
-from . import _ints, cohomology, groups, perms
+from . import _ints, _quote, cohomology, groups, perms
 
 CLIFFORD_RANK_CAP = 24   # largest number of generators, so of pin_cocycle's order
 # largest 2^min(k, n) that pin_lift folds: a fold of k factors on rank n
@@ -203,9 +201,10 @@ def _door(ps, n: int | None) -> list[perms.Perm]:
     for a rank alone, checks ps and bounds a derived n by the same cap."""
     if n is not None or not ps:  # no permutation gives no rank
         if not _ints((n,)):
-            raise CliffordError(f"rank is not an int: {reprlib.repr(n)}")
+            raise CliffordError(f"rank is not an int: {_quote(n)}")
         if n > CLIFFORD_RANK_CAP:
-            raise CliffordError(f"rank {n} exceeds CLIFFORD_RANK_CAP = {CLIFFORD_RANK_CAP}")
+            raise CliffordError(f"rank {_quote(n)} exceeds "
+                                f"CLIFFORD_RANK_CAP = {CLIFFORD_RANK_CAP}")
         if not ps:
             return []
     try:

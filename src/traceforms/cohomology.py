@@ -61,9 +61,8 @@ nucleus is everything, and δc = 0.
 from __future__ import annotations
 
 import functools
-import reprlib
 
-from . import _ints, gf2
+from . import _ints, _quote, gf2
 from .groups import (
     Group,
     GroupError,
@@ -92,7 +91,7 @@ class Cocycle2:
     def __init__(self, group: Group, bits: int):  # bit g·n + h is c(g, h)
         n = group.order
         if not _ints((bits,)):
-            raise CohomologyError(f"cocycle bits must be an integer, got {reprlib.repr(bits)}")
+            raise CohomologyError(f"cocycle bits must be an integer, got {_quote(bits)}")
         if bits >> (n * n):  # negative bits shift to -1
             raise CohomologyError("cocycle bits out of range")
         column_e = ((1 << n * n) - 1) // ((1 << n) - 1)  # bit g·n for each g
@@ -107,7 +106,7 @@ class Cocycle2:
     def value(self, g: int, h: int) -> int:
         n = self.group.order
         if not (_ints((g, h)) and 0 <= g < n and 0 <= h < n):
-            raise CohomologyError(f"cell {reprlib.repr((g, h))} is not a pair of "
+            raise CohomologyError(f"cell {_quote((g, h))} is not a pair of "
                                   f"element indices 0..{n - 1}")
         return (self.bits >> (g * n + h)) & 1
 
@@ -277,9 +276,9 @@ class H2Basis:
         """The cocycle of the class with coordinate mask `mask`: the sum of
         the chosen representatives of the basis classes in it."""
         if not _ints((mask,)):
-            raise CohomologyError(f"coordinate mask must be an integer, got {reprlib.repr(mask)}")
+            raise CohomologyError(f"coordinate mask must be an integer, got {_quote(mask)}")
         if mask >> self.dim:
-            raise CohomologyError(f"coordinate mask {mask:#x} out of range")
+            raise CohomologyError(f"coordinate mask {_quote(mask)} out of range")
         return Cocycle2(self.group, functools.reduce(
             int.__xor__, [rep for i, rep in enumerate(self._reps) if mask >> i & 1], 0))
 
@@ -345,7 +344,7 @@ def _check_kernel(total: Group, t: int) -> None:
     """Refuse a t that is not a central involution of total."""
     tt = total.table
     if not (_ints([t]) and 0 < t < total.order and tt[t][t] == 0):
-        raise CohomologyError(f"element {reprlib.repr(t)} does not have order 2")
+        raise CohomologyError(f"element {_quote(t)} does not have order 2")
     if any(row[t] != x for row, x in zip(tt, tt[t])):
         raise CohomologyError(f"element {t} is not central")
 

@@ -12,10 +12,9 @@ and multiplicity is read by `_integer`, by the package's integer rule.
 from __future__ import annotations
 
 import math
-import reprlib
 from fractions import Fraction
 
-from . import _as_int, _DigitLimit, cohomology, groups
+from . import _as_int, _DigitLimit, _quote, cohomology, groups
 from .quadratic import (
     QForm,
     _bareiss,
@@ -65,7 +64,7 @@ def _integer(x, what: str) -> int:
     except _DigitLimit as exc:
         raise GaloisError(str(exc)) from None
     except ValueError:
-        raise GaloisError(f"{what} must be an integer, got {reprlib.repr(x)}") from None
+        raise GaloisError(f"{what} must be an integer, got {_quote(x)}") from None
 
 
 def _primitive(a: list[int]) -> list[int]:

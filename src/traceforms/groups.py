@@ -41,9 +41,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import reprlib
 
-from . import _as_int, _ints, perms
+from . import _as_int, _ints, _quote, perms
 
 CLOSURE_CAP = 2048
 
@@ -58,7 +57,7 @@ def _of_kind(convert, x, want: str):
     try:
         return convert(x)
     except TypeError:
-        raise GroupError(f"{want}, got {reprlib.repr(x)}") from None
+        raise GroupError(f"{want}, got {_quote(x)}") from None
 
 
 class Group:
@@ -374,10 +373,10 @@ def _entry(name: str, k: int | None):
     as the arguments of _table_group: its elements, identity first and in
     table order; their product; and its name."""
     if name not in _PARAMS:
-        raise GroupError(f"unknown catalog group {reprlib.repr(name)}")
+        raise GroupError(f"unknown catalog group {_quote(name)}")
     if (_PARAMS[name] is None) != (k is None):
         need = "takes no" if k is not None else "needs a"
-        raise GroupError(f"catalog group {reprlib.repr(name)} {need} parameter")
+        raise GroupError(f"catalog group {_quote(name)} {need} parameter")
     if k is not None and k not in _PARAMS[name][0]:
         raise GroupError(_PARAMS[name][1])
     if name == "cyclic":
@@ -419,7 +418,7 @@ def _key(name: str, param: int | str | None) -> tuple[str, int | None]:
     try:
         return name, None if param is None else _as_int(param)
     except ValueError:
-        raise GroupError(f"malformed catalog parameter {reprlib.repr(param)}") from None
+        raise GroupError(f"malformed catalog parameter {_quote(param)}") from None
 
 
 def catalog(name: str, param: int | str | None = None) -> Group:
@@ -454,7 +453,7 @@ def group_from_spec(text: str, cap: tuple[str, int] = ("CLOSURE_CAP", CLOSURE_CA
     if text.startswith("catalog:"):
         parts = text.split(":")
         if len(parts) not in (2, 3):
-            raise GroupError(f"malformed catalog spec {reprlib.repr(text)}")
+            raise GroupError(f"malformed catalog spec {_quote(text)}")
         param = parts[2] if len(parts) == 3 else None
         n = catalog_order(parts[1], param)
         if n > cap_value:
@@ -465,7 +464,7 @@ def group_from_spec(text: str, cap: tuple[str, int] = ("CLOSURE_CAP", CLOSURE_CA
         if len(chunks) > cap_value:
             raise GroupError(f"perms spec has more than {cap_name} = {cap_value} generators")
         if not all(c.strip() for c in chunks):
-            raise GroupError(f"empty generator in {reprlib.repr(text)}")
+            raise GroupError(f"empty generator in {_quote(text)}")
         return closure([perms.parse_cycle_string(c) for c in chunks], cap)
-    raise GroupError(f"unknown group spec {reprlib.repr(text)} "
+    raise GroupError(f"unknown group spec {_quote(text)} "
                      "(want 'catalog:...' or 'perms:...')")

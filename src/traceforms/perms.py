@@ -12,9 +12,7 @@ refusals groups.closure and clifford._door re-raise as their own errors.
 """
 from __future__ import annotations
 
-import reprlib
-
-from . import _as_int, _ints
+from . import _as_int, _ints, _quote
 
 Perm = tuple[int, ...]
 
@@ -26,7 +24,7 @@ DEGREE_CAP = 2048
 
 def _check_degree(n: int) -> None:
     if not (_ints((n,)) and 0 <= n <= DEGREE_CAP):
-        raise ValueError(f"degree {n} is outside 0..DEGREE_CAP = {DEGREE_CAP}")
+        raise ValueError(f"degree {_quote(n)} is outside 0..DEGREE_CAP = {DEGREE_CAP}")
 
 
 def identity(n: int) -> Perm:
@@ -45,14 +43,14 @@ def door(ps, cap: tuple[str, int], n: int | None = None, what: str = "degree") -
     value).  A refusal is a ValueError naming n as `what`."""
     for p in ps:
         if not isinstance(p, (tuple, list)):
-            raise ValueError(f"not a permutation: {reprlib.repr(p)}")
+            raise ValueError(f"not a permutation: {_quote(p)}")
     if n is None and (n := max(map(len, ps), default=0)) > cap[1]:
         raise ValueError(f"{what} {n} exceeds {cap[0]} = {cap[1]}")
     for p in ps:
         if len(p) > n:
             raise ValueError(f"permutation degree exceeds {what}")
         if not is_perm(tuple(p)):
-            raise ValueError(f"not a permutation: {reprlib.repr(p)}")
+            raise ValueError(f"not a permutation: {_quote(p)}")
     return [tuple(p) + tuple(range(len(p), n)) for p in ps]
 
 
@@ -86,17 +84,18 @@ def cycles(p: Perm) -> list[tuple[int, ...]]:
 def from_cycles(n: int, cycs) -> Perm:
     _check_degree(n)
     images = list(range(n))
+    seen = set()  # no point in two cycles, so no image is overwritten
     for cyc in cycs:
         if not _ints(cyc) or len(set(cyc)) != len(cyc):
-            raise ValueError(f"repeated or non-int point in cycle {reprlib.repr(cyc)}")
+            raise ValueError(f"repeated or non-int point in cycle {_quote(cyc)}")
         for i, c in enumerate(cyc):
             if not 0 <= c < n:
-                raise ValueError(f"point {c} out of range 0..{n - 1}")
+                raise ValueError(f"point {_quote(c)} out of range 0..{n - 1}")
+            if c in seen:
+                raise ValueError(f"point {_quote(c)} appears in two cycles")
+            seen.add(c)
             images[c] = cyc[(i + 1) % len(cyc)]
-    p = tuple(images)
-    if not is_perm(p):
-        raise ValueError(f"cycles {cycs} overlap")
-    return p
+    return tuple(images)
 
 
 def signature(p: Perm) -> int:
@@ -119,8 +118,8 @@ def parse_cycle_string(text: str, n: int | None = None) -> Perm:
         cycs = [tuple(map(_as_int, chunk.replace(",", " ").split()))
                 for chunk in text[1:-1].split(")(")]
     except ValueError:  # the parentheses, or a point that is no integer
-        raise ValueError(f"malformed cycle string: {reprlib.repr(text)}") from None
+        raise ValueError(f"malformed cycle string: {_quote(text)}") from None
     if not all(cycs):
-        raise ValueError(f"empty cycle in {reprlib.repr(text)}")
+        raise ValueError(f"empty cycle in {_quote(text)}")
     deg = n if n is not None else 1 + max(max(c) for c in cycs)
     return from_cycles(deg, cycs)

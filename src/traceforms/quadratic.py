@@ -30,12 +30,11 @@ import functools
 import math
 import random
 import re
-import reprlib
 import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import _as_int, _DigitLimit, _ints
+from . import _as_int, _DigitLimit, _ints, _quote
 
 INF = "inf"  # the archimedean place, alongside prime numbers
 
@@ -92,7 +91,7 @@ def is_probable_prime(n: int, charge=None) -> bool:
         else:
             return False
     if n >= _MR_PROVEN_BOUND:
-        raise QuadraticError(f"cannot certify primality of {n} (above the "
+        raise QuadraticError(f"cannot certify primality of {_quote(n)} (above the "
                              f"deterministic Miller-Rabin bound)")
     return True
 
@@ -149,7 +148,7 @@ def factorint(n: int) -> dict[int, int]:
         w = -(-m.bit_length() // 128)
         spent += steps * max(w, w * w // 12)
         if spent > RHO_BUDGET:
-            raise QuadraticError(f"cannot factor {reprlib.repr(m)} within "
+            raise QuadraticError(f"cannot factor {_quote(m)} within "
                                  f"RHO_BUDGET = {RHO_BUDGET} rho steps")
 
     out: dict[int, int] = {}
@@ -247,10 +246,10 @@ def check_place(v) -> None:
     if v == INF:
         return
     if _ints((v,)) and v >= _MR_PROVEN_BOUND and all(v % p for p in _MR_BASES):
-        raise QuadraticError(f"cannot certify primality of {reprlib.repr(v)} (above "
+        raise QuadraticError(f"cannot certify primality of {_quote(v)} (above "
                              f"the deterministic Miller-Rabin bound)")
     if not (_ints((v,)) and is_probable_prime(v)):
-        raise QuadraticError(f"not a place: {reprlib.repr(v)}")
+        raise QuadraticError(f"not a place: {_quote(v)}")
 
 
 def hilbert_symbol(a, b, v) -> int:
@@ -275,7 +274,7 @@ def _cup_at(a: int, pa: frozenset, b: int, pb: frozenset) -> frozenset:
     size by the product formula, which is asserted."""
     out = frozenset(v for v in {INF, 2} | pa | pb if _hilbert(a, b, v) == -1)
     if len(out) % 2:
-        raise QuadraticError(f"odd number of places in cup({a}, {b}); "
+        raise QuadraticError(f"odd number of places in cup({_quote(a)}, {_quote(b)}); "
                              "this breaks product-formula reciprocity")
     return out
 
@@ -324,19 +323,19 @@ def _rational(x) -> Fraction:
         limit = sys.int_info.default_max_str_digits
         exp = re.search(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z", x)
         if exp and len(exp[1]) <= limit and int(exp[1]) > limit:
-            raise QuadraticError(f"decimal exponent in {reprlib.repr(x)} exceeds "
+            raise QuadraticError(f"decimal exponent in {_quote(x)} exceeds "
                                  f"sys.int_info.default_max_str_digits = {limit}")
         text = x.isascii() and _RATIONAL_TEXT.fullmatch(x.strip())
         if not text:
-            raise QuadraticError(f"Invalid literal for Fraction: {reprlib.repr(x)}")
+            raise QuadraticError(f"Invalid literal for Fraction: {_quote(x)}")
         digits = max(len(run or "") for run in text.groups())
         if digits > limit:
             raise QuadraticError(str(_DigitLimit(digits)))
         if text[2] and not int(text[2]):  # a zero denominator
-            raise QuadraticError(f"zero denominator in {reprlib.repr(x)}")
+            raise QuadraticError(f"zero denominator in {_quote(x)}")
         return Fraction(x)
     if not isinstance(x, Fraction):  # an int subclass such as bool is no int
-        raise QuadraticError(f"{reprlib.repr(x)} is not an exact rational; "
+        raise QuadraticError(f"{_quote(x)} is not an exact rational; "
                              "pass an int, a Fraction or a string")
     return Fraction(x)
 

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import functools
 import random
-import reprlib
 import time
 import zlib
 from itertools import islice
 from typing import NamedTuple
 
-from . import _ints, clifford, cohomology, fixtures, galois, groups, oracles, quadratic
+from . import _ints, _quote, clifford, cohomology, fixtures, galois, groups, oracles, quadratic
 
 DEFAULT_SEED = 20260816
 
@@ -506,10 +505,10 @@ def run_statement(statement: str, seed: int = DEFAULT_SEED) -> VerificationRepor
     the runner raises.  An unknown statement or a non-int seed raises."""
     runner = _RUNNERS.get(statement)
     if runner is None:
-        raise ValueError(f"unknown statement {reprlib.repr(statement)}; "
+        raise ValueError(f"unknown statement {_quote(statement)}; "
                          f"choose from {', '.join(STATEMENTS)}")
     if not _ints((seed,)):
-        raise ValueError(f"seed must be an int, got {reprlib.repr(seed)}")
+        raise ValueError(f"seed must be an int, got {_quote(seed)}")
     t0 = time.perf_counter()
     try:
         claim = runner(seed)

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -405,9 +406,11 @@ def test_zero_denominator_entry_exits_2(capsys, argv):
     ["trace", "--poly", "1,,-3"],
     ["form", "--entries", "3,,5"],
     ["form", "--entries", "1", "--isometric-to", "1,"],
-], ids=["poly", "entries", "isometric-to"])
+    ["form", "--entries", "1", "--isometric-to", ""],
+], ids=["poly", "entries", "isometric-to", "isometric-to-empty"])
 def test_empty_field_exits_2(capsys, argv):
-    # "1,,-3" used to be read as x - 3, and "3,,5" as <3, 5>
+    # "1,,-3" used to be read as x - 3, and "3,,5" as <3, 5>; an empty
+    # --isometric-to was skipped, its verdict dropped with exit 0
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: empty field in {argv[-1]!r}\n"
@@ -438,9 +441,12 @@ _LONG = "7" * 200_000
     (perms.parse_cycle_string, "(0 x" + _LONG + ")", "malformed cycle string"),
     (perms.parse_cycle_string, "(0 1)(" + " " * 200_000 + ")", "empty cycle"),
     (cli._fields, _LONG + ",", "empty field"),
+    # an index within the digit limit was echoed whole
+    (functools.partial(cli._load_cocycle, groups.group_from_spec("catalog:cyclic:2")),
+     "basis:" + _LONG[:4300], "basis index"),
 ], ids=["fraction", "exponent", "zero-denominator", "group-spec", "catalog-spec",
         "catalog-name", "catalog-parameter", "empty-generator", "cycle-string",
-        "cycle-point", "empty-cycle", "empty-field"])
+        "cycle-point", "empty-cycle", "empty-field", "basis-index"])
 def test_refused_value_is_echoed_shortened(door, value, message):
     with pytest.raises(ValueError, match=message) as exc:
         door(value)
@@ -556,6 +562,16 @@ def test_empty_generator_exits_2(capsys, spec):
     code, out, err = run_cli(capsys, "group", "--group", spec)
     assert code == 2 and out == ""
     assert err == f"error: empty generator in {spec.strip()!r}\n"
+
+
+@pytest.mark.parametrize("spec, point", [("perms:(0 1)(1 2)", 1), ("perms:(0 1)(0 1)", 0),
+                                         ("perms:(0 1)(1 0)", 1)])
+def test_a_point_in_two_cycles_exits_2(capsys, spec, point):
+    # a later cycle overwrote the images of an earlier one, so (0 1)(0 1)
+    # was read as (0 1), a group of order 2, and only (0 1)(1 2) was refused
+    code, out, err = run_cli(capsys, "group", "--group", spec)
+    assert code == 2 and out == ""
+    assert err == f"error: point {point} appears in two cycles\n"
 
 
 def test_perms_spec_is_bounded_before_its_generators_are_built():

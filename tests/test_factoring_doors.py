@@ -10,10 +10,12 @@ they reach a class only through the public constructor.  Outside input
 has one door of each kind too: only `cli._read` opens a file, one
 integer rule in the package root reads every integer (`galois._integer`
 for coefficients and multiplicities), `perms.door` checks every
-permutation given by its images, and a form's bounds are checked only by its two doors, `QForm` and
-`diagonalize`, which `cli` reaches without naming a bound; a pin
-input's rank is compared with `CLIFFORD_RANK_CAP` only by
-`clifford._door`; and only `cohomology` reads a 2-cochain's bits, so
+permutation given by its images, one quoting rule in the package root,
+`_quote`, shows every refused value (an int past the digit limit by its
+size, alike on every Python), and a form's bounds are checked only by
+its two doors, `QForm` and `diagonalize`, which `cli` reaches without
+naming a bound; a pin input's rank is compared with `CLIFFORD_RANK_CAP`
+only by `clifford._door`; and only `cohomology` reads a 2-cochain's bits, so
 only `Cocycle2.from_rows` and `Cocycle2.rows` know the bit order of
 its text.  Every cap and budget of the package names itself in
 a refusal, and a test expects that refusal with the cap's value.
@@ -240,15 +242,41 @@ def test_the_integer_rule_has_one_implementation():
                      "cli", "verify"}
 
 
+def test_the_quoting_rule_has_one_implementation():
+    # eight layers each imported reprlib, whose text for an int past the
+    # digit limit was Python's own ValueError on 3.10-3.12 and an address
+    # on 3.13; every layer now quotes a refused value by the root's _quote
+    def names_reprlib(tree):
+        imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+                    for a in n.names}
+        imported |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+        return "reprlib" in imported | _named(tree)
+
+    def defines_quote(n):
+        if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+            return n.name == "_quote"
+        return isinstance(n, ast.Name) and n.id == "_quote" and isinstance(n.ctx, ast.Store)
+
+    modules = sorted(PKG.glob("*.py"))
+    assert {path.stem for path in modules if names_reprlib(_tree(path.stem))} == {"__init__"}
+    assert [path.stem for path in modules for n in ast.walk(_tree(path.stem))
+            if defines_quote(n)] == ["__init__"]
+    users = {path.stem for path in modules if path.stem != "__init__"
+             and "_quote" in _named(_tree(path.stem))}
+    assert users == {"perms", "groups", "cohomology", "clifford", "quadratic", "galois",
+                     "cli", "verify"}
+
+
 def test_only_the_permutation_door_checks_a_permutation():
-    # closure and the pin layer each had their own loop over images
+    # closure and the pin layer each had their own loop over images;
+    # from_cycles refuses a repeated point, so it builds a permutation
     def names_is_perm(n):
         return getattr(n, "attr", None) == "is_perm" or getattr(n, "id", None) == "is_perm"
 
     def calls_the_door(n):
         return isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "door"
 
-    assert _owners(names_is_perm) == {("perms", "door"), ("perms", "from_cycles")}
+    assert _owners(names_is_perm) == {("perms", "door")}
     assert {o for o in _owners(calls_the_door) if o[0] != "perms"} == {
         ("groups", "closure"), ("clifford", "_door")}
 

@@ -98,6 +98,8 @@ def test_cycle_validation():
         from_cycles(3, [(0, 5)])
     with pytest.raises(ValueError):
         from_cycles(4, [(0, 1), (1, 2)])  # overlapping cycles
+    with pytest.raises(ValueError, match="^point 0 appears in two cycles$"):
+        from_cycles(3, [(0, 1), (0, 1)])  # their product is the identity, not (0 1)
     with pytest.raises(ValueError):
         parse_cycle_string("0 1 2")
     with pytest.raises(ValueError):

@@ -2,10 +2,15 @@
 Each other python3.10-python3.13 on PATH that starts runs the package
 from this source tree, and its stdout bytes and exit code (with stderr,
 for a number past int()'s digit limit) must equal the running
-interpreter's.  Those tests skip when no other one starts; the
-digit-limit message is also pinned in process."""
+interpreter's.  So must the stderr and exit code of two library calls
+that refuse an int past that limit, run by `python -c`: no command line
+reaches such an int, which `_as_int` refuses first.  Those tests skip
+when no other one starts; the digit-limit messages are also pinned in
+process, where every layer's refusal of such an int is, and the quoting
+rule (`traceforms._quote`) is checked against reprlib.repr."""
 import functools
 import os
+import reprlib
 import shutil
 import subprocess
 import sys
@@ -13,7 +18,7 @@ import sys
 import pytest
 
 import traceforms
-from traceforms import cli, quadratic
+from traceforms import _quote, cli, clifford, cohomology, groups, perms, quadratic
 
 SRC = os.path.dirname(os.path.dirname(traceforms.__file__))
 
@@ -111,3 +116,100 @@ def test_a_number_past_the_digit_limit_is_refused_in_the_packages_words(capsys, 
         with pytest.raises(quadratic.QuadraticError) as exc:
             quadratic.QForm((x,))
         assert str(exc.value) == _LIMIT_MESSAGE
+
+
+# an int past the digit limit in a library call: 3.10-3.12 raised
+# Python's "Exceeds the limit (4300 ...)" ValueError from the refusal's
+# f-string or reprlib.repr instead of the layer's error, and 3.13 quoted
+# "<int instance with roughly 5000 digits ... at 0x...>", whose address
+# changes from run to run
+_C2 = "catalog:cyclic:2"
+_PAST_LIMIT_CALLS = {
+    "hilbert_symbol": (quadratic.QuadraticError, 20000,
+                       lambda: quadratic.hilbert_symbol(3, 5, 2 ** 20000 - 1)),
+    "check_place": (quadratic.QuadraticError, 16610, lambda: quadratic.check_place(10 ** 5000)),
+    "w1": (quadratic.QuadraticError, 20002,
+           lambda: quadratic.w1(quadratic.QForm((3 * 2 ** 20000 + 1,)))),
+    "cocycle-value": (cohomology.CohomologyError, 16610,
+                      lambda: cohomology.Cocycle2(groups.group_from_spec(_C2), 0)
+                      .value(0, 10 ** 5000)),
+    "representative": (cohomology.CohomologyError, 100001,
+                       lambda: cohomology.h2(groups.group_from_spec(_C2))
+                       .representative(1 << 100000)),
+    "involution_square_sign": (clifford.CliffordError, 16610,
+                               lambda: clifford.involution_square_sign(10 ** 5000)),
+    "pin_product_sign": (clifford.CliffordError, 16610,
+                         lambda: clifford.pin_product_sign((1, 0), (0, 1), 10 ** 5000)),
+    "from_cycles-degree": (ValueError, 16610, lambda: perms.from_cycles(10 ** 5000, [])),
+    "from_cycles-point": (ValueError, 16610, lambda: perms.from_cycles(3, [(0, 10 ** 5000)])),
+}
+
+
+@pytest.mark.parametrize("error, bits, call", _PAST_LIMIT_CALLS.values(),
+                         ids=_PAST_LIMIT_CALLS)
+def test_a_refusal_quotes_an_int_past_the_digit_limit_by_its_size(error, bits, call):
+    # representative quoted its mask in hex: 25,032 characters for 1 << 100000
+    with pytest.raises(error) as exc:
+        call()
+    message = str(exc.value)
+    assert f"<int of {bits} bits>" in message and len(message) < 200, message[:300]
+    assert "Exceeds the limit" not in message and "0x" not in message
+
+
+_ORDINARY = [
+    0, -1, 7, True, False, None, 10 ** 39, 10 ** 40, -(10 ** 40), 10 ** 44 + 12345,
+    10 ** _LIMIT - 1, -(10 ** _LIMIT - 1), 2.5, -0.0, 1e300, "", "x" * 29, "x" * 31,
+    "x" * 10 ** 5, b"\x00" * 50, (1, 2), (1, (2, (3, (4, (5, (6, (7,))))))),
+    [[1, 2], [3, [4, [5, [6, [7]]]]]], tuple(range(10)), list(range(100)),
+    {"a": 1, "b": [2, 3]}, dict.fromkeys(range(20)), frozenset(range(8)), set(range(3)),
+    ("(0 1)", 10 ** 45), [(0, 1), (1, 2)],
+]
+
+
+@pytest.mark.parametrize("value", _ORDINARY, ids=range(len(_ORDINARY)))
+def test_the_quoting_rule_is_reprlibs_on_every_printable_value(value):
+    assert _quote(value) == reprlib.repr(value)
+
+
+def test_the_quoting_rule_shows_an_int_past_the_digit_limit_by_its_size():
+    big = 10 ** _LIMIT  # one digit past the limit
+    assert _quote(big) == f"<int of {big.bit_length()} bits>"
+    assert _quote(-big) == _quote(big)
+    assert _quote((0, 10 ** 5000)) == "(0, <int of 16610 bits>)"
+    assert _quote([1, "x", 1 << 100000]) == "[1, 'x', <int of 100001 bits>]"
+
+
+# each line runs under every python; a refusal's text is printed without
+# the traceback, whose layout differs from one Python to the next
+_RUNNER = """import sys
+try:
+    exec(sys.argv[1])
+except ValueError as exc:
+    sys.exit(f"{type(exc).__name__}: {exc}")
+"""
+_LIBRARY_REFUSALS = {
+    "check_place": ("from traceforms import quadratic; quadratic.check_place(10 ** 5000)",
+                    b"QuadraticError: not a place: <int of 16610 bits>"),
+    "cocycle-value": ("from traceforms import cohomology, groups; "
+                      f"cohomology.Cocycle2(groups.group_from_spec({_C2!r}), 0)"
+                      ".value(0, 10 ** 5000)",
+                      b"CohomologyError: cell (0, <int of 16610 bits>) is not a pair "
+                      b"of element indices 0..1"),
+}
+
+
+def _run_code(exe: str, code: str) -> tuple[bytes, int]:
+    proc = subprocess.run([exe, "-c", _RUNNER, code], capture_output=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=SRC))
+    return proc.stderr, proc.returncode
+
+
+@pytest.mark.parametrize("code, message", _LIBRARY_REFUSALS.values(), ids=_LIBRARY_REFUSALS)
+def test_every_python_refuses_an_int_past_the_digit_limit_alike(code, message):
+    others = _others()
+    if not others:
+        pytest.skip("no other python3.10-python3.13 on PATH starts")
+    here = _run_code(sys.executable, code)
+    assert here == (message + b"\n", 1), here
+    for exe in others:
+        assert _run_code(exe, code) == here, exe
