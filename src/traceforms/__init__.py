@@ -49,8 +49,9 @@ text that, stripped, is an optional ASCII sign and ASCII digits.  So
 "1_0", "٣" and "4.0" are integers on no Python, and `_DigitLimit`
 refuses one too long for int() in words that do not change with it.
 Its one quoting rule lives here too: a refusal shows a value by
-`_quote`, reprlib.repr's shortened text, in which an int past that
-digit limit reads ``<int of N bits>`` on every Python.
+`_quote`, reprlib.repr's shortened text, but the same on every Python
+and in every run: an int past that digit limit reads ``<int of N bits>``
+and a value whose repr raises ``<Fraction instance>`` (its type).
 """
 
 import importlib.util
@@ -117,8 +118,18 @@ def _quote_int(n: int, level: int) -> str:
     return reprlib.Repr.repr_int(_QUOTER, n, level)
 
 
+def _quote_instance(x, level: int) -> str:
+    """x by its type where its repr raises: reprlib shows id(x), new each run."""
+    try:
+        repr(x)
+    except Exception:
+        return f"<{type(x).__name__} instance>"
+    return reprlib.Repr.repr_instance(_QUOTER, x, level)
+
+
 _QUOTER = reprlib.Repr()
 _QUOTER.repr_int = _quote_int  # Repr looks up repr_<type name> on itself
+_QUOTER.repr_instance = _quote_instance  # and this for any other type
 _quote = _QUOTER.repr  # a value in a refusal, by reprlib.repr's rule
 
 

@@ -5,10 +5,12 @@ form, trace, classify, verify, suite.  All output is JSON on stdout with
 sorted keys, so identical inputs produce byte-identical bytes; --pretty
 switches to an indented rendering (and a table for suite/verify).
 
-A handler gets the parsed arguments and what `main` loaded: the algebra of
-a verb with --poly/--algebra, the group under the `cap` a verb declares.  It
-returns (payload, passed) for `main` to print, printing only the --pretty
-table of verify/suite.  Exit: 0 pass or info, 1 failing verdict, 2 bad input.
+Each verb is one row of `_VERBS`: its help line, its options, the inputs
+`main` loads for it (an algebra, a group under a cap read by name) and its
+handler, which gets the parsed arguments and those inputs and returns
+(payload, passed) for `main` to print, printing only the --pretty table of
+verify/suite.  A command builds only its own verb's parser.  Exit: 0 pass
+or info, 1 failing verdict, 2 bad input, 141 stdout closed early.
 A file is read by `_read` and a comma list split by `_fields`; --n and
 --seed are read by `_integer`, the package's integer rule, and every other
 value goes unconverted to the library door that bounds and reads it exactly.
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import _as_int, _quote, clifford, cohomology, galois, groups, quadratic, verify
@@ -29,13 +32,7 @@ from . import _as_int, _quote, clifford, cohomology, galois, groups, quadratic, 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-
-def _emit(obj, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(obj, sort_keys=True, indent=2))
-    else:
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command killed by it
 
 
 INPUT_BYTES_CAP = 1 << 20  # 3x a pretty-printed rank-128 Gram of 16-bit entries
@@ -247,12 +244,11 @@ def _cmd_classify(args, A, G):
 
 def _cmd_reports(args):
     """`verify` returns one report, `suite` the list of all of them."""
-    seed = verify.DEFAULT_SEED if args.seed is None else args.seed
     if args.command == "suite":
-        reports = verify.run_suite(seed)
+        reports = verify.run_suite(args.seed)
         payload = [r.as_dict(include_runtime=args.timings) for r in reports]
     else:
-        reports = [verify.run_statement(args.statement, seed)]
+        reports = [verify.run_statement(args.statement, args.seed)]
         payload = reports[0].as_dict(include_runtime=args.timings)
     if args.pretty:
         print("\n".join(f"{r.statement:<22} {r.verdict}" for r in reports))
@@ -260,148 +256,138 @@ def _cmd_reports(args):
 
 
 # ---------------------------------------------------------------------------
-# parser assembly: it reads nothing from the layers
+# the verbs' options, each added after --pretty; only --statement and --seed
+# read a layer, `verify`, which their verbs run anyway
 
 
-def _h2_cap():
-    """The order cap of the cohomology solver, checked before a table is built."""
-    return "H2_CAP", cohomology.H2_CAP
+def _group_option(p):
+    p.add_argument("--group", required=True,
+                   help="group spec: catalog:<name>[:param] or perms:<cycles>")
 
 
-class _VerifyHelp(argparse.Action):
-    """-h/--help of `verify`: shows the statement names as the choices of
-    --statement, read from verify only when the help is printed."""
-
-    def __init__(self, option_strings, dest, statement):
-        super().__init__(option_strings, dest, nargs=0, default=argparse.SUPPRESS,
-                         help="show this help message and exit")
-        self.statement = statement
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        shown = self.statement.metavar
-        self.statement.metavar = "{%s}" % ",".join(verify.STATEMENTS)
-        try:
-            parser.print_help()
-        finally:  # the parser is reused: later usage lines stay as built
-            self.statement.metavar = shown
-        parser.exit()
-
-
-@functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The one parser of the process, built on the first `main` call, and
-    its verbs' parsers by name.  parse_args keeps no state between calls,
-    and the handlers look up library functions at call time, so rebinding
-    those takes effect."""
-    top = _Parser(
-        prog="traceforms",
-        description="Exact computation of mod-2 group-cohomology "
-                    "obstructions and trace-form invariants over Q.")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--pretty", action="store_true",
-                        help="indented output (tables for verify/suite)")
-
-    def grouped(name, help_, handler, cap=_h2_cap):
-        p = sub.add_parser(name, parents=[common], help=help_)
-        p.add_argument("--group", required=True,
-                       help="group spec: catalog:<name>[:param] or "
-                            "perms:<cycles>")
-        p.set_defaults(func=handler, cap=cap)
-        return p
-
-    grouped("group", "structural fingerprint of a group", _cmd_group,
-            lambda: ("CLOSURE_CAP", groups.CLOSURE_CAP))
-    grouped("h2", "dimension data of degree-2 mod-2 cohomology", _cmd_h2)
-    grouped("kers", "kernel of the involution-diagonal map on H²", _cmd_kers)
-    grouped("2reduced", "whether the kernel of the diagonal map vanishes",
-            _cmd_2reduced)
-
-    p = grouped("extension",
-                "build the central extension of a 2-cocycle and test "
-                "involution lifting", _cmd_extension)
+def _cocycle_option(p):
     p.add_argument("--cocycle", required=True,
-                   help="'zero', 'basis:<i>', or a file of |G|² ASCII bits "
-                        "(row-major)")
+                   help="'zero', 'basis:<i>', or a file of |G|² ASCII bits (row-major)")
 
-    p = sub.add_parser("pin-sign", parents=[common],
-                       help="sign of the square of the pin lift of a "
-                            "fixed-point-free involution")
+
+def _degree_option(p):
     p.add_argument("--n", type=_integer, required=True, help="even degree ≤ 24")
-    p.set_defaults(func=_cmd_pin_sign)
 
-    p = grouped("pin-cocycle", "sign cocycle of the pin lifts of left translations "
-                "(order ≤ 24)", _cmd_pin_cocycle,
-                lambda: ("CLIFFORD_RANK_CAP", clifford.CLIFFORD_RANK_CAP))
+
+def _involutions_option(p):
     p.add_argument("--involutions-only", action="store_true",
                    help="only the diagonal signs at involutions: each is "
                         "pin-sign of the group order")
 
-    p = sub.add_parser("form", parents=[common],
-                       help="invariants of a diagonal form or a Gram matrix")
+
+def _form_options(p):
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--entries", help="comma-separated nonzero rationals")
     src.add_argument("--gram", help="path to a JSON matrix of rational strings")
-    p.add_argument("--isometric-to",
-                   help="second diagonal form; adds an isometry verdict")
-    p.set_defaults(func=_cmd_form)
+    p.add_argument("--isometric-to", help="second diagonal form; adds an isometry verdict")
 
-    algebra = argparse.ArgumentParser(add_help=False)
-    src = algebra.add_mutually_exclusive_group(required=True)
+
+def _algebra_options(p):
+    src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--poly", help="monic integer coefficients, leading first")
-    src.add_argument("--algebra",
-                     help="JSON list of {poly, multiplicity} (or @file)")
+    src.add_argument("--algebra", help="JSON list of {poly, multiplicity} (or @file)")
 
-    p = sub.add_parser("trace", parents=[common, algebra],
-                       help="trace-form invariants of an étale algebra")
-    p.set_defaults(func=_cmd_trace)
 
-    p = sub.add_parser("classify", parents=[common, algebra],
-                       help="match a 2-group trace form against the four "
-                            "model shapes")
+def _acting_group_option(p):
     p.add_argument("--group", required=True, help="acting group spec")
-    p.set_defaults(func=_cmd_classify, cap=_h2_cap)
 
-    # --statement comes first so that `verify --help` lists it before --seed;
-    # an unknown name is refused by run_statement, with the list (exit 2)
-    statement = argparse.ArgumentParser(add_help=False)
-    listed = statement.add_argument("--statement", required=True, metavar="NAME")
-    helped = argparse.ArgumentParser(add_help=False)
-    helped.add_argument("-h", "--help", action=_VerifyHelp, statement=listed)
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=_integer)
-    seeded.add_argument("--timings", action="store_true",
-                        help="include runtimes (output no longer byte-stable)")
 
-    p = sub.add_parser("verify", parents=[helped, common, statement, seeded],
-                       help="run one verification statement", add_help=False)
-    p.set_defaults(func=_cmd_reports)
+def _statement_option(p):
+    # an unknown name is refused by run_statement, with the list (exit 2);
+    # the list is left unwrapped: help text would break at its hyphens
+    p.add_argument("--statement", required=True, metavar="NAME",
+                   help="the statement to run, as listed below")
+    p.epilog = "NAME is one of:\n  " + "\n  ".join(verify.STATEMENTS)
+    p.formatter_class = argparse.RawDescriptionHelpFormatter
 
-    p = sub.add_parser("suite", parents=[common, seeded],
-                       help="run the full verification battery")
-    p.set_defaults(func=_cmd_reports)
 
-    return top, sub.choices
+def _seed_options(p):
+    p.add_argument("--seed", type=_integer, default=verify.DEFAULT_SEED)
+    p.add_argument("--timings", action="store_true",
+                   help="include runtimes (output no longer byte-stable)")
+
+
+# verb: (help line, the functions that add its options, whether `main`
+# loads an algebra from --poly/--algebra, the (layer, name) of the cap
+# under which it loads --group before any table is built, handler)
+_VERBS = {
+    "group": ("structural fingerprint of a group", (_group_option,), False,
+              (groups, "CLOSURE_CAP"), _cmd_group),
+    "h2": ("dimension data of degree-2 mod-2 cohomology", (_group_option,), False,
+           (cohomology, "H2_CAP"), _cmd_h2),
+    "kers": ("kernel of the involution-diagonal map on H²", (_group_option,), False,
+             (cohomology, "H2_CAP"), _cmd_kers),
+    "2reduced": ("whether the kernel of the diagonal map vanishes", (_group_option,),
+                 False, (cohomology, "H2_CAP"), _cmd_2reduced),
+    "extension": ("build the central extension of a 2-cocycle and test involution lifting",
+                  (_group_option, _cocycle_option), False, (cohomology, "H2_CAP"),
+                  _cmd_extension),
+    "pin-sign": ("sign of the square of the pin lift of a fixed-point-free involution",
+                 (_degree_option,), False, None, _cmd_pin_sign),
+    "pin-cocycle": ("sign cocycle of the pin lifts of left translations (order ≤ 24)",
+                    (_group_option, _involutions_option), False,
+                    (clifford, "CLIFFORD_RANK_CAP"), _cmd_pin_cocycle),
+    "form": ("invariants of a diagonal form or a Gram matrix", (_form_options,), False,
+             None, _cmd_form),
+    "trace": ("trace-form invariants of an étale algebra", (_algebra_options,), True,
+              None, _cmd_trace),
+    "classify": ("match a 2-group trace form against the four model shapes",
+                 (_algebra_options, _acting_group_option), True, (cohomology, "H2_CAP"),
+                 _cmd_classify),
+    "verify": ("run one verification statement", (_statement_option, _seed_options),
+               False, None, _cmd_reports),
+    "suite": ("run the full verification battery", (_seed_options,), False, None,
+              _cmd_reports),
+}
+
+
+@functools.lru_cache(maxsize=len(_VERBS) + 1)
+def _parser(verb=None) -> argparse.ArgumentParser:
+    """The parser of one verb, or with none the top parser (every verb's as
+    a subcommand), built on first use: parse_args keeps no state between
+    calls, and the handlers look up library functions at call time."""
+    if verb is None:
+        top = _Parser(prog="traceforms", description="Exact computation of mod-2 "
+                      "group-cohomology obstructions and trace-form invariants over Q.")
+        sub = top.add_subparsers(dest="command", required=True)
+        parsers = {v: sub.add_parser(v, help=row[0]) for v, row in _VERBS.items()}
+    else:
+        top = _Parser(prog=f"traceforms {verb}")
+        parsers = {verb: top}
+    for v, p in parsers.items():
+        p.add_argument("--pretty", action="store_true",
+                       help="indented output (tables for verify/suite)")
+        for add in _VERBS[v][1]:
+            add(p)
+    return top
 
 
 def main(argv=None) -> int:
     """Run one verb (see the module docstring); returns the exit code."""
-    top, verbs = _build_parser()
     argv = _Parser.argv = sys.argv[1:] if argv is None else argv
-    verb = verbs.get(argv[0]) if argv else None
-    if verb is None:  # no verb, a refused one or top-level help
-        args, extras = top.parse_known_args(argv)
-    else:  # the top parser would hand every argument after the verb to it
-        args, extras = verb.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    # a verb's own parser takes the rest, as the top parser would hand it
+    verb = argv[0] if argv and argv[0] in _VERBS else None
+    args, extras = _parser(verb).parse_known_args(
+        argv[1:] if verb else argv, argparse.Namespace(command=verb))
     if extras:  # refused as parse_args refuses them
-        top.error(f"unrecognized arguments: {' '.join(extras)}")
+        _parser(None).error(f"unrecognized arguments: {' '.join(extras)}")
+    _, _, algebra, cap, run = _VERBS[args.command]
     try:
-        inputs = [_load_algebra(args)] if "poly" in args else []
-        if "cap" in args:
-            inputs.append(groups.group_from_spec(args.group, args.cap()))
-        payload, passed = args.func(args, *inputs)
-        _emit(payload, args.pretty)
+        inputs = [_load_algebra(args)] if algebra else []
+        if cap:  # read now: a test or a caller may rebind it
+            inputs.append(groups.group_from_spec(args.group, (cap[1], getattr(*cap))))
+        payload, passed = run(args, *inputs)
+        layout = {"indent": 2} if args.pretty else {"separators": (",", ":")}
+        # flushed here, so that a closed stdout raises here and not at exit
+        print(json.dumps(payload, sort_keys=True, **layout), flush=True)
+    except BrokenPipeError:  # stdout closed early, as by `| head`: no input error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (ValueError, OSError) as exc:  # package errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -946,31 +946,53 @@ def test_tall_degree_128_trace_exits_2_at_the_bits_cap():
                            "34 exceeds DEGREE_BITS_CAP = 1536\n")
 
 
+def test_a_closed_stdout_exits_141_with_no_error_line():
+    # `suite --pretty | head -1` printed "error: [Errno 32] Broken pipe"
+    # and exited 2, the exit of a bad input.  The pipe holds one page, so
+    # the child is still writing its 15 kB when the reader closes it
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("the pipe's size cannot be set")
+    src = os.path.dirname(os.path.dirname(traceforms.__file__))
+    read, write = os.pipe()
+    fcntl.fcntl(read, fcntl.F_SETPIPE_SZ, 4096)
+    with subprocess.Popen([sys.executable, "-m", "traceforms", "suite", "--pretty"],
+                          stdout=write, stderr=subprocess.PIPE,
+                          env=dict(os.environ, PYTHONPATH=src)) as proc:
+        os.close(write)
+        with os.fdopen(read, "rb") as out:
+            first = out.readline()
+        _, err = proc.communicate(timeout=60)
+    assert first == b"prop-lift2             pass\n"
+    assert (proc.returncode, err) == (141, b"")
+
+
 def test_import_builds_no_parser():
     src = os.path.dirname(os.path.dirname(traceforms.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", "import traceforms.cli as c; "
-         "print(c._build_parser.cache_info().currsize)"],
+         "print(c._parser.cache_info().currsize)"],
         capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0 and proc.stdout == "0\n", proc.stderr
 
 
-def test_parser_is_built_once_per_process(capsys, monkeypatch):
+def test_parser_is_built_once_per_verb_per_process(capsys, monkeypatch):
+    # a verb builds its own parser alone, and only the first time it runs
     builds = []
-    real = argparse.ArgumentParser.add_subparsers
+    real = argparse.ArgumentParser.__init__
 
     def counting(self, *args, **kwargs):
-        builds.append(self.prog)
-        return real(self, *args, **kwargs)
+        builds.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
-    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._parser.cache_clear()
     for argv in (["trace", "--poly", "1,0,-3"], ["pin-sign", "--n", "4"],
                  ["form", "--entries", "1,2"], ["trace", "--poly", "1,0,-3"]):
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
-    assert builds == ["traceforms"]
+    assert builds == ["traceforms trace", "traceforms pin-sign", "traceforms form"]
 
 
 def _parsed(capsys, parse):
@@ -991,11 +1013,10 @@ def _parsed(capsys, parse):
     ["suite", "--timings"], ["classify", "--group", "catalog:cyclic:2", "--algebra", "@f"],
 ])
 def test_verb_parser_parses_as_the_top_parser_does(capsys, argv):
-    # main hands the arguments after a verb to that verb's parser, as the
-    # top parser's subcommand action does, without the top parser's pass
-    top, verbs = cli._build_parser()
-    assert _parsed(capsys, lambda: top.parse_known_args(argv)) == _parsed(
-        capsys, lambda: verbs[argv[0]].parse_known_args(
+    # main hands the arguments after a verb to that verb's own parser, as
+    # the top parser's subcommand action does, without building the top one
+    assert _parsed(capsys, lambda: cli._parser(None).parse_known_args(argv)) == _parsed(
+        capsys, lambda: cli._parser(argv[0]).parse_known_args(
             argv[1:], argparse.Namespace(command=argv[0])))
 
 
@@ -1041,7 +1062,7 @@ def test_verify_help_lists_every_statement(capsys):
 
 @pytest.mark.parametrize("argv", [["form"], ["nonsense-verb"]])
 def test_usage_errors_repeat_on_a_reused_parser(capsys, argv):
-    cli._build_parser.cache_clear()
+    cli._parser.cache_clear()
     errs = []
     for _ in range(3):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 """The package registers every layer unexecuted; a layer runs on its
 first attribute access.  A command runs only the layers its verb uses,
-and the public names are served from their layers."""
+and builds only its own verb's parser; the public names are served from
+their layers."""
 import json
 import os
 import subprocess
@@ -13,16 +14,26 @@ from test_trace_hooks import _tracing
 
 SRC = os.path.dirname(os.path.dirname(traceforms.__file__))
 
-# prints {module: whether it has run} for every traceforms.* module, and
-# which of the costly stdlib modules are loaded, as the last line of
-# stdout, after the statements given
+# prints {module: whether it has run} for every traceforms.* module,
+# which of the costly stdlib modules are loaded, and the prog of each
+# argparse parser built, as the last line of stdout, after the statements
+# given
 _CHILD = """
-import json, runpy, sys, types
+import argparse, json, runpy, sys, types
+parsers = []
+_init = argparse.ArgumentParser.__init__
+
+def _counted(self, *args, **kwargs):
+    parsers.append(kwargs.get("prog"))
+    _init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = _counted
 {body}
 print(json.dumps({{
     "layers": {{k[len("traceforms."):]: type(m) is types.ModuleType
                 for k, m in sys.modules.items() if k.startswith("traceforms.")}},
     "stdlib": sorted({{"dataclasses", "inspect", "fractions"}} & set(sys.modules)),
+    "parsers": parsers,
 }}))
 """
 _RUN_VERB = """
@@ -100,6 +111,13 @@ def test_verb_imports_no_dataclasses_or_inspect(argv, allowed):
     # of a child's start-up, on every verb but group
     loaded = _child(_RUN_VERB, *argv)["stdlib"]
     assert set(loaded) <= allowed, loaded
+
+
+@pytest.mark.parametrize("argv", _RATIONAL_FREE + _RATIONAL, ids=lambda argv: argv[0])
+def test_verb_builds_only_its_own_parser(argv):
+    # neither the top parser nor another verb's: each verb's options are
+    # added only where that verb runs
+    assert _child(_RUN_VERB, *argv)["parsers"] == [f"traceforms {argv[0]}"]
 
 
 def test_import_cli_registers_every_traced_layer_unexecuted():

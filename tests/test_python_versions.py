@@ -5,7 +5,8 @@ for a number past int()'s digit limit) must equal the running
 interpreter's.  So must the stderr and exit code of two library calls
 that refuse an int past that limit, run by `python -c`: no command line
 reaches such an int, which `_as_int` refuses first.  Those tests skip
-when no other one starts; the digit-limit messages are also pinned in
+when no other one starts (two library refusals that quote a value whose
+repr raises are compared between two runs here as well); the digit-limit messages are also pinned in
 process, where every layer's refusal of such an int is, and the quoting
 rule (`traceforms._quote`) is checked against reprlib.repr."""
 import functools
@@ -213,3 +214,22 @@ def test_every_python_refuses_an_int_past_the_digit_limit_alike(code, message):
     assert here == (message + b"\n", 1), here
     for exe in others:
         assert _run_code(exe, code) == here, exe
+
+
+# a Fraction past the digit limit has no repr; reprlib showed its address
+# instead, <Fraction instance at 0x7f...>, which changes from run to run
+_UNPRINTABLE = {
+    "catalog-parameter": ("from fractions import Fraction; from traceforms import groups; "
+                          "groups.catalog('cyclic', Fraction(10 ** 5000, 3))",
+                          b"GroupError: malformed catalog parameter <Fraction instance>"),
+    "coefficient": ("from fractions import Fraction; from traceforms import galois; "
+                    "galois.EtaleAlg([([1, 0, Fraction(10 ** 5000, 3)], 1)])",
+                    b"GaloisError: coefficient must be an integer, got <Fraction instance>"),
+}
+
+
+@pytest.mark.parametrize("code, message", _UNPRINTABLE.values(), ids=_UNPRINTABLE)
+def test_a_refusal_quotes_a_value_without_a_repr_alike_in_every_run(code, message):
+    runs = [_run_code(exe, code) for exe in (sys.executable, sys.executable, *_others())]
+    assert runs == [(message + b"\n", 1)] * len(runs), runs
+    assert b"0x" not in runs[0][0]

@@ -43,7 +43,6 @@ def test_traced_caches_keep_cache_info():
 # The caches that may be unbounded, each with what bounds its keys instead.
 _UNBOUNDED_CACHES = {
     ("oracles", "_squares_mod"): "its moduli are p^3 for p <= ORACLE_PLACE_CAP, and 64",
-    ("cli", "_build_parser"): "it takes no arguments, so it holds one parser",
 }
 
 
