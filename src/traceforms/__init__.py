@@ -70,9 +70,8 @@ _EXPORTS = {
                "two_cyclic_sylow_orders", "verify_main",
                "verify_two_cyclic_sylow", "verify_w1"),
     "groups": ("Group", "catalog", "group_from_spec", "sylow2"),
-    "quadratic": ("QForm", "TruncatedSW", "cup", "diagonalize",
-                  "hilbert_symbol", "is_isometric_q", "signature",
-                  "sw_total", "w1", "w2"),
+    "quadratic": ("FormClass", "QForm", "cup", "diagonalize", "form_class",
+                  "hilbert_symbol", "signature", "w1", "w2"),
     "verify": ("DEFAULT_SEED", "VerificationReport", "run_statement",
                "run_suite"),
 }

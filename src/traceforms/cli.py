@@ -195,17 +195,13 @@ def _cmd_pin_cocycle(args, G):
     return out, True
 
 
-def _places(q: quadratic.QForm) -> list:
-    """The places of w2(q), primes ascending and then inf."""
-    return sorted(quadratic.w2(q), key=quadratic.place_sort_key)
-
-
-def _form_report(q: quadratic.QForm) -> dict:
+def _form_report(c: quadratic.FormClass) -> dict:
+    """A form's class, its places primes ascending and then inf."""
     return {
-        "rank": q.rank,
-        "signature": list(quadratic.signature(q)),
-        "disc": quadratic.w1(q),
-        "w2_places": _places(q),
+        "rank": c.rank,
+        "signature": list(c.signature),
+        "disc": c.disc,
+        "w2_places": sorted(c.places, key=quadratic.place_sort_key),
     }
 
 
@@ -216,26 +212,27 @@ def _cmd_form(args):
         q = quadratic.diagonalize(_read_json("@" + args.gram, parse_float=str))
     else:
         q = quadratic.QForm(_fields(args.entries))
-    out = dict(_form_report(q), verdicts={})
+    c = quadratic.form_class(q)
+    out = dict(_form_report(c), verdicts={})
     if args.isometric_to is not None:
         other = quadratic.QForm(_fields(args.isometric_to))
-        out["verdicts"]["isometric"] = quadratic.is_isometric_q(q, other)
+        out["verdicts"]["isometric"] = c == quadratic.form_class(other)
     return out, True
 
 
 def _cmd_trace(args, A):
-    out = _form_report(galois.trace_form(A))
+    out = _form_report(quadratic.form_class(galois.trace_form(A)))
     out.update(degree=A.degree, totally_real=out["signature"] == [A.degree, 0])
     return out, True
 
 
 def _cmd_classify(args, A, G):
     r = galois.classify_2group_trace_form(A, G)
-    q = r["computed"]
+    form = _form_report(r["computed_class"])
     return {
-        "w1": quadratic.w1(q),
-        "w2_places": _places(q),
-        "signature": list(quadratic.signature(q)),
+        "w1": form["disc"],
+        "w2_places": form["w2_places"],
+        "signature": form["signature"],
         "case": r["case"],
         "predicted_form": [str(a) for a in r["model"].entries],
         "verdict": r["isometric"],

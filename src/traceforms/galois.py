@@ -21,12 +21,11 @@ from .quadratic import (
     cup,
     direct_sum,
     disc_class,
-    is_isometric_q,
+    form_class,
     repeat,
     signature,
     sqclass_mul,
     square_class,
-    w1,
     w2,
 )
 
@@ -291,16 +290,17 @@ def classify_2group_trace_form(A: EtaleAlg, G: groups.Group) -> dict:
         raise GaloisError(f"signature {sig} is neither definite nor balanced")
     real = sig == (n, 0)
     cyclic = G.is_cyclic()
-    d = w1(q)
-    case, model = predicted_2group_form(n, real, cyclic, d)
+    c = form_class(q)
+    case, model = predicted_2group_form(n, real, cyclic, c.disc)
     return {
         "case": case,
         "real": real,
         "cyclic": cyclic,
-        "disc": d,
+        "disc": c.disc,
         "computed": q,
+        "computed_class": c,
         "model": model,
-        "isometric": is_isometric_q(q, model),
+        "isometric": c == form_class(model),
     }
 
 

@@ -4,7 +4,7 @@ invariant assembled from Hilbert symbols (recorded as the finite set of
 places where the relevant symbol is -1).
 
 Rank, signature, discriminant and that place set classify forms over Q
-up to isometry, which is how `is_isometric_q` decides equivalence.
+up to isometry: a form's `FormClass`, which `form_class` builds.
 
 Four decisions are each made by one function.  `_rational` is the only
 code that reads a rational, for every door and the command line: an int, a
@@ -18,7 +18,7 @@ pass a probable prime beyond its proven range.  `check_place` decides
 what a place is.  A value is factored once, where it enters, into a
 square class (the squarefree integer and its primes) that is then held:
 a `QForm` keeps its entries' and its disc's (a form built from others
-takes theirs), a `TruncatedSW` its disc's, and a caller its own, since
+takes theirs), a `FormClass` its disc's, and a caller its own, since
 each door that takes a value takes a class.
 A product's class comes from its factors', unfactored.
 A form enters by `QForm` or `diagonalize`, which bound it for every
@@ -404,9 +404,14 @@ def scale(a, q: QForm) -> QForm:
     return QForm(tuple(a * x for x in q.entries), tuple(sqclass_mul(ca, c) for c in q._classes))
 
 
+def _check_copies(m) -> None:
+    """Refuse m unless it is a count of copies: an int (no bool) >= 1."""
+    if not (_ints((m,)) and m >= 1):
+        raise QuadraticError(f"need at least one copy, got {_quote(m)}")
+
+
 def repeat(q: QForm, m: int) -> QForm:
-    if m < 1:
-        raise QuadraticError("need at least one copy")
+    _check_copies(m)
     return QForm(q.entries * m, q._classes * m)
 
 
@@ -444,81 +449,89 @@ def w2(q: QForm) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# rank/discriminant/place-set triples, and their algebra
+# isometry classes, and their algebra
 
 
-class TruncatedSW:
-    """(rank, squarefree discriminant class, place set) of a form.  Given
-    as a square class, disc is kept; an int disc must be squarefree."""
+class FormClass:
+    """The isometry class of a form over Q: rank, signature (r, s), the
+    squarefree disc class and the place set of w2, which fix the form
+    (Hasse-Minkowski).  Given as a square class, disc is kept; an int
+    disc must be squarefree.  A tuple that no form has is refused by the
+    first of Serre's conditions it breaks (A Course in Arithmetic, ch.
+    IV, Prop. 7, under the prod_(i<j) convention for w2)."""
 
-    __slots__ = ("rank", "disc", "places", "_disc_class")
+    __slots__ = ("rank", "signature", "disc", "places", "_disc_class")
 
-    def __init__(self, rank: int, disc, places: frozenset):
+    def __init__(self, rank: int, signature, disc, places):
         c = square_class(disc)
         if c is not disc and c.d != disc:
             raise QuadraticError("disc must be a squarefree integer")
-        self.rank = rank
-        self.disc = c.d
-        self.places = places
+        signature, d, places = tuple(signature), c.d, frozenset(places)
+        r, s = signature if len(signature) == 2 else (None, None)
+        for v in places:
+            check_place(v)
+        rule = ("r + s = rank" if not (_ints((rank, r, s)) and min(r, s) >= 0 and r + s == rank)
+                else "sign(disc) = (-1)^s" if (d < 0) != s % 2
+                else "inf in places iff s(s-1)/2 is odd" if (INF in places) != s * (s - 1) // 2 % 2
+                else "an even number of places" if len(places) % 2
+                else "disc 1 at rank 0" if not rank and d != 1
+                else "no places at rank <= 1" if rank < 2 and places
+                else "no place where -disc is a square at rank 2" if rank == 2 and any(
+                    d % v and (-d % 8 == 1 if v == 2 else not _nonresidue(-d, v))
+                    for v in places - {INF})
+                else None)
+        if rule:
+            raise QuadraticError(f"no form over Q has rank {_quote(rank)}, signature "
+                                 f"{_quote(signature)}, disc {d} and places {_quote(places)}: "
+                                 f"{rule} fails")
+        self.rank, self.signature, self.disc, self.places = rank, (r, s), d, places
         self._disc_class = c
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.rank, self.disc, self.places)
-                == (other.rank, other.disc, other.places))
+        return ((self.rank, self.signature, self.disc, self.places)
+                == (other.rank, other.signature, other.disc, other.places))
 
     def __hash__(self):
-        return hash((self.rank, self.disc, self.places))
+        return hash((self.rank, self.signature, self.disc, self.places))
 
     def __repr__(self):
-        return (f"TruncatedSW(rank={self.rank!r}, disc={self.disc!r}, "
-                f"places={self.places!r})")
+        return (f"FormClass(rank={self.rank!r}, signature={self.signature!r}, "
+                f"disc={self.disc!r}, places={self.places!r})")
+
+    def direct_sum(self, other: FormClass) -> FormClass:
+        (r1, s1), (r2, s2) = self.signature, other.signature
+        d1, d2 = self._disc_class, other._disc_class
+        return FormClass(self.rank + other.rank, (r1 + r2, s1 + s2), sqclass_mul(d1, d2),
+                         self.places ^ other.places ^ _cup_cached(*d1, *d2))
+
+    def scale(self, a) -> FormClass:
+        """The class of the scaled form a*q from that of q."""
+        a = square_class(a)
+        n = self.rank
+        disc = sqclass_mul(a, self._disc_class) if n % 2 else self._disc_class
+        places = self.places
+        if (n * (n - 1) // 2) % 2:
+            places = places ^ _cup_cached(*a, *a)
+        if (n - 1) % 2:
+            places = places ^ _cup_cached(*a, *self._disc_class)
+        return FormClass(n, self.signature[::-1] if a.d < 0 else self.signature, disc, places)
+
+    def repeat(self, m: int) -> FormClass:
+        """The class of the m-fold orthogonal sum of a form from its own."""
+        _check_copies(m)
+        disc = self._disc_class if m % 2 else square_class(1)
+        places = self.places if m % 2 else frozenset()
+        if (m * (m - 1) // 2) % 2:
+            places = places ^ _cup_cached(*self._disc_class, *self._disc_class)
+        return FormClass(m * self.rank, tuple(m * x for x in self.signature), disc, places)
 
 
-def sw_total(q: QForm) -> TruncatedSW:
-    return TruncatedSW(q.rank, q._disc_class, w2(q))
-
-
-def sw_direct_sum(s1: TruncatedSW, s2: TruncatedSW) -> TruncatedSW:
-    return TruncatedSW(
-        s1.rank + s2.rank,
-        sqclass_mul(s1._disc_class, s2._disc_class),
-        s1.places ^ s2.places ^ _cup_cached(*s1._disc_class, *s2._disc_class),
-    )
-
-
-def sw_scale(a, s: TruncatedSW) -> TruncatedSW:
-    """Invariants of the scaled form a*q from those of q."""
-    a = square_class(a)
-    n = s.rank
-    disc = sqclass_mul(a, s._disc_class) if n % 2 else s._disc_class
-    places = s.places
-    if (n * (n - 1) // 2) % 2:
-        places = places ^ _cup_cached(*a, *a)
-    if (n - 1) % 2:
-        places = places ^ _cup_cached(*a, *s._disc_class)
-    return TruncatedSW(n, disc, places)
-
-
-def sw_repeat(s: TruncatedSW, m: int) -> TruncatedSW:
-    """Invariants of the m-fold orthogonal sum of a form from its own."""
-    if m < 1:
-        raise QuadraticError("need at least one copy")
-    disc = s._disc_class if m % 2 else square_class(1)
-    places = s.places if m % 2 else frozenset()
-    if (m * (m - 1) // 2) % 2:
-        places = places ^ _cup_cached(*s._disc_class, *s._disc_class)
-    return TruncatedSW(m * s.rank, disc, places)
-
-
-def is_isometric_q(q1: QForm, q2: QForm) -> bool:
-    """Isometry over Q, decided by (rank, signature, disc, place set);
-    these determine the form at every completion and hence globally."""
-    return (q1.rank == q2.rank
-            and signature(q1) == signature(q2)
-            and w1(q1) == w1(q2)
-            and w2(q1) == w2(q2))
+def form_class(q: QForm) -> FormClass:
+    """The isometry class of q: two forms are isometric over Q exactly
+    when their classes are equal."""
+    return FormClass(q.rank, signature(q), q._disc_class, w2(q))
 
 
 # ---------------------------------------------------------------------------

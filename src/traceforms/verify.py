@@ -275,12 +275,12 @@ def run_rel_identities(seed: int) -> _Claim:
     computed = {}
     for name in _REL_POLYS:
         fx = fixtures.BY_NAME[name]
-        base = quadratic.sw_total(galois.trace_form(fx.algebra))
+        base = quadratic.form_class(galois.trace_form(fx.algebra))
         rows = {}
         for m in range(1, 5):
             A = galois.EtaleAlg(((fx.poly, m),))
-            direct = quadratic.sw_total(galois.trace_form(A))
-            derived = quadratic.sw_repeat(base, m)
+            direct = quadratic.form_class(galois.trace_form(A))
+            derived = base.repeat(m)
             rows[m] = {
                 "direct": {"disc": direct.disc, "places": direct.places},
                 "derived": {"disc": derived.disc, "places": derived.places},
@@ -420,11 +420,12 @@ def _hilbert_oracle(rng: random.Random) -> dict:
 def _diag_invariance(rng: random.Random) -> dict:
     cls = _class_memo()
 
-    def diagonal(gram, rng=None):
-        return _sharing(quadratic.diagonalize(gram, rng=rng).entries, cls)
+    def isometry_class(gram, rng=None):
+        q = _sharing(quadratic.diagonalize(gram, rng=rng).entries, cls)
+        return quadratic.form_class(q)
     return _tally(
         islice(_gram_cases(rng), 100),
-        lambda gram: quadratic.is_isometric_q(diagonal(gram), diagonal(gram, rng=rng)))
+        lambda gram: isometry_class(gram) == isometry_class(gram, rng=rng))
 
 
 def _reciprocity(rng: random.Random) -> dict:
@@ -438,22 +439,21 @@ def _reciprocity(rng: random.Random) -> dict:
 
 def _whitney(rng: random.Random) -> dict:
     cls = _class_memo()
-    sw = quadratic.sw_total
+    fc = quadratic.form_class
     return _tally(
         ({"q1": _random_form(rng, 5, cls), "q2": _random_form(rng, 5, cls)}
          for _ in range(100)),
-        lambda q1, q2: (quadratic.sw_direct_sum(sw(q1), sw(q2))
-                        == sw(quadratic.direct_sum(q1, q2))))
+        lambda q1, q2: fc(q1).direct_sum(fc(q2)) == fc(quadratic.direct_sum(q1, q2)))
 
 
 def _scale_formula(rng: random.Random) -> dict:
     cls = _class_memo()
-    sw = quadratic.sw_total
+    fc = quadratic.form_class
     return _tally(
         ({"q": _random_form(rng, 6, cls),
           "a": rng.choice([x for x in range(-10, 11) if x])}
          for _ in range(100)),
-        lambda q, a: quadratic.sw_scale(cls(a), sw(q)) == sw(quadratic.scale(a, q)))
+        lambda q, a: fc(q).scale(cls(a)) == fc(quadratic.scale(a, q)))
 
 
 _BATTERIES = (  # (name, fn(rng)): each fn tallies a check over its cases

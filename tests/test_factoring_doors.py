@@ -1,6 +1,6 @@
 """Factoring happens where a value enters.  `square_class` factors a
 value once into a square class, and whatever holds the value keeps its
-class: a `QForm` its entries' and its disc's, a `TruncatedSW` its
+class: a `QForm` its entries' and its disc's, a `FormClass` its
 disc's, a caller such as a verify battery its own.  These tests read
 the package's source and keep it that way: a function of `quadratic`
 that names one of the names below must be one of the listed readers,
@@ -36,9 +36,11 @@ _READERS = {
     "squarefree_part": {"hilbert_symbol"},
     # the public door takes bare values; inside the module classes are held
     "cup": set(),
-    # scale reads a's class, to multiply it into the classes q holds
+    # scale reads a's class, to multiply it into the classes q holds (a
+    # form's or, as FormClass.scale, a class's); FormClass.repeat the unit
+    # class of an even count of copies
     "square_class": {"squarefree_part", "cup", "_classes", "_disc_class",
-                     "__init__", "scale", "sw_scale", "sw_repeat"},
+                     "__init__", "scale", "repeat"},
 }
 # name -> the only functions of quadratic that may call it
 _BUILDERS = {"_SquareClass": {"square_class", "sqclass_mul"}}

@@ -26,7 +26,7 @@ from traceforms.groups import catalog, group_from_spec, sylow2
 from traceforms.quadratic import (
     QForm,
     cup,
-    is_isometric_q,
+    form_class,
     signature,
     squarefree_part,
     w1,
@@ -291,7 +291,7 @@ def test_split_algebra_has_unit_trace_form():
 
 def test_complex_pair_analog():
     q = trace_form(EtaleAlg.field(MonicPoly((1, 0, 1))))
-    assert is_isometric_q(q, QForm((Fraction(1), Fraction(-1))))
+    assert form_class(q) == form_class(QForm((Fraction(1), Fraction(-1))))
     assert algebra_disc(EtaleAlg.field(MonicPoly((1, 0, 1)))) == -1
 
 
@@ -325,18 +325,18 @@ def test_tensor_identity_on_biquadratic_composita():
         q = trace_form(EtaleAlg.field(MonicPoly(poly)))
         qa = trace_form(EtaleAlg.field(MonicPoly((1, 0, -a))))
         qb = trace_form(EtaleAlg.field(MonicPoly((1, 0, -b))))
-        assert is_isometric_q(q, _tensor(qa, qb)), (a, b)
+        assert form_class(q) == form_class(_tensor(qa, qb)), (a, b)
     # degenerate case: Q(sqrt2) x Q(sqrt2) realizes Q(sqrt2) tensor itself
     q2 = trace_form(EtaleAlg.field(MonicPoly((1, 0, -2))))
     qq = trace_form(EtaleAlg(((MonicPoly((1, 0, -2)), 2),)))
-    assert is_isometric_q(qq, _tensor(q2, q2))
+    assert form_class(qq) == form_class(_tensor(q2, q2))
 
 
 def test_unit_form_for_multiquadratic_octic():
     from traceforms import fixtures
     fx = fixtures.MULTIQUADRATIC_REAL
     q = trace_form(fx.algebra)
-    assert is_isometric_q(q, QForm(tuple(Fraction(1) for _ in range(8))))
+    assert form_class(q) == form_class(QForm(tuple(Fraction(1) for _ in range(8))))
 
 
 def test_disc_square_prediction_branches():
@@ -442,12 +442,12 @@ def test_verify_main_factors_each_entry_and_two_once(monkeypatch):
 
 def test_copies_of_a_field_factor_one_copy(monkeypatch):
     # the trace form of F^m is m copies of F's, and takes their classes:
-    # sw_total of four copies of the cyclotomic quartic made 16 calls
+    # the class of four copies of the cyclotomic quartic made 16 calls
     from traceforms import fixtures, quadratic
     f = fixtures.CYCLOTOMIC8.poly
     parts = _entry_parts(trace_form(EtaleAlg.field(f)))
     calls = _counting_factorint(monkeypatch)
-    quadratic.sw_total(trace_form(EtaleAlg(((f, 4),))))
+    quadratic.form_class(trace_form(EtaleAlg(((f, 4),))))
     assert sorted(calls) == sorted(parts) == [2, 4, 4, 8]
 
 

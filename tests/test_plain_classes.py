@@ -1,7 +1,8 @@
 """The package's record classes are plain `__slots__` classes.  Each keeps
 the repr, the validation and its errors that it had as a dataclass; the
-value classes that are compared, `QForm`, `TruncatedSW` and `Group`,
-compare and hash by their fields (a group by its table alone)."""
+value classes that are compared, `QForm`, `FormClass` and `Group`,
+compare and hash by their fields (a group by its table alone).  A count
+of copies is read by the package's integer rule."""
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,8 @@ POLY = galois.MonicPoly((1, 0, -7))
 
 _REPRS = [
     (lambda: quadratic.QForm((1, "-2/3")), "<1, -2/3>"),
-    (lambda: quadratic.TruncatedSW(3, -105, frozenset({3})),
-     "TruncatedSW(rank=3, disc=-105, places=frozenset({3}))"),
+    (lambda: quadratic.FormClass(3, (2, 1), -105, frozenset({3, 5})),
+     "FormClass(rank=3, signature=(2, 1), disc=-105, places=frozenset({3, 5}))"),
     (lambda: POLY, "MonicPoly(coeffs=(1, 0, -7))"),
     (lambda: galois.EtaleAlg(((POLY, 2),)),
      "EtaleAlg(factors=((MonicPoly(coeffs=(1, 0, -7)), 2),))"),
@@ -44,16 +45,16 @@ _VALUES = [
     (lambda: quadratic.QForm((1, "-2/3")),
      lambda: quadratic.QForm(entries=(Fraction(1), Fraction(-2, 3))),
      lambda: quadratic.QForm((1, "2/3"))),
-    (lambda: quadratic.TruncatedSW(3, -105, frozenset({3})),
-     lambda: quadratic.TruncatedSW(3, quadratic.square_class(-105), frozenset({3})),
-     lambda: quadratic.TruncatedSW(3, -105, frozenset())),
+    (lambda: quadratic.FormClass(3, (2, 1), -105, frozenset({3, 5})),
+     lambda: quadratic.FormClass(3, [2, 1], quadratic.square_class(-105), {5, 3}),
+     lambda: quadratic.FormClass(3, (2, 1), -105, frozenset())),
     (lambda: groups.catalog("cyclic", 4),
      lambda: groups.group_from_spec("perms:(0 1 2 3)"),
      lambda: groups.catalog("elem_abelian_2", 2)),
 ]
 
 
-@pytest.mark.parametrize("make, same, other", _VALUES, ids=["QForm", "TruncatedSW", "Group"])
+@pytest.mark.parametrize("make, same, other", _VALUES, ids=["QForm", "FormClass", "Group"])
 def test_value_classes_compare_and_hash_by_fields(make, same, other):
     a, b, c = make(), same(), other()
     assert a == b and hash(a) == hash(b) and len({a, b, c}) == 2
@@ -65,10 +66,26 @@ _ERRORS = [
      "diagonal entries must be nonzero"),
     (lambda: quadratic.QForm((0.5,)), quadratic.QuadraticError,
      "0.5 is not an exact rational; pass an int, a Fraction or a string"),
-    (lambda: quadratic.TruncatedSW(1, 4, frozenset()), quadratic.QuadraticError,
+    (lambda: quadratic.FormClass(1, (1, 0), 4, frozenset()), quadratic.QuadraticError,
      "disc must be a squarefree integer"),
-    (lambda: quadratic.TruncatedSW(1, 0.5, frozenset()), quadratic.QuadraticError,
+    (lambda: quadratic.FormClass(1, (1, 0), 0.5, frozenset()), quadratic.QuadraticError,
      "0.5 is not an exact rational; pass an int, a Fraction or a string"),
+    # the old TruncatedSW(3, -105, {3}) fixture: one place breaks reciprocity
+    (lambda: quadratic.FormClass(3, (2, 1), -105, {3}), quadratic.QuadraticError,
+     "no form over Q has rank 3, signature (2, 1), disc -105 and places frozenset({3}): "
+     "an even number of places fails"),
+    # repeat(q, True) gave one copy, repeat(q, 2.5) a bare TypeError and
+    # the class rule a rank of 7.5
+    (lambda: quadratic.repeat(quadratic.QForm((1, -2, 5)), True), quadratic.QuadraticError,
+     "need at least one copy, got True"),
+    (lambda: quadratic.repeat(quadratic.QForm((1, -2, 5)), 2.5), quadratic.QuadraticError,
+     "need at least one copy, got 2.5"),
+    (lambda: quadratic.repeat(quadratic.QForm((1, -2, 5)), 0), quadratic.QuadraticError,
+     "need at least one copy, got 0"),
+    (lambda: quadratic.form_class(quadratic.QForm((1, -2, 5))).repeat(2.5),
+     quadratic.QuadraticError, "need at least one copy, got 2.5"),
+    (lambda: quadratic.form_class(quadratic.QForm((1, -2, 5))).repeat("2"),
+     quadratic.QuadraticError, "need at least one copy, got '2'"),
     (lambda: galois.MonicPoly((1, True)), galois.GaloisError,
      "coefficient must be an integer, got True"),
     (lambda: galois.MonicPoly((1,)), galois.GaloisError,

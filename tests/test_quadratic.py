@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -12,15 +14,15 @@ from traceforms.galois import MonicPoly, trace_gram
 from traceforms.oracles import hilbert_symbol_oracle
 from traceforms.quadratic import (
     INF,
+    FormClass,
     QForm,
     QuadraticError,
-    TruncatedSW,
     cup,
     diagonalize,
     direct_sum,
     factorint,
+    form_class,
     hilbert_symbol,
-    is_isometric_q,
     is_probable_prime,
     place_sort_key,
     repeat,
@@ -28,10 +30,6 @@ from traceforms.quadratic import (
     signature,
     square_class,
     squarefree_part,
-    sw_direct_sum,
-    sw_repeat,
-    sw_scale,
-    sw_total,
     validate_gram,
     w1,
     w2,
@@ -307,7 +305,7 @@ def test_forms_refuse_floats_and_bools(make):
 _VALUE_DOORS = {
     "QForm": lambda x: QForm((x, 2)),
     "scale": lambda x: scale(x, QForm((1, -2, 5))),
-    "sw_scale": lambda x: sw_scale(x, sw_total(QForm((1, -2, 5)))),
+    "sw_scale": lambda x: form_class(QForm((1, -2, 5))).scale(x),  # the Whitney rule
     "squarefree_part": squarefree_part,
     "square_class": square_class,
     "cup": lambda x: cup(x, -1),
@@ -321,7 +319,7 @@ _VALUE_DOORS = {
                          ids=["float", "bool", "none", "zero-denominator",
                               "exponent", "negative-exponent", "hex"])
 def test_every_value_door_refuses_inexact_values(door, x):
-    # sw_scale(0.5, s), sw_scale(True, s), cup(True, -1) and
+    # the Whitney scale rule at 0.5 and True, cup(True, -1) and
     # squarefree_part(True) used to answer; QForm((None, 2)) raised TypeError,
     # "1/0" ZeroDivisionError and "0x10" a bare ValueError, and "1e100000"
     # reached factorint as a 100,001-digit integer
@@ -364,12 +362,11 @@ def test_sw_algebra_identities_random():
                            for _ in range(rng.randint(1, maxr))))
     for _ in range(150):
         q1, q2 = rand_form(5), rand_form(5)
-        assert sw_total(direct_sum(q1, q2)) == \
-            sw_direct_sum(sw_total(q1), sw_total(q2))
+        assert form_class(direct_sum(q1, q2)) == form_class(q1).direct_sum(form_class(q2))
         a = rng.choice(pool)
-        assert sw_total(scale(a, q1)) == sw_scale(a, sw_total(q1))
+        assert form_class(scale(a, q1)) == form_class(q1).scale(a)
         m = rng.randint(1, 4)
-        assert sw_total(repeat(q1, m)) == sw_repeat(sw_total(q1), m)
+        assert form_class(repeat(q1, m)) == form_class(q1).repeat(m)
 
 
 def _tensor(q1, q2):
@@ -383,13 +380,6 @@ def test_tensor_of_diagonal_forms():
     assert t.rank == 4
     assert sorted(t.entries) == [Fraction(3), Fraction(5),
                                  Fraction(6), Fraction(10)]
-
-
-def test_truncated_sw_validation():
-    with pytest.raises(QuadraticError):
-        TruncatedSW(2, 12, frozenset())  # disc not squarefree
-    s = TruncatedSW(2, 6, frozenset({2, 3}))
-    assert s.rank == 2 and s.disc == 6
 
 
 def test_diagonalize_known_grams():
@@ -554,16 +544,88 @@ def test_gram_entry_bits_are_refused_before_elimination():
     assert min(times) < 0.1, times
 
 
+def test_form_class_accepts_the_class_of_every_form():
+    # random forms of rank 0-8, their sums, scalings and repeats: each
+    # class is accepted, built again from its fields, and equal to the
+    # class of the form built the long way
+    rng = random.Random(28)
+
+    def entry():
+        return Fraction(rng.choice((1, -1)) * rng.randint(1, 40), rng.choice((1, 1, 2, 9, 15)))
+
+    forms = [QForm(tuple(entry() for _ in range(rng.randint(0, 8)))) for _ in range(80)]
+    for q1, q2 in zip(forms, forms[1:]):
+        c1, c2 = form_class(q1), form_class(q2)
+        a, m = entry(), rng.randint(1, 4)
+        for c, q in [(c1, q1), (c1.direct_sum(c2), direct_sum(q1, q2)),
+                     (c1.scale(a), scale(a, q1)), (c1.repeat(m), repeat(q1, m))]:
+            assert c == form_class(q), q
+            assert FormClass(c.rank, c.signature, c.disc, set(c.places)) == c
+
+
+_SMALL_DISCS = (-10, -7, -6, -5, -3, -2, -1, 1, 2, 3, 5, 6, 7, 10)
+_SMALL_PLACES = (INF, 2, 3, 5, 7)
+
+
+def test_form_class_accepts_a_binary_tuple_exactly_when_a_form_has_it():
+    # every binary form is <a, a*d> up to isometry; with a up to 210 =
+    # 2*3*5*7 in size it reaches each class of these discs whose places
+    # lie among these, and the constructor accepts exactly those (a
+    # class it refused would have raised in form_class)
+    reached = {form_class(QForm((a, a * d)))
+               for d in _SMALL_DISCS for a in range(-210, 211)
+               if a and squarefree_part(a) == a}
+    for d in _SMALL_DISCS:
+        for sig in ((2, 0), (1, 1), (0, 2)):
+            for k in range(len(_SMALL_PLACES) + 1):
+                for places in itertools.combinations(_SMALL_PLACES, k):
+                    try:
+                        c = FormClass(2, sig, d, frozenset(places))
+                    except QuadraticError:
+                        c = None
+                    assert (c in reached) == (c is not None), (sig, d, places)
+
+
+@pytest.mark.parametrize("rank, sig, disc, places, rule", [
+    (3, (1, 1), 1, (), "r + s = rank"),
+    (2.5, (1.5, 1), 1, (), "r + s = rank"),
+    (3, (3, 0, 0), 1, (), "r + s = rank"),
+    (2, (2, 0), -1, (), "sign(disc) = (-1)^s"),
+    (2, (0, 2), 1, (), "inf in places iff s(s-1)/2 is odd"),
+    (3, (3, 0), 1, (3,), "an even number of places"),
+    (0, (0, 0), 5, (), "disc 1 at rank 0"),
+    (1, (1, 0), 6, (2, 3), "no places at rank <= 1"),
+    (2, (2, 0), 1, (5, 13), "no place where -disc is a square at rank 2"),
+    (2, (2, 0), 7, (2, 3), "no place where -disc is a square at rank 2"),
+], ids=["rank", "non-integer", "not-a-pair", "sign", "inf", "reciprocity", "rank-0", "rank-1",
+        "rank-2-odd", "rank-2-at-2"])
+def test_form_class_refuses_a_tuple_no_form_has(rank, sig, disc, places, rule):
+    with pytest.raises(QuadraticError, match=re.escape(f": {rule} fails")):
+        FormClass(rank, sig, disc, frozenset(places))
+
+
+@pytest.mark.parametrize("disc, places, message", [
+    (12, (), "disc must be a squarefree integer"),
+    (6, (4, 3), "not a place: 4"),
+    (6, (True, 3), "not a place: True"),
+], ids=["disc", "place", "bool-place"])
+def test_form_class_refuses_a_bad_disc_or_place(disc, places, message):
+    with pytest.raises(QuadraticError) as exc:
+        FormClass(2, (2, 0), disc, frozenset(places))
+    assert str(exc.value) == message
+    assert FormClass(2, (2, 0), 6, frozenset({2, 3})).disc == 6  # <2, 3>
+
+
 def test_isometry_classification():
     one = QForm((Fraction(1), Fraction(1)))
     two = QForm((Fraction(2), Fraction(2)))
     three = QForm((Fraction(3), Fraction(3)))
-    assert is_isometric_q(one, two)       # (1,1)_v = (2,2)_v at all v
-    assert not is_isometric_q(one, three)  # w2 differs at 2 and 3
-    assert is_isometric_q(QForm((Fraction(1), Fraction(-1))),
-                          QForm((Fraction(2), Fraction(-2))))
-    assert not is_isometric_q(one, QForm((Fraction(1),)))  # rank
-    assert not is_isometric_q(one, QForm((Fraction(-1), Fraction(-1))))
+    assert form_class(one) == form_class(two)  # (1,1)_v = (2,2)_v at all v
+    assert form_class(one) != form_class(three)  # w2 differs at 2 and 3
+    assert form_class(QForm((Fraction(1), Fraction(-1)))) == \
+        form_class(QForm((Fraction(2), Fraction(-2))))
+    assert form_class(one) != form_class(QForm((Fraction(1),)))  # rank
+    assert form_class(one) != form_class(QForm((Fraction(-1), Fraction(-1))))
 
 
 def test_isometry_is_scaling_invariant_on_squares():
@@ -573,7 +635,7 @@ def test_isometry_is_scaling_invariant_on_squares():
         q = QForm(tuple(Fraction(rng.choice(pool)) for _ in range(4)))
         c = rng.choice([x for x in pool if x > 0])
         scaled = QForm(tuple(e * c * c for e in q.entries))
-        assert is_isometric_q(q, scaled)
+        assert form_class(q) == form_class(scaled)
 
 
 def _random_form(rng):
@@ -613,22 +675,22 @@ def test_w2_factors_each_entry_once(monkeypatch):
         q = _random_form(rng)
         calls.clear()
         # w1 and w2 each factored every entry again, and so did each
-        # side of is_isometric_q; sw_total adds only its disc
+        # side of an isometry check; a form's class adds only its disc
         w1(q)
         w2(q)
-        is_isometric_q(q, q)
-        sw_total(q)
+        assert form_class(q) == form_class(q)
         parts = sum(n > 1 for a in q.entries for n in (abs(a.numerator), a.denominator))
         assert len(calls) <= parts + 1, (q, len(calls))
 
 
 def test_sw_rules_factor_only_a_and_the_disc_they_build(monkeypatch):
-    # sw_direct_sum, sw_repeat and sw_scale gave the discs of the triples
-    # they were given to cup, which factored them again, and the triple
-    # they built factored its disc once more; the class of that disc is
-    # now the product of classes already held, so only a is factored
-    s1 = sw_total(QForm((3, -5, 7)))
-    s2 = sw_total(QForm((2, 11)))
+    # the Whitney rules (direct_sum, repeat and scale of a class) gave the
+    # discs of the classes they were given to cup, which factored them
+    # again, and the class they built factored its disc once more; the
+    # class of that disc is now the product of classes already held, so
+    # only a is factored
+    s1 = form_class(QForm((3, -5, 7)))
+    s2 = form_class(QForm((2, 11)))
     calls = []
     real = quadratic.factorint
 
@@ -637,11 +699,11 @@ def test_sw_rules_factor_only_a_and_the_disc_they_build(monkeypatch):
         return real(n)
 
     monkeypatch.setattr(quadratic, "factorint", counting)
-    for rule, a in [(lambda: sw_direct_sum(s1, s2), 1),
-                    (lambda: sw_repeat(s1, 2), 1),
-                    (lambda: sw_repeat(s1, 3), 1),
-                    (lambda: sw_scale(Fraction(6, 35), s1), Fraction(6, 35)),
-                    (lambda: sw_scale(10, s2), 10)]:
+    for rule, a in [(lambda: s1.direct_sum(s2), 1),
+                    (lambda: s1.repeat(2), 1),
+                    (lambda: s1.repeat(3), 1),
+                    (lambda: s1.scale(Fraction(6, 35)), Fraction(6, 35)),
+                    (lambda: s2.scale(10), 10)]:
         calls.clear()
         out = rule()
         expected = [n for n in (a.numerator, a.denominator) if n > 1]
@@ -655,8 +717,8 @@ def test_built_forms_take_the_classes_of_their_parts(monkeypatch):
     builds = [(lambda: direct_sum(q1, q2, q1), 1),
               (lambda: repeat(q2, 3), 1),
               (lambda: scale(Fraction(6, 35), q1), Fraction(6, 35))]
-    references = [sw_total(QForm(build().entries)) for build, _ in builds]
-    sw_total(q1), sw_total(q2)
+    references = [form_class(QForm(build().entries)) for build, _ in builds]
+    form_class(q1), form_class(q2)
     calls = []
     real = quadratic.factorint
 
@@ -667,7 +729,7 @@ def test_built_forms_take_the_classes_of_their_parts(monkeypatch):
     monkeypatch.setattr(quadratic, "factorint", counting)
     for (build, a), reference in zip(builds, references):
         calls.clear()
-        assert sw_total(build()) == reference
+        assert form_class(build()) == reference
         assert sorted(calls) == sorted(n for n in (a.numerator, a.denominator) if n > 1)
 
 
@@ -712,7 +774,7 @@ _PLACES_TO_13 = (INF, 2, 3, 5, 7, 11, 13)
 
 
 def test_class_doors_answer_as_on_the_value():
-    s_odd, s_even = sw_total(QForm((3, -5, 7))), sw_total(QForm((2, 11)))
+    s_odd, s_even = form_class(QForm((3, -5, 7))), form_class(QForm((2, 11)))
     for x in range(-30, 31):
         if not x:
             continue
@@ -720,9 +782,10 @@ def test_class_doors_answer_as_on_the_value():
         assert square_class(c) is c
         assert c == (squarefree_part(x), frozenset(sympy.primefactors(squarefree_part(x))))
         for s in (s_odd, s_even):
-            assert sw_scale(c, s) == sw_scale(x, s)
-        built = TruncatedSW(3, c, frozenset({2, 3}))
-        assert built == TruncatedSW(3, c.d, frozenset({2, 3}))
+            assert s.scale(c) == s.scale(x)
+        sig = (3, 0) if x > 0 else (2, 1)
+        built = FormClass(3, sig, c, frozenset({2, 3}))
+        assert built == FormClass(3, sig, c.d, frozenset({2, 3}))
         assert built.disc == c.d and type(built.disc) is int
         for y in _CLASS_PARTNERS:
             assert cup(c, y) == cup(x, square_class(y)) == cup(x, y)
@@ -733,7 +796,7 @@ def test_class_doors_answer_as_on_the_value():
 
 def test_class_doors_factor_nothing(monkeypatch):
     classes = [square_class(x) for x in (-30, -7, 6, 22, Fraction(-15, 49))]
-    s_odd, s_even = sw_total(QForm((3, -5, 7))), sw_total(QForm((2, 11)))
+    s_odd, s_even = form_class(QForm((3, -5, 7))), form_class(QForm((2, 11)))
 
     def no_factoring(n):
         raise AssertionError(f"factored {n} of a class")
@@ -746,9 +809,9 @@ def test_class_doors_factor_nothing(monkeypatch):
             for v in _PLACES_TO_13:
                 hilbert_symbol(c, d, v)
         for s in (s_odd, s_even):
-            sw_direct_sum(sw_scale(c, s), s)
-            sw_repeat(sw_scale(c, s), 3)
-        TruncatedSW(4, c, frozenset())
+            s.scale(c).direct_sum(s)
+            s.scale(c).repeat(3)
+        FormClass(4, (3, 1) if c.d < 0 else (4, 0), c, frozenset())
 
 
 @pytest.mark.parametrize("door", [
@@ -756,9 +819,9 @@ def test_class_doors_factor_nothing(monkeypatch):
     lambda c: hilbert_symbol(c, 5, 5),
     lambda c: cup(c, 5),
     lambda c: hilbert_symbol_oracle(c, 5, 5),
-    lambda c: sw_scale(c, sw_total(QForm((1, -2, 5)))),
-    lambda c: TruncatedSW(2, c, frozenset()),
-], ids=["square_class", "hilbert_symbol", "cup", "oracle", "sw_scale", "TruncatedSW"])
+    lambda c: form_class(QForm((1, -2, 5))).scale(c),
+    lambda c: FormClass(2, (2, 0), c, frozenset()),
+], ids=["square_class", "hilbert_symbol", "cup", "oracle", "sw_scale", "FormClass"])
 def test_a_plain_tuple_is_not_a_class(door):
     # (6, {5}) has the wrong primes for 6: read as a class it would send
     # cup(6, 2) to look for its places at 5 instead of at 3

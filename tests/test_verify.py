@@ -251,7 +251,7 @@ def test_failing_check_reports_its_first_case(monkeypatch, k):
 
 def test_failing_case_is_plain_json(monkeypatch):
     _only_battery(monkeypatch, "diag_invariance")
-    monkeypatch.setattr(quadratic, "is_isometric_q", lambda q1, q2: False)
+    monkeypatch.setattr(quadratic, "form_class", lambda q: object())  # never equal
     r = run_statement("property-suites", DEFAULT_SEED)
     c = r.computed["diag_invariance"]
     assert r.verdict == "fail" and c["failures"] == 100
