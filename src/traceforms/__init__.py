@@ -71,7 +71,7 @@ _EXPORTS = {
                "verify_two_cyclic_sylow", "verify_w1"),
     "groups": ("Group", "catalog", "group_from_spec", "sylow2"),
     "quadratic": ("FormClass", "QForm", "cup", "diagonalize", "form_class",
-                  "hilbert_symbol", "signature", "w1", "w2"),
+                  "hilbert_symbol", "signature"),
     "verify": ("DEFAULT_SEED", "VerificationReport", "run_statement",
                "run_suite"),
 }

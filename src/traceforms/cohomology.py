@@ -144,6 +144,8 @@ def delta1(G: Group, b_bits: int) -> Cocycle2:
     sum of row x, column x and the cells (g, g^-1 x), O(n) each: δb is
     their sum over the x with b(x) = 1."""
     n = G.order
+    if not _ints((b_bits,)):
+        raise CohomologyError(f"1-cochain bits must be an integer, got {_quote(b_bits)}")
     if b_bits & 1 or b_bits >> n:
         raise CohomologyError(f"b must be a 1-cochain on {n} elements with b(e) = 0")
     t, inv = G.table, G.inv

@@ -20,13 +20,11 @@ from .quadratic import (
     _bareiss,
     cup,
     direct_sum,
-    disc_class,
     form_class,
     repeat,
     signature,
     sqclass_mul,
     square_class,
-    w2,
 )
 
 
@@ -296,7 +294,6 @@ def classify_2group_trace_form(A: EtaleAlg, G: groups.Group) -> dict:
         "case": case,
         "real": real,
         "cyclic": cyclic,
-        "disc": c.disc,
         "computed": q,
         "computed_class": c,
         "model": model,
@@ -324,9 +321,9 @@ def verify_main(A: EtaleAlg, G: groups.Group) -> dict:
     _check_galois(A, G)
     if reason := _premise_failure(A.degree, G):
         return {"status": "skipped", "reason": reason}
-    q = trace_form(A)
-    lhs = w2(q)
-    rhs = cup(2, disc_class(q))
+    c = form_class(trace_form(A))
+    lhs = c.places
+    rhs = cup(2, c.disc_class)
     return {
         "status": "pass" if lhs == rhs else "fail",
         "w2_places": lhs,
@@ -357,7 +354,7 @@ def verify_two_cyclic_sylow(A: EtaleAlg, G: groups.Group, d1: int, d2: int) -> d
         return {"status": "skipped",
                 "reason": "Sylow 2-subgroup is not Z/2^r1 x Z/2^r2 with r2 >= 2"}
     predicted = two_cyclic_sylow_w2_prediction(d1, d2, orders[0] == 2)
-    actual = w2(trace_form(A))
+    actual = form_class(trace_form(A)).places
     return {
         "status": "pass" if actual == predicted else "fail",
         "w2_places": actual,

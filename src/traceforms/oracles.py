@@ -78,7 +78,7 @@ def hilbert_symbol_oracle(a, b, v) -> int:
     if v != quadratic.INF and v > ORACLE_PLACE_CAP:
         raise quadratic.QuadraticError(f"place {v} exceeds ORACLE_PLACE_CAP = "
                                        f"{ORACLE_PLACE_CAP}")
-    a, b = quadratic.squarefree_part(a), quadratic.squarefree_part(b)
+    a, b = quadratic.square_class(a).d, quadratic.square_class(b).d
     if v == quadratic.INF:
         return -1 if (a < 0 and b < 0) else 1
     if v == 2:

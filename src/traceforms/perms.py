@@ -103,15 +103,13 @@ def signature(p: Perm) -> int:
     return -1 if sum(len(c) - 1 for c in cycles(p)) % 2 else 1
 
 
-def parse_cycle_string(text: str, n: int | None = None) -> Perm:
+def parse_cycle_string(text: str) -> Perm:
     """Parse cycle notation like "(0 1 2)(3 4)".  Points are 0-based and
-    space-separated.  If n is omitted the degree is 1 + max point."""
+    space-separated, and the degree is 1 + max point, so the identity is
+    written as a fixed point, "(0)"."""
     text = text.strip()
-    if text in ("", "()"):
-        if n is None:
-            raise ValueError("empty permutation needs an explicit degree")
-        _check_degree(n)
-        return identity(n)
+    if text == "()":
+        raise ValueError("empty permutation: write the identity as a fixed point, such as (0)")
     try:
         if not (text.startswith("(") and text.endswith(")")):
             raise ValueError("no enclosing parentheses")
@@ -121,5 +119,4 @@ def parse_cycle_string(text: str, n: int | None = None) -> Perm:
         raise ValueError(f"malformed cycle string: {_quote(text)}") from None
     if not all(cycs):
         raise ValueError(f"empty cycle in {_quote(text)}")
-    deg = n if n is not None else 1 + max(max(c) for c in cycs)
-    return from_cycles(deg, cycs)
+    return from_cycles(1 + max(max(c) for c in cycs), cycs)

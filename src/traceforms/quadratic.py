@@ -1,10 +1,9 @@
-"""Nondegenerate diagonal quadratic forms over Q and their arithmetic
-invariants: signature, square-class discriminant, and the degree-2
-invariant assembled from Hilbert symbols (recorded as the finite set of
-places where the relevant symbol is -1).
-
-Rank, signature, discriminant and that place set classify forms over Q
-up to isometry: a form's `FormClass`, which `form_class` builds.
+"""Nondegenerate diagonal quadratic forms over Q and their isometry
+classes.  A form's invariants are read from its `FormClass`, which
+`form_class` builds: rank, signature, the square class of the
+discriminant (w1), and the degree-2 invariant w2 assembled from Hilbert
+symbols (recorded as the finite set of places where the relevant symbol
+is -1).  These classify forms over Q up to isometry.
 
 Four decisions are each made by one function.  `_rational` is the only
 code that reads a rational, for every door and the command line: an int, a
@@ -17,10 +16,10 @@ denominator separately: trial division by the thirteen Miller-Rabin bases
 pass a probable prime beyond its proven range.  `check_place` decides
 what a place is.  A value is factored once, where it enters, into a
 square class (the squarefree integer and its primes) that is then held:
-a `QForm` keeps its entries' and its disc's (a form built from others
-takes theirs), a `FormClass` its disc's, and a caller its own, since
-each door that takes a value takes a class.
-A product's class comes from its factors', unfactored.
+a `QForm` keeps its entries' (a form built from others takes theirs), a
+`FormClass` its disc's, and a caller its own, since each door that takes
+a value takes a class.  A product's class comes from its factors',
+unfactored, and a Hilbert symbol is read from the cup of its two classes.
 A form enters by `QForm` or `diagonalize`, which bound it for every
 caller: GRAM_RANK_CAP, and for a Gram matrix GRAM_BITS_CAP too.
 """
@@ -199,11 +198,6 @@ def square_class(x) -> _SquareClass:
     return _SquareClass((-1 if num < 0 else 1) * math.prod(primes), primes)
 
 
-def squarefree_part(x) -> int:
-    """The squarefree integer representing the square class of x."""
-    return square_class(x).d
-
-
 def sqclass_mul(c1: _SquareClass, c2: _SquareClass) -> _SquareClass:
     """The class of a product, from its factors' classes, unfactored:
     d1*d2/gcd^2, with the primes of exactly one factor."""
@@ -253,16 +247,18 @@ def check_place(v) -> None:
 
 
 def hilbert_symbol(a, b, v) -> int:
-    """Hilbert symbol (a, b) at the place v (a prime or INF), by the
-    closed formulas: at INF it is -1 iff both arguments are negative;
-    at odd p and at 2 it is read off valuations and residues."""
+    """Hilbert symbol (a, b) at the place v (a prime or INF): -1 exactly
+    when v is a place of cup(a, b), read from the cup cache."""
     check_place(v)
-    return _hilbert(squarefree_part(a), squarefree_part(b), v)
+    return -1 if v in _cup_cached(*square_class(a), *square_class(b)) else 1
 
 
 # Bound on the cup cache; its keys are pairs of square classes.  A
 # computation reuses the pairs of its own forms: a perfbench `library`
-# run (two rounds) fills 199.  Random forms mostly do not: `suite`'s
+# run (two rounds) fills 199.  A `suite` run takes 32,372 cups of 2,159
+# pairs.  Of those, its hilbert_oracle battery reads 29,280 symbols as
+# cups of 881 pairs, sixteen places of one pair in a row, so fifteen of
+# each sixteen hit.  Random forms mostly reuse no pair: the
 # diag_invariance battery takes 1,000 cups of 803 pairs, which a cache
 # of 1024 kept, in 0.64 MB, to the end of the run.
 CUP_CACHE_SIZE = 256
@@ -348,7 +344,7 @@ class QForm:
     battery's shared classes) skips the factoring; else they are found
     on first use, by factoring each entry."""
 
-    __slots__ = ("entries", "_held", "_disc")
+    __slots__ = ("entries", "_held")
 
     def __init__(self, entries, classes=None):
         if len(entries) > GRAM_RANK_CAP:  # before an entry is read
@@ -359,19 +355,12 @@ class QForm:
             raise QuadraticError("diagonal entries must be nonzero")
         self.entries = ent
         self._held = classes  # None until first read, then a tuple
-        self._disc = None
 
     @property
     def _classes(self) -> tuple[_SquareClass, ...]:
         if self._held is None:
             self._held = tuple(map(square_class, self.entries))
         return self._held
-
-    @property
-    def _disc_class(self) -> _SquareClass:
-        if self._disc is None:
-            self._disc = functools.reduce(sqclass_mul, self._classes, square_class(1))
-        return self._disc
 
     @property
     def rank(self) -> int:
@@ -420,34 +409,6 @@ def signature(q: QForm) -> tuple[int, int]:
     return pos, q.rank - pos
 
 
-def disc_class(q: QForm) -> _SquareClass:
-    """The square class of the product of the diagonal entries, from
-    the entries' classes: a caller hands it on where a value is taken."""
-    return q._disc_class
-
-
-def w1(q: QForm) -> int:
-    """Square class of the product of the diagonal entries (squarefree)."""
-    return q._disc_class.d
-
-
-def w2(q: QForm) -> frozenset:
-    """Symmetric difference of cup(a_i, a_j) over pairs i < j, which by
-    bilinearity is that of cup(a_1 ... a_(j-1), a_j) over j: n - 1 cups,
-    each of an entry's class with the product of the classes before it
-    (`sqclass_mul`, unfactored).  A cup is evaluated at INF, 2 and its
-    two classes' primes, the only places where its symbol can be -1, or
-    read from the cup cache, where a form of the same classes left it."""
-    out: frozenset = frozenset()
-    classes = q._classes
-    if classes:
-        prefix = classes[0]
-        for c in classes[1:]:
-            out ^= _cup_cached(*prefix, *c)
-            prefix = sqclass_mul(prefix, c)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # isometry classes, and their algebra
 
@@ -455,12 +416,14 @@ def w2(q: QForm) -> frozenset:
 class FormClass:
     """The isometry class of a form over Q: rank, signature (r, s), the
     squarefree disc class and the place set of w2, which fix the form
-    (Hasse-Minkowski).  Given as a square class, disc is kept; an int
-    disc must be squarefree.  A tuple that no form has is refused by the
-    first of Serre's conditions it breaks (A Course in Arithmetic, ch.
-    IV, Prop. 7, under the prod_(i<j) convention for w2)."""
+    (Hasse-Minkowski).  disc is held as its square class, `disc_class`,
+    which a caller hands on where a value is taken: given as a class it
+    is kept, and an int disc must be squarefree.  A tuple that no form
+    has is refused by the first of Serre's conditions it breaks (A Course
+    in Arithmetic, ch. IV, Prop. 7, under the prod_(i<j) convention for
+    w2)."""
 
-    __slots__ = ("rank", "signature", "disc", "places", "_disc_class")
+    __slots__ = ("rank", "signature", "disc", "places", "disc_class")
 
     def __init__(self, rank: int, signature, disc, places):
         c = square_class(disc)
@@ -485,7 +448,7 @@ class FormClass:
                                  f"{_quote(signature)}, disc {d} and places {_quote(places)}: "
                                  f"{rule} fails")
         self.rank, self.signature, self.disc, self.places = rank, (r, s), d, places
-        self._disc_class = c
+        self.disc_class = c
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -502,7 +465,7 @@ class FormClass:
 
     def direct_sum(self, other: FormClass) -> FormClass:
         (r1, s1), (r2, s2) = self.signature, other.signature
-        d1, d2 = self._disc_class, other._disc_class
+        d1, d2 = self.disc_class, other.disc_class
         return FormClass(self.rank + other.rank, (r1 + r2, s1 + s2), sqclass_mul(d1, d2),
                          self.places ^ other.places ^ _cup_cached(*d1, *d2))
 
@@ -510,28 +473,40 @@ class FormClass:
         """The class of the scaled form a*q from that of q."""
         a = square_class(a)
         n = self.rank
-        disc = sqclass_mul(a, self._disc_class) if n % 2 else self._disc_class
+        disc = sqclass_mul(a, self.disc_class) if n % 2 else self.disc_class
         places = self.places
         if (n * (n - 1) // 2) % 2:
             places = places ^ _cup_cached(*a, *a)
         if (n - 1) % 2:
-            places = places ^ _cup_cached(*a, *self._disc_class)
+            places = places ^ _cup_cached(*a, *self.disc_class)
         return FormClass(n, self.signature[::-1] if a.d < 0 else self.signature, disc, places)
 
     def repeat(self, m: int) -> FormClass:
         """The class of the m-fold orthogonal sum of a form from its own."""
         _check_copies(m)
-        disc = self._disc_class if m % 2 else square_class(1)
+        disc = self.disc_class if m % 2 else square_class(1)
         places = self.places if m % 2 else frozenset()
         if (m * (m - 1) // 2) % 2:
-            places = places ^ _cup_cached(*self._disc_class, *self._disc_class)
+            places = places ^ _cup_cached(*self.disc_class, *self.disc_class)
         return FormClass(m * self.rank, tuple(m * x for x in self.signature), disc, places)
 
 
 def form_class(q: QForm) -> FormClass:
     """The isometry class of q: two forms are isometric over Q exactly
-    when their classes are equal."""
-    return FormClass(q.rank, signature(q), q._disc_class, w2(q))
+    when their classes are equal.  Its places, those of w2, are the
+    symmetric difference of cup(a_i, a_j) over pairs i < j, which by
+    bilinearity is that of cup(a_1 ... a_(j-1), a_j) over j: n - 1 cups,
+    each of an entry's class with the product of the classes before it
+    (`sqclass_mul`, unfactored), and the last product is the disc.  A
+    cup is evaluated at INF, 2 and its two classes' primes, the only
+    places where its symbol can be -1, or read from the cup cache, where
+    a form of the same classes left it."""
+    classes = q._classes
+    disc, places = classes[0] if classes else square_class(1), frozenset()
+    for c in classes[1:]:
+        places ^= _cup_cached(*disc, *c)
+        disc = sqclass_mul(disc, c)
+    return FormClass(q.rank, signature(q), disc, places)
 
 
 # ---------------------------------------------------------------------------

@@ -226,7 +226,7 @@ def run_cor_numb2(seed: int) -> _Claim:
             "case": r["case"],
             "real": r["real"],
             "cyclic": r["cyclic"],
-            "disc": r["disc"],
+            "disc": r["computed_class"].disc,
             "model": r["model"],
             "trace_form": r["computed"],
             "isometric": r["isometric"],

@@ -17,7 +17,7 @@ from traceforms import cli, clifford, cohomology, galois, groups, perms, quadrat
 from traceforms.cli import main
 from traceforms.cohomology import h2
 from traceforms.fixtures import ALL_FIXTURES
-from traceforms.quadratic import signature, w2
+from traceforms.quadratic import form_class, signature
 from traceforms.verify import DEFAULT_SEED, STATEMENTS, jsonable
 
 from limited_child import run_limited, verb_peak_mb
@@ -239,7 +239,7 @@ def test_trace_verb_takes_disc_from_the_form(capsys, monkeypatch):
         q = galois.trace_form(A)
         assert json.loads(out) == {
             "rank": q.rank, "signature": list(signature(q)),
-            "disc": real(A), "w2_places": jsonable(w2(q)),
+            "disc": real(A), "w2_places": jsonable(form_class(q).places),
             "degree": A.degree, "totally_real": signature(q) == (A.degree, 0)}
     assert calls == []
 
@@ -555,13 +555,20 @@ def test_short_refused_verb_or_argument_is_echoed_whole(capsys, argv, message):
     assert "error: " + message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("spec", ["perms:(0 1),,(2 3)", "perms:(0 1),", "perms:,(0 1)",
-                                  "perms: ", "perms:(0 1), ,(2 3)"])
-def test_empty_generator_exits_2(capsys, spec):
+_EMPTY_GENERATORS = ["perms:(0 1),,(2 3)", "perms:(0 1),", "perms:,(0 1)", "perms: ",
+                     "perms:(0 1), ,(2 3)"]
+
+
+@pytest.mark.parametrize("spec, message", [
+    *((spec, f"empty generator in {spec.strip()!r}") for spec in _EMPTY_GENERATORS),
+    # asked for an explicit degree, which no spec can give
+    ("perms:()", "empty permutation: write the identity as a fixed point, such as (0)"),
+], ids=[*_EMPTY_GENERATORS, "perms:()"])
+def test_empty_generator_exits_2(capsys, spec, message):
     # "(0 1),,(2 3)" and "(0 1)," were read with the empty ones dropped
     code, out, err = run_cli(capsys, "group", "--group", spec)
     assert code == 2 and out == ""
-    assert err == f"error: empty generator in {spec.strip()!r}\n"
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("spec, point", [("perms:(0 1)(1 2)", 1), ("perms:(0 1)(0 1)", 0),

@@ -674,6 +674,12 @@ _C2 = catalog("cyclic", 2)
      "cell (-1, 1) is not a pair of element indices 0..1"),
     (lambda: Cocycle2(_C2, 8).value(1, 1.0),
      "cell (1, 1.0) is not a pair of element indices 0..1"),
+    # "2" and 2.0 raised a bare TypeError from &, and True was refused as
+    # a cochain with b(e) = 1
+    (lambda: delta1(catalog("cyclic", 4), "2"), "1-cochain bits must be an integer, got '2'"),
+    (lambda: delta1(catalog("cyclic", 4), 2.0), "1-cochain bits must be an integer, got 2.0"),
+    (lambda: delta1(catalog("cyclic", 4), True),
+     "1-cochain bits must be an integer, got True"),
 ])
 def test_cochains_read_ints_by_the_integer_rule(call, message):
     with pytest.raises(CohomologyError) as exc:
@@ -748,7 +754,7 @@ def _s4_generating_sets(count, seed):
     rng = random.Random(seed)
     specs = []
     for _ in range(count):
-        gens = [perms.parse_cycle_string("(0 1 2 3)"), perms.parse_cycle_string("(0 1)", 4)]
+        gens = [perms.parse_cycle_string("(0 1 2 3)"), perms.parse_cycle_string("(0 1)(3)")]
         for _ in range(rng.randint(0, 2)):
             gens.append(perms.compose(rng.choice(gens), rng.choice(gens)))
         gens = [g for g in gens if g != perms.identity(4)]

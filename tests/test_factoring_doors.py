@@ -1,12 +1,14 @@
 """Factoring happens where a value enters.  `square_class` factors a
 value once into a square class, and whatever holds the value keeps its
-class: a `QForm` its entries' and its disc's, a `FormClass` its
-disc's, a caller such as a verify battery its own.  These tests read
-the package's source and keep it that way: a function of `quadratic`
-that names one of the names below must be one of the listed readers,
-only `square_class` and the product of two classes build a class, and
-no other module names the private square-class and cup helpers, so
-they reach a class only through the public constructor.  Outside input
+class: a `QForm` its entries', a `FormClass` its disc's, a caller such
+as a verify battery its own.  These tests read the package's source and
+keep it that way: a function of `quadratic` that names one of the names
+below must be one of the listed readers, only `square_class` and the
+product of two classes build a class, only the cup evaluates a Hilbert
+symbol, and no other module names the private square-class and cup
+helpers or a form's held classes, so they reach a class only through
+the public constructor and a form's invariants only through
+`form_class`.  Outside input
 has one door of each kind too: only `cli._read` opens a file, one
 integer rule in the package root reads every integer (`galois._integer`
 for coefficients and multiplicities), `perms.door` checks every
@@ -33,14 +35,13 @@ PKG = pathlib.Path(traceforms.__file__).parent
 # name -> the only functions of quadratic that may name it
 _READERS = {
     "factorint": {"square_class"},
-    "squarefree_part": {"hilbert_symbol"},
     # the public door takes bare values; inside the module classes are held
     "cup": set(),
     # scale reads a's class, to multiply it into the classes q holds (a
-    # form's or, as FormClass.scale, a class's); FormClass.repeat the unit
-    # class of an even count of copies
-    "square_class": {"squarefree_part", "cup", "_classes", "_disc_class",
-                     "__init__", "scale", "repeat"},
+    # form's or, as FormClass.scale, a class's); FormClass.repeat and
+    # form_class the unit class, of an even count of copies and of rank 0
+    "square_class": {"cup", "hilbert_symbol", "_classes", "__init__", "scale", "repeat",
+                     "form_class"},
 }
 # name -> the only functions of quadratic that may call it
 _BUILDERS = {"_SquareClass": {"square_class", "sqclass_mul"}}
@@ -83,6 +84,12 @@ def test_only_square_class_and_the_class_product_build_a_class():
     assert {k: calls.get(k, set()) for k in _BUILDERS} == _BUILDERS
 
 
+def test_only_the_cup_evaluates_a_hilbert_symbol():
+    # hilbert_symbol evaluated the closed form itself, at its one place;
+    # it reads the cup of its two classes, as a form's class does
+    assert _names_by_function(_tree("quadratic")).get("_hilbert") == {"_cup_at"}
+
+
 def test_only_cli_read_opens_a_file():
     # every input file is read by one bounded reader
     openers = {(path.stem, f) for path in sorted(PKG.glob("*.py"))
@@ -122,6 +129,17 @@ def _named(tree: ast.AST) -> set:
     """The names and attribute names tree mentions."""
     return {x for n in ast.walk(tree)
             for x in (getattr(n, "id", None), getattr(n, "attr", None))}
+
+
+# a form's held square classes: its invariants leave it only through
+# form_class, so the package reads no w1 or w2 beside the class
+_HELD = {"_classes", "_disc_class", "_held"}
+
+
+def test_no_other_module_names_a_forms_held_classes():
+    others = {path.stem: sorted(_named(_tree(path.stem)) & _HELD)
+              for path in sorted(PKG.glob("*.py")) if path.stem != "quadratic"}
+    assert {k: v for k, v in others.items() if v} == {}
 
 
 def test_only_the_form_doors_check_a_forms_bounds():

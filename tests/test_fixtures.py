@@ -8,7 +8,7 @@ from sympy.abc import x, y
 
 from traceforms import fixtures
 from traceforms.galois import algebra_disc, trace_form
-from traceforms.quadratic import signature, squarefree_part
+from traceforms.quadratic import signature, square_class
 
 
 def _poly_of(fx):
@@ -105,7 +105,7 @@ def test_fixture_disc_classes():
     for fx in fixtures.ALL_FIXTURES:
         f = _poly_of(fx)
         disc = int(sympy.discriminant(f.as_expr(), x))
-        assert squarefree_part(disc) == fx.disc_class, fx.name
+        assert square_class(disc).d == fx.disc_class, fx.name
         assert algebra_disc(fx.algebra) == fx.disc_class, fx.name
 
 

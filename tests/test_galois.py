@@ -28,9 +28,7 @@ from traceforms.quadratic import (
     cup,
     form_class,
     signature,
-    squarefree_part,
-    w1,
-    w2,
+    square_class,
 )
 
 
@@ -261,8 +259,8 @@ def test_trace_gram_disc_class_matches_sympy_discriminant():
             continue
         A = EtaleAlg.field(MonicPoly(tuple(coeffs)))
         ours = algebra_disc(A)
-        assert ours == squarefree_part(int(disc)), coeffs
-        assert ours == w1(trace_form(A))
+        assert ours == square_class(int(disc)).d, coeffs
+        assert ours == form_class(trace_form(A)).disc
         done += 1
 
 
@@ -298,7 +296,7 @@ def test_complex_pair_analog():
 def test_quadratic_field_disc_classes():
     for d in (2, 3, 5, -1, -2, -3, 6, 10):
         A = EtaleAlg.field(MonicPoly((1, 0, -d)))
-        assert algebra_disc(A) == squarefree_part(d)
+        assert algebra_disc(A) == square_class(d).d
         assert (signature(trace_form(A)) == (A.degree, 0)) == (d > 0)
 
 
@@ -403,7 +401,7 @@ def test_verify_main_takes_disc_from_the_form(monkeypatch):
                         lambda A: calls.append(A) or real(A))
     for name in _MAIN_FIXTURES:
         A, G = fixtures.BY_NAME[name].algebra, fixtures.BY_NAME[name].group
-        lhs, rhs = w2(trace_form(A)), cup(2, real(A))
+        lhs, rhs = form_class(trace_form(A)).places, cup(2, real(A))
         assert verify_main(A, G) == {
             "status": "pass" if lhs == rhs else "fail",
             "w2_places": lhs, "cup_2_disc": rhs}, name

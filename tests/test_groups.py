@@ -236,7 +236,8 @@ def test_closure_table_matches_composition():
                       ("perms:(0 1 2)(3 4),(1 2 3 4 5)", 6),
                       ("perms:(0 1)(2 3),(4 5)", 6)):
         G = group_from_spec(spec)
-        gens = [perms.parse_cycle_string(c, deg) for c in spec[len("perms:"):].split(",")]
+        gens = perms.door([perms.parse_cycle_string(c) for c in spec[len("perms:"):].split(",")],
+                          ("DEGREE_CAP", perms.DEGREE_CAP), deg)
         e = perms.identity(deg)
         seen, todo = {e}, [e]
         for p in todo:

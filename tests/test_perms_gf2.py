@@ -87,8 +87,9 @@ def test_cycle_round_trip_and_canonical_form():
     p = from_cycles(6, [(0, 3), (1, 4, 5)])
     assert cycles(p) == [(0, 3), (1, 4, 5)]
     assert parse_cycle_string("(0 3)(1 4 5)") == p
-    assert parse_cycle_string("(0, 3)(1, 4, 5)", 6) == p
-    assert parse_cycle_string("()", 4) == identity(4)
+    assert parse_cycle_string("(0, 3)(1, 4, 5)") == p
+    # the degree is 1 + the largest point, so the identity is a fixed point
+    assert parse_cycle_string("(3)") == identity(4)
 
 
 def test_cycle_validation():
@@ -102,7 +103,8 @@ def test_cycle_validation():
         from_cycles(3, [(0, 1), (0, 1)])  # their product is the identity, not (0 1)
     with pytest.raises(ValueError):
         parse_cycle_string("0 1 2")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^empty permutation: write the identity as a "
+                                          r"fixed point, such as \(0\)$"):
         parse_cycle_string("()")
 
 
@@ -142,7 +144,7 @@ def test_from_cycles_takes_int_points_and_degree(n, cycs):
 
 def test_degree_is_bounded_before_allocating():
     for bad in (lambda: parse_cycle_string("(0 2048)"),
-                lambda: parse_cycle_string("()", 2049),
+                lambda: parse_cycle_string("(2048)"),
                 lambda: from_cycles(10 ** 9, [(0, 1)])):
         with pytest.raises(ValueError, match="DEGREE_CAP = 2048"):
             bad()

@@ -130,7 +130,7 @@ _PAST_LIMIT_CALLS = {
                        lambda: quadratic.hilbert_symbol(3, 5, 2 ** 20000 - 1)),
     "check_place": (quadratic.QuadraticError, 16610, lambda: quadratic.check_place(10 ** 5000)),
     "w1": (quadratic.QuadraticError, 20002,
-           lambda: quadratic.w1(quadratic.QForm((3 * 2 ** 20000 + 1,)))),
+           lambda: quadratic.form_class(quadratic.QForm((3 * 2 ** 20000 + 1,))).disc),
     "cocycle-value": (cohomology.CohomologyError, 16610,
                       lambda: cohomology.Cocycle2(groups.group_from_spec(_C2), 0)
                       .value(0, 10 ** 5000)),

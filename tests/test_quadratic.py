@@ -29,10 +29,7 @@ from traceforms.quadratic import (
     scale,
     signature,
     square_class,
-    squarefree_part,
     validate_gram,
-    w1,
-    w2,
 )
 
 
@@ -150,13 +147,14 @@ def test_is_probable_prime_refuses_every_psi_below_its_bound():
 
 
 def test_squarefree_part():
-    assert squarefree_part(18) == 2
-    assert squarefree_part(-18) == -2
-    assert squarefree_part(1) == 1
-    assert squarefree_part(Fraction(4, 5)) == 5
-    assert squarefree_part(Fraction(-3, 49)) == -3
+    # the squarefree integer of a square class
+    assert square_class(18).d == 2
+    assert square_class(-18).d == -2
+    assert square_class(1).d == 1
+    assert square_class(Fraction(4, 5)).d == 5
+    assert square_class(Fraction(-3, 49)).d == -3
     with pytest.raises(QuadraticError):
-        squarefree_part(0)
+        square_class(0)
 
 
 def test_hilbert_symbol_hand_values():
@@ -282,7 +280,7 @@ def test_qform_validation_and_invariants():
     q = QForm((Fraction(1), Fraction(2), Fraction(-3), Fraction(4, 5)))
     assert q.rank == 4
     assert signature(q) == (3, 1)
-    assert w1(q) == -30
+    assert form_class(q).disc == -30
     with pytest.raises(QuadraticError):
         QForm((Fraction(0),))
 
@@ -306,7 +304,7 @@ _VALUE_DOORS = {
     "QForm": lambda x: QForm((x, 2)),
     "scale": lambda x: scale(x, QForm((1, -2, 5))),
     "sw_scale": lambda x: form_class(QForm((1, -2, 5))).scale(x),  # the Whitney rule
-    "squarefree_part": squarefree_part,
+    "squarefree_part": lambda x: square_class(x).d,
     "square_class": square_class,
     "cup": lambda x: cup(x, -1),
     "hilbert_symbol": lambda x: hilbert_symbol(x, -1, 3),
@@ -342,16 +340,19 @@ def test_every_value_door_reads_ints_strings_and_fractions_alike(door):
 def test_forms_read_strings_and_fractions_exactly():
     for x in ("1/10", "0.1", Fraction(1, 10)):
         assert QForm((x,)).entries == (Fraction(1, 10),)
-        assert w1(QForm((x,))) == 10
+        assert form_class(QForm((x,))).disc == 10
         assert diagonalize([[x]]).entries == (Fraction(1, 10),)
 
 
 def test_w2_hand_values():
-    assert w2(QForm((Fraction(1), Fraction(1)))) == frozenset()
-    assert w2(QForm((Fraction(-1), Fraction(-1)))) == {2, INF}
-    assert w2(QForm((Fraction(2), Fraction(6)))) == {2, 3}
+    def w2(entries):
+        return form_class(QForm(entries)).places
+
+    assert w2((1, 1)) == frozenset()
+    assert w2((-1, -1)) == {2, INF}
+    assert w2((2, 6)) == {2, 3}
     # <1,-1> is hyperbolic: trivial invariant
-    assert w2(QForm((Fraction(1), Fraction(-1)))) == frozenset()
+    assert w2((1, -1)) == frozenset()
 
 
 def test_sw_algebra_identities_random():
@@ -385,11 +386,11 @@ def test_tensor_of_diagonal_forms():
 def test_diagonalize_known_grams():
     two = Fraction(2)
     q = diagonalize([[two, Fraction(0)], [Fraction(0), Fraction(6)]])
-    assert sorted(squarefree_part(e) for e in q.entries) == [2, 6]
+    assert sorted(square_class(e).d for e in q.entries) == [2, 6]
     # hyperbolic plane: [[0,1],[1,0]] ~ <1,-1> up to squares
     h = diagonalize([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
     assert signature(h) == (1, 1)
-    assert w1(h) == -1
+    assert form_class(h).disc == -1
     with pytest.raises(QuadraticError):
         diagonalize([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
 
@@ -408,9 +409,7 @@ def test_diagonalize_invariance_under_pivot_choice():
         except QuadraticError:
             continue
         q2 = diagonalize(m, rng=random.Random(rng.randint(0, 10**9)))
-        assert signature(q1) == signature(q2)
-        assert w1(q1) == w1(q2)
-        assert w2(q1) == w2(q2)
+        assert form_class(q1) == form_class(q2)
 
 
 def _fraction_diagonalize(gram, rng=None) -> QForm:
@@ -574,7 +573,7 @@ def test_form_class_accepts_a_binary_tuple_exactly_when_a_form_has_it():
     # class it refused would have raised in form_class)
     reached = {form_class(QForm((a, a * d)))
                for d in _SMALL_DISCS for a in range(-210, 211)
-               if a and squarefree_part(a) == a}
+               if a and square_class(a).d == a}
     for d in _SMALL_DISCS:
         for sig in ((2, 0), (1, 1), (0, 2)):
             for k in range(len(_SMALL_PLACES) + 1):
@@ -645,8 +644,9 @@ def _random_form(rng):
 
 
 def test_w2_matches_pairwise_cup_oracle():
-    # the pairwise route through the public cup, n(n-1)/2 cups where w2
-    # takes n - 1 cups of an entry with the product of those before it
+    # the pairwise route through the public cup, n(n-1)/2 cups where
+    # form_class takes n - 1 cups of an entry with the product of those
+    # before it
     rng = random.Random(83)
     small = [x for x in range(-30, 31) if x]
     forms = [_random_form(rng) for _ in range(60)]
@@ -657,7 +657,7 @@ def test_w2_matches_pairwise_cup_oracle():
         for i, a in enumerate(q.entries):
             for b in q.entries[i + 1:]:
                 expected ^= cup(a, b)
-        assert w2(q) == expected, q
+        assert form_class(q).places == expected, q
 
 
 def test_w2_factors_each_entry_once(monkeypatch):
@@ -675,12 +675,11 @@ def test_w2_factors_each_entry_once(monkeypatch):
         q = _random_form(rng)
         calls.clear()
         # w1 and w2 each factored every entry again, and so did each
-        # side of an isometry check; a form's class adds only its disc
-        w1(q)
-        w2(q)
+        # side of an isometry check; a form's class factors no disc, the
+        # product of the classes its entries hold
         assert form_class(q) == form_class(q)
         parts = sum(n > 1 for a in q.entries for n in (abs(a.numerator), a.denominator))
-        assert len(calls) <= parts + 1, (q, len(calls))
+        assert len(calls) == parts, (q, len(calls))
 
 
 def test_sw_rules_factor_only_a_and_the_disc_they_build(monkeypatch):
@@ -764,7 +763,7 @@ def test_cup_factors_each_argument_once_on_the_degree16_trace_form(monkeypatch):
         for b in q.entries[i + 1:]:
             total ^= cup(a, b)
     elapsed = time.perf_counter() - t0
-    assert total == w2(q)
+    assert total == form_class(q).places
     assert elapsed < 5, elapsed  # 0.1 s on a 2-core Xeon
 
 
@@ -780,7 +779,8 @@ def test_class_doors_answer_as_on_the_value():
             continue
         c = square_class(x)
         assert square_class(c) is c
-        assert c == (squarefree_part(x), frozenset(sympy.primefactors(squarefree_part(x))))
+        assert c == (c.d, frozenset(sympy.primefactors(c.d)))
+        assert c.d == math.prod(p ** (e % 2) for p, e in sympy.factorint(x).items())
         for s in (s_odd, s_even):
             assert s.scale(c) == s.scale(x)
         sig = (3, 0) if x > 0 else (2, 1)

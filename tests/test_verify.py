@@ -328,6 +328,8 @@ def test_jsonable_canonical_forms():
      "26f45f990a4b93686d460e49479e13fde4b8962b7b90d22165c258ab592c8f54"),
     (["suite", "--seed", "99"],
      "23c00a85ec1e9047fcda8626e71ec6410c93bdc3188d896c5a88ef3ee1c3c2f7"),
+    (["suite", "--seed", "1"],
+     "c58274daf240591613b52115bcf3c8162d6363146127ffb95e9e50cd9ba0c39d"),
 ])
 def test_suite_stdout_is_pinned(capsys, argv, digest):
     # "same behaviour" for a refactor: the suite's bytes do not move
