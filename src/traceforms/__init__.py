@@ -68,7 +68,7 @@ _EXPORTS = {
     "galois": ("EtaleAlg", "GaloisError", "MonicPoly", "algebra_disc",
                "classify_2group_trace_form", "trace_form", "trace_gram",
                "two_cyclic_sylow_orders", "verify_main",
-               "verify_two_cyclic_sylow", "verify_w1"),
+               "verify_two_cyclic_sylow"),
     "groups": ("Group", "catalog", "group_from_spec", "sylow2"),
     "quadratic": ("FormClass", "QForm", "cup", "diagonalize", "form_class",
                   "hilbert_symbol", "signature"),

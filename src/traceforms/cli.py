@@ -228,7 +228,7 @@ def _cmd_trace(args, A):
 
 def _cmd_classify(args, A, G):
     r = galois.classify_2group_trace_form(A, G)
-    form = _form_report(r["computed_class"])
+    form = _form_report(quadratic.form_class(r["trace_form"]))
     return {
         "w1": form["disc"],
         "w2_places": form["w2_places"],

@@ -6,8 +6,10 @@ factor) given by power sums of the roots, computed exactly from the
 coefficients by Newton's identities.  The theorem checks take a Galois
 algebra A with its group G and derive their premises from the pair: A
 is a power F^m of one field with deg A = |G|, it is a field when m = 1,
-and the shape of the Sylow 2-subgroup is read off G.  Every coefficient
-and multiplicity is read by `_integer`, by the package's integer rule.
+and the shape of the Sylow 2-subgroup is read off G.  Each check returns
+the row its `verify` statement prints, read off one class of one trace
+form, `form_class(trace_form(A))`.  Every coefficient and multiplicity
+is read by `_integer`, by the package's integer rule.
 """
 from __future__ import annotations
 
@@ -153,10 +155,10 @@ def trace_gram(f: MonicPoly) -> tuple[tuple[int, ...], ...]:
 
 class EtaleAlg:
     """Product of number fields Q[x]/(f_i), each with a multiplicity.  The
-    one door for an algebra: a factor is a MonicPoly or a list of its
-    coefficients, and every multiplicity and degree is read and bounded
-    before a polynomial is built, so an algebra past ALGEBRA_DEGREE_CAP
-    runs no separability test."""
+    one door for an algebra: a factor is a pair (a MonicPoly or a list of
+    its coefficients, a multiplicity), and every multiplicity and degree
+    is read and bounded before a polynomial is built, so an algebra past
+    ALGEBRA_DEGREE_CAP runs no separability test."""
 
     __slots__ = ("factors",)
 
@@ -164,6 +166,10 @@ class EtaleAlg:
         fs = tuple(factors)
         if not fs:
             raise GaloisError("algebra needs at least one factor")
+        for p in fs:
+            if not (isinstance(p, (tuple, list)) and len(p) == 2):
+                raise GaloisError(f"a factor must be a pair (polynomial, multiplicity), "
+                                  f"got {_quote(p)}")
         if not all(isinstance(f, (MonicPoly, list)) for f, _ in fs):
             raise GaloisError("factors must be monic polynomials")
         fs = tuple((f, _integer(m, "multiplicity")) for f, m in fs)
@@ -205,7 +211,9 @@ def trace_form(A: EtaleAlg) -> QForm:
 
 def algebra_disc(A: EtaleAlg) -> int:
     """Square class of the discriminant (the determinant of the trace
-    form), as a squarefree integer."""
+    form), as a squarefree integer, by the determinant route.  The theorem
+    checks read it off the form's class instead; this route is the tests'
+    independent check of that value."""
     d = square_class(1)
     for f, m in A.factors:
         if m % 2:
@@ -238,14 +246,6 @@ def _premise_failure(n: int, G: groups.Group) -> str | None:
     return None
 
 
-def disc_square_prediction(A: EtaleAlg, G: groups.Group) -> bool:
-    """Structural prediction of 'the discriminant is a square': true when
-    the regular action of the group is by even permutations, or when the
-    algebra is a power F^m with m even."""
-    _check_galois(A, G)
-    return groups.regular_rep_in_alternating(G) or A.factors[0][1] % 2 == 0
-
-
 def predicted_2group_form(n: int, real: bool, cyclic: bool, d: int) -> tuple[str, QForm]:
     """The predicted isometry class of the trace form of a degree-n
     Galois field whose group is a 2-group: four cases split by being
@@ -268,11 +268,12 @@ def predicted_2group_form(n: int, real: bool, cyclic: bool, d: int) -> tuple[str
 
 
 def classify_2group_trace_form(A: EtaleAlg, G: groups.Group) -> dict:
-    """Compare the computed trace form of a Galois field with 2-power
-    group against the predicted model form.  Preconditions: the algebra
-    is a field of degree 0 or 2 mod 8, the group is a 2-group whose
-    second cohomology has trivial involution-diagonal kernel, and the
-    signature is definite or balanced (anything else is a bad input)."""
+    """cor-numb2's row: the computed trace form of a Galois field with
+    2-power group, its disc class and the predicted model form, and
+    whether the two are isometric.  Preconditions: the algebra is a
+    field of degree 0 or 2 mod 8, the group is a 2-group whose second
+    cohomology has trivial involution-diagonal kernel, and the signature
+    is definite or balanced (anything else is a bad input)."""
     field = _check_galois(A, G)
     n = G.order
     if n & (n - 1):
@@ -294,41 +295,31 @@ def classify_2group_trace_form(A: EtaleAlg, G: groups.Group) -> dict:
         "case": case,
         "real": real,
         "cyclic": cyclic,
-        "computed": q,
-        "computed_class": c,
+        "disc": c.disc,
         "model": model,
+        "trace_form": q,
         "isometric": c == form_class(model),
     }
 
 
-def verify_w1(A: EtaleAlg, G: groups.Group) -> dict:
-    """Check that triviality of the discriminant class matches the
-    structural predicate (even regular action, or even multiplicity)."""
-    predicted = disc_square_prediction(A, G)
-    d = algebra_disc(A)
-    return {
-        "status": "pass" if (d == 1) == predicted else "fail",
-        "disc_class": d,
-        "disc_is_square": d == 1,
-        "predicted_square": predicted,
-    }
-
-
 def verify_main(A: EtaleAlg, G: groups.Group) -> dict:
-    """Check w2(trace form) == cup(2, disc).  Applies when the group has
-    trivial involution-diagonal kernel and the degree is 0 or 2 mod 8;
-    otherwise the check is skipped."""
+    """thm-main's row, read off one class of the trace form.  w2 is
+    checked against cup(2, disc) where the theorem applies (trivial
+    involution-diagonal kernel, degree 0 or 2 mod 8); elsewhere the
+    status is skipped, with its reason.  Every row also checks w1: the
+    disc class is trivial exactly when the structural predicate holds,
+    an even regular action of G, or A = F^m with m even."""
     _check_galois(A, G)
-    if reason := _premise_failure(A.degree, G):
-        return {"status": "skipped", "reason": reason}
+    reason = _premise_failure(A.degree, G)
     c = form_class(trace_form(A))
-    lhs = c.places
-    rhs = cup(2, c.disc_class)
-    return {
-        "status": "pass" if lhs == rhs else "fail",
-        "w2_places": lhs,
-        "cup_2_disc": rhs,
-    }
+    if reason:
+        row = {"status": "skipped", "reason": reason}
+    else:
+        rhs = cup(2, c.disc_class)
+        row = {"status": "pass" if c.places == rhs else "fail",
+               "w2_places": c.places, "cup_2_disc": rhs}
+    predicted = groups.regular_rep_in_alternating(G) or A.factors[0][1] % 2 == 0
+    return {**row, "disc_class": c.disc, "disc_predicate_agrees": (c.disc == 1) == predicted}
 
 
 def two_cyclic_sylow_orders(G: groups.Group) -> tuple[int, int] | None:
@@ -344,27 +335,23 @@ def two_cyclic_sylow_orders(G: groups.Group) -> tuple[int, int] | None:
     return P.order // o2, o2
 
 
-def verify_two_cyclic_sylow(A: EtaleAlg, G: groups.Group, d1: int, d2: int) -> dict:
-    """Check w2(trace form) against the two-cyclic-factor prediction.
-    The premise, a Sylow 2-subgroup Z/2^r1 x Z/2^r2 with r2 >= 2, is read
-    off G; when it fails the check is skipped."""
+def verify_two_cyclic_sylow(A: EtaleAlg, G: groups.Group, d1, d2) -> dict:
+    """two-cyclic-sylow's row: w2 of the trace form against the place
+    set predicted when the Sylow 2-subgroup is Z/2^r1 x Z/2^r2, whose two
+    factors have fixed fields of discriminant classes d1 (first factor
+    side) and d2 (second): cup(d1 d2, d2) when r1 = 1, else cup(d1, d2).
+    Each d is read by `square_class`.  The premise, r2 >= 2, is read off
+    G; when it fails the check is skipped."""
     _check_galois(A, G)
+    c1, c2 = square_class(d1), square_class(d2)
     orders = two_cyclic_sylow_orders(G)
     if orders is None or orders[1] < 4:
         return {"status": "skipped",
                 "reason": "Sylow 2-subgroup is not Z/2^r1 x Z/2^r2 with r2 >= 2"}
-    predicted = two_cyclic_sylow_w2_prediction(d1, d2, orders[0] == 2)
+    predicted = cup(sqclass_mul(c1, c2) if orders[0] == 2 else c1, c2)
     actual = form_class(trace_form(A)).places
     return {
         "status": "pass" if actual == predicted else "fail",
         "w2_places": actual,
         "predicted_places": predicted,
     }
-
-
-def two_cyclic_sylow_w2_prediction(d1: int, d2: int, r1_is_1: bool) -> frozenset:
-    """Predicted place set of the trace form when the group's Sylow
-    2-subgroup is Z/2^r1 x Z/2^r2: the fixed fields of the two factors
-    have discriminant classes d1 (first factor side) and d2 (second),
-    and the shape depends on whether the first factor has order 2."""
-    return cup(d1 * d2 if r1_is_1 else d1, d2)

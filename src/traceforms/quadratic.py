@@ -429,7 +429,16 @@ class FormClass:
         c = square_class(disc)
         if c is not disc and c.d != disc:
             raise QuadraticError("disc must be a squarefree integer")
-        signature, d, places = tuple(signature), c.d, frozenset(places)
+        try:
+            signature = tuple(signature)
+        except TypeError:
+            raise QuadraticError(
+                f"signature must be a pair (r, s), got {_quote(signature)}") from None
+        try:
+            places = frozenset(places)
+        except TypeError:
+            raise QuadraticError(f"places must be a set of places, got {_quote(places)}") from None
+        d = c.d
         r, s = signature if len(signature) == 2 else (None, None)
         for v in places:
             check_place(v)

@@ -194,18 +194,9 @@ _MAIN_FIXTURES = ("multiquadratic_real", "multiquadratic_imaginary",
 def run_thm_main(seed: int) -> _Claim:
     """w2 of the trace form equals cup(2, disc) on the octic fields, and
     triviality of the disc class matches the structural predicate."""
-    computed = {}
-    for name in _MAIN_FIXTURES:
-        fx = fixtures.BY_NAME[name]
-        rep = galois.verify_main(fx.algebra, fx.group)
-        repw = galois.verify_w1(fx.algebra, fx.group)
-        computed[name] = {
-            "status": rep["status"],
-            "w2_places": rep.get("w2_places"),
-            "cup_2_disc": rep.get("cup_2_disc"),
-            "disc_class": repw["disc_class"],
-            "disc_predicate_agrees": repw["status"] == "pass",
-        }
+    computed = {name: galois.verify_main(fixtures.BY_NAME[name].algebra,
+                                         fixtures.BY_NAME[name].group)
+                for name in _MAIN_FIXTURES}
     return _Claim(
         {"fixtures": list(_MAIN_FIXTURES)}, computed,
         {name: {"status": "pass", "disc_predicate_agrees": True}
@@ -218,19 +209,9 @@ _NUMB2_FIXTURES = ("multiquadratic_real", "dihedral8_imaginary", "cyclic8_real",
 
 
 def run_cor_numb2(seed: int) -> _Claim:
-    computed = {}
-    for name in _NUMB2_FIXTURES:
-        fx = fixtures.BY_NAME[name]
-        r = galois.classify_2group_trace_form(fx.algebra, fx.group)
-        computed[name] = {
-            "case": r["case"],
-            "real": r["real"],
-            "cyclic": r["cyclic"],
-            "disc": r["computed_class"].disc,
-            "model": r["model"],
-            "trace_form": r["computed"],
-            "isometric": r["isometric"],
-        }
+    computed = {name: galois.classify_2group_trace_form(fixtures.BY_NAME[name].algebra,
+                                                        fixtures.BY_NAME[name].group)
+                for name in _NUMB2_FIXTURES}
     expected = {name: {"case": fixtures.BY_NAME[name].case, "isometric": True}
                 for name in _NUMB2_FIXTURES}
     return _Claim(

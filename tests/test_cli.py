@@ -283,7 +283,7 @@ def test_form_verbs_factor_each_entry_once(capsys, monkeypatch, argv, poly, spec
             bound = _entry_parts(galois.trace_form(A))
         else:
             r = galois.classify_2group_trace_form(A, groups.group_from_spec(spec))
-            bound = _entry_parts(r["computed"], r["model"])
+            bound = _entry_parts(r["trace_form"], r["model"])
     calls = []
     real = quadratic.factorint
 

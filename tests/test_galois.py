@@ -11,7 +11,6 @@ from traceforms.galois import (
     MonicPoly,
     algebra_disc,
     classify_2group_trace_form,
-    disc_square_prediction,
     power_sums,
     predicted_2group_form,
     trace_form,
@@ -19,12 +18,12 @@ from traceforms.galois import (
     two_cyclic_sylow_orders,
     verify_main,
     verify_two_cyclic_sylow,
-    verify_w1,
 )
 from traceforms import galois
-from traceforms.groups import catalog, group_from_spec, sylow2
+from traceforms.groups import catalog, group_from_spec, regular_rep_in_alternating, sylow2
 from traceforms.quadratic import (
     QForm,
+    QuadraticError,
     cup,
     form_class,
     signature,
@@ -337,40 +336,61 @@ def test_unit_form_for_multiquadratic_octic():
     assert form_class(q) == form_class(QForm(tuple(Fraction(1) for _ in range(8))))
 
 
-def test_disc_square_prediction_branches():
+def test_verify_main_disc_predicate_branches():
     # regular rep of (Z/2)^2 is even: square disc predicted and observed
     G = catalog("elem_abelian_2", 2)
     A = EtaleAlg.field(MonicPoly((1, 0, -10, 0, 1)))
-    assert disc_square_prediction(A, G)
-    assert algebra_disc(A) == 1
+    rep = verify_main(A, G)
+    assert rep["disc_class"] == algebra_disc(A) == 1 and rep["disc_predicate_agrees"]
     # cyclic C2: odd regular rep, nonsquare disc
     G2 = catalog("cyclic", 2)
     A2 = EtaleAlg.field(MonicPoly((1, 0, -3)))
-    assert not disc_square_prediction(A2, G2)
-    assert algebra_disc(A2) != 1
+    rep = verify_main(A2, G2)
+    assert rep["disc_class"] == algebra_disc(A2) == 3 and rep["disc_predicate_agrees"]
     # even power of a field: square disc though sylow is cyclic
     G3 = catalog("cyclic", 4)
     A3 = EtaleAlg(((MonicPoly((1, 0, -3)), 2),))
-    assert disc_square_prediction(A3, G3)
-    assert algebra_disc(A3) == 1
+    rep = verify_main(A3, G3)
+    assert rep["disc_class"] == algebra_disc(A3) == 1 and rep["disc_predicate_agrees"]
 
 
-def test_verify_w1_examples():
+def test_verify_main_w1_examples():
     from traceforms import fixtures
     fx = fixtures.MULTIQUADRATIC_REAL
-    rep = verify_w1(fx.algebra, fx.group)
-    assert rep["status"] == "pass" and rep["disc_class"] == 1
-    # real C4 quartic: nontrivial disc, cyclic sylow, predicate false
+    rep = verify_main(fx.algebra, fx.group)
+    assert rep["disc_predicate_agrees"] and rep["disc_class"] == 1
+    # real C4 quartic: nontrivial disc, cyclic sylow, predicate false, so
+    # they agree; degree 4 skips the w2 half but keeps the w1 half
     G = catalog("cyclic", 4)
     A = EtaleAlg.field(MonicPoly((1, 0, -4, 0, 2)))
-    rep = verify_w1(A, G)
-    assert rep["status"] == "pass"
-    assert rep["disc_class"] == 2 and not rep["predicted_square"]
+    assert verify_main(A, G) == {"status": "skipped", "reason": "degree 4 is not 0 or 2 mod 8",
+                                 "disc_class": 2, "disc_predicate_agrees": True}
     # quadratic field: w1 = d
     G2 = catalog("cyclic", 2)
     for d in (3, -1, 6):
         A2 = EtaleAlg.field(MonicPoly((1, 0, -d)))
-        assert verify_w1(A2, G2)["disc_class"] == d
+        assert verify_main(A2, G2)["disc_class"] == d
+
+
+def test_skipped_row_carries_the_w1_half():
+    # the multiquadratic octic under Q8, which is not 2-reduced: w2 is
+    # skipped, but w1 is still read off the form and checked
+    from traceforms import fixtures
+    A = fixtures.MULTIQUADRATIC_REAL.algebra
+    assert verify_main(A, catalog("quaternion8")) == {
+        "status": "skipped", "reason": "group fails the trivial-kernel condition",
+        "disc_class": 1, "disc_predicate_agrees": True}
+
+
+def test_verify_main_refuses_past_h2_cap_before_any_gram(monkeypatch):
+    # the premise test reaches H2_CAP first: no trace Gram is built
+    from traceforms import cohomology
+    grams = []
+    monkeypatch.setattr(galois, "trace_gram", lambda f: grams.append(f))
+    A = EtaleAlg(((MonicPoly((1, -1)), 72),))
+    with pytest.raises(cohomology.CohomologyError, match="H2_CAP = 64"):
+        verify_main(A, catalog("cyclic", 72))
+    assert grams == []
 
 
 def test_verify_main_gates_and_degree_2():
@@ -401,11 +421,23 @@ def test_verify_main_takes_disc_from_the_form(monkeypatch):
                         lambda A: calls.append(A) or real(A))
     for name in _MAIN_FIXTURES:
         A, G = fixtures.BY_NAME[name].algebra, fixtures.BY_NAME[name].group
-        lhs, rhs = form_class(trace_form(A)).places, cup(2, real(A))
+        d = real(A)
+        lhs, rhs = form_class(trace_form(A)).places, cup(2, d)
         assert verify_main(A, G) == {
             "status": "pass" if lhs == rhs else "fail",
-            "w2_places": lhs, "cup_2_disc": rhs}, name
+            "w2_places": lhs, "cup_2_disc": rhs, "disc_class": d,
+            "disc_predicate_agrees": (d == 1) == regular_rep_in_alternating(G)}, name
     assert calls == []
+
+
+def test_thm_main_eliminates_each_octic_once(monkeypatch):
+    # verify_w1 took the disc by a second elimination, the determinant
+    # route: 8 calls on the four octics where one class of one form is 4
+    from traceforms import verify
+    real, calls = galois._bareiss, []
+    monkeypatch.setattr(galois, "_bareiss", lambda *a: calls.append(a) or real(*a))
+    assert verify.run_statement("thm-main").verdict == "pass"
+    assert len(calls) == 4
 
 
 def test_verify_main_on_all_octic_fixtures():
@@ -474,7 +506,8 @@ def test_classify_rejects_wrong_degree_and_groups():
              "degree 4 is not 0 or 2 mod 8"),
             (fixtures.MULTIQUADRATIC_REAL.algebra, catalog("quaternion8"),
              "group fails the trivial-kernel condition")]:
-        assert verify_main(A, G) == {"status": "skipped", "reason": reason}
+        row = verify_main(A, G)
+        assert (row["status"], row["reason"]) == ("skipped", reason)
         with pytest.raises(GaloisError) as info:
             classify_2group_trace_form(A, G)
         assert str(info.value) == reason
@@ -513,6 +546,27 @@ def test_two_cyclic_sylow_reports():
     assert rep["status"] == "skipped"
 
 
+@pytest.mark.parametrize("d1, error", [
+    ("3", None),
+    (True, "True is not an exact rational; pass an int, a Fraction or a string"),
+    (2.5, "2.5 is not an exact rational; pass an int, a Fraction or a string"),
+])
+def test_two_cyclic_sylow_reads_each_class(d1, error):
+    # d1 * d2 was taken before either was read: "3" * 2 became "33" (a
+    # fail, with places {3, 11}), True counted as 1 and 2.5 was quoted 5.0
+    from traceforms import fixtures
+    fx = fixtures.COMPOSITUM_C2XC4
+    if error is None:
+        assert (verify_two_cyclic_sylow(fx.algebra, fx.group, d1, 2)
+                == verify_two_cyclic_sylow(fx.algebra, fx.group, 3, 2)
+                == {"status": "pass", "w2_places": frozenset({2, 3}),
+                    "predicted_places": frozenset({2, 3})})
+        return
+    with pytest.raises(QuadraticError) as info:
+        verify_two_cyclic_sylow(fx.algebra, fx.group, d1, 2)
+    assert str(info.value) == error
+
+
 def test_check_galois_rejects_degree_mismatch_and_products():
     G = catalog("cyclic", 4)
     with pytest.raises(GaloisError, match="algebra degree 2 != group order 4"):
@@ -533,7 +587,7 @@ def test_product_of_several_fields_is_not_galois():
     # Q(sqrt2) x Q(sqrt3) x Q(sqrt5) x Q(sqrt7) has degree 8 = |C2^3| but
     # is not a power of one field: no theorem check applies to it
     A, G = _quartic_product(), catalog("elem_abelian_2", 3)
-    for check in (verify_main, verify_w1, classify_2group_trace_form):
+    for check in (verify_main, classify_2group_trace_form):
         with pytest.raises(GaloisError, match="power of a single field"):
             check(A, G)
     with pytest.raises(GaloisError, match="power of a single field"):

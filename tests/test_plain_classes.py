@@ -70,6 +70,11 @@ _ERRORS = [
      "disc must be a squarefree integer"),
     (lambda: quadratic.FormClass(1, (1, 0), 0.5, frozenset()), quadratic.QuadraticError,
      "0.5 is not an exact rational; pass an int, a Fraction or a string"),
+    # a bare int for the places or the signature was a TypeError from Python
+    (lambda: quadratic.FormClass(2, (1, 1), -1, 3), quadratic.QuadraticError,
+     "places must be a set of places, got 3"),
+    (lambda: quadratic.FormClass(2, 5, -1, ()), quadratic.QuadraticError,
+     "signature must be a pair (r, s), got 5"),
     # the old TruncatedSW(3, -105, {3}) fixture: one place breaks reciprocity
     (lambda: quadratic.FormClass(3, (2, 1), -105, {3}), quadratic.QuadraticError,
      "no form over Q has rank 3, signature (2, 1), disc -105 and places frozenset({3}): "
@@ -102,6 +107,9 @@ _ERRORS = [
      "multiplicities must be positive"),
     (lambda: galois.EtaleAlg((((1, 0, -7), 1),)), galois.GaloisError,
      "factors must be monic polynomials"),
+    # a bare coefficient list, not a pair, was a ValueError from unpacking
+    (lambda: galois.EtaleAlg([[1, 0, -2]]), galois.GaloisError,
+     "a factor must be a pair (polynomial, multiplicity), got [1, 0, -2]"),
     (lambda: cohomology.Cocycle2(C2, 1 << 4), cohomology.CohomologyError,
      "cocycle bits out of range"),
     (lambda: cohomology.Cocycle2(C2, -1), cohomology.CohomologyError,

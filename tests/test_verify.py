@@ -46,6 +46,22 @@ def test_reports_serialize_to_json():
         assert "runtime_seconds" in r.as_dict(include_runtime=True)
 
 
+def test_a_check_returns_the_row_its_statement_prints():
+    # the runners renamed and regrouped the checks' keys before printing
+    from traceforms import galois
+    by, fx = fixtures.BY_NAME, fixtures.COMPOSITUM_C2XC4
+    rows = [("thm-main", name, galois.verify_main(by[name].algebra, by[name].group))
+            for name in verify._MAIN_FIXTURES]
+    rows += [("cor-numb2", name,
+              galois.classify_2group_trace_form(by[name].algebra, by[name].group))
+             for name in verify._NUMB2_FIXTURES]
+    rows.append(("two-cyclic-sylow", "compositum", galois.verify_two_cyclic_sylow(
+        fx.algebra, fx.group, fixtures.COMPOSITUM_D1, fixtures.COMPOSITUM_D2)))
+    printed = {s: run_statement(s).as_dict()["computed"] for s, _, _ in rows}
+    for statement, key, row in rows:
+        assert jsonable(row) == printed[statement][key], (statement, key)
+
+
 def test_property_suites_deterministic_across_calls():
     r1 = run_statement("property-suites", DEFAULT_SEED)
     r2 = run_statement("property-suites", DEFAULT_SEED)
