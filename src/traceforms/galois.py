@@ -8,8 +8,12 @@ algebra A with its group G and derive their premises from the pair: A
 is a power F^m of one field with deg A = |G|, it is a field when m = 1,
 and the shape of the Sylow 2-subgroup is read off G.  Each check returns
 the row its `verify` statement prints, read off one class of one trace
-form, `form_class(trace_form(A))`.  Every coefficient and multiplicity
-is read by `_integer`, by the package's integer rule.
+form, `form_class(trace_form(A))`.  The theorem's two checks are written
+once, in `_theorem_row`: `verify_main` returns its row, and
+`classify_2group_trace_form` (the `classify` verb and cor-numb2) takes
+its verdict from it; the hand-typed model form is only printed.  Every
+coefficient, multiplicity, degree and disc is read by `_integer`, by the
+package's integer rule.
 """
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ from fractions import Fraction
 
 from . import _as_int, _DigitLimit, _quote, cohomology, groups
 from .quadratic import (
+    FormClass,
     QForm,
     _bareiss,
     cup,
@@ -106,6 +111,9 @@ class MonicPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
+        # a string has a length too, and would be read one digit at a time
+        if not isinstance(coeffs, (list, tuple)):
+            raise GaloisError(f"coefficients must be a list or tuple, got {_quote(coeffs)}")
         _check_degree("polynomial", len(coeffs) - 1)
         cs = tuple(_integer(c, "coefficient") for c in coeffs)
         if len(cs) < 2:
@@ -163,6 +171,8 @@ class EtaleAlg:
     __slots__ = ("factors",)
 
     def __init__(self, factors):
+        if not isinstance(factors, (list, tuple)):
+            raise GaloisError(f"factors must be a list or tuple, got {_quote(factors)}")
         fs = tuple(factors)
         if not fs:
             raise GaloisError("algebra needs at least one factor")
@@ -247,10 +257,13 @@ def _premise_failure(n: int, G: groups.Group) -> str | None:
 
 
 def predicted_2group_form(n: int, real: bool, cyclic: bool, d: int) -> tuple[str, QForm]:
-    """The predicted isometry class of the trace form of a degree-n
-    Galois field whose group is a 2-group: four cases split by being
-    totally real and by the group being cyclic.  d is the squarefree
-    discriminant class."""
+    """The case and the hand-typed model form of the trace form of a
+    degree-n Galois field whose group is a 2-group: four cases split by
+    being totally real and by the group being cyclic.  d is the
+    discriminant class.  n and d are read by `_integer`.  The model is
+    printed beside a verdict, and decides none: the tests keep it as an
+    oracle of the theorem's rule."""
+    n, d = _integer(n, "degree"), _integer(d, "disc")
     if n < 1 or n & (n - 1):
         raise GaloisError("degree must be a power of two")
     one = Fraction(1)
@@ -267,13 +280,30 @@ def predicted_2group_form(n: int, real: bool, cyclic: bool, d: int) -> tuple[str
     return "iv", QForm((one, -one) * m + (lead, Fraction(2 * d)))
 
 
+def _theorem_row(A: EtaleAlg, G: groups.Group, c: FormClass, reason: str | None) -> dict:
+    """thm-main's row from the class c of A's trace form.  Where the
+    premise holds (reason is None), w2 is checked against cup(2, disc);
+    elsewhere the status is skipped, with its reason.  Every row also
+    checks w1: the disc class is trivial exactly when the structural
+    predicate holds, an even regular action of G, or A = F^m with m even."""
+    if reason:
+        row = {"status": "skipped", "reason": reason}
+    else:
+        rhs = cup(2, c.disc_class)
+        row = {"status": "pass" if c.places == rhs else "fail",
+               "w2_places": c.places, "cup_2_disc": rhs}
+    predicted = groups.regular_rep_in_alternating(G) or A.factors[0][1] % 2 == 0
+    return {**row, "disc_class": c.disc, "disc_predicate_agrees": (c.disc == 1) == predicted}
+
+
 def classify_2group_trace_form(A: EtaleAlg, G: groups.Group) -> dict:
     """cor-numb2's row: the computed trace form of a Galois field with
-    2-power group, its disc class and the predicted model form, and
-    whether the two are isometric.  Preconditions: the algebra is a
-    field of degree 0 or 2 mod 8, the group is a 2-group whose second
-    cohomology has trivial involution-diagonal kernel, and the signature
-    is definite or balanced (anything else is a bad input)."""
+    2-power group, its disc class, the case and its model form, and the
+    theorem's verdict on the pair, thm-main's two checks (`_theorem_row`).
+    Preconditions: the algebra is a field of degree 0 or 2 mod 8, the
+    group is a 2-group whose second cohomology has trivial
+    involution-diagonal kernel, and the signature is definite or balanced
+    (anything else is a bad input)."""
     field = _check_galois(A, G)
     n = G.order
     if n & (n - 1):
@@ -291,6 +321,7 @@ def classify_2group_trace_form(A: EtaleAlg, G: groups.Group) -> dict:
     cyclic = G.is_cyclic()
     c = form_class(q)
     case, model = predicted_2group_form(n, real, cyclic, c.disc)
+    row = _theorem_row(A, G, c, None)
     return {
         "case": case,
         "real": real,
@@ -298,28 +329,16 @@ def classify_2group_trace_form(A: EtaleAlg, G: groups.Group) -> dict:
         "disc": c.disc,
         "model": model,
         "trace_form": q,
-        "isometric": c == form_class(model),
+        "isometric": row["status"] == "pass" and row["disc_predicate_agrees"],
     }
 
 
 def verify_main(A: EtaleAlg, G: groups.Group) -> dict:
-    """thm-main's row, read off one class of the trace form.  w2 is
-    checked against cup(2, disc) where the theorem applies (trivial
-    involution-diagonal kernel, degree 0 or 2 mod 8); elsewhere the
-    status is skipped, with its reason.  Every row also checks w1: the
-    disc class is trivial exactly when the structural predicate holds,
-    an even regular action of G, or A = F^m with m even."""
+    """thm-main's row (`_theorem_row`), read off one class of the trace
+    form, after the Galois check and the premise test."""
     _check_galois(A, G)
     reason = _premise_failure(A.degree, G)
-    c = form_class(trace_form(A))
-    if reason:
-        row = {"status": "skipped", "reason": reason}
-    else:
-        rhs = cup(2, c.disc_class)
-        row = {"status": "pass" if c.places == rhs else "fail",
-               "w2_places": c.places, "cup_2_disc": rhs}
-    predicted = groups.regular_rep_in_alternating(G) or A.factors[0][1] % 2 == 0
-    return {**row, "disc_class": c.disc, "disc_predicate_agrees": (c.disc == 1) == predicted}
+    return _theorem_row(A, G, form_class(trace_form(A)), reason)
 
 
 def two_cyclic_sylow_orders(G: groups.Group) -> tuple[int, int] | None:

@@ -254,6 +254,39 @@ def test_classify_verb(capsys):
     assert data["w1"] == 2
 
 
+@pytest.mark.parametrize("spec", ["cyclic:8", "elem_abelian_2:3", "dihedral:8"])
+def test_classify_takes_thm_mains_verdict(capsys, spec):
+    # the five octics under each label of order 8.  Three mislabels with a
+    # square disc, which no C8 field has, passed (exit 0) when classify
+    # compared with the model form and did not check w1: multiquadratic_real,
+    # multiquadratic_imaginary and dihedral8_imaginary under cyclic:8
+    from traceforms import fixtures
+    G = groups.group_from_spec("catalog:" + spec)
+    for fx in fixtures.OCTIC_FIXTURES:
+        row = galois.verify_main(fx.algebra, G)
+        verdict = row["status"] == "pass" and row["disc_predicate_agrees"]
+        code, out, err = run_cli(capsys, "classify", "--poly",
+                                 ",".join(map(str, fx.poly.coeffs)), "--group", "catalog:" + spec)
+        assert (code, err, json.loads(out)["verdict"]) == (0 if verdict else 1, "", verdict)
+        # w2 = cup(2, disc) holds on all five, so w1 decides: a square
+        # disc exactly under a non-cyclic label
+        assert verdict == ((fx.disc_class == 1) != (spec == "cyclic:8")), fx.name
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--poly", "1,0,0,0,0,0,0,0,0,0,-3", "--group", "catalog:dihedral:10"],
+     "group order must be a power of two"),
+    (["--algebra", '[{"poly":[1,0,-3],"multiplicity":4}]',
+      "--group", "catalog:elem_abelian_2:3"],
+     "classification needs a field, not a product"),
+    (["--poly", "1,0,0,0,0,0,0,0,-2", "--group", "catalog:cyclic:8"],
+     "signature (5, 3) is neither definite nor balanced"),
+], ids=["order", "product", "signature"])
+def test_classify_refusals_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, "classify", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def _entry_parts(*forms):
     """Numerators and denominators > 1 among the forms' entries."""
     return sum(n > 1 for q in forms for a in q.entries
@@ -274,16 +307,17 @@ _MULTIQUADRATIC = (1, 0, -40, 0, 352, 0, -960, 0, 576)
 def test_form_verbs_factor_each_entry_once(capsys, monkeypatch, argv, poly, spec):
     # w1 and w2 of one form each factored its entries, and classify's
     # isometry check factored them again: 12, 24, 60 and 44 factorint
-    # calls where the entries have 6, 12, 12 and 10 parts
+    # calls where the entries have 6, 12, 12 and 10 parts.  classify then
+    # factored its model form's entries too; it now factors the trace
+    # form's parts and the 2 of cup(2, disc), each once, as verify_main does
+    parts = None
     if poly is None:
         bound = _entry_parts(quadratic.QForm(("3", "5/7", "-11", "13/2")))
     else:
-        A = galois.EtaleAlg(((galois.MonicPoly(poly), 1),))
-        if spec is None:
-            bound = _entry_parts(galois.trace_form(A))
-        else:
-            r = galois.classify_2group_trace_form(A, groups.group_from_spec(spec))
-            bound = _entry_parts(r["trace_form"], r["model"])
+        q = galois.trace_form(galois.EtaleAlg(((galois.MonicPoly(poly), 1),)))
+        bound = _entry_parts(q)
+        if spec is not None:
+            parts = [n for a in q.entries for n in (abs(a.numerator), a.denominator) if n > 1]
     calls = []
     real = quadratic.factorint
 
@@ -294,7 +328,10 @@ def test_form_verbs_factor_each_entry_once(capsys, monkeypatch, argv, poly, spec
     monkeypatch.setattr(quadratic, "factorint", counting)
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert len(calls) <= bound, (len(calls), bound)
+    if parts is None:
+        assert len(calls) <= bound, (len(calls), bound)
+    else:
+        assert sorted(calls) == sorted(parts + [2])
 
 
 def test_verify_verb(capsys):

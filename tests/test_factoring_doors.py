@@ -320,3 +320,27 @@ def test_only_cohomology_reads_or_writes_a_cochains_bits():
                 and ast.unparse(n.args[1]).strip("'\"").endswith("b"))
 
     assert {f for mod, f in _owners(bit_text) if mod == "cli"} == set()
+
+
+def test_no_verdict_reads_a_hand_model():
+    # classify decided the theorem by form_class(model) == form_class(q),
+    # a second route beside thm-main's two checks, and never checked w1;
+    # the model form is only printed, so its entries are never factored
+    assert _owners(lambda n: isinstance(n, ast.Call)
+                   and "predicted_2group_form" in _named(n.func)) == {
+        ("galois", "classify_2group_trace_form")}
+    applied = []
+    for path in sorted(PKG.glob("*.py")):
+        tree = _tree(path.stem)
+        # the names bound to the model's result, and its "model" key
+        held = {t.id for n in ast.walk(tree) if isinstance(n, ast.Assign)
+                and "predicted_2group_form" in _named(n.value)
+                for target in n.targets for t in ast.walk(target) if isinstance(t, ast.Name)}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and "form_class" in _named(n.func):
+                args = ast.Tuple(n.args + [k.value for k in n.keywords])
+                if (_named(args) & (held | {"predicted_2group_form"})
+                        or any(isinstance(s, ast.Constant) and s.value == "model"
+                               for s in ast.walk(args))):
+                    applied.append(f"{path.name}:{n.lineno}")
+    assert applied == []

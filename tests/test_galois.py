@@ -22,6 +22,7 @@ from traceforms.galois import (
 from traceforms import galois
 from traceforms.groups import catalog, group_from_spec, regular_rep_in_alternating, sylow2
 from traceforms.quadratic import (
+    FormClass,
     QForm,
     QuadraticError,
     cup,
@@ -495,6 +496,61 @@ def test_classification_cases_and_models():
     assert m4b.entries[2] == Fraction(-2)   # n/2-1 = 1 is odd
     _, m4c = predicted_2group_form(2, real=False, cyclic=True, d=-1)
     assert m4c.entries == (Fraction(2), Fraction(-2))  # n/2-1 = 0 is even
+
+
+def test_predicted_form_reads_degree_and_disc_as_integers():
+    # 2 * "3" was "33", and 2 * 2.5 was 5.0, before d was read
+    assert predicted_2group_form(8, True, True, "3") == predicted_2group_form(8, True, True, 3)
+    assert predicted_2group_form("8", True, True, 3)[1].entries[:2] == (2, 6)
+    for n in (0, 6, -8):
+        with pytest.raises(GaloisError, match="^degree must be a power of two$"):
+            predicted_2group_form(n, True, True, 1)
+
+
+def _classes(n: int, bound: int):
+    """Every class of rank n with signature (n, 0) or (n/2, n/2), squarefree
+    disc |d| <= bound, and places within inf, 2, 3, 5, 7 and the primes of
+    d, that some form over Q has: FormClass refuses the rest."""
+    sigs = [(n, 0)] + ([(n // 2, n // 2)] if n % 2 == 0 else [])
+    out = []
+    for sig in sigs:
+        for a in range(1, bound + 1):
+            d = -a if sig[1] % 2 else a
+            if square_class(d).d != d:
+                continue
+            pool = sorted({2, 3, 5, 7} | set(sympy.primefactors(a))) + ["inf"]
+            for mask in range(1 << len(pool)):
+                places = {v for i, v in enumerate(pool) if mask >> i & 1}
+                try:
+                    out.append(FormClass(n, sig, d, places))
+                except QuadraticError:
+                    pass
+    return out
+
+
+def test_model_forms_agree_with_the_theorem_but_on_cyclic_square_discs():
+    # the hand models are the tests' oracle of the theorem's verdict: over
+    # 714 classes they agree but on a cyclic group with a square disc,
+    # which w1 refuses (no cyclic 2-group of order > 1 acts evenly) and
+    # the model of case iii or iv still matches at the trivial w2
+    disagree = []
+    for n, bound in ((1, 1), (2, 30), (8, 15), (16, 15), (32, 10)):
+        A = EtaleAlg.field(MonicPoly((1,) + (0,) * (n - 1) + (-2,)))
+        labels = [(True, catalog("cyclic", n))]
+        if n >= 4:
+            labels.append((False, catalog("elem_abelian_2", n.bit_length() - 1)))
+        for c in _classes(n, bound):
+            real = c.signature == (n, 0)
+            for cyclic, G in labels:
+                row = galois._theorem_row(A, G, c, None)
+                theorem = row["status"] == "pass" and row["disc_predicate_agrees"]
+                model = c == form_class(predicted_2group_form(n, real, cyclic, c.disc)[1])
+                if theorem != model:
+                    assert cyclic and c.disc == 1 and not theorem, c
+                    disagree.append(c)
+    # a balanced quadratic field has a negative disc
+    assert disagree == [FormClass(n, sig, 1, ()) for n in (2, 8, 16, 32)
+                        for sig in ((n, 0), (n // 2, n // 2)) if sig != (1, 1)]
 
 
 def test_classify_rejects_wrong_degree_and_groups():

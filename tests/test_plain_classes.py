@@ -110,6 +110,21 @@ _ERRORS = [
     # a bare coefficient list, not a pair, was a ValueError from unpacking
     (lambda: galois.EtaleAlg([[1, 0, -2]]), galois.GaloisError,
      "a factor must be a pair (polynomial, multiplicity), got [1, 0, -2]"),
+    # a string has a length: "12" was read one digit at a time, as x + 2;
+    # 5 and None were a bare TypeError from len() or tuple()
+    (lambda: galois.MonicPoly("12"), galois.GaloisError,
+     "coefficients must be a list or tuple, got '12'"),
+    (lambda: galois.MonicPoly(5), galois.GaloisError,
+     "coefficients must be a list or tuple, got 5"),
+    (lambda: galois.EtaleAlg(5), galois.GaloisError,
+     "factors must be a list or tuple, got 5"),
+    (lambda: galois.EtaleAlg(None), galois.GaloisError,
+     "factors must be a list or tuple, got None"),
+    # 2 * 2.5 built the model <2, 5, ...>, and a degree of True was 1
+    (lambda: galois.predicted_2group_form(8, True, True, 2.5), galois.GaloisError,
+     "disc must be an integer, got 2.5"),
+    (lambda: galois.predicted_2group_form(True, True, True, 1), galois.GaloisError,
+     "degree must be an integer, got True"),
     (lambda: cohomology.Cocycle2(C2, 1 << 4), cohomology.CohomologyError,
      "cocycle bits out of range"),
     (lambda: cohomology.Cocycle2(C2, -1), cohomology.CohomologyError,
