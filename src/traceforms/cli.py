@@ -290,10 +290,6 @@ def _algebra_options(p):
     src.add_argument("--algebra", help="JSON list of {poly, multiplicity} (or @file)")
 
 
-def _acting_group_option(p):
-    p.add_argument("--group", required=True, help="acting group spec")
-
-
 def _statement_option(p):
     # an unknown name is refused by run_statement, with the list (exit 2);
     # the list is left unwrapped: help text would break at its hyphens
@@ -333,8 +329,8 @@ _VERBS = {
              None, _cmd_form),
     "trace": ("trace-form invariants of an étale algebra", (_algebra_options,), True,
               None, _cmd_trace),
-    "classify": ("match a 2-group trace form against the four model shapes",
-                 (_algebra_options, _acting_group_option), True, (cohomology, "H2_CAP"),
+    "classify": ("the main theorem's verdict on a 2-group trace form",
+                 (_algebra_options, _group_option), True, (cohomology, "H2_CAP"),
                  _cmd_classify),
     "verify": ("run one verification statement", (_statement_option, _seed_options),
                False, None, _cmd_reports),

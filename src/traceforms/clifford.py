@@ -230,22 +230,17 @@ def pin_lift(p: perms.Perm, n: int | None = None) -> tuple[int, dict[int, int]]:
 
 def involution_square_sign(n: int) -> int:
     """Square of the pin lift of (0 1)(2 3)...(n-2 n-1) on n coordinates,
-    decided by one word sign and cross-checked against the closed form
-    +1 iff n = 0, 2 mod 8.  It is the square at every fixed-point-free
-    involution t = s (0 1)...(n-2 n-1) s^-1: lift(s) lift((0 1)...)
-    lift(s)^-1 is +-lift(t), twisted conjugation being a homomorphism
-    with kernel +-1, and x^2 = +-1 is central.  Left translation by an
-    involution of G has no fixed point (tx = x forces t = e), so
-    s_map(pin_cocycle(G)) is this one sign at every involution."""
+    decided by one word sign; the prop-lift2 statement checks it against
+    the closed form +1 iff n = 0, 2 mod 8.  It is the square at every
+    fixed-point-free involution t = s (0 1)...(n-2 n-1) s^-1: lift(s)
+    lift((0 1)...) lift(s)^-1 is +-lift(t), twisted conjugation being a
+    homomorphism with kernel +-1, and x^2 = +-1 is central.  Left
+    translation by an involution of G has no fixed point (tx = x forces
+    t = e), so s_map(pin_cocycle(G)) is this one sign at every involution."""
     _door((), n)
     if n < 2 or n % 2:
         raise CliffordError("need an even number of coordinates, at least 2")
-    alg = -1 if _word_sign([(2 * i, 2 * i + 1) for i in range(n // 2)] * 2) else 1
-    m = n // 2
-    closed = 1 if (m * (m - 1) // 2) % 2 == 0 else -1
-    if alg != closed:
-        raise CliffordError("algebraic and closed-form signs disagree")
-    return alg
+    return -1 if _word_sign([(2 * i, 2 * i + 1) for i in range(n // 2)] * 2) else 1
 
 
 def pin_product_sign(p: perms.Perm, q: perms.Perm, n: int | None = None) -> int:

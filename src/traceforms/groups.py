@@ -204,17 +204,9 @@ def closure(generators, cap: tuple[str, int] = ("CLOSURE_CAP", CLOSURE_CAP)) -> 
 def regular_rep_in_alternating(G: Group) -> bool:
     """True when every left translation is an even permutation; the sign
     of a translation is a homomorphism, so the generators decide.  For odd
-    order groups this is vacuously true.  For even order it must agree
-    with 'the Sylow 2-subgroup is non-cyclic', asserted as a cross-check."""
-    result = all(perms.signature(G.table[s]) == 1 for s in generating_set(G))
-    if G.order % 2 == 0:
-        noncyclic = not sylow2(G).is_cyclic()
-        if result != noncyclic:
-            raise AssertionError(
-                "even-permutation criterion disagrees with Sylow cyclicity "
-                f"on {G!r}: {result} vs {noncyclic}"
-            )
-    return result
+    order groups this is vacuously true.  For even order it is 'the Sylow
+    2-subgroup is non-cyclic', which the regular_parity battery checks."""
+    return all(perms.signature(G.table[s]) == 1 for s in generating_set(G))
 
 
 def _span(table, gens) -> set[int]:

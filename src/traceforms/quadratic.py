@@ -336,6 +336,12 @@ def _rational(x) -> Fraction:
     return Fraction(x)
 
 
+def _holds_class(a: Fraction, c) -> bool:
+    """Whether c is the class of a = num/den, num*den*c.d a positive square."""
+    m = a.numerator * a.denominator * c.d if isinstance(c, _SquareClass) else 0
+    return m > 0 and math.isqrt(m) ** 2 == m
+
+
 class QForm:
     """Nondegenerate diagonal quadratic form <a_1, ..., a_n> over Q.
 
@@ -347,12 +353,19 @@ class QForm:
     __slots__ = ("entries", "_held")
 
     def __init__(self, entries, classes=None):
+        # a string has a length too, and would be read one digit at a time
+        if not isinstance(entries, (list, tuple)):
+            raise QuadraticError(f"entries must be a list or tuple, got {_quote(entries)}")
         if len(entries) > GRAM_RANK_CAP:  # before an entry is read
             raise QuadraticError(f"form rank {len(entries)} exceeds "
                                  f"GRAM_RANK_CAP = {GRAM_RANK_CAP}")
         ent = tuple(map(_rational, entries))
         if not all(a.numerator for a in ent):
             raise QuadraticError("diagonal entries must be nonzero")
+        if classes is not None and not (
+                isinstance(classes, tuple) and len(classes) == len(ent)
+                and all(map(_holds_class, ent, classes))):
+            raise QuadraticError("classes must be a tuple of the square class of each entry")
         self.entries = ent
         self._held = classes  # None until first read, then a tuple
 

@@ -225,6 +225,22 @@ def test_involution_square_sign_table():
         involution_square_sign(26)
 
 
+@pytest.mark.parametrize("n", range(2, 25, 2))
+def test_a_flipped_involution_square_fails_prop_lift2(monkeypatch, n):
+    # involution_square_sign compared its word sign with the closed form
+    # on every call; now it returns the word sign, and prop-lift2 checks
+    # it at every degree, 18 and 22 too, which its printed expected omits
+    from traceforms.verify import run_statement
+
+    monkeypatch.setattr(clifford, "_word_sign",
+                        lambda word: _word_sign(word) ^ (len(word) == n))
+    flipped = -1 if n % 8 in (0, 2) else 1
+    assert involution_square_sign(n) == flipped
+    r = run_statement("prop-lift2")
+    assert r.verdict == "fail" and r.computed == {
+        "error": f"ValueError: word and closed-form signs disagree at degrees [{n}]"}
+
+
 def test_pin_cocycle_splitness_small_groups():
     for key, param, split in [("dihedral", 8, True), ("cyclic", 8, True),
                               ("elem_abelian_2", 3, True),

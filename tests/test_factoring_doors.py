@@ -344,3 +344,21 @@ def test_no_verdict_reads_a_hand_model():
                                for s in ast.walk(args))):
                     applied.append(f"{path.name}:{n.lineno}")
     assert applied == []
+
+
+def test_no_module_raises_an_assertion_error():
+    # regular_rep_in_alternating raised AssertionError where its Sylow
+    # cross-check disagreed: `traceforms group` would have shown a
+    # traceback, neither a verdict nor a refusal, and regular_parity
+    # counted it through _fails_only_with.  The battery now compares the
+    # two routes itself.
+    raised, handed = [], []
+    for path in sorted(PKG.glob("*.py")):
+        for n in ast.walk(_tree(path.stem)):
+            if isinstance(n, ast.Assert) or (
+                    isinstance(n, ast.Raise) and "AssertionError" in _named(n)):
+                raised.append(f"{path.name}:{n.lineno}")
+            if (isinstance(n, ast.Call) and "_fails_only_with" in _named(n.func)
+                    and "AssertionError" in _named(ast.Tuple(n.args))):
+                handed.append(f"{path.name}:{n.lineno}")
+    assert raised == [] and handed == []

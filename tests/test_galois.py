@@ -355,6 +355,22 @@ def test_verify_main_disc_predicate_branches():
     assert rep["disc_class"] == algebra_disc(A3) == 1 and rep["disc_predicate_agrees"]
 
 
+def test_regular_parity_reads_no_sylow_subgroup(monkeypatch):
+    # regular_rep_in_alternating grew a Sylow 2-subgroup on every call,
+    # only to assert that its cyclicity agreed; the regular_parity
+    # battery makes that comparison, and w1's predicate reads the parity
+    from traceforms import fixtures, groups
+
+    fx = fixtures.CYCLIC8_REAL
+    row = verify_main(fx.algebra, fx.group)
+
+    def no_sylow(G):
+        raise AssertionError("grew a Sylow 2-subgroup")
+    monkeypatch.setattr(groups, "sylow2", no_sylow)
+    assert regular_rep_in_alternating(catalog("sym", 4)) is True
+    assert verify_main(fx.algebra, fx.group) == row
+
+
 def test_verify_main_w1_examples():
     from traceforms import fixtures
     fx = fixtures.MULTIQUADRATIC_REAL

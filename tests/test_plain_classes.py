@@ -66,6 +66,18 @@ _ERRORS = [
      "diagonal entries must be nonzero"),
     (lambda: quadratic.QForm((0.5,)), quadratic.QuadraticError,
      "0.5 is not an exact rational; pass an int, a Fraction or a string"),
+    # "12" was the form <1, 2>, read one digit at a time; 5 was a bare
+    # TypeError from len()
+    (lambda: quadratic.QForm("12"), quadratic.QuadraticError,
+     "entries must be a list or tuple, got '12'"),
+    (lambda: quadratic.QForm(5), quadratic.QuadraticError,
+     "entries must be a list or tuple, got 5"),
+    # held classes were trusted: these gave <1, 2> disc 15 and places
+    # {3, 5}, and disc 3
+    (lambda: quadratic.QForm((1, 2), (quadratic.square_class(3), quadratic.square_class(5))),
+     quadratic.QuadraticError, "classes must be a tuple of the square class of each entry"),
+    (lambda: quadratic.QForm((1, 2), (quadratic.square_class(3),)),
+     quadratic.QuadraticError, "classes must be a tuple of the square class of each entry"),
     (lambda: quadratic.FormClass(1, (1, 0), 4, frozenset()), quadratic.QuadraticError,
      "disc must be a squarefree integer"),
     (lambda: quadratic.FormClass(1, (1, 0), 0.5, frozenset()), quadratic.QuadraticError,

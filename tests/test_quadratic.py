@@ -732,6 +732,21 @@ def test_built_forms_take_the_classes_of_their_parts(monkeypatch):
         assert sorted(calls) == sorted(n for n in (a.numerator, a.denominator) if n > 1)
 
 
+def test_a_form_checks_the_classes_it_is_handed(monkeypatch):
+    # each by one isqrt, with no factoring; test_plain_classes has the
+    # wrong classes and the wrong count
+    entries = (12, Fraction(-2, 3), Fraction(5, 49))
+    held = tuple(map(square_class, entries))
+    reference = form_class(QForm(entries))
+    c1, c2 = square_class(1), square_class(2)
+    monkeypatch.setattr(quadratic, "factorint", lambda n: pytest.fail(f"factored {n}"))
+    assert form_class(QForm(entries, held)) == reference
+    for entries, classes in [((-1,), (c1,)), ((2,), (c1,)), ((1,), (1,)),
+                             ((1, 2), [c1, c2])]:
+        with pytest.raises(QuadraticError, match="square class of each entry"):
+            QForm(entries, classes)
+
+
 _DEGREE16 = (1, -2, 0, 0, 1, 0, 2, 0, -1, 1, -2, 0, -1, -1, 0, -2, -1)
 
 
