@@ -148,14 +148,15 @@ def delta1(G: Group, b_bits: int) -> Cocycle2:
         raise CohomologyError(f"1-cochain bits must be an integer, got {_quote(b_bits)}")
     if b_bits & 1 or b_bits >> n:
         raise CohomologyError(f"b must be a 1-cochain on {n} elements with b(e) = 0")
-    t, inv = G.table, G.inv
+    t = G.table
+    inv_rows = [t[G.inv(g)] for g in range(n)]  # row g^-1 for each g
     row = (1 << n) - 1
     column = ((1 << n * n) - 1) // row  # bit g·n for each g
     bits = 0
     for x in range(1, n):
         if b_bits >> x & 1:
             bits ^= ((row << (x * n)) ^ (column << x)
-                     ^ sum(1 << (g * n + t[inv(g)][x]) for g in range(n)))
+                     ^ sum(1 << (g * n + r[x]) for g, r in enumerate(inv_rows)))
     return Cocycle2(G, bits)
 
 

@@ -16,26 +16,18 @@ Primitive elements:
 """
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from . import galois, groups
 
 
-class FieldFixture:
-    __slots__ = ("name", "poly", "catalog", "real", "disc_class", "case")
-
-    def __init__(self, name: str, poly: galois.MonicPoly,
-                 catalog: tuple[str, int | None], real: bool, disc_class: int,
-                 case: str | None = None):
-        self.name = name
-        self.poly = poly
-        self.catalog = catalog  # (name, param) of the group in groups.catalog
-        self.real = real
-        self.disc_class = disc_class  # squarefree discriminant class
-        self.case = case  # expected classification case, 2-groups only
-
-    def __repr__(self):
-        return (f"FieldFixture(name={self.name!r}, poly={self.poly!r}, "
-                f"catalog={self.catalog!r}, real={self.real!r}, "
-                f"disc_class={self.disc_class!r}, case={self.case!r})")
+class FieldFixture(NamedTuple):
+    name: str
+    poly: galois.MonicPoly
+    catalog: tuple[str, int | None]  # (name, param) of the group in groups.catalog
+    real: bool
+    disc_class: int  # squarefree discriminant class
+    case: str | None = None  # expected classification case, 2-groups only
 
     @property
     def group(self) -> groups.Group:

@@ -142,10 +142,14 @@ def power_sums(f: MonicPoly, count: int) -> tuple[int, ...]:
     """p_0, ..., p_(count-1), where p_k is the sum of k-th powers of the
     roots of f = x^d + a_1 x^(d-1) + ... + a_d, by Newton's identities:
     p_k = -(k a_k + sum of a_i p_(k-i) over 0 < i < k), with a_i = 0 past
-    d.  The recurrence is over the integers, so every p_k is one."""
+    d.  The recurrence is over the integers, so every p_k is one.  A
+    negative count is refused."""
+    count = _integer(count, "count")
+    if count < 0:
+        raise GaloisError(f"count must be non-negative, got {count}")
     a = f.coeffs
     d = len(a) - 1
-    ps = [d]
+    ps = [d][:count]
     for k in range(1, count):
         acc = k * a[k] if k <= d else 0
         for i in range(1, min(k - 1, d) + 1):

@@ -70,7 +70,7 @@ class Group:
     only, O(order), and is kept."""
 
     __slots__ = ("order", "table", "name", "_inv", "_orders", "_sylow2",
-                 "_gens", "_walk", "_hash")
+                 "_gens", "_edges", "_hash")
 
     def __init__(self, table, name: str = ""):
         table = _of_kind(lambda t: tuple(map(tuple, t)), table, "table must be rows")
@@ -92,7 +92,7 @@ class Group:
         self._orders = None
         self._sylow2 = None
         self._gens = None
-        self._walk = None
+        self._edges = None
         self._hash = None
         # associativity at a generating set suffices: see the module docstring
         for a in generating_set(self):
@@ -117,17 +117,23 @@ class Group:
             self._hash = hash((self.order, self.table[-1]))
         return self._hash
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
+    def _element(self, a) -> int:
+        """a, refused unless it is an element index: an int (not a bool)
+        in 0..order-1, so -1 is not read from the end."""
+        if not _ints((a,)) or not 0 <= a < self.order:
+            raise GroupError(f"element must be an index in 0..{self.order - 1}, "
+                             f"got {_quote(a)}")
+        return a
 
     def inv(self, a: int) -> int:
         if self._inv is None:
             self._inv = tuple(self.table[g].index(0) for g in range(self.order))
-        return self._inv[a]
+        return self._inv[self._element(a)]
 
     def conj(self, g: int, x: int) -> int:
         """g * x * g^-1."""
-        return self.mul(self.mul(g, x), self.inv(g))
+        t = self.table
+        return t[t[g][x]][self.inv(g)]
 
     def element_order(self, g: int) -> int:
         """Found for all elements at once: walking the powers x^k of one
@@ -146,7 +152,7 @@ class Group:
                     for k, y in enumerate(walk):
                         orders[y] = o // math.gcd(k, o)
             self._orders = tuple(orders)
-        return self._orders[g]
+        return self._orders[self._element(g)]
 
     def involutions(self) -> list[int]:
         return [g for g in range(1, self.order) if self.table[g][g] == 0]
@@ -209,23 +215,29 @@ def regular_rep_in_alternating(G: Group) -> bool:
     return all(perms.signature(G.table[s]) == 1 for s in generating_set(G))
 
 
-def _span(table, gens) -> set[int]:
-    """Elements reached from 0 by right multiplication by gens; in a
-    group, the subgroup gens generate."""
-    span, todo = {0}, [0]
-    for x in todo:
-        row = table[x]
+def _walk(table, gens) -> tuple[list[int], list[tuple[int, int]], list[tuple[int, int]]]:
+    """The Cayley graph of right multiplication by gens, walked breadth
+    first from 0: the elements in the order first reached (in a group,
+    the subgroup gens generate), the tree edges (h, s), one for each
+    x = hs != 0 in that order (the first are (0, s)), and the other
+    edges (h, s), whose end hs was reached before."""
+    seen, walk, tree, other = {0}, [0], [], []
+    for h in walk:
+        row = table[h]
         for s in gens:
-            if (y := row[s]) not in span:
-                span.add(y)
-                todo.append(y)
-    return span
+            if (x := row[s]) in seen:
+                other.append((h, s))
+            else:
+                seen.add(x)
+                walk.append(x)
+                tree.append((h, s))
+    return walk, tree, other
 
 
 def generating_set(G: Group) -> list[int]:
     """A small generating set, found once per group and kept on it:
     elements of highest order first, each one taken while the span of
-    those before it is proper."""
+    those before it, the elements _walk reaches, is proper."""
     if G._gens is None:
         S: list[int] = []
         span = {0}
@@ -234,34 +246,18 @@ def generating_set(G: Group) -> list[int]:
                 break
             if g not in span:
                 S.append(g)
-                span = _span(G.table, S)
+                span = set(_walk(G.table, S)[0])
         G._gens = tuple(S)
     return list(G._gens)
 
 
 def cayley_walk(G: Group) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    """The Cayley graph of right multiplication by S = generating_set(G),
-    walked breadth first from 0, once per group and kept on it: the tree
-    edges (h, s), one for each x = hs != 0 in the order first reached
-    (the first |S| are (0, s)), and the other edges (h, s), whose end hs
-    was reached before."""
-    if G._walk is None:
-        t = G.table
-        S = generating_set(G)
-        seen = [True] + [False] * (G.order - 1)
-        walk, tree, other = [0], [], []
-        for h in walk:
-            row = t[h]
-            for s in S:
-                x = row[s]
-                if seen[x]:
-                    other.append((h, s))
-                else:
-                    seen[x] = True
-                    walk.append(x)
-                    tree.append((h, s))
-        G._walk = (tuple(tree), tuple(other))
-    return G._walk
+    """The tree and other edges of _walk by S = generating_set(G), found
+    once per group and kept on it."""
+    if G._edges is None:
+        _, tree, other = _walk(G.table, generating_set(G))
+        G._edges = (tuple(tree), tuple(other))
+    return G._edges
 
 
 def subgroup(G: Group, members) -> Group:
@@ -307,7 +303,7 @@ def _grow_sylow2(G: Group) -> Group:
         if ext is None:
             raise GroupError("failed to extend 2-subgroup (table is not a group?)")
         gens.append(ext)
-        P = _span(G.table, gens)
+        P = set(_walk(G.table, gens)[0])
         if len(P) & (len(P) - 1) != 0:
             raise GroupError("extension left the class of 2-groups")
     return subgroup(G, P)

@@ -41,25 +41,14 @@ def jsonable(x):
     return str(x)
 
 
-class VerificationReport:
-    __slots__ = ("statement", "inputs", "computed", "expected", "verdict", "notes",
-                 "runtime")
-
-    def __init__(self, statement: str, inputs: dict, computed: dict, expected: dict,
-                 verdict: str, notes: str = "", runtime: float = 0.0):
-        self.statement = statement
-        self.inputs = inputs
-        self.computed = computed
-        self.expected = expected
-        self.verdict = verdict  # "pass" | "fail", set by run_statement
-        self.notes = notes
-        self.runtime = runtime  # set by run_statement
-
-    def __repr__(self):
-        return (f"VerificationReport(statement={self.statement!r}, "
-                f"inputs={self.inputs!r}, computed={self.computed!r}, "
-                f"expected={self.expected!r}, verdict={self.verdict!r}, "
-                f"notes={self.notes!r}, runtime={self.runtime!r})")
+class VerificationReport(NamedTuple):
+    statement: str
+    inputs: dict
+    computed: dict
+    expected: dict
+    verdict: str  # "pass" | "fail", decided by run_statement
+    notes: str = ""
+    runtime: float = 0.0  # measured by run_statement
 
     def as_dict(self, include_runtime: bool = False) -> dict:
         d = {
@@ -500,11 +489,9 @@ def run_statement(statement: str, seed: int = DEFAULT_SEED) -> VerificationRepor
     except Exception as exc:  # surface honest failures, never hide them
         claim = _Claim({}, {"error": f"{type(exc).__name__}: {exc}"}, {})
         holds = False
-    report = VerificationReport(statement, claim.inputs, claim.computed,
-                                claim.expected, "pass" if holds else "fail",
-                                claim.notes)
-    report.runtime = time.perf_counter() - t0
-    return report
+    runtime = time.perf_counter() - t0
+    return VerificationReport(statement, claim.inputs, claim.computed, claim.expected,
+                              "pass" if holds else "fail", claim.notes, runtime)
 
 
 def run_suite(seed: int = DEFAULT_SEED) -> list[VerificationReport]:

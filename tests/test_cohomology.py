@@ -254,6 +254,17 @@ def test_delta1_matches_n2_loop_oracle():
             delta1(G, b)
 
 
+def test_delta1_reads_each_inverse_once(monkeypatch):
+    # one checked inverse per element, not one per cell (g, g^-1 x)
+    G = catalog("sym", 4)
+    calls = []
+    inv = Group.inv
+    monkeypatch.setattr(Group, "inv", lambda self, a: calls.append(a) or inv(self, a))
+    full = (1 << G.order) - 2
+    assert delta1(G, full).bits == _n2_loop_delta1(G, full)
+    assert sorted(calls) == list(range(G.order))
+
+
 def test_coboundary_dim_is_order_minus_rank_of_delta():
     # dim B² = (n-1) - dim H¹ = n - 1 - dim Hom(G, Z/2)
     G = catalog("elem_abelian_2", 2)

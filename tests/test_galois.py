@@ -38,6 +38,10 @@ def test_power_sums_examples():
     assert power_sums(MonicPoly((1, 0, -1, -1)), 4) == (3, 0, 2, 3)
     # (x-1)(x-2): p_k = 1 + 2^k
     assert power_sums(MonicPoly((1, -3, 2)), 4) == (2, 3, 5, 9)
+    # p_0 ... p_(count-1): count 0 was (2,), as for count 1
+    assert power_sums(MonicPoly((1, -3, 2)), 0) == ()
+    assert power_sums(MonicPoly((1, -3, 2)), 1) == (2,)
+    assert power_sums(MonicPoly((1, -3, 2)), "3") == (2, 3, 5)
 
 
 def test_power_sums_match_companion_matrix_traces():

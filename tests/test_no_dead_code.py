@@ -108,7 +108,7 @@ def test_scan_sees_definitions_and_exports():
     # guard against a scan that passes by finding nothing
     defs, refs, exported = _scan()
     names = {(mod, name) for mod, name, _, _ in defs}
-    assert {("groups", "Group"), ("groups", "mul"), ("verify", "_tally"),
+    assert {("groups", "Group"), ("groups", "inv"), ("verify", "_tally"),
             ("gf2", "nullspace")} <= names
     assert ("clifford", "pin_lift") in exported
     assert refs["modattr", "perms", "compose"] > 0

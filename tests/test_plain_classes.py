@@ -1,5 +1,6 @@
-"""The package's record classes are plain `__slots__` classes.  Each keeps
-the repr, the validation and its errors that it had as a dataclass; the
+"""The package's record classes are plain `__slots__` classes, and
+`FieldFixture` and `VerificationReport` are NamedTuples.  Each keeps the
+repr, the validation and its errors that it had as a dataclass; the
 value classes that are compared, `QForm`, `FormClass` and `Group`,
 compare and hash by their fields (a group by its table alone).  A count
 of copies is read by the package's integer rule."""
@@ -10,6 +11,7 @@ import pytest
 from traceforms import cohomology, fixtures, galois, groups, quadratic, verify
 
 C2 = groups.catalog("cyclic", 2)
+C4 = groups.catalog("cyclic", 4)
 ZERO = cohomology.Cocycle2(C2, 0)
 POLY = galois.MonicPoly((1, 0, -7))
 
@@ -137,6 +139,28 @@ _ERRORS = [
      "disc must be an integer, got 2.5"),
     (lambda: galois.predicted_2group_form(True, True, True, 1), galois.GaloisError,
      "degree must be an integer, got True"),
+    # -1 was read from the end (inv(-1) was 1, the inverse of element 3),
+    # and element_order(9) was a bare IndexError
+    (lambda: C4.inv(-1), groups.GroupError, "element must be an index in 0..3, got -1"),
+    (lambda: C4.inv(True), groups.GroupError, "element must be an index in 0..3, got True"),
+    (lambda: C4.inv(1.0), groups.GroupError, "element must be an index in 0..3, got 1.0"),
+    (lambda: C4.element_order(9), groups.GroupError,
+     "element must be an index in 0..3, got 9"),
+    (lambda: C4.element_order(True), groups.GroupError,
+     "element must be an index in 0..3, got True"),
+    (lambda: groups.Group([]), groups.GroupError, "empty table"),
+    (lambda: groups.Group([[0, 1]]), groups.GroupError, "table is not square"),
+    (lambda: groups.Group([[1, 0], [0, 1]]), groups.GroupError,
+     "element 0 is not a two-sided identity"),
+    (lambda: groups.closure([]), groups.GroupError, "need at least one generator"),
+    (lambda: quadratic.scale(0, quadratic.QForm([1])), quadratic.QuadraticError,
+     "cannot scale a form by zero"),
+    # power_sums(f, -1) was (2,), as for counts 0 and 1
+    (lambda: galois.power_sums(POLY, -1), galois.GaloisError, "count must be non-negative, got -1"),
+    (lambda: galois.power_sums(POLY, 2.0), galois.GaloisError,
+     "count must be an integer, got 2.0"),
+    (lambda: cohomology.h2(C4).coords(cohomology.Cocycle2(C4, 1 << 5)),
+     cohomology.CohomologyError, "vector is not in the cocycle space"),
     (lambda: cohomology.Cocycle2(C2, 1 << 4), cohomology.CohomologyError,
      "cocycle bits out of range"),
     (lambda: cohomology.Cocycle2(C2, -1), cohomology.CohomologyError,

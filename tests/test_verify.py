@@ -121,7 +121,7 @@ def test_suite_after_a_catalog_clear_solves_as_a_fresh_process():
     # by the Group object).  h2 is cleared too, as its keys are tables that
     # earlier tests solved
     assert not any(isinstance(getattr(fx, name), groups.Group)
-                   for fx in fixtures.ALL_FIXTURES for name in fx.__slots__)
+                   for fx in fixtures.ALL_FIXTURES for name in fx._fields)
     groups._catalog_cached.cache_clear()
     cohomology.h2.cache_clear()
     with contextlib.redirect_stdout(io.StringIO()):
