@@ -116,7 +116,7 @@ class Cocycle2:
         extension_from_cocycle(self)
 
     def add(self, other: "Cocycle2") -> "Cocycle2":
-        if other.group != self.group:
+        if _cocycle(other).group != self.group:
             raise CohomologyError("cocycles live on different groups")
         return Cocycle2(self.group, self.bits ^ other.bits)
 
@@ -136,6 +136,13 @@ class Cocycle2:
         n = self.group.order
         flat = format(self.bits, f"0{n * n}b")[::-1]
         return [flat[g * n:(g + 1) * n] for g in range(n)]
+
+
+def _cocycle(c) -> Cocycle2:
+    """c, refused unless it is a Cocycle2."""
+    if not isinstance(c, Cocycle2):
+        raise CohomologyError(f"cocycle must be a Cocycle2, got {_quote(c)}")
+    return c
 
 
 def delta1(G: Group, b_bits: int) -> Cocycle2:
@@ -268,7 +275,7 @@ class H2Basis:
 
     def coords(self, c: Cocycle2) -> int:
         """Coordinate bitmask of the class of c in the chosen basis."""
-        if c.group != self.group:
+        if _cocycle(c).group != self.group:
             raise CohomologyError("cocycle lives on a different group")
         residue, mask = self._reduce(c.bits)
         if residue:
@@ -295,7 +302,7 @@ def s_map(c: Cocycle2) -> tuple[int, ...]:
     """Values c(t, t) at the involutions t of G, in increasing index
     order.  Constant on cohomology classes, because a coboundary has
     δb(t, t) = b(t) + b(t) + b(t²) = b(e) = 0 at an involution t."""
-    return tuple(c.value(t, t) for t in c.group.involutions())
+    return tuple(c.value(t, t) for t in _cocycle(c).group.involutions())
 
 
 def ker_s(G: Group) -> list[int]:

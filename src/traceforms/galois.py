@@ -167,10 +167,10 @@ def trace_gram(f: MonicPoly) -> tuple[tuple[int, ...], ...]:
 
 class EtaleAlg:
     """Product of number fields Q[x]/(f_i), each with a multiplicity.  The
-    one door for an algebra: a factor is a pair (a MonicPoly or a list of
-    its coefficients, a multiplicity), and every multiplicity and degree
-    is read and bounded before a polynomial is built, so an algebra past
-    ALGEBRA_DEGREE_CAP runs no separability test."""
+    one door for an algebra: a factor is a pair (a MonicPoly or a list or
+    tuple of its coefficients, a multiplicity), and every multiplicity
+    and degree is read and bounded before a polynomial is built, so an
+    algebra past ALGEBRA_DEGREE_CAP runs no separability test."""
 
     __slots__ = ("factors",)
 
@@ -184,12 +184,12 @@ class EtaleAlg:
             if not (isinstance(p, (tuple, list)) and len(p) == 2):
                 raise GaloisError(f"a factor must be a pair (polynomial, multiplicity), "
                                   f"got {_quote(p)}")
-        if not all(isinstance(f, (MonicPoly, list)) for f, _ in fs):
+        if not all(isinstance(f, (MonicPoly, list, tuple)) for f, _ in fs):
             raise GaloisError("factors must be monic polynomials")
         fs = tuple((f, _integer(m, "multiplicity")) for f, m in fs)
         if any(m < 1 for _, m in fs):
             raise GaloisError("multiplicities must be positive")
-        # a list too short for degree 1 counts 0; MonicPoly refuses it
+        # coefficients too few for degree 1 count 0; MonicPoly refuses them
         degrees = [f.degree if isinstance(f, MonicPoly) else max(len(f) - 1, 0)
                    for f, _ in fs]
         for d in degrees:

@@ -131,9 +131,9 @@ class Group:
         return self._inv[self._element(a)]
 
     def conj(self, g: int, x: int) -> int:
-        """g * x * g^-1."""
-        t = self.table
-        return t[t[g][x]][self.inv(g)]
+        """g * x * g^-1, for element indices g and x."""
+        t, gi = self.table, self.inv(g)  # inv refuses g, _element x
+        return t[t[g][self._element(x)]][gi]
 
     def element_order(self, g: int) -> int:
         """Found for all elements at once: walking the powers x^k of one
@@ -294,12 +294,17 @@ def _grow_sylow2(G: Group) -> Group:
     a Sylow 2-subgroup Q != P, and in a p-group some g in Q outside P
     has gPg^-1 = P."""
     target = G.order & -G.order
+    t = G.table
     gens: list[int] = []
     P = {0}
+
+    def normalizes(g):  # gPg^-1 = P, read from the table: g and gens are indices
+        gi = G.inv(g)
+        return all(t[t[g][m]][gi] in P for m in gens)
     while len(P) < target:
         ext = next((g for g in range(G.order) if g not in P
                     and (o := G.element_order(g)) & (o - 1) == 0
-                    and all(G.conj(g, m) in P for m in gens)), None)
+                    and normalizes(g)), None)
         if ext is None:
             raise GroupError("failed to extend 2-subgroup (table is not a group?)")
         gens.append(ext)

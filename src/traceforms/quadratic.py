@@ -255,12 +255,11 @@ def hilbert_symbol(a, b, v) -> int:
 
 # Bound on the cup cache; its keys are pairs of square classes.  A
 # computation reuses the pairs of its own forms: a perfbench `library`
-# run (two rounds) fills 199.  A `suite` run takes 32,372 cups of 2,159
+# run (two rounds) fills 199.  A `suite` run takes 32,348 cups of 2,157
 # pairs.  Of those, its hilbert_oracle battery reads 29,280 symbols as
 # cups of 881 pairs, sixteen places of one pair in a row, so fifteen of
 # each sixteen hit.  Random forms mostly reuse no pair: the
-# diag_invariance battery takes 1,000 cups of 803 pairs, which a cache
-# of 1024 kept, in 0.64 MB, to the end of the run.
+# diag_invariance battery takes 1,000 cups of 813 pairs.
 CUP_CACHE_SIZE = 256
 
 
@@ -558,16 +557,15 @@ def validate_gram(gram) -> tuple[tuple[Fraction, ...], ...]:
     return rows
 
 
-def diagonalize(gram, rng=None) -> QForm:
+def diagonalize(gram) -> QForm:
     """Diagonal form congruent to the symmetric matrix read from outside,
     a list or tuple of list or tuple rows, refused before a length is
     taken if it is anything else.  Its rank (row count or length) is
     refused above GRAM_RANK_CAP before `validate_gram` reads and checks
     it once, and rank times entry bits (the largest numerator's plus
     den's, less one) above GRAM_BITS_CAP as den, the lcm of the
-    denominators, is built.  `_bareiss` eliminates den * gram.  With rng,
-    pivots are chosen at random among the usable ones; the isometry class
-    never depends on the choice.  Raises on degenerate input."""
+    denominators, is built.  `_bareiss` eliminates den * gram, by its
+    pivot rule.  Raises on degenerate input."""
     if not (isinstance(gram, (list, tuple))
             and all(isinstance(row, (list, tuple)) for row in gram)):
         raise QuadraticError("Gram matrix must be a list of rows")
@@ -585,36 +583,38 @@ def diagonalize(gram, rng=None) -> QForm:
             raise QuadraticError(f"Gram rank {n} x {bits} entry bits exceeds "
                                  f"GRAM_BITS_CAP = {GRAM_BITS_CAP}")
     return _bareiss([[x.numerator * (den // x.denominator) for x in row] for row in rows],
-                    den, rng)
+                    den)
 
 
-def _bareiss(rows, den: int = 1, rng=None) -> QForm:
+def _bareiss(rows, den: int = 1) -> QForm:
     """The diagonal form of gram = rows / den, for square symmetric rows
     of ints, by fraction-free (Bareiss) symmetric elimination.  The
     trailing block is held as D_k times the Schur complement (D_k the
-    k-th pivot, D_0 = 1) and the k-th entry is D_k / (D_(k-1) * den).  It
-    checks nothing: `diagonalize` checks an outside matrix first, and
-    `galois.trace_form` passes a trace Gram, square, symmetric and
-    integral by construction."""
+    k-th pivot, D_0 = 1) and the k-th entry is D_k / (D_(k-1) * den).
+    Each step pivots at the first nonzero diagonal entry of the trailing
+    block; when that diagonal is all zero, it first adds u_j to u_i for
+    the first nonzero off-diagonal entry (i, j) in row-major order and
+    pivots at i.  It checks nothing: `diagonalize` checks an outside
+    matrix first, and `galois.trace_form` passes a trace Gram, square,
+    symmetric and integral by construction."""
     a = [list(row) for row in rows]
     prev = 1
     diag = []
     while a:
         r = len(a)
-        cands = [i for i in range(r) if a[i][i]]
-        if not cands:
-            # all remaining diagonal entries vanish: mix in an off-diagonal
-            pairs = [(i, j) for i in range(r) for j in range(r)
-                     if i != j and a[i][j]]
-            if not pairs:
+        for piv in range(r):
+            if a[piv][piv]:
+                break
+        else:
+            pair = next(((i, j) for i in range(r) for j in range(r)
+                         if i != j and a[i][j]), None)
+            if pair is None:
                 raise QuadraticError("Gram matrix is degenerate")
-            i, j = rng.choice(pairs) if rng is not None else pairs[0]
-            # u_i <- u_i + u_j makes the (i,i) entry 2*a[i][j] != 0
-            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            piv, j = pair
+            # u_i <- u_i + u_j (i = piv) makes the (i,i) entry 2*a[i][j] != 0
+            a[piv] = [x + y for x, y in zip(a[piv], a[j])]
             for row in a:
-                row[i] += row[j]
-            cands = [i]
-        piv = rng.choice(cands) if rng is not None else cands[0]
+                row[piv] += row[j]
         if piv:
             a[0], a[piv] = a[piv], a[0]
             for row in a:

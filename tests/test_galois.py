@@ -201,10 +201,12 @@ def test_algebra_degree_cap():
 
 
 def test_algebra_is_bounded_before_a_polynomial_is_built(monkeypatch):
-    """EtaleAlg takes a factor as a MonicPoly or a coefficient list, and
-    reads every multiplicity and bounds every degree before it builds a
-    polynomial, whose separability test is the costly step."""
+    """EtaleAlg takes a factor as a MonicPoly or a coefficient list or
+    tuple, and reads every multiplicity and bounds every degree before it
+    builds a polynomial, whose separability test is the costly step."""
     assert repr(EtaleAlg([([1, 0, "-7"], "2")])) == repr(EtaleAlg(((MonicPoly((1, 0, -7)), 2),)))
+    # a tuple of coefficients was refused as "factors must be monic polynomials"
+    assert repr(EtaleAlg([((1, 0, -7), 2)])) == repr(EtaleAlg([([1, 0, -7], 2)]))
     cap = galois.ALGEBRA_DEGREE_CAP
     tests = []
     monkeypatch.setattr(galois, "_poly_gcd_degree", lambda a, b: tests.append(a) or 0)
@@ -217,7 +219,9 @@ def test_algebra_is_bounded_before_a_polynomial_is_built(monkeypatch):
          f"polynomial degree {cap + 1} exceeds ALGEBRA_DEGREE_CAP = {cap}"),
         ([(big, 1), ([1, 0.5], 2.5)], "multiplicity must be an integer, got 2.5"),
         ([(big, 1), ([1, 0.5], 0)], "multiplicities must be positive"),
-        ([(big, 1), ((1, 0, -7), 1)], "factors must be monic polynomials"),
+        ([(big, 1), (tuple(big) + (0,), 1)],
+         f"polynomial degree {cap + 1} exceeds ALGEBRA_DEGREE_CAP = {cap}"),
+        ([(big, 1), ("x^2 - 7", 1)], "factors must be monic polynomials"),
     ]
     for factors, message in refused:
         with pytest.raises(GaloisError) as exc:

@@ -119,7 +119,8 @@ _ERRORS = [
      "multiplicity must be an integer, got 1.0"),
     (lambda: galois.EtaleAlg(((POLY, 0),)), galois.GaloisError,
      "multiplicities must be positive"),
-    (lambda: galois.EtaleAlg((((1, 0, -7), 1),)), galois.GaloisError,
+    # a tuple of coefficients is a polynomial, as a list is; text is not
+    (lambda: galois.EtaleAlg((("x^2 - 7", 1),)), galois.GaloisError,
      "factors must be monic polynomials"),
     # a bare coefficient list, not a pair, was a ValueError from unpacking
     (lambda: galois.EtaleAlg([[1, 0, -2]]), galois.GaloisError,
@@ -148,6 +149,11 @@ _ERRORS = [
      "element must be an index in 0..3, got 9"),
     (lambda: C4.element_order(True), groups.GroupError,
      "element must be an index in 0..3, got True"),
+    # C4.conj(0, -1) was 3 and C2.conj(0, -1) was 1, read from the end;
+    # conj("a", 1) was a bare TypeError and conj(5, 1) a bare IndexError
+    (lambda: C2.conj(0, -1), groups.GroupError, "element must be an index in 0..1, got -1"),
+    (lambda: C4.conj("a", 1), groups.GroupError, "element must be an index in 0..3, got 'a'"),
+    (lambda: C4.conj(5, 1), groups.GroupError, "element must be an index in 0..3, got 5"),
     (lambda: groups.Group([]), groups.GroupError, "empty table"),
     (lambda: groups.Group([[0, 1]]), groups.GroupError, "table is not square"),
     (lambda: groups.Group([[1, 0], [0, 1]]), groups.GroupError,
@@ -163,6 +169,12 @@ _ERRORS = [
      cohomology.CohomologyError, "vector is not in the cocycle space"),
     (lambda: cohomology.Cocycle2(C2, 1 << 4), cohomology.CohomologyError,
      "cocycle bits out of range"),
+    # each was a bare AttributeError: 'int' object has no attribute 'group'
+    (lambda: cohomology.h2(C4).coords(5), cohomology.CohomologyError,
+     "cocycle must be a Cocycle2, got 5"),
+    (lambda: ZERO.add(0), cohomology.CohomologyError, "cocycle must be a Cocycle2, got 0"),
+    (lambda: cohomology.s_map(3), cohomology.CohomologyError,
+     "cocycle must be a Cocycle2, got 3"),
     (lambda: cohomology.Cocycle2(C2, -1), cohomology.CohomologyError,
      "cocycle bits out of range"),
     (lambda: cohomology.Cocycle2(C2, 1), cohomology.CohomologyError,

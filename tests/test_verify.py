@@ -163,7 +163,7 @@ def test_suite_factoring_counts(monkeypatch):
     reports = run_suite(DEFAULT_SEED)
     assert all(r.verdict == "pass" for r in reports)
     counts = {name: len(ns) for name, ns in calls.items() if name is not None}
-    assert counts == {"diag_invariance": 1525, "hilbert_oracle": 58, "reciprocity": 329,
+    assert counts == {"diag_invariance": 1518, "hilbert_oracle": 58, "reciprocity": 329,
                       "whitney": 22, "scale_formula": 110}
     once = {name: sum((abs(Fraction(x).numerator) > 1) + (Fraction(x).denominator > 1)
                       for x in set(xs))
@@ -274,6 +274,39 @@ def test_failing_case_is_plain_json(monkeypatch):
     gram = r.as_dict()["computed"]["diag_invariance"]["first_failure"]["case"]["gram"]
     assert len(gram) == 6 and all(isinstance(x, str) for row in gram for x in row)
     assert all(int(x) in range(-5, 6) for row in gram for x in row)
+
+
+def test_basis_dependent_fault_fails_on_its_printed_case(monkeypatch):
+    # diagonalize made basis-dependent: its first entry flips sign when
+    # the first basis vector has odd length, which moves the signature
+    real = quadratic.diagonalize
+
+    def planted(gram):
+        q = real(gram)
+        if Fraction(gram[0][0]) % 2 == 1:
+            return quadratic.QForm((-q.entries[0], *q.entries[1:]))
+        return q
+
+    monkeypatch.setattr(quadratic, "diagonalize", planted)
+    _only_battery(monkeypatch, "diag_invariance")
+    r = run_statement("property-suites", DEFAULT_SEED)
+    c = r.computed["diag_invariance"]
+    assert r.verdict == "fail" and 0 < c["failures"] < c["trials"] == 100
+    # the printed JSON alone fixes the check: replay it as the only case
+    case = json.loads(json.dumps(r.as_dict()))["computed"]["diag_invariance"][
+        "first_failure"]["case"]
+    assert set(case) == {"gram", "order"} and sorted(case["order"]) == list(range(6))
+    gram, order = case["gram"], case["order"]
+    reordered = [[gram[i][j] for j in order] for i in order]
+    assert (quadratic.form_class(planted(gram))
+            != quadratic.form_class(planted(reordered)))
+    monkeypatch.setattr(verify, "_gram_cases", lambda rng: iter([case]))
+    for seed in (DEFAULT_SEED, 1):
+        replay = run_statement("property-suites", seed).computed["diag_invariance"]
+        assert replay == {"trials": 1, "failures": 1,
+                          "first_failure": {"trial": 1, "case": case}}
+    monkeypatch.setattr(quadratic, "diagonalize", real)
+    assert run_statement("property-suites", DEFAULT_SEED).verdict == "pass"
 
 
 @pytest.mark.parametrize("battery, layer, target", [
