@@ -81,8 +81,13 @@ class SignMismatchError(CliffordError):
 
 def transposition_factors(p: perms.Perm) -> list[tuple[int, int]]:
     """Transpositions whose composition (leftmost applied last) is p;
-    each cycle (c1 c2 ... ck) contributes (c1,ck), (c1,c(k-1)), ..., (c1,c2)."""
-    return [(cyc[0], other) for cyc in perms.cycles(p) for other in reversed(cyc[1:])]
+    each cycle (c1 c2 ... ck) contributes (c1,ck), (c1,c(k-1)), ..., (c1,c2).
+    A p that perms.cycles refuses is refused as a CliffordError."""
+    try:
+        cycs = perms.cycles(p)
+    except ValueError as exc:
+        raise CliffordError(str(exc)) from None
+    return [(cyc[0], other) for cyc in cycs for other in reversed(cyc[1:])]
 
 
 def _factors(p: perms.Perm) -> list[tuple[int, int]]:
@@ -274,7 +279,7 @@ def pin_cocycle(G: groups.Group) -> cohomology.Cocycle2:
     from signs that _word_sign decided, and validate() then checks
     the cocycle identity independently, by building the central extension
     the table defines (cohomology.extension_from_cocycle)."""
-    n = G.order
+    n = groups._group(G, CliffordError).order
     _door((), n)
     t = G.table  # row g is the left translation by g
     fl = list(map(_factors, t))

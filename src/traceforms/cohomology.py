@@ -66,6 +66,7 @@ from . import _ints, _quote, gf2
 from .groups import (
     Group,
     GroupError,
+    _group,
     cayley_walk,
     generating_set,
     quotient_with_map,
@@ -89,7 +90,7 @@ class Cocycle2:
     __slots__ = ("group", "bits")
 
     def __init__(self, group: Group, bits: int):  # bit g·n + h is c(g, h)
-        n = group.order
+        n = _group(group, CohomologyError).order
         if not _ints((bits,)):
             raise CohomologyError(f"cocycle bits must be an integer, got {_quote(bits)}")
         if bits >> (n * n):  # negative bits shift to -1
@@ -150,7 +151,7 @@ def delta1(G: Group, b_bits: int) -> Cocycle2:
     δ is linear, and δ1_x(g, h) = [g = x] + [h = x] + [gh = x] is the
     sum of row x, column x and the cells (g, g^-1 x), O(n) each: δb is
     their sum over the x with b(x) = 1."""
-    n = G.order
+    n = _group(G, CohomologyError).order
     if not _ints((b_bits,)):
         raise CohomologyError(f"1-cochain bits must be an integer, got {_quote(b_bits)}")
     if b_bits & 1 or b_bits >> n:
@@ -168,7 +169,8 @@ def delta1(G: Group, b_bits: int) -> Cocycle2:
 
 
 def _check_cap(G: Group) -> None:
-    if G.order > H2_CAP:
+    """Refuse a G that is no Group or is past H2_CAP."""
+    if _group(G, CohomologyError).order > H2_CAP:
         raise CohomologyError(f"group order {G.order} exceeds H2_CAP = {H2_CAP}")
 
 
@@ -295,6 +297,9 @@ class H2Basis:
 
 @functools.lru_cache(maxsize=H2_CACHE_SIZE)
 def h2(G: Group) -> H2Basis:
+    """h2(G)'s basis, cached by G's table.  H2Basis refuses a G that is
+    no Group; an unhashable one, such as a list, raises TypeError from
+    the cache before it is read."""
     return H2Basis(G)
 
 
@@ -351,8 +356,9 @@ def extension_from_cocycle(c: Cocycle2) -> tuple[Group, int]:
 
 
 def _check_kernel(total: Group, t: int) -> None:
-    """Refuse a t that is not a central involution of total."""
-    tt = total.table
+    """Refuse a total that is no Group, and a t that is not a central
+    involution of total."""
+    tt = _group(total, CohomologyError).table
     if not (_ints([t]) and 0 < t < total.order and tt[t][t] == 0):
         raise CohomologyError(f"element {_quote(t)} does not have order 2")
     if any(row[t] != x for row, x in zip(tt, tt[t])):

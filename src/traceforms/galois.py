@@ -244,7 +244,7 @@ def _det_fraction_free(m) -> int:
 def _check_galois(A: EtaleAlg, G: groups.Group) -> bool:
     """Check that A can be a G-Galois algebra, a power F^m of one field
     with deg A = |G|, and return whether it is a field (m = 1)."""
-    if A.degree != G.order:
+    if A.degree != groups._group(G, GaloisError).order:
         raise GaloisError(f"algebra degree {A.degree} != group order {G.order}")
     if len(A.factors) != 1:
         raise GaloisError("a Galois algebra is a power of a single field")
@@ -351,7 +351,7 @@ def two_cyclic_sylow_orders(G: groups.Group) -> tuple[int, int] | None:
     product of cyclic groups, and its elements of order at most 2 form
     (Z/2)^rank: exactly three involutions means rank 2, and the exponent
     is then the larger factor."""
-    P = groups.sylow2(G)
+    P = groups.sylow2(groups._group(G, GaloisError))
     if not P.is_abelian() or len(P.involutions()) != 3:
         return None
     o2 = max(map(P.element_order, range(P.order)))

@@ -41,6 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from operator import itemgetter
 
 from . import _as_int, _ints, _quote, perms
 
@@ -49,6 +50,24 @@ CLOSURE_CAP = 2048
 
 class GroupError(ValueError):
     pass
+
+
+def _group(G, error=GroupError) -> "Group":
+    """G, refused as error (the caller's layer's) unless it is a Group."""
+    if not isinstance(G, Group):
+        raise error(f"group must be a Group, got {_quote(G)}")
+    return G
+
+
+def _getter(keys):
+    """x -> tuple(x[k] for k in keys), each entry read in C by one
+    itemgetter call, which allocates the tuple at its final size.  So
+    _getter(q)(p) is p after q, for permutations and table rows alike.
+    itemgetter() raises and itemgetter(k) gives a bare item, so fewer
+    than two keys are read in Python."""
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    return lambda x: tuple([x[k] for k in keys])
 
 
 def _of_kind(convert, x, want: str):
@@ -77,13 +96,14 @@ class Group:
         n = len(table)
         if n == 0:
             raise GroupError("empty table")
-        indices = list(range(n))
+        indices = set(range(n))
         for row in table:
             if len(row) != n:
                 raise GroupError("table is not square")
-            if not _ints(row) or sorted(row) != indices:
+            if not (_ints(row) and set(row) == indices):
                 raise GroupError("table row is not a permutation of element indices")
-        if any(table[0][j] != j for j in range(n)) or any(table[i][0] != i for i in range(n)):
+        ident = tuple(range(n))
+        if table[0] != ident or tuple(map(itemgetter(0), table)) != ident:
             raise GroupError("element 0 is not a two-sided identity")
         self.order = n
         self.table = table
@@ -94,11 +114,18 @@ class Group:
         self._gens = None
         self._edges = None
         self._hash = None
-        # associativity at a generating set suffices: see the module docstring
-        for a in generating_set(self):
-            ta = table[a]
-            for b, tb in enumerate(table):
-                if table[ta[b]] != tuple(map(ta.__getitem__, tb)):
+        # associativity at a generating set suffices: see the module
+        # docstring.  (ab)c = a(bc) for all c says row ab is row a after
+        # row b; one getter of row b serves every a, and a failure is
+        # named as the scan a by a, then b by b, first meets it.
+        S = generating_set(self)
+        rows = [table[a] for a in S]
+        for b, tb in enumerate(table):
+            after_b = _getter(tb)
+            for ta in rows:
+                if table[ta[b]] != after_b(ta):
+                    a, b = next((a, b) for a in S for b in range(n)
+                                if table[table[a][b]] != _getter(table[b])(table[a]))
                     raise GroupError(f"associativity fails at a={a}, b={b}")
 
     def __repr__(self):
@@ -182,11 +209,12 @@ def closure(generators, cap: tuple[str, int] = ("CLOSURE_CAP", CLOSURE_CAP)) -> 
     seen = {ident}
     frontier = [ident]
     steps = []  # q = p * gens[k] for each new q: a spanning tree
+    right = [_getter(g) for g in gens]  # right[k](p) = p * gens[k]
     while frontier:
         nxt = []
         for p in frontier:
-            for k, g in enumerate(gens):
-                q = perms.compose(p, g)
+            for k, times_g in enumerate(right):
+                q = times_g(p)
                 if q not in seen:
                     if len(seen) >= cap_value:
                         raise GroupError(f"closure exceeds {cap_name} = "
@@ -198,11 +226,13 @@ def closure(generators, cap: tuple[str, int] = ("CLOSURE_CAP", CLOSURE_CAP)) -> 
     els = [ident] + sorted(seen - {ident})
     idx = {p: i for i, p in enumerate(els)}
     # (p * g) * b = p * (g * b): each row is an earlier row permuted, so
-    # only products with a generator compose permutations
-    left = [[idx[perms.compose(g, b)] for b in els] for g in gens]
+    # only products with a generator compose permutations, one getter
+    # per b; products[i·k + j] is gens[j] * els[i], for k generators
+    products = [idx[after_b(g)] for after_b in map(_getter, els) for g in gens]
+    by_left = [_getter(products[j::len(gens)]) for j in range(len(gens))]
     rows = {ident: tuple(range(len(els)))}
     for q, p, k in steps:
-        rows[q] = tuple(map(rows[p].__getitem__, left[k]))
+        rows[q] = by_left[k](rows[p])
     table = [rows[p] for p in els]
     return Group(table, name="closure")
 
@@ -234,19 +264,36 @@ def _walk(table, gens) -> tuple[list[int], list[tuple[int, int]], list[tuple[int
     return walk, tree, other
 
 
+def _extend(table, walk: list[int], span: set[int], gens: list[int]) -> None:
+    """Grow walk and span, the elements _walk(table, gens[:-1]) reaches,
+    to those _walk(table, gens) reaches: each element of walk times the
+    new generator gens[-1], and each element found from then on times
+    every generator.  So each edge is read once as gens grow."""
+    done, new = len(walk), gens[-1:]
+    for i, h in enumerate(walk):  # walk grows as it is read, as in _walk
+        row = table[h]
+        for s in new if i < done else gens:
+            if (x := row[s]) not in span:
+                span.add(x)
+                walk.append(x)
+
+
 def generating_set(G: Group) -> list[int]:
     """A small generating set, found once per group and kept on it:
     elements of highest order first, each one taken while the span of
-    those before it, the elements _walk reaches, is proper."""
-    if G._gens is None:
+    those before it, the elements _walk reaches, is proper (_extend
+    grows the span as each one is taken)."""
+    if _group(G)._gens is None:
+        G.element_order(0)  # finds every element's order
         S: list[int] = []
-        span = {0}
-        for g in sorted(range(1, G.order), key=lambda g: (-G.element_order(g), g)):
+        walk, span = [0], {0}
+        # highest order first; a reversed sort is stable, so ties stay in index order
+        for g in sorted(range(1, G.order), key=G._orders.__getitem__, reverse=True):
             if len(span) == G.order:
                 break
             if g not in span:
                 S.append(g)
-                span = set(_walk(G.table, S)[0])
+                _extend(G.table, walk, span, S)
         G._gens = tuple(S)
     return list(G._gens)
 
@@ -254,7 +301,7 @@ def generating_set(G: Group) -> list[int]:
 def cayley_walk(G: Group) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
     """The tree and other edges of _walk by S = generating_set(G), found
     once per group and kept on it."""
-    if G._edges is None:
+    if _group(G)._edges is None:
         _, tree, other = _walk(G.table, generating_set(G))
         G._edges = (tuple(tree), tuple(other))
     return G._edges
@@ -265,13 +312,15 @@ def subgroup(G: Group, members) -> Group:
     table: member i in increasing order is element i, so the identity
     comes first.  A set of non-ints, without 0 or not closed under
     products is refused."""
+    _group(G)
     els = _of_kind(set, members, "members must be a collection of element indices")
     els = sorted(els) if _ints(els) else []
     if not els or els[0] != 0 or els[-1] >= G.order:
         raise GroupError("subgroup must be a set of element indices holding 0")
     idx = {m: i for i, m in enumerate(els)}
+    at_els = _getter(els)  # a row's products with the members
     try:
-        table = [tuple(map(idx.__getitem__, map(G.table[a].__getitem__, els))) for a in els]
+        table = [_getter(at_els(G.table[a]))(idx) for a in els]
     except KeyError:
         raise GroupError("subset is not closed under products") from None
     return Group(table, name=f"subgroup of {G.name}" if G.name else "")
@@ -280,7 +329,7 @@ def subgroup(G: Group, members) -> Group:
 def sylow2(G: Group) -> Group:
     """A Sylow 2-subgroup: G itself for a 2-group, else one grown once per
     group and kept on it."""
-    if G.order & (G.order - 1) == 0:
+    if _group(G).order & (G.order - 1) == 0:
         return G
     if G._sylow2 is None:
         G._sylow2 = _grow_sylow2(G)
@@ -296,7 +345,7 @@ def _grow_sylow2(G: Group) -> Group:
     target = G.order & -G.order
     t = G.table
     gens: list[int] = []
-    P = {0}
+    walk, P = [0], {0}
 
     def normalizes(g):  # gPg^-1 = P, read from the table: g and gens are indices
         gi = G.inv(g)
@@ -308,7 +357,7 @@ def _grow_sylow2(G: Group) -> Group:
         if ext is None:
             raise GroupError("failed to extend 2-subgroup (table is not a group?)")
         gens.append(ext)
-        P = set(_walk(G.table, gens)[0])
+        _extend(t, walk, P, gens)
         if len(P) & (len(P) - 1) != 0:
             raise GroupError("extension left the class of 2-groups")
     return subgroup(G, P)
@@ -333,8 +382,8 @@ def quotient_with_map(G: Group, members) -> tuple[Group, tuple[int, ...]]:
         for m in coset:
             coset_of[m] = idx
     # identity coset is discovered first (g = 0), so index 0 is correct
-    k = len(reps)
-    table = [tuple([coset_of[G.table[reps[a]][reps[b]]] for b in range(k)]) for a in range(k)]
+    at_reps = _getter(reps)  # a row's products with the representatives
+    table = [_getter(at_reps(G.table[r]))(coset_of) for r in reps]
     Q = Group(table, name=f"{G.name}/N" if G.name else "quotient")
     return Q, tuple(coset_of)
 

@@ -12,6 +12,8 @@ refusals groups.closure and clifford._door re-raise as their own errors.
 """
 from __future__ import annotations
 
+from operator import itemgetter
+
 from . import _as_int, _ints, _quote
 
 Perm = tuple[int, ...]
@@ -55,15 +57,22 @@ def door(ps, cap: tuple[str, int], n: int | None = None, what: str = "degree") -
 
 
 def compose(p: Perm, q: Perm) -> Perm:
-    """Return p after q, i.e. x -> p(q(x))."""
+    """Return p after q, i.e. x -> p(q(x)): the entries of p at q, read
+    in C by one itemgetter call, which allocates the tuple at its final
+    size.  itemgetter() raises and itemgetter(x) gives a bare item, so
+    degrees 0 and 1 are read in Python."""
     if len(p) != len(q):
         raise ValueError(f"degree mismatch: {len(p)} vs {len(q)}")
-    return tuple(map(p.__getitem__, q))
+    if len(q) < 2:
+        return tuple(map(p.__getitem__, q))
+    return itemgetter(*q)(p)
 
 
 def cycles(p: Perm) -> list[tuple[int, ...]]:
     """Nontrivial cycles, each starting at its minimum moved point,
-    sorted by that minimum."""
+    sorted by that minimum.  A p that is not a permutation is refused
+    (ValueError) once its walk meets a point it has seen, where the walk
+    would go round a loop that misses its start for ever."""
     seen = [False] * len(p)
     out = []
     for start in range(len(p)):
@@ -74,6 +83,8 @@ def cycles(p: Perm) -> list[tuple[int, ...]]:
         seen[start] = True
         x = p[start]
         while x != start:
+            if seen[x]:
+                raise ValueError(f"not a permutation: {_quote(p)}")
             cyc.append(x)
             seen[x] = True
             x = p[x]

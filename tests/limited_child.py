@@ -44,11 +44,18 @@ sys.exit(code)
 """
 
 
-def verb_peak_mb(*argv):
-    """Peak resident set, in MB, of a child that runs the verb argv and
-    exits 0.  Skips where /proc/self/status is missing."""
+def verb_peak_and_wall(*argv):
+    """Peak resident set, in MB, and wall time, in s, of a child that
+    runs the verb argv and exits 0.  Skips where /proc/self/status is
+    missing."""
     if not os.path.exists("/proc/self/status"):
         pytest.skip("no /proc/self/status to read VmHWM from")
-    proc, _ = run_limited(["-c", _PEAK_CHILD, *argv])
+    proc, elapsed = run_limited(["-c", _PEAK_CHILD, *argv])
     assert proc.returncode == 0, proc.stderr
-    return int(proc.stderr.split()[-2]) / 1024
+    return int(proc.stderr.split()[-2]) / 1024, elapsed
+
+
+def verb_peak_mb(*argv):
+    """Peak resident set, in MB, of a child that runs the verb argv and
+    exits 0 (verb_peak_and_wall)."""
+    return verb_peak_and_wall(*argv)[0]

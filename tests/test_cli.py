@@ -20,7 +20,7 @@ from traceforms.fixtures import ALL_FIXTURES
 from traceforms.quadratic import form_class, signature
 from traceforms.verify import DEFAULT_SEED, STATEMENTS, jsonable
 
-from limited_child import run_limited, verb_peak_mb
+from limited_child import run_limited, verb_peak_and_wall, verb_peak_mb
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +144,20 @@ def test_order_2048_group_child_peaks_under_55_mb():
     # Group copied the list rows its builder had just made, so the child
     # peaked at 83 MB for a table that keeps 32.5 MB
     assert verb_peak_mb("group", "--group", "catalog:cyclic:2048") <= 55
+
+
+@pytest.mark.parametrize("spec", [
+    "catalog:elem_abelian_2:11",
+    "perms:" + ",".join(f"({2 * i} {2 * i + 1})" for i in range(11)),
+], ids=["catalog", "perms"])
+def test_rank_11_group_child_finishes_under_2_5_s(spec):
+    # the associativity check at 11 generators took 3.2-4.1 s of a rank-11
+    # build while it composed rows by tuple(map(...)): a child took 3.0-4.6
+    # s, and 1.1-1.7 s with one itemgetter call per row; it peaks at 47-50
+    # MB either way
+    peak, elapsed = verb_peak_and_wall("group", "--group", spec)
+    assert elapsed < 2.5, elapsed
+    assert peak <= 55, peak
 
 
 def test_suite_child_peaks_under_18_mb():

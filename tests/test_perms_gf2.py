@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from limited_child import run_limited
 from traceforms import gf2
 from traceforms.groups import GroupError, closure
 from traceforms.perms import (
@@ -56,6 +57,38 @@ def test_compose_right_factor_acts_first():
     assert compose(q, p) != pq
     with pytest.raises(ValueError):
         compose(identity(3), identity(4))
+
+
+def test_compose_matches_the_retired_map():
+    # compose reads p at q by one itemgetter call; the retired kernel was
+    # tuple(map(p.__getitem__, q)).  itemgetter() raises and
+    # itemgetter(x) gives a bare item, so degrees 0 and 1 are pinned too.
+    rng = random.Random(5501)
+    cases = [((), ()), ((0,), (0,)), ((0, 1), (1, 0)), ((1, 0), (1, 0)), ([1, 0], (0, 1))]
+    for _ in range(200):
+        n = rng.randint(0, 64)
+        cases.append((tuple(rng.sample(range(n), n)), tuple(rng.sample(range(n), n))))
+    for p, q in cases:
+        got = compose(p, q)
+        assert type(got) is tuple and got == tuple(map(p.__getitem__, q)), (p, q)
+
+
+@pytest.mark.parametrize("call, error", [
+    ("perms.cycles((0, 0))", "ValueError: not a permutation: (0, 0)"),
+    ("perms.signature([2, 0, 0])", "ValueError: not a permutation: [2, 0, 0]"),
+    ("clifford.transposition_factors((1, 1, 0))",
+     "CliffordError: not a permutation: (1, 1, 0)"),
+], ids=["cycles", "signature", "transposition_factors"])
+def test_cycles_refuses_a_non_permutation_without_a_hang(call, error):
+    # the walk from a point whose loop misses it appended to the cycle
+    # until memory ran out, so run each in a limited child
+    code = ("from traceforms import clifford, perms\n"
+            f"try:\n    {call}\nexcept ValueError as e:\n"
+            "    print(f'{type(e).__name__}: {e}')")
+    proc, elapsed = run_limited(["-c", code], timeout=10)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout == error + "\n"
+    assert elapsed < 2, elapsed
 
 
 def test_inverse_and_order_random():
